@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from superkac.exact import ExactSolver, ParamPoly, PolyMatrix
 from superkac.report import VerificationReport
@@ -220,10 +220,6 @@ def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
         cartan_matrix=tuple(cartan),
         rho0=rho0, rho1=rho1, rho=rho,
     )
-
-
-def bilinear_form(datum: RootDatum, w1: Weight, w2: Weight):
-    return datum.bilinear(w1, w2)
 
 
 # -- fundamental representation --------------------------------------------
@@ -522,6 +518,50 @@ def grading_report(sc: StructureConstants) -> VerificationReport:
     return report
 
 
+def bracket_violations(labels: Sequence[GenLabel], parity: Mapping,
+                       table: Mapping, bracket: Callable,
+                       targets: Mapping[GenLabel, PolyMatrix]) -> list:
+    """The one relation checker: every ordered pair (a, b) of ``labels`` at
+    which ``bracket(a, b)`` differs from the table's expansion
+    sum_t table[(a, b)][t] * targets[t].
+
+    Returns ``[((a, b), (entry, residual)), ...]`` in pair order, locating
+    the first nonzero residual entry of each violating pair.  ``parity`` is
+    passed on to ``bracket`` as (parity[a], parity[b]).
+    """
+    violations = []
+    for la, lb in itertools.product(labels, repeat=2):
+        residual = bracket(la, lb, parity[la], parity[lb])
+        for target, coeff in table.get((la, lb), {}).items():
+            residual = residual + targets[target].scale(-coeff)
+        if not residual.is_zero:
+            violations.append(((la, lb), residual.first_nonzero()))
+    return violations
+
+
+def violations_report(title: str, name: str, labels: Sequence[GenLabel],
+                      violations: list) -> VerificationReport:
+    """One check item: the count of violating pairs and the first locator."""
+    report = VerificationReport(title)
+    if violations:
+        (la, lb), (pos, val) = violations[0]
+        report.add_fail(f"{name} ({len(violations)} violating pairs)",
+                        f"pair ({la},{lb}) entry {pos}", str(val))
+    else:
+        report.add_pass(f"{name} on all {len(labels)}^2 pairs")
+    return report
+
+
+def superbracket_violations(matrices: Mapping[GenLabel, PolyMatrix],
+                            sc: StructureConstants) -> list:
+    """Violating pairs of the superbracket table for representation
+    matrices; nonsimple root vectors are derived from their recipes."""
+    mats = extend_matrices(matrices, sc.recipes)
+    return bracket_violations(
+        sc.basis, sc.parity, sc.table,
+        lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
+
+
 def check_super_relations(matrices: Mapping[GenLabel, PolyMatrix],
                           sc: StructureConstants,
                           title: str = "super-relations") -> VerificationReport:
@@ -531,42 +571,17 @@ def check_super_relations(matrices: Mapping[GenLabel, PolyMatrix],
     all u and v); nonsimple root vectors are derived from their recipes before
     checking every ordered pair of the full basis.
     """
-    report = VerificationReport(title)
     missing = [lab for lab in sc.basis
                if lab not in matrices and lab not in sc.recipes]
     if missing:
+        report = VerificationReport(title)
         report.add_fail("generator coverage", f"missing {missing[0]}")
         return report
-    mats = extend_matrices(matrices, sc.recipes)
-    dims = {(mat.rows, mat.cols) for mat in mats.values()}
+    dims = {(mat.rows, mat.cols) for mat in matrices.values()}
     if len(dims) != 1 or any(r != c for r, c in dims):
         raise InputError(f"representation matrices have mixed shapes {dims}")
-
-    params = next(iter(mats.values())).params
-    dim = next(iter(dims))[0]
-    zero = PolyMatrix.zeros(dim, dim, params)
-
-    violations = 0
-    first = None
-    for la, lb in itertools.product(sc.basis, repeat=2):
-        expected = zero
-        for target, coeff in sc.bracket(la, lb).items():
-            expected = expected + mats[target].scale(coeff)
-        residual = sbracket(sc.parity[la], sc.parity[lb], mats[la], mats[lb]) \
-            - expected
-        if not residual.is_zero:
-            violations += 1
-            if first is None:
-                pos, val = residual.first_nonzero()
-                first = (f"pair ({la},{lb}) entry {pos}", str(val))
-    if violations:
-        report.add_fail(
-            f"superbracket table reproduced ({violations} violating pairs)",
-            first[0], first[1])
-    else:
-        report.add_pass(
-            f"superbracket table reproduced on all {len(sc.basis)}^2 pairs")
-    return report
+    return violations_report(title, "superbracket table reproduced", sc.basis,
+                             superbracket_violations(matrices, sc))
 
 
 # -- weights from Dynkin labels ---------------------------------------------

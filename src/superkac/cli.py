@@ -45,10 +45,30 @@ class JobConfig:
     report: str | None = None
 
     def __post_init__(self):
+        """Type-check and normalize every field; a bad value raises an
+        InputError that names the field."""
         if self.action not in ACTIONS:
             raise InputError(f"unknown action {self.action!r}")
+        if self.flavor not in ("sl", "gl"):
+            raise InputError(f"flavor must be 'sl' or 'gl', got {self.flavor!r}")
+        for name in ("m", "n", "N", "n_twist"):
+            _integer(name, getattr(self, name))
         if self.m < 1 or self.n < 1:
             raise InputError("m and n must be positive integers")
+        self.labels = _sequence("labels", self.labels, _integer)
+        self.lambdas = _sequence("lambdas", self.lambdas, _rational)
+        self.nu = _sequence("nu", self.nu, _rational)
+        for name in ("b", "c"):
+            value = getattr(self, name)
+            if value != "symbolic":
+                setattr(self, name, _rational(name, value))
+        for name in ("out", "report"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise InputError(f"{name} must be a file path")
+        if self.flavor == "gl" and self.b != "symbolic" \
+                and self.c == "symbolic":
+            raise InputError("c must be bound when b is: a gl job with a "
+                             "rational b needs a rational c as well")
 
     def bindings(self) -> dict:
         out = {}
@@ -59,106 +79,106 @@ class JobConfig:
         return out
 
 
-def _parse_fraction_list(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(Fraction(chunk.strip()) for chunk in text.split(","))
+def _integer(name: str, value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_int_list(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(chunk.strip()) for chunk in text.split(","))
+def _rational(name: str, value) -> Fraction:
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"{name} must be an exact rational such as 5/7, "
+                     f"got {value!r}")
 
 
-def _parse_symbolic_or_fraction(text: str):
-    return "symbolic" if text == "symbolic" else Fraction(text)
+def _sequence(name: str, value, item) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{name} must be a list, got {value!r}")
+    return tuple(item(name, x) for x in value)
+
+
+def _flag_list(name: str, text: str | None, item=str):
+    """A comma-separated flag value as a tuple, or None when not given."""
+    if text is None:
+        return None
+    chunks = [chunk.strip() for chunk in text.split(",")] if text.strip() \
+        else []
+    try:
+        return tuple(item(chunk) for chunk in chunks)
+    except ValueError:
+        raise InputError(f"{name} must be a comma-separated list of "
+                         f"{item.__name__} values, got {text!r}") from None
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
-    values = {
-        "action": args.action,
-        "flavor": args.algebra,
-        "m": args.m,
-        "n": args.n,
-        "labels": _parse_int_list(args.labels),
-        "b": _parse_symbolic_or_fraction(args.b),
-        "c": _parse_symbolic_or_fraction(args.c),
-        "N": args.N,
-        "lambdas": _parse_fraction_list(args.lambdas),
-        "nu": _parse_fraction_list(args.nu),
-        "n_twist": args.n_twist,
-        "out": args.out,
-        "report": args.report,
-    }
+    """Flags the user gave win over --config values, which win over the
+    JobConfig defaults."""
+    values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise InputError("config must be a JSON object of JobConfig fields")
         known = {f.name for f in fields(JobConfig)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise InputError(f"unknown config fields rejected: {unknown}")
-        flag_name = {"flavor": "algebra"}
-        for key, value in raw.items():
-            if key == "labels":
-                value = tuple(int(x) for x in value)
-            elif key in ("lambdas", "nu"):
-                value = tuple(Fraction(x) for x in value)
-            elif key in ("b", "c") and value != "symbolic":
-                value = Fraction(value)
-            if flag_name.get(key, key) not in _explicit_flags(args):
-                values[key] = value
+        values.update(raw)
+    flags = {
+        "flavor": args.flavor,
+        "m": args.m,
+        "n": args.n,
+        "labels": _flag_list("labels", args.labels, int),
+        "b": args.b,
+        "c": args.c,
+        "N": args.N,
+        "lambdas": _flag_list("lambdas", args.lambdas),
+        "nu": _flag_list("nu", args.nu),
+        "n_twist": args.n_twist,
+        "out": args.out,
+        "report": args.report,
+    }
+    values.update({key: value for key, value in flags.items()
+                   if value is not None})
+    values["action"] = args.action
     return JobConfig(**values)
 
 
-def _explicit_flags(args: argparse.Namespace) -> set:
-    return set(getattr(args, "_explicit", ()))
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destination names were set on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):
-        namespace = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = sys.argv[1:] if argv is None else list(argv)
-        for action in self._actions:
-            for opt in action.option_strings:
-                if any(chunk == opt or chunk.startswith(opt + "=")
-                       for chunk in argv):
-                    explicit.add(action.dest)
-        namespace._explicit = explicit
-        return namespace
-
-
-def make_parser() -> _TrackingParser:
-    parser = _TrackingParser(
+def make_parser() -> argparse.ArgumentParser:
+    # Flags default to None so that config_from_args can tell which ones
+    # were given; the defaults live in JobConfig.
+    parser = argparse.ArgumentParser(
         prog="superkac",
         description="Exact Kac modules of gl/sl(m|n) with a symbolic odd "
                     "label, their indecomposable nested replications, twists "
                     "and Heisenberg-superalgebra structure.")
     parser.add_argument("action", choices=ACTIONS)
-    parser.add_argument("--algebra", choices=("sl", "gl"), default="sl")
-    parser.add_argument("--m", type=int, default=2)
-    parser.add_argument("--n", type=int, default=1)
-    parser.add_argument("--labels", default="",
+    parser.add_argument("--algebra", dest="flavor", choices=("sl", "gl"),
+                        help="default sl")
+    parser.add_argument("--m", type=int, help="default 2")
+    parser.add_argument("--n", type=int, help="default 1")
+    parser.add_argument("--labels",
                         help="comma-separated even Dynkin labels, e.g. '1,0'")
-    parser.add_argument("--b", default="symbolic",
-                        help="'symbolic' or a rational like 5/7")
-    parser.add_argument("--c", default="symbolic",
-                        help="gl central charge: 'symbolic' or a rational")
-    parser.add_argument("--N", type=int, default=2,
-                        help="number of replication copies")
-    parser.add_argument("--lambdas", default="",
+    parser.add_argument("--b",
+                        help="'symbolic' (default) or a rational like 5/7")
+    parser.add_argument("--c",
+                        help="gl central charge: 'symbolic' (default) or a "
+                             "rational; needed when b is rational")
+    parser.add_argument("--N", type=int,
+                        help="number of replication copies (default 2)")
+    parser.add_argument("--lambdas",
                         help="comma-separated coupling scalars, e.g. '2,-3/5'")
-    parser.add_argument("--nu", default="",
+    parser.add_argument("--nu",
                         help="twist direction on (y, z0), e.g. '1,0'")
-    parser.add_argument("--n-twist", dest="n_twist", type=int, default=2)
-    parser.add_argument("--out", default=None, help="artifact JSON path")
-    parser.add_argument("--report", default=None, help="report JSON path")
-    parser.add_argument("--config", default=None,
+    parser.add_argument("--n-twist", dest="n_twist", type=int,
+                        help="default 2")
+    parser.add_argument("--out", help="artifact JSON path")
+    parser.add_argument("--report", help="report JSON path")
+    parser.add_argument("--config",
                         help="JSON JobConfig file; explicit flags win")
     return parser
 
@@ -173,16 +193,26 @@ def _build_stack(cfg: JobConfig):
     return spec, rep, sc, K
 
 
-def _emit(cfg: JobConfig, artifact: dict | None,
-          report: VerificationReport | None) -> None:
-    if artifact is not None and cfg.out:
-        jsonio.export_json(artifact, cfg.out)
+def _emit(cfg: JobConfig, module, report: VerificationReport | None) -> None:
+    if module is not None and cfg.out:
+        jsonio.export_json(jsonio.module_to_json(module, cfg.bindings() or None),
+                           cfg.out)
         print(f"wrote {cfg.out}")
     if report is not None:
         print(report.summary())
         if cfg.report:
             jsonio.export_json(jsonio.report_to_json(report), cfg.report)
             print(f"wrote {cfg.report}")
+
+
+def _block_relations(module) -> VerificationReport:
+    """The relations of an N-fold block module, verified at base dimension
+    as (i) the base relations and (ii)-(iii) of its deformation."""
+    report = check_super_relations(module.base.matrices, module.base.sc,
+                                   "base relations")
+    report.extend(mat.derivative_report(module.deformation, module.N,
+                                        "first-order relations"))
+    return report
 
 
 def run(cfg: JobConfig) -> int:
@@ -194,8 +224,7 @@ def run(cfg: JobConfig) -> int:
         spec, rep, sc, K = _build_stack(cfg)
         print(f"{spec} a={list(K.labels)}: Kac module of dimension {K.dim} "
               f"(2^{K.odd_count} x {K.L.dim}), params {list(K.params)}")
-        artifact = jsonio.module_to_json(K, bindings or None)
-        _emit(cfg, artifact, None)
+        _emit(cfg, K, None)
         return 0
 
     if cfg.action == "verify":
@@ -247,24 +276,21 @@ def run(cfg: JobConfig) -> int:
         spec, rep, sc, K = _build_stack(cfg)
         lambdas = cfg.lambdas if cfg.lambdas else tuple(
             [Fraction(1)] * (cfg.N - 1))
-        rspec = mat.ReplicationSpec(cfg.N, lambdas)
-        D = mat.odd_derivative(K, sc)
-        module = mat.replicate(K, D, rspec)
+        module = mat.replicate(K, mat.ReplicationSpec(cfg.N, lambdas))
         report = VerificationReport(
             f"replication N={cfg.N} couplings={[str(x) for x in lambdas]}")
-        report.extend(check_super_relations(module.matrices, sc,
-                                            "replicated relations"))
+        report.extend(_block_relations(module))
+        generic = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
         profile = mat.jordan_minpoly_profile(
-            module, bindings or {"b": Fraction(5, 7), "c": Fraction(3, 11)}
-            if spec.flavor == "gl" else bindings or {"b": Fraction(5, 7)})
+            module, {name: bindings.get(name, generic[name])
+                     for name in K.params})
         degrees = sorted(set(profile.values()))
         if degrees == [cfg.N]:
             report.add_pass(f"hypercharge Jordan degree {cfg.N} on every "
                             "weight space")
         else:
             report.add_fail("hypercharge Jordan degree", str(degrees))
-        artifact = jsonio.module_to_json(module, bindings or None)
-        _emit(cfg, artifact, report)
+        _emit(cfg, module, report)
         return 0 if report.ok else 1
 
     if cfg.action == "twist":
@@ -275,10 +301,8 @@ def run(cfg: JobConfig) -> int:
         module = mat.twist(K, tspec)
         report = VerificationReport(
             f"twist n={cfg.n_twist} nu={[str(x) for x in tspec.nu]}")
-        report.extend(check_super_relations(module.matrices, sc,
-                                            "twisted relations"))
-        artifact = jsonio.module_to_json(module, bindings or None)
-        _emit(cfg, artifact, report)
+        report.extend(_block_relations(module))
+        _emit(cfg, module, report)
         return 0 if report.ok else 1
 
     if cfg.action == "heisenberg":
@@ -296,8 +320,7 @@ def run(cfg: JobConfig) -> int:
         report.extend(hsb.check_phi_representation(phi, H))
         report.extend(hsb.mixed_derivative_report(rho))
         report.extend(hsb.compare_with_KH(phi))
-        artifact = jsonio.module_to_json(phi, bindings or None)
-        _emit(cfg, artifact, report)
+        _emit(cfg, phi, report)
         return 0 if report.ok else 1
 
     raise InputError(f"unhandled action {cfg.action!r}")

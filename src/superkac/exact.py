@@ -288,25 +288,6 @@ class ParamPoly:
         return out.replace("+ -", "- ")
 
 
-def poly_arith(a: ParamPoly, b: ParamPoly, op: str) -> ParamPoly:
-    """Dispatch form of the ring operations ('add' | 'sub' | 'mul')."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def poly_substitute(p: ParamPoly, bindings: Mapping[str, ScalarLike]) -> ParamPoly:
-    return p.substitute(bindings)
-
-
-def poly_derivative(p: ParamPoly, name: str) -> ParamPoly:
-    return p.derivative(name)
-
-
 class PolyMatrix:
     """Sparse rows x cols matrix with ParamPoly entries (no stored zeros)."""
 
@@ -478,10 +459,6 @@ class PolyMatrix:
         pos = min(self.entries)
         return pos, self.entries[pos]
 
-    def to_dense(self):
-        return [[self.entry(r, c) for c in range(self.cols)]
-                for r in range(self.rows)]
-
     def column(self, c: int) -> dict:
         return {r: val for (r, cc), val in self.entries.items() if cc == c}
 
@@ -635,10 +612,6 @@ class ExactSolver:
             if transformed[r] != 0:
                 return None
         return x
-
-
-def nullspace_dimension(m: PolyMatrix) -> int:
-    return m.cols - rational_linear_solve(m).rank
 
 
 def extract_rational_roots(poly: ParamPoly, name: str):

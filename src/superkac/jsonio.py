@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from superkac.algebra import (GenLabel, InputError, RootDatum,
-                              StructureConstants)
+from superkac.algebra import GenLabel, InputError, StructureConstants
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import KacModule
 from superkac.report import VerificationReport
@@ -171,22 +170,6 @@ def module_matrices_from_json(data: dict) -> dict:
             for name, mat in data["generators"].items()}
 
 
-def root_datum_to_json(datum: RootDatum) -> dict:
-    def weight(w):
-        return [str(x) for x in w]
-    return {
-        "schema": "superkac.rootdatum.v1",
-        "algebra": _algebra_header(datum.spec),
-        "simple_even_roots": [weight(w) for w in datum.simple_even_roots],
-        "even_positive_roots": [weight(w) for w in datum.even_positive_roots],
-        "odd_positive_roots": [weight(w) for w in datum.odd_positive_roots],
-        "cartan_matrix": [list(row) for row in datum.cartan_matrix],
-        "rho0": weight(datum.rho0),
-        "rho1": weight(datum.rho1),
-        "rho": weight(datum.rho),
-    }
-
-
 def structure_constants_to_json(sc: StructureConstants) -> dict:
     table = {}
     for (la, lb), expansion in sc.table.items():
@@ -215,8 +198,3 @@ def dumps_canonical(data: dict) -> str:
 def export_json(data: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps_canonical(data))
-
-
-def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

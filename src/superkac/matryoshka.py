@@ -1,97 +1,128 @@
 """Indecomposable nested N-replications of Kac modules.
 
-Because the odd raising matrices are linear in the odd label b, they have a
-well-defined derivative with respect to the highest-weight hypercharge
-eigenvalue y0 (chain rule through y0 = (b - d.a)/k).  Placing that
-derivative on the first block superdiagonal, and the identity on the
-superdiagonal of the hypercharge itself, produces for every N a
-representation on N stacked copies of the module that cannot be split: the
-hypercharge acts by Jordan blocks of size N on every weight space.
-
-The same block pattern with a general direction nu on the centre h' of the
-even subalgebra realizes the twist by the indecomposable h'-module J_n(nu);
-the pure hypercharge direction recovers the plain replication.
+Because the module matrices are affine in the odd label b (and the gl
+central charge c), they have an exact first-order derivative B along any
+direction nu on the centre h' of the even subalgebra, with the hypercharge
+part taken through y0 = (b - d.a)/k.  Placing the base matrices A on the
+block diagonal and B, scaled by couplings, on the first block superdiagonal
+gives for every N a representation on N stacked copies of the module that
+cannot be split.  The pure hypercharge direction with couplings lambda_t is
+the replication, whose hypercharge acts by Jordan blocks of size N on every
+weight space; a general direction with unit couplings is the twist by the
+indecomposable h'-module J_n(nu); a formal coupling t gives the Heisenberg
+family rho_t.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
-                              StructureConstants)
+                              bracket_violations, extend_matrices, sbracket,
+                              violations_report)
 from superkac.exact import PolyMatrix, block_matrix
 from superkac.kacmod import KacModule
 from superkac.report import VerificationReport
 
 
 @dataclass(frozen=True)
-class DerivedOddGenerators:
-    """Entrywise hypercharge derivative of the odd raising matrices."""
+class Deformation:
+    """A Kac module's matrices A with their derivative B along nu on h'.
 
-    k: Fraction
-    u_prime: dict                 # odd index -> PolyMatrix (parameter-free entries)
-
-
-def odd_derivative(K: KacModule, sc: StructureConstants) -> DerivedOddGenerators:
-    """u' = d/dy0 of each odd raising matrix, computed as k * (b coefficient).
-
-    Every u entry must be of degree at most one in b; anything higher breaks
-    the normal-ordering degree bound and is reported as a structural failure.
+    A covers the full basis (nonsimple root vectors via their recipes) and
+    B = nu_y * k * d/db + nu_c * d/dc of every A.  With S the block shift
+    carrying the couplings, X = I (x) A + S (x) B satisfies the superbracket
+    relations exactly when, at base dimension,
+      (i)   the base relations hold, symbolically in (b, c);
+      (ii)  [A_a, B_b] + [B_a, A_b] = sum_t f_ab^t B_t  (for N >= 2);
+      (iii) [B_a, B_b] = 0  (for N >= 3, where S^2 is nonzero).
     """
-    u_prime = {}
-    for i in range(1, K.odd_count + 1):
-        mat = K.matrices[GenLabel("u", i)]
-        if mat.degree("b") > 1:
-            raise InternalConsistencyError(
-                f"u_{i} has degree {mat.degree('b')} > 1 in b")
-        u_prime[i] = mat.coefficient("b", 1).scale(sc.k)
-    return DerivedOddGenerators(k=sc.k, u_prime=u_prime)
+
+    base: KacModule
+    A: dict                       # GenLabel -> PolyMatrix
+    B: dict                       # GenLabel -> PolyMatrix
+
+    @property
+    def u_prime(self) -> dict:
+        """Odd index -> the u-part of B."""
+        return {lab.index: mat for lab, mat in self.B.items()
+                if lab.kind == "u"}
+
+    def materialize(self, couplings: Sequence, params: tuple) -> dict:
+        """Block matrices I (x) A + S (x) B of the generator surface over
+        ``params``, where S carries couplings[t] from copy t+1 to copy t;
+        a coupling may be a rational or a ParamPoly over ``params``."""
+        N = len(couplings) + 1
+        sizes = [self.base.dim] * N
+        matrices = {}
+        for label in self.base.matrices:
+            deriv = self.B[label].with_params(params)
+            grid = [[None] * N for _ in range(N)]
+            for t in range(N):
+                grid[t][t] = self.A[label]
+                if t + 1 < N and not deriv.is_zero:
+                    grid[t][t + 1] = deriv.scale(couplings[t])
+            matrices[label] = block_matrix(grid, sizes, sizes, params)
+        return matrices
 
 
-def check_heisenberg_identity(K: KacModule, D: DerivedOddGenerators,
-                              sc: StructureConstants) -> VerificationReport:
-    """Exact anticommutator identities of the derived generators.
+def deformation(K: KacModule, nu_y, nu_c=Fraction(0)) -> Deformation:
+    """The first-order deformation of K along nu = (nu_y, nu_c)."""
+    if nu_c and "c" not in K.params:
+        raise InputError("a z0 twist direction needs flavor gl")
+    A = extend_matrices(K.matrices, K.sc.recipes)
+    B = {}
+    for label, mat in A.items():
+        deriv = PolyMatrix.zeros(mat.rows, mat.cols, K.params)
+        if nu_y:
+            deriv = deriv + mat.derivative("b").scale(K.sc.k * nu_y)
+        if nu_c:
+            deriv = deriv + mat.derivative("c").scale(nu_c)
+        B[label] = deriv
+    return Deformation(base=K, A=A, B=B)
 
-    {u'_i, v_j} = k delta_ij I, {u'_i, u'_j} = 0, and the symmetrized
-    derivative of {u_i, u_j} = 0, namely {u'_i, u_j} + {u_i, u'_j} = 0
-    (the cross terms do not vanish separately, but their sum is what the
-    block replication consumes).
-    """
-    report = VerificationReport(f"derivative anticommutators on {sc.spec} "
-                                f"a={list(K.labels)}")
-    dim, params = K.dim, K.params
-    identity = PolyMatrix.identity(dim, params)
-    P = K.odd_count
-    for i, j in itertools.product(range(1, P + 1), repeat=2):
-        up_i, up_j = D.u_prime[i], D.u_prime[j]
-        v = K.matrices[GenLabel("v", j)]
-        u_i = K.matrices[GenLabel("u", i)]
-        u_j = K.matrices[GenLabel("u", j)]
-        anti = up_i @ v + v @ up_i
-        expected = identity.scale(sc.k) if i == j else \
-            PolyMatrix.zeros(dim, dim, params)
-        if anti != expected:
-            pos, val = (anti - expected).first_nonzero()
-            report.add_fail(f"{{u'_{i}, v_{j}}} = k delta I",
-                            f"entry {pos}", str(val))
-            return report
-        cross = (up_i @ u_j + u_j @ up_i) + (u_i @ up_j + up_j @ u_i)
-        if not cross.is_zero:
-            report.add_fail(f"{{u'_{i}, u_{j}}} + {{u_{i}, u'_{j}}} = 0",
-                            "nonzero")
-            return report
-        if not (up_i @ up_j + up_j @ up_i).is_zero:
-            report.add_fail(f"{{u'_{i}, u'_{j}}} = 0", "nonzero")
-            return report
-    report.add_pass(f"{{u', v}} = k delta I, {{u', u'}} = 0 and symmetrized "
-                    f"{{u', u}} cancellation on {P}x{P} pairs")
+
+def odd_derivative(K: KacModule) -> Deformation:
+    """The hypercharge deformation, nu = (1, 0).  Its u-part is
+    u' = d/dy0 of each odd raising matrix, computed as k d/db."""
+    return deformation(K, Fraction(1))
+
+
+def derivative_violations(D: Deformation, N: int) -> dict:
+    """Violating pairs of identities (ii) and (iii) for an N-fold module.
+
+    Only N decides which identities apply: (ii) from N = 2, (iii) from
+    N = 3."""
+    sc = D.base.sc
+    A, B = D.A, D.B
+    out = {}
+    if N >= 2:
+        out["(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B"] = \
+            bracket_violations(
+                sc.basis, sc.parity, sc.table,
+                lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
+                + sbracket(pa, pb, B[la], A[lb]), B)
+    if N >= 3:
+        out["(iii) [B_a,B_b] = 0"] = bracket_violations(
+            sc.basis, sc.parity, {},
+            lambda la, lb, pa, pb: sbracket(pa, pb, B[la], B[lb]), B)
+    return out
+
+
+def derivative_report(D: Deformation, N: int,
+                      title: str) -> VerificationReport:
+    """One check item per identity of derivative_violations."""
+    report = VerificationReport(title)
+    for name, violations in derivative_violations(D, N).items():
+        report.extend(violations_report(title, name, D.base.sc.basis,
+                                        violations))
     return report
 
 
-# -- block assembly -----------------------------------------------------------
+# -- block modules ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ReplicationSpec:
@@ -138,17 +169,37 @@ class TwistSpec:
 
 @dataclass(frozen=True)
 class ReplicatedModule:
-    """N x N block module: base blocks on the diagonal, derivative blocks
-    scaled by the coupling data on the first superdiagonal."""
+    """N x N block module of a deformation: base blocks on the diagonal,
+    derivative blocks scaled by the couplings on the first superdiagonal.
+    The block matrices are built on first use."""
 
-    base: KacModule
-    N: int
+    deformation: Deformation
     couplings: tuple              # per-level scalars multiplying the superdiagonal
     nu: tuple | None              # twist direction, None for pure replications
-    params: tuple
-    matrices: dict
-    weights: tuple
-    layers: tuple
+
+    @property
+    def base(self) -> KacModule:
+        return self.deformation.base
+
+    @property
+    def N(self) -> int:
+        return len(self.couplings) + 1
+
+    @property
+    def params(self) -> tuple:
+        return self.base.params
+
+    @cached_property
+    def matrices(self) -> dict:
+        return self.deformation.materialize(self.couplings, self.params)
+
+    @cached_property
+    def weights(self) -> tuple:
+        return tuple(self.base.weights) * self.N
+
+    @property
+    def layers(self) -> tuple:
+        return tuple(self.base.layers) * self.N
 
     @property
     def dim(self) -> int:
@@ -159,83 +210,25 @@ class ReplicatedModule:
         return self.base.dim
 
 
-def directional_derivative(K: KacModule, sc: StructureConstants,
-                           label: GenLabel, nu_y: Fraction,
-                           nu_c: Fraction) -> PolyMatrix:
-    """Derivative of a generator matrix along the h' direction nu.
-
-    The entries are affine in y0 (through b) and in the central charge c, so
-    the directional derivative is nu_y * k * d/db + nu_c * d/dc, exactly.
-    """
-    mat = K.matrices[label]
-    if mat.degree("b") > 1 or ("c" in K.params and mat.degree("c") > 1):
-        raise InternalConsistencyError(f"{label} matrix is not affine in (b, c)")
-    out = mat.coefficient("b", 1).scale(sc.k * nu_y) if nu_y else \
-        PolyMatrix.zeros(mat.rows, mat.cols, K.params)
-    if nu_c:
-        if "c" not in K.params:
-            raise InputError("nu has a z0 component but the module has no "
-                             "central charge parameter")
-        out = out + mat.coefficient("c", 1).scale(nu_c)
-    return out
-
-
-def _assemble_blocks(K: KacModule, sc: StructureConstants, N: int,
-                     couplings: Sequence[Fraction], nu_y: Fraction,
-                     nu_c: Fraction, nu_record) -> ReplicatedModule:
-    params = K.params
-    D = K.dim
-    sizes = [D] * N
-    matrices = {}
-    for label, mat in K.matrices.items():
-        deriv = directional_derivative(K, sc, label, nu_y, nu_c)
-        grid = [[None] * N for _ in range(N)]
-        for t in range(N):
-            grid[t][t] = mat
-            if t + 1 < N and not deriv.is_zero:
-                grid[t][t + 1] = deriv.scale(couplings[t])
-        matrices[label] = block_matrix(grid, sizes, sizes, params)
-    weights = tuple(K.weights) * N
-    layers = tuple(K.layers) * N
-    return ReplicatedModule(
-        base=K, N=N, couplings=tuple(couplings), nu=nu_record, params=params,
-        matrices=matrices, weights=weights, layers=layers)
-
-
-def replicate(K: KacModule, D: DerivedOddGenerators,
-              spec: ReplicationSpec) -> ReplicatedModule:
+def replicate(K: KacModule, spec: ReplicationSpec) -> ReplicatedModule:
     """N stacked copies coupled through u' and the identity on Y."""
-    module = _assemble_blocks(K, K.sc, spec.N, spec.lambdas,
-                              Fraction(1), Fraction(0), None)
-    # The u superdiagonal blocks are exactly lambda_t * u' by construction;
-    # assert against the independently derived generators.
-    for i, up in D.u_prime.items():
-        expected = directional_derivative(K, K.sc, GenLabel("u", i),
-                                          Fraction(1), Fraction(0))
-        if expected != up:
-            raise InternalConsistencyError("derived odd generators disagree "
-                                           "with the block assembly")
-    return module
+    return ReplicatedModule(odd_derivative(K), spec.lambdas, None)
 
 
 def twist(K: KacModule, spec: TwistSpec) -> ReplicatedModule:
     """K(L x J_n(nu)): n copies coupled through the nu-directional derivative."""
-    if spec.nu_c != 0 and K.spec.flavor != "gl":
-        raise InputError("a z0 twist direction needs flavor gl")
-    couplings = [Fraction(1)] * (spec.n - 1)
-    return _assemble_blocks(K, K.sc, spec.n, couplings,
-                            spec.nu_y, spec.nu_c, spec.nu)
+    return ReplicatedModule(deformation(K, spec.nu_y, spec.nu_c),
+                            (Fraction(1),) * (spec.n - 1), spec.nu)
 
 
-def rescale_conjugation_check(K: KacModule, D: DerivedOddGenerators,
-                              lam: Fraction) -> VerificationReport:
+def rescale_conjugation_check(K: KacModule, lam: Fraction) -> VerificationReport:
     """Q U(1) Q^-1 = U(lambda) and likewise for Y, with Q = diag(lambda I, I)."""
     lam = Fraction(lam)
     if lam == 0:
         raise InputError("rescaling needs a nonzero lambda")
     report = VerificationReport(f"superdiagonal rescaling by {lam}")
-    base = replicate(K, D, ReplicationSpec(2, (Fraction(1),)))
-    target = replicate(K, D, ReplicationSpec(2, (lam,)))
+    base = replicate(K, ReplicationSpec(2, (Fraction(1),)))
+    target = replicate(K, ReplicationSpec(2, (lam,)))
     dim, params = K.dim, K.params
     eye = PolyMatrix.identity(dim, params)
     q = block_matrix([[eye.scale(lam), None], [None, eye]],

@@ -1,5 +1,5 @@
 """The standard desk-scale configuration matrix used by the verification
-suite and by `superkac verify --all`."""
+suite."""
 
 from fractions import Fraction
 

@@ -142,7 +142,7 @@ def test_criterion_5_derivative_identity():
     for cfg in KAC_CONFIGS:
         K = kac(cfg["flavor"], cfg["m"], cfg["n"], cfg["a"])
         rep, sc = stack(cfg["flavor"], cfg["m"], cfg["n"])
-        D = mat.odd_derivative(K, sc)
+        D = mat.odd_derivative(K)
         eye = PolyMatrix.identity(K.dim, K.params)
         P = K.odd_count
         for i, j in itertools.product(range(1, P + 1), repeat=2):
@@ -159,11 +159,10 @@ def test_criterion_6_matryoshka_theorem():
     for flavor, m, n, a in base_cases:
         K = kac(flavor, m, n, a)
         rep, sc = stack(flavor, m, n)
-        D = mat.odd_derivative(K, sc)
         binds = bindings_for(flavor)
         for lams in COUPLING_SETS:
             N = len(lams) + 1
-            R = mat.replicate(K, D, mat.ReplicationSpec(N, lams))
+            R = mat.replicate(K, mat.ReplicationSpec(N, lams))
             result = check_super_relations(R.matrices, sc, f"N={N}")
             assert result.ok, result.summary()
             for lab in K.matrices:
@@ -172,7 +171,7 @@ def test_criterion_6_matryoshka_theorem():
             profile = mat.jordan_minpoly_profile(R, dict(binds, b=GENERIC_B))
             assert set(profile.values()) == {N}
         for lam in (Fraction(1), Fraction(2), Fraction(-3, 5)):
-            assert mat.rescale_conjugation_check(K, D, lam).ok
+            assert mat.rescale_conjugation_check(K, lam).ok
     report(6, "N in {2,3} replications with couplings (1), (1,1), (2,-3/5): "
               "exact relations, base diagonal blocks, Jordan degree N on "
               "every weight space, and the rescaling conjugation identity")

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from superkac import jsonio
 from superkac.algebra import (SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
@@ -72,6 +74,42 @@ class TestExitCodes:
         cfg.write_text(json.dumps(
             {"flavor": "gl", "m": 2, "n": 1, "labels": [1]}))
         assert main(["verify", "--config", str(cfg)]) == 0
+
+
+class TestConfigValidation:
+    def test_abbreviated_flag_wins_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"labels": [0], "N": 3, "lambdas": [1, 1]}))
+        assert main(["replicate", "--config", str(cfg), "--lam", "2,3"]) == 0
+        assert "couplings=['2', '3']" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,config,field", [
+        (["typicality", "--b", "1/0"], None, "b"),
+        (["build"], {"m": "2"}, "m"),
+        (["build"], {"labels": "10"}, "labels"),
+        (["build"], {"b": 0.5}, "b"),
+        (["build", "--labels", "1,x"], None, "labels"),
+        (["replicate", "--N", "3"], {"lambdas": [1, "1/0"]}, "lambdas"),
+    ])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, argv,
+                                         config, field):
+        if config is not None:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {field} ")
+
+    @pytest.mark.parametrize("action", ["typicality", "replicate", "build"])
+    def test_gl_with_bound_b_needs_bound_c(self, capsys, action):
+        assert main([action, "--algebra", "gl", "--b", "5/7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: c ")
+        assert main([action, "--algebra", "gl", "--b", "5/7",
+                     "--c", "3/11"]) == 0
 
 
 class TestSerialization:

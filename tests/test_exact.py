@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from superkac.exact import (DeclarationError, ExactSolver, ParamPoly,
                             ParameterizedEntryError, PolyMatrix,
-                            extract_rational_roots, poly_arith,
-                            rational_linear_solve)
+                            extract_rational_roots, rational_linear_solve)
 
 PARAMS = ("b", "c")
 
@@ -45,13 +44,6 @@ class TestPolyArith:
     def test_no_zero_terms_stored(self):
         p = b() - b()
         assert p.terms == {} and p.is_zero
-
-    def test_dispatch_form(self):
-        assert poly_arith(b(), c(), "add") == b() + c()
-        assert poly_arith(b(), c(), "sub") == b() - c()
-        assert poly_arith(b(), c(), "mul") == b() * c()
-        with pytest.raises(ValueError):
-            poly_arith(b(), c(), "div")
 
 
 class TestSubstitute:
