@@ -5,10 +5,11 @@ sl(m) + sl(n) + h', built from Verma weight spaces and the contravariant
 States of the Verma module are held as linear combinations of words in the
 simple lowering generators applied to the highest weight vector; raising
 generators act by commuting through, which needs nothing beyond the Cartan
-matrix.  Each weight space of the irreducible quotient is cut out as the
-span of word classes modulo the radical of the form, detected by exact
-rational rank computations.  The hypercharge and (for gl) the central
-charge act on everything by scalars, kept symbolic in b and c.
+matrix.  Each weight space of the irreducible quotient is spanned by f_i
+applied to the basis words one level up, and is cut out modulo the radical
+of the form by exact rational rank computations.  The hypercharge and (for
+gl) the central charge act on everything by scalars, kept symbolic in b
+and c.
 """
 
 from __future__ import annotations
@@ -148,24 +149,18 @@ class _VermaWords:
         return current.get((), Fraction(0))
 
 
-def _words_of_content(content: tuple) -> list:
-    letters = []
-    for j, count in enumerate(content):
-        letters.extend([j] * count)
-    seen = sorted(set(itertools.permutations(letters)))
-    return seen
-
-
 def build_even_irrep(datum: RootDatum, a: Sequence[int],
                      sc: StructureConstants,
                      params: Sequence[str] | None = None) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
-    Weight supports are explored outward from the highest weight; a weight
-    survives iff the Gram matrix of the contravariant form on its spanning
-    words has positive rank.  Basis classes per weight are the pivot columns
-    of the exact row reduction of that Gram matrix (graded lex word order),
-    so the whole construction is deterministic.
+    Weight supports are explored outward from the highest weight.  Since
+    L_mu = sum_i f_i L_{mu+alpha_i} and f_i maps the radical into itself, the
+    candidate words at a content are (i,) + w for every basis word w one
+    level up; a weight survives iff the Gram matrix of the contravariant form
+    on its candidates has positive rank.  Basis classes per weight are the
+    pivot columns of the exact row reduction of that Gram matrix (graded lex
+    word order), so the whole construction is deterministic.
     """
     spec = datum.spec
     validate_even_labels(spec, a)
@@ -183,7 +178,17 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
         for content in frontier:
             if content in spaces:
                 continue
-            words = _words_of_content(content)
+            if any(content):
+                # a parent content with a negative slot is never stored
+                words = set()
+                for i in range(rank):
+                    parent = spaces.get(
+                        content[:i] + (content[i] - 1,) + content[i + 1:])
+                    if parent is not None:
+                        words.update((i,) + w for w in parent["basis"])
+                words = sorted(words)
+            else:
+                words = [()]
             gram = [[verma.pairing(w1, {w2: Fraction(1)}) for w2 in words]
                     for w1 in words]
             rows = [list(r) for r in gram]

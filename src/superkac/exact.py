@@ -40,11 +40,6 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(value: Fraction) -> str:
-    """Serialize a rational as 'p/q' (or 'p' when the denominator is 1)."""
-    return str(value)
-
-
 class ParamPoly:
     """Sparse polynomial over Q in a fixed tuple of named parameters.
 
@@ -266,9 +261,6 @@ class ParamPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sort_key(self):
-        return tuple(sorted(self.terms.items()))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -447,11 +439,6 @@ class PolyMatrix:
                 and self.params == other.params
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.params,
-                     tuple(sorted((pos, val.sort_key())
-                                  for pos, val in self.entries.items()))))
-
     def first_nonzero(self):
         """Deterministic locator of one nonzero entry, or None."""
         if not self.entries:
@@ -509,7 +496,6 @@ def block_matrix(grid: Sequence[Sequence[PolyMatrix | None]],
 @dataclass(frozen=True)
 class SolveResult:
     rank: int
-    rref: PolyMatrix
     nullspace: tuple           # tuple of tuples of Fractions (right nullspace basis)
 
 
@@ -549,22 +535,16 @@ def _rref(rows: list, ncols: int):
 
 
 def rational_linear_solve(m: PolyMatrix) -> SolveResult:
-    """Exact RREF, rank and right-nullspace basis of a parameter-free matrix."""
-    rows = []
-    for r in range(m.rows):
-        row = []
-        for c in range(m.cols):
-            val = m.entry(r, c)
-            if not val.is_constant:
-                raise ParameterizedEntryError(
-                    f"entry ({r},{c}) = {val} is not a pure rational; "
-                    "substitute parameters before solving")
-            row.append(val.constant_value())
-        rows.append(row)
+    """Exact rank and right-nullspace basis of a parameter-free matrix."""
+    rows = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (r, c), val in m.entries.items():
+        if not val.is_constant:
+            raise ParameterizedEntryError(
+                f"entry ({r},{c}) = {val} is not a pure rational; "
+                "substitute parameters before solving")
+        rows[r][c] = val.constant_value()
     pivots = _rref(rows, m.cols)
     rank = len(pivots)
-    rref = PolyMatrix.from_rows(rows, params=m.params) if m.rows else \
-        PolyMatrix.zeros(0, m.cols, m.params)
     free_cols = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free_cols:
@@ -573,7 +553,7 @@ def rational_linear_solve(m: PolyMatrix) -> SolveResult:
         for i, pc in enumerate(pivots):
             vec[pc] = -rows[i][fc]
         basis.append(tuple(vec))
-    return SolveResult(rank=rank, rref=rref, nullspace=tuple(basis))
+    return SolveResult(rank=rank, nullspace=tuple(basis))
 
 
 class ExactSolver:

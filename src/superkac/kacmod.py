@@ -316,6 +316,16 @@ def kac_typicality(K: KacModule) -> TypicalityReport:
 
 # -- singular vectors --------------------------------------------------------
 
+def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
+    """Basis positions grouped by their weight at bindings, in sorted
+    weight order."""
+    groups: dict = {}
+    for pos, coord in enumerate(module.weights):
+        key = tuple(c.substitute(bindings).constant_value() for c in coord)
+        groups.setdefault(key, []).append(pos)
+    return {key: groups[key] for key in sorted(groups)}
+
+
 @dataclass(frozen=True)
 class SingularVector:
     weight: tuple                 # substituted rational weight coordinates
@@ -351,23 +361,22 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
                                       and lab.kind == "u")]
     raising.sort()
     mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
-
-    groups: dict = {}
-    for pos, coord in enumerate(K.weights):
-        key = tuple(c.substitute(bindings).constant_value() for c in coord)
-        groups.setdefault(key, []).append(pos)
+    by_column: dict = {}
+    for lab in raising:
+        for (r, c), val in mats[lab].entries.items():
+            by_column.setdefault(c, []).append(((lab, r), val))
 
     found = []
-    dim = K.dim
-    for key in sorted(groups):
-        cols = groups[key]
-        stacked_rows = []
-        for lab in raising:
-            block = [[mats[lab].entry(r, c) for c in cols] for r in range(dim)]
-            stacked_rows.extend(block)
-        stacked = PolyMatrix.from_rows(stacked_rows, params=K.params) \
-            if stacked_rows else PolyMatrix.zeros(0, len(cols), K.params)
-        result = rational_linear_solve(stacked)
+    for key, cols in weight_spaces(K, bindings).items():
+        # only the nonzero rows of the stacked raising action: the RREF
+        # nullspace does not depend on row order or zero rows
+        row_of: dict = {}
+        entries = {}
+        for j, c in enumerate(cols):
+            for row_key, val in by_column.get(c, ()):
+                entries[(row_of.setdefault(row_key, len(row_of)), j)] = val
+        result = rational_linear_solve(
+            PolyMatrix(len(row_of), len(cols), K.params, entries))
         for vec in result.nullspace:
             coeffs = tuple((cols[i], value) for i, value in enumerate(vec)
                            if value != 0)

@@ -24,7 +24,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, extend_matrices, sbracket,
                               violations_report)
 from superkac.exact import PolyMatrix, block_matrix
-from superkac.kacmod import KacModule
+from superkac.kacmod import KacModule, weight_spaces
 from superkac.report import VerificationReport
 
 
@@ -293,14 +293,8 @@ def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
         h_coeffs = {GenLabel("y"): Fraction(1)}
     mat = cartan_matrix_of(module, h_coeffs).substitute(bindings)
 
-    groups: dict = {}
-    for pos, coord in enumerate(module.weights):
-        key = tuple(c.substitute(bindings).constant_value() for c in coord)
-        groups.setdefault(key, []).append(pos)
-
     profile = {}
-    for key in sorted(groups):
-        cols = groups[key]
+    for key, cols in weight_spaces(module, bindings).items():
         block = [[mat.entry(r, c).constant_value() for c in cols] for r in cols]
         size = len(cols)
         # scalar part: the common diagonal value the weight space carries

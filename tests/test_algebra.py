@@ -11,7 +11,7 @@ from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               structure_constants, super_jacobi_report,
                               supertrace, typicality_factors,
                               weight_eval, weight_from_labels)
-from superkac.exact import ParamPoly, PolyMatrix, rational_linear_solve
+from superkac.exact import ExactSolver, ParamPoly, PolyMatrix
 
 
 def make(flavor, m, n):
@@ -96,12 +96,10 @@ class TestFundamentalRep:
     def test_hypercharge_oracle_sl21(self):
         # oracle: y = diag(w, w, z) with supertrace 0 and [y, E13] = E13,
         # i.e. 2w - z = 0 and w - z = 1: the unique solution is (-1, -1, -2).
-        res = rational_linear_solve(PolyMatrix.from_rows(
-            [[2, -1, 0], [1, -1, 1]]))
-        # solve rows (2w - z = 0), (w - z = 1) via the rref of [A | rhs]
-        rref = res.rref
-        w = rref.entry(0, 2).constant_value()
-        z = rref.entry(1, 2).constant_value()
+        # columns of A for the unknowns (w, z), right-hand side (0, 1)
+        solver = ExactSolver([[Fraction(2), Fraction(1)],
+                              [Fraction(-1), Fraction(-1)]])
+        w, z = solver.solve([Fraction(0), Fraction(1)])
         assert (w, z) == (Fraction(-1), Fraction(-2))
         y = SL21.matrices[GenLabel("y")]
         assert [y.entry(i, i).constant_value() for i in range(3)] == \

@@ -21,6 +21,12 @@ def stack(flavor, m, n):
 SL21, SC21 = stack("sl", 2, 1)
 SL31, SC31 = stack("sl", 3, 1)
 GL21, SCG21 = stack("gl", 2, 1)
+SL41, SC41 = stack("sl", 4, 1)
+GL32, SCG32 = stack("gl", 3, 2)
+
+# larger labels: up to 252 letter orderings at one weight
+LARGE_CASES = ((SL31.datum, SC31, (2, 2)), (SL31.datum, SC31, (3, 2)),
+               (SL41.datum, SC41, (1, 1, 0)), (GL32.datum, SCG32, (1, 1, 1)))
 
 
 class TestLabelsToHypercharge:
@@ -98,6 +104,7 @@ class TestBuildEvenIrrep:
     def test_dimension_matches_weyl_oracle(self):
         cases = [(SL21.datum, SC21, (a,)) for a in range(4)]
         cases += [(SL31.datum, SC31, a) for a in ((1, 0), (0, 1), (2, 0))]
+        cases += LARGE_CASES
         for datum, sc, a in cases:
             assert build_even_irrep(datum, a, sc).dim == weyl_dimension(datum, a)
 
@@ -113,7 +120,7 @@ class TestBuildEvenIrrep:
         from superkac.exact import PolyMatrix
         for datum, sc, a in ((SL21.datum, SC21, (2,)),
                              (SL31.datum, SC31, (1, 0)),
-                             (GL21.datum, SCG21, (1,))):
+                             (GL21.datum, SCG21, (1,))) + LARGE_CASES:
             L = build_even_irrep(datum, a, sc)
             mats = dict(L.matrices)
             eye = PolyMatrix.identity(L.dim, L.params)
@@ -125,6 +132,15 @@ class TestBuildEvenIrrep:
             report = check_super_relations(mats, _restrict(sc, even_sc_labels),
                                            "even restriction")
             assert report.ok
+
+    def test_basis_words_pinned_sl31_a21(self):
+        # the graded-lex pivot choice, word by word, so that a change of
+        # basis cannot pass silently
+        L = build_even_irrep(SL31.datum, (2, 1), SC31)
+        assert L.basis_words == (
+            (), (1,), (0,), (0, 1), (1, 0), (0, 0), (1, 0, 1), (0, 0, 1),
+            (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1),
+            (1, 0, 1, 0, 1), (0, 0, 1, 0, 1), (0, 1, 0, 1, 0, 1))
 
     def test_weyl_group_multiplicity_symmetry(self):
         # multiplicities are symmetric along every alpha_i string

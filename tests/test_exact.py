@@ -146,7 +146,9 @@ class TestLinearSolve:
         m = PolyMatrix.from_rows([[0, 1, 1], [1, 1, 0], [1, 2, 1]])
         res1 = rational_linear_solve(m)
         res2 = rational_linear_solve(m)
-        assert res1.rref == res2.rref and res1.nullspace == res2.nullspace
+        assert (res1.rank, res1.nullspace) == (res2.rank, res2.nullspace)
+        assert res1.rank == 2
+        assert res1.nullspace == ((Fraction(1), Fraction(-1), Fraction(1)),)
 
 
 @settings(deadline=None, max_examples=40)
@@ -162,8 +164,6 @@ def test_rref_nullspace_identities(rows):
         state = {i: ParamPoly.const((), x) for i, x in enumerate(vec) if x}
         image = m.apply(state)
         assert all(val.is_zero for val in image.values())
-        image_rref = res.rref.apply(state)
-        assert all(val.is_zero for val in image_rref.values())
 
 
 class TestExactSolver:

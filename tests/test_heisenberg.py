@@ -1,5 +1,6 @@
 """Heisenberg superalgebra: bracket table, rho_t family, phi, K_H comparison."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -168,6 +169,29 @@ class TestCompareWithKH:
             phi = phi_map(rho_family(K, tspec), H)
             report = compare_with_KH(phi)
             assert report.ok, report.summary()
+
+    @staticmethod
+    def _failed_checks(label, corrupt):
+        phi = phi_map(rho_family(GL_A1, TwistSpec(2, (2, -3))), HG21)
+        matrices = dict(phi.matrices)
+        matrices[label] = corrupt(matrices[label])
+        report = compare_with_KH(dataclasses.replace(phi, matrices=matrices))
+        return {item.name for item in report.failures}
+
+    def test_raising_on_generating_column_fails(self):
+        # column 0 is (J layer 0, empty subset, highest weight vector)
+        def corrupt(mat):
+            entries = dict(mat.entries)
+            entries[(1, 0)] = ParamPoly.const(mat.params, 1)
+            return PolyMatrix(mat.rows, mat.cols, mat.params, entries)
+        failed = self._failed_checks(GenLabel("u", 1), corrupt)
+        assert "phi(a_+) on generating subspace" in failed
+
+    def test_zeroed_lowering_fails_free_generation(self):
+        failed = self._failed_checks(
+            GenLabel("v", 1),
+            lambda mat: PolyMatrix.zeros(mat.rows, mat.cols, mat.params))
+        assert "free generation rank" in failed
 
     def test_direct_induction_dimension(self):
         tspec = TwistSpec(2, (1, 0))
