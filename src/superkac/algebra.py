@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from superkac.exact import ExactSolver, ParamPoly, PolyMatrix
+from superkac.exact import ExactSolver, ParamPoly, PolyMatrix, combination
 from superkac.report import VerificationReport
 
 
@@ -293,9 +293,7 @@ def parity_of(label: GenLabel) -> int:
 
 def sbracket(pa: int, pb: int, ma: PolyMatrix, mb: PolyMatrix) -> PolyMatrix:
     """Superbracket of matrices: commutator, or anticommutator when both odd."""
-    left = ma @ mb
-    right = mb @ ma
-    return left + right if (pa and pb) else left - right
+    return combination([(1, ma, mb), (1 if (pa and pb) else -1, mb, ma)])
 
 
 # -- structure constants ----------------------------------------------------
@@ -528,14 +526,34 @@ def bracket_violations(labels: Sequence[GenLabel], parity: Mapping,
     Returns ``[((a, b), (entry, residual)), ...]`` in pair order, locating
     the first nonzero residual entry of each violating pair.  ``parity`` is
     passed on to ``bracket`` as (parity[a], parity[b]).
+
+    ``bracket`` must be graded-antisymmetric, [b, a] = -(-1)^{|a||b|} [a, b],
+    as every matrix superbracket and sum of them is.  Then wherever the
+    table is graded-antisymmetric at {a, b} too, the residual of (b, a) is
+    -(-1)^{|a||b|} times that of (a, b), so only the pair listed first in
+    ``labels`` is computed; elsewhere (b, a) is computed directly.
     """
     violations = []
+    located = {}
+    order = {label: pos for pos, label in enumerate(labels)}
     for la, lb in itertools.product(labels, repeat=2):
+        expansion = table.get((la, lb), {})
+        sign = 1 if (parity[la] and parity[lb]) else -1
+        if order[lb] < order[la] and expansion == {
+                t: sign * c for t, c in table.get((lb, la), {}).items()}:
+            mirror = located.get((lb, la))
+            if mirror is not None:
+                pos, val = mirror
+                violations.append(((la, lb), (pos, val * sign)))
+            continue
         residual = bracket(la, lb, parity[la], parity[lb])
-        for target, coeff in table.get((la, lb), {}).items():
-            residual = residual + targets[target].scale(-coeff)
+        if expansion:
+            residual = combination(
+                [(1, residual, None)]
+                + [(-coeff, targets[t], None) for t, coeff in expansion.items()])
         if not residual.is_zero:
-            violations.append(((la, lb), residual.first_nonzero()))
+            located[(la, lb)] = residual.first_nonzero()
+            violations.append(((la, lb), located[(la, lb)]))
     return violations
 
 

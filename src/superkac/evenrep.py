@@ -258,11 +258,8 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
                     for row, coeff in classify(tuple(shrunk), e_state).items():
                         mats[GenLabel("e", i + 1)][(row, col)] = coeff
 
-    matrices = {
-        lab: PolyMatrix(dim, dim, params,
-                        {pos: ParamPoly.const(params, val)
-                         for pos, val in entries.items()})
-        for lab, entries in mats.items()}
+    matrices = {lab: PolyMatrix(dim, dim, params, entries)
+                for lab, entries in mats.items()}
 
     hw_coords = weight_from_labels(datum, a, params)
     weights = []

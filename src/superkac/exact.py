@@ -69,6 +69,15 @@ class ParamPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _of(cls, params: tuple, terms: dict) -> "ParamPoly":
+        """Wrap canonical terms (no zero coefficient) without checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "params", params)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
@@ -280,29 +289,149 @@ class ParamPoly:
         return out.replace("+ -", "- ")
 
 
-class PolyMatrix:
-    """Sparse rows x cols matrix with ParamPoly entries (no stored zeros)."""
+def _exps_add(e1: tuple, e2: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(e1, e2))
 
-    __slots__ = ("rows", "cols", "params", "entries")
+
+def _accumulate(acc: dict, rows: dict, factor=1, row_off: int = 0,
+                col_off: int = 0) -> None:
+    """acc += factor * rows for sparse rational matrices {row: {col: x}},
+    with rows shifted by the offsets.  Mutates only rows that acc owns;
+    may leave zeros, which _pruned drops."""
+    unit = factor == 1
+    for r, row in rows.items():
+        r += row_off
+        target = acc.get(r)
+        if target is None:
+            acc[r] = {c + col_off: x if unit else x * factor
+                      for c, x in row.items()}
+            continue
+        for c, x in row.items():
+            c += col_off
+            if not unit:
+                x = x * factor
+            cur = target.get(c)
+            target[c] = x if cur is None else cur + x
+
+
+def _accumulate_product(acc: dict, left: dict, right: dict, factor) -> None:
+    """acc += factor * left @ right for sparse rational matrices; may leave
+    zeros, which _pruned drops."""
+    if factor != 1 and factor != -1:
+        left = {r: {k: x * factor for k, x in row.items()}
+                for r, row in left.items()}
+    for r, lrow in left.items():
+        arow = acc.get(r)
+        if arow is None:
+            arow = acc[r] = {}
+        for k, x in lrow.items():
+            rrow = right.get(k)
+            if rrow is None:
+                continue
+            if factor == -1:
+                for c, y in rrow.items():
+                    cur = arow.get(c)
+                    arow[c] = -(x * y) if cur is None else cur - x * y
+            else:
+                for c, y in rrow.items():
+                    cur = arow.get(c)
+                    arow[c] = x * y if cur is None else cur + x * y
+
+
+def _pruned(terms: dict) -> dict:
+    """Drop the zero coefficients, empty rows and empty terms of terms."""
+    out = {}
+    for exps, rows in terms.items():
+        kept = {}
+        for r, row in rows.items():
+            row = {c: x for c, x in row.items() if x}
+            if row:
+                kept[r] = row
+        if kept:
+            out[exps] = kept
+    return out
+
+
+def combination(terms: Sequence[tuple]) -> "PolyMatrix":
+    """sum_i c_i * A_i @ B_i over (c_i, A_i, B_i), computed in one
+    accumulation; B_i = None stands for the identity.  The c_i are
+    rationals; every product must have the shape of the first and every
+    matrix its params."""
+    first = terms[0]
+    rows = first[1].rows
+    cols = first[1].cols if first[2] is None else first[2].cols
+    params = first[1].params
+    out: dict = {}
+    for coeff, a, b in terms:
+        shape = (a.rows, a.cols) if b is None else (a.rows, b.cols)
+        if a.params != params or (b is not None and b.params != params):
+            raise DeclarationError("matrix parameter lists differ")
+        if b is not None and a.cols != b.rows:
+            raise ValueError(
+                f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        if shape != (rows, cols):
+            raise ValueError("matrix shapes differ")
+        coeff = rat(coeff)
+        if not coeff:
+            continue
+        for e1, left in a.terms.items():
+            if b is None:
+                _accumulate(out.setdefault(e1, {}), left, coeff)
+                continue
+            for e2, right in b.terms.items():
+                _accumulate_product(out.setdefault(_exps_add(e1, e2), {}),
+                                    left, right, coeff)
+    return PolyMatrix._of(rows, cols, params, _pruned(out))
+
+
+class PolyMatrix:
+    """Sparse rows x cols matrix over ParamPoly, stored as a pencil.
+
+    ``terms`` maps an exponent vector e to the rational matrix of the
+    coefficients of params^e, as {row: {col: Fraction}}; the matrix is
+    sum_e params^e * terms[e].  No zero coefficient, empty row or empty term
+    is stored, so equal matrices have equal ``terms``.  Instances are
+    immutable by convention: no operation mutates a stored dict, and results
+    may share rows with their operands.
+    """
+
+    __slots__ = ("rows", "cols", "params", "terms")
 
     def __init__(self, rows: int, cols: int, params: Sequence[str],
-                 entries: Mapping[tuple, ParamPoly] | None = None):
+                 entries: Mapping[tuple, ParamPoly | ScalarLike] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "params", tuple(params))
-        clean = {}
+        params = tuple(params)
+        constant = (0,) * len(params)
+        terms: dict = {}
         for (r, c), val in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if not isinstance(val, ParamPoly):
-                val = ParamPoly.const(self.params, val)
-            if val.params != self.params:
-                raise DeclarationError("entry parameter list differs from matrix")
-            if not val.is_zero:
-                clean[(r, c)] = val
-        object.__setattr__(self, "entries", clean)
+            if isinstance(val, ParamPoly):
+                if val.params != params:
+                    raise DeclarationError(
+                        "entry parameter list differs from matrix")
+                items = val.terms.items()
+            else:
+                items = ((constant, rat(val)),)
+            for exps, coeff in items:
+                if coeff:
+                    terms.setdefault(exps, {}).setdefault(r, {})[c] = coeff
+        self._init(rows, cols, params, terms)
+
+    def _init(self, rows, cols, params, terms):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, params: tuple,
+            terms: dict) -> "PolyMatrix":
+        """Wrap terms that are already canonical, without copying."""
+        out = object.__new__(cls)
+        out._init(rows, cols, params, terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -315,8 +444,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, params: Sequence[str]) -> "PolyMatrix":
-        one = ParamPoly.const(params, 1)
-        return cls(n, n, params, {(i, i): one for i in range(n)})
+        return cls(n, n, params, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], params: Sequence[str] = ()) -> "PolyMatrix":
@@ -327,168 +455,204 @@ class PolyMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for c, val in enumerate(row):
-                if not isinstance(val, ParamPoly):
-                    val = ParamPoly.const(params, val)
-                if not val.is_zero:
-                    entries[(r, c)] = val
+                entries[(r, c)] = val
         return cls(rows, cols, params, entries)
 
+    @classmethod
+    def from_blocks(cls, rows: int, cols: int, params: Sequence[str],
+                    blocks) -> "PolyMatrix":
+        """Sum of blocks placed at offsets: ``blocks`` yields
+        (row offset, col offset, PolyMatrix), each re-declared over params."""
+        params = tuple(params)
+        terms: dict = {}
+        for row_off, col_off, block in blocks:
+            if not (0 <= row_off and row_off + block.rows <= rows
+                    and 0 <= col_off and col_off + block.cols <= cols):
+                raise IndexError(
+                    f"{block.rows}x{block.cols} block at ({row_off},{col_off}) "
+                    f"outside {rows}x{cols}")
+            for exps, block_rows in block.with_params(params).terms.items():
+                _accumulate(terms.setdefault(exps, {}), block_rows, 1,
+                            row_off, col_off)
+        return cls._of(rows, cols, params, _pruned(terms))
+
+    # -- entry views ---------------------------------------------------------
+
+    @property
+    def entries(self) -> dict:
+        """Read-only view {(row, col): ParamPoly} of the nonzero entries,
+        rebuilt on every access."""
+        polys: dict = {}
+        for exps, rows in self.terms.items():
+            for r, row in rows.items():
+                for c, x in row.items():
+                    polys.setdefault((r, c), {})[exps] = x
+        return {pos: ParamPoly._of(self.params, terms)
+                for pos, terms in polys.items()}
+
     def entry(self, r: int, c: int) -> ParamPoly:
-        return self.entries.get((r, c), ParamPoly.zero(self.params))
+        terms = {}
+        for exps, rows in self.terms.items():
+            x = rows.get(r, {}).get(c)
+            if x is not None:
+                terms[exps] = x
+        return ParamPoly._of(self.params, terms)
+
+    def column(self, c: int) -> dict:
+        """{row: ParamPoly} of the nonzero entries of column c."""
+        polys: dict = {}
+        for exps, rows in self.terms.items():
+            for r, row in rows.items():
+                x = row.get(c)
+                if x is not None:
+                    polys.setdefault(r, {})[exps] = x
+        return {r: ParamPoly._of(self.params, terms)
+                for r, terms in polys.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_shape(self, other: "PolyMatrix", mul: bool = False):
-        if self.params != other.params:
-            raise DeclarationError("matrix parameter lists differ")
-        if mul:
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        elif (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        entries = dict(self.entries)
-        for pos, val in other.entries.items():
-            acc = entries.get(pos)
-            acc = val if acc is None else acc + val
-            if acc.is_zero:
-                entries.pop(pos, None)
-            else:
-                entries[pos] = acc
-        return PolyMatrix(self.rows, self.cols, self.params, entries)
+        return combination([(1, self, None), (1, other, None)])
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
+        return combination([(1, self, None), (-1, other, None)])
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, self.params,
-                          {pos: -val for pos, val in self.entries.items()})
+        return combination([(-1, self, None)])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other, mul=True)
-        by_row: dict = {}
-        for (r, c), val in other.entries.items():
-            by_row.setdefault(r, []).append((c, val))
-        acc: dict = {}
-        for (r, k), left in self.entries.items():
-            for c, right in by_row.get(k, ()):
-                pos = (r, c)
-                prod = left * right
-                cur = acc.get(pos)
-                cur = prod if cur is None else cur + prod
-                if cur.is_zero:
-                    acc.pop(pos, None)
-                else:
-                    acc[pos] = cur
-        return PolyMatrix(self.rows, other.cols, self.params, acc)
+        return combination([(1, self, other)])
 
     def scale(self, factor) -> "PolyMatrix":
+        """factor * self for a rational or a ParamPoly over the same params."""
         if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.params, factor)
-        if factor.is_zero:
-            return PolyMatrix.zeros(self.rows, self.cols, self.params)
-        return PolyMatrix(self.rows, self.cols, self.params,
-                          {pos: val * factor for pos, val in self.entries.items()})
+            return combination([(factor, self, None)])
+        if factor.params != self.params:
+            raise DeclarationError("parameter lists differ")
+        terms: dict = {}
+        for ef, f in factor.terms.items():
+            for exps, rows in self.terms.items():
+                _accumulate(terms.setdefault(_exps_add(exps, ef), {}), rows, f)
+        return PolyMatrix._of(self.rows, self.cols, self.params,
+                              _pruned(terms))
 
     def __mul__(self, factor):
         return self.scale(factor)
 
     __rmul__ = __mul__
 
-    # -- entrywise maps ------------------------------------------------------
+    # -- maps on the exponent vectors ----------------------------------------
+
+    def _index(self, name: str) -> int:
+        if name not in self.params:
+            raise DeclarationError(f"parameter {name!r} not declared")
+        return self.params.index(name)
 
     def substitute(self, bindings: Mapping[str, ScalarLike]) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, self.params,
-                          {pos: val.substitute(bindings)
-                           for pos, val in self.entries.items()})
+        """Exact partial evaluation; unbound parameters stay symbolic."""
+        values = {self._index(n): rat(v) for n, v in bindings.items()}
+        terms: dict = {}
+        for exps, rows in self.terms.items():
+            factor = Fraction(1)
+            new = list(exps)
+            for idx, val in values.items():
+                factor *= val ** exps[idx]
+                new[idx] = 0
+            if factor:
+                _accumulate(terms.setdefault(tuple(new), {}), rows, factor)
+        return PolyMatrix._of(self.rows, self.cols, self.params,
+                              _pruned(terms))
 
     def derivative(self, name: str) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, self.params,
-                          {pos: val.derivative(name)
-                           for pos, val in self.entries.items()})
+        """Exact formal partial derivative with respect to one parameter."""
+        idx = self._index(name)
+        terms = {}
+        for exps, rows in self.terms.items():
+            e = exps[idx]
+            if e:
+                new = exps[:idx] + (e - 1,) + exps[idx + 1:]
+                terms[new] = rows if e == 1 else {
+                    r: {c: x * e for c, x in row.items()}
+                    for r, row in rows.items()}
+        return PolyMatrix._of(self.rows, self.cols, self.params, terms)
 
     def coefficient(self, name: str, power: int) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, self.params,
-                          {pos: val.coefficient(name, power)
-                           for pos, val in self.entries.items()})
+        """Coefficient matrix of ``name**power`` (over the same params)."""
+        idx = self._index(name)
+        terms = {exps[:idx] + (0,) + exps[idx + 1:]: rows
+                 for exps, rows in self.terms.items() if exps[idx] == power}
+        return PolyMatrix._of(self.rows, self.cols, self.params, terms)
 
     def with_params(self, params: Sequence[str]) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, params,
-                          {pos: val.with_params(params)
-                           for pos, val in self.entries.items()})
+        """Re-declare over a different parameter list.
+
+        New names embed freely; a dropped name must not actually occur.
+        """
+        params = tuple(params)
+        if params == self.params:
+            return self
+        for name in self.params:
+            if name not in params and self.degree(name) > 0:
+                raise DeclarationError(
+                    f"cannot drop {name!r}: it occurs with positive degree")
+        slots = [self.params.index(name) if name in self.params else None
+                 for name in params]
+        terms = {tuple(0 if s is None else exps[s] for s in slots): rows
+                 for exps, rows in self.terms.items()}
+        return PolyMatrix._of(self.rows, self.cols, params, terms)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.terms
 
     def degree(self, name: str) -> int:
-        return max((val.degree(name) for val in self.entries.values()), default=0)
+        """Exact degree in one parameter (the zero matrix has degree 0)."""
+        idx = self._index(name)
+        return max((exps[idx] for exps in self.terms), default=0)
 
     @property
     def is_constant(self) -> bool:
-        return all(val.is_constant for val in self.entries.values())
+        return not any(any(exps) for exps in self.terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyMatrix)
                 and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.params == other.params
-                and self.entries == other.entries)
+                and self.terms == other.terms)
 
     def first_nonzero(self):
-        """Deterministic locator of one nonzero entry, or None."""
-        if not self.entries:
+        """The nonzero entry with the least (row, col), or None."""
+        if not self.terms:
             return None
-        pos = min(self.entries)
-        return pos, self.entries[pos]
-
-    def column(self, c: int) -> dict:
-        return {r: val for (r, cc), val in self.entries.items() if cc == c}
+        r = min(min(rows) for rows in self.terms.values())
+        c = min(min(rows[r]) for rows in self.terms.values() if r in rows)
+        return (r, c), self.entry(r, c)
 
     def apply(self, vec: Mapping[int, ParamPoly]) -> dict:
         """Apply to a sparse column vector {index: ParamPoly}."""
-        out: dict = {}
-        for (r, c), val in self.entries.items():
-            x = vec.get(c)
-            if x is None:
-                continue
-            acc = out.get(r)
-            prod = val * x
-            acc = prod if acc is None else acc + prod
-            if acc.is_zero:
-                out.pop(r, None)
-            else:
-                out[r] = acc
+        polys: dict = {}
+        for e1, rows in self.terms.items():
+            for r, row in rows.items():
+                for c, x in row.items():
+                    v = vec.get(c)
+                    if v is None:
+                        continue
+                    acc = polys.setdefault(r, {})
+                    for e2, y in v.terms.items():
+                        e = _exps_add(e1, e2)
+                        cur = acc.get(e)
+                        acc[e] = x * y if cur is None else cur + x * y
+        out = {}
+        for r, acc in polys.items():
+            terms = {e: x for e, x in acc.items() if x}
+            if terms:
+                out[r] = ParamPoly._of(self.params, terms)
         return out
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
-
-
-def block_matrix(grid: Sequence[Sequence[PolyMatrix | None]],
-                 row_sizes: Sequence[int], col_sizes: Sequence[int],
-                 params: Sequence[str]) -> PolyMatrix:
-    """Assemble a block matrix; None blocks are zero."""
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
-    entries = {}
-    for bi, row in enumerate(grid):
-        for bj, block in enumerate(row):
-            if block is None:
-                continue
-            if block.rows != row_sizes[bi] or block.cols != col_sizes[bj]:
-                raise ValueError("block shape mismatch")
-            for (r, c), val in block.entries.items():
-                entries[(row_off[bi] + r, col_off[bj] + c)] = val.with_params(params)
-    return PolyMatrix(row_off[-1], col_off[-1], params, entries)
 
 
 # -- exact rational elimination ------------------------------------------
@@ -536,13 +700,18 @@ def _rref(rows: list, ncols: int):
 
 def rational_linear_solve(m: PolyMatrix) -> SolveResult:
     """Exact rank and right-nullspace basis of a parameter-free matrix."""
+    constant = (0,) * len(m.params)
+    symbolic = {e: rows for e, rows in m.terms.items() if e != constant}
+    if symbolic:
+        (r, c), _ = PolyMatrix._of(m.rows, m.cols, m.params,
+                                   symbolic).first_nonzero()
+        raise ParameterizedEntryError(
+            f"entry ({r},{c}) = {m.entry(r, c)} is not a pure rational; "
+            "substitute parameters before solving")
     rows = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for (r, c), val in m.entries.items():
-        if not val.is_constant:
-            raise ParameterizedEntryError(
-                f"entry ({r},{c}) = {val} is not a pure rational; "
-                "substitute parameters before solving")
-        rows[r][c] = val.constant_value()
+    for r, row in m.terms.get(constant, {}).items():
+        for c, x in row.items():
+            rows[r][c] = x
     pivots = _rref(rows, m.cols)
     rank = len(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivots]
@@ -613,9 +782,22 @@ def extract_rational_roots(poly: ParamPoly, name: str):
     dense = [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
 
     def divisors(k: int):
+        """Positive divisors of k in ascending order, from its factorization
+        by trial division ([1] for k = 0)."""
         k = abs(k)
-        out = [d for d in range(1, k + 1) if k % d == 0]
-        return out or [1]
+        out = [1]
+        p = 2
+        while p * p <= k:
+            if k % p == 0:
+                power = 0
+                while k % p == 0:
+                    k //= p
+                    power += 1
+                out = [d * p ** i for d in out for i in range(power + 1)]
+            p += 1
+        if k > 1:
+            out += [d * k for d in out]
+        return sorted(out)
 
     roots = []
     while len(dense) > 1:

@@ -45,12 +45,13 @@ def poly_from_json(data: dict, params) -> ParamPoly:
 
 
 def matrix_to_json(m: PolyMatrix) -> dict:
+    entries = m.entries
     return {
         "rows": m.rows,
         "cols": m.cols,
         "params": list(m.params),
-        "entries": [[r, c, poly_to_json(m.entries[(r, c)])]
-                    for (r, c) in sorted(m.entries)],
+        "entries": [[r, c, poly_to_json(entries[(r, c)])]
+                    for (r, c) in sorted(entries)],
     }
 
 

@@ -102,8 +102,9 @@ def induce_core(P: int, params: tuple, base_dim: int,
     """
     subsets = _subset_order(P)
     basis = [(subset, l) for subset in subsets for l in range(base_dim)]
-    index = {elem: pos for pos, elem in enumerate(basis)}
+    offset = {subset: pos * base_dim for pos, subset in enumerate(subsets)}
     dim = len(basis)
+    eye = PolyMatrix.identity(base_dim, params)
 
     def even_action_on_subset(g: GenLabel, subset: tuple):
         """Action of even g on subset x base as {(subset', matrix-on-base)}."""
@@ -114,10 +115,9 @@ def induce_core(P: int, params: tuple, base_dim: int,
                 if replaced is None:
                     continue
                 new_subset, sign = replaced
-                key = new_subset
-                add = ParamPoly.const(params, coeff * sign)
-                scaled = PolyMatrix.identity(base_dim, params).scale(add)
-                out[key] = out.get(key, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
+                scaled = eye.scale(coeff * sign)
+                out[new_subset] = out.get(
+                    new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
         factor = base_mats[g]
         out[subset] = out.get(subset, PolyMatrix.zeros(base_dim, base_dim, params)) + factor
         return out
@@ -152,31 +152,25 @@ def induce_core(P: int, params: tuple, base_dim: int,
 
     matrices: dict = {}
     for g in surface_labels:
-        entries = {}
-        for subset in subsets:
-            for new_subset, mat in even_action_on_subset(g, subset).items():
-                for (r, c), val in mat.entries.items():
-                    entries[(index[(new_subset, r)], index[(subset, c)])] = val
-        matrices[g] = PolyMatrix(dim, dim, params, entries)
+        matrices[g] = PolyMatrix.from_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset], mat)
+            for subset in subsets
+            for new_subset, mat in even_action_on_subset(g, subset).items()))
 
     for i in range(1, P + 1):
-        entries = {}
+        blocks = []
         for subset in subsets:
             inserted = wedge_insert(i, subset)
-            if inserted is None:
-                continue
-            new_subset, sign = inserted
-            one = ParamPoly.const(params, sign)
-            for l in range(base_dim):
-                entries[(index[(new_subset, l)], index[(subset, l)])] = one
-        matrices[GenLabel("v", i)] = PolyMatrix(dim, dim, params, entries)
-
-        entries = {}
-        for subset in subsets:
-            for new_subset, mat in u_action(i, subset).items():
-                for (r, c), val in mat.entries.items():
-                    entries[(index[(new_subset, r)], index[(subset, c)])] = val
-        matrices[GenLabel("u", i)] = PolyMatrix(dim, dim, params, entries)
+            if inserted is not None:
+                new_subset, sign = inserted
+                blocks.append((offset[new_subset], offset[subset],
+                               eye.scale(sign)))
+        matrices[GenLabel("v", i)] = PolyMatrix.from_blocks(
+            dim, dim, params, blocks)
+        matrices[GenLabel("u", i)] = PolyMatrix.from_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset], mat)
+            for subset in subsets
+            for new_subset, mat in u_action(i, subset).items()))
 
     return tuple(basis), matrices
 

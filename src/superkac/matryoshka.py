@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, extend_matrices, sbracket,
                               violations_report)
-from superkac.exact import PolyMatrix, block_matrix
+from superkac.exact import PolyMatrix
 from superkac.kacmod import KacModule, weight_spaces
 from superkac.report import VerificationReport
 
@@ -56,16 +56,16 @@ class Deformation:
         ``params``, where S carries couplings[t] from copy t+1 to copy t;
         a coupling may be a rational or a ParamPoly over ``params``."""
         N = len(couplings) + 1
-        sizes = [self.base.dim] * N
+        D = self.base.dim
         matrices = {}
         for label in self.base.matrices:
             deriv = self.B[label].with_params(params)
-            grid = [[None] * N for _ in range(N)]
-            for t in range(N):
-                grid[t][t] = self.A[label]
-                if t + 1 < N and not deriv.is_zero:
-                    grid[t][t + 1] = deriv.scale(couplings[t])
-            matrices[label] = block_matrix(grid, sizes, sizes, params)
+            blocks = [(t * D, t * D, self.A[label]) for t in range(N)]
+            if not deriv.is_zero:
+                blocks += [(t * D, (t + 1) * D, deriv.scale(coupling))
+                           for t, coupling in enumerate(couplings)]
+            matrices[label] = PolyMatrix.from_blocks(N * D, N * D, params,
+                                                     blocks)
         return matrices
 
 
@@ -231,10 +231,11 @@ def rescale_conjugation_check(K: KacModule, lam: Fraction) -> VerificationReport
     target = replicate(K, ReplicationSpec(2, (lam,)))
     dim, params = K.dim, K.params
     eye = PolyMatrix.identity(dim, params)
-    q = block_matrix([[eye.scale(lam), None], [None, eye]],
-                     [dim, dim], [dim, dim], params)
-    q_inv = block_matrix([[eye.scale(Fraction(1) / lam), None], [None, eye]],
-                         [dim, dim], [dim, dim], params)
+    q = PolyMatrix.from_blocks(2 * dim, 2 * dim, params,
+                               [(0, 0, eye.scale(lam)), (dim, dim, eye)])
+    q_inv = PolyMatrix.from_blocks(
+        2 * dim, 2 * dim, params,
+        [(0, 0, eye.scale(Fraction(1) / lam)), (dim, dim, eye)])
     labels = [GenLabel("y")] + [GenLabel("u", i)
                                 for i in range(1, K.odd_count + 1)]
     for label in labels:

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: ring laws, evaluation, derivatives, RREF."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,20 @@ class TestRationalRoots:
         roots, _ = extract_rational_roots(b() * (b() + 1), "b")
         assert roots == [(Fraction(-1), 1), (Fraction(0), 1)]
 
+    def test_constant_term_above_1e9(self):
+        # the constant term is about 2.5e11; a divisor scan over 1..|k|
+        # would take hours
+        p = ((b() - 1000) * (b() + 999) * (b() - 997) * (3 * b() - 1)
+             * (b() - 2) * (b() - 2) * (b() + 64))
+        assert abs(p.substitute({"b": 0}).constant_value()) >= 10 ** 9
+        start = time.process_time()
+        roots, cofactor = extract_rational_roots(p, "b")
+        assert time.process_time() - start < 1.0
+        assert roots == [(Fraction(-999), 1), (Fraction(-64), 1),
+                         (Fraction(1, 3), 1), (Fraction(2), 2),
+                         (Fraction(997), 1), (Fraction(1000), 1)]
+        assert cofactor == const(3)
+
 
 class TestMatrixAlgebra:
     def test_matmul_against_dense(self):
@@ -203,3 +218,114 @@ class TestMatrixAlgebra:
     def test_out_of_range_entry(self):
         with pytest.raises(IndexError):
             PolyMatrix(1, 1, (), {(1, 0): ParamPoly.const((), 1)})
+
+
+# -- PolyMatrix storage against its entry-wise ParamPoly definition ----------
+
+SIZE = 3
+small_rationals = st.sampled_from([Fraction(x) for x in (-2, -1, 1, 2)]
+                                  + [Fraction(1, 2), Fraction(-1, 2)])
+# few monomials and coefficients, so sums and products cancel often
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)), small_rationals,
+    max_size=3).map(lambda terms: ParamPoly(PARAMS, terms))
+positions = st.tuples(st.integers(0, SIZE - 1), st.integers(0, SIZE - 1))
+
+
+@st.composite
+def entry_pairs(draw):
+    """Entries of two SIZE x SIZE matrices; the second repeats some entries
+    of the first negated, so their sum cancels there."""
+    first = draw(st.dictionaries(positions, small_polys, max_size=6))
+    second = draw(st.dictionaries(positions, small_polys, max_size=6))
+    for pos in sorted(first):
+        if draw(st.booleans()):
+            second[pos] = -first[pos]
+    return first, second
+
+
+def nonzero(entries: dict) -> dict:
+    return {pos: val for pos, val in entries.items() if not val.is_zero}
+
+
+def matrix(entries: dict, params=PARAMS) -> PolyMatrix:
+    return PolyMatrix(SIZE, SIZE, params, entries)
+
+
+def assert_canonical(m: PolyMatrix):
+    """No zero coefficient, empty row or empty term is stored, and the
+    entry view round-trips through the constructor."""
+    for rows in m.terms.values():
+        assert rows
+        for row in rows.values():
+            assert row and all(x != 0 for x in row.values())
+    assert PolyMatrix(m.rows, m.cols, m.params, m.entries) == m
+
+
+def assert_matches(m: PolyMatrix, entries: dict):
+    assert_canonical(m)
+    assert m.entries == nonzero(entries)
+    assert m == matrix(entries, m.params)
+
+
+@settings(deadline=None, max_examples=80)
+@given(entry_pairs(), small_polys, small_rationals)
+def test_ring_operations_match_entrywise(pair, poly, q):
+    ea, eb = pair
+    a, b_ = matrix(ea), matrix(eb)
+    zero = ParamPoly.zero(PARAMS)
+    cells = [(r, c) for r in range(SIZE) for c in range(SIZE)]
+    get = lambda e, pos: e.get(pos, zero)
+    assert_canonical(a)
+    assert_matches(a + b_, {p: get(ea, p) + get(eb, p) for p in cells})
+    assert_matches(a - b_, {p: get(ea, p) - get(eb, p) for p in cells})
+    assert_matches(-a, {p: -v for p, v in ea.items()})
+    assert_matches(a @ b_, {
+        (r, c): sum((get(ea, (r, k)) * get(eb, (k, c)) for k in range(SIZE)),
+                    zero) for r, c in cells})
+    assert_matches(a.scale(q), {p: v * q for p, v in ea.items()})
+    assert_matches(a.scale(poly), {p: v * poly for p, v in ea.items()})
+
+
+@settings(deadline=None, max_examples=80)
+@given(entry_pairs(), rationals)
+def test_maps_and_queries_match_entrywise(pair, bv):
+    ea, _ = pair
+    a = matrix(ea)
+    assert_matches(a.derivative("b"), {p: v.derivative("b") for p, v in ea.items()})
+    assert_matches(a.substitute({"b": bv}),
+                   {p: v.substitute({"b": bv}) for p, v in ea.items()})
+    for power in range(3):
+        assert_matches(a.coefficient("b", power),
+                       {p: v.coefficient("b", power) for p, v in ea.items()})
+    wider = ("t", "c", "b")
+    assert_matches(a.with_params(wider),
+                   {p: v.with_params(wider) for p, v in ea.items()})
+    assert a.with_params(wider).with_params(PARAMS) == a
+    constant_in_c = a.coefficient("c", 0)
+    assert_matches(constant_in_c.with_params(("b",)),
+                   {p: v.coefficient("c", 0).with_params(("b",))
+                    for p, v in ea.items()})
+    if a.degree("c") > 0:
+        with pytest.raises(DeclarationError):
+            a.with_params(("b",))
+
+    live = nonzero(ea)
+    for name in PARAMS:
+        assert a.degree(name) == max((v.degree(name) for v in live.values()),
+                                     default=0)
+    assert a.is_zero == (not live)
+    assert a.is_constant == all(v.is_constant for v in live.values())
+    assert a.first_nonzero() == (
+        (min(live), live[min(live)]) if live else None)
+    for pos in ((r, c) for r in range(SIZE) for c in range(SIZE)):
+        assert a.entry(*pos) == ea.get(pos, ParamPoly.zero(PARAMS))
+    for col in range(SIZE):
+        assert a.column(col) == {r: v for (r, c), v in live.items()
+                                 if c == col}
+    vec = {c: v for (r, c), v in ea.items() if r == 0}
+    expected = {}
+    for (r, c), v in ea.items():
+        if c in vec:
+            expected[r] = expected.get(r, ParamPoly.zero(PARAMS)) + v * vec[c]
+    assert a.apply(vec) == nonzero(expected)
