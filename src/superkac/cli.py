@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -326,9 +327,23 @@ def run(cfg: JobConfig) -> int:
     raise InputError(f"unhandled action {cfg.action!r}")
 
 
+def _attach_negative_values(argv) -> list:
+    """'--nu -1,2' as '--nu=-1,2': argparse reads a value that starts with
+    '-' as a flag unless it is a plain negative number such as -3."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         cfg = config_from_args(args)
         return run(cfg)

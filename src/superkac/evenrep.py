@@ -40,10 +40,6 @@ class EvenModule:
     y_scalar: ParamPoly               # hypercharge eigenvalue y0(b)
     z0_scalar: ParamPoly | None       # central charge c, gl only
 
-    @property
-    def highest_index(self) -> int:
-        return 0
-
 
 def labels_to_hypercharge(sc: StructureConstants, a: Sequence[int],
                           params: Sequence[str] | None = None) -> ParamPoly:

@@ -61,7 +61,9 @@ def build_heisenberg(sc: StructureConstants) -> HeisenbergSpec:
 
 
 def heisenberg_structure_report(H: HeisenbergSpec) -> VerificationReport:
-    """Two-step nilpotency and the graded Jacobi identity of the H bracket."""
+    """Two-step nilpotency of the H bracket, from which the graded Jacobi
+    identity follows (each of its terms is a double bracket), and
+    [u_i, u_j] = 0 for i != j."""
     report = VerificationReport(f"Heisenberg bracket table over {H.base.spec}")
     for (la, lb), expansion in H.table.items():
         for target in expansion:

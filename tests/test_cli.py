@@ -1,7 +1,9 @@
 """CLI behaviour, JSON schema, round trips and determinism."""
 
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,39 @@ class TestConfigValidation:
         assert err.startswith("error: c ")
         assert main([action, "--algebra", "gl", "--b", "5/7",
                      "--c", "3/11"]) == 0
+
+
+class TestNegativeFlagValues:
+    """A value that starts with '-' reads the same after a space as after
+    '='."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["typicality", "--b", "-5/7"], 0),
+        (["typicality", "--algebra", "gl", "--b", "1", "--c", "-3/11"], 0),
+        (["twist", "--algebra", "gl", "--m", "2", "--n", "1", "--labels", "0",
+          "--nu", "-1,2"], 0),
+        (["replicate", "--labels", "0", "--N", "3", "--lambdas", "-1,4/3"], 0),
+        (["replicate", "--N", "3", "--lam", "-1,4/3"], 0),
+        (["build", "--m", "3", "--n", "1", "--labels", "-1,0"], 2),
+    ])
+    def test_space_form_matches_equals_form(self, capsys, argv, code):
+        assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == code
+        expected = capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr() == expected
+
+
+def readme_examples() -> list:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("superkac ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
 
 
 class TestSerialization:

@@ -5,6 +5,10 @@ entries.  The checker computes only the pairs (a, b) with a listed before b
 and derives (b, a) wherever the table is graded-antisymmetric there, so its
 lists must equal the reference's pair for pair: order, count, first entry
 and residual.
+
+Super-Jacobi, which the checker verifies as "ad is a representation", is
+compared with the per-triple loop that expands every triple through the
+table.
 """
 
 import dataclasses
@@ -13,13 +17,16 @@ from fractions import Fraction
 
 import pytest
 
+from superkac import algebra
 from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
                               build_fundamental_rep, extend_matrices, sbracket,
-                              structure_constants, superbracket_violations)
+                              structure_constants, super_jacobi_report,
+                              superbracket_violations)
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import induce
 from superkac.matryoshka import deformation, derivative_violations
+from superkac.testmatrix import ALGEBRA_CONFIGS
 
 # -- the reference: ParamPoly arithmetic entry by entry -----------------------
 
@@ -206,3 +213,165 @@ class TestAntisymmetryGuard:
         for pair in ((U1, V1), (V1, U1)):
             table[pair] = {**table.get(pair, {}), **extra}
         assert self.check(table) == [(E1, f1), (f1, E1), (U1, V1), (V1, U1)]
+
+
+# -- super-Jacobi against the per-triple loop ----------------------------------
+
+
+def ref_jacobi_defects(sc) -> dict:
+    """{(a, b, c): {target: coeff}} of the nonzero defects
+    [[a,b],c] + (-1)^{|a||b|}[b,[a,c]] - [a,[b,c]], with [[a,b],c] taken
+    as -(-1)^{|ab||c|}[c,[a,b]], every bracket read from the table."""
+
+    def bracket_combo(lab, combo):
+        out = {}
+        for other, coeff in combo.items():
+            for target, c in sc.bracket(lab, other).items():
+                acc = out.get(target, Fraction(0)) + coeff * c
+                if acc == 0:
+                    out.pop(target, None)
+                else:
+                    out[target] = acc
+        return out
+
+    defects = {}
+    for a, b, c in itertools.product(sc.basis, repeat=3):
+        sign = Fraction(-1) if (sc.parity[a] and sc.parity[b]) else Fraction(1)
+        lhs = bracket_combo(a, sc.bracket(b, c))
+        rhs = {}
+        for target, coeff in bracket_combo(c, sc.bracket(a, b)).items():
+            s = Fraction(-1) if (sc.parity[c] and (sc.parity[a] ^ sc.parity[b])) \
+                else Fraction(1)
+            rhs[target] = rhs.get(target, Fraction(0)) - s * coeff
+        for target, coeff in bracket_combo(b, sc.bracket(a, c)).items():
+            rhs[target] = rhs.get(target, Fraction(0)) + sign * coeff
+        diff = dict(rhs)
+        for target, coeff in lhs.items():
+            diff[target] = diff.get(target, Fraction(0)) - coeff
+        diff = {t: cf for t, cf in diff.items() if cf != 0}
+        if diff:
+            defects[(a, b, c)] = diff
+    return defects
+
+
+def jacobi_check(sc, monkeypatch):
+    """super_jacobi_report(sc) and the violations it got from the checker."""
+    seen = []
+
+    def spy(*args):
+        seen.append(bracket_violations(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "bracket_violations", spy)
+        report = super_jacobi_report(sc)
+    assert len(seen) == 1
+    return report, seen[0]
+
+
+STACKS = {}
+
+
+def stack_sc(flavor, m, n):
+    key = (flavor, m, n)
+    if key not in STACKS:
+        STACKS[key] = structure_constants(
+            build_fundamental_rep(SuperAlgebraSpec(m, n, flavor)))
+    return STACKS[key]
+
+
+def with_terms(sc, additions):
+    """sc with coeff * target added to the expansion of each listed pair."""
+    table = dict(sc.table)
+    for pair, target, coeff in additions:
+        expansion = dict(table.get(pair, {}))
+        expansion[target] = expansion.get(target, Fraction(0)) + coeff
+        table[pair] = {t: c for t, c in expansion.items() if c}
+    return dataclasses.replace(sc, table=table)
+
+
+@pytest.mark.parametrize("cfg", ALGEBRA_CONFIGS,
+                         ids=[f"{c['flavor']}{c['m']}{c['n']}"
+                              for c in ALGEBRA_CONFIGS])
+def test_true_tables_pass_both_jacobi_checks(cfg, monkeypatch):
+    sc = stack_sc(cfg["flavor"], cfg["m"], cfg["n"])
+    assert ref_jacobi_defects(sc) == {}
+    report, violations = jacobi_check(sc, monkeypatch)
+    assert violations == []
+    assert [(item.name, item.passed) for item in report.items] == [
+        (f"graded Jacobi on all {len(sc.basis)}^3 triples", True)]
+
+
+def both_orders(sc):
+    """One parity-respecting corruption per unordered pair {a, b}, added
+    to both orders with the graded-antisymmetric sign; the target cycles
+    through the basis elements of parity |a| + |b|."""
+    order = {lab: i for i, lab in enumerate(sc.basis)}
+    for a, b in itertools.combinations_with_replacement(sc.basis, 2):
+        pa, pb = sc.parity[a], sc.parity[b]
+        if a == b and not pa:
+            continue                  # [a, a] = 0 for even a
+        targets = [t for t in sc.basis if sc.parity[t] == pa ^ pb]
+        t = targets[(order[a] + 2 * order[b]) % len(targets)]
+        coeff = Fraction(order[a] + 1, order[b] + 2)
+        mirror = coeff if (pa and pb) else -coeff
+        additions = [((a, b), t, coeff)]
+        if a != b:
+            additions.append(((b, a), t, mirror))
+        yield f"{sc.spec}:{a},{b}->{t}", with_terms(sc, additions)
+
+
+BOTH_ORDERS = [case for flavor, m, n in (("gl", 2, 1), ("sl", 2, 1))
+               for case in both_orders(stack_sc(flavor, m, n))]
+
+
+@pytest.mark.parametrize("name,sc", BOTH_ORDERS,
+                         ids=[name for name, _ in BOTH_ORDERS])
+def test_both_order_corruptions_give_the_same_pairs(name, sc, monkeypatch):
+    defects = ref_jacobi_defects(sc)
+    report, violations = jacobi_check(sc, monkeypatch)
+    order = {lab: i for i, lab in enumerate(sc.basis)}
+    ref_pairs = sorted({(a, b) for a, b, _ in defects},
+                       key=lambda pair: (order[pair[0]], order[pair[1]]))
+    assert [pair for pair, _ in violations] == ref_pairs
+    if not ref_pairs:
+        assert report.ok
+        return
+    (item,) = report.items
+    assert item.name == (f"graded Jacobi on all triples "
+                         f"({len(ref_pairs)} violating pairs)")
+    # the locator names a failing triple, its target and residual; the
+    # checker's residual is the reference defect with the opposite sign
+    (a, b), ((t, c), _) = violations[0]
+    triple, target = (a, b, sc.basis[c]), sc.basis[t]
+    assert item.location == f"triple ({a},{b},{sc.basis[c]}) target {target}"
+    assert item.residual == str(-defects[triple][target])
+
+
+def one_order(sc):
+    """A term added to one order of a pair only: z0 on every ordered pair
+    of gl, a grading-respecting target on sl."""
+    for a, b in itertools.product(sc.basis, repeat=2):
+        if sc.spec.flavor == "gl":
+            target = GenLabel("z0")
+        else:
+            target = next(t for t in sc.basis
+                          if sc.parity[t] == sc.parity[a] ^ sc.parity[b])
+        yield f"{sc.spec}:{a},{b}->{target}", with_terms(sc, [((a, b), target,
+                                                       Fraction(1))])
+
+
+ONE_ORDER = [case for flavor, m, n in (("gl", 2, 1), ("sl", 2, 1))
+             for case in one_order(stack_sc(flavor, m, n))]
+
+
+@pytest.mark.parametrize("name,sc", ONE_ORDER,
+                         ids=[name for name, _ in ONE_ORDER])
+def test_one_order_corruptions_fail_both(name, sc, monkeypatch):
+    assert ref_jacobi_defects(sc)
+    report, violations = jacobi_check(sc, monkeypatch)
+    assert violations
+    (item,) = report.items
+    assert not item.passed
+    assert item.name == (f"graded Jacobi on all triples "
+                         f"({len(violations)} violating pairs)")
