@@ -390,8 +390,8 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
 
     def flatten(mat: PolyMatrix):
         vec = [Fraction(0)] * (dim * dim)
-        for (r, c), val in mat.entries.items():
-            vec[r * dim + c] = val.constant_value()
+        for (r, c), x in mat.rational_entries().items():
+            vec[r * dim + c] = x
         return vec
 
     solver = ExactSolver([flatten(mats[lab]) for lab in basis])

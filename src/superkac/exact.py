@@ -4,7 +4,10 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  On top of that sit sparse multivariate
 polynomials in a declared tuple of named parameters (``ParamPoly``), sparse
 matrices over them (``PolyMatrix``), and exact rational Gaussian elimination
-with a deterministic pivot rule.
+with a deterministic pivot rule.  A ``PolyMatrix`` is stored as a pencil,
+one integer matrix over one denominator per monomial, so its products and
+sums run over Python ints; ``Fraction`` objects are built only where an
+entry is returned.
 
 No floating point enters anywhere; every identity checked downstream is a
 bit-exact statement about these objects.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -293,11 +297,11 @@ def _exps_add(e1: tuple, e2: tuple) -> tuple:
     return tuple(a + b for a, b in zip(e1, e2))
 
 
-def _accumulate(acc: dict, rows: dict, factor=1, row_off: int = 0,
+def _accumulate(acc: dict, rows: dict, factor: int, row_off: int = 0,
                 col_off: int = 0) -> None:
-    """acc += factor * rows for sparse rational matrices {row: {col: x}},
+    """acc += factor * rows for sparse integer matrices {row: {col: x}},
     with rows shifted by the offsets.  Mutates only rows that acc owns;
-    may leave zeros, which _pruned drops."""
+    may leave zeros, which _reduced drops."""
     unit = factor == 1
     for r, row in rows.items():
         r += row_off
@@ -314,9 +318,10 @@ def _accumulate(acc: dict, rows: dict, factor=1, row_off: int = 0,
             target[c] = x if cur is None else cur + x
 
 
-def _accumulate_product(acc: dict, left: dict, right: dict, factor) -> None:
-    """acc += factor * left @ right for sparse rational matrices; may leave
-    zeros, which _pruned drops."""
+def _accumulate_product(acc: dict, left: dict, right: dict,
+                        factor: int) -> None:
+    """acc += factor * left @ right for sparse integer matrices; may leave
+    zeros, which _reduced drops."""
     if factor != 1 and factor != -1:
         left = {r: {k: x * factor for k, x in row.items()}
                 for r, row in left.items()}
@@ -338,17 +343,55 @@ def _accumulate_product(acc: dict, left: dict, right: dict, factor) -> None:
                     arow[c] = x * y if cur is None else cur + x * y
 
 
-def _pruned(terms: dict) -> dict:
-    """Drop the zero coefficients, empty rows and empty terms of terms."""
+def _reduced(den: int, acc: dict):
+    """The canonical term (den, rows) of the matrix acc / den: zeros and
+    empty rows dropped, then one gcd pass to lowest terms.  None if zero."""
+    rows = {}
+    g = den
+    for r, row in acc.items():
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            rows[r] = row
+            if g != 1:
+                g = gcd(g, *row.values())
+    if not rows:
+        return None
+    if g != 1:
+        den //= g
+        rows = {r: {c: x // g for c, x in row.items()}
+                for r, row in rows.items()}
+    return den, rows
+
+
+def _pencil(parts) -> dict:
+    """Canonical pencil terms of a sum of scaled, shifted products.
+
+    ``parts`` yields (exps, q, left, right, row_off, col_off) for the
+    summand q * params^exps * (left @ right), where q is a nonzero rational,
+    left and right are stored terms (den, rows) and right = None stands for
+    the identity; the offsets shift the rows and columns of an identity
+    summand.  The parts of each output exponent are brought to one common
+    denominator D = lcm(q.den * den_left * den_right), so the sums run over
+    ints with the multipliers q * D / (den_left * den_right).
+    """
+    groups: dict = {}
+    for part in parts:
+        groups.setdefault(part[0], []).append(part)
     out = {}
-    for exps, rows in terms.items():
-        kept = {}
-        for r, row in rows.items():
-            row = {c: x for c, x in row.items() if x}
-            if row:
-                kept[r] = row
-        if kept:
-            out[exps] = kept
+    for exps, group in groups.items():
+        dens = [q.denominator * left[0] * (1 if right is None else right[0])
+                for _, q, left, right, _, _ in group]
+        common = lcm(*dens)
+        acc: dict = {}
+        for (_, q, left, right, row_off, col_off), den in zip(group, dens):
+            factor = q.numerator * (common // den)
+            if right is None:
+                _accumulate(acc, left[1], factor, row_off, col_off)
+            else:
+                _accumulate_product(acc, left[1], right[1], factor)
+        term = _reduced(common, acc)
+        if term is not None:
+            out[exps] = term
     return out
 
 
@@ -361,7 +404,7 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
     rows = first[1].rows
     cols = first[1].cols if first[2] is None else first[2].cols
     params = first[1].params
-    out: dict = {}
+    parts = []
     for coeff, a, b in terms:
         shape = (a.rows, a.cols) if b is None else (a.rows, b.cols)
         if a.params != params or (b is not None and b.params != params):
@@ -376,23 +419,24 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
             continue
         for e1, left in a.terms.items():
             if b is None:
-                _accumulate(out.setdefault(e1, {}), left, coeff)
+                parts.append((e1, coeff, left, None, 0, 0))
                 continue
             for e2, right in b.terms.items():
-                _accumulate_product(out.setdefault(_exps_add(e1, e2), {}),
-                                    left, right, coeff)
-    return PolyMatrix._of(rows, cols, params, _pruned(out))
+                parts.append((_exps_add(e1, e2), coeff, left, right, 0, 0))
+    return PolyMatrix._of(rows, cols, params, _pencil(parts))
 
 
 class PolyMatrix:
     """Sparse rows x cols matrix over ParamPoly, stored as a pencil.
 
     ``terms`` maps an exponent vector e to the rational matrix of the
-    coefficients of params^e, as {row: {col: Fraction}}; the matrix is
-    sum_e params^e * terms[e].  No zero coefficient, empty row or empty term
-    is stored, so equal matrices have equal ``terms``.  Instances are
-    immutable by convention: no operation mutates a stored dict, and results
-    may share rows with their operands.
+    coefficients of params^e, stored fraction-free as one integer matrix
+    over one denominator: (den, {row: {col: int}}) stands for
+    {row: {col: int / den}}; the matrix is sum_e params^e * terms[e].  Each
+    term has den > 0 and gcd(den, numerators) = 1, and no zero entry, empty
+    row or empty term is stored, so equal matrices have equal ``terms``.
+    Instances are immutable by convention: no operation mutates a stored
+    dict, and results may share terms with their operands.
     """
 
     __slots__ = ("rows", "cols", "params", "terms")
@@ -417,6 +461,14 @@ class PolyMatrix:
             for exps, coeff in items:
                 if coeff:
                     terms.setdefault(exps, {}).setdefault(r, {})[c] = coeff
+        for exps, fractions in terms.items():
+            # over the lcm of reduced denominators the numerators are coprime
+            den = lcm(*(x.denominator for row in fractions.values()
+                        for x in row.values()))
+            terms[exps] = (den, {
+                r: {c: x.numerator * (den // x.denominator)
+                    for c, x in row.items()}
+                for r, row in fractions.items()})
         self._init(rows, cols, params, terms)
 
     def _init(self, rows, cols, params, terms):
@@ -464,17 +516,17 @@ class PolyMatrix:
         """Sum of blocks placed at offsets: ``blocks`` yields
         (row offset, col offset, PolyMatrix), each re-declared over params."""
         params = tuple(params)
-        terms: dict = {}
+        parts = []
         for row_off, col_off, block in blocks:
             if not (0 <= row_off and row_off + block.rows <= rows
                     and 0 <= col_off and col_off + block.cols <= cols):
                 raise IndexError(
                     f"{block.rows}x{block.cols} block at ({row_off},{col_off}) "
                     f"outside {rows}x{cols}")
-            for exps, block_rows in block.with_params(params).terms.items():
-                _accumulate(terms.setdefault(exps, {}), block_rows, 1,
-                            row_off, col_off)
-        return cls._of(rows, cols, params, _pruned(terms))
+            parts.extend(
+                (exps, 1, term, None, row_off, col_off)
+                for exps, term in block.with_params(params).terms.items())
+        return cls._of(rows, cols, params, _pencil(parts))
 
     # -- entry views ---------------------------------------------------------
 
@@ -483,31 +535,46 @@ class PolyMatrix:
         """Read-only view {(row, col): ParamPoly} of the nonzero entries,
         rebuilt on every access."""
         polys: dict = {}
-        for exps, rows in self.terms.items():
+        for exps, (den, rows) in self.terms.items():
             for r, row in rows.items():
                 for c, x in row.items():
-                    polys.setdefault((r, c), {})[exps] = x
+                    polys.setdefault((r, c), {})[exps] = Fraction(x, den)
         return {pos: ParamPoly._of(self.params, terms)
                 for pos, terms in polys.items()}
 
     def entry(self, r: int, c: int) -> ParamPoly:
         terms = {}
-        for exps, rows in self.terms.items():
+        for exps, (den, rows) in self.terms.items():
             x = rows.get(r, {}).get(c)
             if x is not None:
-                terms[exps] = x
+                terms[exps] = Fraction(x, den)
         return ParamPoly._of(self.params, terms)
 
     def column(self, c: int) -> dict:
         """{row: ParamPoly} of the nonzero entries of column c."""
         polys: dict = {}
-        for exps, rows in self.terms.items():
+        for exps, (den, rows) in self.terms.items():
             for r, row in rows.items():
                 x = row.get(c)
                 if x is not None:
-                    polys.setdefault(r, {})[exps] = x
+                    polys.setdefault(r, {})[exps] = Fraction(x, den)
         return {r: ParamPoly._of(self.params, terms)
                 for r, terms in polys.items()}
+
+    def rational_entries(self) -> dict:
+        """{(row, col): Fraction} of the nonzero entries of a parameter-free
+        matrix, read off its constant term."""
+        constant = (0,) * len(self.params)
+        symbolic = {e: term for e, term in self.terms.items() if e != constant}
+        if symbolic:
+            (r, c), _ = PolyMatrix._of(self.rows, self.cols, self.params,
+                                       symbolic).first_nonzero()
+            raise ParameterizedEntryError(
+                f"entry ({r},{c}) = {self.entry(r, c)} is not a pure rational; "
+                "substitute parameters before solving")
+        den, rows = self.terms.get(constant, (1, {}))
+        return {(r, c): Fraction(x, den)
+                for r, row in rows.items() for c, x in row.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -529,12 +596,10 @@ class PolyMatrix:
             return combination([(factor, self, None)])
         if factor.params != self.params:
             raise DeclarationError("parameter lists differ")
-        terms: dict = {}
-        for ef, f in factor.terms.items():
-            for exps, rows in self.terms.items():
-                _accumulate(terms.setdefault(_exps_add(exps, ef), {}), rows, f)
-        return PolyMatrix._of(self.rows, self.cols, self.params,
-                              _pruned(terms))
+        return PolyMatrix._of(self.rows, self.cols, self.params, _pencil(
+            (_exps_add(exps, ef), f, term, None, 0, 0)
+            for ef, f in factor.terms.items()
+            for exps, term in self.terms.items()))
 
     def __mul__(self, factor):
         return self.scale(factor)
@@ -551,30 +616,25 @@ class PolyMatrix:
     def substitute(self, bindings: Mapping[str, ScalarLike]) -> "PolyMatrix":
         """Exact partial evaluation; unbound parameters stay symbolic."""
         values = {self._index(n): rat(v) for n, v in bindings.items()}
-        terms: dict = {}
-        for exps, rows in self.terms.items():
+        parts = []
+        for exps, term in self.terms.items():
             factor = Fraction(1)
             new = list(exps)
             for idx, val in values.items():
                 factor *= val ** exps[idx]
                 new[idx] = 0
             if factor:
-                _accumulate(terms.setdefault(tuple(new), {}), rows, factor)
+                parts.append((tuple(new), factor, term, None, 0, 0))
         return PolyMatrix._of(self.rows, self.cols, self.params,
-                              _pruned(terms))
+                              _pencil(parts))
 
     def derivative(self, name: str) -> "PolyMatrix":
         """Exact formal partial derivative with respect to one parameter."""
         idx = self._index(name)
-        terms = {}
-        for exps, rows in self.terms.items():
-            e = exps[idx]
-            if e:
-                new = exps[:idx] + (e - 1,) + exps[idx + 1:]
-                terms[new] = rows if e == 1 else {
-                    r: {c: x * e for c, x in row.items()}
-                    for r, row in rows.items()}
-        return PolyMatrix._of(self.rows, self.cols, self.params, terms)
+        return PolyMatrix._of(self.rows, self.cols, self.params, _pencil(
+            (exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:], exps[idx], term,
+             None, 0, 0)
+            for exps, term in self.terms.items() if exps[idx]))
 
     def coefficient(self, name: str, power: int) -> "PolyMatrix":
         """Coefficient matrix of ``name**power`` (over the same params)."""
@@ -626,19 +686,20 @@ class PolyMatrix:
         """The nonzero entry with the least (row, col), or None."""
         if not self.terms:
             return None
-        r = min(min(rows) for rows in self.terms.values())
-        c = min(min(rows[r]) for rows in self.terms.values() if r in rows)
+        r = min(min(rows) for _, rows in self.terms.values())
+        c = min(min(rows[r]) for _, rows in self.terms.values() if r in rows)
         return (r, c), self.entry(r, c)
 
     def apply(self, vec: Mapping[int, ParamPoly]) -> dict:
         """Apply to a sparse column vector {index: ParamPoly}."""
         polys: dict = {}
-        for e1, rows in self.terms.items():
+        for e1, (den, rows) in self.terms.items():
             for r, row in rows.items():
                 for c, x in row.items():
                     v = vec.get(c)
                     if v is None:
                         continue
+                    x = Fraction(x, den)
                     acc = polys.setdefault(r, {})
                     for e2, y in v.terms.items():
                         e = _exps_add(e1, e2)
@@ -700,18 +761,9 @@ def _rref(rows: list, ncols: int):
 
 def rational_linear_solve(m: PolyMatrix) -> SolveResult:
     """Exact rank and right-nullspace basis of a parameter-free matrix."""
-    constant = (0,) * len(m.params)
-    symbolic = {e: rows for e, rows in m.terms.items() if e != constant}
-    if symbolic:
-        (r, c), _ = PolyMatrix._of(m.rows, m.cols, m.params,
-                                   symbolic).first_nonzero()
-        raise ParameterizedEntryError(
-            f"entry ({r},{c}) = {m.entry(r, c)} is not a pure rational; "
-            "substitute parameters before solving")
     rows = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for r, row in m.terms.get(constant, {}).items():
-        for c, x in row.items():
-            rows[r][c] = x
+    for (r, c), x in m.rational_entries().items():
+        rows[r][c] = x
     pivots = _rref(rows, m.cols)
     rank = len(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivots]
@@ -732,34 +784,38 @@ class ExactSolver:
         """columns: list of column vectors (each a sequence of Fractions)."""
         self.ncols = len(columns)
         self.nrows = len(columns[0]) if self.ncols else 0
-        # Work on [A | I] transposed bookkeeping: store augmented rows of A
-        # with an identity transform so each solve is a matrix-vector product.
+        # Row-reduce [A | I]: the right block becomes the transform T with
+        # T A in RREF, so each solve is a product T @ target.
         rows = [[columns[c][r] for c in range(self.ncols)] +
                 [Fraction(1) if j == r else Fraction(0) for j in range(self.nrows)]
                 for r in range(self.nrows)]
         self.pivots = _rref(rows, self.ncols)
-        self.rows = rows
         if len(self.pivots) != self.ncols:
             raise ValueError("columns are linearly dependent")
+        # the nonzeros {row: x} of each column of T
+        self.transform = [{} for _ in range(self.nrows)]
+        for r, row in enumerate(rows):
+            for j, x in enumerate(row[self.ncols:]):
+                if x:
+                    self.transform[j][r] = x
 
     def solve(self, target: Sequence[Fraction]):
-        """Return x with A x = target, or None if the system is inconsistent."""
+        """Return x with A x = target, or None if the system is inconsistent.
+        Only the nonzero entries of target are read."""
         if len(target) != self.nrows:
             raise ValueError("target length mismatch")
-        transformed = []
-        for row in self.rows:
-            acc = Fraction(0)
-            for j in range(self.nrows):
-                t = target[j]
-                if t:
-                    acc += row[self.ncols + j] * t
-            transformed.append(acc)
+        transformed: dict = {}
+        for j, t in enumerate(target):
+            if t:
+                for r, x in self.transform[j].items():
+                    cur = transformed.get(r)
+                    transformed[r] = x * t if cur is None else cur + x * t
+        rank = len(self.pivots)
+        if any(v for r, v in transformed.items() if r >= rank):
+            return None
         x = [Fraction(0)] * self.ncols
         for i, pc in enumerate(self.pivots):
-            x[pc] = transformed[i]
-        for r in range(len(self.pivots), self.nrows):
-            if transformed[r] != 0:
-                return None
+            x[pc] = transformed.get(i, x[pc])
         return x
 
 
@@ -806,9 +862,7 @@ def extract_rational_roots(poly: ParamPoly, name: str):
             roots.append(Fraction(0))
             dense = dense[1:]
             continue
-        scale = 1
-        for c in dense:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = lcm(*(c.denominator for c in dense))
         ints = [int(c * scale) for c in dense]
         found = None
         for q in divisors(ints[-1]):
@@ -837,12 +891,6 @@ def extract_rational_roots(poly: ParamPoly, name: str):
     for r in roots:
         counted[r] = counted.get(r, 0) + 1
     return sorted(counted.items()), cofactor
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
 
 
 def _eval_dense(dense, x: Fraction) -> Fraction:

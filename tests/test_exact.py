@@ -1,15 +1,17 @@
 """Exact arithmetic substrate: ring laws, evaluation, derivatives, RREF."""
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superkac.exact import (DeclarationError, ExactSolver, ParamPoly,
-                            ParameterizedEntryError, PolyMatrix,
-                            extract_rational_roots, rational_linear_solve)
+                            ParameterizedEntryError, PolyMatrix, _rref,
+                            combination, extract_rational_roots,
+                            rational_linear_solve)
 
 PARAMS = ("b", "c")
 
@@ -223,8 +225,10 @@ class TestMatrixAlgebra:
 # -- PolyMatrix storage against its entry-wise ParamPoly definition ----------
 
 SIZE = 3
-small_rationals = st.sampled_from([Fraction(x) for x in (-2, -1, 1, 2)]
-                                  + [Fraction(1, 2), Fraction(-1, 2)])
+small_rationals = st.sampled_from(
+    [Fraction(x) for x in (-2, -1, 1, 2)]
+    + [Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 3), Fraction(2, 3),
+       Fraction(3, 5), Fraction(-6, 5)])
 # few monomials and coefficients, so sums and products cancel often
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), small_rationals,
@@ -248,29 +252,35 @@ def nonzero(entries: dict) -> dict:
     return {pos: val for pos, val in entries.items() if not val.is_zero}
 
 
-def matrix(entries: dict, params=PARAMS) -> PolyMatrix:
-    return PolyMatrix(SIZE, SIZE, params, entries)
+def matrix(entries: dict) -> PolyMatrix:
+    return PolyMatrix(SIZE, SIZE, PARAMS, entries)
 
 
 def assert_canonical(m: PolyMatrix):
-    """No zero coefficient, empty row or empty term is stored, and the
-    entry view round-trips through the constructor."""
-    for rows in m.terms.values():
+    """Each term is int numerators over one positive denominator in lowest
+    terms; no zero entry, empty row or empty term is stored, and the entry
+    view round-trips through the constructor."""
+    for den, rows in m.terms.values():
+        assert type(den) is int and den > 0
         assert rows
+        numerators = []
         for row in rows.values():
-            assert row and all(x != 0 for x in row.values())
+            assert row and all(type(x) is int and x != 0
+                               for x in row.values())
+            numerators += row.values()
+        assert math.gcd(den, *numerators) == 1
     assert PolyMatrix(m.rows, m.cols, m.params, m.entries) == m
 
 
 def assert_matches(m: PolyMatrix, entries: dict):
     assert_canonical(m)
     assert m.entries == nonzero(entries)
-    assert m == matrix(entries, m.params)
+    assert m == PolyMatrix(m.rows, m.cols, m.params, entries)
 
 
 @settings(deadline=None, max_examples=80)
-@given(entry_pairs(), small_polys, small_rationals)
-def test_ring_operations_match_entrywise(pair, poly, q):
+@given(entry_pairs(), small_polys, small_rationals, small_rationals)
+def test_ring_operations_match_entrywise(pair, poly, q, q2):
     ea, eb = pair
     a, b_ = matrix(ea), matrix(eb)
     zero = ParamPoly.zero(PARAMS)
@@ -285,11 +295,27 @@ def test_ring_operations_match_entrywise(pair, poly, q):
                     zero) for r, c in cells})
     assert_matches(a.scale(q), {p: v * q for p, v in ea.items()})
     assert_matches(a.scale(poly), {p: v * poly for p, v in ea.items()})
+    assert_matches(combination([(q, a, b_), (q2, b_, a), (-q, a, None)]), {
+        (r, c): sum((get(ea, (r, k)) * get(eb, (k, c)) * q
+                     + get(eb, (r, k)) * get(ea, (k, c)) * q2
+                     for k in range(SIZE)), zero) - get(ea, (r, c)) * q
+        for r, c in cells})
+
+    # overlapping blocks, one re-declared from ("b",) to PARAMS
+    in_b = a.coefficient("c", 0).with_params(("b",))
+    blocks = [(0, 0, a), (1, 1, b_), (1, 0, in_b)]
+    expected: dict = {}
+    for row_off, col_off, block in blocks:
+        for (r, c), v in block.with_params(PARAMS).entries.items():
+            pos = (r + row_off, c + col_off)
+            expected[pos] = expected.get(pos, zero) + v
+    assert_matches(PolyMatrix.from_blocks(SIZE + 1, SIZE + 1, PARAMS, blocks),
+                   expected)
 
 
 @settings(deadline=None, max_examples=80)
-@given(entry_pairs(), rationals)
-def test_maps_and_queries_match_entrywise(pair, bv):
+@given(entry_pairs(), rationals, rationals)
+def test_maps_and_queries_match_entrywise(pair, bv, cv):
     ea, _ = pair
     a = matrix(ea)
     assert_matches(a.derivative("b"), {p: v.derivative("b") for p, v in ea.items()})
@@ -309,6 +335,13 @@ def test_maps_and_queries_match_entrywise(pair, bv):
     if a.degree("c") > 0:
         with pytest.raises(DeclarationError):
             a.with_params(("b",))
+    bound = {"b": bv, "c": cv}
+    assert a.substitute(bound).rational_entries() == {
+        p: v.substitute(bound).constant_value()
+        for p, v in ea.items() if not v.substitute(bound).is_zero}
+    if not a.is_constant:
+        with pytest.raises(ParameterizedEntryError):
+            a.rational_entries()
 
     live = nonzero(ea)
     for name in PARAMS:
@@ -329,3 +362,64 @@ def test_maps_and_queries_match_entrywise(pair, bv):
         if c in vec:
             expected[r] = expected.get(r, ParamPoly.zero(PARAMS)) + v * vec[c]
     assert a.apply(vec) == nonzero(expected)
+
+
+# -- ExactSolver against the dense solve loop it replaced ---------------------
+
+def reference_solve(columns, target):
+    """The dense solve: reduce [A | I], then apply every row of the
+    transform to every entry of the target."""
+    ncols, nrows = len(columns), len(columns[0])
+    rows = [[columns[c][r] for c in range(ncols)] +
+            [Fraction(1) if j == r else Fraction(0) for j in range(nrows)]
+            for r in range(nrows)]
+    pivots = _rref(rows, ncols)
+    transformed = []
+    for row in rows:
+        acc = Fraction(0)
+        for j in range(nrows):
+            t = target[j]
+            if t:
+                acc += row[ncols + j] * t
+        transformed.append(acc)
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = transformed[i]
+    for r in range(len(pivots), nrows):
+        if transformed[r] != 0:
+            return None
+    return x
+
+
+# mostly zeros, so targets and columns are sparse
+sparse_rationals = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(x) for x in (1, -1, 2)]
+    + [Fraction(-1, 3), Fraction(2, 3), Fraction(3, 5), Fraction(-6, 5)])
+
+
+@st.composite
+def solver_systems(draw):
+    """Full-column-rank columns of A, a vector x and a vector w."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, nrows))
+    vector = lambda n: st.lists(sparse_rationals, min_size=n, max_size=n)
+    columns = draw(st.lists(vector(nrows), min_size=ncols, max_size=ncols))
+    rank = rational_linear_solve(PolyMatrix.from_rows(
+        [list(r) for r in zip(*columns)])).rank
+    assume(rank == ncols)
+    return columns, draw(vector(ncols)), draw(vector(nrows))
+
+
+@settings(deadline=None, max_examples=150)
+@given(solver_systems())
+def test_solver_matches_dense_reference(system):
+    columns, x, w = system
+    nrows = len(columns[0])
+    solver = ExactSolver(columns)
+    image = [sum((col[r] * xc for col, xc in zip(columns, x)), Fraction(0))
+             for r in range(nrows)]
+    assert solver.solve(image) == reference_solve(columns, image) == x
+    assert solver.solve(w) == reference_solve(columns, w)
+    stacked = [list(r) for r in zip(*(columns + [w]))]
+    if rational_linear_solve(PolyMatrix.from_rows(stacked)).rank > len(columns):
+        assert solver.solve(w) is None
