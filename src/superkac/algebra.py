@@ -366,19 +366,19 @@ def extend_matrices(matrices: Mapping[GenLabel, PolyMatrix],
     recipes = sc_or_recipes.recipes if isinstance(sc_or_recipes, StructureConstants) \
         else sc_or_recipes
     out = dict(matrices)
-
-    def ensure(label):
-        if label in out:
-            return out[label]
-        left, right, coeff = recipes[label]
-        ml, mr = ensure(left), ensure(right)
-        mat = sbracket(0, 0, ml, mr).scale(coeff)
-        out[label] = mat
-        return mat
-
     for label in recipes:
-        ensure(label)
+        _ensure_matrix(label, out, recipes)
     return out
+
+
+def _ensure_matrix(label: GenLabel, out: dict, recipes: Mapping) -> PolyMatrix:
+    """out[label], first derived from its recipe (operands first) if absent."""
+    if label not in out:
+        left, right, coeff = recipes[label]
+        ml = _ensure_matrix(left, out, recipes)
+        mr = _ensure_matrix(right, out, recipes)
+        out[label] = sbracket(0, 0, ml, mr).scale(coeff)
+    return out[label]
 
 
 def structure_constants(rep: FundamentalRep) -> StructureConstants:

@@ -513,19 +513,23 @@ class PolyMatrix:
     @classmethod
     def from_blocks(cls, rows: int, cols: int, params: Sequence[str],
                     blocks) -> "PolyMatrix":
-        """Sum of blocks placed at offsets: ``blocks`` yields
-        (row offset, col offset, PolyMatrix), each re-declared over params."""
+        """Sum of scaled blocks placed at offsets, in one accumulation:
+        ``blocks`` yields (row offset, col offset, PolyMatrix) or (row
+        offset, col offset, PolyMatrix, q) for q times the block, q a
+        rational; each block is re-declared over params."""
         params = tuple(params)
         parts = []
-        for row_off, col_off, block in blocks:
+        for row_off, col_off, block, *scale in blocks:
             if not (0 <= row_off and row_off + block.rows <= rows
                     and 0 <= col_off and col_off + block.cols <= cols):
                 raise IndexError(
                     f"{block.rows}x{block.cols} block at ({row_off},{col_off}) "
                     f"outside {rows}x{cols}")
-            parts.extend(
-                (exps, 1, term, None, row_off, col_off)
-                for exps, term in block.with_params(params).terms.items())
+            q = rat(scale[0]) if scale else 1
+            if q:
+                parts.extend(
+                    (exps, q, term, None, row_off, col_off)
+                    for exps, term in block.with_params(params).terms.items())
         return cls._of(rows, cols, params, _pencil(parts))
 
     # -- entry views ---------------------------------------------------------

@@ -8,6 +8,12 @@ the even factor, and odd raising generators by normal ordering: u is
 commuted rightward, each step contracting {u, v_s} into an even element
 acting on the remaining tail.  The single hypercharge term of each
 contraction is what makes the u matrices linear in b.
+
+Every generator block at (subset', subset) is a rational combination
+sum q * M, where each M is the identity or a base operator (an even label
+acting on the even factor), and the coefficients q depend only on the
+structure constants and P.  induce_core computes those coefficients as
+plain rationals and assembles each generator in one pencil pass.
 """
 
 from __future__ import annotations
@@ -87,6 +93,72 @@ def _subset_order(P: int):
     return out
 
 
+def _add(out: dict, subset: tuple, op, q) -> None:
+    """out[subset][op] += q."""
+    ops = out.get(subset)
+    if ops is None:
+        out[subset] = {op: q}
+    else:
+        cur = ops.get(op)
+        ops[op] = q if cur is None else cur + q
+
+
+def _even_action(g: GenLabel, subset: tuple, slots: Mapping,
+                 on_base: bool) -> dict:
+    """Even g on subset x base as {subset': {op: q}}: the adjoint action on
+    each wedge slot (op None, the identity on the base) plus, if on_base,
+    g on the base (op g).  slots[s] lists (t, coeff) with
+    [g, v_s] = sum coeff v_t."""
+    out: dict = {}
+    for position, s in enumerate(subset):
+        for t, coeff in slots.get(s, ()):
+            replaced = wedge_replace(subset, position, t)
+            if replaced is not None:
+                new_subset, sign = replaced
+                _add(out, new_subset, None, coeff if sign > 0 else -coeff)
+    if on_base:
+        _add(out, subset, g, 1)
+    return out
+
+
+def _u_action(j: int, subsets: Sequence[tuple], slots: Mapping,
+              uv_exp: Mapping, on_base: set) -> dict:
+    """u_j on every subset x base, as {subset: {subset': {op: q}}}, by
+    normal ordering u_j v_head tail = {u_j, v_head} tail - v_head u_j tail.
+
+    subsets run layer by layer, so u_j on a tail is known before it is
+    needed; the even actions on tails are shared across heads.
+    """
+    even: dict = {}
+    out: dict = {}
+    for subset in subsets:
+        image: dict = {}
+        if subset:
+            head, tail = subset[0], subset[1:]
+            for g, coeff in uv_exp.get((j, head), ()):
+                action = even.get((g, tail))
+                if action is None:
+                    action = even[(g, tail)] = _even_action(
+                        g, tail, slots.get(g, {}), g in on_base)
+                for new_subset, ops in action.items():
+                    for op, q in ops.items():
+                        _add(image, new_subset, op, coeff * q)
+            for sub2, ops in out[tail].items():
+                inserted = wedge_insert(head, sub2)
+                if inserted is None:
+                    continue
+                new_subset, sign = inserted
+                for op, q in ops.items():
+                    _add(image, new_subset, op, -q if sign > 0 else q)
+        nonzero = {}
+        for new_subset, ops in image.items():
+            ops = {op: q for op, q in ops.items() if q}
+            if ops:
+                nonzero[new_subset] = ops
+        out[subset] = nonzero
+    return out
+
+
 def induce_core(P: int, params: tuple, base_dim: int,
                 surface_labels: Sequence[GenLabel],
                 base_mats: Mapping[GenLabel, PolyMatrix],
@@ -105,73 +177,37 @@ def induce_core(P: int, params: tuple, base_dim: int,
     offset = {subset: pos * base_dim for pos, subset in enumerate(subsets)}
     dim = len(basis)
     eye = PolyMatrix.identity(base_dim, params)
+    slots: dict = {}
+    for (g, s), pairs in adj.items():
+        slots.setdefault(g, {})[s] = pairs
+    # a label acting by zero on the base acts only on the wedge slots
+    on_base = {g for g, mat in base_mats.items() if not mat.is_zero}
 
-    def even_action_on_subset(g: GenLabel, subset: tuple):
-        """Action of even g on subset x base as {(subset', matrix-on-base)}."""
-        out = {}
-        for position, s in enumerate(subset):
-            for t, coeff in adj.get((g, s), ()):
-                replaced = wedge_replace(subset, position, t)
-                if replaced is None:
-                    continue
-                new_subset, sign = replaced
-                scaled = eye.scale(coeff * sign)
-                out[new_subset] = out.get(
-                    new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
-        factor = base_mats[g]
-        out[subset] = out.get(subset, PolyMatrix.zeros(base_dim, base_dim, params)) + factor
-        return out
-
-    u_maps: dict = {}
-
-    def u_action(j: int, subset: tuple):
-        """u_j on subset x base, as {(subset', matrix-on-base)} (normal order)."""
-        key = (j, subset)
-        cached = u_maps.get(key)
-        if cached is not None:
-            return cached
-        out: dict = {}
-        if subset:
-            head, tail = subset[0], subset[1:]
-            for g, coeff in uv_exp.get((j, head), ()):
-                for new_subset, mat in even_action_on_subset(g, tail).items():
-                    scaled = mat.scale(coeff)
-                    out[new_subset] = out.get(
-                        new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
-            for sub2, mat in u_action(j, tail).items():
-                inserted = wedge_insert(head, sub2)
-                if inserted is None:
-                    continue
-                new_subset, sign = inserted
-                scaled = mat.scale(-sign)
-                out[new_subset] = out.get(
-                    new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
-            out = {s: m for s, m in out.items() if not m.is_zero}
-        u_maps[key] = out
-        return out
+    def assemble(action: dict) -> PolyMatrix:
+        """The generator whose block at (subset', subset) is
+        sum q * (identity or base_mats[op]) over action[subset][subset']."""
+        return PolyMatrix.from_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset],
+             eye if op is None else base_mats[op], q)
+            for subset, image in action.items()
+            for new_subset, ops in image.items()
+            for op, q in ops.items()))
 
     matrices: dict = {}
     for g in surface_labels:
-        matrices[g] = PolyMatrix.from_blocks(dim, dim, params, (
-            (offset[new_subset], offset[subset], mat)
-            for subset in subsets
-            for new_subset, mat in even_action_on_subset(g, subset).items()))
-
+        matrices[g] = assemble({
+            subset: _even_action(g, subset, slots.get(g, {}), g in on_base)
+            for subset in subsets})
     for i in range(1, P + 1):
-        blocks = []
+        lowering = {}
         for subset in subsets:
             inserted = wedge_insert(i, subset)
             if inserted is not None:
                 new_subset, sign = inserted
-                blocks.append((offset[new_subset], offset[subset],
-                               eye.scale(sign)))
-        matrices[GenLabel("v", i)] = PolyMatrix.from_blocks(
-            dim, dim, params, blocks)
-        matrices[GenLabel("u", i)] = PolyMatrix.from_blocks(dim, dim, params, (
-            (offset[new_subset], offset[subset], mat)
-            for subset in subsets
-            for new_subset, mat in u_action(i, subset).items()))
-
+                lowering[subset] = {new_subset: {None: sign}}
+        matrices[GenLabel("v", i)] = assemble(lowering)
+        matrices[GenLabel("u", i)] = assemble(
+            _u_action(i, subsets, slots, uv_exp, on_base))
     return tuple(basis), matrices
 
 
@@ -215,13 +251,14 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     basis, matrices = induce_core(P, params, L.dim, even_labels,
                                   base_even, adj, uv_exp)
 
+    roots = datum.odd_positive_roots
     weights, layers = [], []
     for subset, l in basis:
-        coord = list(L.weights[l])
-        for s in subset:
-            beta = datum.odd_positive_roots[s - 1]
-            coord = [c - r for c, r in zip(coord, beta)]
-        weights.append(tuple(coord))
+        if l == 0:
+            # the basis runs over the even basis within each subset
+            shift = [sum(roots[s - 1][k] for s in subset)
+                     for k in range(len(roots[0]))]
+        weights.append(tuple(c - r for c, r in zip(L.weights[l], shift)))
         layers.append(len(subset))
 
     return KacModule(

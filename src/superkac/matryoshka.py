@@ -232,10 +232,9 @@ def rescale_conjugation_check(K: KacModule, lam: Fraction) -> VerificationReport
     dim, params = K.dim, K.params
     eye = PolyMatrix.identity(dim, params)
     q = PolyMatrix.from_blocks(2 * dim, 2 * dim, params,
-                               [(0, 0, eye.scale(lam)), (dim, dim, eye)])
-    q_inv = PolyMatrix.from_blocks(
-        2 * dim, 2 * dim, params,
-        [(0, 0, eye.scale(Fraction(1) / lam)), (dim, dim, eye)])
+                               [(0, 0, eye, lam), (dim, dim, eye)])
+    q_inv = PolyMatrix.from_blocks(2 * dim, 2 * dim, params,
+                                   [(0, 0, eye, 1 / lam), (dim, dim, eye)])
     labels = [GenLabel("y")] + [GenLabel("u", i)
                                 for i in range(1, K.odd_count + 1)]
     for label in labels:
@@ -293,25 +292,33 @@ def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
     if h_coeffs is None:
         h_coeffs = {GenLabel("y"): Fraction(1)}
     mat = cartan_matrix_of(module, h_coeffs).substitute(bindings)
+    rows: dict = {}
+    for (r, c), x in mat.rational_entries().items():
+        rows.setdefault(r, {})[c] = x
 
     profile = {}
     for key, cols in weight_spaces(module, bindings).items():
-        block = [[mat.entry(r, c).constant_value() for c in cols] for r in cols]
         size = len(cols)
+        local = {c: i for i, c in enumerate(cols)}
         # scalar part: the common diagonal value the weight space carries
-        eigen = block[0][0]
-        nil = [[block[r][c] - (eigen if r == c else Fraction(0))
-                for c in range(size)] for r in range(size)]
+        eigen = rows.get(cols[0], {}).get(cols[0], 0)
+        entries = {}
+        for r in cols:
+            row = rows.get(r, {})
+            for c, x in row.items():
+                if c in local:
+                    entries[(local[r], local[c])] = x
+            entries[(local[r], local[r])] = row.get(r, 0) - eigen
+        nil = PolyMatrix(size, size, (), entries)
         degree = 1
         power = nil
-        while any(any(x != 0 for x in row) for row in power):
+        while not power.is_zero:
             degree += 1
             if degree > size:
                 raise InternalConsistencyError(
                     "Cartan element is not nilpotent minus scalar on a "
                     "generalized weight space")
-            power = [[sum(power[r][k] * nil[k][c] for k in range(size))
-                      for c in range(size)] for r in range(size)]
+            power = power @ nil
         profile[key] = degree
     return profile
 

@@ -301,14 +301,17 @@ def test_ring_operations_match_entrywise(pair, poly, q, q2):
                      for k in range(SIZE)), zero) - get(ea, (r, c)) * q
         for r, c in cells})
 
-    # overlapping blocks, one re-declared from ("b",) to PARAMS
+    # overlapping blocks, one re-declared from ("b",) to PARAMS, some with
+    # a rational coefficient
     in_b = a.coefficient("c", 0).with_params(("b",))
-    blocks = [(0, 0, a), (1, 1, b_), (1, 0, in_b)]
+    blocks = [(0, 0, a), (1, 1, b_, q), (1, 0, in_b), (0, 1, a, q2),
+              (1, 1, in_b, -q)]
     expected: dict = {}
-    for row_off, col_off, block in blocks:
+    for row_off, col_off, block, *scale in blocks:
+        coeff = scale[0] if scale else 1
         for (r, c), v in block.with_params(PARAMS).entries.items():
             pos = (r + row_off, c + col_off)
-            expected[pos] = expected.get(pos, zero) + v
+            expected[pos] = expected.get(pos, zero) + v * coeff
     assert_matches(PolyMatrix.from_blocks(SIZE + 1, SIZE + 1, PARAMS, blocks),
                    expected)
 

@@ -1,16 +1,22 @@
 """Kac modules: induction, normal ordering, typicality, singular vectors."""
 
+import gc
 import itertools
 from fractions import Fraction
 
+import pytest
+
+from superkac import heisenberg, kacmod
 from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, check_super_relations,
                               structure_constants, typicality_factors)
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix
-from superkac.kacmod import (character, induce, kac_typicality,
-                             normal_order_odd, singular_vectors)
-from superkac.testmatrix import KAC_CONFIGS, bindings_for
+from superkac.kacmod import (_subset_order, character, induce, kac_typicality,
+                             normal_order_odd, singular_vectors, wedge_insert,
+                             wedge_replace)
+from superkac.matryoshka import TwistSpec
+from superkac.testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
 
 
 def build_kac(flavor, m, n, a):
@@ -293,3 +299,158 @@ class TestCharacter:
         for pos, layer in enumerate(K.layers):
             by_layer[layer] = by_layer.get(layer, 0) + 1
         assert by_layer == {l: comb(3, l) for l in range(4)}
+
+
+# -- induction against the block-matrix reference -----------------------------
+
+def reference_induce_core(P: int, params: tuple, base_dim: int,
+                          surface_labels, base_mats, adj, uv_exp) -> tuple:
+    """The induction that builds every block as a PolyMatrix sum, one
+    combination per summand."""
+    subsets = _subset_order(P)
+    basis = [(subset, l) for subset in subsets for l in range(base_dim)]
+    offset = {subset: pos * base_dim for pos, subset in enumerate(subsets)}
+    dim = len(basis)
+    eye = PolyMatrix.identity(base_dim, params)
+
+    def even_action_on_subset(g: GenLabel, subset: tuple):
+        """Action of even g on subset x base as {(subset', matrix-on-base)}."""
+        out = {}
+        for position, s in enumerate(subset):
+            for t, coeff in adj.get((g, s), ()):
+                replaced = wedge_replace(subset, position, t)
+                if replaced is None:
+                    continue
+                new_subset, sign = replaced
+                scaled = eye.scale(coeff * sign)
+                out[new_subset] = out.get(
+                    new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
+        factor = base_mats[g]
+        out[subset] = out.get(subset, PolyMatrix.zeros(base_dim, base_dim, params)) + factor
+        return out
+
+    u_maps: dict = {}
+
+    def u_action(j: int, subset: tuple):
+        """u_j on subset x base, as {(subset', matrix-on-base)} (normal order)."""
+        key = (j, subset)
+        cached = u_maps.get(key)
+        if cached is not None:
+            return cached
+        out: dict = {}
+        if subset:
+            head, tail = subset[0], subset[1:]
+            for g, coeff in uv_exp.get((j, head), ()):
+                for new_subset, mat in even_action_on_subset(g, tail).items():
+                    scaled = mat.scale(coeff)
+                    out[new_subset] = out.get(
+                        new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
+            for sub2, mat in u_action(j, tail).items():
+                inserted = wedge_insert(head, sub2)
+                if inserted is None:
+                    continue
+                new_subset, sign = inserted
+                scaled = mat.scale(-sign)
+                out[new_subset] = out.get(
+                    new_subset, PolyMatrix.zeros(base_dim, base_dim, params)) + scaled
+            out = {s: m for s, m in out.items() if not m.is_zero}
+        u_maps[key] = out
+        return out
+
+    matrices: dict = {}
+    for g in surface_labels:
+        matrices[g] = PolyMatrix.from_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset], mat)
+            for subset in subsets
+            for new_subset, mat in even_action_on_subset(g, subset).items()))
+
+    for i in range(1, P + 1):
+        blocks = []
+        for subset in subsets:
+            inserted = wedge_insert(i, subset)
+            if inserted is not None:
+                new_subset, sign = inserted
+                blocks.append((offset[new_subset], offset[subset],
+                               eye.scale(sign)))
+        matrices[GenLabel("v", i)] = PolyMatrix.from_blocks(
+            dim, dim, params, blocks)
+        matrices[GenLabel("u", i)] = PolyMatrix.from_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset], mat)
+            for subset in subsets
+            for new_subset, mat in u_action(i, subset).items()))
+
+    return tuple(basis), matrices
+
+
+def reference_weights(K) -> tuple:
+    """Weights and layers with one root subtraction per slot of the subset."""
+    weights, layers = [], []
+    for subset, l in K.basis:
+        coord = list(K.L.weights[l])
+        for s in subset:
+            beta = K.datum.odd_positive_roots[s - 1]
+            coord = [c - r for c, r in zip(coord, beta)]
+        weights.append(tuple(coord))
+        layers.append(len(subset))
+    return tuple(weights), tuple(layers)
+
+
+def assert_same_induction(got, want):
+    """Same basis, and ==-equal matrices under the same label order."""
+    (basis, matrices), (ref_basis, ref_matrices) = got, want
+    assert basis == ref_basis
+    assert list(matrices) == list(ref_matrices)
+    for label, mat in ref_matrices.items():
+        assert matrices[label] == mat, label
+
+
+DIFFERENTIAL_CASES = (
+    [(cfg["flavor"], cfg["m"], cfg["n"], (0,) * (cfg["m"] + cfg["n"] - 2))
+     for cfg in ALGEBRA_CONFIGS]
+    + [("sl", 3, 1, (2, 1)), ("gl", 2, 1, (1,)), ("gl", 3, 1, (1, 0))])
+
+
+@pytest.mark.parametrize("flavor,m,n,a", DIFFERENTIAL_CASES,
+                         ids=[f"{f}{m}{n}-{a}" for f, m, n, a in
+                              DIFFERENTIAL_CASES])
+def test_induce_matches_block_matrix_reference(flavor, m, n, a, monkeypatch):
+    rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
+    sc = structure_constants(rep)
+    L = build_even_irrep(rep.datum, a, sc)
+    K = induce(L, rep.datum, sc)
+    monkeypatch.setattr(kacmod, "induce_core", reference_induce_core)
+    ref = induce(L, rep.datum, sc)
+    assert_same_induction((K.basis, K.matrices), (ref.basis, ref.matrices))
+    assert (K.weights, K.layers) == reference_weights(ref)
+    if flavor == "gl":
+        assert K.params == ("b", "c")
+        assert any(mat.degree("c") for mat in K.matrices.values())
+
+
+@pytest.mark.parametrize("nu", [(1, 0), (2, Fraction(-1, 3))])
+def test_heisenberg_induction_matches_block_matrix_reference(nu, monkeypatch):
+    rep = build_fundamental_rep(SuperAlgebraSpec(2, 1, "gl"))
+    sc = structure_constants(rep)
+    K = induce(build_even_irrep(rep.datum, (1,), sc), rep.datum, sc)
+    H = heisenberg.build_heisenberg(sc)
+    spec = TwistSpec(3, nu)
+    got = heisenberg.induce_heisenberg(H, K.L.dim, spec, K.params)
+    monkeypatch.setattr(heisenberg, "induce_core", reference_induce_core)
+    want = heisenberg.induce_heisenberg(H, K.L.dim, spec, K.params)
+    assert len(got[0]) == 2 ** K.odd_count * 3 * K.L.dim
+    assert_same_induction(got, want)
+
+
+def test_induce_leaves_no_garbage():
+    # a memo that outlives induce, or a cycle through it, would show here
+    rep = build_fundamental_rep(SuperAlgebraSpec(3, 2, "sl"))
+    sc = structure_constants(rep)
+    L = build_even_irrep(rep.datum, (0, 0, 0), sc)
+    gc.collect()
+    gc.disable()
+    try:
+        K = induce(L, rep.datum, sc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert K.dim == 64

@@ -2,17 +2,20 @@
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
-                              build_fundamental_rep, check_super_relations,
-                              structure_constants, superbracket_violations)
+from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
+                              SuperAlgebraSpec, build_fundamental_rep,
+                              check_super_relations, structure_constants,
+                              superbracket_violations)
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix
-from superkac.kacmod import induce
+from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
-                                 TwistSpec, deformation, derivative_report,
+                                 TwistSpec, cartan_matrix_of, deformation,
+                                 derivative_report,
                                  derivative_violations, diagonal_block,
                                  jordan_minpoly_profile,
                                  leading_principal_submodule, odd_derivative,
@@ -177,7 +180,70 @@ class TestRescaleConjugation:
             rescale_conjugation_check(QUARTET, Fraction(0))
 
 
+def reference_jordan_profile(module, bindings, h_coeffs=None) -> dict:
+    """The profile from dense Fraction blocks read cell by cell."""
+    if h_coeffs is None:
+        h_coeffs = {GenLabel("y"): Fraction(1)}
+    mat = cartan_matrix_of(module, h_coeffs).substitute(bindings)
+
+    profile = {}
+    for key, cols in weight_spaces(module, bindings).items():
+        block = [[mat.entry(r, c).constant_value() for c in cols] for r in cols]
+        size = len(cols)
+        eigen = block[0][0]
+        nil = [[block[r][c] - (eigen if r == c else Fraction(0))
+                for c in range(size)] for r in range(size)]
+        degree = 1
+        power = nil
+        while any(any(x != 0 for x in row) for row in power):
+            degree += 1
+            if degree > size:
+                raise InternalConsistencyError(
+                    "Cartan element is not nilpotent minus scalar on a "
+                    "generalized weight space")
+            power = [[sum(power[r][k] * nil[k][c] for k in range(size))
+                      for c in range(size)] for r in range(size)]
+        profile[key] = degree
+    return profile
+
+
+SL31_A21, _ = build_kac("sl", 3, 1, (2, 1))
+B57 = {"b": Fraction(5, 7)}
+GL_BINDINGS = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
+
+
 class TestJordanProfile:
+    @pytest.mark.parametrize("module,bindings,h_coeffs,degrees", [
+        (replicate(SL31_A21, ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))),
+         B57, None, {3}),
+        (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
+                          None), B57, None, {2}),
+        (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
+         B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)},
+         {3}),
+        (twist(GL_A1, TwistSpec(3, (1, 2))), GL_BINDINGS,
+         {GenLabel("z0"): Fraction(1)}, {3}),
+        # nu(h) = 0: the twist does not show in this direction
+        (twist(GL_A1, TwistSpec(3, (1, 2))), GL_BINDINGS,
+         {GenLabel("y"): Fraction(-2), GenLabel("z0"): Fraction(1)}, {1}),
+    ], ids=["sl31-a21-N3", "couplings-1-0", "h1-plus-y", "twist-z0",
+            "twist-kernel"])
+    def test_matches_dense_reference(self, module, bindings, h_coeffs,
+                                     degrees):
+        profile = jordan_minpoly_profile(module, bindings, h_coeffs)
+        assert profile == reference_jordan_profile(module, bindings, h_coeffs)
+        assert set(profile.values()) == degrees
+
+    def test_not_scalar_plus_nilpotent_rejected(self):
+        # one weight space on which y has two distinct eigenvalues
+        weight = (ParamPoly.const((), 0),)
+        module = SimpleNamespace(
+            weights=(weight, weight),
+            matrices={GenLabel("y"): PolyMatrix.from_rows([[1, 1], [0, 2]])})
+        for profile in (jordan_minpoly_profile, reference_jordan_profile):
+            with pytest.raises(InternalConsistencyError):
+                profile(module, {})
+
     def test_base_module_is_diagonal(self):
         profile = jordan_minpoly_profile(QUARTET, {"b": Fraction(5, 7)})
         assert set(profile.values()) == {1}
