@@ -116,35 +116,44 @@ class ParamPoly:
             return other
         return ParamPoly.const(self.params, other)
 
-    def __add__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
+    def _plus(self, other, sign: int) -> "ParamPoly":
+        """self + sign * other in one pass, for a ParamPoly or a rational."""
+        if isinstance(other, ParamPoly):
+            other = self._coerce(other).terms
+        else:
+            value = rat(other)
+            other = {(0,) * len(self.params): value} if value else {}
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
-            else:
+        for exps, coeff in other.items():
+            acc = terms.get(exps, 0) + (coeff if sign > 0 else -coeff)
+            if acc:
                 terms[exps] = acc
-        return ParamPoly(self.params, terms)
+            else:
+                del terms[exps]
+        return ParamPoly._of(self.params, terms)
+
+    def __add__(self, other) -> "ParamPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.params, {e: -c for e, c in self.terms.items()})
+        return ParamPoly._of(self.params,
+                             {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ParamPoly":
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "ParamPoly":
-        return self._coerce(other) - self
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, ParamPoly):
             other = rat(other)
             if other == 0:
                 return ParamPoly.zero(self.params)
-            return ParamPoly(self.params,
-                             {e: c * other for e, c in self.terms.items()})
+            return ParamPoly._of(self.params,
+                                 {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
@@ -155,7 +164,7 @@ class ParamPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = acc
-        return ParamPoly(self.params, terms)
+        return ParamPoly._of(self.params, terms)
 
     __rmul__ = __mul__
 

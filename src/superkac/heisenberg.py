@@ -164,13 +164,17 @@ def phi_map(rho: RhoFamily, H: HeisenbergSpec) -> HModule:
 
 
 def check_phi_representation(phi: HModule, H: HeisenbergSpec) -> VerificationReport:
-    """Every superbracket of phi matrices equals its H bracket expansion."""
+    """Every superbracket of phi matrices equals its H bracket expansion.
+
+    All pairs are checked: [H, H] lies in h', so a generating set of H
+    holds every odd label and leaves out at most the h' labels."""
     mats = phi.matrices
     violations = bracket_violations(
-        H.labels, H.parity, H.table,
+        H.labels, H.labels, H.parity, H.table,
         lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
     return violations_report("phi is an H-representation",
-                             "H bracket table under phi", H.labels, violations)
+                             "H bracket table under phi", H.labels, H.labels,
+                             violations)
 
 
 def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:

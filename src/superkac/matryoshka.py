@@ -92,22 +92,28 @@ def odd_derivative(K: KacModule) -> Deformation:
 
 
 def derivative_violations(D: Deformation, N: int) -> dict:
-    """Violating pairs of identities (ii) and (iii) for an N-fold module.
+    """Violating generator pairs of identities (ii) and (iii) for an
+    N-fold module.
 
     Only N decides which identities apply: (ii) from N = 2, (iii) from
-    N = 3."""
+    N = 3.  Only the pairs that contain a label of ``sc.generators`` are
+    checked: the block matrices X = I (x) A + S (x) B are a linear map of
+    g whose I, S and S^2 parts separate, so the generator-pair lemma of
+    ``bracket_violations`` gives the verdict of all pairs for (i)-(iii)
+    together; (ii) alone is exact once (i) holds, (iii) once (i) and (ii)
+    hold."""
     sc = D.base.sc
     A, B = D.A, D.B
     out = {}
     if N >= 2:
         out["(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B"] = \
             bracket_violations(
-                sc.basis, sc.parity, sc.table,
+                sc.basis, sc.generators, sc.parity, sc.table,
                 lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
                 + sbracket(pa, pb, B[la], A[lb]), B)
     if N >= 3:
         out["(iii) [B_a,B_b] = 0"] = bracket_violations(
-            sc.basis, sc.parity, {},
+            sc.basis, sc.generators, sc.parity, {},
             lambda la, lb, pa, pb: sbracket(pa, pb, B[la], B[lb]), B)
     return out
 
@@ -118,7 +124,7 @@ def derivative_report(D: Deformation, N: int,
     report = VerificationReport(title)
     for name, violations in derivative_violations(D, N).items():
         report.extend(violations_report(title, name, D.base.sc.basis,
-                                        violations))
+                                        D.base.sc.generators, violations))
     return report
 
 

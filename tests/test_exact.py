@@ -102,6 +102,34 @@ def test_ring_axioms(p, q, r):
 
 
 @settings(deadline=None, max_examples=60)
+@given(polys, polys, rationals)
+def test_arithmetic_matches_the_validating_constructor(p, q, x):
+    """Sums, differences, negation and rational scaling, which wrap their
+    terms without the constructor's checks, equal the constructor applied
+    to the term-wise definition and store no zero coefficient."""
+
+    def combined(*signed):
+        terms = {}
+        for sign, poly in signed:
+            for exps, coeff in poly.terms.items():
+                terms[exps] = terms.get(exps, 0) + sign * coeff
+        return ParamPoly(PARAMS, terms)
+
+    r = ParamPoly(PARAMS, {(0, 0): x})
+    cases = [(p + q, combined((1, p), (1, q))),
+             (p - q, combined((1, p), (-1, q))),
+             (-p, combined((-1, p))),
+             (p + x, combined((1, p), (1, r))),
+             (p - x, combined((1, p), (-1, r))),
+             (x - p, combined((1, r), (-1, p))),
+             (p * x, combined((x, p)))]
+    for got, expected in cases:
+        assert got == expected
+        assert all(isinstance(coeff, Fraction) and coeff != 0
+                   for coeff in got.terms.values())
+
+
+@settings(deadline=None, max_examples=60)
 @given(polys, polys, rationals, rationals)
 def test_substitution_is_a_homomorphism(p, q, bv, cv):
     binding = {"b": bv, "c": cv}

@@ -1,14 +1,17 @@
 """The relation checker against a per-entry reference.
 
 The reference is the full ordered-pair loop over {(row, col): ParamPoly}
-entries.  The checker computes only the pairs (a, b) with a listed before b
-and derives (b, a) wherever the table is graded-antisymmetric there, so its
-lists must equal the reference's pair for pair: order, count, first entry
-and residual.
+entries.  The checker visits only the pairs (a, b) that contain a label of
+the table's generating set X, computes those with a listed before b and
+derives (b, a) wherever the table is graded-antisymmetric there.  So its
+lists must equal the reference's filtered to those pairs, pair for pair:
+order, count, first entry and residual.  By the generator-pair lemma its
+pass/fail verdict must equal that of the unfiltered reference, on true
+modules and on every corrupted one.
 
-Super-Jacobi, which the checker verifies as "ad is a representation", is
-compared with the per-triple loop that expands every triple through the
-table.
+Super-Jacobi, which the checker verifies as "ad is a representation" on
+all pairs, is compared with the per-triple loop that expands every triple
+through the table.
 """
 
 import dataclasses
@@ -19,13 +22,15 @@ import pytest
 
 from superkac import algebra
 from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
-                              build_fundamental_rep, extend_matrices, sbracket,
-                              structure_constants, super_jacobi_report,
-                              superbracket_violations)
+                              build_fundamental_rep, check_super_relations,
+                              extend_matrices, sbracket, structure_constants,
+                              super_jacobi_report, superbracket_violations,
+                              violations_report)
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import induce
-from superkac.matryoshka import deformation, derivative_violations
+from superkac.matryoshka import (deformation, derivative_report,
+                                 derivative_violations)
 from superkac.testmatrix import ALGEBRA_CONFIGS
 
 # -- the reference: ParamPoly arithmetic entry by entry -----------------------
@@ -53,7 +58,9 @@ def ref_sbracket(pa, pb, a, b) -> dict:
     return ref_combination([(1, a, b), (1 if pa and pb else -1, b, a)])
 
 
-def ref_violations(labels, parity, table, bracket, targets) -> list:
+def ref_violations(labels, parity, table, bracket, targets,
+                   first_only=False) -> list:
+    """Every violating ordered pair of ``labels``, or only the first."""
     out = []
     for la, lb in itertools.product(labels, repeat=2):
         residual = ref_combination(
@@ -62,7 +69,15 @@ def ref_violations(labels, parity, table, bracket, targets) -> list:
         if residual:
             pos = min(residual)
             out.append(((la, lb), pos, str(residual[pos])))
+            if first_only:
+                break
     return out
+
+
+def on_generator_pairs(violations, generators) -> list:
+    """The reference list filtered to the pairs that contain a generator."""
+    return [v for v in violations
+            if v[0][0] in generators or v[0][1] in generators]
 
 
 def ref_extended(matrices, recipes) -> dict:
@@ -126,53 +141,194 @@ def case_module(name, corruption):
     return K
 
 
+def ref_superbracket(K, first_only=False) -> list:
+    """The reference violations of K's superbracket table on all pairs."""
+    sc = K.sc
+    mats = ref_extended(K.matrices, sc.recipes)
+    return ref_violations(
+        sc.basis, sc.parity, sc.table,
+        lambda la, lb, pa, pb: ref_sbracket(pa, pb, mats[la], mats[lb]), mats,
+        first_only)
+
+
+def ref_deformation(K, nu_y, nu_c) -> tuple:
+    """The reference A and B = nu_y k d/db + nu_c d/dc of every A."""
+    A = ref_extended(K.matrices, K.sc.recipes)
+    B = {}
+    for lab, entries in A.items():
+        B[lab] = ref_combination([(1, {
+            pos: val.derivative("b") * (K.sc.k * nu_y)
+            + (val.derivative("c") * nu_c if nu_c else 0)
+            for pos, val in entries.items()}, None)])
+    return A, B
+
+
+def ref_derivative(sc, A, B, first_only=False) -> dict:
+    """The reference violations of identities (ii) and (iii) on all pairs."""
+    return {
+        "(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B": ref_violations(
+            sc.basis, sc.parity, sc.table,
+            lambda la, lb, pa, pb: ref_combination(
+                [(1, ref_sbracket(pa, pb, A[la], B[lb]), None),
+                 (1, ref_sbracket(pa, pb, B[la], A[lb]), None)]), B,
+            first_only),
+        "(iii) [B_a,B_b] = 0": ref_violations(
+            sc.basis, sc.parity, {},
+            lambda la, lb, pa, pb: ref_sbracket(pa, pb, B[la], B[lb]), B,
+            first_only),
+    }
+
+
+def block_verdicts(base, derivative) -> list:
+    """Whether the N = 1, 2, 3 block modules fail: identity (i), (ii) or
+    (iii) fails, or one before it.  The generator-pair lemma applies to
+    the block modules, so these verdicts, not those of (ii) and (iii)
+    alone, are the ones that must match the full reference."""
+    return list(itertools.accumulate(
+        [bool(base)] + [bool(v) for v in derivative.values()],
+        lambda a, b: a or b))
+
+
+def directions(K) -> tuple:
+    """A twist direction (nu_y, nu_c) that moves every parameter of K."""
+    return (Fraction(2), Fraction(-3)) if "c" in K.params \
+        else (Fraction(1), Fraction(0))
+
+
 @pytest.mark.parametrize("name,corruption", CASES,
                          ids=[f"{n}-{c or 'true'}" for n, c in CASES])
 def test_superbracket_violations_match_reference(name, corruption):
     K = case_module(name, corruption)
     sc = K.sc
-    mats = ref_extended(K.matrices, sc.recipes)
-    expected = ref_violations(
-        sc.basis, sc.parity, sc.table,
-        lambda la, lb, pa, pb: ref_sbracket(pa, pb, mats[la], mats[lb]), mats)
-    assert flat(superbracket_violations(K.matrices, sc)) == expected
-    assert bool(expected) == (corruption is not None)
+    full = ref_superbracket(K)
+    got = flat(superbracket_violations(K.matrices, sc))
+    assert got == on_generator_pairs(full, sc.generators)
+    assert bool(got) == bool(full) == (corruption is not None)
     if corruption == "u1_b":
-        assert any("b^2" in residual for _, _, residual in expected)
+        assert any("b^2" in residual for _, _, residual in got)
         # a pair listed after its mirror is derived, not computed
         order = {lab: i for i, lab in enumerate(sc.basis)}
-        assert any(order[lb] < order[la] for (la, lb), _, _ in expected)
+        assert any(order[lb] < order[la] for (la, lb), _, _ in got)
+        # the second label alone can put a pair on the checked list
+        assert any(la not in sc.generators for (la, lb), _, _ in got)
 
 
 @pytest.mark.parametrize("name,corruption", CASES,
                          ids=[f"{n}-{c or 'true'}" for n, c in CASES])
 def test_derivative_violations_match_reference(name, corruption):
     K = case_module(name, corruption)
-    sc = K.sc
-    nu_y, nu_c = (Fraction(2), Fraction(-3)) if "c" in K.params \
-        else (Fraction(1), Fraction(0))
-    D = deformation(K, nu_y, nu_c)
-    A = ref_extended(K.matrices, sc.recipes)
-    B = {}
-    for lab, entries in A.items():
-        B[lab] = ref_combination([(1, {
-            pos: val.derivative("b") * (sc.k * nu_y)
-            + (val.derivative("c") * nu_c if nu_c else 0)
-            for pos, val in entries.items()}, None)])
-    expected = {
-        "(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B": ref_violations(
-            sc.basis, sc.parity, sc.table,
-            lambda la, lb, pa, pb: ref_combination(
-                [(1, ref_sbracket(pa, pb, A[la], B[lb]), None),
-                 (1, ref_sbracket(pa, pb, B[la], A[lb]), None)]), B),
-        "(iii) [B_a,B_b] = 0": ref_violations(
-            sc.basis, sc.parity, {},
-            lambda la, lb, pa, pb: ref_sbracket(pa, pb, B[la], B[lb]), B),
-    }
-    got = {key: flat(v) for key, v in derivative_violations(D, 3).items()}
-    assert got == expected
+    full = ref_derivative(K.sc, *ref_deformation(K, *directions(K)))
+    got = derivative_violations(deformation(K, *directions(K)), 3)
+    assert {key: flat(v) for key, v in got.items()} == {
+        key: on_generator_pairs(v, K.sc.generators) for key, v in full.items()}
+    assert block_verdicts(superbracket_violations(K.matrices, K.sc), got) == \
+        block_verdicts(ref_superbracket(K, first_only=True), full)
     if corruption is None:
-        assert not any(expected.values())
+        assert not any(full.values())
+
+
+SWEEP = [(name, label) for name, K in MODULES.items() for label in K.matrices]
+
+
+@pytest.mark.parametrize("name,label", SWEEP,
+                         ids=[f"{n}-{lab}" for n, lab in SWEEP])
+def test_corruption_sweep_verdicts_match_full_reference(name, label):
+    """One entry of one generator matrix bumped, for every generator
+    matrix: h, y, z0 and the odd generators outside X included.  The
+    generator-pair verdict equals that of the full reference.  The base
+    fails, so the N = 2, 3 block modules fail too."""
+    K = corrupted(MODULES[name], label, Fraction(1))
+    got = superbracket_violations(K.matrices, K.sc)
+    full = ref_superbracket(K, first_only=True)
+    assert (bool(got), bool(full)) == (True, True)
+
+
+@pytest.mark.parametrize("name,label", SWEEP,
+                         ids=[f"{n}-{lab}" for n, lab in SWEEP])
+def test_derivative_sweep_verdicts_match_full_reference(name, label):
+    """The base kept true and one entry of one derivative matrix B bumped,
+    where A has its first nonzero entry."""
+    K = MODULES[name]
+    D = deformation(K, *directions(K))
+    A, B = ref_deformation(K, *directions(K))
+    pos, _ = D.A[label].first_nonzero()
+    one = ParamPoly.const(K.params, 1)
+    bumped = dataclasses.replace(D, B={**D.B, label: D.B[label] + PolyMatrix(
+        K.dim, K.dim, K.params, {pos: one})})
+    B[label] = ref_combination([(1, B[label], None), (1, {pos: one}, None)])
+    assert block_verdicts([], derivative_violations(bumped, 3)) == \
+        block_verdicts([], ref_derivative(K.sc, A, B, first_only=True)) == \
+        [False, True, True]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_coboundary_verdicts_match_full_reference(name):
+    """The coboundary [A_y, A] added to every B keeps (ii) and breaks (iii)."""
+    K = MODULES[name]
+    D = deformation(K, *directions(K))
+    A, B = ref_deformation(K, *directions(K))
+    y = GenLabel("y")
+    cobound = dataclasses.replace(D, B={
+        lab: mat + D.A[y] @ D.A[lab] - D.A[lab] @ D.A[y]
+        for lab, mat in D.B.items()})
+    B = {lab: ref_combination(
+        [(1, B[lab], None), (1, ref_sbracket(0, 0, A[y], A[lab]), None)])
+        for lab in B}
+    assert block_verdicts([], derivative_violations(cobound, 3)) == \
+        block_verdicts([], ref_derivative(K.sc, A, B, first_only=True)) == \
+        [False, False, True]
+
+
+def test_report_names_the_pairs_checked():
+    K = MODULES["sl21_a1"]
+    (item,) = check_super_relations(K.matrices, K.sc, "relations").items
+    assert item.name == ("superbracket table reproduced on all 48 generator "
+                         "pairs (implies all 8^2 pairs)")
+    bad = case_module("sl21_a1", "e1")
+    (item,) = check_super_relations(bad.matrices, bad.sc, "relations").items
+    count = len(superbracket_violations(bad.matrices, bad.sc))
+    assert item.name == (f"superbracket table reproduced ({count} violating "
+                         "generator pairs)")
+    report = derivative_report(deformation(K, Fraction(1)), 3, "derivative")
+    assert [item.name for item in report.items] == [
+        "(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B on all 48 "
+        "generator pairs (implies all 8^2 pairs)",
+        "(iii) [B_a,B_b] = 0 on all 48 generator pairs (implies all 8^2 pairs)"]
+    # all labels as generators, as for H: the item names all pairs
+    (item,) = violations_report("H", "table", K.sc.basis, K.sc.basis, []).items
+    assert item.name == "table on all 8^2 pairs"
+
+
+# -- the generating set --------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", ALGEBRA_CONFIGS + [
+    {"flavor": "sl", "m": 8, "n": 1}],
+    ids=[f"{c['flavor']}{c['m']}{c['n']}" for c in ALGEBRA_CONFIGS]
+    + ["sl81"])
+def test_generators_are_the_simple_ones(cfg):
+    """sl: the simple e and f with u_1 and v_1; gl adds z0, which the
+    supertraceless brackets never reach."""
+    sc = stack_sc(cfg["flavor"], cfg["m"], cfg["n"])
+    rank = range(1, sc.spec.rank + 1)
+    expected = ([GenLabel("e", i) for i in rank]
+                + [GenLabel("f", i) for i in rank] + [U1, V1])
+    if cfg["flavor"] == "gl":
+        expected.append(GenLabel("z0"))
+    assert sorted(sc.generators) == sorted(expected)
+    assert list(sc.generators) == [lab for lab in sc.basis
+                                   if lab in sc.generators]
+
+
+def test_even_restriction_generators_add_y():
+    sc = stack_sc("sl", 3, 1)
+    even = tuple(lab for lab in sc.basis if not sc.parity[lab])
+    restricted = dataclasses.replace(
+        sc, basis=even, table={pair: exp for pair, exp in sc.table.items()
+                               if pair[0] in even and pair[1] in even})
+    assert restricted.generators == (
+        GenLabel("y"), GenLabel("e", 1), GenLabel("e", 2), GenLabel("f", 1),
+        GenLabel("f", 2))
 
 
 class TestAntisymmetryGuard:
@@ -185,12 +341,13 @@ class TestAntisymmetryGuard:
         sc = self.K.sc
         mats = extend_matrices(self.K.matrices, sc.recipes)
         got = bracket_violations(
-            sc.basis, sc.parity, table,
+            sc.basis, sc.generators, sc.parity, table,
             lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
         ref = ref_extended(self.K.matrices, sc.recipes)
-        expected = ref_violations(
+        expected = on_generator_pairs(ref_violations(
             sc.basis, sc.parity, table,
-            lambda la, lb, pa, pb: ref_sbracket(pa, pb, ref[la], ref[lb]), ref)
+            lambda la, lb, pa, pb: ref_sbracket(pa, pb, ref[la], ref[lb]), ref),
+            sc.generators)
         assert flat(got) == expected
         return [pair for pair, _, _ in expected]
 
