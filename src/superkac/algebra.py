@@ -412,10 +412,8 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
 
 
 def extend_matrices(matrices: Mapping[GenLabel, PolyMatrix],
-                    sc_or_recipes) -> dict:
+                    recipes: Mapping) -> dict:
     """Add matrices for nonsimple root-vector labels via their recipes."""
-    recipes = sc_or_recipes.recipes if isinstance(sc_or_recipes, StructureConstants) \
-        else sc_or_recipes
     out = dict(matrices)
     for label in recipes:
         _ensure_matrix(label, out, recipes)

@@ -222,27 +222,6 @@ class ParamPoly:
             terms[tuple(new)] = coeff
         return ParamPoly(self.params, terms)
 
-    def with_params(self, params: Sequence[str]) -> "ParamPoly":
-        """Re-declare over a different parameter list.
-
-        New names embed freely; a dropped name must not actually occur.
-        """
-        params = tuple(params)
-        positions = []
-        for idx, name in enumerate(self.params):
-            if name in params:
-                positions.append((idx, params.index(name)))
-            elif self.degree(name) > 0:
-                raise DeclarationError(
-                    f"cannot drop {name!r}: it occurs with positive degree")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(params)
-            for src, dst in positions:
-                new[dst] = exps[src]
-            terms[tuple(new)] = coeff
-        return ParamPoly(params, terms)
-
     # -- queries -----------------------------------------------------------
 
     def degree(self, name: str) -> int:
@@ -563,16 +542,27 @@ class PolyMatrix:
                 terms[exps] = Fraction(x, den)
         return ParamPoly._of(self.params, terms)
 
-    def column(self, c: int) -> dict:
-        """{row: ParamPoly} of the nonzero entries of column c."""
-        polys: dict = {}
-        for exps, (den, rows) in self.terms.items():
-            for r, row in rows.items():
-                x = row.get(c)
-                if x is not None:
-                    polys.setdefault(r, {})[exps] = Fraction(x, den)
-        return {r: ParamPoly._of(self.params, terms)
-                for r, terms in polys.items()}
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
+        """The len(rows) x len(cols) matrix of the entries (rows[i], cols[j]);
+        the index lists may reorder but not repeat."""
+        col_at = {c: j for j, c in enumerate(cols)}
+        if len(set(rows)) != len(rows) or len(col_at) != len(cols):
+            raise ValueError("submatrix index lists repeat an index")
+        if not all(0 <= r < self.rows for r in rows) \
+                or not all(0 <= c < self.cols for c in cols):
+            raise IndexError(f"submatrix index outside {self.rows}x{self.cols}")
+        terms = {}
+        for exps, (den, stored) in self.terms.items():
+            picked = {}
+            for i, r in enumerate(rows):
+                row = stored.get(r)
+                if row:
+                    picked[i] = {col_at[c]: x for c, x in row.items()
+                                 if c in col_at}
+            term = _reduced(den, picked)
+            if term is not None:
+                terms[exps] = term
+        return PolyMatrix._of(len(rows), len(cols), self.params, terms)
 
     def rational_entries(self) -> dict:
         """{(row, col): Fraction} of the nonzero entries of a parameter-free
@@ -726,7 +716,9 @@ class PolyMatrix:
         return out
 
     def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        nonzero = {(r, c) for _, rows in self.terms.values()
+                   for r, row in rows.items() for c in row}
+        return f"PolyMatrix({self.rows}x{self.cols}, {len(nonzero)} entries)"
 
 
 # -- exact rational elimination ------------------------------------------

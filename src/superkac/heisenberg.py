@@ -92,7 +92,6 @@ class RhoFamily:
     params: tuple
     deformation: Deformation
     matrices: dict
-    weights: tuple
 
     @property
     def dim(self) -> int:
@@ -105,12 +104,9 @@ def rho_family(K: KacModule, spec: TwistSpec, t_name: str = "t") -> RhoFamily:
     D = deformation(K, spec.nu_y, spec.nu_c)
     params = K.params + (t_name,)
     t = ParamPoly.var(params, t_name)
-    weights = tuple(tuple(c.with_params(params) for c in coord)
-                    for coord in K.weights) * spec.n
     return RhoFamily(base=K, spec=spec, t_name=t_name, params=params,
                      deformation=D,
-                     matrices=D.materialize([t] * (spec.n - 1), params),
-                     weights=weights)
+                     matrices=D.materialize([t] * (spec.n - 1), params))
 
 
 def affine_in_t_report(rho: RhoFamily) -> VerificationReport:
@@ -190,13 +186,9 @@ def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:
 
 def _j_shift(n: int, base_dim: int, params: tuple, scale: Fraction) -> PolyMatrix:
     """scale * (shift across J layers) tensor identity on the base."""
-    entries = {}
-    one = ParamPoly.const(params, scale)
-    if scale:
-        for j in range(1, n):
-            for l in range(base_dim):
-                entries[((j - 1) * base_dim + l, j * base_dim + l)] = one
-    return PolyMatrix(n * base_dim, n * base_dim, params, entries)
+    eye = PolyMatrix.identity(base_dim, params)
+    return PolyMatrix.from_blocks(n * base_dim, n * base_dim, params, [
+        ((j - 1) * base_dim, j * base_dim, eye, scale) for j in range(1, n)])
 
 
 def induce_heisenberg(H: HeisenbergSpec, base_dim: int, spec: TwistSpec,
@@ -220,44 +212,57 @@ def induce_heisenberg(H: HeisenbergSpec, base_dim: int, spec: TwistSpec,
     return basis, matrices
 
 
+def kh_in_phi_basis(phi: HModule) -> dict:
+    """The directly induced K_H matrices in the phi basis, where the phi
+    vector (J layer j, odd subset S, base vector l) is the K_H vector
+    (S, J layer j, base vector l)."""
+    K, dL = phi.rho.base, phi.rho.base.L.dim
+    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.rho.spec, phi.params)
+    kh_index = {vector: index for index, vector in enumerate(basis_kh)}
+    source = [kh_index[(subset, j * dL + l)]
+              for j in range(phi.rho.spec.n) for subset, l in K.basis]
+    return {label: mat.submatrix(source, source)
+            for label, mat in mats_kh.items()}
+
+
+def lowering_rank(phi: HModule, generating: list) -> int:
+    """Rank of the vectors v_S g, g in ``generating`` and S any odd subset,
+    with v_S = v_s1 v_{S - s1} on the generating columns, layer by layer."""
+    subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
+    lowered = {(): PolyMatrix.identity(phi.dim, phi.params).submatrix(
+        range(phi.dim), generating)}
+    for subset in subsets[1:]:
+        lowered[subset] = (phi.matrices[GenLabel("v", subset[0])]
+                           @ lowered[subset[1:]])
+    width = len(generating)
+    return rational_linear_solve(PolyMatrix.from_blocks(
+        phi.dim, width * len(subsets), phi.params,
+        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])).rank
+
+
 def compare_with_KH(phi: HModule) -> VerificationReport:
     """Structural isomorphism of phi with the directly induced K_H.
 
-    The identification maps the phi-side vector (J layer j, odd subset S,
-    base vector l) to the K_H vector (S, J layer j, base vector l); under
-    that permutation every generator matrix must agree exactly.  Also checks
-    free generation over the odd lowering operators, the vanishing of
-    phi(a_+) on the generating subspace, and the h' shift across J layers.
+    Under the basis identification of kh_in_phi_basis every generator
+    matrix must agree exactly.  Also checks free generation over the odd
+    lowering operators, the vanishing of phi(a_+) on the generating
+    subspace, and the h' shift across J layers.
     """
     report = VerificationReport("phi vs directly induced K_H")
     rho = phi.rho
-    K, H = rho.base, phi.H
-    spec = rho.spec
+    K, H, spec = rho.base, phi.H, rho.spec
     n, D, dL = spec.n, K.dim, K.L.dim
     P = K.odd_count
-    params = phi.params
 
     if phi.dim != (2 ** P) * n * dL:
         report.add_fail("dimension 2^P * n * dim L", str(phi.dim))
         return report
     report.add_pass(f"dimension {phi.dim} = 2^{P} * {n} * {dL}")
 
-    basis_kh, mats_kh = induce_heisenberg(H, dL, spec, params)
-    subsets = [subset for subset, l in basis_kh if l == 0]
-
-    # permutation: K_H index -> phi index
-    perm = []
-    for subset, jl in basis_kh:
-        j, l = divmod(jl, dL)
-        s_pos = subsets.index(subset)
-        perm.append(j * D + s_pos * dL + l)
-
     agree = True
+    mats_kh = kh_in_phi_basis(phi)
     for label in sorted(phi.matrices, key=str):
-        mk = mats_kh[label]
-        permuted = {(perm[r], perm[c]): val
-                    for (r, c), val in mk.entries.items()}
-        if PolyMatrix(phi.dim, phi.dim, params, permuted) != phi.matrices[label]:
+        if mats_kh[label] != phi.matrices[label]:
             report.add_fail("generator matrices agree", f"{label}")
             agree = False
     if agree:
@@ -266,25 +271,15 @@ def compare_with_KH(phi: HModule) -> VerificationReport:
 
     # generating subspace on the phi side: subset = empty, any (j, l)
     generating = [j * D + l for j in range(n) for l in range(dL)]
-    lowered = [(g, subset) for g in generating for subset in subsets]
-    stack = {}
-    for row, (g, subset) in enumerate(lowered):
-        state = {g: ParamPoly.const(params, 1)}
-        for s in reversed(subset):
-            state = phi.matrices[GenLabel("v", s)].apply(state)
-        for pos, val in state.items():
-            stack[(row, pos)] = val
-    rank = rational_linear_solve(
-        PolyMatrix(len(lowered), phi.dim, params, stack)).rank
+    rank = lowering_rank(phi, generating)
     if rank == phi.dim:
         report.add_pass("free generation from L x J_n under the odd "
                         "lowering action (full wedge rank)")
     else:
         report.add_fail("free generation rank", f"{rank} < {phi.dim}")
 
-    generating_cols = set(generating)
-    kills = not any(c in generating_cols for i in range(1, P + 1)
-                    for _, c in phi.matrices[GenLabel("u", i)].entries)
+    kills = all(phi.matrices[GenLabel("u", i)].submatrix(
+        range(phi.dim), generating).is_zero for i in range(1, P + 1))
     if kills:
         report.add_pass("phi(a_+) annihilates the generating subspace")
     else:
@@ -293,7 +288,7 @@ def compare_with_KH(phi: HModule) -> VerificationReport:
     shift_ok = True
     for label in H.hprime:
         scale = spec.nu_y if label.kind == "y" else spec.nu_c
-        expected = _j_shift(n, D, params, scale)
+        expected = _j_shift(n, D, phi.params, scale)
         if phi.matrices[label] != expected:
             shift_ok = False
             report.add_fail("h' acts by the nu shift across J layers",

@@ -51,38 +51,34 @@ def wedge_replace(subset: tuple, position: int, new_index: int):
 
 
 @dataclass(frozen=True)
-class InducedModule:
-    """Shared container for modules built by wedge induction or blocks of
-    such; matrices are indexed by generator labels."""
+class KacModule:
+    """A module built by wedge induction; matrices are indexed by generator
+    labels."""
 
     params: tuple
     basis: tuple                  # (subset, even_index) pairs
     matrices: dict                # GenLabel -> PolyMatrix
     weights: tuple                # epsilon/delta coordinates per basis vector
     layers: tuple                 # |subset| per basis vector
+    spec: object
+    datum: RootDatum
+    sc: StructureConstants
+    L: EvenModule
+    labels: tuple
+    hw_index: int
+    y_scalar: ParamPoly
+    z0_scalar: ParamPoly
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def index_of(self, subset: tuple, even_index: int) -> int:
-        return self.basis.index((tuple(subset), even_index))
-
-
-@dataclass(frozen=True)
-class KacModule(InducedModule):
-    spec: object = None
-    datum: RootDatum = None
-    sc: StructureConstants = None
-    L: EvenModule = None
-    labels: tuple = ()
-    hw_index: int = 0
-    y_scalar: ParamPoly = None
-    z0_scalar: ParamPoly = None
-
     @property
     def odd_count(self) -> int:
         return self.sc.spec.odd_count
+
+    def index_of(self, subset: tuple, even_index: int) -> int:
+        return self.basis.index((tuple(subset), even_index))
 
 
 def _subset_order(P: int):
@@ -271,9 +267,9 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
 def normal_order_odd(u_idx: int, element: tuple, K: KacModule) -> dict:
     """u_idx applied to one basis element (subset, even_index): the linear
     combination of basis elements it produces, with ParamPoly coefficients."""
-    subset, l = element
-    column = K.matrices[GenLabel("u", u_idx)].column(K.index_of(subset, l))
-    return {K.basis[row]: val for row, val in sorted(column.items())}
+    column = K.matrices[GenLabel("u", u_idx)].submatrix(
+        range(K.dim), [K.index_of(*element)])
+    return {K.basis[r]: val for (r, _), val in sorted(column.entries.items())}
 
 
 # -- typicality -------------------------------------------------------------
@@ -394,7 +390,7 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
     mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
     by_column: dict = {}
     for lab in raising:
-        for (r, c), val in mats[lab].entries.items():
+        for (r, c), val in mats[lab].rational_entries().items():
             by_column.setdefault(c, []).append(((lab, r), val))
 
     found = []

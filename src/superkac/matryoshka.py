@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, extend_matrices, sbracket,
                               violations_report)
-from superkac.exact import PolyMatrix
+from superkac.exact import PolyMatrix, combination
 from superkac.kacmod import KacModule, weight_spaces
 from superkac.report import VerificationReport
 
@@ -211,10 +211,6 @@ class ReplicatedModule:
     def dim(self) -> int:
         return self.N * self.base.dim
 
-    @property
-    def base_dim(self) -> int:
-        return self.base.dim
-
 
 def replicate(K: KacModule, spec: ReplicationSpec) -> ReplicatedModule:
     """N stacked copies coupled through u' and the identity on Y."""
@@ -257,32 +253,21 @@ def rescale_conjugation_check(K: KacModule, lam: Fraction) -> VerificationReport
 # -- invariants of the block modules ------------------------------------------
 
 def diagonal_block(R: ReplicatedModule, label: GenLabel, t: int) -> PolyMatrix:
-    D = R.base_dim
-    entries = {}
-    for (r, c), val in R.matrices[label].entries.items():
-        if t * D <= r < (t + 1) * D and t * D <= c < (t + 1) * D:
-            entries[(r - t * D, c - t * D)] = val
-    return PolyMatrix(D, D, R.params, entries)
+    copy = range(t * R.base.dim, (t + 1) * R.base.dim)
+    return R.matrices[label].submatrix(copy, copy)
 
 
 def leading_principal_submodule(R: ReplicatedModule) -> dict:
     """Matrices restricted to the first (N-1) copies (the nesting property)."""
-    size = (R.N - 1) * R.base_dim
-    out = {}
-    for label, mat in R.matrices.items():
-        entries = {(r, c): val for (r, c), val in mat.entries.items()
-                   if r < size and c < size}
-        out[label] = PolyMatrix(size, size, R.params, entries)
-    return out
+    lead = range((R.N - 1) * R.base.dim)
+    return {label: mat.submatrix(lead, lead)
+            for label, mat in R.matrices.items()}
 
 
 def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatrix:
     """Matrix of a Cartan combination sum h_coeffs[label] * label."""
-    mat = None
-    for label, coeff in h_coeffs.items():
-        term = module.matrices[label].scale(coeff)
-        mat = term if mat is None else mat + term
-    return mat
+    return combination([(coeff, module.matrices[label], None)
+                        for label, coeff in h_coeffs.items()])
 
 
 def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
@@ -298,24 +283,16 @@ def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
     if h_coeffs is None:
         h_coeffs = {GenLabel("y"): Fraction(1)}
     mat = cartan_matrix_of(module, h_coeffs).substitute(bindings)
-    rows: dict = {}
-    for (r, c), x in mat.rational_entries().items():
-        rows.setdefault(r, {})[c] = x
-
     profile = {}
+    # weight_spaces raises ParameterizedEntryError unless every parameter
+    # is bound, so every block below is rational
     for key, cols in weight_spaces(module, bindings).items():
         size = len(cols)
-        local = {c: i for i, c in enumerate(cols)}
+        block = mat.submatrix(cols, cols)
         # scalar part: the common diagonal value the weight space carries
-        eigen = rows.get(cols[0], {}).get(cols[0], 0)
-        entries = {}
-        for r in cols:
-            row = rows.get(r, {})
-            for c, x in row.items():
-                if c in local:
-                    entries[(local[r], local[c])] = x
-            entries[(local[r], local[r])] = row.get(r, 0) - eigen
-        nil = PolyMatrix(size, size, (), entries)
+        eigen = block.entry(0, 0).constant_value()
+        eye = PolyMatrix.identity(size, mat.params)
+        nil = combination([(1, block, None), (-eigen, eye, None)])
         degree = 1
         power = nil
         while not power.is_zero:
@@ -343,18 +320,17 @@ def upsilon_extract(R: ReplicatedModule) -> dict:
     if len(top) != 2:
         raise InternalConsistencyError(
             f"top generalized weight space has dimension {len(top)}, not 2")
-    t1, t2 = top
     cartan = [GenLabel("h", i) for i in range(1, R.base.sc.spec.rank + 1)]
     cartan.append(GenLabel("y"))
     if R.base.sc.spec.flavor == "gl":
         cartan.append(GenLabel("z0"))
     mu = {}
     for label in cartan:
-        mat = R.matrices[label]
-        if mat.entry(t1, t1) != mat.entry(t2, t2) or not mat.entry(t2, t1).is_zero:
+        block = R.matrices[label].submatrix(top, top)
+        if block.entry(0, 0) != block.entry(1, 1) or not block.entry(1, 0).is_zero:
             raise InternalConsistencyError(
                 f"{label} is not upper triangular on the top weight space")
-        mu[label] = mat.entry(t1, t2)
+        mu[label] = block.entry(0, 1)
     return mu
 
 

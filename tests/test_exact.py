@@ -262,6 +262,8 @@ small_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), small_rationals,
     max_size=3).map(lambda terms: ParamPoly(PARAMS, terms))
 positions = st.tuples(st.integers(0, SIZE - 1), st.integers(0, SIZE - 1))
+# distinct indices in any order, possibly none
+index_lists = st.lists(st.integers(0, SIZE - 1), max_size=SIZE, unique=True)
 
 
 @st.composite
@@ -298,6 +300,18 @@ def assert_canonical(m: PolyMatrix):
             numerators += row.values()
         assert math.gcd(den, *numerators) == 1
     assert PolyMatrix(m.rows, m.cols, m.params, m.entries) == m
+
+
+def redeclared(p: ParamPoly, params: tuple) -> ParamPoly:
+    """p rebuilt over params from its monomials, one variable at a time."""
+    out = ParamPoly.zero(params)
+    for exps, coeff in p.terms.items():
+        monomial = ParamPoly.const(params, coeff)
+        for name, power in zip(p.params, exps):
+            for _ in range(power):
+                monomial = monomial * ParamPoly.var(params, name)
+        out = out + monomial
+    return out
 
 
 def assert_matches(m: PolyMatrix, entries: dict):
@@ -345,8 +359,8 @@ def test_ring_operations_match_entrywise(pair, poly, q, q2):
 
 
 @settings(deadline=None, max_examples=80)
-@given(entry_pairs(), rationals, rationals)
-def test_maps_and_queries_match_entrywise(pair, bv, cv):
+@given(entry_pairs(), rationals, rationals, index_lists, index_lists)
+def test_maps_and_queries_match_entrywise(pair, bv, cv, pick_rows, pick_cols):
     ea, _ = pair
     a = matrix(ea)
     assert_matches(a.derivative("b"), {p: v.derivative("b") for p, v in ea.items()})
@@ -357,11 +371,11 @@ def test_maps_and_queries_match_entrywise(pair, bv, cv):
                        {p: v.coefficient("b", power) for p, v in ea.items()})
     wider = ("t", "c", "b")
     assert_matches(a.with_params(wider),
-                   {p: v.with_params(wider) for p, v in ea.items()})
+                   {p: redeclared(v, wider) for p, v in ea.items()})
     assert a.with_params(wider).with_params(PARAMS) == a
     constant_in_c = a.coefficient("c", 0)
     assert_matches(constant_in_c.with_params(("b",)),
-                   {p: v.coefficient("c", 0).with_params(("b",))
+                   {p: redeclared(v.coefficient("c", 0), ("b",))
                     for p, v in ea.items()})
     if a.degree("c") > 0:
         with pytest.raises(DeclarationError):
@@ -379,20 +393,35 @@ def test_maps_and_queries_match_entrywise(pair, bv, cv):
         assert a.degree(name) == max((v.degree(name) for v in live.values()),
                                      default=0)
     assert a.is_zero == (not live)
+    assert repr(a) == f"PolyMatrix({SIZE}x{SIZE}, {len(live)} entries)"
     assert a.is_constant == all(v.is_constant for v in live.values())
     assert a.first_nonzero() == (
         (min(live), live[min(live)]) if live else None)
     for pos in ((r, c) for r in range(SIZE) for c in range(SIZE)):
         assert a.entry(*pos) == ea.get(pos, ParamPoly.zero(PARAMS))
-    for col in range(SIZE):
-        assert a.column(col) == {r: v for (r, c), v in live.items()
-                                 if c == col}
+    for rows, cols in ((pick_rows, pick_cols), ([], pick_cols),
+                       (pick_rows, []), (range(SIZE)[::-1], pick_cols)):
+        assert_matches(a.submatrix(rows, cols), {
+            (i, j): ea[(r, c)] for i, r in enumerate(rows)
+            for j, c in enumerate(cols) if (r, c) in ea})
     vec = {c: v for (r, c), v in ea.items() if r == 0}
     expected = {}
     for (r, c), v in ea.items():
         if c in vec:
             expected[r] = expected.get(r, ParamPoly.zero(PARAMS)) + v * vec[c]
     assert a.apply(vec) == nonzero(expected)
+
+
+def test_submatrix_rejects_repeated_and_outside_indices():
+    a = PolyMatrix.identity(SIZE, PARAMS)
+    with pytest.raises(ValueError):
+        a.submatrix([0, 0], [1])
+    with pytest.raises(ValueError):
+        a.submatrix([0], [1, 1])
+    with pytest.raises(IndexError):
+        a.submatrix([SIZE], [0])
+    with pytest.raises(IndexError):
+        a.submatrix([0], [-1])
 
 
 # -- ExactSolver against the dense solve loop it replaced ---------------------

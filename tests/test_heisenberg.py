@@ -9,11 +9,12 @@ import pytest
 from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, rational_linear_solve
 from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  check_phi_representation, compare_with_KH,
                                  heisenberg_structure_report,
-                                 induce_heisenberg, mixed_derivative_report,
+                                 induce_heisenberg, kh_in_phi_basis,
+                                 lowering_rank, mixed_derivative_report,
                                  phi_map, rho_family)
 from superkac.kacmod import induce
 from superkac.matryoshka import TwistSpec, twist
@@ -163,12 +164,68 @@ class TestMixedDerivative:
             assert mixed_derivative_report(rho_family(K, tspec)).ok
 
 
+def reference_kh_in_phi_basis(phi) -> dict:
+    """The K_H matrices moved to the phi basis entry by entry."""
+    K = phi.rho.base
+    dL = K.L.dim
+    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.rho.spec, phi.params)
+    subsets = [subset for subset, l in basis_kh if l == 0]
+    perm = []                     # K_H index -> phi index
+    for subset, jl in basis_kh:
+        j, l = divmod(jl, dL)
+        perm.append(j * K.dim + subsets.index(subset) * dL + l)
+    return {label: PolyMatrix(phi.dim, phi.dim, phi.params, {
+        (perm[r], perm[c]): val for (r, c), val in mat.entries.items()})
+        for label, mat in mats_kh.items()}
+
+
+def reference_lowering_rank(phi, generating) -> int:
+    """Rank of the stacked rows v_S g, each one chain of vector applies."""
+    subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
+    lowered = [(g, subset) for g in generating for subset in subsets]
+    stack = {}
+    for row, (g, subset) in enumerate(lowered):
+        state = {g: ParamPoly.const(phi.params, 1)}
+        for s in reversed(subset):
+            state = phi.matrices[GenLabel("v", s)].apply(state)
+        for pos, val in state.items():
+            stack[(row, pos)] = val
+    return rational_linear_solve(
+        PolyMatrix(len(lowered), phi.dim, phi.params, stack)).rank
+
+
+def generating_columns(phi) -> list:
+    """(J layer j, empty subset, base vector l) for every j and l."""
+    K = phi.rho.base
+    return [j * K.dim + l for j in range(phi.rho.spec.n)
+            for l in range(K.L.dim)]
+
+
 class TestCompareWithKH:
     def test_structural_isomorphism(self):
         for K, sc, H, tspec in MATRIX:
             phi = phi_map(rho_family(K, tspec), H)
             report = compare_with_KH(phi)
             assert report.ok, report.summary()
+
+    def test_block_reads_match_entrywise_reference(self):
+        for K, sc, H, tspec in MATRIX:
+            phi = phi_map(rho_family(K, tspec), H)
+            assert kh_in_phi_basis(phi) == reference_kh_in_phi_basis(phi)
+            generating = generating_columns(phi)
+            assert lowering_rank(phi, generating) == \
+                reference_lowering_rank(phi, generating) == phi.dim
+
+    def test_corrupted_lowering_rank_matches_reference(self):
+        phi = phi_map(rho_family(GL_A1, TwistSpec(2, (2, -3))), HG21)
+        label = GenLabel("v", 1)
+        for mat in (PolyMatrix.zeros(phi.dim, phi.dim, phi.params),
+                    phi.matrices[label].scale(Fraction(1, 2))):
+            broken = dataclasses.replace(
+                phi, matrices={**phi.matrices, label: mat})
+            generating = generating_columns(broken)
+            assert lowering_rank(broken, generating) == \
+                reference_lowering_rank(broken, generating)
 
     @staticmethod
     def _failed_checks(label, corrupt):
@@ -185,13 +242,14 @@ class TestCompareWithKH:
             entries[(1, 0)] = ParamPoly.const(mat.params, 1)
             return PolyMatrix(mat.rows, mat.cols, mat.params, entries)
         failed = self._failed_checks(GenLabel("u", 1), corrupt)
-        assert "phi(a_+) on generating subspace" in failed
+        assert failed == {"generator matrices agree",
+                          "phi(a_+) on generating subspace"}
 
     def test_zeroed_lowering_fails_free_generation(self):
         failed = self._failed_checks(
             GenLabel("v", 1),
             lambda mat: PolyMatrix.zeros(mat.rows, mat.cols, mat.params))
-        assert "free generation rank" in failed
+        assert failed == {"generator matrices agree", "free generation rank"}
 
     def test_direct_induction_dimension(self):
         tspec = TwistSpec(2, (1, 0))

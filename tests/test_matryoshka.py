@@ -11,7 +11,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               check_super_relations, structure_constants,
                               superbracket_violations)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, ParameterizedEntryError, PolyMatrix
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
                                  TwistSpec, cartan_matrix_of, deformation,
@@ -70,8 +70,10 @@ class TestOddDerivative:
         # differentiate u_1 (v_1 x L) = b L: since db/dy0 = k, the derived
         # generator sends v_1 x L to k (empty x L)
         D = odd_derivative(QUARTET)
-        col = D.u_prime[1].column(QUARTET.index_of((1,), 0))
-        assert col == {QUARTET.hw_index: ParamPoly.const(QUARTET.params, SC21.k)}
+        col = D.u_prime[1].submatrix(range(QUARTET.dim),
+                                     [QUARTET.index_of((1,), 0)])
+        assert col.entries == {
+            (QUARTET.hw_index, 0): ParamPoly.const(QUARTET.params, SC21.k)}
 
 
 class TestHeisenbergIdentity:
@@ -243,6 +245,12 @@ class TestJordanProfile:
         for profile in (jordan_minpoly_profile, reference_jordan_profile):
             with pytest.raises(InternalConsistencyError):
                 profile(module, {})
+
+    def test_unbound_parameter_rejected(self):
+        # a gl module with only b bound still has c in its weights
+        module = twist(GL_A1, TwistSpec(2, (1, 2)))
+        with pytest.raises(ParameterizedEntryError):
+            jordan_minpoly_profile(module, B57)
 
     def test_base_module_is_diagonal(self):
         profile = jordan_minpoly_profile(QUARTET, {"b": Fraction(5, 7)})
