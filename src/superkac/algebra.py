@@ -15,9 +15,11 @@ Conventions fixed here and used everywhere downstream:
   supertraceless; concretely y = diag(n..n, m..m) / (n - m).  This makes the
   odd generators carry hypercharge grade exactly +-1 and the layer grading
   of induced modules descend in integer steps.
-* Structure constants are extracted from the fundamental representation by
-  exact linear solves, over the full basis obtained by closing the simple
-  raising/lowering generators under iterated commutators.
+* Structure constants are extracted from the fundamental representation,
+  over the full basis obtained by closing the simple raising/lowering
+  generators under iterated commutators.  Each root vector is one
+  off-diagonal entry, so its coefficient is read off its slot; the
+  diagonal takes one exact solve against the Cartan labels.
 """
 
 from __future__ import annotations
@@ -431,30 +433,72 @@ def _ensure_matrix(label: GenLabel, out: dict, recipes: Mapping) -> PolyMatrix:
 
 
 def structure_constants(rep: FundamentalRep) -> StructureConstants:
+    """The superbracket table of the fundamental representation.
+
+    Every root vector is one off-diagonal entry x at a slot (r, c) of its
+    own, so the coefficient of a root label in a bracket is the bracket's
+    entry at that slot over x.  The Cartan labels are diagonal, and the
+    diagonal of a bracket is solved against theirs: dim rows and rank + 1
+    (sl) or rank + 2 (gl) columns.
+    """
     spec, datum = rep.spec, rep.datum
     basis, recipes = _full_basis(spec, datum)
     mats = extend_matrices(rep.matrices, recipes)
     parity = {lab: parity_of(lab) for lab in basis}
     dim = spec.dim_fund
 
-    def flatten(mat: PolyMatrix):
-        vec = [Fraction(0)] * (dim * dim)
-        for (r, c), x in mat.rational_entries().items():
-            vec[r * dim + c] = x
-        return vec
-
-    solver = ExactSolver([flatten(mats[lab]) for lab in basis])
+    rows = []                         # per basis position: {r: {c: x}}
+    slots = {}                        # (r, c) off the diagonal -> (position, x)
+    cartan = {}                       # position -> diagonal
+    for pos, lab in enumerate(basis):
+        entries = mats[lab].rational_entries()
+        rows.append({})
+        for (r, c), x in entries.items():
+            rows[pos].setdefault(r, {})[c] = x
+        if all(r == c for r, c in entries):
+            cartan[pos] = [entries.get((i, i), 0) for i in range(dim)]
+            continue
+        if len(entries) != 1:
+            raise InternalConsistencyError(
+                f"{lab} is neither diagonal nor one off-diagonal entry")
+        (slot, x), = entries.items()
+        if slot in slots:
+            raise InternalConsistencyError(
+                f"{lab} shares the entry {slot} with {basis[slots[slot][0]]}")
+        slots[slot] = (pos, x)
+    solver = ExactSolver(list(cartan.values()))
 
     table = {}
-    for la, lb in itertools.product(basis, repeat=2):
-        bracket = sbracket(parity[la], parity[lb], mats[la], mats[lb])
-        coeffs = solver.solve(flatten(bracket))
-        if coeffs is None:
-            raise InternalConsistencyError(
-                f"superbracket [{la}, {lb}] does not close on the basis")
-        expansion = {basis[i]: c for i, c in enumerate(coeffs) if c != 0}
+    for (la, ra), (lb, rb) in itertools.product(zip(basis, rows), repeat=2):
+        sign = 1 if (parity[la] and parity[lb]) else -1
+        bracket: dict = {}
+        for left, right, s in ((ra, rb, 1), (rb, ra, sign)):
+            for r, row in left.items():
+                for k, x in row.items():
+                    for c, y in right.get(k, {}).items():
+                        bracket[(r, c)] = bracket.get((r, c), 0) + s * x * y
+        expansion = {}                # basis position -> coefficient
+        diagonal = [0] * dim
+        for (r, c), value in bracket.items():
+            if not value:
+                continue
+            if r == c:
+                diagonal[r] = value
+            elif (r, c) in slots:
+                pos, x = slots[(r, c)]
+                expansion[pos] = value / x
+            else:
+                raise InternalConsistencyError(
+                    f"superbracket [{la}, {lb}] does not close on the basis")
+        if any(diagonal):
+            coeffs = solver.solve(diagonal)
+            if coeffs is None:
+                raise InternalConsistencyError(
+                    f"superbracket [{la}, {lb}] does not close on the basis")
+            expansion.update((pos, c) for pos, c in zip(cartan, coeffs) if c)
         if expansion:
-            table[(la, lb)] = expansion
+            table[(la, lb)] = {basis[pos]: expansion[pos]
+                               for pos in sorted(expansion)}
 
     ylab = GenLabel("y")
     grade = {}

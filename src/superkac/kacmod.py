@@ -345,11 +345,16 @@ def kac_typicality(K: KacModule) -> TypicalityReport:
 
 def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
     """Basis positions grouped by their weight at bindings, in sorted
-    weight order."""
+    weight order.  Each distinct coordinate is substituted once."""
     groups: dict = {}
+    values: dict = {}                 # ParamPoly -> its value at bindings
     for pos, coord in enumerate(module.weights):
-        key = tuple(c.substitute(bindings).constant_value() for c in coord)
-        groups.setdefault(key, []).append(pos)
+        key = []
+        for c in coord:
+            if c not in values:
+                values[c] = c.substitute(bindings).constant_value()
+            key.append(values[c])
+        groups.setdefault(tuple(key), []).append(pos)
     return {key: groups[key] for key in sorted(groups)}
 
 

@@ -1,13 +1,16 @@
 """Root data, fundamental representation and structure constants."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
+from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
+                              SuperAlgebraSpec, _full_basis,
                               build_fundamental_rep, build_root_datum,
-                              check_super_relations, grading_report,
+                              check_super_relations, extend_matrices,
+                              grading_report, parity_of, sbracket,
                               structure_constants, super_jacobi_report,
                               supertrace, typicality_factors,
                               weight_eval, weight_from_labels)
@@ -180,6 +183,91 @@ class TestStructureConstants:
         for rep, sc in ((SL21, SC21), (GL21, SCG21)):
             assert super_jacobi_report(sc).ok
             assert grading_report(sc).ok
+
+
+# -- structure constants against the dense solve they replaced ---------------
+
+def reference_structure_constants(rep) -> dict:
+    """The table by one dense solve per pair: each bracket flattened to a
+    dim^2 vector and solved against all flattened basis matrices."""
+    basis, recipes = _full_basis(rep.spec, rep.datum)
+    mats = extend_matrices(rep.matrices, recipes)
+    dim = rep.dim
+
+    def flatten(mat):
+        vec = [Fraction(0)] * (dim * dim)
+        for (r, c), x in mat.rational_entries().items():
+            vec[r * dim + c] = x
+        return vec
+
+    solver = ExactSolver([flatten(mats[lab]) for lab in basis])
+    table = {}
+    for la, lb in itertools.product(basis, repeat=2):
+        bracket = sbracket(parity_of(la), parity_of(lb), mats[la], mats[lb])
+        coeffs = solver.solve(flatten(bracket))
+        assert coeffs is not None, (la, lb)
+        expansion = {basis[i]: c for i, c in enumerate(coeffs) if c != 0}
+        if expansion:
+            table[(la, lb)] = expansion
+    return table
+
+
+ORACLE_ALGEBRAS = (("sl", 2, 1), ("gl", 2, 1), ("gl", 1, 2), ("sl", 3, 1),
+                   ("sl", 4, 1), ("gl", 2, 3), ("sl", 3, 2), ("sl", 4, 2),
+                   ("sl", 8, 1))
+
+
+@pytest.mark.parametrize("flavor, m, n", ORACLE_ALGEBRAS)
+def test_structure_constants_match_dense_reference(flavor, m, n):
+    rep, sc = make(flavor, m, n)
+    want = reference_structure_constants(rep)
+    # equal dicts in equal key order, down to each expansion
+    assert [(key, list(exp.items())) for key, exp in sc.table.items()] == \
+        [(key, list(exp.items())) for key, exp in want.items()]
+    y = GenLabel("y")
+    assert sc.grade == {lab: want.get((y, lab), {}).get(lab, 0)
+                        for lab in sc.basis}
+    P = rep.spec.odd_count
+    assert sc.d == {(i, j): want.get((GenLabel("u", i), GenLabel("v", j)), {})
+                    for i in range(1, P + 1) for j in range(1, P + 1)}
+    assert sc.k == want[(GenLabel("u", 1), GenLabel("v", 1))][y] != 0
+
+
+def with_matrix(rep, label, entries):
+    """rep with the matrix of label replaced by the given rational entries."""
+    mat = PolyMatrix(rep.dim, rep.dim, (),
+                     {pos: ParamPoly.const((), x) for pos, x in entries.items()})
+    return dataclasses.replace(rep, matrices={**rep.matrices, label: mat})
+
+
+class TestRootSlotExtraction:
+    def test_root_matrix_with_a_second_entry_is_named(self):
+        # u_1 of sl(2|1) is E_{2,3}; a diagonal entry next to it makes it
+        # neither a root slot nor a Cartan element
+        rep = with_matrix(SL21, GenLabel("u", 1), {(1, 2): 1, (0, 0): 1})
+        with pytest.raises(InternalConsistencyError, match="u_1"):
+            structure_constants(rep)
+
+    def test_shared_root_slot_is_named(self):
+        rep = with_matrix(SL21, GenLabel("v", 1), {(1, 2): 1})
+        with pytest.raises(InternalConsistencyError,
+                           match="v_1 shares the entry .* with u_1"):
+            structure_constants(rep)
+
+    def test_diagonal_outside_the_cartan_span_does_not_close(self):
+        # span{diag(1,0,0), y = diag(-1,-1,-2)} misses [e_1, f_1] = h_1
+        rep = with_matrix(SL21, GenLabel("h", 1), {(0, 0): 1})
+        with pytest.raises(InternalConsistencyError,
+                           match=r"\[e_1, f_1\] does not close on the basis"):
+            structure_constants(rep)
+
+    def test_entry_at_an_unlabelled_slot_does_not_close(self):
+        # v_1 made diagonal leaves its slot (2, 1) without a label, and
+        # [e_1, v_2] = -E_{3,2} lands there
+        rep = with_matrix(SL21, GenLabel("v", 1), {(2, 2): 1})
+        with pytest.raises(InternalConsistencyError,
+                           match=r"\[e_1, v_2\] does not close on the basis"):
+            structure_constants(rep)
 
 
 class TestRelationChecker:

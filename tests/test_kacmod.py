@@ -11,11 +11,11 @@ from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, check_super_relations,
                               structure_constants, typicality_factors)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParameterizedEntryError, ParamPoly, PolyMatrix
 from superkac.kacmod import (_subset_order, character, induce, kac_typicality,
                              normal_order_odd, singular_vectors, wedge_insert,
-                             wedge_replace)
-from superkac.matryoshka import TwistSpec
+                             wedge_replace, weight_spaces)
+from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
 from superkac.testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
 
 
@@ -454,3 +454,31 @@ def test_induce_leaves_no_garbage():
     finally:
         gc.enable()
     assert K.dim == 64
+
+
+# -- weight spaces against substituting every coordinate ---------------------
+
+def reference_weight_spaces(module, bindings) -> dict:
+    """weight_spaces with every coordinate of every basis vector substituted."""
+    groups: dict = {}
+    for pos, coord in enumerate(module.weights):
+        key = tuple(c.substitute(bindings).constant_value() for c in coord)
+        groups.setdefault(key, []).append(pos)
+    return {key: groups[key] for key in sorted(groups)}
+
+
+@pytest.mark.parametrize("module, bindings", [
+    (replicate(build_kac("sl", 3, 1, (1, 1)),
+               ReplicationSpec(3, (Fraction(1), Fraction(2)))),
+     {"b": Fraction(5, 7)}),
+    (GL21_A1, {"b": Fraction(5, 7), "c": Fraction(3, 11)}),
+], ids=["sl31-N3", "gl21"])
+def test_weight_spaces_match_per_entry_reference(module, bindings):
+    got = weight_spaces(module, bindings)
+    assert list(got.items()) == \
+        list(reference_weight_spaces(module, bindings).items())
+
+
+def test_weight_spaces_need_every_parameter_bound():
+    with pytest.raises(ParameterizedEntryError):
+        weight_spaces(GL21_A1, {"b": Fraction(5, 7)})
