@@ -2,14 +2,15 @@
 sl(m) + sl(n) + h', built from Verma weight spaces and the contravariant
 (Shapovalov) form.
 
-States of the Verma module are held as linear combinations of words in the
-simple lowering generators applied to the highest weight vector; raising
-generators act by commuting through, which needs nothing beyond the Cartan
-matrix.  Each weight space of the irreducible quotient is spanned by f_i
-applied to the basis words one level up, and is cut out modulo the radical
-of the form by exact rational rank computations.  The hypercharge and (for
-gl) the central charge act on everything by scalars, kept symbolic in b
-and c.
+A vector of L is named by a word in the simple lowering generators applied
+to the highest weight vector.  L is built level by level: the weight space
+at a content is spanned by f_i applied to the basis words one level up, and
+its Gram matrix on those words follows from the level above by the
+Shapovalov recursion <f_i w, x> = <w, e_i x>, with e_i f_j = f_j e_i +
+[i = j] h_i.  Exact row reduction of that Gram matrix picks the basis and
+gives the f coordinates; the recursion gives the e coordinates.  The
+hypercharge and (for gl) the central charge act on everything by scalars,
+kept symbolic in b and c.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from superkac.algebra import (GenLabel, InternalConsistencyError,
                               RootDatum, StructureConstants, module_params,
                               validate_even_labels, weight_from_labels)
-from superkac.exact import ExactSolver, ParamPoly, PolyMatrix, _rref
+from superkac.exact import ParamPoly, PolyMatrix, _rref
 
 
 @dataclass(frozen=True)
@@ -84,65 +85,70 @@ def weyl_dimension(datum: RootDatum, a: Sequence[int]) -> int:
     return int(total)
 
 
-class _VermaWords:
-    """Raising/lowering calculus on words in the simple lowering generators."""
+def _step(content: tuple, i: int, delta: int) -> tuple:
+    return content[:i] + (content[i] + delta,) + content[i + 1:]
 
-    def __init__(self, cartan: Sequence[Sequence[int]], labels: Sequence[int]):
-        self.cartan = cartan
-        self.labels = labels
-        self.rank = len(labels)
-        self._e_cache: dict = {}
 
-    def h_eigen(self, i: int, content: Sequence[int]) -> int:
-        """Eigenvalue of h_i on any word of the given content."""
-        return self.labels[i] - sum(self.cartan[i][j] * content[j]
-                                    for j in range(self.rank))
+@dataclass
+class _WeightSpace:
+    """The basis of L at one content, with what the next level reads off it.
 
-    def content_of(self, word: tuple) -> tuple:
-        content = [0] * self.rank
-        for j in word:
-            content[j] += 1
-        return tuple(content)
+    Images are sparse coordinate dicts {basis position: coefficient}.
+    """
 
-    def apply_e(self, i: int, word: tuple) -> dict:
-        """e_i acting on a word state, as a dict of shorter words."""
-        key = (i, word)
-        cached = self._e_cache.get(key)
-        if cached is not None:
-            return cached
+    basis: list       # basis words, in pivot order
+    gram: list        # contravariant form on the basis words
+    f: dict           # j -> f_j of each basis word at content - e_j, here
+    e: dict           # i -> e_i of each basis word here, at content - e_i
+
+
+def _weight_space(spaces: dict, content: tuple,
+                  h_eigen) -> _WeightSpace | None:
+    """The weight space of L at content, from the contents one level up.
+
+    The candidates are the words x = (j,) + w for each basis word w at
+    content - e_j.  Their raising images follow from the level above,
+    e_i f_j w = f_j (e_i w) + [i = j] h_i(w) w, so the Gram entry
+    <(i,) + w', x> = <w', e_i x> is a row of the basis Gram at content - e_i
+    against those coordinates.  None if the form vanishes there.
+    """
+    parents = {i: spaces[shrunk] for i in range(len(content))
+               if (shrunk := _step(content, i, -1)) in spaces}
+    candidates = sorted(((j,) + w, j, q)
+                        for j, space in parents.items()
+                        for q, w in enumerate(space.basis))
+
+    def raised(i: int, j: int, q: int) -> dict:
+        """e_i f_j (word q at content - e_j), in the basis at content - e_i."""
         out: dict = {}
-        if word:
-            head, rest = word[0], word[1:]
-            for w, coeff in self.apply_e(i, rest).items():
-                new = (head,) + w
-                out[new] = out.get(new, Fraction(0)) + coeff
-            if head == i:
-                h_val = self.h_eigen(i, self.content_of(rest))
-                if h_val:
-                    out[rest] = out.get(rest, Fraction(0)) + h_val
-            out = {w: c for w, c in out.items() if c != 0}
-        self._e_cache[key] = out
-        return out
+        e_i = parents[j].e.get(i)
+        if e_i is not None:
+            f_j = parents[i].f[j]
+            for s, coeff in e_i[q].items():
+                for r, x in f_j[s].items():
+                    out[r] = out.get(r, 0) + coeff * x
+        if i == j:
+            out[q] = out.get(q, 0) + h_eigen(i, _step(content, i, -1))
+        return {r: x for r, x in out.items() if x}
 
-    def apply_e_state(self, i: int, state: Mapping[tuple, Fraction]) -> dict:
-        out: dict = {}
-        for word, coeff in state.items():
-            for w, c in self.apply_e(i, word).items():
-                acc = out.get(w, Fraction(0)) + coeff * c
-                if acc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
-        return out
-
-    def pairing(self, word: tuple, state: Mapping[tuple, Fraction]) -> Fraction:
-        """Contravariant form <word L, state> via raising through the word."""
-        current = dict(state)
-        for j in word:
-            current = self.apply_e_state(j, current)
-            if not current:
-                return Fraction(0)
-        return current.get((), Fraction(0))
+    images = {i: [raised(i, j, q) for _, j, q in candidates] for i in parents}
+    gram = [[sum(parents[i].gram[p][r] * x for r, x in image.items())
+             for image in images[i]]
+            for _, i, p in candidates]
+    rows = [list(row) for row in gram]
+    pivots = _rref(rows, len(candidates))
+    if not pivots:
+        return None
+    # row reduction keeps the linear relations among the Gram columns, so
+    # candidate column col is the sum over k of rows[k][col] * pivot column k
+    f = {j: [None] * len(space.basis) for j, space in parents.items()}
+    for col, (_, j, q) in enumerate(candidates):
+        f[j][q] = {k: rows[k][col] for k in range(len(pivots)) if rows[k][col]}
+    return _WeightSpace(
+        basis=[candidates[c][0] for c in pivots],
+        gram=[[gram[r][c] for c in pivots] for r in pivots],
+        f=f,
+        e={i: [image[c] for c in pivots] for i, image in images.items()})
 
 
 def build_even_irrep(datum: RootDatum, a: Sequence[int],
@@ -150,109 +156,77 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
                      params: Sequence[str] | None = None) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
-    Weight supports are explored outward from the highest weight.  Since
-    L_mu = sum_i f_i L_{mu+alpha_i} and f_i maps the radical into itself, the
-    candidate words at a content are (i,) + w for every basis word w one
-    level up; a weight survives iff the Gram matrix of the contravariant form
-    on its candidates has positive rank.  Basis classes per weight are the
-    pivot columns of the exact row reduction of that Gram matrix (graded lex
-    word order), so the whole construction is deterministic.
+    Weight spaces are built level by level outward from the highest weight,
+    whose Gram matrix is [[1]].  Since L_mu = sum_i f_i L_{mu+alpha_i} and f_i
+    maps the radical into itself, the candidate words at a content are
+    (i,) + w for every basis word w one level up; a weight survives iff the
+    Gram matrix of the contravariant form on its candidates has positive
+    rank.  The basis words at a weight are the pivot columns of the exact
+    row reduction of that Gram matrix (graded lex word order), so the whole
+    construction is deterministic.  Each level keeps its basis Gram, the f
+    coordinates of its candidates and the e coordinates of its basis words,
+    which is all the next level reads.
     """
     spec = datum.spec
     validate_even_labels(spec, a)
     params = tuple(params) if params is not None else module_params(spec)
     a = tuple(int(x) for x in a)
     rank = spec.rank
-    verma = _VermaWords(datum.cartan_matrix, a)
+    cartan = datum.cartan_matrix
 
-    # weight exploration: content -> (words, basis subset, solver)
-    spaces: dict = {}
-    order: list = []
-    frontier = [tuple([0] * rank)]
-    while frontier:
-        nxt = []
-        for content in frontier:
-            if content in spaces:
-                continue
-            if any(content):
-                # a parent content with a negative slot is never stored
-                words = set()
-                for i in range(rank):
-                    parent = spaces.get(
-                        content[:i] + (content[i] - 1,) + content[i + 1:])
-                    if parent is not None:
-                        words.update((i,) + w for w in parent["basis"])
-                words = sorted(words)
-            else:
-                words = [()]
-            gram = [[verma.pairing(w1, {w2: Fraction(1)}) for w2 in words]
-                    for w1 in words]
-            rows = [list(r) for r in gram]
-            pivots = _rref(rows, len(words))
-            if not pivots:
-                continue
-            basis_words = [words[c] for c in pivots]
-            columns = [[gram[r][c] for r in range(len(words))] for c in pivots]
-            spaces[content] = {
-                "words": words,
-                "basis": basis_words,
-                "solver": ExactSolver(columns) if basis_words else None,
-            }
-            order.append(content)
-            for j in range(rank):
-                grown = list(content)
-                grown[j] += 1
-                nxt.append(tuple(grown))
-        frontier = nxt
+    def h_eigen(i: int, content: tuple) -> int:
+        """Eigenvalue of h_i on any word of the given content."""
+        return a[i] - sum(cartan[i][j] * content[j] for j in range(rank))
 
-    order.sort(key=lambda content: (sum(content), content))
-    basis_words, contents = [], []
-    index_of: dict = {}
-    for content in order:
-        for word in spaces[content]["basis"]:
-            index_of[(content, word)] = len(basis_words)
-            basis_words.append(word)
-            contents.append(content)
-    dim = len(basis_words)
-
+    # contents in (level, content) order, which is the order of the basis;
+    # a wrong form would never vanish, so growth stops past the oracle
     oracle = weyl_dimension(datum, a)
+    highest = (0,) * rank
+    spaces = {highest: _WeightSpace(basis=[()], gram=[[1]], f={}, e={})}
+    level, dim = [highest], 1
+    while level and dim <= oracle:
+        grown = sorted({_step(content, j, 1)
+                        for content in level for j in range(rank)})
+        level = []
+        for content in grown:
+            space = _weight_space(spaces, content, h_eigen)
+            if space is not None:
+                spaces[content] = space
+                level.append(content)
+                dim += len(space.basis)
+
+    offset: dict = {}
+    basis_words, contents = [], []
+    for content, space in spaces.items():
+        offset[content] = len(basis_words)
+        basis_words += space.basis
+        contents += [content] * len(space.basis)
+
     if dim != oracle:
         raise InternalConsistencyError(
             f"even module dimension {dim} disagrees with the Weyl formula {oracle}")
-
-    def classify(content: tuple, state: Mapping[tuple, Fraction]) -> dict:
-        """Coordinates of a word state in the chosen basis at its weight."""
-        space = spaces.get(content)
-        if space is None:
-            return {}
-        target = [verma.pairing(w, state) for w in space["words"]]
-        coords = space["solver"].solve(target)
-        if coords is None:
-            raise InternalConsistencyError("state not in the module span")
-        return {index_of[(content, bw)]: c
-                for bw, c in zip(space["basis"], coords) if c != 0}
 
     mats: dict = {lab: {} for lab in
                   [GenLabel("h", i) for i in range(1, rank + 1)]
                   + [GenLabel("e", i) for i in range(1, rank + 1)]
                   + [GenLabel("f", i) for i in range(1, rank + 1)]}
-    for col, (word, content) in enumerate(zip(basis_words, contents)):
-        for i in range(rank):
-            h_val = verma.h_eigen(i, content)
-            if h_val:
-                mats[GenLabel("h", i + 1)][(col, col)] = Fraction(h_val)
-            grown = list(content)
-            grown[i] += 1
-            for row, coeff in classify(tuple(grown),
-                                       {(i,) + word: Fraction(1)}).items():
-                mats[GenLabel("f", i + 1)][(row, col)] = coeff
-            shrunk = list(content)
-            shrunk[i] -= 1
-            if shrunk[i] >= 0:
-                e_state = verma.apply_e(i, word)
-                if e_state:
-                    for row, coeff in classify(tuple(shrunk), e_state).items():
-                        mats[GenLabel("e", i + 1)][(row, col)] = coeff
+    for content, space in spaces.items():
+        for p in range(len(space.basis)):
+            col = offset[content] + p
+            for i in range(rank):
+                h_val = h_eigen(i, content)
+                if h_val:
+                    mats[GenLabel("h", i + 1)][(col, col)] = Fraction(h_val)
+                grown = _step(content, i, 1)
+                if grown in spaces:
+                    start = offset[grown]
+                    for k, coeff in spaces[grown].f[i][p].items():
+                        mats[GenLabel("f", i + 1)][(start + k, col)] = coeff
+                if i in space.e:
+                    start = offset[_step(content, i, -1)]
+                    # rows in basis order, like every other matrix here
+                    for r, coeff in sorted(space.e[i][p].items()):
+                        mats[GenLabel("e", i + 1)][(start + r, col)] = coeff
 
     matrices = {lab: PolyMatrix(dim, dim, params, entries)
                 for lab, entries in mats.items()}

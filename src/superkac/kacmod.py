@@ -264,14 +264,6 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
         hw_index=0, y_scalar=L.y_scalar, z0_scalar=L.z0_scalar)
 
 
-def normal_order_odd(u_idx: int, element: tuple, K: KacModule) -> dict:
-    """u_idx applied to one basis element (subset, even_index): the linear
-    combination of basis elements it produces, with ParamPoly coefficients."""
-    column = K.matrices[GenLabel("u", u_idx)].submatrix(
-        range(K.dim), [K.index_of(*element)])
-    return {K.basis[r]: val for (r, _), val in sorted(column.entries.items())}
-
-
 # -- typicality -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -426,10 +418,3 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
     return SingularVectorReport(raising_set=raising_set,
                                 bindings=dict(bindings), vectors=tuple(found))
 
-
-def character(K: KacModule) -> dict:
-    """Exact weight multiplicity table (weights as ParamPoly tuples)."""
-    table: dict = {}
-    for coord in K.weights:
-        table[coord] = table.get(coord, 0) + 1
-    return table

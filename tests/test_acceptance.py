@@ -27,8 +27,8 @@ from superkac.cli import main as cli_main
 from superkac.evenrep import build_even_irrep
 from superkac.exact import PolyMatrix
 from superkac.kacmod import induce, kac_typicality, singular_vectors
-from superkac.testmatrix import (ALGEBRA_CONFIGS, COUPLING_SETS, GENERIC_B,
-                                 KAC_CONFIGS, bindings_for)
+from testmatrix import (ALGEBRA_CONFIGS, COUPLING_SETS, GENERIC_B,
+                        KAC_CONFIGS, bindings_for)
 
 _STACKS = {}
 _MODULES = {}

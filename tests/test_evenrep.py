@@ -1,16 +1,217 @@
-"""Even-subalgebra irreps: Shapovalov construction against the Weyl oracle."""
+"""Even-subalgebra irreps: Shapovalov construction against the Weyl oracle
+and against the Verma-word construction it replaced."""
 
 import itertools
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 import pytest
 
-from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
+from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
+                              RootDatum, StructureConstants, SuperAlgebraSpec,
                               build_fundamental_rep, check_super_relations,
-                              structure_constants)
-from superkac.evenrep import (build_even_irrep, labels_to_hypercharge,
-                              weyl_dimension, _VermaWords)
-from superkac.exact import ParamPoly
+                              module_params, structure_constants,
+                              validate_even_labels, weight_from_labels)
+from superkac.evenrep import (EvenModule, build_even_irrep,
+                              labels_to_hypercharge, weyl_dimension)
+from superkac.exact import ExactSolver, ParamPoly, PolyMatrix, _rref
+
+
+# -- the reference: every Gram entry and every e/f coordinate by expanding ---
+# -- e-chains through Verma words, then an ExactSolver solve per state -------
+
+class _VermaWords:
+    """Raising/lowering calculus on words in the simple lowering generators."""
+
+    def __init__(self, cartan: Sequence[Sequence[int]], labels: Sequence[int]):
+        self.cartan = cartan
+        self.labels = labels
+        self.rank = len(labels)
+        self._e_cache: dict = {}
+
+    def h_eigen(self, i: int, content: Sequence[int]) -> int:
+        """Eigenvalue of h_i on any word of the given content."""
+        return self.labels[i] - sum(self.cartan[i][j] * content[j]
+                                    for j in range(self.rank))
+
+    def content_of(self, word: tuple) -> tuple:
+        content = [0] * self.rank
+        for j in word:
+            content[j] += 1
+        return tuple(content)
+
+    def apply_e(self, i: int, word: tuple) -> dict:
+        """e_i acting on a word state, as a dict of shorter words."""
+        key = (i, word)
+        cached = self._e_cache.get(key)
+        if cached is not None:
+            return cached
+        out: dict = {}
+        if word:
+            head, rest = word[0], word[1:]
+            for w, coeff in self.apply_e(i, rest).items():
+                new = (head,) + w
+                out[new] = out.get(new, Fraction(0)) + coeff
+            if head == i:
+                h_val = self.h_eigen(i, self.content_of(rest))
+                if h_val:
+                    out[rest] = out.get(rest, Fraction(0)) + h_val
+            out = {w: c for w, c in out.items() if c != 0}
+        self._e_cache[key] = out
+        return out
+
+    def apply_e_state(self, i: int, state: Mapping[tuple, Fraction]) -> dict:
+        out: dict = {}
+        for word, coeff in state.items():
+            for w, c in self.apply_e(i, word).items():
+                acc = out.get(w, Fraction(0)) + coeff * c
+                if acc == 0:
+                    out.pop(w, None)
+                else:
+                    out[w] = acc
+        return out
+
+    def pairing(self, word: tuple, state: Mapping[tuple, Fraction]) -> Fraction:
+        """Contravariant form <word L, state> via raising through the word."""
+        current = dict(state)
+        for j in word:
+            current = self.apply_e_state(j, current)
+            if not current:
+                return Fraction(0)
+        return current.get((), Fraction(0))
+
+
+def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
+                               sc: StructureConstants,
+                               params: Sequence[str] | None = None) -> EvenModule:
+    """Construct the irreducible even module with dominant integral labels.
+
+    Weight supports are explored outward from the highest weight.  Since
+    L_mu = sum_i f_i L_{mu+alpha_i} and f_i maps the radical into itself, the
+    candidate words at a content are (i,) + w for every basis word w one
+    level up; a weight survives iff the Gram matrix of the contravariant form
+    on its candidates has positive rank.  Basis classes per weight are the
+    pivot columns of the exact row reduction of that Gram matrix (graded lex
+    word order), so the whole construction is deterministic.
+    """
+    spec = datum.spec
+    validate_even_labels(spec, a)
+    params = tuple(params) if params is not None else module_params(spec)
+    a = tuple(int(x) for x in a)
+    rank = spec.rank
+    verma = _VermaWords(datum.cartan_matrix, a)
+
+    # weight exploration: content -> (words, basis subset, solver)
+    spaces: dict = {}
+    order: list = []
+    frontier = [tuple([0] * rank)]
+    while frontier:
+        nxt = []
+        for content in frontier:
+            if content in spaces:
+                continue
+            if any(content):
+                # a parent content with a negative slot is never stored
+                words = set()
+                for i in range(rank):
+                    parent = spaces.get(
+                        content[:i] + (content[i] - 1,) + content[i + 1:])
+                    if parent is not None:
+                        words.update((i,) + w for w in parent["basis"])
+                words = sorted(words)
+            else:
+                words = [()]
+            gram = [[verma.pairing(w1, {w2: Fraction(1)}) for w2 in words]
+                    for w1 in words]
+            rows = [list(r) for r in gram]
+            pivots = _rref(rows, len(words))
+            if not pivots:
+                continue
+            basis_words = [words[c] for c in pivots]
+            columns = [[gram[r][c] for r in range(len(words))] for c in pivots]
+            spaces[content] = {
+                "words": words,
+                "basis": basis_words,
+                "solver": ExactSolver(columns) if basis_words else None,
+            }
+            order.append(content)
+            for j in range(rank):
+                grown = list(content)
+                grown[j] += 1
+                nxt.append(tuple(grown))
+        frontier = nxt
+
+    order.sort(key=lambda content: (sum(content), content))
+    basis_words, contents = [], []
+    index_of: dict = {}
+    for content in order:
+        for word in spaces[content]["basis"]:
+            index_of[(content, word)] = len(basis_words)
+            basis_words.append(word)
+            contents.append(content)
+    dim = len(basis_words)
+
+    oracle = weyl_dimension(datum, a)
+    if dim != oracle:
+        raise InternalConsistencyError(
+            f"even module dimension {dim} disagrees with the Weyl formula {oracle}")
+
+    def classify(content: tuple, state: Mapping[tuple, Fraction]) -> dict:
+        """Coordinates of a word state in the chosen basis at its weight."""
+        space = spaces.get(content)
+        if space is None:
+            return {}
+        target = [verma.pairing(w, state) for w in space["words"]]
+        coords = space["solver"].solve(target)
+        if coords is None:
+            raise InternalConsistencyError("state not in the module span")
+        return {index_of[(content, bw)]: c
+                for bw, c in zip(space["basis"], coords) if c != 0}
+
+    mats: dict = {lab: {} for lab in
+                  [GenLabel("h", i) for i in range(1, rank + 1)]
+                  + [GenLabel("e", i) for i in range(1, rank + 1)]
+                  + [GenLabel("f", i) for i in range(1, rank + 1)]}
+    for col, (word, content) in enumerate(zip(basis_words, contents)):
+        for i in range(rank):
+            h_val = verma.h_eigen(i, content)
+            if h_val:
+                mats[GenLabel("h", i + 1)][(col, col)] = Fraction(h_val)
+            grown = list(content)
+            grown[i] += 1
+            for row, coeff in classify(tuple(grown),
+                                       {(i,) + word: Fraction(1)}).items():
+                mats[GenLabel("f", i + 1)][(row, col)] = coeff
+            shrunk = list(content)
+            shrunk[i] -= 1
+            if shrunk[i] >= 0:
+                e_state = verma.apply_e(i, word)
+                if e_state:
+                    for row, coeff in classify(tuple(shrunk), e_state).items():
+                        mats[GenLabel("e", i + 1)][(row, col)] = coeff
+
+    matrices = {lab: PolyMatrix(dim, dim, params, entries)
+                for lab, entries in mats.items()}
+
+    hw_coords = weight_from_labels(datum, a, params)
+    weights = []
+    for content in contents:
+        coord = list(hw_coords)
+        for j, count in enumerate(content):
+            if count:
+                root = datum.simple_even_roots[j]
+                coord = [cc - count * rr for cc, rr in zip(coord, root)]
+        weights.append(tuple(coord))
+
+    y_scalar = labels_to_hypercharge(sc, a, params)
+    z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
+
+    return EvenModule(
+        datum=datum, labels=a, params=params, dim=dim,
+        basis_words=tuple(basis_words), contents=tuple(contents),
+        weights=tuple(weights), matrices=matrices,
+        y_scalar=y_scalar, z0_scalar=z0_scalar)
+
 
 
 def stack(flavor, m, n):
@@ -27,6 +228,25 @@ GL32, SCG32 = stack("gl", 3, 2)
 # larger labels: up to 252 letter orderings at one weight
 LARGE_CASES = ((SL31.datum, SC31, (2, 2)), (SL31.datum, SC31, (3, 2)),
                (SL41.datum, SC41, (1, 1, 0)), (GL32.datum, SCG32, (1, 1, 1)))
+
+# dim L 256: only the oracle tests build it, as the reference takes ~13 s
+SL41_A311 = (SL41.datum, SC41, (3, 1, 1))
+
+
+def _reference_cases():
+    cases = list(LARGE_CASES)
+    for flavor, m, n, a in (
+            ("sl", 2, 1, (3,)), ("sl", 3, 1, (0, 0)), ("sl", 3, 1, (2, 1)),
+            ("sl", 4, 1, (1, 0, 0)), ("sl", 4, 1, (2, 1, 1)),
+            ("gl", 2, 1, (1,)), ("gl", 2, 3, (0, 0, 0)),
+            ("sl", 3, 2, (1, 0, 1)), ("sl", 3, 2, (2, 1, 1)),
+            ("sl", 5, 1, (2, 1, 0, 0)), ("sl", 4, 2, (1, 2, 0, 1))):
+        rep, sc = stack(flavor, m, n)
+        cases.append((rep.datum, sc, a))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
 
 
 class TestLabelsToHypercharge:
@@ -104,7 +324,7 @@ class TestBuildEvenIrrep:
     def test_dimension_matches_weyl_oracle(self):
         cases = [(SL21.datum, SC21, (a,)) for a in range(4)]
         cases += [(SL31.datum, SC31, a) for a in ((1, 0), (0, 1), (2, 0))]
-        cases += LARGE_CASES
+        cases += LARGE_CASES + (SL41_A311,)
         for datum, sc, a in cases:
             assert build_even_irrep(datum, a, sc).dim == weyl_dimension(datum, a)
 
@@ -117,10 +337,9 @@ class TestBuildEvenIrrep:
 
     def test_even_relations_exact(self):
         # restricted check: even generators only, h' as scalar matrices
-        from superkac.exact import PolyMatrix
-        for datum, sc, a in ((SL21.datum, SC21, (2,)),
-                             (SL31.datum, SC31, (1, 0)),
-                             (GL21.datum, SCG21, (1,))) + LARGE_CASES:
+        cases = ((SL21.datum, SC21, (2,)), (SL31.datum, SC31, (1, 0)),
+                 (GL21.datum, SCG21, (1,))) + LARGE_CASES + (SL41_A311,)
+        for datum, sc, a in cases:
             L = build_even_irrep(datum, a, sc)
             mats = dict(L.matrices)
             eye = PolyMatrix.identity(L.dim, L.params)
@@ -159,6 +378,15 @@ class TestBuildEvenIrrep:
                     reflected[i] += h_val
                     assert mult.get(tuple(reflected)) == mult[content]
 
+    @pytest.mark.parametrize(
+        "datum, sc, a", REFERENCE_CASES,
+        ids=[f"{sc.spec.flavor}{sc.spec.m}{sc.spec.n}-"
+             + ",".join(map(str, a)) for _, sc, a in REFERENCE_CASES])
+    def test_equals_reference(self, datum, sc, a):
+        # same candidates, same form, same pivots: every field is equal
+        assert build_even_irrep(datum, a, sc) == \
+            reference_build_even_irrep(datum, a, sc)
+
     def test_shapovalov_form_symmetric(self):
         words = _VermaWords(SL31.datum.cartan_matrix, (2, 1))
         content_words = [(0,), (1,), (0, 1), (1, 0), (0, 0, 1), (1, 0, 0)]
@@ -176,7 +404,6 @@ class TestBuildEvenIrrep:
 
 def _restrict(sc, labels):
     """Sub-table view with only the given labels (for even-only checks)."""
-    from superkac.algebra import StructureConstants
     keep = set(labels)
     table = {(a, b): expansion for (a, b), expansion in sc.table.items()
              if a in keep and b in keep}

@@ -22,7 +22,7 @@ from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
                                  replicate, rescale_conjugation_check,
                                  self_extension_iso_decision, twist,
                                  upsilon_extract)
-from superkac.testmatrix import COUPLING_SETS
+from testmatrix import COUPLING_SETS
 
 
 def build_kac(flavor, m, n, a):

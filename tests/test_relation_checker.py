@@ -31,7 +31,7 @@ from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import induce
 from superkac.matryoshka import (deformation, derivative_report,
                                  derivative_violations)
-from superkac.testmatrix import ALGEBRA_CONFIGS
+from testmatrix import ALGEBRA_CONFIGS
 
 # -- the reference: ParamPoly arithmetic entry by entry -----------------------
 
