@@ -19,7 +19,8 @@ Conventions fixed here and used everywhere downstream:
   over the full basis obtained by closing the simple raising/lowering
   generators under iterated commutators.  Each root vector is one
   off-diagonal entry, so its coefficient is read off its slot; the
-  diagonal takes one exact solve against the Cartan labels.
+  diagonal is solved against the Cartan labels as the RREF of the
+  augmented matrix (``exact.rref``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from superkac.exact import ExactSolver, ParamPoly, PolyMatrix, combination
+from superkac.exact import (ParamPoly, PolyMatrix, combination,
+                           echelon_insert, rref)
 from superkac.report import VerificationReport
 
 
@@ -317,48 +319,31 @@ class StructureConstants:
         """A set X of basis labels that generates the table's algebra.
 
         The seed is the simple e_i and f_i with u_1 and v_1, those of them
-        the basis has.  The span of its iterated brackets is grown by an
-        exact incremental rank over the table; every label still outside
-        the span is then added in basis order (z0 for gl, y for an even
-        restriction).  The algebra generated by X contains the closure and
-        the added labels, hence the whole basis.  X is listed in basis order.
+        the basis has.  The span of its iterated brackets is grown in an
+        echelon form over basis positions (``exact.echelon_insert``), each
+        new vector queueing its brackets with the seed; every label still
+        outside the span is then added in basis order (z0 for gl, y for an
+        even restriction).  The algebra generated by X contains the closure
+        and the added labels, hence the whole basis.  X is listed in basis
+        order.
         """
         seed = [lab for lab in self.basis if lab.kind in ("e", "f")
                 or lab in (GenLabel("u", 1), GenLabel("v", 1))]
-        pivots: dict = {}             # pivot label -> vector with coefficient 1 there
+        echelon: dict = {}            # over basis positions
         order = {lab: pos for pos, lab in enumerate(self.basis)}
-
-        def insert(vec: dict) -> dict | None:
-            """Reduce vec against the span; add and return it if it is new."""
-            vec = dict(vec)
-            while hits := [lab for lab in vec if lab in pivots]:
-                pivot = min(hits, key=order.__getitem__)
-                coeff = vec[pivot]
-                for lab, c in pivots[pivot].items():
-                    acc = vec.get(lab, 0) - coeff * c
-                    if acc:
-                        vec[lab] = acc
-                    else:
-                        del vec[lab]
-            if not vec:
-                return None
-            pivot = min(vec, key=order.__getitem__)
-            pivots[pivot] = {lab: c / vec[pivot] for lab, c in vec.items()}
-            return vec
-
-        queue = [{lab: Fraction(1)} for lab in seed]
+        queue = [{order[lab]: 1} for lab in seed]
         while queue:
-            vec = insert(queue.pop())
+            vec = echelon_insert(echelon, queue.pop())
             if vec is None:
                 continue
             for x in seed:
                 image: dict = {}
-                for lab, coeff in vec.items():
-                    for t, c in self.bracket(x, lab).items():
-                        image[t] = image.get(t, 0) + coeff * c
-                queue.append({t: c for t, c in image.items() if c})
+                for pos, coeff in vec.items():
+                    for t, c in self.bracket(x, self.basis[pos]).items():
+                        image[order[t]] = image.get(order[t], 0) + coeff * c
+                queue.append(image)
         completion = [lab for lab in self.basis
-                      if insert({lab: Fraction(1)}) is not None]
+                      if echelon_insert(echelon, {order[lab]: 1}) is not None]
         return tuple(lab for lab in self.basis
                      if lab in completion or lab in seed)
 
@@ -437,9 +422,10 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
 
     Every root vector is one off-diagonal entry x at a slot (r, c) of its
     own, so the coefficient of a root label in a bracket is the bracket's
-    entry at that slot over x.  The Cartan labels are diagonal, and the
-    diagonal of a bracket is solved against theirs: dim rows and rank + 1
-    (sl) or rank + 2 (gl) columns.
+    entry at that slot over x.  The Cartan labels are diagonal, and their
+    diagonals are the columns of a dim x (rank + 1) (sl) or dim x (rank + 2)
+    (gl) matrix A of full column rank.  The diagonal d of a bracket is
+    solved by the RREF of [A | d].
     """
     spec, datum = rep.spec, rep.datum
     basis, recipes = _full_basis(spec, datum)
@@ -449,14 +435,17 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
 
     rows = []                         # per basis position: {r: {c: x}}
     slots = {}                        # (r, c) off the diagonal -> (position, x)
-    cartan = {}                       # position -> diagonal
+    cartan_pos = []                   # positions of the diagonal labels
+    cartan_rows = [{} for _ in range(dim)]  # row i of A = [Cartan diagonals]
     for pos, lab in enumerate(basis):
         entries = mats[lab].rational_entries()
         rows.append({})
         for (r, c), x in entries.items():
             rows[pos].setdefault(r, {})[c] = x
         if all(r == c for r, c in entries):
-            cartan[pos] = [entries.get((i, i), 0) for i in range(dim)]
+            for (i, _), x in entries.items():
+                cartan_rows[i][len(cartan_pos)] = x
+            cartan_pos.append(pos)
             continue
         if len(entries) != 1:
             raise InternalConsistencyError(
@@ -466,7 +455,9 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
             raise InternalConsistencyError(
                 f"{lab} shares the entry {slot} with {basis[slots[slot][0]]}")
         slots[slot] = (pos, x)
-    solver = ExactSolver(list(cartan.values()))
+    width = len(cartan_pos)
+    if len(rref(cartan_rows)[0]) != width:
+        raise InternalConsistencyError("the Cartan labels are linearly dependent")
 
     table = {}
     for (la, ra), (lb, rb) in itertools.product(zip(basis, rows), repeat=2):
@@ -491,11 +482,15 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
                 raise InternalConsistencyError(
                     f"superbracket [{la}, {lb}] does not close on the basis")
         if any(diagonal):
-            coeffs = solver.solve(diagonal)
-            if coeffs is None:
+            # the RREF of [A | diagonal]: consistent iff its last column has
+            # no pivot, and then that column holds the coefficients
+            pivots, reduced = rref({**row, width: x} if x else row
+                                   for row, x in zip(cartan_rows, diagonal))
+            if width in pivots:
                 raise InternalConsistencyError(
                     f"superbracket [{la}, {lb}] does not close on the basis")
-            expansion.update((pos, c) for pos, c in zip(cartan, coeffs) if c)
+            expansion.update((pos, row[width]) for pos, row
+                             in zip(cartan_pos, reduced) if width in row)
         if expansion:
             table[(la, lb)] = {basis[pos]: expansion[pos]
                                for pos in sorted(expansion)}

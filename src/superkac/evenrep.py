@@ -23,7 +23,7 @@ from typing import Sequence
 from superkac.algebra import (GenLabel, InternalConsistencyError,
                               RootDatum, StructureConstants, module_params,
                               validate_even_labels, weight_from_labels)
-from superkac.exact import ParamPoly, PolyMatrix, _rref
+from superkac.exact import ParamPoly, PolyMatrix, rref
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,16 @@ def _weight_space(spaces: dict, content: tuple,
     gram = [[sum(parents[i].gram[p][r] * x for r, x in image.items())
              for image in images[i]]
             for _, i, p in candidates]
-    rows = [list(row) for row in gram]
-    pivots = _rref(rows, len(candidates))
+    pivots, reduced = rref({c: x for c, x in enumerate(row) if x}
+                           for row in gram)
     if not pivots:
         return None
     # row reduction keeps the linear relations among the Gram columns, so
-    # candidate column col is the sum over k of rows[k][col] * pivot column k
+    # candidate column col is the sum over k of reduced[k][col] * pivot
+    # column k
     f = {j: [None] * len(space.basis) for j, space in parents.items()}
     for col, (_, j, q) in enumerate(candidates):
-        f[j][q] = {k: rows[k][col] for k in range(len(pivots)) if rows[k][col]}
+        f[j][q] = {k: row[col] for k, row in enumerate(reduced) if col in row}
     return _WeightSpace(
         basis=[candidates[c][0] for c in pivots],
         gram=[[gram[r][c] for c in pivots] for r in pivots],

@@ -3,11 +3,16 @@
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator).  On top of that sit sparse multivariate
 polynomials in a declared tuple of named parameters (``ParamPoly``), sparse
-matrices over them (``PolyMatrix``), and exact rational Gaussian elimination
-with a deterministic pivot rule.  A ``PolyMatrix`` is stored as a pencil,
-one integer matrix over one denominator per monomial, so its products and
-sums run over Python ints; ``Fraction`` objects are built only where an
-entry is returned.
+matrices over them (``PolyMatrix``), and one sparse elimination kernel.  A
+``PolyMatrix`` is stored as a pencil, one integer matrix over one
+denominator per monomial, so its products and sums run over Python ints;
+``Fraction`` objects are built only where an entry is returned.
+
+Every exact solve is a reduced row echelon form computed by ``rref``:
+sparse rows are scaled to integers, eliminated fraction-free into an
+echelon form of primitive rows (``echelon_insert``), back-substituted and
+divided by their pivots only at the end.  The RREF of a matrix is unique,
+so its pivots, rows and nullspace basis do not depend on the row order.
 
 No floating point enters anywhere; every identity checked downstream is a
 bit-exact statement about these objects.
@@ -308,27 +313,22 @@ def _accumulate(acc: dict, rows: dict, factor: int, row_off: int = 0,
 
 def _accumulate_product(acc: dict, left: dict, right: dict,
                         factor: int) -> None:
-    """acc += factor * left @ right for sparse integer matrices; may leave
-    zeros, which _reduced drops."""
-    if factor != 1 and factor != -1:
-        left = {r: {k: x * factor for k, x in row.items()}
-                for r, row in left.items()}
+    """acc += factor * left @ right for sparse integer matrices, scaling
+    only the left entries that meet a row of right; may leave zeros, which
+    _reduced drops."""
     for r, lrow in left.items():
-        arow = acc.get(r)
-        if arow is None:
-            arow = acc[r] = {}
+        arow = None
         for k, x in lrow.items():
             rrow = right.get(k)
             if rrow is None:
                 continue
-            if factor == -1:
-                for c, y in rrow.items():
-                    cur = arow.get(c)
-                    arow[c] = -(x * y) if cur is None else cur - x * y
-            else:
-                for c, y in rrow.items():
-                    cur = arow.get(c)
-                    arow[c] = x * y if cur is None else cur + x * y
+            if arow is None:
+                arow = acc.setdefault(r, {})
+            if factor != 1:
+                x *= factor
+            for c, y in rrow.items():
+                cur = arow.get(c)
+                arow[c] = x * y if cur is None else cur + x * y
 
 
 def _reduced(den: int, acc: dict):
@@ -564,9 +564,8 @@ class PolyMatrix:
                 terms[exps] = term
         return PolyMatrix._of(len(rows), len(cols), self.params, terms)
 
-    def rational_entries(self) -> dict:
-        """{(row, col): Fraction} of the nonzero entries of a parameter-free
-        matrix, read off its constant term."""
+    def _constant_term(self) -> tuple:
+        """The stored term (den, rows) of a parameter-free matrix."""
         constant = (0,) * len(self.params)
         symbolic = {e: term for e, term in self.terms.items() if e != constant}
         if symbolic:
@@ -575,7 +574,12 @@ class PolyMatrix:
             raise ParameterizedEntryError(
                 f"entry ({r},{c}) = {self.entry(r, c)} is not a pure rational; "
                 "substitute parameters before solving")
-        den, rows = self.terms.get(constant, (1, {}))
+        return self.terms.get(constant, (1, {}))
+
+    def rational_entries(self) -> dict:
+        """{(row, col): Fraction} of the nonzero entries of a parameter-free
+        matrix, read off its constant term."""
+        den, rows = self._constant_term()
         return {(r, c): Fraction(x, den)
                 for r, row in rows.items() for c, x in row.items()}
 
@@ -693,28 +697,6 @@ class PolyMatrix:
         c = min(min(rows[r]) for _, rows in self.terms.values() if r in rows)
         return (r, c), self.entry(r, c)
 
-    def apply(self, vec: Mapping[int, ParamPoly]) -> dict:
-        """Apply to a sparse column vector {index: ParamPoly}."""
-        polys: dict = {}
-        for e1, (den, rows) in self.terms.items():
-            for r, row in rows.items():
-                for c, x in row.items():
-                    v = vec.get(c)
-                    if v is None:
-                        continue
-                    x = Fraction(x, den)
-                    acc = polys.setdefault(r, {})
-                    for e2, y in v.terms.items():
-                        e = _exps_add(e1, e2)
-                        cur = acc.get(e)
-                        acc[e] = x * y if cur is None else cur + x * y
-        out = {}
-        for r, acc in polys.items():
-            terms = {e: x for e, x in acc.items() if x}
-            if terms:
-                out[r] = ParamPoly._of(self.params, terms)
-        return out
-
     def __repr__(self):
         nonzero = {(r, c) for _, rows in self.terms.values()
                    for r, row in rows.items() for c in row}
@@ -723,105 +705,93 @@ class PolyMatrix:
 
 # -- exact rational elimination ------------------------------------------
 
+def echelon_insert(echelon: dict, row: Mapping[int, ScalarLike]) -> dict | None:
+    """Reduce a sparse rational row {col: x} against an echelon form.
+
+    ``echelon`` maps the leading column of each stored row to that row, a
+    primitive integer row {col: int} whose entries all lie at or right of
+    its leading column.  The row is scaled to integers and its leading
+    entry eliminated, fraction-free, while a stored row leads there.  A
+    nonzero remainder is made primitive, stored under its leading column
+    and returned; a row in the span of the stored rows gives None.
+    """
+    den = lcm(*(x.denominator for x in row.values()))
+    vec = {c: x.numerator * (den // x.denominator)
+           for c, x in row.items() if x}
+    while vec:
+        lead = min(vec)
+        pivot_row = echelon.get(lead)
+        if pivot_row is None:
+            echelon[lead] = vec = _primitive(vec)
+            return vec
+        vec = _eliminate(vec, pivot_row, lead)
+    return None
+
+
+def _primitive(vec: dict) -> dict:
+    """vec divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return vec if g == 1 else {c: x // g for c, x in vec.items()}
+
+
+def _eliminate(vec: dict, pivot_row: dict, col: int) -> dict:
+    """a * vec - b * pivot_row with a/b = pivot_row[col]/vec[col] in lowest
+    terms, so that the result has no entry at col."""
+    p, x = pivot_row[col], vec[col]
+    g = gcd(p, x)
+    a, b = p // g, x // g
+    out = {c: a * v for c, v in vec.items()} if a != 1 else dict(vec)
+    for c, y in pivot_row.items():
+        acc = out.get(c, 0) - b * y
+        if acc:
+            out[c] = acc
+        else:
+            del out[c]
+    return out
+
+
+def rref(rows) -> tuple:
+    """Reduced row echelon form of sparse rational rows {col: x}.
+
+    Every row goes through ``echelon_insert``; the stored rows are then
+    back-substituted, last pivot first, over the integers, and each is
+    divided by its pivot only at the end.  Returns (pivots, reduced): the
+    pivot columns in increasing order and the nonzero rows {col: Fraction}
+    of the RREF, row k with a 1 at pivots[k].  The RREF does not depend on
+    the order or the scaling of the rows.
+    """
+    echelon: dict = {}
+    for row in rows:
+        echelon_insert(echelon, row)
+    pivots = sorted(echelon)
+    for lead in reversed(pivots):
+        vec = echelon[lead]
+        for col in [c for c in vec if c != lead and c in echelon]:
+            vec = _eliminate(vec, echelon[col], col)
+        echelon[lead] = _primitive(vec)
+    return pivots, [{c: Fraction(x, echelon[lead][lead])
+                     for c, x in echelon[lead].items()} for lead in pivots]
+
+
 @dataclass(frozen=True)
 class SolveResult:
     rank: int
     nullspace: tuple           # tuple of tuples of Fractions (right nullspace basis)
 
 
-def _rref(rows: list, ncols: int):
-    """In-place RREF on a list of Fraction rows.
-
-    Pivot rule: scan columns left to right, pick the lowest-index row with a
-    nonzero entry.  Returns the ordered list of pivot columns.
-    """
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = Fraction(1) / rows[pr][pc]
-        if inv != 1:
-            rows[pr] = [x * inv for x in rows[pr]]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if f == 0:
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
-
-
 def rational_linear_solve(m: PolyMatrix) -> SolveResult:
-    """Exact rank and right-nullspace basis of a parameter-free matrix."""
-    rows = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for (r, c), x in m.rational_entries().items():
-        rows[r][c] = x
-    pivots = _rref(rows, m.cols)
-    rank = len(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
+    """Exact rank and right-nullspace basis of a parameter-free matrix, read
+    off the RREF of its integer rows: one basis vector per free column."""
+    pivots, reduced = rref(m._constant_term()[1].values())
     basis = []
-    for fc in free_cols:
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
         vec = [Fraction(0)] * m.cols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+        for pc, row in zip(pivots, reduced):
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(tuple(vec))
-    return SolveResult(rank=rank, nullspace=tuple(basis))
-
-
-class ExactSolver:
-    """Reusable exact solver for A x = b with a fixed full-column-rank A."""
-
-    def __init__(self, columns: Sequence[Sequence[Fraction]]):
-        """columns: list of column vectors (each a sequence of Fractions)."""
-        self.ncols = len(columns)
-        self.nrows = len(columns[0]) if self.ncols else 0
-        # Row-reduce [A | I]: the right block becomes the transform T with
-        # T A in RREF, so each solve is a product T @ target.
-        rows = [[columns[c][r] for c in range(self.ncols)] +
-                [Fraction(1) if j == r else Fraction(0) for j in range(self.nrows)]
-                for r in range(self.nrows)]
-        self.pivots = _rref(rows, self.ncols)
-        if len(self.pivots) != self.ncols:
-            raise ValueError("columns are linearly dependent")
-        # the nonzeros {row: x} of each column of T
-        self.transform = [{} for _ in range(self.nrows)]
-        for r, row in enumerate(rows):
-            for j, x in enumerate(row[self.ncols:]):
-                if x:
-                    self.transform[j][r] = x
-
-    def solve(self, target: Sequence[Fraction]):
-        """Return x with A x = target, or None if the system is inconsistent.
-        Only the nonzero entries of target are read."""
-        if len(target) != self.nrows:
-            raise ValueError("target length mismatch")
-        transformed: dict = {}
-        for j, t in enumerate(target):
-            if t:
-                for r, x in self.transform[j].items():
-                    cur = transformed.get(r)
-                    transformed[r] = x * t if cur is None else cur + x * t
-        rank = len(self.pivots)
-        if any(v for r, v in transformed.items() if r >= rank):
-            return None
-        x = [Fraction(0)] * self.ncols
-        for i, pc in enumerate(self.pivots):
-            x[pc] = transformed.get(i, x[pc])
-        return x
+    return SolveResult(rank=len(pivots), nullspace=tuple(basis))
 
 
 def extract_rational_roots(poly: ParamPoly, name: str):

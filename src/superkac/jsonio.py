@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from superkac.algebra import GenLabel, InputError, StructureConstants
+from superkac.algebra import GenLabel, InputError
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import KacModule
 from superkac.report import VerificationReport
@@ -169,23 +169,6 @@ def module_matrices_from_json(data: dict) -> dict:
         raise InputError("not a module artifact")
     return {GenLabel.parse(name): matrix_from_json(mat)
             for name, mat in data["generators"].items()}
-
-
-def structure_constants_to_json(sc: StructureConstants) -> dict:
-    table = {}
-    for (la, lb), expansion in sc.table.items():
-        table[f"[{la},{lb}]"] = {str(target): str(coeff)
-                                 for target, coeff in sorted(
-                                     expansion.items(), key=lambda kv: str(kv[0]))}
-    return {
-        "schema": "superkac.structureconstants.v1",
-        "algebra": _algebra_header(sc.spec),
-        "basis": [str(lab) for lab in sc.basis],
-        "parity": {str(lab): sc.parity[lab] for lab in sc.basis},
-        "hypercharge_grade": {str(lab): str(sc.grade[lab]) for lab in sc.basis},
-        "k": str(sc.k),
-        "table": dict(sorted(table.items())),
-    }
 
 
 def report_to_json(report: VerificationReport) -> dict:

@@ -294,16 +294,14 @@ def kac_typicality(K: KacModule) -> TypicalityReport:
     odd-root factors, as polynomials in b."""
     P = K.odd_count
     params = K.params
-    state = {K.hw_index: ParamPoly.const(params, 1)}
-    for i in range(P, 0, -1):
-        state = K.matrices[GenLabel("v", i)].apply(state)
-    for i in range(P, 0, -1):
-        state = K.matrices[GenLabel("u", i)].apply(state)
-    for pos, val in state.items():
-        if pos != K.hw_index and not val.is_zero:
-            raise InternalConsistencyError(
-                "w+ w- Lambda left the highest weight line")
-    s_poly = state.get(K.hw_index, ParamPoly.zero(params))
+    state = PolyMatrix(K.dim, 1, params, {(K.hw_index, 0): 1})
+    for kind in ("v", "u"):
+        for i in range(P, 0, -1):
+            state = K.matrices[GenLabel(kind, i)] @ state
+    s_poly = state.entry(K.hw_index, 0)
+    if state != PolyMatrix(K.dim, 1, params, {(K.hw_index, 0): s_poly}):
+        raise InternalConsistencyError(
+            "w+ w- Lambda left the highest weight line")
     if s_poly.is_zero:
         raise InternalConsistencyError(
             "typicality scalar vanished identically in b")
@@ -408,11 +406,10 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
             found.append(SingularVector(weight=key, layer=layer,
                                         coefficients=coeffs))
             # exactness self-check: the embedded vector is annihilated
-            embedded = {pos: ParamPoly.const(K.params, value)
-                        for pos, value in coeffs}
+            embedded = PolyMatrix(K.dim, 1, K.params,
+                                  {(pos, 0): value for pos, value in coeffs})
             for lab in raising:
-                image = mats[lab].apply(embedded)
-                if any(not v.is_zero for v in image.values()):
+                if not (mats[lab] @ embedded).is_zero:
                     raise InternalConsistencyError(
                         f"reported singular vector not annihilated by {lab}")
     return SingularVectorReport(raising_set=raising_set,

@@ -14,7 +14,8 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               validate_even_labels, weight_from_labels)
 from superkac.evenrep import (EvenModule, build_even_irrep,
                               labels_to_hypercharge, weyl_dimension)
-from superkac.exact import ExactSolver, ParamPoly, PolyMatrix, _rref
+from dense_oracles import ExactSolver, dense_rref
+from superkac.exact import ParamPoly, PolyMatrix
 
 
 # -- the reference: every Gram entry and every e/f coordinate by expanding ---
@@ -124,7 +125,7 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
             gram = [[verma.pairing(w1, {w2: Fraction(1)}) for w2 in words]
                     for w1 in words]
             rows = [list(r) for r in gram]
-            pivots = _rref(rows, len(words))
+            pivots = dense_rref(rows, len(words))
             if not pivots:
                 continue
             basis_words = [words[c] for c in pivots]
@@ -301,15 +302,15 @@ class TestBuildEvenIrrep:
         assert L.dim == 3
         e1, f1 = L.matrices[GenLabel("e", 1)], L.matrices[GenLabel("f", 1)]
         # e f^n L = n(a - n + 1) f^(n-1) L for a = 2: coefficients 2, 2, 0
-        state = {0: ParamPoly.const(L.params, 1)}
+        state = PolyMatrix(L.dim, 1, L.params, {(0, 0): 1})
         expected = {1: Fraction(2), 2: Fraction(2), 3: Fraction(0)}
         for n in (1, 2, 3):
-            state = f1.apply(state)
-            image = e1.apply(state)
-            value = sum((v.constant_value() for v in image.values()),
+            state = f1 @ state
+            image = e1 @ state
+            value = sum((v.constant_value() for v in image.entries.values()),
                         Fraction(0))
             assert value == expected[n]
-        assert state == {}  # f^3 L = 0 in the irreducible quotient
+        assert state.is_zero  # f^3 L = 0 in the irreducible quotient
 
     def test_all_zero_labels_trivial(self):
         L = build_even_irrep(SL31.datum, (0, 0), SC31)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superkac.exact import (DeclarationError, ExactSolver, ParamPoly,
-                            ParameterizedEntryError, PolyMatrix, _rref,
-                            combination, extract_rational_roots,
-                            rational_linear_solve)
+from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
+from superkac.exact import (DeclarationError, ParamPoly,
+                            ParameterizedEntryError, PolyMatrix, combination,
+                            echelon_insert, extract_rational_roots,
+                            rational_linear_solve, rref)
 
 PARAMS = ("b", "c")
 
@@ -192,9 +193,7 @@ def test_rref_nullspace_identities(rows):
     res = rational_linear_solve(m)
     assert res.rank + len(res.nullspace) == m.cols
     for vec in res.nullspace:
-        state = {i: ParamPoly.const((), x) for i, x in enumerate(vec) if x}
-        image = m.apply(state)
-        assert all(val.is_zero for val in image.values())
+        assert (m @ PolyMatrix.from_rows([[x] for x in vec])).is_zero
 
 
 class TestExactSolver:
@@ -404,12 +403,6 @@ def test_maps_and_queries_match_entrywise(pair, bv, cv, pick_rows, pick_cols):
         assert_matches(a.submatrix(rows, cols), {
             (i, j): ea[(r, c)] for i, r in enumerate(rows)
             for j, c in enumerate(cols) if (r, c) in ea})
-    vec = {c: v for (r, c), v in ea.items() if r == 0}
-    expected = {}
-    for (r, c), v in ea.items():
-        if c in vec:
-            expected[r] = expected.get(r, ParamPoly.zero(PARAMS)) + v * vec[c]
-    assert a.apply(vec) == nonzero(expected)
 
 
 def test_submatrix_rejects_repeated_and_outside_indices():
@@ -424,62 +417,116 @@ def test_submatrix_rejects_repeated_and_outside_indices():
         a.submatrix([0], [-1])
 
 
-# -- ExactSolver against the dense solve loop it replaced ---------------------
+# -- the sparse kernel against the dense elimination it replaced ------------
 
-def reference_solve(columns, target):
-    """The dense solve: reduce [A | I], then apply every row of the
-    transform to every entry of the target."""
-    ncols, nrows = len(columns), len(columns[0])
-    rows = [[columns[c][r] for c in range(ncols)] +
-            [Fraction(1) if j == r else Fraction(0) for j in range(nrows)]
-            for r in range(nrows)]
-    pivots = _rref(rows, ncols)
-    transformed = []
-    for row in rows:
-        acc = Fraction(0)
-        for j in range(nrows):
-            t = target[j]
-            if t:
-                acc += row[ncols + j] * t
-        transformed.append(acc)
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = transformed[i]
-    for r in range(len(pivots), nrows):
-        if transformed[r] != 0:
-            return None
-    return x
-
-
-# mostly zeros, so targets and columns are sparse
+# mostly zeros, so rows are sparse
 sparse_rationals = st.sampled_from(
     [Fraction(0)] * 4 + [Fraction(x) for x in (1, -1, 2)]
     + [Fraction(-1, 3), Fraction(2, 3), Fraction(3, 5), Fraction(-6, 5)])
 
 
 @st.composite
-def solver_systems(draw):
+def sparse_matrices(draw, max_size=7):
+    """Dense Fraction rows of any shape, tall or wide, with zero rows and,
+    often, rows that combine earlier ones."""
+    ncols = draw(st.integers(1, max_size))
+    vector = st.lists(sparse_rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vector, min_size=0, max_size=max_size))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            q = draw(sparse_rationals)
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [x + q * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    return rows, ncols
+
+
+def sparse(row) -> dict:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices())
+def test_rref_matches_dense_oracle(matrix):
+    rows, ncols = matrix
+    dense = [list(row) for row in rows]
+    want_pivots = dense_rref(dense, ncols)
+    want = [sparse(row) for row in dense[:len(want_pivots)]]
+    for order in (rows, rows[::-1]):
+        pivots, reduced = rref(sparse(row) for row in order)
+        assert pivots == want_pivots
+        assert reduced == want
+        assert all(type(x) is Fraction
+                   for row in reduced for x in row.values())
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_matrices())
+def test_linear_solve_matches_dense_oracle(matrix):
+    rows, ncols = matrix
+    entries = {(r, c): x for r, row in enumerate(rows)
+               for c, x in sparse(row).items()}
+    res = rational_linear_solve(PolyMatrix(len(rows), ncols, (), entries))
+    assert (res.rank, res.nullspace) == \
+        dense_linear_solve(entries, len(rows), ncols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_matrices())
+def test_echelon_insert_none_iff_in_span(matrix):
+    rows, ncols = matrix
+    echelon: dict = {}
+    for k, row in enumerate(rows):
+        before = dict(echelon)
+        grows = dense_linear_solve(
+            {(r, c): x for r, prev in enumerate(rows[:k + 1])
+             for c, x in sparse(prev).items()}, k + 1, ncols)[0] > len(before)
+        stored = echelon_insert(echelon, sparse(row))
+        if not grows:
+            assert stored is None and echelon == before
+            continue
+        # a primitive integer row, stored under its leading column
+        (lead,) = set(echelon) - set(before)
+        assert echelon[lead] is stored and min(stored) == lead
+        assert all(type(x) is int and x for x in stored.values())
+        assert math.gcd(*stored.values()) == 1
+
+
+@st.composite
+def augmented_systems(draw):
     """Full-column-rank columns of A, a vector x and a vector w."""
     nrows = draw(st.integers(1, 5))
     ncols = draw(st.integers(1, nrows))
     vector = lambda n: st.lists(sparse_rationals, min_size=n, max_size=n)
     columns = draw(st.lists(vector(nrows), min_size=ncols, max_size=ncols))
-    rank = rational_linear_solve(PolyMatrix.from_rows(
-        [list(r) for r in zip(*columns)])).rank
+    rank = dense_linear_solve(
+        {(r, c): x for c, col in enumerate(columns) for r, x in enumerate(col)},
+        nrows, ncols)[0]
     assume(rank == ncols)
     return columns, draw(vector(ncols)), draw(vector(nrows))
 
 
+def augmented_solve(columns, target):
+    """x with A x = target read off the RREF of [A | target], or None if
+    its last column has a pivot: the solve of the Cartan diagonal in
+    ``structure_constants``."""
+    width = len(columns)
+    pivots, reduced = rref(
+        sparse([col[r] for col in columns] + [t]) for r, t in enumerate(target))
+    if width in pivots:
+        return None
+    return [row.get(width, Fraction(0)) for row in reduced]
+
+
 @settings(deadline=None, max_examples=150)
-@given(solver_systems())
-def test_solver_matches_dense_reference(system):
+@given(augmented_systems())
+def test_augmented_rref_solve_matches_dense_reference(system):
     columns, x, w = system
     nrows = len(columns[0])
-    solver = ExactSolver(columns)
+    oracle = ExactSolver(columns)
     image = [sum((col[r] * xc for col, xc in zip(columns, x)), Fraction(0))
              for r in range(nrows)]
-    assert solver.solve(image) == reference_solve(columns, image) == x
-    assert solver.solve(w) == reference_solve(columns, w)
-    stacked = [list(r) for r in zip(*(columns + [w]))]
-    if rational_linear_solve(PolyMatrix.from_rows(stacked)).rank > len(columns):
-        assert solver.solve(w) is None
+    assert augmented_solve(columns, image) == oracle.solve(image) == x
+    assert augmented_solve(columns, w) == oracle.solve(w)

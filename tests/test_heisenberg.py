@@ -9,7 +9,8 @@ import pytest
 from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParamPoly, PolyMatrix, rational_linear_solve
+from dense_oracles import dense_linear_solve
+from superkac.exact import ParamPoly, PolyMatrix
 from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  check_phi_representation, compare_with_KH,
                                  heisenberg_structure_report,
@@ -180,18 +181,18 @@ def reference_kh_in_phi_basis(phi) -> dict:
 
 
 def reference_lowering_rank(phi, generating) -> int:
-    """Rank of the stacked rows v_S g, each one chain of vector applies."""
+    """Rank of the stacked rows v_S g, each one chain of one-column
+    products, by the dense elimination."""
     subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
     lowered = [(g, subset) for g in generating for subset in subsets]
     stack = {}
     for row, (g, subset) in enumerate(lowered):
-        state = {g: ParamPoly.const(phi.params, 1)}
+        state = PolyMatrix(phi.dim, 1, phi.params, {(g, 0): 1})
         for s in reversed(subset):
-            state = phi.matrices[GenLabel("v", s)].apply(state)
-        for pos, val in state.items():
-            stack[(row, pos)] = val
-    return rational_linear_solve(
-        PolyMatrix(len(lowered), phi.dim, phi.params, stack)).rank
+            state = phi.matrices[GenLabel("v", s)] @ state
+        for (pos, _), val in state.entries.items():
+            stack[(row, pos)] = val.constant_value()
+    return dense_linear_solve(stack, len(lowered), phi.dim)[0]
 
 
 def generating_columns(phi) -> list:

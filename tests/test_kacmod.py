@@ -226,12 +226,12 @@ class TestSingularVectors:
             sv = singular_vectors(K, {"b": bval}, "even-only")
             fmat = K.matrices[GenLabel("f", 1)].substitute({"b": bval})
             vmat = K.matrices[GenLabel("v", 1)].substitute({"b": bval})
-            hw = {K.hw_index: ParamPoly.const(K.params, 1)}
+            hw = PolyMatrix(K.dim, 1, K.params, {(K.hw_index, 0): 1})
             omega: dict = {}
-            for pos, val in fmat.apply(vmat.apply(hw)).items():
+            for (pos, _), val in (fmat @ (vmat @ hw)).entries.items():
                 omega[pos] = omega.get(pos, Fraction(0)) + \
                     a * val.constant_value()
-            for pos, val in vmat.apply(fmat.apply(hw)).items():
+            for (pos, _), val in (vmat @ (fmat @ hw)).entries.items():
                 omega[pos] = omega.get(pos, Fraction(0)) - \
                     (a + 1) * val.constant_value()
             omega = {pos: v for pos, v in omega.items() if v}
