@@ -291,9 +291,10 @@ def parity_of(label: GenLabel) -> int:
     return 1 if label.kind in ("u", "v") else 0
 
 
-def sbracket(pa: int, pb: int, ma: PolyMatrix, mb: PolyMatrix) -> PolyMatrix:
-    """Superbracket of matrices: commutator, or anticommutator when both odd."""
-    return combination([(1, ma, mb), (1 if (pa and pb) else -1, mb, ma)])
+def sbracket(pa: int, pb: int, ma: PolyMatrix, mb: PolyMatrix) -> list:
+    """Superbracket of matrices as ``combination`` product terms:
+    commutator, or anticommutator when both odd."""
+    return [(1, ma, mb), (1 if (pa and pb) else -1, mb, ma)]
 
 
 # -- structure constants ----------------------------------------------------
@@ -318,17 +319,19 @@ class StructureConstants:
     def generators(self) -> tuple:
         """A set X of basis labels that generates the table's algebra.
 
-        The seed is the simple e_i and f_i with u_1 and v_1, those of them
-        the basis has.  The span of its iterated brackets is grown in an
-        echelon form over basis positions (``exact.echelon_insert``), each
-        new vector queueing its brackets with the seed; every label still
-        outside the span is then added in basis order (z0 for gl, y for an
-        even restriction).  The algebra generated by X contains the closure
-        and the added labels, hence the whole basis.  X is listed in basis
-        order.
+        The seed is the simple raising e_i and u_1 and every label whose
+        brackets with the simple lowering f_i and v_1 vanish, the lowest-
+        weight vectors of ad: e_i, u_1 and v_P for sl, as g = U(n+) f_theta
+        (Kac, Adv. Math. 26, 1977), z0 too for gl.  Its iterated brackets grow an
+        echelon form over basis positions (``exact.echelon_insert``), and
+        every label still outside the span is added, so X generates
+        whatever the seed.  X is listed in basis order.
         """
-        seed = [lab for lab in self.basis if lab.kind in ("e", "f")
-                or lab in (GenLabel("u", 1), GenLabel("v", 1))]
+        lowering = [lab for lab in self.basis
+                    if lab.kind == "f" or lab == GenLabel("v", 1)]
+        seed = [lab for lab in self.basis
+                if lab.kind == "e" or lab == GenLabel("u", 1)
+                or not any(self.bracket(x, lab) for x in lowering)]
         echelon: dict = {}            # over basis positions
         order = {lab: pos for pos, lab in enumerate(self.basis)}
         queue = [{order[lab]: 1} for lab in seed]
@@ -413,7 +416,8 @@ def _ensure_matrix(label: GenLabel, out: dict, recipes: Mapping) -> PolyMatrix:
         left, right, coeff = recipes[label]
         ml = _ensure_matrix(left, out, recipes)
         mr = _ensure_matrix(right, out, recipes)
-        out[label] = sbracket(0, 0, ml, mr).scale(coeff)
+        out[label] = combination([(coeff * c, a, b)
+                                  for c, a, b in sbracket(0, 0, ml, mr)])
     return out[label]
 
 
@@ -582,12 +586,13 @@ def bracket_violations(labels: Sequence[GenLabel],
                        table: Mapping, bracket: Callable,
                        targets: Mapping[GenLabel, PolyMatrix]) -> list:
     """The one relation checker: every ordered pair (a, b) of ``labels``
-    with a or b in ``generators`` at which ``bracket(a, b)`` differs from
-    the table's expansion sum_t table[(a, b)][t] * targets[t].
+    with a or b in ``generators`` at which the bracket differs from the
+    table's expansion sum_t table[(a, b)][t] * targets[t].
 
-    Returns ``[((a, b), (entry, residual)), ...]`` in pair order, locating
-    the first nonzero residual entry of each violating pair.  ``parity`` is
-    passed on to ``bracket`` as (parity[a], parity[b]).
+    ``bracket(a, b, parity[a], parity[b])`` gives the bracket as product
+    terms (coeff, left, right), e.g. ``sbracket``, so each residual is one
+    ``combination`` pass.  Returns ``[((a, b), (entry, residual)), ...]``
+    in pair order, locating the first nonzero entry of each residual.
 
     Checking only these pairs gives the verdict of all pairs by a standard
     lemma.  Let rho be a linear map from g to End V, where the table is
@@ -599,7 +604,7 @@ def bracket_violations(labels: Sequence[GenLabel],
     generating set (``StructureConstants.generators``) only for a table
     that satisfies super-Jacobi, and the full ``labels`` otherwise.
 
-    ``bracket`` must be graded-antisymmetric, [b, a] = -(-1)^{|a||b|} [a, b],
+    The bracket must be graded-antisymmetric, [b, a] = -(-1)^{|a||b|} [a, b],
     as every matrix superbracket and sum of them is.  Then wherever the
     table is graded-antisymmetric at {a, b} too, the residual of (b, a) is
     -(-1)^{|a||b|} times that of (a, b), so only the pair listed first in
@@ -621,11 +626,9 @@ def bracket_violations(labels: Sequence[GenLabel],
                 pos, val = mirror
                 violations.append(((la, lb), (pos, val * sign)))
             continue
-        residual = bracket(la, lb, parity[la], parity[lb])
-        if expansion:
-            residual = combination(
-                [(1, residual, None)]
-                + [(-coeff, targets[t], None) for t, coeff in expansion.items()])
+        residual = combination(
+            bracket(la, lb, parity[la], parity[lb])
+            + [(-coeff, targets[t], None) for t, coeff in expansion.items()])
         if not residual.is_zero:
             located[(la, lb)] = residual.first_nonzero()
             violations.append(((la, lb), located[(la, lb)]))

@@ -74,14 +74,10 @@ def deformation(K: KacModule, nu_y, nu_c=Fraction(0)) -> Deformation:
     if nu_c and "c" not in K.params:
         raise InputError("a z0 twist direction needs flavor gl")
     A = extend_matrices(K.matrices, K.sc.recipes)
-    B = {}
-    for label, mat in A.items():
-        deriv = PolyMatrix.zeros(mat.rows, mat.cols, K.params)
-        if nu_y:
-            deriv = deriv + mat.derivative("b").scale(K.sc.k * nu_y)
-        if nu_c:
-            deriv = deriv + mat.derivative("c").scale(nu_c)
-        B[label] = deriv
+    B = {label: combination(
+        [(K.sc.k * nu_y, mat.derivative("b"), None)]
+        + ([(nu_c, mat.derivative("c"), None)] if nu_c else []))
+        for label, mat in A.items()}
     return Deformation(base=K, A=A, B=B)
 
 

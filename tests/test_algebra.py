@@ -15,7 +15,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               supertrace, typicality_factors,
                               weight_eval, weight_from_labels)
 from dense_oracles import ExactSolver
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, combination
 
 
 def make(flavor, m, n):
@@ -203,7 +203,8 @@ def reference_structure_constants(rep) -> dict:
     solver = ExactSolver([flatten(mats[lab]) for lab in basis])
     table = {}
     for la, lb in itertools.product(basis, repeat=2):
-        bracket = sbracket(parity_of(la), parity_of(lb), mats[la], mats[lb])
+        bracket = combination(
+            sbracket(parity_of(la), parity_of(lb), mats[la], mats[lb]))
         coeffs = solver.solve(flatten(bracket))
         assert coeffs is not None, (la, lb)
         expansion = {basis[i]: c for i, c in enumerate(coeffs) if c != 0}

@@ -16,7 +16,9 @@ through the table.
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +29,11 @@ from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
                               super_jacobi_report, superbracket_violations,
                               violations_report)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, combination
 from superkac.kacmod import induce
 from superkac.matryoshka import (deformation, derivative_report,
                                  derivative_violations)
+from dense_oracles import dense_rref
 from testmatrix import ALGEBRA_CONFIGS
 
 # -- the reference: ParamPoly arithmetic entry by entry -----------------------
@@ -282,7 +285,7 @@ def test_coboundary_verdicts_match_full_reference(name):
 def test_report_names_the_pairs_checked():
     K = MODULES["sl21_a1"]
     (item,) = check_super_relations(K.matrices, K.sc, "relations").items
-    assert item.name == ("superbracket table reproduced on all 48 generator "
+    assert item.name == ("superbracket table reproduced on all 39 generator "
                          "pairs (implies all 8^2 pairs)")
     bad = case_module("sl21_a1", "e1")
     (item,) = check_super_relations(bad.matrices, bad.sc, "relations").items
@@ -291,15 +294,70 @@ def test_report_names_the_pairs_checked():
                          "generator pairs)")
     report = derivative_report(deformation(K, Fraction(1)), 3, "derivative")
     assert [item.name for item in report.items] == [
-        "(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B on all 48 "
+        "(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B on all 39 "
         "generator pairs (implies all 8^2 pairs)",
-        "(iii) [B_a,B_b] = 0 on all 48 generator pairs (implies all 8^2 pairs)"]
+        "(iii) [B_a,B_b] = 0 on all 39 generator pairs (implies all 8^2 pairs)"]
     # all labels as generators, as for H: the item names all pairs
     (item,) = violations_report("H", "table", K.sc.basis, K.sc.basis, []).items
     assert item.name == "table on all 8^2 pairs"
 
 
+def test_readme_pair_count_example_is_current():
+    """README quotes the item of sl(4|2) as "on all N generator pairs
+    (implies all M^2 pairs)"; the report must still name those counts."""
+    text = " ".join(
+        (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        .split())
+    (quoted,) = re.findall(
+        r"on all \d+ generator pairs \(implies all \d+\^2 pairs\)\" for "
+        r"sl\(4\|2\)", text)
+    sc = stack_sc("sl", 4, 2)
+    (item,) = violations_report("relations", "table", sc.basis,
+                                sc.generators, []).items
+    assert quoted == item.name.removeprefix("table ") + '" for sl(4|2)'
+
+
+def test_one_combination_per_computed_pair(monkeypatch):
+    """Each pair the checker computes, rather than derives from its
+    mirror, costs one bracket call and one ``combination`` call, which
+    forms bracket - sum_t f_ab^t target_t in a single pass."""
+    K = MODULES["gl21_a1"]
+    sc = K.sc
+    mats = extend_matrices(K.matrices, sc.recipes)
+    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+    calls = {"bracket": 0, "combination": 0}
+
+    def bracket(la, lb, pa, pb):
+        calls["bracket"] += 1
+        return sbracket(pa, pb, mats[la], mats[lb])
+
+    def counted(terms):
+        calls["combination"] += 1
+        return combination(terms)
+
+    monkeypatch.setattr(algebra, "combination", counted)
+    assert bracket_violations(sc.basis, sc.generators, sc.parity, sc.table,
+                              bracket, mats) == []
+    # the table is graded-antisymmetric, so exactly the pairs listed with
+    # the first label no later than the second are computed
+    computed = sum(1 for la, lb in itertools.product(sc.basis, repeat=2)
+                   if order[la] <= order[lb]
+                   and (la in sc.generators or lb in sc.generators))
+    assert calls == {"bracket": computed, "combination": computed}
+
+
 # -- the generating set --------------------------------------------------------
+
+
+STACKS = {}
+
+
+def stack_sc(flavor, m, n):
+    key = (flavor, m, n)
+    if key not in STACKS:
+        STACKS[key] = structure_constants(
+            build_fundamental_rep(SuperAlgebraSpec(m, n, flavor)))
+    return STACKS[key]
 
 
 @pytest.mark.parametrize("cfg", ALGEBRA_CONFIGS + [
@@ -307,12 +365,13 @@ def test_report_names_the_pairs_checked():
     ids=[f"{c['flavor']}{c['m']}{c['n']}" for c in ALGEBRA_CONFIGS]
     + ["sl81"])
 def test_generators_are_the_simple_ones(cfg):
-    """sl: the simple e and f with u_1 and v_1; gl adds z0, which the
-    supertraceless brackets never reach."""
+    """sl: the simple raising e_i and u_1 with the lowest-weight vector
+    v_P of ad; gl adds z0, which the supertraceless brackets never
+    reach."""
     sc = stack_sc(cfg["flavor"], cfg["m"], cfg["n"])
     rank = range(1, sc.spec.rank + 1)
     expected = ([GenLabel("e", i) for i in rank]
-                + [GenLabel("f", i) for i in rank] + [U1, V1])
+                + [U1, GenLabel("v", sc.spec.odd_count)])
     if cfg["flavor"] == "gl":
         expected.append(GenLabel("z0"))
     assert sorted(sc.generators) == sorted(expected)
@@ -320,15 +379,64 @@ def test_generators_are_the_simple_ones(cfg):
                                    if lab in sc.generators]
 
 
-def test_even_restriction_generators_add_y():
-    sc = stack_sc("sl", 3, 1)
+def even_restriction(sc):
     even = tuple(lab for lab in sc.basis if not sc.parity[lab])
-    restricted = dataclasses.replace(
+    return dataclasses.replace(
         sc, basis=even, table={pair: exp for pair, exp in sc.table.items()
                                if pair[0] in even and pair[1] in even})
+
+
+def test_even_restriction_generators_add_y():
+    """y, the simple e_i and F_3, the lowest root vector of sl(3)."""
+    restricted = even_restriction(stack_sc("sl", 3, 1))
     assert restricted.generators == (
-        GenLabel("y"), GenLabel("e", 1), GenLabel("e", 2), GenLabel("f", 1),
-        GenLabel("f", 2))
+        GenLabel("y"), GenLabel("e", 1), GenLabel("e", 2), GenLabel("F", 3))
+
+
+def dense_closure_dim(sc, labels) -> int:
+    """Dimension of the subalgebra generated by ``labels``: their span,
+    grown by the brackets of the labels with the whole span, row-reduced
+    by ``dense_rref``, until the rank stops growing."""
+    n = len(sc.basis)
+    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+
+    def bracket(lab, vec):
+        out = [Fraction(0)] * n
+        for pos, coeff in enumerate(vec):
+            if coeff:
+                for t, c in sc.bracket(lab, sc.basis[pos]).items():
+                    out[order[t]] += coeff * c
+        return out
+
+    span, frontier = [], [[Fraction(int(pos == order[lab])) for pos in range(n)]
+                          for lab in labels]
+    while frontier:
+        rows = span + frontier
+        rank = len(dense_rref(rows, n))
+        if rank == len(span):
+            return rank
+        span = rows[:rank]
+        frontier = [bracket(lab, vec) for lab in labels for vec in span]
+    return len(span)
+
+
+GENERATION_CASES = {f"{c['flavor']}{c['m']}{c['n']}": stack_sc(
+    c["flavor"], c["m"], c["n"]) for c in ALGEBRA_CONFIGS}
+GENERATION_CASES.update({
+    "sl81": stack_sc("sl", 8, 1), "gl43": stack_sc("gl", 4, 3),
+    "sl13": stack_sc("sl", 1, 3),
+    "sl42-even": even_restriction(stack_sc("sl", 4, 2))})
+
+
+@pytest.mark.parametrize("sc", GENERATION_CASES.values(),
+                         ids=GENERATION_CASES.keys())
+def test_generators_close_to_the_basis_by_dense_oracle(sc):
+    """X generates the whole basis, and the simple raising labels of X
+    alone do not: the lowest-weight labels of the seed are needed."""
+    assert dense_closure_dim(sc, sc.generators) == len(sc.basis)
+    raising = [lab for lab in sc.generators if lab.kind == "e" or lab == U1]
+    assert len(raising) < len(sc.generators)
+    assert dense_closure_dim(sc, raising) < len(sc.basis)
 
 
 class TestAntisymmetryGuard:
@@ -424,17 +532,6 @@ def jacobi_check(sc, monkeypatch):
         report = super_jacobi_report(sc)
     assert len(seen) == 1
     return report, seen[0]
-
-
-STACKS = {}
-
-
-def stack_sc(flavor, m, n):
-    key = (flavor, m, n)
-    if key not in STACKS:
-        STACKS[key] = structure_constants(
-            build_fundamental_rep(SuperAlgebraSpec(m, n, flavor)))
-    return STACKS[key]
 
 
 def with_terms(sc, additions):
