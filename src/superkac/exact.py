@@ -414,6 +414,54 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
     return PolyMatrix._of(rows, cols, params, _pencil(parts))
 
 
+def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
+                  parts) -> "PolyMatrix":
+    """sum_k W_k (x) B_k: the square matrix of size * base_dim whose block
+    (i, j) of base_dim rows and columns is sum_k W_k[i][j] * B_k.
+
+    ``parts`` yields (W, B): W a sparse size x size rational matrix
+    {row: {col: q}} with int or Fraction entries, B a base_dim-square
+    PolyMatrix, re-declared over params.  Each W is scaled to integers once;
+    the parts of each exponent are brought to one common denominator, so
+    the whole sum is one integer accumulation per exponent.
+    """
+    params = tuple(params)
+    groups: dict = {}             # exps -> [(W as ints, rows of B, den)]
+    for W, B in parts:
+        if (B.rows, B.cols) != (base_dim, base_dim):
+            raise ValueError(f"{B.rows}x{B.cols} factor, expected "
+                             f"{base_dim}x{base_dim}")
+        den = lcm(*(q.denominator for row in W.values()
+                    for q in row.values()))
+        ints = {}
+        for i, row in W.items():
+            row = {j: q.numerator * (den // q.denominator)
+                   for j, q in row.items() if q}
+            if row:
+                if not (0 <= i < size and 0 <= min(row) and max(row) < size):
+                    raise IndexError(f"entry of W outside {size}x{size}")
+                ints[i] = row
+        if not ints:
+            continue
+        for exps, (den_b, rows_b) in B.with_params(params).terms.items():
+            groups.setdefault(exps, []).append((ints, rows_b, den * den_b))
+    terms = {}
+    for exps, group in groups.items():
+        common = lcm(*(den for _, _, den in group))
+        acc: dict = {}
+        for ints, rows_b, den in group:
+            mult = common // den
+            for i, wrow in ints.items():
+                for j, w in wrow.items():
+                    _accumulate(acc, rows_b, w * mult, i * base_dim,
+                                j * base_dim)
+        term = _reduced(common, acc)
+        if term is not None:
+            terms[exps] = term
+    dim = size * base_dim
+    return PolyMatrix._of(dim, dim, params, terms)
+
+
 class PolyMatrix:
     """Sparse rows x cols matrix over ParamPoly, stored as a pencil.
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               StructureConstants, bracket_violations, sbracket,
                               violations_report)
-from superkac.exact import ParamPoly, PolyMatrix, rational_linear_solve
+from superkac.exact import (ParamPoly, PolyMatrix, kronecker_sum,
+                            rational_linear_solve)
 from superkac.kacmod import KacModule, induce_core
 from superkac.matryoshka import (Deformation, TwistSpec, deformation,
                                  derivative_report)
@@ -186,9 +187,9 @@ def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:
 
 def _j_shift(n: int, base_dim: int, params: tuple, scale: Fraction) -> PolyMatrix:
     """scale * (shift across J layers) tensor identity on the base."""
-    eye = PolyMatrix.identity(base_dim, params)
-    return PolyMatrix.from_blocks(n * base_dim, n * base_dim, params, [
-        ((j - 1) * base_dim, j * base_dim, eye, scale) for j in range(1, n)])
+    return kronecker_sum(n, base_dim, params, [
+        ({j - 1: {j: scale} for j in range(1, n)},
+         PolyMatrix.identity(base_dim, params))])
 
 
 def induce_heisenberg(H: HeisenbergSpec, base_dim: int, spec: TwistSpec,

@@ -9,11 +9,13 @@ commuted rightward, each step contracting {u, v_s} into an even element
 acting on the remaining tail.  The single hypercharge term of each
 contraction is what makes the u matrices linear in b.
 
-Every generator block at (subset', subset) is a rational combination
-sum q * M, where each M is the identity or a base operator (an even label
-acting on the even factor), and the coefficients q depend only on the
-structure constants and P.  induce_core computes those coefficients as
-plain rationals and assembles each generator in one pencil pass.
+So every generator is a Kronecker sum, sum_op W_op (x) B_op, where B_op is
+the identity or a base operator (an even label acting on the even factor)
+and W_op is a wedge-sized rational matrix that depends only on the
+structure constants and P.  induce_core computes the W_op on odd subsets
+stored as bitmasks, with whole coefficients kept as ints and the action
+of each even label on each subset computed once, and assembles each
+generator in one integer pass (exact.kronecker_sum).
 """
 
 from __future__ import annotations
@@ -28,26 +30,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
-                            rational_linear_solve)
-
-
-def wedge_insert(j: int, subset: tuple):
-    """Insert index j into a sorted subset; returns (new_subset, sign) or None."""
-    if j in subset:
-        return None
-    before = sum(1 for s in subset if s < j)
-    new = subset[:before] + (j,) + subset[before:]
-    return new, (-1) ** before
-
-
-def wedge_replace(subset: tuple, position: int, new_index: int):
-    """Replace the generator at one slot and resort; None if it repeats."""
-    rest = subset[:position] + subset[position + 1:]
-    if new_index in rest:
-        return None
-    before = sum(1 for s in rest if s < new_index)
-    new = rest[:before] + (new_index,) + rest[before:]
-    return new, (-1) ** ((position - before) % 2)
+                            kronecker_sum, rational_linear_solve)
 
 
 @dataclass(frozen=True)
@@ -89,70 +72,16 @@ def _subset_order(P: int):
     return out
 
 
-def _add(out: dict, subset: tuple, op, q) -> None:
-    """out[subset][op] += q."""
-    ops = out.get(subset)
-    if ops is None:
-        out[subset] = {op: q}
-    else:
-        cur = ops.get(op)
-        ops[op] = q if cur is None else cur + q
+def _whole(q):
+    """q as an int when its denominator is 1, so that sums of such
+    coefficients stay ints."""
+    return q.numerator if q.denominator == 1 else q
 
 
-def _even_action(g: GenLabel, subset: tuple, slots: Mapping,
-                 on_base: bool) -> dict:
-    """Even g on subset x base as {subset': {op: q}}: the adjoint action on
-    each wedge slot (op None, the identity on the base) plus, if on_base,
-    g on the base (op g).  slots[s] lists (t, coeff) with
-    [g, v_s] = sum coeff v_t."""
-    out: dict = {}
-    for position, s in enumerate(subset):
-        for t, coeff in slots.get(s, ()):
-            replaced = wedge_replace(subset, position, t)
-            if replaced is not None:
-                new_subset, sign = replaced
-                _add(out, new_subset, None, coeff if sign > 0 else -coeff)
-    if on_base:
-        _add(out, subset, g, 1)
-    return out
-
-
-def _u_action(j: int, subsets: Sequence[tuple], slots: Mapping,
-              uv_exp: Mapping, on_base: set) -> dict:
-    """u_j on every subset x base, as {subset: {subset': {op: q}}}, by
-    normal ordering u_j v_head tail = {u_j, v_head} tail - v_head u_j tail.
-
-    subsets run layer by layer, so u_j on a tail is known before it is
-    needed; the even actions on tails are shared across heads.
-    """
-    even: dict = {}
-    out: dict = {}
-    for subset in subsets:
-        image: dict = {}
-        if subset:
-            head, tail = subset[0], subset[1:]
-            for g, coeff in uv_exp.get((j, head), ()):
-                action = even.get((g, tail))
-                if action is None:
-                    action = even[(g, tail)] = _even_action(
-                        g, tail, slots.get(g, {}), g in on_base)
-                for new_subset, ops in action.items():
-                    for op, q in ops.items():
-                        _add(image, new_subset, op, coeff * q)
-            for sub2, ops in out[tail].items():
-                inserted = wedge_insert(head, sub2)
-                if inserted is None:
-                    continue
-                new_subset, sign = inserted
-                for op, q in ops.items():
-                    _add(image, new_subset, op, -q if sign > 0 else q)
-        nonzero = {}
-        for new_subset, ops in image.items():
-            ops = {op: q for op, q in ops.items() if q}
-            if ops:
-                nonzero[new_subset] = ops
-        out[subset] = nonzero
-    return out
+def _signed(q, bits: int):
+    """q times (-1)^popcount(bits): the sign of moving a wedge slot past
+    the slots set in bits."""
+    return -q if bits.bit_count() & 1 else q
 
 
 def induce_core(P: int, params: tuple, base_dim: int,
@@ -167,44 +96,120 @@ def induce_core(P: int, params: tuple, base_dim: int,
     [g, v_s] = sum coeff v_t; uv_exp[(i, j)] lists (even label, coeff) for
     the contraction {u_i, v_j}.  Returns (basis, matrices) where matrices
     covers surface_labels plus all u_i and v_i.
+
+    An odd subset is a bitmask with bit s for v_s, and a wedge sign is the
+    parity of the slots passed.  Each generator is first computed as
+    {op: W_op}, where op is None (the identity on the base) or the position
+    of an even label (its base operator), and W_op is the wedge-sized matrix
+    {subset' position: {subset position: q}} of rationals, ints where whole;
+    it is then assembled as sum_op W_op (x) base operator in one pass.
     """
     subsets = _subset_order(P)
-    basis = [(subset, l) for subset in subsets for l in range(base_dim)]
-    offset = {subset: pos * base_dim for pos, subset in enumerate(subsets)}
-    dim = len(basis)
-    eye = PolyMatrix.identity(base_dim, params)
-    slots: dict = {}
+    masks = [sum(1 << s for s in subset) for subset in subsets]
+    pos = {mask: k for k, mask in enumerate(masks)}
+    size = len(masks)
+    # even labels by position: the surface, then any reached only via uv_exp
+    label_pos = {g: k for k, g in enumerate(surface_labels)}
+    for expansion in uv_exp.values():
+        for g, _ in expansion:
+            label_pos.setdefault(g, len(label_pos))
+    labels = list(label_pos)
+    uv = {key: [(label_pos[g], _whole(coeff)) for g, coeff in expansion]
+          for key, expansion in uv_exp.items()}
+    slots: list = [{} for _ in labels]       # slots[g][s]: [g, v_s] as (t, q)
     for (g, s), pairs in adj.items():
-        slots.setdefault(g, {})[s] = pairs
+        if g in label_pos:
+            slots[label_pos[g]][s] = [(t, _whole(c)) for t, c in pairs]
     # a label acting by zero on the base acts only on the wedge slots
-    on_base = {g for g, mat in base_mats.items() if not mat.is_zero}
+    on_base = [g in base_mats and not base_mats[g].is_zero for g in labels]
+    eye = PolyMatrix.identity(base_dim, params)
+    memo: dict = {}
 
-    def assemble(action: dict) -> PolyMatrix:
-        """The generator whose block at (subset', subset) is
-        sum q * (identity or base_mats[op]) over action[subset][subset']."""
-        return PolyMatrix.from_blocks(dim, dim, params, (
-            (offset[new_subset], offset[subset],
-             eye if op is None else base_mats[op], q)
-            for subset, image in action.items()
-            for new_subset, ops in image.items()
-            for op, q in ops.items()))
+    def slot_action(g: int, mask: int) -> dict:
+        """The adjoint action of label position g on the wedge slots of
+        mask, {mask': q}; computed once per (g, mask)."""
+        key = g << (P + 1) | mask
+        out = memo.get(key)
+        if out is None:
+            out = {}
+            for s, pairs in slots[g].items():
+                bit = 1 << s
+                if not mask & bit:
+                    continue
+                rest, below = mask ^ bit, mask & (bit - 1)
+                for t, coeff in pairs:
+                    new_bit = 1 << t
+                    if rest & new_bit:
+                        continue
+                    new = rest | new_bit
+                    q = _signed(coeff, below ^ (rest & (new_bit - 1)))
+                    out[new] = out.get(new, 0) + q
+            out = memo[key] = {m: q for m, q in out.items() if q}
+        return out
+
+    def assemble(ws: dict) -> PolyMatrix:
+        return kronecker_sum(size, base_dim, params, (
+            (W, eye if op is None else base_mats[labels[op]])
+            for op, W in ws.items()))
 
     matrices: dict = {}
-    for g in surface_labels:
-        matrices[g] = assemble({
-            subset: _even_action(g, subset, slots.get(g, {}), g in on_base)
-            for subset in subsets})
+    for g, label in enumerate(surface_labels):
+        ident: dict = {}
+        for k, mask in enumerate(masks):
+            for new, q in slot_action(g, mask).items():
+                ident.setdefault(pos[new], {})[k] = q
+        ws = {None: ident}
+        if on_base[g]:
+            ws[g] = {k: {k: 1} for k in range(size)}
+        matrices[label] = assemble(ws)
     for i in range(1, P + 1):
-        lowering = {}
-        for subset in subsets:
-            inserted = wedge_insert(i, subset)
-            if inserted is not None:
-                new_subset, sign = inserted
-                lowering[subset] = {new_subset: {None: sign}}
-        matrices[GenLabel("v", i)] = assemble(lowering)
-        matrices[GenLabel("u", i)] = assemble(
-            _u_action(i, subsets, slots, uv_exp, on_base))
-    return tuple(basis), matrices
+        bit = 1 << i
+        matrices[GenLabel("v", i)] = assemble({None: {
+            pos[mask | bit]: {k: _signed(1, mask & (bit - 1))}
+            for k, mask in enumerate(masks) if not mask & bit}})
+        matrices[GenLabel("u", i)] = assemble(_u_action(
+            i, masks, pos, uv, on_base, slot_action))
+    basis = tuple((subset, l) for subset in subsets for l in range(base_dim))
+    return basis, matrices
+
+
+def _u_action(j: int, masks: Sequence[int], pos: Mapping, uv: Mapping,
+              on_base: Sequence[bool], slot_action) -> dict:
+    """u_j as {op: W_op}, by normal ordering
+    u_j v_head tail = {u_j, v_head} tail - v_head u_j tail, head the least
+    slot.  masks run layer by layer, so u_j on a tail is known before it is
+    needed."""
+    images: dict = {}             # mask -> {op: {mask': q}}
+    ws: dict = {}
+    for k, mask in enumerate(masks):
+        image: dict = {}
+        if mask:
+            head_bit = mask & -mask
+            tail = mask ^ head_bit
+            for g, coeff in uv.get((j, head_bit.bit_length() - 1), ()):
+                col = image.setdefault(None, {})
+                for new, q in slot_action(g, tail).items():
+                    col[new] = col.get(new, 0) + coeff * q
+                if on_base[g]:
+                    col = image.setdefault(g, {})
+                    col[tail] = col.get(tail, 0) + coeff
+            for op, tail_col in images[tail].items():
+                col = image.setdefault(op, {})
+                for m, q in tail_col.items():
+                    if m & head_bit:
+                        continue
+                    new = m | head_bit
+                    col[new] = col.get(new, 0) - _signed(
+                        q, m & (head_bit - 1))
+        images[mask] = kept = {}
+        for op, col in image.items():
+            col = {m: q for m, q in col.items() if q}
+            if col:
+                kept[op] = col
+                rows = ws.setdefault(op, {})
+                for m, q in col.items():
+                    rows.setdefault(pos[m], {})[k] = q
+    return ws
 
 
 def _scaled_identity(dim: int, params: tuple, scalar: ParamPoly) -> PolyMatrix:
@@ -247,14 +252,24 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     basis, matrices = induce_core(P, params, L.dim, even_labels,
                                   base_even, adj, uv_exp)
 
+    # the root shift of a subset is its tail's plus its head's root, and
+    # each distinct coordinate minus shift is computed once
     roots = datum.odd_positive_roots
+    shifts = {(): (0,) * len(roots[0])}
+    differences: dict = {}
     weights, layers = [], []
     for subset, l in basis:
-        if l == 0:
-            # the basis runs over the even basis within each subset
-            shift = [sum(roots[s - 1][k] for s in subset)
-                     for k in range(len(roots[0]))]
-        weights.append(tuple(c - r for c, r in zip(L.weights[l], shift)))
+        shift = shifts.get(subset)
+        if shift is None:
+            shift = shifts[subset] = tuple(
+                r + x for r, x in zip(shifts[subset[1:]], roots[subset[0] - 1]))
+        weight = []
+        for c, r in zip(L.weights[l], shift):
+            diff = differences.get((c, r))
+            if diff is None:
+                diff = differences[(c, r)] = c - r
+            weight.append(diff)
+        weights.append(tuple(weight))
         layers.append(len(subset))
 
     return KacModule(

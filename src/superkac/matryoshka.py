@@ -23,7 +23,8 @@ from typing import Mapping, Sequence
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, extend_matrices, sbracket,
                               violations_report)
-from superkac.exact import PolyMatrix, combination
+from superkac.exact import (ParamPoly, PolyMatrix, combination,
+                            kronecker_sum)
 from superkac.kacmod import KacModule, weight_spaces
 from superkac.report import VerificationReport
 
@@ -56,16 +57,23 @@ class Deformation:
         ``params``, where S carries couplings[t] from copy t+1 to copy t;
         a coupling may be a rational or a ParamPoly over ``params``."""
         N = len(couplings) + 1
-        D = self.base.dim
+        diagonal = {t: {t: 1} for t in range(N)}
+        # S splits into a shift of the rational couplings, which scale B,
+        # and a shift of ones per distinct polynomial coupling c, with c B
+        shifts: dict = {}
+        for t, coupling in enumerate(couplings):
+            if isinstance(coupling, ParamPoly):
+                shifts.setdefault(coupling, {})[t] = {t + 1: 1}
+            else:
+                shifts.setdefault(None, {})[t] = {t + 1: coupling}
         matrices = {}
         for label in self.base.matrices:
             deriv = self.B[label].with_params(params)
-            blocks = [(t * D, t * D, self.A[label]) for t in range(N)]
+            parts = [(diagonal, self.A[label])]
             if not deriv.is_zero:
-                blocks += [(t * D, (t + 1) * D, deriv.scale(coupling))
-                           for t, coupling in enumerate(couplings)]
-            matrices[label] = PolyMatrix.from_blocks(N * D, N * D, params,
-                                                     blocks)
+                parts += [(shift, deriv if c is None else deriv.scale(c))
+                          for c, shift in shifts.items()]
+            matrices[label] = kronecker_sum(N, self.base.dim, params, parts)
         return matrices
 
 

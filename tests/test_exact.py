@@ -5,14 +5,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
 from superkac.exact import (DeclarationError, ParamPoly,
                             ParameterizedEntryError, PolyMatrix, combination,
                             echelon_insert, extract_rational_roots,
-                            rational_linear_solve, rref)
+                            kronecker_sum, rational_linear_solve, rref)
 
 PARAMS = ("b", "c")
 
@@ -355,6 +355,75 @@ def test_ring_operations_match_entrywise(pair, poly, q, q2):
             expected[pos] = expected.get(pos, zero) + v * coeff
     assert_matches(PolyMatrix.from_blocks(SIZE + 1, SIZE + 1, PARAMS, blocks),
                    expected)
+
+
+@st.composite
+def kronecker_cases(draw):
+    """(size, base_dim, parts) for kronecker_sum.  W entries are ints and
+    Fractions, zeros included, and a part may repeat an earlier B with some
+    W entries negated, so that sums cancel; B is over (b, c) or over (b,)
+    alone, and may be zero."""
+    size, base_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    base_cells = st.tuples(st.integers(0, base_dim - 1),
+                           st.integers(0, base_dim - 1))
+    weights = st.sampled_from([0, 1, -2, 3] + [Fraction(1, 2),
+                              Fraction(-1, 3), Fraction(2, 3), Fraction(-3, 5)])
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        w: dict = {}
+        for (i, j), q in draw(st.dictionaries(cells, weights,
+                                              max_size=4)).items():
+            w.setdefault(i, {})[j] = q
+        B = PolyMatrix(base_dim, base_dim, PARAMS,
+                       draw(st.dictionaries(base_cells, small_polys,
+                                            max_size=4)))
+        if draw(st.booleans()):
+            B = B.coefficient("c", 0).with_params(("b",))
+        parts.append((w, B))
+        if draw(st.booleans()):
+            parts.append(({i: {j: -q for j, q in row.items()
+                               if draw(st.booleans())}
+                           for i, row in w.items()}, B))
+    return size, base_dim, parts
+
+
+def kronecker_blocks(base_dim: int, parts) -> list:
+    """The blocks of sum W (x) B for PolyMatrix.from_blocks."""
+    return [(i * base_dim, j * base_dim, B, q) for w, B in parts
+            for i, row in w.items() for j, q in row.items()]
+
+
+ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
+
+
+@settings(deadline=None, max_examples=120)
+@given(kronecker_cases())
+@example((2, 1, [({}, ONE_BY_ONE)]))                          # empty W
+@example((2, 1, [({0: {1: Fraction(1, 2)}}, ONE_BY_ONE),
+                 ({0: {1: Fraction(-1, 2)}}, ONE_BY_ONE)]))   # cancelling W
+@example((2, 2, [({0: {0: 1}, 1: {0: Fraction(3, 4)}},
+                  PolyMatrix.zeros(2, 2, PARAMS))]))            # zero B
+@example((3, 1, [({0: {2: 2}, 2: {1: Fraction(-2, 5)}}, ONE_BY_ONE),
+                 ({1: {1: 1}}, PolyMatrix(1, 1, PARAMS, {(0, 0): c() * b()}))]))
+def test_kronecker_sum_matches_from_blocks(case):
+    size, base_dim, parts = case
+    got = kronecker_sum(size, base_dim, PARAMS, parts)
+    want = PolyMatrix.from_blocks(size * base_dim, size * base_dim, PARAMS,
+                                  kronecker_blocks(base_dim, parts))
+    assert_canonical(got)
+    assert (got.rows, got.cols, got.params) == (want.rows, want.cols,
+                                                want.params)
+    assert got.terms == want.terms
+
+
+def test_kronecker_sum_rejects_misshapen_factors():
+    with pytest.raises(ValueError):
+        kronecker_sum(2, 2, PARAMS, [({0: {0: 1}}, ONE_BY_ONE)])
+    with pytest.raises(IndexError):
+        kronecker_sum(2, 1, PARAMS, [({0: {2: 1}}, ONE_BY_ONE)])
+    with pytest.raises(IndexError):
+        kronecker_sum(2, 1, PARAMS, [({-1: {0: 1}}, ONE_BY_ONE)])
 
 
 @settings(deadline=None, max_examples=80)

@@ -14,8 +14,7 @@ from superkac.algebra import (GenLabel, SuperAlgebraSpec,
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParameterizedEntryError, ParamPoly, PolyMatrix
 from superkac.kacmod import (_subset_order, induce, kac_typicality,
-                             singular_vectors, wedge_insert, wedge_replace,
-                             weight_spaces)
+                             singular_vectors, weight_spaces)
 from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
 from testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
 
@@ -311,6 +310,44 @@ class TestCharacter:
 
 # -- induction against the block-matrix reference -----------------------------
 
+def wedge_insert(j: int, subset: tuple):
+    """Insert index j into a sorted subset; returns (new_subset, sign) or None."""
+    if j in subset:
+        return None
+    before = sum(1 for s in subset if s < j)
+    new = subset[:before] + (j,) + subset[before:]
+    return new, (-1) ** before
+
+
+def wedge_replace(subset: tuple, position: int, new_index: int):
+    """Replace the generator at one slot and resort; None if it repeats."""
+    rest = subset[:position] + subset[position + 1:]
+    if new_index in rest:
+        return None
+    before = sum(1 for s in rest if s < new_index)
+    new = rest[:before] + (new_index,) + rest[before:]
+    return new, (-1) ** ((position - before) % 2)
+
+
+def test_wedge_insert_signs():
+    assert wedge_insert(2, ()) == ((2,), 1)
+    assert wedge_insert(1, (2, 3)) == ((1, 2, 3), 1)
+    assert wedge_insert(2, (1, 3)) == ((1, 2, 3), -1)
+    assert wedge_insert(4, (1, 2, 3)) == ((1, 2, 3, 4), -1)
+    assert wedge_insert(3, (1, 3)) is None
+
+
+def test_wedge_replace_signs():
+    # v_1 v_2 v_3 with v_1 -> v_4 is v_4 v_2 v_3 = v_2 v_3 v_4
+    assert wedge_replace((1, 2, 3), 0, 4) == ((2, 3, 4), 1)
+    # v_1 v_3 with v_3 -> v_2 keeps its place
+    assert wedge_replace((1, 3), 1, 2) == ((1, 2), 1)
+    # v_2 v_3 with v_3 -> v_1 is v_2 v_1 = -v_1 v_2
+    assert wedge_replace((2, 3), 1, 1) == ((1, 2), -1)
+    assert wedge_replace((1, 2), 1, 2) == ((1, 2), 1)
+    assert wedge_replace((1, 2), 0, 2) is None
+
+
 def reference_induce_core(P: int, params: tuple, base_dim: int,
                           surface_labels, base_mats, adj, uv_exp) -> tuple:
     """The induction that builds every block as a PolyMatrix sum, one
@@ -415,7 +452,8 @@ def assert_same_induction(got, want):
 DIFFERENTIAL_CASES = (
     [(cfg["flavor"], cfg["m"], cfg["n"], (0,) * (cfg["m"] + cfg["n"] - 2))
      for cfg in ALGEBRA_CONFIGS]
-    + [("sl", 3, 1, (2, 1)), ("gl", 2, 1, (1,)), ("gl", 3, 1, (1, 0))])
+    + [("sl", 3, 1, (2, 1)), ("gl", 2, 1, (1,)), ("gl", 3, 1, (1, 0)),
+       ("sl", 3, 2, (0, 0, 0)), ("sl", 4, 2, (0, 0, 0, 0))])
 
 
 @pytest.mark.parametrize("flavor,m,n,a", DIFFERENTIAL_CASES,
@@ -435,17 +473,22 @@ def test_induce_matches_block_matrix_reference(flavor, m, n, a, monkeypatch):
         assert any(mat.degree("c") for mat in K.matrices.values())
 
 
-@pytest.mark.parametrize("nu", [(1, 0), (2, Fraction(-1, 3))])
-def test_heisenberg_induction_matches_block_matrix_reference(nu, monkeypatch):
-    rep = build_fundamental_rep(SuperAlgebraSpec(2, 1, "gl"))
+@pytest.mark.parametrize("flavor,m,n,a,twist_n,nu", [
+    ("gl", 2, 1, (1,), 3, (1, 0)),
+    ("gl", 2, 1, (1,), 3, (2, Fraction(-1, 3))),
+    ("sl", 3, 2, (1, 0, 0), 2, (Fraction(3, 2),)),
+], ids=["nu0", "nu1", "sl32-n2"])
+def test_heisenberg_induction_matches_block_matrix_reference(
+        flavor, m, n, a, twist_n, nu, monkeypatch):
+    rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    K = induce(build_even_irrep(rep.datum, (1,), sc), rep.datum, sc)
+    K = induce(build_even_irrep(rep.datum, a, sc), rep.datum, sc)
     H = heisenberg.build_heisenberg(sc)
-    spec = TwistSpec(3, nu)
+    spec = TwistSpec(twist_n, nu)
     got = heisenberg.induce_heisenberg(H, K.L.dim, spec, K.params)
     monkeypatch.setattr(heisenberg, "induce_core", reference_induce_core)
     want = heisenberg.induce_heisenberg(H, K.L.dim, spec, K.params)
-    assert len(got[0]) == 2 ** K.odd_count * 3 * K.L.dim
+    assert len(got[0]) == 2 ** K.odd_count * twist_n * K.L.dim
     assert_same_induction(got, want)
 
 
