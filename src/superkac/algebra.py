@@ -18,9 +18,10 @@ Conventions fixed here and used everywhere downstream:
 * Structure constants are extracted from the fundamental representation,
   over the full basis obtained by closing the simple raising/lowering
   generators under iterated commutators.  Each root vector is one
-  off-diagonal entry, so its coefficient is read off its slot; the
-  diagonal is solved against the Cartan labels as the RREF of the
-  augmented matrix (``exact.rref``).
+  off-diagonal entry, a matrix unit up to scale, so each bracket is read
+  off matrix units and only root pairs that meet at an index are
+  bracketed; a diagonal is solved against the Cartan labels by a left
+  inverse, from one RREF of [A | I] per table (``exact.rref``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
@@ -425,11 +427,16 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
     """The superbracket table of the fundamental representation.
 
     Every root vector is one off-diagonal entry x at a slot (r, c) of its
-    own, so the coefficient of a root label in a bracket is the bracket's
-    entry at that slot over x.  The Cartan labels are diagonal, and their
-    diagonals are the columns of a dim x (rank + 1) (sl) or dim x (rank + 2)
-    (gl) matrix A of full column rank.  The diagonal d of a bracket is
-    solved by the RREF of [A | d].
+    own, and the Cartan labels are diagonal: their diagonals are the
+    columns of a dim x (rank + 1) (sl) or dim x (rank + 2) (gl) matrix A of
+    full column rank.  So each bracket is read off matrix units:
+    [x E_rc, x' E_r'c'} = x x' (δ_cr' E_rc' ∓ δ_c'r E_r'c) meets only the
+    roots that start at c or end at r, and a Cartan label D scales E_rc by
+    D_r − D_c.  One RREF of [A | I] gives a left inverse of A, whose
+    product with a diagonal d holds d's coefficients, and the annihilator
+    rows, which vanish on d iff d lies in the span of A.  Each unordered
+    pair is computed once, over integers, and its mirror written with the
+    graded sign; the table lists its pairs in basis order.
     """
     spec, datum = rep.spec, rep.datum
     basis, recipes = _full_basis(spec, datum)
@@ -437,19 +444,18 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
     parity = {lab: parity_of(lab) for lab in basis}
     dim = spec.dim_fund
 
-    rows = []                         # per basis position: {r: {c: x}}
-    slots = {}                        # (r, c) off the diagonal -> (position, x)
-    cartan_pos = []                   # positions of the diagonal labels
+    roots = []                        # (position, r, c, numerator, denominator)
+    slots = {}                        # (r, c) off the diagonal -> its root
+    cartan = []                       # (position, {i: numerator}, denominator)
     cartan_rows = [{} for _ in range(dim)]  # row i of A = [Cartan diagonals]
     for pos, lab in enumerate(basis):
         entries = mats[lab].rational_entries()
-        rows.append({})
-        for (r, c), x in entries.items():
-            rows[pos].setdefault(r, {})[c] = x
         if all(r == c for r, c in entries):
+            den = lcm(*(x.denominator for x in entries.values()))
             for (i, _), x in entries.items():
-                cartan_rows[i][len(cartan_pos)] = x
-            cartan_pos.append(pos)
+                cartan_rows[i][len(cartan)] = x
+            cartan.append((pos, {i: x.numerator * (den // x.denominator)
+                                 for (i, _), x in entries.items()}, den))
             continue
         if len(entries) != 1:
             raise InternalConsistencyError(
@@ -458,46 +464,90 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
         if slot in slots:
             raise InternalConsistencyError(
                 f"{lab} shares the entry {slot} with {basis[slots[slot][0]]}")
-        slots[slot] = (pos, x)
-    width = len(cartan_pos)
-    if len(rref(cartan_rows)[0]) != width:
+        slots[slot] = (pos, *slot, x.numerator, x.denominator)
+        roots.append(slots[slot])
+    width = len(cartan)
+    # the RREF of [A | I] is [I | L] over [0 | N]: L A = I and N A = 0
+    pivots, reduced = rref({**row, width + i: 1}
+                           for i, row in enumerate(cartan_rows))
+    if pivots[:width] != list(range(width)):
         raise InternalConsistencyError("the Cartan labels are linearly dependent")
 
-    table = {}
-    for (la, ra), (lb, rb) in itertools.product(zip(basis, rows), repeat=2):
-        sign = 1 if (parity[la] and parity[lb]) else -1
-        bracket: dict = {}
-        for left, right, s in ((ra, rb, 1), (rb, ra, sign)):
-            for r, row in left.items():
-                for k, x in row.items():
-                    for c, y in right.get(k, {}).items():
-                        bracket[(r, c)] = bracket.get((r, c), 0) + s * x * y
-        expansion = {}                # basis position -> coefficient
-        diagonal = [0] * dim
-        for (r, c), value in bracket.items():
-            if not value:
-                continue
-            if r == c:
-                diagonal[r] = value
-            elif (r, c) in slots:
-                pos, x = slots[(r, c)]
-                expansion[pos] = value / x
+    def integer_rows(rows) -> tuple:
+        """(den, [{i: int}]): the I part of the rows over one denominator."""
+        den = lcm(*(x.denominator for row in rows for x in row.values()))
+        return den, [{c - width: x.numerator * (den // x.denominator)
+                      for c, x in row.items() if c >= width} for row in rows]
+
+    scale, left = integer_rows(reduced[:width])
+    _, annihilator = integer_rows(reduced[width:])
+
+    def solve(vec: dict, den: int):
+        """[(position, numerator, denominator)] of the diagonal vec / den
+        over the Cartan labels, or None outside their span."""
+        if any(sum(row.get(i, 0) * v for i, v in vec.items())
+               for row in annihilator):
+            return None
+        terms = []
+        for (pos, _, _), row in zip(cartan, left):
+            num = sum(row.get(i, 0) * v for i, v in vec.items())
+            if num:
+                terms.append((pos, num, den * scale))
+        return terms
+
+    fractions: dict = {}              # (numerator, denominator) -> Fraction
+    brackets = [{} for _ in basis]    # position -> {position: expansion}
+
+    def put(i: int, j: int, s: int, terms) -> None:
+        """[b_i, b_j} = sum num / den b_t and [b_j, b_i} = s times that,
+        both None where the bracket leaves the basis."""
+        if terms is None:
+            brackets[i][j] = brackets[j][i] = None
+            return
+        for row, col, sign in ((i, j, 1), (j, i, s)):
+            expansion = brackets[row][col] = {}
+            for t, num, den in terms:
+                key = (sign * num, den)
+                if key not in fractions:
+                    fractions[key] = Fraction(*key)
+                expansion[t] = fractions[key]
+
+    # The Cartan labels h, y (and z0) are even, so Cartan x Cartan is 0 and
+    # Cartan x root the weight difference.  An odd label on the diagonal is
+    # a root moved off its slot, and the roots that meet there do not close.
+    for p, diag, den in cartan:
+        for q, r, c, _, _ in roots:
+            num = diag.get(r, 0) - diag.get(c, 0)
+            if num:
+                put(p, q, -1, [(q, num, den)])
+
+    # every pair that meets is found once from its left factor x E_rc,
+    # among the roots y E_cc2 that start at c, and a transposed pair
+    # (c2 = r) from both of its factors
+    starting = {}                     # row r -> the roots there
+    for root in roots:
+        starting.setdefault(root[1], []).append(root)
+    odd = [parity[lab] for lab in basis]
+    for p, r, c, xn, xd in roots:
+        for q, _, c2, yn, yd in starting.get(c, ()):
+            s = 1 if (odd[p] and odd[q]) else -1
+            if c2 == r:
+                if p < q:
+                    put(p, q, s, solve({r: xn * yn, c: s * xn * yn}, xd * yd))
+            elif (r, c2) in slots:
+                t, _, _, zn, zd = slots[(r, c2)]
+                put(p, q, s, [(t, xn * yn * zd, xd * yd * zn)])
             else:
+                put(p, q, s, None)
+
+    table = {}
+    for la, row in zip(basis, brackets):
+        for j in sorted(row):
+            if row[j] is None:
                 raise InternalConsistencyError(
-                    f"superbracket [{la}, {lb}] does not close on the basis")
-        if any(diagonal):
-            # the RREF of [A | diagonal]: consistent iff its last column has
-            # no pivot, and then that column holds the coefficients
-            pivots, reduced = rref({**row, width: x} if x else row
-                                   for row, x in zip(cartan_rows, diagonal))
-            if width in pivots:
-                raise InternalConsistencyError(
-                    f"superbracket [{la}, {lb}] does not close on the basis")
-            expansion.update((pos, row[width]) for pos, row
-                             in zip(cartan_pos, reduced) if width in row)
-        if expansion:
-            table[(la, lb)] = {basis[pos]: expansion[pos]
-                               for pos in sorted(expansion)}
+                    f"superbracket [{la}, {basis[j]}] does not close on the "
+                    "basis")
+            table[(la, basis[j])] = {basis[t]: v for t, v in row[j].items()}
 
     ylab = GenLabel("y")
     grade = {}

@@ -5,17 +5,21 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superkac import algebra
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
-                              SuperAlgebraSpec, _full_basis,
-                              build_fundamental_rep, build_root_datum,
-                              check_super_relations, extend_matrices,
-                              grading_report, parity_of, sbracket,
-                              structure_constants, super_jacobi_report,
-                              supertrace, typicality_factors,
-                              weight_eval, weight_from_labels)
+                              StructureConstants, SuperAlgebraSpec,
+                              _full_basis, build_fundamental_rep,
+                              build_root_datum, check_super_relations,
+                              extend_matrices, grading_report, parity_of,
+                              sbracket, structure_constants,
+                              super_jacobi_report, supertrace,
+                              typicality_factors, weight_eval,
+                              weight_from_labels)
 from dense_oracles import ExactSolver
-from superkac.exact import ParamPoly, PolyMatrix, combination
+from superkac.exact import ParamPoly, PolyMatrix, combination, rref
 
 
 def make(flavor, m, n):
@@ -213,9 +217,163 @@ def reference_structure_constants(rep) -> dict:
     return table
 
 
+def loop_structure_constants(rep) -> StructureConstants:
+    """The superbracket table by the all-pairs loop ``structure_constants``
+    replaced: every ordered basis pair is multiplied entry by entry in
+    Fractions, root coefficients are read off their slots, and each
+    diagonal d is solved against the Cartan labels by the RREF of [A | d].
+    """
+    spec, datum = rep.spec, rep.datum
+    basis, recipes = _full_basis(spec, datum)
+    mats = extend_matrices(rep.matrices, recipes)
+    parity = {lab: parity_of(lab) for lab in basis}
+    dim = spec.dim_fund
+
+    rows = []                         # per basis position: {r: {c: x}}
+    slots = {}                        # (r, c) off the diagonal -> (position, x)
+    cartan_pos = []                   # positions of the diagonal labels
+    cartan_rows = [{} for _ in range(dim)]  # row i of A = [Cartan diagonals]
+    for pos, lab in enumerate(basis):
+        entries = mats[lab].rational_entries()
+        rows.append({})
+        for (r, c), x in entries.items():
+            rows[pos].setdefault(r, {})[c] = x
+        if all(r == c for r, c in entries):
+            for (i, _), x in entries.items():
+                cartan_rows[i][len(cartan_pos)] = x
+            cartan_pos.append(pos)
+            continue
+        if len(entries) != 1:
+            raise InternalConsistencyError(
+                f"{lab} is neither diagonal nor one off-diagonal entry")
+        (slot, x), = entries.items()
+        if slot in slots:
+            raise InternalConsistencyError(
+                f"{lab} shares the entry {slot} with {basis[slots[slot][0]]}")
+        slots[slot] = (pos, x)
+    width = len(cartan_pos)
+    if len(rref(cartan_rows)[0]) != width:
+        raise InternalConsistencyError("the Cartan labels are linearly dependent")
+
+    table = {}
+    for (la, ra), (lb, rb) in itertools.product(zip(basis, rows), repeat=2):
+        sign = 1 if (parity[la] and parity[lb]) else -1
+        bracket: dict = {}
+        for left, right, s in ((ra, rb, 1), (rb, ra, sign)):
+            for r, row in left.items():
+                for k, x in row.items():
+                    for c, y in right.get(k, {}).items():
+                        bracket[(r, c)] = bracket.get((r, c), 0) + s * x * y
+        expansion = {}                # basis position -> coefficient
+        diagonal = [0] * dim
+        for (r, c), value in bracket.items():
+            if not value:
+                continue
+            if r == c:
+                diagonal[r] = value
+            elif (r, c) in slots:
+                pos, x = slots[(r, c)]
+                expansion[pos] = value / x
+            else:
+                raise InternalConsistencyError(
+                    f"superbracket [{la}, {lb}] does not close on the basis")
+        if any(diagonal):
+            # the RREF of [A | diagonal]: consistent iff its last column has
+            # no pivot, and then that column holds the coefficients
+            pivots, reduced = rref({**row, width: x} if x else row
+                                   for row, x in zip(cartan_rows, diagonal))
+            if width in pivots:
+                raise InternalConsistencyError(
+                    f"superbracket [{la}, {lb}] does not close on the basis")
+            expansion.update((pos, row[width]) for pos, row
+                             in zip(cartan_pos, reduced) if width in row)
+        if expansion:
+            table[(la, lb)] = {basis[pos]: expansion[pos]
+                               for pos in sorted(expansion)}
+
+    ylab = GenLabel("y")
+    grade = {}
+    for lab in basis:
+        exp = table.get((ylab, lab), {})
+        if any(other != lab for other in exp):
+            raise InternalConsistencyError(f"[y, {lab}] is not diagonal in the basis")
+        grade[lab] = exp.get(lab, Fraction(0))
+
+    d = {}
+    k = None
+    P = spec.odd_count
+    for i in range(1, P + 1):
+        for j in range(1, P + 1):
+            exp = table.get((GenLabel("u", i), GenLabel("v", j)), {})
+            d[(i, j)] = exp
+            ycoeff = exp.get(ylab, Fraction(0))
+            if i == j:
+                if k is None:
+                    k = ycoeff
+                elif ycoeff != k:
+                    raise InternalConsistencyError(
+                        "hypercharge coefficient of {u_i, v_i} is not uniform")
+            elif ycoeff != 0:
+                raise InternalConsistencyError(
+                    "{u_i, v_j} has a hypercharge part off the diagonal")
+    if k is None or k == 0:
+        # happens exactly for gl(n|n): the odd Cartan element falls into the
+        # span of the semisimple part and the centre, so the odd label is
+        # not an independent parameter and the whole construction degenerates
+        raise InputError(
+            f"{spec} has a vanishing hypercharge coefficient in the odd "
+            "contraction; modules with a free odd label need m != n")
+
+    return StructureConstants(
+        spec=spec, datum=datum, basis=tuple(basis), parity=parity, grade=grade,
+        fundamental=mats, recipes=recipes, table=table, k=k, d=d)
+
+
 ORACLE_ALGEBRAS = (("sl", 2, 1), ("gl", 2, 1), ("gl", 1, 2), ("sl", 3, 1),
                    ("sl", 4, 1), ("gl", 2, 3), ("sl", 3, 2), ("sl", 4, 2),
                    ("sl", 8, 1))
+
+
+LOOP_ALGEBRAS = ORACLE_ALGEBRAS + (("gl", 4, 3), ("gl", 3, 2), ("sl", 1, 3),
+                                   ("sl", 5, 2), ("sl", 6, 1))
+
+
+def table_items(table) -> list:
+    """The table in key order, each expansion in its order, with the type
+    of every value."""
+    return [(key, [(t, c, type(c)) for t, c in exp.items()])
+            for key, exp in table.items()]
+
+
+@pytest.mark.parametrize("flavor, m, n", LOOP_ALGEBRAS)
+def test_structure_constants_match_all_pairs_loop(flavor, m, n):
+    rep, sc = make(flavor, m, n)
+    want = loop_structure_constants(rep)
+    assert table_items(sc.table) == table_items(want.table)
+    assert (sc.grade, sc.k, sc.d) == (want.grade, want.k, want.d)
+    assert sc.recipes == want.recipes
+    assert sc.generators == want.generators
+
+
+def test_one_rref_per_table(monkeypatch):
+    """One RREF of [A | I] serves every diagonal of the table, and the only
+    ``combination`` calls build the nonsimple root vectors from their
+    recipes."""
+    rep = build_fundamental_rep(SuperAlgebraSpec(3, 2, "gl"))
+    calls = {"rref": 0, "combination": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "rref", counted("rref", rref))
+    monkeypatch.setattr(algebra, "combination",
+                        counted("combination", combination))
+    sc = structure_constants(rep)
+    assert sc.recipes
+    assert calls == {"rref": 1, "combination": len(sc.recipes)}
 
 
 @pytest.mark.parametrize("flavor, m, n", ORACLE_ALGEBRAS)
@@ -239,6 +397,68 @@ def with_matrix(rep, label, entries):
     mat = PolyMatrix(rep.dim, rep.dim, (),
                      {pos: ParamPoly.const((), x) for pos, x in entries.items()})
     return dataclasses.replace(rep, matrices={**rep.matrices, label: mat})
+
+
+PERTURBED_REPS = tuple(make(*alg)[0] for alg in (
+    ("sl", 2, 1), ("gl", 2, 1), ("gl", 1, 2), ("sl", 3, 1), ("sl", 2, 3)))
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def outcome(build, rep):
+    """The table, grades, k and d that build(rep) gives, or the type and
+    message of the consistency error it raises."""
+    try:
+        sc = build(rep)
+    except (InternalConsistencyError, InputError) as exc:
+        return type(exc), str(exc)
+    return table_items(sc.table), sc.grade, sc.k, sc.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_perturbed_fundamental_matches_all_pairs_loop(data):
+    """Fundamental representations with one matrix perturbed give the
+    all-pairs loop's table, or its error message."""
+    rep = data.draw(st.sampled_from(PERTURBED_REPS))
+    entries = {lab: mat.rational_entries()
+               for lab, mat in sorted(rep.matrices.items())}
+    cartan = [lab for lab, ent in entries.items()
+              if all(r == c for r, c in ent)]
+    roots = [lab for lab in entries if lab not in cartan]
+    cells = list(itertools.product(range(rep.dim), repeat=2))
+    kind = data.draw(st.sampled_from(
+        ("scale", "move", "stray", "dependent", "fraction")))
+    if kind in ("scale", "move"):
+        label = data.draw(st.sampled_from(roots))
+        (slot, x), = entries[label].items()
+        if kind == "scale":
+            new = {slot: x * data.draw(
+                RATIONALS.filter(lambda q: q not in (0, 1, -1)))}
+        else:
+            new = {data.draw(st.sampled_from(
+                [cell for cell in cells if cell != slot])): x}
+    elif kind == "stray":
+        label = data.draw(st.sampled_from(list(entries)))
+        cell = data.draw(st.sampled_from(
+            [cell for cell in cells if cell not in entries[label]]))
+        new = {**entries[label], cell: data.draw(RATIONALS.filter(bool))}
+    elif kind == "dependent":
+        label = data.draw(st.sampled_from(cartan))
+        new = {}
+        for other in cartan:
+            if other != label:
+                q = data.draw(RATIONALS)
+                for cell, x in entries[other].items():
+                    new[cell] = new.get(cell, 0) + q * x
+    else:
+        label = data.draw(st.sampled_from(cartan))
+        q = data.draw(RATIONALS.filter(lambda q: q.denominator > 1))
+        t = data.draw(RATIONALS)
+        new = {(i, i): q * entries[label].get((i, i), 0) + t
+               for i in range(rep.dim)}
+    rep = with_matrix(rep, label, {cell: x for cell, x in new.items() if x})
+    assert outcome(structure_constants, rep) == \
+        outcome(loop_structure_constants, rep)
 
 
 class TestRootSlotExtraction:
