@@ -588,12 +588,15 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
 
 
 def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
-    """Exact graded Jacobi identity on every basis triple, checked as "ad is
-    a representation" by the relation checker.
+    """Exact graded Jacobi identity with the verdict of every basis triple,
+    checked as "ad is a representation" by the relation checker on the
+    pairs that contain a label of ``sc.generators``.
 
     With ad_a[t, c] = table[(a, c)][t], column c of
-    [ad_a, ad_b} - sum_t f_ab^t ad_t is the Jacobi defect of the triple
-    (a, b, c): [a,[b,c]] - (-1)^{|a||b|}[b,[a,c]] - [[a,b],c].
+    [ad_a, ad_b} - sum_t f_ab^t ad_t is the Jacobi defect J(a, b, c) =
+    [a,[b,c]] - (-1)^{|a||b|}[b,[a,c]] - [[a,b],c].  The generator pairs
+    decide every triple with no Jacobi premise (see ``bracket_violations``,
+    the ad case), so a defect anywhere fails the check.
     """
     index = {lab: i for i, lab in enumerate(sc.basis)}
     entries = {lab: {} for lab in sc.basis}
@@ -602,15 +605,15 @@ def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
             entries[a][(index[t], index[c])] = coeff
     dim = len(sc.basis)
     ad = {lab: PolyMatrix(dim, dim, (), entries[lab]) for lab in sc.basis}
-    # the generator-pair lemma assumes super-Jacobi, so every pair is checked
     violations = bracket_violations(
-        sc.basis, sc.basis, sc.parity, sc.table,
+        sc.basis, sc.generators, sc.parity, sc.table,
         lambda la, lb, pa, pb: sbracket(pa, pb, ad[la], ad[lb]), ad)
     report = VerificationReport(f"super-Jacobi identity for {sc.spec}")
     if violations:
         (a, b), ((t, c), val) = violations[0]
         report.add_fail(
-            f"graded Jacobi on all triples ({len(violations)} violating pairs)",
+            f"graded Jacobi on all triples ({len(violations)} violating "
+            "generator pairs)",
             f"triple ({a},{b},{sc.basis[c]}) target {sc.basis[t]}", str(val))
     else:
         report.add_pass(f"graded Jacobi on all {dim}^3 triples")
@@ -653,6 +656,16 @@ def bracket_violations(labels: Sequence[GenLabel],
     and in End V, and that subalgebra contains X.  So a caller passes a
     generating set (``StructureConstants.generators``) only for a table
     that satisfies super-Jacobi, and the full ``labels`` otherwise.
+
+    The one exception is rho = ad of the table itself, the super-Jacobi
+    check, which needs no Jacobi premise for any bilinear table.  The
+    residual of (a, b) has column c equal to J(a, b, c), so the a with
+    J(a, ., .) = 0 are those whose ad_a is a graded derivation of the
+    bracket.  For two such a1, a2, J(a1, a2, .) = 0 gives
+    ad_[a1,a2] = [ad_a1, ad_a2}, and the graded commutator of two graded
+    derivations is one: these a form a subalgebra, which contains X.  As
+    X generates through iterated table brackets plus its completion, the
+    generator pairs give the verdict of all triples.
 
     The bracket must be graded-antisymmetric, [b, a] = -(-1)^{|a||b|} [a, b],
     as every matrix superbracket and sum of them is.  Then wherever the

@@ -120,8 +120,15 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     JobConfig defaults."""
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except OSError as err:
+            raise InputError(f"config {args.config!r} cannot be read: "
+                             f"{err.strerror or err}") from None
+        except ValueError as err:
+            raise InputError(f"config {args.config!r} is not valid JSON: "
+                             f"{err}") from None
         if not isinstance(raw, dict):
             raise InputError("config must be a JSON object of JobConfig fields")
         known = {f.name for f in fields(JobConfig)}
@@ -194,16 +201,25 @@ def _build_stack(cfg: JobConfig):
     return spec, rep, sc, K
 
 
+def _write(field: str, data: dict, path: str) -> None:
+    """Write data to the path given in a config field, naming the field if
+    the path cannot be written."""
+    try:
+        jsonio.export_json(data, path)
+    except OSError as err:
+        raise InputError(f"{field} {path!r} cannot be written: "
+                         f"{err.strerror or err}") from None
+    print(f"wrote {path}")
+
+
 def _emit(cfg: JobConfig, module, report: VerificationReport | None) -> None:
     if module is not None and cfg.out:
-        jsonio.export_json(jsonio.module_to_json(module, cfg.bindings() or None),
-                           cfg.out)
-        print(f"wrote {cfg.out}")
+        _write("out", jsonio.module_to_json(module, cfg.bindings() or None),
+               cfg.out)
     if report is not None:
         print(report.summary())
         if cfg.report:
-            jsonio.export_json(jsonio.report_to_json(report), cfg.report)
-            print(f"wrote {cfg.report}")
+            _write("report", jsonio.report_to_json(report), cfg.report)
 
 
 def _block_relations(module) -> VerificationReport:
@@ -352,6 +368,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the job does not fit in memory; reduce its size "
+              "fields (N, n-twist, labels)", file=sys.stderr)
         return 2
 
 

@@ -333,15 +333,21 @@ def _accumulate_product(acc: dict, left: dict, right: dict,
 
 def _reduced(den: int, acc: dict):
     """The canonical term (den, rows) of the matrix acc / den: zeros and
-    empty rows dropped, then one gcd pass to lowest terms.  None if zero."""
+    empty rows dropped, then one gcd pass to lowest terms.  None if zero.
+
+    An all-zero row is dropped, and only a row that holds a zero is
+    rebuilt; the other rows of acc are kept as they are, so acc must own
+    them."""
     rows = {}
     g = den
     for r, row in acc.items():
-        row = {c: x for c, x in row.items() if x}
-        if row:
-            rows[r] = row
-            if g != 1:
-                g = gcd(g, *row.values())
+        if not any(row.values()):
+            continue
+        if 0 in row.values():
+            row = {c: x for c, x in row.items() if x}
+        rows[r] = row
+        if g != 1:
+            g = gcd(g, *row.values())
     if not rows:
         return None
     if g != 1:

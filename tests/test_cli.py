@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from superkac import jsonio
+from superkac import cli, jsonio
 from superkac.algebra import (SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.cli import main
@@ -112,6 +112,41 @@ class TestConfigValidation:
         assert err.startswith("error: c ")
         assert main([action, "--algebra", "gl", "--b", "5/7",
                      "--c", "3/11"]) == 0
+
+
+class TestFieldNamedErrors:
+    """A path that cannot be read or written exits 2 with a message that
+    starts with the field it came from."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        assert main(["build", "--config", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: config ")
+
+    def test_malformed_config(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text('{"m": 2,')
+        assert main(["build", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("field", ["out", "report"])
+    def test_unwritable_path(self, tmp_path, capsys, field):
+        assert main(["verify" if field == "report" else "build",
+                     f"--{field}", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
+        assert "Is a directory" in err
+
+    def test_memory_error_names_the_size_fields(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.mat, "replicate", exhausted)
+        assert main(["replicate", "--N", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "size fields (N, n-twist, labels)" in err
 
 
 class TestNegativeFlagValues:

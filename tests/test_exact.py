@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
 from superkac.exact import (DeclarationError, ParamPoly,
-                            ParameterizedEntryError, PolyMatrix, combination,
-                            echelon_insert, extract_rational_roots,
-                            kronecker_sum, rational_linear_solve, rref)
+                            ParameterizedEntryError, PolyMatrix, _reduced,
+                            combination, echelon_insert,
+                            extract_rational_roots, kronecker_sum,
+                            rational_linear_solve, rref)
 
 PARAMS = ("b", "c")
 
@@ -415,6 +416,55 @@ def test_kronecker_sum_matches_from_blocks(case):
     assert (got.rows, got.cols, got.params) == (want.rows, want.cols,
                                                 want.params)
     assert got.terms == want.terms
+
+
+def reduced_by_comprehension(den: int, acc: dict):
+    """The canonical term of acc / den with every row rebuilt: the
+    reference for ``exact._reduced``, which rebuilds only rows that hold a
+    zero."""
+    rows = {}
+    g = den
+    for r, row in acc.items():
+        row = {c: x for c, x in row.items() if x}
+        if row:
+            rows[r] = row
+            if g != 1:
+                g = math.gcd(g, *row.values())
+    if not rows:
+        return None
+    if g != 1:
+        den //= g
+        rows = {r: {c: x // g for c, x in row.items()}
+                for r, row in rows.items()}
+    return den, rows
+
+
+accumulators = st.dictionaries(
+    st.integers(0, 6),
+    st.dictionaries(st.integers(0, 6),
+                    st.one_of(st.just(0), st.integers(-12, 12)),
+                    max_size=5),
+    max_size=5)
+
+
+def ordered(term):
+    """A term with its row and column order spelled out."""
+    if term is None:
+        return None
+    den, rows = term
+    return den, [(r, list(row.items())) for r, row in rows.items()]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12), accumulators)
+@example(1, {0: {0: 0, 3: 2}, 2: {1: 0}, 4: {2: -4, 5: 6}})   # den = 1
+@example(6, {0: {1: 0, 2: 0}, 1: {}, 3: {0: 0}})              # all-zero rows
+@example(6, {0: {1: 2, 2: -4}, 5: {0: 8}})                    # zero-free
+@example(4, {1: {0: 0, 2: 6}, 2: {3: 2, 4: 0, 5: -10}})       # zero entries
+def test_reduced_matches_the_comprehension_reference(den, acc):
+    want = reduced_by_comprehension(den, acc)
+    got = _reduced(den, {r: dict(row) for r, row in acc.items()})
+    assert ordered(got) == ordered(want)
 
 
 def test_kronecker_sum_rejects_misshapen_factors():

@@ -10,12 +10,14 @@ pass/fail verdict must equal that of the unfiltered reference, on true
 modules and on every corrupted one.
 
 Super-Jacobi, which the checker verifies as "ad is a representation" on
-all pairs, is compared with the per-triple loop that expands every triple
-through the table.
+the generator pairs, is compared with the per-triple loop that expands
+every triple through the table: its pairs must equal the loop's violating
+pairs that contain a generator, and its verdict that of all triples.
 """
 
 import dataclasses
 import itertools
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -346,6 +348,32 @@ def test_one_combination_per_computed_pair(monkeypatch):
     assert calls == {"bracket": computed, "combination": computed}
 
 
+def test_one_bracket_per_computed_jacobi_generator_pair(monkeypatch):
+    """super_jacobi_report brackets the ad matrices of the generator pairs
+    only: a return to all n^2 pairs makes more calls."""
+    sc = stack_sc("sl", 3, 1)
+    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+    calls = {"bracket": 0, "combination": 0}
+
+    def counted_bracket(*args):
+        calls["bracket"] += 1
+        return sbracket(*args)
+
+    def counted(terms):
+        calls["combination"] += 1
+        return combination(terms)
+
+    monkeypatch.setattr(algebra, "sbracket", counted_bracket)
+    monkeypatch.setattr(algebra, "combination", counted)
+    assert super_jacobi_report(sc).ok
+    computed = sum(1 for la, lb in itertools.product(sc.basis, repeat=2)
+                   if order[la] <= order[lb]
+                   and (la in sc.generators or lb in sc.generators))
+    n = len(sc.basis)
+    assert computed < n * (n + 1) // 2
+    assert calls == {"bracket": computed, "combination": computed}
+
+
 # -- the generating set --------------------------------------------------------
 
 
@@ -483,10 +511,11 @@ class TestAntisymmetryGuard:
 # -- super-Jacobi against the per-triple loop ----------------------------------
 
 
-def ref_jacobi_defects(sc) -> dict:
+def ref_jacobi_defects(sc, first_only=False) -> dict:
     """{(a, b, c): {target: coeff}} of the nonzero defects
     [[a,b],c] + (-1)^{|a||b|}[b,[a,c]] - [a,[b,c]], with [[a,b],c] taken
-    as -(-1)^{|ab||c|}[c,[a,b]], every bracket read from the table."""
+    as -(-1)^{|ab||c|}[c,[a,b]], every bracket read from the table; or
+    only the first."""
 
     def bracket_combo(lab, combo):
         out = {}
@@ -516,6 +545,8 @@ def ref_jacobi_defects(sc) -> dict:
         diff = {t: cf for t, cf in diff.items() if cf != 0}
         if diff:
             defects[(a, b, c)] = diff
+            if first_only:
+                break
     return defects
 
 
@@ -582,10 +613,13 @@ BOTH_ORDERS = [case for flavor, m, n in (("gl", 2, 1), ("sl", 2, 1))
 @pytest.mark.parametrize("name,sc", BOTH_ORDERS,
                          ids=[name for name, _ in BOTH_ORDERS])
 def test_both_order_corruptions_give_the_same_pairs(name, sc, monkeypatch):
+    """The checker's pairs are the per-triple loop's violating pairs that
+    contain a label of the corrupted table's own generating set."""
     defects = ref_jacobi_defects(sc)
     report, violations = jacobi_check(sc, monkeypatch)
     order = {lab: i for i, lab in enumerate(sc.basis)}
-    ref_pairs = sorted({(a, b) for a, b, _ in defects},
+    ref_pairs = sorted({(a, b) for a, b, _ in defects
+                        if a in sc.generators or b in sc.generators},
                        key=lambda pair: (order[pair[0]], order[pair[1]]))
     assert [pair for pair, _ in violations] == ref_pairs
     if not ref_pairs:
@@ -593,7 +627,7 @@ def test_both_order_corruptions_give_the_same_pairs(name, sc, monkeypatch):
         return
     (item,) = report.items
     assert item.name == (f"graded Jacobi on all triples "
-                         f"({len(ref_pairs)} violating pairs)")
+                         f"({len(ref_pairs)} violating generator pairs)")
     # the locator names a failing triple, its target and residual; the
     # checker's residual is the reference defect with the opposite sign
     (a, b), ((t, c), _) = violations[0]
@@ -628,4 +662,26 @@ def test_one_order_corruptions_fail_both(name, sc, monkeypatch):
     (item,) = report.items
     assert not item.passed
     assert item.name == (f"graded Jacobi on all triples "
-                         f"({len(violations)} violating pairs)")
+                         f"({len(violations)} violating generator pairs)")
+
+
+def sampled_both_orders(flavor, m, n, count, seed) -> list:
+    cases = list(both_orders(stack_sc(flavor, m, n)))
+    return random.Random(seed).sample(cases, count)
+
+
+VERDICT_CASES = (BOTH_ORDERS + ONE_ORDER
+                 + sampled_both_orders("sl", 3, 1, 20, seed=31)
+                 + sampled_both_orders("gl", 2, 3, 20, seed=23))
+
+
+@pytest.mark.parametrize("name,sc", VERDICT_CASES,
+                         ids=[name for name, _ in VERDICT_CASES])
+def test_jacobi_verdict_is_that_of_all_triples(name, sc, monkeypatch):
+    """The generator pairs fail iff some triple has a defect: ad_a is a
+    graded derivation for a subalgebra of labels a, with no Jacobi
+    premise, so a table that passes on the generator pairs passes on all
+    triples."""
+    report, violations = jacobi_check(sc, monkeypatch)
+    has_defect = bool(ref_jacobi_defects(sc, first_only=True))
+    assert bool(violations) == (not report.ok) == has_defect
