@@ -8,7 +8,9 @@ Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -201,6 +203,23 @@ def _build_stack(cfg: JobConfig):
     return spec, rep, sc, K
 
 
+def _check_writable(field: str, path: str) -> None:
+    """Refuse, before the job runs, a path that cannot be written: a
+    directory, or a file whose directory is missing or not writable.  The
+    file is not opened, so a job that fails leaves an old file as it was."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise InputError(f"{field} {path!r} cannot be written: "
+                     f"{os.strerror(code)}")
+
+
 def _write(field: str, data: dict, path: str) -> None:
     """Write data to the path given in a config field, naming the field if
     the path cannot be written."""
@@ -234,6 +253,12 @@ def _block_relations(module) -> VerificationReport:
 
 def run(cfg: JobConfig) -> int:
     bindings = cfg.bindings()
+    # build and export write only --out, the other verbs --report and,
+    # except verify and typicality, --out
+    if cfg.out and cfg.action not in ("verify", "typicality"):
+        _check_writable("out", cfg.out)
+    if cfg.report and cfg.action not in ("build", "export"):
+        _check_writable("report", cfg.report)
 
     if cfg.action in ("build", "export"):
         if cfg.action == "export" and not cfg.out:

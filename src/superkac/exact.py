@@ -425,42 +425,48 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
     """sum_k W_k (x) B_k: the square matrix of size * base_dim whose block
     (i, j) of base_dim rows and columns is sum_k W_k[i][j] * B_k.
 
-    ``parts`` yields (W, B): W a sparse size x size rational matrix
-    {row: {col: q}} with int or Fraction entries, B a base_dim-square
-    PolyMatrix, re-declared over params.  Each W is scaled to integers once;
-    the parts of each exponent are brought to one common denominator, so
-    the whole sum is one integer accumulation per exponent.
+    ``parts`` yields (W, B): W a size x size rational matrix stored like a
+    PolyMatrix term, as (den, {row: {col: int}}) for {row: {col: int / den}}
+    (zero entries and a common factor are allowed), and B a base_dim-square
+    PolyMatrix, re-declared over params.  The parts of each exponent are
+    brought to one common denominator, so the whole sum is one integer
+    accumulation per exponent.
     """
     params = tuple(params)
-    groups: dict = {}             # exps -> [(W as ints, rows of B, den)]
-    for W, B in parts:
+    groups: dict = {}             # exps -> [(rows of W, rows of B, den)]
+    for (den, rows), B in parts:
         if (B.rows, B.cols) != (base_dim, base_dim):
             raise ValueError(f"{B.rows}x{B.cols} factor, expected "
                              f"{base_dim}x{base_dim}")
-        den = lcm(*(q.denominator for row in W.values()
-                    for q in row.values()))
-        ints = {}
-        for i, row in W.items():
-            row = {j: q.numerator * (den // q.denominator)
-                   for j, q in row.items() if q}
-            if row:
-                if not (0 <= i < size and 0 <= min(row) and max(row) < size):
-                    raise IndexError(f"entry of W outside {size}x{size}")
-                ints[i] = row
-        if not ints:
+        for i, row in rows.items():
+            if row and not (0 <= i < size and 0 <= min(row)
+                            and max(row) < size):
+                raise IndexError(f"entry of W outside {size}x{size}")
+        if not rows:
             continue
         for exps, (den_b, rows_b) in B.with_params(params).terms.items():
-            groups.setdefault(exps, []).append((ints, rows_b, den * den_b))
+            groups.setdefault(exps, []).append((rows, rows_b, den * den_b))
     terms = {}
     for exps, group in groups.items():
         common = lcm(*(den for _, _, den in group))
         acc: dict = {}
-        for ints, rows_b, den in group:
+        for rows, rows_b, den in group:
             mult = common // den
-            for i, wrow in ints.items():
-                for j, w in wrow.items():
-                    _accumulate(acc, rows_b, w * mult, i * base_dim,
-                                j * base_dim)
+            for i, wrow in rows.items():
+                # row i of W as (column offset, multiplier) pairs
+                wrow = [(j * base_dim, w * mult) for j, w in wrow.items() if w]
+                if not wrow:
+                    continue
+                base = i * base_dim
+                for r, brow in rows_b.items():
+                    target = acc.get(base + r)
+                    if target is None:
+                        target = acc[base + r] = {}
+                    for off, w in wrow:
+                        for c, x in brow.items():
+                            c += off
+                            cur = target.get(c)
+                            target[c] = w * x if cur is None else cur + w * x
         term = _reduced(common, acc)
         if term is not None:
             terms[exps] = term
@@ -538,7 +544,10 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, params: Sequence[str]) -> "PolyMatrix":
-        return cls(n, n, params, {(i, i): 1 for i in range(n)})
+        params = tuple(params)
+        terms = {(0,) * len(params): (1, {i: {i: 1} for i in range(n)})} \
+            if n else {}
+        return cls._of(n, n, params, terms)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], params: Sequence[str] = ()) -> "PolyMatrix":

@@ -188,7 +188,8 @@ def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:
 def _j_shift(n: int, base_dim: int, params: tuple, scale: Fraction) -> PolyMatrix:
     """scale * (shift across J layers) tensor identity on the base."""
     return kronecker_sum(n, base_dim, params, [
-        ({j - 1: {j: scale} for j in range(1, n)},
+        ((scale.denominator, {j - 1: {j: scale.numerator}
+                              for j in range(1, n)}),
          PolyMatrix.identity(base_dim, params))])
 
 

@@ -5,13 +5,15 @@ rational strings, the key being '1' for the constant term and otherwise the
 nonzero-exponent factors joined by dots in declared parameter order, e.g.
 {'b^1': '3/2', '1': '-1/4'}.  Matrices are {'rows': R, 'cols': C, 'params':
 [...], 'entries': [[r, c, {poly}], ...]} with entries sorted by position.
-All dumps sort keys, so identical inputs give byte-identical artifacts.
+All dumps sort keys, so identical inputs give byte-identical artifacts;
+the writer gives the bytes of json.dumps(data, indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from superkac.algebra import GenLabel, InputError
 from superkac.exact import ParamPoly, PolyMatrix
@@ -21,12 +23,14 @@ from superkac.report import VerificationReport
 SCHEMA_MODULE = "superkac.module.v1"
 
 
+def _monomial_key(params: tuple, exps: tuple) -> str:
+    key = ".".join(f"{name}^{e}" for name, e in zip(params, exps) if e)
+    return key or "1"
+
+
 def poly_to_json(p: ParamPoly) -> dict:
-    out = {}
-    for exps in sorted(p.terms):
-        key = ".".join(f"{name}^{e}" for name, e in zip(p.params, exps) if e)
-        out[key or "1"] = str(p.terms[exps])
-    return out
+    return {_monomial_key(p.params, exps): str(p.terms[exps])
+            for exps in sorted(p.terms)}
 
 
 def poly_from_json(data: dict, params) -> ParamPoly:
@@ -44,14 +48,40 @@ def poly_from_json(data: dict, params) -> ParamPoly:
     return ParamPoly(params, terms)
 
 
+def _rational_str(x: int, den: int) -> str:
+    """str(Fraction(x, den))."""
+    g = gcd(x, den)
+    return str(x // g) if den == g else f"{x // g}/{den // g}"
+
+
 def matrix_to_json(m: PolyMatrix) -> dict:
-    entries = m.entries
+    """The matrix read straight off its pencil terms: one monomial key per
+    term, in sorted exponent order, and one 'p/q' string per distinct
+    numerator of a term."""
+    cells: dict = {}                  # row -> col -> {monomial key: 'p/q'}
+    for exps in sorted(m.terms):
+        den, rows = m.terms[exps]
+        key = _monomial_key(m.params, exps)
+        text: dict = {}
+        for r, row in rows.items():
+            out = cells.get(r)
+            if out is None:
+                out = cells[r] = {}
+            for c, x in row.items():
+                value = text.get(x)
+                if value is None:
+                    value = text[x] = _rational_str(x, den)
+                poly = out.get(c)
+                if poly is None:
+                    out[c] = {key: value}
+                else:
+                    poly[key] = value
     return {
         "rows": m.rows,
         "cols": m.cols,
         "params": list(m.params),
-        "entries": [[r, c, poly_to_json(entries[(r, c)])]
-                    for (r, c) in sorted(entries)],
+        "entries": [[r, c, row[c]] for r, row in sorted(cells.items())
+                    for c in sorted(row)],
     }
 
 
@@ -62,8 +92,16 @@ def matrix_from_json(data: dict) -> PolyMatrix:
     return PolyMatrix(data["rows"], data["cols"], params, entries)
 
 
-def weight_to_json(coord) -> list:
-    return [poly_to_json(c) for c in coord]
+def _weight_json(coord, memo: dict) -> list:
+    """The coordinates of a weight, each distinct ParamPoly serialized once
+    per memo."""
+    out = []
+    for c in coord:
+        data = memo.get(c)
+        if data is None:
+            data = memo[c] = poly_to_json(c)
+        out.append(data)
+    return out
 
 
 def _algebra_header(spec) -> dict:
@@ -99,6 +137,7 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         out["bindings"] = {k: str(v) for k, v in sorted(bindings.items())}
 
     if isinstance(module, KacModule):
+        coords: dict = {}
         out.update({
             "kind": "kac",
             "algebra": _algebra_header(module.spec),
@@ -107,7 +146,7 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
             "dim": module.dim,
             "basis": [{"odd_subset": list(subset), "even_index": l,
                        "layer": module.layers[pos],
-                       "weight": weight_to_json(module.weights[pos])}
+                       "weight": _weight_json(module.weights[pos], coords)}
                       for pos, (subset, l) in enumerate(module.basis)],
             "generators": {str(lab): render(mat)
                            for lab, mat in sorted(module.matrices.items(),
@@ -176,7 +215,69 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def dumps_canonical(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) plus a newline, written
+    directly (the stdlib's indented encoder is its pure-Python one), for
+    values built of str-keyed dicts, lists, tuples, str, int, bool and
+    None.  Strings go through the stdlib's ASCII string encoder."""
+    chunks: list = []
+    _write_json(data, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value, newline: str, out) -> None:
+    """Write value at the indentation that newline ends with; a str or int
+    item of a container is written in its loop, in one chunk with the
+    separator before it."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            head = sep + _quote(key) + ": "
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out(head + _quote(item))
+            elif kind is int:
+                out(head + int.__repr__(item))
+            else:
+                out(head)
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is int:
+                out(sep + int.__repr__(item))
+            elif kind is str:
+                out(sep + _quote(item))
+            else:
+                out(sep)
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif kind is str:
+        out(_quote(value))
+    elif kind is int:
+        out(int.__repr__(value))
+    elif value is None or kind is bool:
+        out(_LITERALS[value])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        "serializable")
 
 
 def export_json(data: dict, path: str) -> None:

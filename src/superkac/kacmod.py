@@ -12,10 +12,11 @@ contraction is what makes the u matrices linear in b.
 So every generator is a Kronecker sum, sum_op W_op (x) B_op, where B_op is
 the identity or a base operator (an even label acting on the even factor)
 and W_op is a wedge-sized rational matrix that depends only on the
-structure constants and P.  induce_core computes the W_op on odd subsets
-stored as bitmasks, with whole coefficients kept as ints and the action
-of each even label on each subset computed once, and assembles each
-generator in one integer pass (exact.kronecker_sum).
+structure constants and P.  induce_core scales the structure constants to
+integers once, computes each W_op as an integer matrix over one
+denominator on odd subsets stored as bitmasks, with the action of each
+even label on each subset computed once, and assembles each generator in
+one integer pass (exact.kronecker_sum).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
@@ -72,16 +74,16 @@ def _subset_order(P: int):
     return out
 
 
-def _whole(q):
-    """q as an int when its denominator is 1, so that sums of such
-    coefficients stay ints."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _signed(q, bits: int):
+def _signed(q: int, bits: int) -> int:
     """q times (-1)^popcount(bits): the sign of moving a wedge slot past
     the slots set in bits."""
     return -q if bits.bit_count() & 1 else q
+
+
+def _common_den(coefficients) -> int:
+    """The lcm of the denominators of some rationals: each of them times it
+    is an int."""
+    return lcm(*(q.denominator for q in coefficients))
 
 
 def induce_core(P: int, params: tuple, base_dim: int,
@@ -98,11 +100,13 @@ def induce_core(P: int, params: tuple, base_dim: int,
     covers surface_labels plus all u_i and v_i.
 
     An odd subset is a bitmask with bit s for v_s, and a wedge sign is the
-    parity of the slots passed.  Each generator is first computed as
-    {op: W_op}, where op is None (the identity on the base) or the position
-    of an even label (its base operator), and W_op is the wedge-sized matrix
-    {subset' position: {subset position: q}} of rationals, ints where whole;
-    it is then assembled as sum_op W_op (x) base operator in one pass.
+    parity of the slots passed.  The adj coefficients are scaled to ints
+    over the lcm of their denominators, adj_den, and the uv_exp ones over
+    theirs, uv_den.  Each generator is first computed as {op: W_op}, where
+    op is None (the identity on the base) or the position of an even label
+    (its base operator), and W_op is the wedge-sized matrix
+    (den, {subset' position: {subset position: int}}); it is then assembled
+    as sum_op W_op (x) base operator in one pass.
     """
     subsets = _subset_order(P)
     masks = [sum(1 << s for s in subset) for subset in subsets]
@@ -114,20 +118,24 @@ def induce_core(P: int, params: tuple, base_dim: int,
         for g, _ in expansion:
             label_pos.setdefault(g, len(label_pos))
     labels = list(label_pos)
-    uv = {key: [(label_pos[g], _whole(coeff)) for g, coeff in expansion]
+    uv_den = _common_den(c for expansion in uv_exp.values()
+                         for _, c in expansion)
+    uv = {key: [(label_pos[g], int(coeff * uv_den)) for g, coeff in expansion]
           for key, expansion in uv_exp.items()}
-    slots: list = [{} for _ in labels]       # slots[g][s]: [g, v_s] as (t, q)
+    adj = {key: pairs for key, pairs in adj.items() if key[0] in label_pos}
+    adj_den = _common_den(c for pairs in adj.values() for _, c in pairs)
+    # slots[g][s]: adj_den [g, v_s] as (t, int) pairs
+    slots: list = [{} for _ in labels]
     for (g, s), pairs in adj.items():
-        if g in label_pos:
-            slots[label_pos[g]][s] = [(t, _whole(c)) for t, c in pairs]
+        slots[label_pos[g]][s] = [(t, int(c * adj_den)) for t, c in pairs]
     # a label acting by zero on the base acts only on the wedge slots
     on_base = [g in base_mats and not base_mats[g].is_zero for g in labels]
     eye = PolyMatrix.identity(base_dim, params)
     memo: dict = {}
 
     def slot_action(g: int, mask: int) -> dict:
-        """The adjoint action of label position g on the wedge slots of
-        mask, {mask': q}; computed once per (g, mask)."""
+        """adj_den times the adjoint action of label position g on the wedge
+        slots of mask, {mask': int}; computed once per (g, mask)."""
         key = g << (P + 1) | mask
         out = memo.get(key)
         if out is None:
@@ -158,24 +166,27 @@ def induce_core(P: int, params: tuple, base_dim: int,
         for k, mask in enumerate(masks):
             for new, q in slot_action(g, mask).items():
                 ident.setdefault(pos[new], {})[k] = q
-        ws = {None: ident}
+        ws = {None: (adj_den, ident)}
         if on_base[g]:
-            ws[g] = {k: {k: 1} for k in range(size)}
+            ws[g] = (1, {k: {k: 1} for k in range(size)})
         matrices[label] = assemble(ws)
+    u_den = uv_den * adj_den
     for i in range(1, P + 1):
         bit = 1 << i
-        matrices[GenLabel("v", i)] = assemble({None: {
+        matrices[GenLabel("v", i)] = assemble({None: (1, {
             pos[mask | bit]: {k: _signed(1, mask & (bit - 1))}
-            for k, mask in enumerate(masks) if not mask & bit}})
-        matrices[GenLabel("u", i)] = assemble(_u_action(
-            i, masks, pos, uv, on_base, slot_action))
+            for k, mask in enumerate(masks) if not mask & bit})})
+        matrices[GenLabel("u", i)] = assemble({
+            op: (u_den, W) for op, W in _u_action(
+                i, masks, pos, uv, adj_den, on_base, slot_action).items()})
     basis = tuple((subset, l) for subset in subsets for l in range(base_dim))
     return basis, matrices
 
 
 def _u_action(j: int, masks: Sequence[int], pos: Mapping, uv: Mapping,
-              on_base: Sequence[bool], slot_action) -> dict:
-    """u_j as {op: W_op}, by normal ordering
+              adj_den: int, on_base: Sequence[bool], slot_action) -> dict:
+    """uv_den * adj_den * u_j as {op: integer W_op}, where uv holds the
+    contraction coefficients times uv_den, by normal ordering
     u_j v_head tail = {u_j, v_head} tail - v_head u_j tail, head the least
     slot.  masks run layer by layer, so u_j on a tail is known before it is
     needed."""
@@ -192,7 +203,7 @@ def _u_action(j: int, masks: Sequence[int], pos: Mapping, uv: Mapping,
                     col[new] = col.get(new, 0) + coeff * q
                 if on_base[g]:
                     col = image.setdefault(g, {})
-                    col[tail] = col.get(tail, 0) + coeff
+                    col[tail] = col.get(tail, 0) + coeff * adj_den
             for op, tail_col in images[tail].items():
                 col = image.setdefault(op, {})
                 for m, q in tail_col.items():

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
@@ -52,22 +53,28 @@ class Deformation:
         return {lab.index: mat for lab, mat in self.B.items()
                 if lab.kind == "u"}
 
-    def materialize(self, couplings: Sequence, params: tuple) -> dict:
-        """Block matrices I (x) A + S (x) B of the generator surface over
-        ``params``, where S carries couplings[t] from copy t+1 to copy t;
-        a coupling may be a rational or a ParamPoly over ``params``."""
+    def materialize(self, couplings: Sequence, params: tuple,
+                    labels=None) -> dict:
+        """Block matrices I (x) A + S (x) B over ``params`` of the given
+        labels, by default the generator surface, where S carries
+        couplings[t] from copy t+1 to copy t; a coupling may be a rational
+        or a ParamPoly over ``params``."""
         N = len(couplings) + 1
-        diagonal = {t: {t: 1} for t in range(N)}
+        diagonal = (1, {t: {t: 1} for t in range(N)})
         # S splits into a shift of the rational couplings, which scale B,
-        # and a shift of ones per distinct polynomial coupling c, with c B
+        # and a shift of ones per distinct polynomial coupling c, with c B;
+        # the rational couplings share one denominator
+        den = lcm(*(c.denominator for c in couplings
+                    if not isinstance(c, ParamPoly)))
         shifts: dict = {}
         for t, coupling in enumerate(couplings):
             if isinstance(coupling, ParamPoly):
-                shifts.setdefault(coupling, {})[t] = {t + 1: 1}
+                shifts.setdefault(coupling, (1, {}))[1][t] = {t + 1: 1}
             else:
-                shifts.setdefault(None, {})[t] = {t + 1: coupling}
+                shifts.setdefault(None, (den, {}))[1][t] = {
+                    t + 1: int(coupling * den)}
         matrices = {}
-        for label in self.base.matrices:
+        for label in self.base.matrices if labels is None else labels:
             deriv = self.B[label].with_params(params)
             parts = [(diagonal, self.A[label])]
             if not deriv.is_zero:
@@ -203,6 +210,14 @@ class ReplicatedModule:
     def matrices(self) -> dict:
         return self.deformation.materialize(self.couplings, self.params)
 
+    def matrices_of(self, labels) -> dict:
+        """The block matrices of some labels; until ``matrices`` is built,
+        only these are built."""
+        if "matrices" in self.__dict__:
+            return {label: self.matrices[label] for label in labels}
+        return self.deformation.materialize(self.couplings, self.params,
+                                            labels)
+
     @cached_property
     def weights(self) -> tuple:
         return tuple(self.base.weights) * self.N
@@ -269,8 +284,11 @@ def leading_principal_submodule(R: ReplicatedModule) -> dict:
 
 
 def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatrix:
-    """Matrix of a Cartan combination sum h_coeffs[label] * label."""
-    return combination([(coeff, module.matrices[label], None)
+    """Matrix of a Cartan combination sum h_coeffs[label] * label; a block
+    module builds only the labels of h_coeffs."""
+    mats = module.matrices_of(h_coeffs) \
+        if isinstance(module, ReplicatedModule) else module.matrices
+    return combination([(coeff, mats[label], None)
                         for label, coeff in h_coeffs.items()])
 
 

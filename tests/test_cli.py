@@ -134,9 +134,35 @@ class TestFieldNamedErrors:
     def test_unwritable_path(self, tmp_path, capsys, field):
         assert main(["verify" if field == "report" else "build",
                      f"--{field}", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} ")
-        assert "Is a directory" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} ")
+        assert "Is a directory" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,field", [
+        (["verify", "--report"], "report"),
+        (["replicate", "--N", "3", "--out"], "out"),
+        (["export", "--out"], "out"),
+    ])
+    def test_missing_directory_fails_before_the_job(
+            self, tmp_path, capsys, monkeypatch, argv, field):
+        def never(cfg):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli, "_build_stack", never)
+        path = tmp_path / "missing" / "r.json"
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} ")
+        assert "No such file or directory" in captured.err
+        assert captured.out == ""
+
+    def test_failing_job_keeps_the_old_artifact(self, tmp_path):
+        out = tmp_path / "module.json"
+        out.write_text("old")
+        assert main(["replicate", "--N", "2", "--lambdas", "0",
+                     "--out", str(out)]) == 2
+        assert out.read_text() == "old"
 
     def test_memory_error_names_the_size_fields(self, monkeypatch, capsys):
         def exhausted(*args):

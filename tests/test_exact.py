@@ -360,39 +360,41 @@ def test_ring_operations_match_entrywise(pair, poly, q, q2):
 
 @st.composite
 def kronecker_cases(draw):
-    """(size, base_dim, parts) for kronecker_sum.  W entries are ints and
-    Fractions, zeros included, and a part may repeat an earlier B with some
-    W entries negated, so that sums cancel; B is over (b, c) or over (b,)
+    """(size, base_dim, parts) for kronecker_sum.  W is a stored term
+    (den, {row: {col: int}}), zeros and a factor common to den and the
+    entries included, and a part may repeat an earlier B with some W
+    entries negated, so that sums cancel; B is over (b, c) or over (b,)
     alone, and may be zero."""
     size, base_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cells = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
     base_cells = st.tuples(st.integers(0, base_dim - 1),
                            st.integers(0, base_dim - 1))
-    weights = st.sampled_from([0, 1, -2, 3] + [Fraction(1, 2),
-                              Fraction(-1, 3), Fraction(2, 3), Fraction(-3, 5)])
+    weights = st.sampled_from([0, 1, -2, 3, 4, -6])
     parts = []
     for _ in range(draw(st.integers(0, 3))):
+        den = draw(st.sampled_from([1, 2, 3, 5, 6]))
         w: dict = {}
-        for (i, j), q in draw(st.dictionaries(cells, weights,
+        for (i, j), x in draw(st.dictionaries(cells, weights,
                                               max_size=4)).items():
-            w.setdefault(i, {})[j] = q
+            w.setdefault(i, {})[j] = x
         B = PolyMatrix(base_dim, base_dim, PARAMS,
                        draw(st.dictionaries(base_cells, small_polys,
                                             max_size=4)))
         if draw(st.booleans()):
             B = B.coefficient("c", 0).with_params(("b",))
-        parts.append((w, B))
+        parts.append(((den, w), B))
         if draw(st.booleans()):
-            parts.append(({i: {j: -q for j, q in row.items()
-                               if draw(st.booleans())}
-                           for i, row in w.items()}, B))
+            parts.append(((den, {i: {j: -x for j, x in row.items()
+                                     if draw(st.booleans())}
+                                 for i, row in w.items()}), B))
     return size, base_dim, parts
 
 
 def kronecker_blocks(base_dim: int, parts) -> list:
     """The blocks of sum W (x) B for PolyMatrix.from_blocks."""
-    return [(i * base_dim, j * base_dim, B, q) for w, B in parts
-            for i, row in w.items() for j, q in row.items()]
+    return [(i * base_dim, j * base_dim, B, Fraction(x, den))
+            for (den, w), B in parts
+            for i, row in w.items() for j, x in row.items()]
 
 
 ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
@@ -400,13 +402,15 @@ ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
 
 @settings(deadline=None, max_examples=120)
 @given(kronecker_cases())
-@example((2, 1, [({}, ONE_BY_ONE)]))                          # empty W
-@example((2, 1, [({0: {1: Fraction(1, 2)}}, ONE_BY_ONE),
-                 ({0: {1: Fraction(-1, 2)}}, ONE_BY_ONE)]))   # cancelling W
-@example((2, 2, [({0: {0: 1}, 1: {0: Fraction(3, 4)}},
+@example((2, 1, [((1, {}), ONE_BY_ONE)]))                     # empty W
+@example((2, 1, [((2, {0: {1: 1}}), ONE_BY_ONE),
+                 ((2, {0: {1: -1}}), ONE_BY_ONE)]))           # cancelling W
+@example((2, 2, [((4, {0: {0: 4}, 1: {0: 3}}),
                   PolyMatrix.zeros(2, 2, PARAMS))]))            # zero B
-@example((3, 1, [({0: {2: 2}, 2: {1: Fraction(-2, 5)}}, ONE_BY_ONE),
-                 ({1: {1: 1}}, PolyMatrix(1, 1, PARAMS, {(0, 0): c() * b()}))]))
+@example((3, 1, [((5, {0: {2: 10}, 2: {1: -2}}), ONE_BY_ONE),
+                 ((1, {1: {1: 1}}), PolyMatrix(1, 1, PARAMS,
+                                               {(0, 0): c() * b()}))]))
+@example((2, 1, [((6, {0: {0: 4, 1: 0}, 1: {}}), ONE_BY_ONE)]))  # 4/6, 0
 def test_kronecker_sum_matches_from_blocks(case):
     size, base_dim, parts = case
     got = kronecker_sum(size, base_dim, PARAMS, parts)
@@ -467,13 +471,21 @@ def test_reduced_matches_the_comprehension_reference(den, acc):
     assert ordered(got) == ordered(want)
 
 
+@pytest.mark.parametrize("params", [(), ("b",), ("b", "c")])
+@pytest.mark.parametrize("n", range(6))
+def test_identity_matches_the_entry_constructor(n, params):
+    got = PolyMatrix.identity(n, list(params))
+    assert_canonical(got)
+    assert got == PolyMatrix(n, n, params, {(i, i): 1 for i in range(n)})
+
+
 def test_kronecker_sum_rejects_misshapen_factors():
     with pytest.raises(ValueError):
-        kronecker_sum(2, 2, PARAMS, [({0: {0: 1}}, ONE_BY_ONE)])
+        kronecker_sum(2, 2, PARAMS, [((1, {0: {0: 1}}), ONE_BY_ONE)])
     with pytest.raises(IndexError):
-        kronecker_sum(2, 1, PARAMS, [({0: {2: 1}}, ONE_BY_ONE)])
+        kronecker_sum(2, 1, PARAMS, [((1, {0: {2: 1}}), ONE_BY_ONE)])
     with pytest.raises(IndexError):
-        kronecker_sum(2, 1, PARAMS, [({-1: {0: 1}}, ONE_BY_ONE)])
+        kronecker_sum(2, 1, PARAMS, [((1, {-1: {0: 1}}), ONE_BY_ONE)])
 
 
 @settings(deadline=None, max_examples=80)

@@ -492,6 +492,31 @@ def test_heisenberg_induction_matches_block_matrix_reference(
     assert_same_induction(got, want)
 
 
+@pytest.mark.parametrize("flavor,m,n,a", [("sl", 3, 1, (2, 1)),
+                                          ("gl", 2, 1, (1,))])
+def test_induce_core_matches_reference_on_fractional_slots(flavor, m, n, a,
+                                                           monkeypatch):
+    # the structure constants give integer [g, v_s]; rescaled ones make
+    # the slot coefficients share a denominator above 1 with the
+    # contractions' (induce_core reads them as given, not as a Lie bracket)
+    rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
+    sc = structure_constants(rep)
+    L = build_even_irrep(rep.datum, a, sc)
+    calls = []
+    monkeypatch.setattr(kacmod, "induce_core",
+                        lambda *args: calls.append(args) or
+                        reference_induce_core(*args))
+    induce(L, rep.datum, sc)
+    (P, params, base_dim, surface, base_mats, adj, uv_exp), = calls
+    scales = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4)]
+    adj = {key: tuple((t, c * scales[k % 3]) for t, c in pairs)
+           for k, (key, pairs) in enumerate(adj.items())}
+    args = (P, params, base_dim, surface, base_mats, adj, uv_exp)
+    monkeypatch.undo()
+    assert_same_induction(kacmod.induce_core(*args),
+                          reference_induce_core(*args))
+
+
 def test_induce_leaves_no_garbage():
     # a memo that outlives induce, or a cycle through it, would show here
     rep = build_fundamental_rep(SuperAlgebraSpec(3, 2, "sl"))

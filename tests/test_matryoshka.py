@@ -6,12 +6,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from superkac import matryoshka
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, structure_constants,
                               superbracket_violations)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParamPoly, ParameterizedEntryError, PolyMatrix
+from superkac.exact import (ParamPoly, ParameterizedEntryError, PolyMatrix,
+                            kronecker_sum)
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
                                  TwistSpec, cartan_matrix_of, deformation,
@@ -235,6 +237,26 @@ class TestJordanProfile:
         profile = jordan_minpoly_profile(module, bindings, h_coeffs)
         assert profile == reference_jordan_profile(module, bindings, h_coeffs)
         assert set(profile.values()) == degrees
+
+    @pytest.mark.parametrize("h_coeffs", [
+        None, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}])
+    def test_fresh_block_module_builds_only_the_cartan_labels(
+            self, monkeypatch, h_coeffs):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kronecker_sum(*args)
+
+        monkeypatch.setattr(matryoshka, "kronecker_sum", counting)
+        spec = ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))
+        fresh = replicate(SL31_A21, spec)
+        profile = jordan_minpoly_profile(fresh, B57, h_coeffs)
+        assert len(calls) == len(h_coeffs or {GenLabel("y"): 1})
+        assert "matrices" not in vars(fresh)
+        built = replicate(SL31_A21, spec)
+        assert len(built.matrices) == len(SL31_A21.matrices)
+        assert jordan_minpoly_profile(built, B57, h_coeffs) == profile
 
     def test_not_scalar_plus_nilpotent_rejected(self):
         # one weight space on which y has two distinct eigenvalues
