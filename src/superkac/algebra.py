@@ -27,7 +27,7 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -53,6 +53,19 @@ class GenLabel:
 
     kind: str
     index: int = 0
+    # labels key every table and matrix dict, so the hash is computed once
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy or an unpickled label
+        # recomputes its hash (str hashes differ between processes)
+        return GenLabel, (self.kind, self.index)
 
     def __str__(self) -> str:
         if self.kind in ("y", "z0"):

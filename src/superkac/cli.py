@@ -30,6 +30,12 @@ from superkac.report import VerificationReport
 ACTIONS = ("build", "verify", "typicality", "replicate", "twist",
            "heisenberg", "export")
 
+# the path fields each verb writes: --out the built module, --report the
+# verification report
+WRITES = {"build": ("out",), "export": ("out",), "verify": ("report",),
+          "typicality": ("report",), "replicate": ("out", "report"),
+          "twist": ("out", "report"), "heisenberg": ("out", "report")}
+
 
 @dataclass
 class JobConfig:
@@ -68,6 +74,11 @@ class JobConfig:
         for name in ("out", "report"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise InputError(f"{name} must be a file path")
+            if getattr(self, name) is not None \
+                    and name not in WRITES[self.action]:
+                raise InputError(
+                    f"{name} is not written by {self.action}, which writes "
+                    f"only {' and '.join(WRITES[self.action])}")
         if self.flavor == "gl" and self.b != "symbolic" \
                 and self.c == "symbolic":
             raise InputError("c must be bound when b is: a gl job with a "
@@ -253,12 +264,9 @@ def _block_relations(module) -> VerificationReport:
 
 def run(cfg: JobConfig) -> int:
     bindings = cfg.bindings()
-    # build and export write only --out, the other verbs --report and,
-    # except verify and typicality, --out
-    if cfg.out and cfg.action not in ("verify", "typicality"):
-        _check_writable("out", cfg.out)
-    if cfg.report and cfg.action not in ("build", "export"):
-        _check_writable("report", cfg.report)
+    for name in WRITES[cfg.action]:
+        if getattr(cfg, name):
+            _check_writable(name, getattr(cfg, name))
 
     if cfg.action in ("build", "export"):
         if cfg.action == "export" and not cfg.out:

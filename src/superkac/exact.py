@@ -331,6 +331,15 @@ def _accumulate_product(acc: dict, left: dict, right: dict,
                 arow[c] = x * y if cur is None else cur + x * y
 
 
+def integer_product(left: dict, right: dict) -> dict:
+    """left @ right for sparse integer matrices {row: {col: int}}, with no
+    zero entry or empty row."""
+    acc: dict = {}
+    _accumulate_product(acc, left, right, 1)
+    term = _reduced(1, acc)
+    return {} if term is None else term[1]
+
+
 def _reduced(den: int, acc: dict):
     """The canonical term (den, rows) of the matrix acc / den: zeros and
     empty rows dropped, then one gcd pass to lowest terms.  None if zero.
@@ -627,8 +636,9 @@ class PolyMatrix:
                 terms[exps] = term
         return PolyMatrix._of(len(rows), len(cols), self.params, terms)
 
-    def _constant_term(self) -> tuple:
-        """The stored term (den, rows) of a parameter-free matrix."""
+    def integer_term(self) -> tuple:
+        """The stored term (den, {row: {col: int}}) of a parameter-free
+        matrix; ParameterizedEntryError if an entry holds a parameter."""
         constant = (0,) * len(self.params)
         symbolic = {e: term for e, term in self.terms.items() if e != constant}
         if symbolic:
@@ -642,7 +652,7 @@ class PolyMatrix:
     def rational_entries(self) -> dict:
         """{(row, col): Fraction} of the nonzero entries of a parameter-free
         matrix, read off its constant term."""
-        den, rows = self._constant_term()
+        den, rows = self.integer_term()
         return {(r, c): Fraction(x, den)
                 for r, row in rows.items() for c, x in row.items()}
 
@@ -842,19 +852,28 @@ class SolveResult:
     nullspace: tuple           # tuple of tuples of Fractions (right nullspace basis)
 
 
-def rational_linear_solve(m: PolyMatrix) -> SolveResult:
-    """Exact rank and right-nullspace basis of a parameter-free matrix, read
-    off the RREF of its integer rows: one basis vector per free column."""
-    pivots, reduced = rref(m._constant_term()[1].values())
+def nullspace(pivots: Sequence[int], reduced: Sequence[dict],
+              cols: int) -> tuple:
+    """The right-nullspace basis read off an RREF (pivots, reduced) as
+    ``rref`` returns it, for rows of cols columns: one vector per free
+    column, a tuple of Fractions with a 1 there."""
     basis = []
-    for fc in sorted(set(range(m.cols)) - set(pivots)):
-        vec = [Fraction(0)] * m.cols
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
         for pc, row in zip(pivots, reduced):
             if fc in row:
                 vec[pc] = -row[fc]
         basis.append(tuple(vec))
-    return SolveResult(rank=len(pivots), nullspace=tuple(basis))
+    return tuple(basis)
+
+
+def rational_linear_solve(m: PolyMatrix) -> SolveResult:
+    """Exact rank and right-nullspace basis of a parameter-free matrix, read
+    off the RREF of its integer rows."""
+    pivots, reduced = rref(m.integer_term()[1].values())
+    return SolveResult(rank=len(pivots),
+                       nullspace=nullspace(pivots, reduced, m.cols))
 
 
 def extract_rational_roots(poly: ParamPoly, name: str):

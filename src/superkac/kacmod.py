@@ -17,6 +17,13 @@ integers once, computes each W_op as an integer matrix over one
 denominator on odd subsets stored as bitmasks, with the action of each
 even label on each subset computed once, and assembles each generator in
 one integer pass (exact.kronecker_sum).
+
+The weights stay on integers as well: the odd roots are int vectors, so
+the weight of v_S w_l is weight(w_l) minus an int shift, computed once per
+(coordinate, shift).  weight_spaces groups basis positions by numbers
+given to the distinct substituted values, and singular_vectors feeds the
+integer rows of the substituted raising matrices, one weight space at a
+time, straight to exact.rref.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
-                            kronecker_sum, rational_linear_solve)
+                            kronecker_sum, nullspace, rref)
 
 
 @dataclass(frozen=True)
@@ -227,11 +234,59 @@ def _scaled_identity(dim: int, params: tuple, scalar: ParamPoly) -> PolyMatrix:
     return PolyMatrix.identity(dim, params).scale(scalar)
 
 
+def _integer_roots(datum: RootDatum) -> list:
+    """The odd positive roots as int tuples; a coordinate that is not an
+    integer is an InternalConsistencyError, never truncated."""
+    roots = []
+    for beta in datum.odd_positive_roots:
+        if any(Fraction(x).denominator != 1 for x in beta):
+            raise InternalConsistencyError(
+                f"odd root {tuple(map(str, beta))} has a coordinate that is "
+                "not an integer")
+        roots.append(tuple(int(x) for x in beta))
+    return roots
+
+
+def _shifted_weights(base_weights: Sequence[tuple], subsets: Sequence,
+                     roots: Sequence[tuple]) -> tuple:
+    """(weights, layers) of the basis (subset, l), subsets in the given
+    order and l running fastest: the weight of v_S w_l is weight(w_l)
+    minus the roots of S.
+
+    Each distinct coordinate of base_weights gets a number, the shift of a
+    subset is its tail's plus its head's root as an int tuple, and each
+    (coordinate number, int shift) difference is computed once."""
+    number: dict = {}             # ParamPoly -> its number
+    base = [tuple(number.setdefault(c, len(number)) for c in coord)
+            for coord in base_weights]
+    polys = list(number)
+    shifts = {(): (0,) * len(roots[0])}
+    differences: dict = {}
+    weights, layers = [], []
+    for subset in subsets:
+        shift = shifts.get(subset)
+        if shift is None:
+            shift = shifts[subset] = tuple(
+                r + x for r, x in zip(shifts[subset[1:]], roots[subset[0] - 1]))
+        for coord in base:
+            weight = []
+            for k, r in zip(coord, shift):
+                diff = differences.get((k, r))
+                if diff is None:
+                    diff = differences[(k, r)] = polys[k] - r if r \
+                        else polys[k]
+                weight.append(diff)
+            weights.append(tuple(weight))
+        layers.extend([len(subset)] * len(base))
+    return tuple(weights), tuple(layers)
+
+
 def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule:
     """The Kac module K(L): free action of the odd lowering generators on L."""
     spec = sc.spec
     P = spec.odd_count
     params = L.params
+    roots = _integer_roots(datum)
 
     base_even = dict(L.matrices)
     base_even[GenLabel("y")] = _scaled_identity(L.dim, params, L.y_scalar)
@@ -263,31 +318,12 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     basis, matrices = induce_core(P, params, L.dim, even_labels,
                                   base_even, adj, uv_exp)
 
-    # the root shift of a subset is its tail's plus its head's root, and
-    # each distinct coordinate minus shift is computed once
-    roots = datum.odd_positive_roots
-    shifts = {(): (0,) * len(roots[0])}
-    differences: dict = {}
-    weights, layers = [], []
-    for subset, l in basis:
-        shift = shifts.get(subset)
-        if shift is None:
-            shift = shifts[subset] = tuple(
-                r + x for r, x in zip(shifts[subset[1:]], roots[subset[0] - 1]))
-        weight = []
-        for c, r in zip(L.weights[l], shift):
-            diff = differences.get((c, r))
-            if diff is None:
-                diff = differences[(c, r)] = c - r
-            weight.append(diff)
-        weights.append(tuple(weight))
-        layers.append(len(subset))
+    weights, layers = _shifted_weights(L.weights, _subset_order(P), roots)
 
     return KacModule(
         params=params, basis=basis, matrices=matrices,
-        weights=tuple(weights), layers=tuple(layers),
-        spec=spec, datum=datum, sc=sc, L=L, labels=tuple(L.labels),
-        hw_index=0, y_scalar=L.y_scalar, z0_scalar=L.z0_scalar)
+        weights=weights, layers=layers, spec=spec, datum=datum, sc=sc, L=L,
+        labels=tuple(L.labels), hw_index=0, y_scalar=L.y_scalar, z0_scalar=L.z0_scalar)
 
 
 # -- typicality -------------------------------------------------------------
@@ -360,18 +396,37 @@ def kac_typicality(K: KacModule) -> TypicalityReport:
 # -- singular vectors --------------------------------------------------------
 
 def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
-    """Basis positions grouped by their weight at bindings, in sorted
-    weight order.  Each distinct coordinate is substituted once."""
+    """Basis positions grouped by their weight at bindings, as
+    {weight: [position, ...]} in sorted weight order, a weight being the
+    tuple of its substituted Fraction coordinates.
+
+    Each distinct coordinate is substituted once and each distinct value
+    gets a number; positions are grouped by their tuples of value numbers,
+    and a Fraction key is built once per group."""
+    # coordinates are numbered by object, not by hash, as polynomials
+    # that differ only in a constant -1 or -2 share a hash (hash(-1) ==
+    # hash(-2)); weights keeps every object alive for the call, and equal
+    # coordinates held by different objects get the same value number
+    weights = tuple(module.weights)
+    number: dict = {}                 # id(ParamPoly) -> number of its value
+    value_number: dict = {}           # Fraction -> its number
     groups: dict = {}
-    values: dict = {}                 # ParamPoly -> its value at bindings
-    for pos, coord in enumerate(module.weights):
+    for pos, coord in enumerate(weights):
         key = []
         for c in coord:
-            if c not in values:
-                values[c] = c.substitute(bindings).constant_value()
-            key.append(values[c])
+            k = number.get(id(c))
+            if k is None:
+                value = c.substitute(bindings).constant_value()
+                k = number[id(c)] = value_number.setdefault(
+                    value, len(value_number))
+            key.append(k)
         groups.setdefault(tuple(key), []).append(pos)
-    return {key: groups[key] for key in sorted(groups)}
+    values = list(value_number)
+    rank = [0] * len(values)
+    for r, k in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        rank[k] = r
+    ordered = sorted(groups, key=lambda key: [rank[k] for k in key])
+    return {tuple(values[k] for k in key): groups[key] for key in ordered}
 
 
 @dataclass(frozen=True)
@@ -409,23 +464,30 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
                                       and lab.kind == "u")]
     raising.sort()
     mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
+    # row r of the k-th raising label is stacked row k * dim + r, holding
+    # that label's numerators: dropping its denominator scales the row
+    # only, so the nullspace keeps the same RREF
     by_column: dict = {}
-    for lab in raising:
-        for (r, c), val in mats[lab].rational_entries().items():
-            by_column.setdefault(c, []).append(((lab, r), val))
+    for k, lab in enumerate(raising):
+        offset = k * K.dim
+        for r, row in mats[lab].integer_term()[1].items():
+            for c, x in row.items():
+                by_column.setdefault(c, []).append((offset + r, x))
 
     found = []
     for key, cols in weight_spaces(K, bindings).items():
         # only the nonzero rows of the stacked raising action: the RREF
-        # nullspace does not depend on row order or zero rows
-        row_of: dict = {}
-        entries = {}
+        # does not depend on row order or zero rows
+        rows: dict = {}
         for j, c in enumerate(cols):
-            for row_key, val in by_column.get(c, ()):
-                entries[(row_of.setdefault(row_key, len(row_of)), j)] = val
-        result = rational_linear_solve(
-            PolyMatrix(len(row_of), len(cols), K.params, entries))
-        for vec in result.nullspace:
+            for stacked, x in by_column.get(c, ()):
+                row = rows.get(stacked)
+                if row is None:
+                    rows[stacked] = {j: x}
+                else:
+                    row[j] = x
+        pivots, reduced = rref(rows.values())
+        for vec in nullspace(pivots, reduced, len(cols)):
             coeffs = tuple((cols[i], value) for i, value in enumerate(vec)
                            if value != 0)
             layer = K.layers[coeffs[0][0]]

@@ -25,7 +25,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, extend_matrices, sbracket,
                               violations_report)
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
-                            kronecker_sum)
+                            integer_product, kronecker_sum)
 from superkac.kacmod import KacModule, weight_spaces
 from superkac.report import VerificationReport
 
@@ -304,26 +304,33 @@ def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
     """
     if h_coeffs is None:
         h_coeffs = {GenLabel("y"): Fraction(1)}
-    mat = cartan_matrix_of(module, h_coeffs).substitute(bindings)
-    profile = {}
     # weight_spaces raises ParameterizedEntryError unless every parameter
-    # is bound, so every block below is rational
+    # is bound, and integer_term unless the matrix is then rational
+    _, stored = cartan_matrix_of(module, h_coeffs).substitute(
+        bindings).integer_term()
+    profile = {}
     for key, cols in weight_spaces(module, bindings).items():
-        size = len(cols)
-        block = mat.submatrix(cols, cols)
-        # scalar part: the common diagonal value the weight space carries
-        eigen = block.entry(0, 0).constant_value()
-        eye = PolyMatrix.identity(size, mat.params)
-        nil = combination([(1, block, None), (-eigen, eye, None)])
+        # the block minus its scalar part, the common diagonal value the
+        # weight space carries, times the matrix's denominator, which does
+        # not change its nilpotency index
+        at = {c: j for j, c in enumerate(cols)}
+        eigen = stored.get(cols[0], {}).get(cols[0], 0)
+        nil = {}
+        for i, r in enumerate(cols):
+            row = {at[c]: x for c, x in stored.get(r, {}).items() if c in at}
+            row[i] = row.get(i, 0) - eigen
+            row = {j: x for j, x in row.items() if x}
+            if row:
+                nil[i] = row
         degree = 1
         power = nil
-        while not power.is_zero:
+        while power:
             degree += 1
-            if degree > size:
+            if degree > len(cols):
                 raise InternalConsistencyError(
                     "Cartan element is not nilpotent minus scalar on a "
                     "generalized weight space")
-            power = power @ nil
+            power = integer_product(power, nil)
         profile[key] = degree
     return profile
 

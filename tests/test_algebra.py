@@ -1,7 +1,9 @@
 """Root data, fundamental representation and structure constants."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -565,3 +567,39 @@ class TestTypicalityFactors:
         values = [f.substitute({"b": Fraction(5, 7)}).constant_value()
                   for f in factors]
         assert all(v != 0 for v in values)
+
+
+class TestGenLabelHash:
+    """The hash is computed once per label; equality, order, str and repr
+    are those of the (kind, index) dataclass."""
+
+    LABELS = [GenLabel(kind, index) for kind in ("h", "e", "f", "u", "v",
+                                                 "E", "F")
+              for index in (1, 2, 10)] + [GenLabel("y"), GenLabel("z0")]
+
+    def test_equal_labels_hash_equal(self):
+        for label in self.LABELS:
+            twin = GenLabel(label.kind, label.index)
+            assert twin == label and twin is not label
+            assert hash(twin) == hash(label)
+            assert {label: 1}[twin] == 1
+        assert len(set(self.LABELS)) == len(self.LABELS)
+
+    def test_order_str_and_repr_unchanged(self):
+        shuffled = self.LABELS[::-1]
+        assert sorted(shuffled) == sorted(
+            shuffled, key=lambda label: (label.kind, label.index))
+        assert str(GenLabel("e", 2)) == "e_2" and str(GenLabel("y")) == "y"
+        assert repr(GenLabel("u", 3)) == "GenLabel(kind='u', index=3)"
+        assert GenLabel("e", 1) != ("e", 1)
+
+    def test_hash_survives_replace_copy_and_pickle(self):
+        label = GenLabel("u", 2)
+        moved = dataclasses.replace(label, index=3)
+        assert moved == GenLabel("u", 3)
+        assert hash(moved) == hash(GenLabel("u", 3))
+        assert {GenLabel("u", 3): 1}[moved] == 1
+        for clone in (copy.copy(label), copy.deepcopy(label),
+                      pickle.loads(pickle.dumps(label))):
+            assert clone == label and hash(clone) == hash(label)
+            assert {label: 1}[clone] == 1

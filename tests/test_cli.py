@@ -157,6 +157,34 @@ class TestFieldNamedErrors:
         assert "No such file or directory" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("action,field", [
+        ("verify", "out"), ("typicality", "out"),
+        ("build", "report"), ("export", "report"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_path_the_verb_never_writes_is_refused(
+            self, tmp_path, capsys, monkeypatch, action, field, source):
+        def never(cfg):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli, "_build_stack", never)
+        path = tmp_path / "never.json"
+        argv = [action, "--b", "0"] if action == "typicality" else [action]
+        if action == "export":
+            argv += ["--out", str(tmp_path / "module.json")]
+        if source == "flag":
+            argv += [f"--{field}", str(path)]
+        else:
+            config = tmp_path / "job.json"
+            config.write_text(json.dumps({field: str(path)}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} is not written by "
+                                       f"{action}")
+        assert captured.out == ""
+        assert not path.exists()
+
     def test_failing_job_keeps_the_old_artifact(self, tmp_path):
         out = tmp_path / "module.json"
         out.write_text("old")

@@ -12,8 +12,9 @@ from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
 from superkac.exact import (DeclarationError, ParamPoly,
                             ParameterizedEntryError, PolyMatrix, _reduced,
                             combination, echelon_insert,
-                            extract_rational_roots, kronecker_sum,
-                            rational_linear_solve, rref)
+                            extract_rational_roots, integer_product,
+                            kronecker_sum, nullspace, rational_linear_solve,
+                            rref)
 
 PARAMS = ("b", "c")
 
@@ -602,6 +603,47 @@ def test_linear_solve_matches_dense_oracle(matrix):
     res = rational_linear_solve(PolyMatrix(len(rows), ncols, (), entries))
     assert (res.rank, res.nullspace) == \
         dense_linear_solve(entries, len(rows), ncols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_matrices())
+def test_nullspace_matches_dense_oracle(matrix):
+    # also on the integer rows of the matrix, each row times the lcm of its
+    # denominators: scaling rows does not change the nullspace
+    rows, ncols = matrix
+    want = dense_linear_solve({(r, c): x for r, row in enumerate(rows)
+                               for c, x in sparse(row).items()},
+                              len(rows), ncols)
+    integer_rows = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        integer_rows.append({c: int(x * den) for c, x in sparse(row).items()})
+    for order in (rows, integer_rows):
+        pivots, reduced = rref(sparse(row) if isinstance(row, list) else row
+                               for row in order)
+        assert (len(pivots), nullspace(pivots, reduced, ncols)) == want
+
+
+@st.composite
+def integer_factors(draw):
+    """Small integer matrices of shapes n x k and k x p, often sparse."""
+    n, k, p = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    matrix = lambda rows, cols: st.lists(
+        st.lists(entry, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)
+    return draw(matrix(n, k)), draw(matrix(k, p))
+
+
+@settings(deadline=None, max_examples=200)
+@given(integer_factors())
+def test_integer_product_matches_matmul(factors):
+    left, right = factors
+    want = PolyMatrix.from_rows(left) @ PolyMatrix.from_rows(right)
+    got = integer_product(
+        {r: sparse(row) for r, row in enumerate(left) if any(row)},
+        {r: sparse(row) for r, row in enumerate(right) if any(row)})
+    assert got == (want.terms[()][1] if want.terms else {})
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,19 +1,24 @@
 """Kac modules: induction, normal ordering, typicality, singular vectors."""
 
 import collections
+import dataclasses
 import gc
 import itertools
+import types
 from fractions import Fraction
 
 import pytest
 
 from superkac import heisenberg, kacmod
-from superkac.algebra import (GenLabel, SuperAlgebraSpec,
-                              build_fundamental_rep, check_super_relations,
-                              structure_constants, typicality_factors)
+from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
+                              SuperAlgebraSpec, build_fundamental_rep,
+                              check_super_relations, structure_constants,
+                              typicality_factors)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import ParameterizedEntryError, ParamPoly, PolyMatrix
-from superkac.kacmod import (_subset_order, induce, kac_typicality,
+from superkac.exact import (ParameterizedEntryError, ParamPoly, PolyMatrix,
+                            rational_linear_solve)
+from superkac.kacmod import (SingularVector, SingularVectorReport,
+                             _subset_order, induce, kac_typicality,
                              singular_vectors, weight_spaces)
 from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
 from testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
@@ -555,6 +560,107 @@ def test_weight_spaces_match_per_entry_reference(module, bindings):
         list(reference_weight_spaces(module, bindings).items())
 
 
+def test_weight_spaces_of_equal_and_colliding_coordinates():
+    # hash(-1) == hash(-2), so b - 1 and b - 2 share a hash; the twins are
+    # equal coordinates held by different objects
+    b = ParamPoly.var(("b",), "b")
+    coords = [b - 1, b - 2, b - 1, b + 0, b, -b - 2]
+    weights = tuple((x, y) for x in coords for y in coords[::-1])
+    module = types.SimpleNamespace(weights=weights)
+    for value in (Fraction(0), Fraction(1), Fraction(-3, 2)):
+        got = weight_spaces(module, {"b": value})
+        assert list(got.items()) == \
+            list(reference_weight_spaces(module, {"b": value}).items())
+
+
 def test_weight_spaces_need_every_parameter_bound():
     with pytest.raises(ParameterizedEntryError):
         weight_spaces(GL21_A1, {"b": Fraction(5, 7)})
+
+
+# -- singular vectors against one Fraction solve per weight space -------------
+
+def reference_singular_vectors(K, bindings, raising_set="even-and-odd"):
+    """singular_vectors with one PolyMatrix of Fraction entries per weight
+    space, solved by rational_linear_solve, and its weight spaces from
+    reference_weight_spaces."""
+    if raising_set not in ("even-and-odd", "even-only"):
+        raise InputError(f"unknown raising set {raising_set!r}")
+    bindings = {name: Fraction(v) for name, v in bindings.items()}
+    missing = [p for p in K.params if p not in bindings]
+    if missing:
+        raise InputError(f"parameters {missing} must be bound for the solve")
+
+    raising = [lab for lab in K.matrices
+               if lab.kind == "e" or (raising_set == "even-and-odd"
+                                      and lab.kind == "u")]
+    raising.sort()
+    mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
+    by_column: dict = {}
+    for lab in raising:
+        for (r, c), val in mats[lab].rational_entries().items():
+            by_column.setdefault(c, []).append(((lab, r), val))
+
+    found = []
+    for key, cols in reference_weight_spaces(K, bindings).items():
+        # only the nonzero rows of the stacked raising action: the RREF
+        # nullspace does not depend on row order or zero rows
+        row_of: dict = {}
+        entries = {}
+        for j, c in enumerate(cols):
+            for row_key, val in by_column.get(c, ()):
+                entries[(row_of.setdefault(row_key, len(row_of)), j)] = val
+        result = rational_linear_solve(
+            PolyMatrix(len(row_of), len(cols), K.params, entries))
+        for vec in result.nullspace:
+            coeffs = tuple((cols[i], value) for i, value in enumerate(vec)
+                           if value != 0)
+            layer = K.layers[coeffs[0][0]]
+            found.append(SingularVector(weight=key, layer=layer,
+                                        coefficients=coeffs))
+            # exactness self-check: the embedded vector is annihilated
+            embedded = PolyMatrix(K.dim, 1, K.params,
+                                  {(pos, 0): value for pos, value in coeffs})
+            for lab in raising:
+                if not (mats[lab] @ embedded).is_zero:
+                    raise InternalConsistencyError(
+                        f"reported singular vector not annihilated by {lab}")
+    return SingularVectorReport(raising_set=raising_set,
+                                bindings=dict(bindings), vectors=tuple(found))
+
+
+SOLVE_MODULES = dict(ALL_MODULES)
+SOLVE_MODULES[("sl", 3, 1, (2, 1))] = build_kac("sl", 3, 1, (2, 1))
+SOLVE_MODULES[("gl", 3, 1, (1, 0))] = build_kac("gl", 3, 1, (1, 0))
+
+
+def solve_cases():
+    """(module key, bindings): a generic b and every atypical root, with the
+    gl centre bound too."""
+    for key, K in SOLVE_MODULES.items():
+        binds = bindings_for(K.spec.flavor)
+        roots = [root for root, _ in kac_typicality(K).factor_roots]
+        for b in [binds["b"]] + roots:
+            flavor, m, n, a = key
+            yield pytest.param(key, dict(binds, b=b),
+                               id=f"{flavor}{m}{n}-{a}-b={b}")
+
+
+@pytest.mark.parametrize("raising_set", ["even-and-odd", "even-only"])
+@pytest.mark.parametrize("key,bindings", list(solve_cases()))
+def test_singular_vectors_match_fraction_reference(key, bindings,
+                                                   raising_set):
+    K = SOLVE_MODULES[key]
+    got = singular_vectors(K, bindings, raising_set)
+    assert got == reference_singular_vectors(K, bindings, raising_set)
+    assert all(type(x) is Fraction for vec in got.vectors
+               for x in vec.weight + tuple(q for _, q in vec.coefficients))
+
+
+def test_non_integral_odd_root_is_refused():
+    K = OCTET
+    roots = list(K.datum.odd_positive_roots)
+    roots[1] = (Fraction(1, 2),) + roots[1][1:]
+    datum = dataclasses.replace(K.datum, odd_positive_roots=tuple(roots))
+    with pytest.raises(InternalConsistencyError, match="not an integer"):
+        induce(K.L, datum, K.sc)
