@@ -27,14 +27,14 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
                            echelon_insert, rref)
+from superkac.record import Record
 from superkac.report import VerificationReport
 
 
@@ -46,26 +46,50 @@ class InternalConsistencyError(RuntimeError):
     """A must-never-happen exactness invariant was violated."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class GenLabel:
     """A generator label: kind in {h,e,f,y,z0,u,v} plus internal E/F for the
-    nonsimple even root vectors obtained as iterated commutators."""
+    nonsimple even root vectors obtained as iterated commutators.
 
-    kind: str
-    index: int = 0
+    Immutable; equal and ordered by (kind, index)."""
+
     # labels key every table and matrix dict, so the hash is computed once
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "index", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+    def __init__(self, kind: str, index: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_hash", hash((kind, index)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GenLabel is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GenLabel is immutable")
+
+    def replace(self, **changes) -> "GenLabel":
+        return GenLabel(**{"kind": self.kind, "index": self.index, **changes})
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not GenLabel:
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
+
+    def __lt__(self, other):
+        if other.__class__ is not GenLabel:
+            return NotImplemented
+        return (self.kind, self.index) < (other.kind, other.index)
 
     def __reduce__(self):
         # rebuilt through __init__, so a copy or an unpickled label
         # recomputes its hash (str hashes differ between processes)
         return GenLabel, (self.kind, self.index)
+
+    def __repr__(self) -> str:
+        return f"GenLabel(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         if self.kind in ("y", "z0"):
@@ -82,13 +106,12 @@ class GenLabel:
         return cls(kind, int(idx))
 
 
-@dataclass(frozen=True)
-class SuperAlgebraSpec:
+class SuperAlgebraSpec(Record):
     m: int
     n: int
     flavor: str  # "gl" | "sl"
 
-    def __post_init__(self):
+    def _validate(self):
         if self.flavor not in ("gl", "sl"):
             raise InputError(f"flavor must be 'gl' or 'sl', got {self.flavor!r}")
         if self.m < 1 or self.n < 1:
@@ -128,8 +151,7 @@ def weight_scale(w: Weight, s) -> Weight:
     return tuple(a * s for a in w)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Distinguished-basis root data for gl/sl(m|n)."""
 
     spec: SuperAlgebraSpec
@@ -243,8 +265,7 @@ def _unit_matrix(dim: int, r: int, c: int, value=1) -> PolyMatrix:
     return PolyMatrix(dim, dim, (), {(r, c): ParamPoly.const((), value)})
 
 
-@dataclass(frozen=True)
-class FundamentalRep:
+class FundamentalRep(Record):
     spec: SuperAlgebraSpec
     datum: RootDatum
     matrices: dict            # GenLabel -> PolyMatrix over ()
@@ -314,8 +335,7 @@ def sbracket(pa: int, pb: int, ma: PolyMatrix, mb: PolyMatrix) -> list:
 
 # -- structure constants ----------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Record):
     spec: SuperAlgebraSpec
     datum: RootDatum
     basis: tuple                      # full ordered GenLabel basis

@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from superkac import heisenberg as hsb
@@ -25,6 +24,7 @@ from superkac.algebra import (InputError, SuperAlgebraSpec,
                               super_jacobi_report)
 from superkac.evenrep import build_even_irrep
 from superkac.kacmod import induce, kac_typicality, singular_vectors
+from superkac.record import Record
 from superkac.report import VerificationReport
 
 ACTIONS = ("build", "verify", "typicality", "replicate", "twist",
@@ -37,8 +37,7 @@ WRITES = {"build": ("out",), "export": ("out",), "verify": ("report",),
           "twist": ("out", "report"), "heisenberg": ("out", "report")}
 
 
-@dataclass
-class JobConfig:
+class JobConfig(Record, frozen=False):
     action: str
     flavor: str = "sl"
     m: int = 2
@@ -53,7 +52,7 @@ class JobConfig:
     out: str | None = None
     report: str | None = None
 
-    def __post_init__(self):
+    def _validate(self):
         """Type-check and normalize every field; a bad value raises an
         InputError that names the field."""
         if self.action not in ACTIONS:
@@ -144,7 +143,7 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
                              f"{err}") from None
         if not isinstance(raw, dict):
             raise InputError("config must be a JSON object of JobConfig fields")
-        known = {f.name for f in fields(JobConfig)}
+        known = set(JobConfig._fields)
         unknown = sorted(set(raw) - known)
         if unknown:
             raise InputError(f"unknown config fields rejected: {unknown}")

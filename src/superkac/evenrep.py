@@ -16,7 +16,6 @@ kept symbolic in b and c.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,10 +23,10 @@ from superkac.algebra import (GenLabel, InternalConsistencyError,
                               RootDatum, StructureConstants, module_params,
                               validate_even_labels, weight_from_labels)
 from superkac.exact import ParamPoly, PolyMatrix, rref
+from superkac.record import Record
 
 
-@dataclass(frozen=True)
-class EvenModule:
+class EvenModule(Record):
     """An irreducible module of the even subalgebra with scalar h' action."""
 
     datum: RootDatum
@@ -89,8 +88,7 @@ def _step(content: tuple, i: int, delta: int) -> tuple:
     return content[:i] + (content[i] + delta,) + content[i + 1:]
 
 
-@dataclass
-class _WeightSpace:
+class _WeightSpace(Record, frozen=False):
     """The basis of L at one content, with what the next level reads off it.
 
     Images are sparse coordinate dicts {basis position: coefficient}.

@@ -20,10 +20,11 @@ bit-exact statement about these objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, Union
+
+from superkac.record import Record
 
 Rational = Fraction
 
@@ -258,10 +259,12 @@ class ParamPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        # a coefficient enters as (~numerator, denominator): CPython gives
+        # -1 the hash of -2, and ~n is -1 only for n = 0, never stored
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((self.params, tuple(sorted(self.terms.items())))))
+            object.__setattr__(self, "_hash", hash((self.params, tuple(sorted(
+                (exps, ~q.numerator, q.denominator)
+                for exps, q in self.terms.items())))))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -402,8 +405,11 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
     """sum_i c_i * A_i @ B_i over (c_i, A_i, B_i), computed in one
     accumulation; B_i = None stands for the identity.  The c_i are
     rationals; every product must have the shape of the first and every
-    matrix its params."""
+    matrix its params.  A lone term (1, A, None) gives A itself: its terms
+    are already canonical, and results may share terms."""
     first = terms[0]
+    if len(terms) == 1 and first[2] is None and first[0] == 1:
+        return first[1]
     rows = first[1].rows
     cols = first[1].cols if first[2] is None else first[2].cols
     params = first[1].params
@@ -846,8 +852,7 @@ def rref(rows) -> tuple:
                      for c, x in echelon[lead].items()} for lead in pivots]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     rank: int
     nullspace: tuple           # tuple of tuples of Fractions (right nullspace basis)
 

@@ -12,7 +12,6 @@ L x J_n(nu) with trivial h' action on L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
@@ -23,11 +22,11 @@ from superkac.exact import (ParamPoly, PolyMatrix, kronecker_sum,
 from superkac.kacmod import KacModule, induce_core
 from superkac.matryoshka import (Deformation, TwistSpec, deformation,
                                  derivative_report)
+from superkac.record import Record
 from superkac.report import VerificationReport
 
 
-@dataclass(frozen=True)
-class HeisenbergSpec:
+class HeisenbergSpec(Record):
     """Bracket table of H: odd pair contractions land in h', all else zero."""
 
     base: StructureConstants
@@ -83,8 +82,7 @@ def heisenberg_structure_report(H: HeisenbergSpec) -> VerificationReport:
     return report
 
 
-@dataclass(frozen=True)
-class RhoFamily:
+class RhoFamily(Record):
     """The twisted module with its superdiagonal scaled by a formal t."""
 
     base: KacModule
@@ -129,8 +127,7 @@ def affine_in_t_report(rho: RhoFamily) -> VerificationReport:
     return report
 
 
-@dataclass(frozen=True)
-class HModule:
+class HModule(Record):
     """Matrices of the H generators on L x J_n(nu) x Lambda(g_-1)."""
 
     rho: RhoFamily

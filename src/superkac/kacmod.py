@@ -29,7 +29,6 @@ time, straight to exact.rref.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -40,10 +39,10 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
                             kronecker_sum, nullspace, rref)
+from superkac.record import Record
 
 
-@dataclass(frozen=True)
-class KacModule:
+class KacModule(Record):
     """A module built by wedge induction; matrices are indexed by generator
     labels."""
 
@@ -328,8 +327,7 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
 
 # -- typicality -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TypicalityReport:
+class TypicalityReport(Record):
     s_poly: ParamPoly             # coefficient of Lambda in w+ w- Lambda
     factors: tuple                # the P linear polynomials <Lambda+rho|beta_i>
     constant: Fraction            # s_poly == constant * prod(factors)
@@ -403,10 +401,10 @@ def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
     Each distinct coordinate is substituted once and each distinct value
     gets a number; positions are grouped by their tuples of value numbers,
     and a Fraction key is built once per group."""
-    # coordinates are numbered by object, not by hash, as polynomials
-    # that differ only in a constant -1 or -2 share a hash (hash(-1) ==
-    # hash(-2)); weights keeps every object alive for the call, and equal
-    # coordinates held by different objects get the same value number
+    # coordinates are numbered by object, which costs one id lookup where
+    # a value key would hash and compare polynomials; weights keeps every
+    # object alive for the call, and equal coordinates held by different
+    # objects get the same value number
     weights = tuple(module.weights)
     number: dict = {}                 # id(ParamPoly) -> number of its value
     value_number: dict = {}           # Fraction -> its number
@@ -429,15 +427,13 @@ def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
     return {tuple(values[k] for k in key): groups[key] for key in ordered}
 
 
-@dataclass(frozen=True)
-class SingularVector:
+class SingularVector(Record):
     weight: tuple                 # substituted rational weight coordinates
     layer: int
     coefficients: tuple           # ((basis index, Fraction), ...)
 
 
-@dataclass(frozen=True)
-class SingularVectorReport:
+class SingularVectorReport(Record):
     raising_set: str
     bindings: dict
     vectors: tuple

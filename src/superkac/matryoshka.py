@@ -15,7 +15,6 @@ family rho_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -27,11 +26,11 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
                             integer_product, kronecker_sum)
 from superkac.kacmod import KacModule, weight_spaces
+from superkac.record import Record
 from superkac.report import VerificationReport
 
 
-@dataclass(frozen=True)
-class Deformation:
+class Deformation(Record):
     """A Kac module's matrices A with their derivative B along nu on h'.
 
     A covers the full basis (nonsimple root vectors via their recipes) and
@@ -141,12 +140,11 @@ def derivative_report(D: Deformation, N: int,
 
 # -- block modules ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReplicationSpec:
+class ReplicationSpec(Record):
     N: int
     lambdas: tuple
 
-    def __post_init__(self):
+    def _validate(self):
         if self.N < 1:
             raise InputError("replication needs N >= 1")
         lams = tuple(Fraction(x) for x in self.lambdas)
@@ -160,12 +158,11 @@ class ReplicationSpec:
         object.__setattr__(self, "lambdas", lams)
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(Record):
     n: int
     nu: tuple                     # coefficients on (y direction, z0 direction)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 1:
             raise InputError("twist needs n >= 1")
         nu = tuple(Fraction(x) for x in self.nu)
@@ -184,8 +181,7 @@ class TwistSpec:
         return self.nu[1] if len(self.nu) > 1 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class ReplicatedModule:
+class ReplicatedModule(Record):
     """N x N block module of a deformation: base blocks on the diagonal,
     derivative blocks scaled by the couplings on the first superdiagonal.
     The block matrices are built on first use."""
@@ -363,8 +359,7 @@ def upsilon_extract(R: ReplicatedModule) -> dict:
     return mu
 
 
-@dataclass(frozen=True)
-class IsoDecision:
+class IsoDecision(Record):
     isomorphic: bool
     scale: Fraction | None        # mu = scale * nu when isomorphic
     witness_h: dict | None        # Cartan combination with nu(h)=0 != mu(h)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from superkac.record import Record
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     name: str
     passed: bool
     location: str | None = None
@@ -22,12 +21,11 @@ class CheckItem:
         return f"[{status}] {self.name}{extra}"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record, frozen=False):
     """A list of named exact checks; every failure carries a locator."""
 
     title: str
-    items: list = field(default_factory=list)
+    items: list = []
 
     def add_pass(self, name: str):
         self.items.append(CheckItem(name, True))

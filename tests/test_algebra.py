@@ -1,7 +1,6 @@
 """Root data, fundamental representation and structure constants."""
 
 import copy
-import dataclasses
 import itertools
 import pickle
 from fractions import Fraction
@@ -398,7 +397,7 @@ def with_matrix(rep, label, entries):
     """rep with the matrix of label replaced by the given rational entries."""
     mat = PolyMatrix(rep.dim, rep.dim, (),
                      {pos: ParamPoly.const((), x) for pos, x in entries.items()})
-    return dataclasses.replace(rep, matrices={**rep.matrices, label: mat})
+    return rep.replace(matrices={**rep.matrices, label: mat})
 
 
 PERTURBED_REPS = tuple(make(*alg)[0] for alg in (
@@ -571,7 +570,7 @@ class TestTypicalityFactors:
 
 class TestGenLabelHash:
     """The hash is computed once per label; equality, order, str and repr
-    are those of the (kind, index) dataclass."""
+    are those of the pair (kind, index)."""
 
     LABELS = [GenLabel(kind, index) for kind in ("h", "e", "f", "u", "v",
                                                  "E", "F")
@@ -595,7 +594,7 @@ class TestGenLabelHash:
 
     def test_hash_survives_replace_copy_and_pickle(self):
         label = GenLabel("u", 2)
-        moved = dataclasses.replace(label, index=3)
+        moved = label.replace(index=3)
         assert moved == GenLabel("u", 3)
         assert hash(moved) == hash(GenLabel("u", 3))
         assert {GenLabel("u", 3): 1}[moved] == 1

@@ -132,6 +132,28 @@ def test_arithmetic_matches_the_validating_constructor(p, q, x):
                    for coeff in got.terms.values())
 
 
+class TestPolyHash:
+    def test_constants_minus_one_and_minus_two_hash_apart(self):
+        # hash(-1) == hash(-2) in CPython, so hashing the Fractions as they
+        # are gives b - 1 and b - 2 one hash
+        assert hash(b() - 1) != hash(b() - 2)
+        assert hash(const(-1)) != hash(const(-2))
+        assert hash(b() * Fraction(-1, 3)) != hash(b() * Fraction(-2, 3))
+
+    def test_equal_polynomials_hash_equal(self):
+        built = ParamPoly(PARAMS, {(1, 0): 1, (0, 0): Fraction(-2, 2)})
+        assert built == b() - 1 and hash(built) == hash(b() - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys, polys)
+def test_hash_agrees_with_equality(p, q):
+    twin = ParamPoly(PARAMS, dict(reversed(list(p.terms.items()))))
+    assert twin == p and hash(twin) == hash(p)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
 @settings(deadline=None, max_examples=60)
 @given(polys, polys, rationals, rationals)
 def test_substitution_is_a_homomorphism(p, q, bv, cv):
@@ -234,6 +256,13 @@ class TestRationalRoots:
 
 
 class TestMatrixAlgebra:
+    def test_lone_unit_term_is_returned_as_is(self):
+        m = PolyMatrix(2, 2, PARAMS, {(0, 1): b(), (1, 0): Fraction(1, 3)})
+        assert combination([(1, m, None)]) is m
+        assert combination([(Fraction(1), m, None)]) is m
+        assert m.scale(1) is m
+        assert combination([(2, m, None)]) == m + m
+
     def test_matmul_against_dense(self):
         m1 = PolyMatrix.from_rows([[1, 2], [0, 1]], PARAMS)
         m2 = PolyMatrix(2, 2, PARAMS, {(0, 0): b(), (1, 0): c()})

@@ -1,7 +1,6 @@
 """Kac modules: induction, normal ordering, typicality, singular vectors."""
 
 import collections
-import dataclasses
 import gc
 import itertools
 import types
@@ -661,6 +660,6 @@ def test_non_integral_odd_root_is_refused():
     K = OCTET
     roots = list(K.datum.odd_positive_roots)
     roots[1] = (Fraction(1, 2),) + roots[1][1:]
-    datum = dataclasses.replace(K.datum, odd_positive_roots=tuple(roots))
+    datum = K.datum.replace(odd_positive_roots=tuple(roots))
     with pytest.raises(InternalConsistencyError, match="not an integer"):
         induce(K.L, datum, K.sc)

@@ -1,12 +1,11 @@
 """Nested replications: derivatives, block forms, Jordan profiles, twists."""
 
-import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from superkac import matryoshka
+from superkac import exact, matryoshka
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, structure_constants,
@@ -238,6 +237,23 @@ class TestJordanProfile:
         assert profile == reference_jordan_profile(module, bindings, h_coeffs)
         assert set(profile.values()) == degrees
 
+    def test_one_pencil_pass_the_substitution(self, monkeypatch):
+        """The hypercharge is read as stored, with no copy, so substituting
+        the bindings is the profile's one pass over the matrix."""
+        R = replicate(SL31_A21, ReplicationSpec(3, (Fraction(2),
+                                                    Fraction(-1, 3))))
+        y = GenLabel("y")
+        expected = reference_jordan_profile(R, B57)
+        block = R.matrices[y]       # all blocks, built outside the count
+        assert cartan_matrix_of(R, {y: Fraction(1)}) is block
+        passes = []
+        pencil = exact._pencil
+        monkeypatch.setattr(exact, "_pencil",
+                            lambda parts: passes.append(1) or pencil(parts))
+        assert jordan_minpoly_profile(R, B57) == expected
+        assert set(expected.values()) == {3}
+        assert len(passes) == 1
+
     @pytest.mark.parametrize("h_coeffs", [
         None, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}])
     def test_fresh_block_module_builds_only_the_cartan_labels(
@@ -425,15 +441,15 @@ class TestReductionToBaseDimension:
                              ids=["sl21_a1_hypercharge", "gl21_a1_twist"])
     def test_corrupted_deformations(self, D):
         u1, y = GenLabel("u", 1), GenLabel("y")
-        bad_a = dataclasses.replace(D, A={**D.A, u1: D.A[u1].scale(2)})
-        bad_b = dataclasses.replace(D, B={**D.B, u1: D.B[u1].scale(3)})
+        bad_a = D.replace(A={**D.A, u1: D.A[u1].scale(2)})
+        bad_b = D.replace(B={**D.B, u1: D.B[u1].scale(3)})
         for corrupted in (bad_a, bad_b):
             for couplings in self.COUPLINGS[1:3]:
                 assert self.block_pairs(corrupted, couplings)
         # adding the coboundary [A_y, A] keeps (ii) but breaks (iii), so
         # only the blocks with N >= 3 fail
         ay = D.A[y]
-        bad_bb = dataclasses.replace(D, B={
+        bad_bb = D.replace(B={
             lab: mat + ay @ D.A[lab] - D.A[lab] @ ay
             for lab, mat in D.B.items()})
         assert self.block_pairs(bad_bb, self.COUPLINGS[1]) == set()

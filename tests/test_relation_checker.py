@@ -15,7 +15,6 @@ every triple through the table: its pairs must equal the loop's violating
 pairs that contain a generator, and its verdict that of all triples.
 """
 
-import dataclasses
 import itertools
 import random
 import re
@@ -124,7 +123,7 @@ def corrupted(K, label, value):
     mat = K.matrices[label]
     pos, _ = mat.first_nonzero()
     bump = PolyMatrix(mat.rows, mat.cols, K.params, {pos: value})
-    return dataclasses.replace(K, matrices={**K.matrices, label: mat + bump})
+    return K.replace(matrices={**K.matrices, label: mat + bump})
 
 
 CASES = [
@@ -258,7 +257,7 @@ def test_derivative_sweep_verdicts_match_full_reference(name, label):
     A, B = ref_deformation(K, *directions(K))
     pos, _ = D.A[label].first_nonzero()
     one = ParamPoly.const(K.params, 1)
-    bumped = dataclasses.replace(D, B={**D.B, label: D.B[label] + PolyMatrix(
+    bumped = D.replace(B={**D.B, label: D.B[label] + PolyMatrix(
         K.dim, K.dim, K.params, {pos: one})})
     B[label] = ref_combination([(1, B[label], None), (1, {pos: one}, None)])
     assert block_verdicts([], derivative_violations(bumped, 3)) == \
@@ -273,7 +272,7 @@ def test_coboundary_verdicts_match_full_reference(name):
     D = deformation(K, *directions(K))
     A, B = ref_deformation(K, *directions(K))
     y = GenLabel("y")
-    cobound = dataclasses.replace(D, B={
+    cobound = D.replace(B={
         lab: mat + D.A[y] @ D.A[lab] - D.A[lab] @ D.A[y]
         for lab, mat in D.B.items()})
     B = {lab: ref_combination(
@@ -409,9 +408,9 @@ def test_generators_are_the_simple_ones(cfg):
 
 def even_restriction(sc):
     even = tuple(lab for lab in sc.basis if not sc.parity[lab])
-    return dataclasses.replace(
-        sc, basis=even, table={pair: exp for pair, exp in sc.table.items()
-                               if pair[0] in even and pair[1] in even})
+    return sc.replace(basis=even, table={
+        pair: exp for pair, exp in sc.table.items()
+        if pair[0] in even and pair[1] in even})
 
 
 def test_even_restriction_generators_add_y():
@@ -572,7 +571,7 @@ def with_terms(sc, additions):
         expansion = dict(table.get(pair, {}))
         expansion[target] = expansion.get(target, Fraction(0)) + coeff
         table[pair] = {t: c for t, c in expansion.items() if c}
-    return dataclasses.replace(sc, table=table)
+    return sc.replace(table=table)
 
 
 @pytest.mark.parametrize("cfg", ALGEBRA_CONFIGS,
