@@ -27,10 +27,10 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import lcm
-from typing import Callable, Mapping, Sequence
 
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
                            echelon_insert, rref)
@@ -194,6 +194,19 @@ def _delta(spec: SuperAlgebraSpec, j: int) -> Weight:
     return tuple(w)
 
 
+def integer_roots(roots) -> list:
+    """Roots as int tuples; a coordinate that is not an integer is an
+    InternalConsistencyError, never truncated."""
+    out = []
+    for root in roots:
+        if any(x.denominator != 1 for x in root):
+            raise InternalConsistencyError(
+                f"root {tuple(map(str, root))} has a coordinate that is not "
+                "an integer")
+        out.append(tuple(int(x) for x in root))
+    return out
+
+
 def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
     m, n = spec.m, spec.n
     zero = tuple(Fraction(0) for _ in range(m + n))
@@ -352,38 +365,43 @@ class StructureConstants(Record):
 
     @cached_property
     def generators(self) -> tuple:
-        """A set X of basis labels that generates the table's algebra.
+        """``generating_set(self)``, computed once."""
+        return generating_set(self)
 
-        The seed is the simple raising e_i and u_1 and every label whose
-        brackets with the simple lowering f_i and v_1 vanish, the lowest-
-        weight vectors of ad: e_i, u_1 and v_P for sl, as g = U(n+) f_theta
-        (Kac, Adv. Math. 26, 1977), z0 too for gl.  Its iterated brackets grow an
-        echelon form over basis positions (``exact.echelon_insert``), and
-        every label still outside the span is added, so X generates
-        whatever the seed.  X is listed in basis order.
-        """
-        lowering = [lab for lab in self.basis
-                    if lab.kind == "f" or lab == GenLabel("v", 1)]
-        seed = [lab for lab in self.basis
-                if lab.kind == "e" or lab == GenLabel("u", 1)
-                or not any(self.bracket(x, lab) for x in lowering)]
-        echelon: dict = {}            # over basis positions
-        order = {lab: pos for pos, lab in enumerate(self.basis)}
-        queue = [{order[lab]: 1} for lab in seed]
-        while queue:
-            vec = echelon_insert(echelon, queue.pop())
-            if vec is None:
-                continue
-            for x in seed:
-                image: dict = {}
-                for pos, coeff in vec.items():
-                    for t, c in self.bracket(x, self.basis[pos]).items():
-                        image[order[t]] = image.get(order[t], 0) + coeff * c
-                queue.append(image)
-        completion = [lab for lab in self.basis
-                      if echelon_insert(echelon, {order[lab]: 1}) is not None]
-        return tuple(lab for lab in self.basis
-                     if lab in completion or lab in seed)
+
+def generating_set(sc: StructureConstants) -> tuple:
+    """A set X of basis labels that generates the table's algebra.
+
+    The seed is the simple raising e_i and u_1 and every label whose
+    brackets with the simple lowering f_i and v_1 vanish, the lowest-
+    weight vectors of ad: e_i, u_1 and v_P for sl, as g = U(n+) f_theta
+    (Kac, Adv. Math. 26, 1977), z0 too for gl.  Its iterated brackets grow an
+    echelon form over basis positions (``exact.echelon_insert``), and
+    every label still outside the span is added, so X generates
+    whatever the seed.  X is listed in basis order.
+    """
+    lowering = [lab for lab in sc.basis
+                if lab.kind == "f" or lab == GenLabel("v", 1)]
+    seed = [lab for lab in sc.basis
+            if lab.kind == "e" or lab == GenLabel("u", 1)
+            or not any(sc.bracket(x, lab) for x in lowering)]
+    echelon: dict = {}                # over basis positions
+    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+    queue = [{order[lab]: 1} for lab in seed]
+    while queue:
+        vec = echelon_insert(echelon, queue.pop())
+        if vec is None:
+            continue
+        for x in seed:
+            image: dict = {}
+            for pos, coeff in vec.items():
+                for t, c in sc.bracket(x, sc.basis[pos]).items():
+                    image[order[t]] = image.get(order[t], 0) + coeff * c
+            queue.append(image)
+    completion = [lab for lab in sc.basis
+                  if echelon_insert(echelon, {order[lab]: 1}) is not None]
+    return tuple(lab for lab in sc.basis
+                 if lab in completion or lab in seed)
 
 
 def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):

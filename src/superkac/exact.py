@@ -8,11 +8,13 @@ matrices over them (``PolyMatrix``), and one sparse elimination kernel.  A
 denominator per monomial, so its products and sums run over Python ints;
 ``Fraction`` objects are built only where an entry is returned.
 
-Every exact solve is a reduced row echelon form computed by ``rref``:
-sparse rows are scaled to integers, eliminated fraction-free into an
-echelon form of primitive rows (``echelon_insert``), back-substituted and
-divided by their pivots only at the end.  The RREF of a matrix is unique,
-so its pivots, rows and nullspace basis do not depend on the row order.
+Every exact solve is a reduced row echelon form computed by
+``integer_rref``: sparse rows are scaled to integers, eliminated
+fraction-free into an echelon form of primitive rows (``echelon_insert``)
+and back-substituted over the integers; ``rref`` divides each row by its
+pivot entry for callers that want ``Fraction`` rows.  The RREF of a matrix
+is unique, so its pivots, rows and nullspace basis do not depend on the
+row order.
 
 No floating point enters anywhere; every identity checked downstream is a
 bit-exact statement about these objects.
@@ -20,15 +22,15 @@ bit-exact statement about these objects.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
 
 from superkac.record import Record
 
 Rational = Fraction
 
-ScalarLike = Union[int, Fraction]
+ScalarLike = int | Fraction
 
 
 class DeclarationError(ValueError):
@@ -369,6 +371,38 @@ def _reduced(den: int, acc: dict):
     return den, rows
 
 
+def _column_index(left: dict, needed: set) -> dict:
+    """{col: [(row, x)]} of the entries of left in the needed columns."""
+    index: dict = {}
+    for r, lrow in left.items():
+        for k, x in lrow.items():
+            if k in needed:
+                index.setdefault(k, []).append((r, x))
+    return index
+
+
+def _accumulate_walk(acc: dict, index: dict, right: dict,
+                     factor: int) -> None:
+    """acc += factor * left @ right, walking the rows of right against a
+    column index of left (``_column_index``); may leave zeros, which
+    _reduced drops."""
+    for k, rrow in right.items():
+        for r, x in index.get(k, ()):
+            arow = acc.get(r)
+            if arow is None:
+                arow = acc[r] = {}
+            if factor != 1:
+                x *= factor
+            for c, y in rrow.items():
+                cur = arow.get(c)
+                arow[c] = x * y if cur is None else cur + x * y
+
+
+# a right term with at most 1/_THIN as many stored rows as its left term is
+# walked against a column index of the left term
+_THIN = 8
+
+
 def _pencil(parts) -> dict:
     """Canonical pencil terms of a sum of scaled, shifted products.
 
@@ -379,10 +413,20 @@ def _pencil(parts) -> dict:
     summand.  The parts of each output exponent are brought to one common
     denominator D = lcm(q.den * den_left * den_right), so the sums run over
     ints with the multipliers q * D / (den_left * den_right).
+
+    A product passes over every stored row of its left term, unless its
+    right term is thin (``_THIN``): then one column index of the left term,
+    over the columns its thin right terms need, serves all of them, and
+    each product costs in proportion to the entries it meets.
     """
     groups: dict = {}
+    needed: dict = {}             # id of a left term -> columns to index
     for part in parts:
         groups.setdefault(part[0], []).append(part)
+        left, right = part[2], part[3]
+        if right is not None and len(right[1]) * _THIN <= len(left[1]):
+            needed.setdefault(id(left), set()).update(right[1])
+    indexes: dict = {}
     out = {}
     for exps, group in groups.items():
         dens = [q.denominator * left[0] * (1 if right is None else right[0])
@@ -393,6 +437,12 @@ def _pencil(parts) -> dict:
             factor = q.numerator * (common // den)
             if right is None:
                 _accumulate(acc, left[1], factor, row_off, col_off)
+            elif len(right[1]) * _THIN <= len(left[1]):
+                index = indexes.get(id(left))
+                if index is None:
+                    index = indexes[id(left)] = _column_index(
+                        left[1], needed[id(left)])
+                _accumulate_walk(acc, index, right[1], factor)
             else:
                 _accumulate_product(acc, left[1], right[1], factor)
         term = _reduced(common, acc)
@@ -642,6 +692,22 @@ class PolyMatrix:
                 terms[exps] = term
         return PolyMatrix._of(len(rows), len(cols), self.params, terms)
 
+    @classmethod
+    def from_term(cls, rows: int, cols: int, params: Sequence[str],
+                  term: tuple) -> "PolyMatrix":
+        """The parameter-free matrix of an integer term (den, {row: {col:
+        int}}), which stands for {row: {col: int / den}}: the inverse of
+        ``integer_term``.  Zero entries and a common factor are allowed;
+        the rows must be new dicts, as the matrix may keep them."""
+        params = tuple(params)
+        for r, row in term[1].items():
+            if row and not (0 <= r < rows and 0 <= min(row)
+                            and max(row) < cols):
+                raise IndexError(f"entry in row {r} outside {rows}x{cols}")
+        term = _reduced(*term)
+        return cls._of(rows, cols, params,
+                       {} if term is None else {(0,) * len(params): term})
+
     def integer_term(self) -> tuple:
         """The stored term (den, {row: {col: int}}) of a parameter-free
         matrix; ParameterizedEntryError if an entry holds a parameter."""
@@ -829,15 +895,17 @@ def _eliminate(vec: dict, pivot_row: dict, col: int) -> dict:
     return out
 
 
-def rref(rows) -> tuple:
-    """Reduced row echelon form of sparse rational rows {col: x}.
+def integer_rref(rows) -> tuple:
+    """Reduced row echelon form of sparse rational rows {col: x}, kept on
+    integers.
 
     Every row goes through ``echelon_insert``; the stored rows are then
-    back-substituted, last pivot first, over the integers, and each is
-    divided by its pivot only at the end.  Returns (pivots, reduced): the
-    pivot columns in increasing order and the nonzero rows {col: Fraction}
-    of the RREF, row k with a 1 at pivots[k].  The RREF does not depend on
-    the order or the scaling of the rows.
+    back-substituted, last pivot first, over the integers.  Returns
+    (pivots, rows): the pivot columns in increasing order and, for each,
+    the primitive integer row {col: int} with a positive entry at its
+    pivot and a zero at every other pivot, so that row k divided by
+    rows[k][pivots[k]] is row k of the RREF.  Both are unique: they do not
+    depend on the order or the scaling of the input rows.
     """
     echelon: dict = {}
     for row in rows:
@@ -847,9 +915,21 @@ def rref(rows) -> tuple:
         vec = echelon[lead]
         for col in [c for c in vec if c != lead and c in echelon]:
             vec = _eliminate(vec, echelon[col], col)
-        echelon[lead] = _primitive(vec)
-    return pivots, [{c: Fraction(x, echelon[lead][lead])
-                     for c, x in echelon[lead].items()} for lead in pivots]
+        vec = _primitive(vec)
+        echelon[lead] = vec if vec[lead] > 0 else \
+            {c: -x for c, x in vec.items()}
+    return pivots, [echelon[lead] for lead in pivots]
+
+
+def rref(rows) -> tuple:
+    """Reduced row echelon form of sparse rational rows {col: x}, read off
+    ``integer_rref``.  Returns (pivots, reduced): the pivot columns in
+    increasing order and the nonzero rows {col: Fraction} of the RREF, row
+    k with a 1 at pivots[k].
+    """
+    pivots, rows = integer_rref(rows)
+    return pivots, [{c: Fraction(x, row[lead]) for c, x in row.items()}
+                    for lead, row in zip(pivots, rows)]
 
 
 class SolveResult(Record):

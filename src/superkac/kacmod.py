@@ -29,13 +29,13 @@ time, straight to exact.rref.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               RootDatum, StructureConstants, extend_matrices,
-                              typicality_factors)
+                              integer_roots, typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
                             kronecker_sum, nullspace, rref)
@@ -233,19 +233,6 @@ def _scaled_identity(dim: int, params: tuple, scalar: ParamPoly) -> PolyMatrix:
     return PolyMatrix.identity(dim, params).scale(scalar)
 
 
-def _integer_roots(datum: RootDatum) -> list:
-    """The odd positive roots as int tuples; a coordinate that is not an
-    integer is an InternalConsistencyError, never truncated."""
-    roots = []
-    for beta in datum.odd_positive_roots:
-        if any(Fraction(x).denominator != 1 for x in beta):
-            raise InternalConsistencyError(
-                f"odd root {tuple(map(str, beta))} has a coordinate that is "
-                "not an integer")
-        roots.append(tuple(int(x) for x in beta))
-    return roots
-
-
 def _shifted_weights(base_weights: Sequence[tuple], subsets: Sequence,
                      roots: Sequence[tuple]) -> tuple:
     """(weights, layers) of the basis (subset, l), subsets in the given
@@ -285,7 +272,7 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     spec = sc.spec
     P = spec.odd_count
     params = L.params
-    roots = _integer_roots(datum)
+    roots = integer_roots(datum.odd_positive_roots)
 
     base_even = dict(L.matrices)
     base_even[GenLabel("y")] = _scaled_identity(L.dim, params, L.y_scalar)

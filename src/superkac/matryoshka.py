@@ -15,10 +15,10 @@ family rho_t.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, extend_matrices, sbracket,

@@ -14,7 +14,8 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               StructureConstants, SuperAlgebraSpec,
                               _full_basis, build_fundamental_rep,
                               build_root_datum, check_super_relations,
-                              extend_matrices, grading_report, parity_of,
+                              extend_matrices, generating_set,
+                              grading_report, parity_of,
                               sbracket, structure_constants,
                               super_jacobi_report, supertrace,
                               typicality_factors, weight_eval,
@@ -354,6 +355,18 @@ def test_structure_constants_match_all_pairs_loop(flavor, m, n):
     assert (sc.grade, sc.k, sc.d) == (want.grade, want.k, want.d)
     assert sc.recipes == want.recipes
     assert sc.generators == want.generators
+
+
+# every algebra the test modules build
+ALL_ALGEBRAS = LOOP_ALGEBRAS + (("sl", 2, 3), ("gl", 3, 1), ("sl", 5, 1))
+
+
+@pytest.mark.parametrize("flavor, m, n", ALL_ALGEBRAS)
+def test_generating_set_is_the_cached_generators(flavor, m, n):
+    sc = make(flavor, m, n)[1]
+    assert "generators" not in vars(sc)
+    assert generating_set(sc) == sc.generators
+    assert vars(sc)["generators"] == generating_set(sc)
 
 
 def test_one_rref_per_table(monkeypatch):

@@ -1,7 +1,9 @@
-"""Even-subalgebra irreps: Shapovalov construction against the Weyl oracle
-and against the Verma-word construction it replaced."""
+"""Even-subalgebra irreps: Shapovalov construction against the Weyl oracle,
+against the Verma-word construction it replaced and against the same
+recursion on Fraction coordinates."""
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -12,10 +14,12 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               build_fundamental_rep, check_super_relations,
                               module_params, structure_constants,
                               validate_even_labels, weight_from_labels)
+from superkac import evenrep
 from superkac.evenrep import (EvenModule, build_even_irrep,
                               labels_to_hypercharge, weyl_dimension)
 from dense_oracles import ExactSolver, dense_rref
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, rref
+from superkac.record import Record
 
 
 # -- the reference: every Gram entry and every e/f coordinate by expanding ---
@@ -214,6 +218,176 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
         y_scalar=y_scalar, z0_scalar=z0_scalar)
 
 
+# -- the second reference: the same Shapovalov recursion on Fraction -------
+# -- coordinates, with one Fraction per Gram entry and per e/f coordinate ---
+
+def _step(content: tuple, i: int, delta: int) -> tuple:
+    return content[:i] + (content[i] + delta,) + content[i + 1:]
+
+
+class _WeightSpace(Record, frozen=False):
+    """The basis of L at one content, with what the next level reads off it.
+
+    Images are sparse coordinate dicts {basis position: coefficient}.
+    """
+
+    basis: list       # basis words, in pivot order
+    gram: list        # contravariant form on the basis words
+    f: dict           # j -> f_j of each basis word at content - e_j, here
+    e: dict           # i -> e_i of each basis word here, at content - e_i
+
+
+def _weight_space(spaces: dict, content: tuple,
+                  h_eigen) -> _WeightSpace | None:
+    """The weight space of L at content, from the contents one level up.
+
+    The candidates are the words x = (j,) + w for each basis word w at
+    content - e_j.  Their raising images follow from the level above,
+    e_i f_j w = f_j (e_i w) + [i = j] h_i(w) w, so the Gram entry
+    <(i,) + w', x> = <w', e_i x> is a row of the basis Gram at content - e_i
+    against those coordinates.  None if the form vanishes there.
+    """
+    parents = {i: spaces[shrunk] for i in range(len(content))
+               if (shrunk := _step(content, i, -1)) in spaces}
+    candidates = sorted(((j,) + w, j, q)
+                        for j, space in parents.items()
+                        for q, w in enumerate(space.basis))
+
+    def raised(i: int, j: int, q: int) -> dict:
+        """e_i f_j (word q at content - e_j), in the basis at content - e_i."""
+        out: dict = {}
+        e_i = parents[j].e.get(i)
+        if e_i is not None:
+            f_j = parents[i].f[j]
+            for s, coeff in e_i[q].items():
+                for r, x in f_j[s].items():
+                    out[r] = out.get(r, 0) + coeff * x
+        if i == j:
+            out[q] = out.get(q, 0) + h_eigen(i, _step(content, i, -1))
+        return {r: x for r, x in out.items() if x}
+
+    images = {i: [raised(i, j, q) for _, j, q in candidates] for i in parents}
+    gram = [[sum(parents[i].gram[p][r] * x for r, x in image.items())
+             for image in images[i]]
+            for _, i, p in candidates]
+    pivots, reduced = rref({c: x for c, x in enumerate(row) if x}
+                           for row in gram)
+    if not pivots:
+        return None
+    # row reduction keeps the linear relations among the Gram columns, so
+    # candidate column col is the sum over k of reduced[k][col] * pivot
+    # column k
+    f = {j: [None] * len(space.basis) for j, space in parents.items()}
+    for col, (_, j, q) in enumerate(candidates):
+        f[j][q] = {k: row[col] for k, row in enumerate(reduced) if col in row}
+    return _WeightSpace(
+        basis=[candidates[c][0] for c in pivots],
+        gram=[[gram[r][c] for c in pivots] for r in pivots],
+        f=f,
+        e={i: [image[c] for c in pivots] for i, image in images.items()})
+
+
+def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
+                               sc: StructureConstants,
+                               params: Sequence[str] | None = None
+                               ) -> EvenModule:
+    """Construct the irreducible even module with dominant integral labels.
+
+    Weight spaces are built level by level outward from the highest weight,
+    whose Gram matrix is [[1]].  Since L_mu = sum_i f_i L_{mu+alpha_i} and f_i
+    maps the radical into itself, the candidate words at a content are
+    (i,) + w for every basis word w one level up; a weight survives iff the
+    Gram matrix of the contravariant form on its candidates has positive
+    rank.  The basis words at a weight are the pivot columns of the exact
+    row reduction of that Gram matrix (graded lex word order), so the whole
+    construction is deterministic.  Each level keeps its basis Gram, the f
+    coordinates of its candidates and the e coordinates of its basis words,
+    which is all the next level reads.
+    """
+    spec = datum.spec
+    validate_even_labels(spec, a)
+    params = tuple(params) if params is not None else module_params(spec)
+    a = tuple(int(x) for x in a)
+    rank = spec.rank
+    cartan = datum.cartan_matrix
+
+    def h_eigen(i: int, content: tuple) -> int:
+        """Eigenvalue of h_i on any word of the given content."""
+        return a[i] - sum(cartan[i][j] * content[j] for j in range(rank))
+
+    # contents in (level, content) order, which is the order of the basis;
+    # a wrong form would never vanish, so growth stops past the oracle
+    oracle = weyl_dimension(datum, a)
+    highest = (0,) * rank
+    spaces = {highest: _WeightSpace(basis=[()], gram=[[1]], f={}, e={})}
+    level, dim = [highest], 1
+    while level and dim <= oracle:
+        grown = sorted({_step(content, j, 1)
+                        for content in level for j in range(rank)})
+        level = []
+        for content in grown:
+            space = _weight_space(spaces, content, h_eigen)
+            if space is not None:
+                spaces[content] = space
+                level.append(content)
+                dim += len(space.basis)
+
+    offset: dict = {}
+    basis_words, contents = [], []
+    for content, space in spaces.items():
+        offset[content] = len(basis_words)
+        basis_words += space.basis
+        contents += [content] * len(space.basis)
+
+    if dim != oracle:
+        raise InternalConsistencyError(
+            f"even module dimension {dim} disagrees with the Weyl formula {oracle}")
+
+    mats: dict = {lab: {} for lab in
+                  [GenLabel("h", i) for i in range(1, rank + 1)]
+                  + [GenLabel("e", i) for i in range(1, rank + 1)]
+                  + [GenLabel("f", i) for i in range(1, rank + 1)]}
+    for content, space in spaces.items():
+        for p in range(len(space.basis)):
+            col = offset[content] + p
+            for i in range(rank):
+                h_val = h_eigen(i, content)
+                if h_val:
+                    mats[GenLabel("h", i + 1)][(col, col)] = Fraction(h_val)
+                grown = _step(content, i, 1)
+                if grown in spaces:
+                    start = offset[grown]
+                    for k, coeff in spaces[grown].f[i][p].items():
+                        mats[GenLabel("f", i + 1)][(start + k, col)] = coeff
+                if i in space.e:
+                    start = offset[_step(content, i, -1)]
+                    # rows in basis order, like every other matrix here
+                    for r, coeff in sorted(space.e[i][p].items()):
+                        mats[GenLabel("e", i + 1)][(start + r, col)] = coeff
+
+    matrices = {lab: PolyMatrix(dim, dim, params, entries)
+                for lab, entries in mats.items()}
+
+    hw_coords = weight_from_labels(datum, a, params)
+    weights = []
+    for content in contents:
+        coord = list(hw_coords)
+        for j, count in enumerate(content):
+            if count:
+                root = datum.simple_even_roots[j]
+                coord = [cc - count * rr for cc, rr in zip(coord, root)]
+        weights.append(tuple(coord))
+
+    y_scalar = labels_to_hypercharge(sc, a, params)
+    z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
+
+    return EvenModule(
+        datum=datum, labels=a, params=params, dim=dim,
+        basis_words=tuple(basis_words), contents=tuple(contents),
+        weights=tuple(weights), matrices=matrices,
+        y_scalar=y_scalar, z0_scalar=z0_scalar)
+
+
 
 def stack(flavor, m, n):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
@@ -387,6 +561,62 @@ class TestBuildEvenIrrep:
         # same candidates, same form, same pivots: every field is equal
         assert build_even_irrep(datum, a, sc) == \
             reference_build_even_irrep(datum, a, sc)
+
+    @pytest.mark.parametrize(
+        "datum, sc, a", REFERENCE_CASES + [SL41_A311],
+        ids=[f"{sc.spec.flavor}{sc.spec.m}{sc.spec.n}-"
+             + ",".join(map(str, a))
+             for _, sc, a in REFERENCE_CASES + [SL41_A311]])
+    def test_equals_fraction_shapovalov(self, datum, sc, a):
+        # integer rows over one denominator per weight space give the
+        # record the Fraction recursion gives, field by field
+        got = build_even_irrep(datum, a, sc)
+        want = reference_shapovalov_irrep(datum, a, sc)
+        for field in EvenModule._fields:
+            assert getattr(got, field) == getattr(want, field), field
+        assert got == want
+
+    def test_weight_space_coordinates_in_lowest_terms(self, monkeypatch):
+        # each weight space keeps its e and f coordinates over one
+        # denominator in lowest terms, so the integers do not grow from
+        # level to level
+        spaces = []
+        weight_space = evenrep._weight_space
+
+        def spy(*args):
+            space = weight_space(*args)
+            if space is not None:
+                spaces.append(space)
+            return space
+
+        monkeypatch.setattr(evenrep, "_weight_space", spy)
+        for datum, sc, a in ((SL31.datum, SC31, (3, 2)), SL41_A311):
+            build_even_irrep(datum, a, sc)
+        assert any(space.f_den > 1 for space in spaces)
+        assert any(space.e_den > 1 for space in spaces)
+        for space in spaces:
+            for den, images in ((space.f_den, space.f),
+                                (space.e_den, space.e)):
+                assert math.gcd(den, *(x for image in images.values()
+                                       for coord in image
+                                       for x in coord.values())) == 1
+
+    def test_only_weights_are_tried(self, monkeypatch):
+        # the alpha_i-string criterion grows exactly the weights of L: no
+        # content is tried whose form vanishes
+        tried = []
+        weight_space = evenrep._weight_space
+
+        def spy(*args):
+            space = weight_space(*args)
+            tried.append(space is not None)
+            return space
+
+        monkeypatch.setattr(evenrep, "_weight_space", spy)
+        for datum, sc, a in REFERENCE_CASES:
+            tried.clear()
+            L = build_even_irrep(datum, a, sc)
+            assert all(tried) and len(tried) == len(set(L.contents)) - 1
 
     def test_shapovalov_form_symmetric(self):
         words = _VermaWords(SL31.datum.cartan_matrix, (2, 1))

@@ -3,18 +3,20 @@
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
+from superkac import exact
 from superkac.exact import (DeclarationError, ParamPoly,
                             ParameterizedEntryError, PolyMatrix, _reduced,
                             combination, echelon_insert,
                             extract_rational_roots, integer_product,
-                            kronecker_sum, nullspace, rational_linear_solve,
-                            rref)
+                            integer_rref, kronecker_sum, nullspace,
+                            rational_linear_solve, rref)
 
 PARAMS = ("b", "c")
 
@@ -509,6 +511,25 @@ def test_identity_matches_the_entry_constructor(n, params):
     assert got == PolyMatrix(n, n, params, {(i, i): 1 for i in range(n)})
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12), accumulators)
+def test_from_term_is_the_inverse_of_integer_term(den, acc):
+    # zero entries and a factor common to den and the entries are allowed
+    entries = {(r, c): Fraction(x, den) for r, row in acc.items()
+               for c, x in row.items()}
+    got = PolyMatrix.from_term(
+        7, 7, PARAMS, (den, {r: dict(row) for r, row in acc.items()}))
+    assert_canonical(got)
+    assert got == PolyMatrix(7, 7, PARAMS, entries)
+    assert PolyMatrix.from_term(7, 7, PARAMS, got.integer_term()) == got
+
+
+def test_from_term_rejects_entries_outside():
+    for rows in ({SIZE: {0: 1}}, {0: {SIZE: 1}}, {0: {-1: 1}}):
+        with pytest.raises(IndexError):
+            PolyMatrix.from_term(SIZE, SIZE, PARAMS, (1, rows))
+
+
 def test_kronecker_sum_rejects_misshapen_factors():
     with pytest.raises(ValueError):
         kronecker_sum(2, 2, PARAMS, [((1, {0: {0: 1}}), ONE_BY_ONE)])
@@ -623,6 +644,24 @@ def test_rref_matches_dense_oracle(matrix):
                    for row in reduced for x in row.values())
 
 
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices())
+def test_integer_rref_rows_are_the_rref_rows(matrix):
+    # primitive rows, positive at their pivot and zero at every other
+    # pivot, the same whatever the order of the input rows
+    rows, _ = matrix
+    pivots, integer_rows = integer_rref(sparse(row) for row in rows)
+    assert (pivots, integer_rows) == \
+        integer_rref(sparse(row) for row in rows[::-1])
+    for lead, row in zip(pivots, integer_rows):
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1 and row[lead] > 0
+        assert not set(row) & set(pivots) - {lead}
+    assert rref(sparse(row) for row in rows) == (pivots, [
+        {c: Fraction(x, row[lead]) for c, x in row.items()}
+        for lead, row in zip(pivots, integer_rows)])
+
+
 @settings(deadline=None, max_examples=200)
 @given(sparse_matrices())
 def test_linear_solve_matches_dense_oracle(matrix):
@@ -732,3 +771,46 @@ def test_augmented_rref_solve_matches_dense_reference(system):
              for r in range(nrows)]
     assert augmented_solve(columns, image) == oracle.solve(image) == x
     assert augmented_solve(columns, w) == oracle.solve(w)
+
+
+# -- products whose right factor has few stored rows -------------------------
+
+@st.composite
+def thin_products(draw):
+    """combination terms (q, A, B) over PARAMS: A is n x n with n up to 12,
+    B one column with a few stored rows or n x n, and every matrix has
+    several exponent terms; A and B each appear in more than one term."""
+    n = draw(st.integers(1, 12))
+    cells = lambda cols: st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, cols - 1))
+    cols = draw(st.sampled_from([1, n]))
+    lefts = [PolyMatrix(n, n, PARAMS, draw(st.dictionaries(
+        cells(n), small_polys, max_size=3 * n))) for _ in range(2)]
+    rights = [PolyMatrix(n, cols, PARAMS, draw(st.dictionaries(
+        cells(cols), small_polys, max_size=3 if cols == 1 else 3 * n)))
+        for _ in range(2)]
+    return [(draw(small_rationals), draw(st.sampled_from(lefts)),
+             draw(st.sampled_from(rights))) for _ in range(3)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(thin_products())
+def test_thin_products_match_the_row_pass(terms):
+    # the column walk (every product thin), the pass over the left rows
+    # (none thin) and the path the stored row counts pick agree, and each
+    # is the entry-wise sum of products
+    zero = ParamPoly.zero(PARAMS)
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    want = {}
+    for q, a, b_ in terms:
+        ea, eb = a.entries, b_.entries
+        for (r, k), x in ea.items():
+            for c in range(cols):
+                y = eb.get((k, c))
+                if y is not None:
+                    want[(r, c)] = want.get((r, c), zero) + x * y * q
+    got = combination(terms)
+    assert_matches(got, want)
+    for thin in (0, rows + 1):
+        with mock.patch.object(exact, "_THIN", thin):
+            assert combination(terms) == got

@@ -23,15 +23,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
+    # nor typing: annotations are strings and the ABCs come from
+    # collections.abc
     probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
              "import superkac.cli; "
              "print(superkac.cli.__file__, "
-             "'dataclasses' in sys.modules, 'inspect' in sys.modules)")
+             "'dataclasses' in sys.modules, 'inspect' in sys.modules, "
+             "'typing' in sys.modules)")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
                          capture_output=True, text=True, check=True).stdout
-    path, dataclasses, inspect = out.split()
+    path, dataclasses, inspect, typing = out.split()
     assert Path(path).parent == SRC / "superkac"
-    assert (dataclasses, inspect) == ("False", "False")
+    assert (dataclasses, inspect, typing) == ("False", "False", "False")
 
 
 class TestConstruction:
