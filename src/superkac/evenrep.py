@@ -115,8 +115,7 @@ class _WeightSpace(Record, frozen=False):
     e: dict           # i -> e_i of each basis word here, at content - e_i
 
 
-def _weight_space(spaces: dict, content: tuple,
-                  h_of) -> _WeightSpace | None:
+def _weight_space(spaces: dict, content: tuple, h_of) -> _WeightSpace:
     """The weight space of L at content, from the contents one level up.
 
     The candidates are the words x = (j,) + w for each basis word w at
@@ -126,7 +125,8 @@ def _weight_space(spaces: dict, content: tuple,
     against those coordinates.  The images are kept over one denominator,
     the lcm of e_den(content - e_j) * f_den(content - e_i); the form of two
     words is an integer, so each Gram entry is an exact quotient by it.
-    None if the form vanishes there.
+    Only weights of L are asked for (``_lowers``), so a form that vanishes
+    there is an error.
     """
     parents = {i: spaces[shrunk] for i in range(len(content))
                if (shrunk := _step(content, i, -1)) in spaces}
@@ -162,7 +162,9 @@ def _weight_space(spaces: dict, content: tuple,
     pivots, rows = integer_rref({c: x for c, x in enumerate(row) if x}
                                 for row in gram)
     if not pivots:
-        return None
+        raise InternalConsistencyError(
+            f"the contravariant form vanishes at content {content}, "
+            "a weight of the irrep")
     # row reduction keeps the linear relations among the Gram columns, so
     # candidate column col is the sum over k of rows[k][col] / rows[k][lead]
     # times pivot column k; over the lcm of the pivot entries these
@@ -248,24 +250,19 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
                      for x, row in zip(a, cartan))
 
     # contents in (level, content) order, which is the order of the basis;
-    # only weights of L are grown, and a wrong form would still stop
-    # growth past the oracle
+    # only weights of L are grown, and growth stops past the oracle
     oracle = weyl_dimension(datum, a)
     highest = (0,) * rank
     spaces = {highest: _WeightSpace(basis=[()], h=a, gram=[[1]], f_den=1,
                                     f={}, e_den=1, e={})}
     level, dim = [highest], 1
     while level and dim <= oracle:
-        grown = sorted({_step(content, j, 1)
+        level = sorted({_step(content, j, 1)
                         for content in level for j in range(rank)
                         if _lowers(spaces, content, j)})
-        level = []
-        for content in grown:
-            space = _weight_space(spaces, content, h_of)
-            if space is not None:
-                spaces[content] = space
-                level.append(content)
-                dim += len(space.basis)
+        for content in level:
+            space = spaces[content] = _weight_space(spaces, content, h_of)
+            dim += len(space.basis)
 
     offset: dict = {}
     basis_words, contents = [], []

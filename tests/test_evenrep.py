@@ -602,21 +602,27 @@ class TestBuildEvenIrrep:
                                        for x in coord.values())) == 1
 
     def test_only_weights_are_tried(self, monkeypatch):
-        # the alpha_i-string criterion grows exactly the weights of L: no
-        # content is tried whose form vanishes
+        # the alpha_i-string criterion grows exactly the weights of L, each
+        # once: no content is tried whose form vanishes
         tried = []
         weight_space = evenrep._weight_space
 
-        def spy(*args):
-            space = weight_space(*args)
-            tried.append(space is not None)
-            return space
+        def spy(spaces, content, h_of):
+            tried.append(content)
+            return weight_space(spaces, content, h_of)
 
         monkeypatch.setattr(evenrep, "_weight_space", spy)
         for datum, sc, a in REFERENCE_CASES:
             tried.clear()
             L = build_even_irrep(datum, a, sc)
-            assert all(tried) and len(tried) == len(set(L.contents)) - 1
+            assert sorted(tried) == sorted(set(L.contents) - {L.contents[0]})
+
+    def test_vanishing_form_on_a_tried_content_raises(self, monkeypatch):
+        # with every content tried, sl(4|1) a=(1,0,0) reaches contents that
+        # are not weights; the form vanishes there and the build stops
+        monkeypatch.setattr(evenrep, "_lowers", lambda *args: True)
+        with pytest.raises(InternalConsistencyError, match="vanishes"):
+            build_even_irrep(SL41.datum, (1, 0, 0), SC41)
 
     def test_shapovalov_form_symmetric(self):
         words = _VermaWords(SL31.datum.cartan_matrix, (2, 1))
