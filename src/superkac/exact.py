@@ -912,6 +912,12 @@ def integer_rref(rows) -> tuple:
     rows[k][pivots[k]] is row k of the RREF.  Both are unique: they do not
     depend on the order or the scaling of the input rows.
     """
+    return _integer_rref(rows)
+
+
+def _integer_rref(rows) -> tuple:
+    """The elimination kernel of ``integer_rref`` and ``rref``, so that
+    each public call is one elimination."""
     echelon: dict = {}
     for row in rows:
         echelon_insert(echelon, row)
@@ -928,11 +934,11 @@ def integer_rref(rows) -> tuple:
 
 def rref(rows) -> tuple:
     """Reduced row echelon form of sparse rational rows {col: x}, read off
-    ``integer_rref``.  Returns (pivots, reduced): the pivot columns in
-    increasing order and the nonzero rows {col: Fraction} of the RREF, row
-    k with a 1 at pivots[k].
+    the integer form of ``integer_rref``.  Returns (pivots, reduced): the
+    pivot columns in increasing order and the nonzero rows {col: Fraction}
+    of the RREF, row k with a 1 at pivots[k].
     """
-    pivots, rows = integer_rref(rows)
+    pivots, rows = _integer_rref(rows)
     return pivots, [{c: Fraction(x, row[lead]) for c, x in row.items()}
                     for lead, row in zip(pivots, rows)]
 

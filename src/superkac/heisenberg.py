@@ -177,7 +177,10 @@ def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:
 
     With rho_t = I (x) A + t S (x) B the left side is
     S (x) ([A_a, B_b] + [B_a, A_b]) + 2t S^2 (x) [B_a, B_b], so the identity
-    is checked as (ii) and, for n >= 3, (iii) at base dimension."""
+    is checked as (ii) and, for n >= 3, (iii) at base dimension.  They are
+    computed directly: the derivation lemma of ``Deformation`` needs (i),
+    which this check does not otherwise compute and which costs more than
+    (ii)."""
     return derivative_report(rho.deformation, rho.spec.n,
                              "t-derivative of the representation property")
 

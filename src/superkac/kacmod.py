@@ -447,11 +447,16 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
                                       and lab.kind == "u")]
     raising.sort()
     mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
-    # row r of the k-th raising label is stacked row k * dim + r, holding
-    # that label's numerators: dropping its denominator scales the row
-    # only, so the nullspace keeps the same RREF
+    # only the simple e_i and u_1 are stacked: u_1 is the lowest weight
+    # vector of g_1 under the even Borel, so they generate the raising
+    # subalgebra, and a vector they annihilate is annihilated by all of
+    # it.  The kernel, and with it the unique RREF, is that of the whole
+    # stack.  Row r of the k-th stacked label is stacked row k * dim + r,
+    # holding that label's numerators: dropping its denominator scales
+    # the row only, so the nullspace keeps the same RREF
+    simple = [lab for lab in raising if lab.kind == "e" or lab.index == 1]
     by_column: dict = {}
-    for k, lab in enumerate(raising):
+    for k, lab in enumerate(simple):
         offset = k * K.dim
         for r, row in mats[lab].integer_term()[1].items():
             for c, x in row.items():

@@ -662,6 +662,15 @@ def test_integer_rref_rows_are_the_rref_rows(matrix):
         for lead, row in zip(pivots, integer_rows)])
 
 
+def test_rref_does_not_call_the_public_integer_rref(monkeypatch):
+    """rref and integer_rref share a private kernel, so a call of either is
+    one elimination, not one public call inside another."""
+    monkeypatch.setattr(exact, "integer_rref",
+                        mock.Mock(side_effect=AssertionError))
+    assert rref([{0: Fraction(2), 1: Fraction(4)}, {1: Fraction(3)}]) == (
+        [0, 1], [{0: Fraction(1)}, {1: Fraction(1)}])
+
+
 @settings(deadline=None, max_examples=200)
 @given(sparse_matrices())
 def test_linear_solve_matches_dense_oracle(matrix):

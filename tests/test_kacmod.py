@@ -656,6 +656,52 @@ def test_singular_vectors_match_fraction_reference(key, bindings,
                for x in vec.weight + tuple(q for _, q in vec.coefficients))
 
 
+FULL_STACK_MODULES = {key: SOLVE_MODULES[key]
+                      for key in (("sl", 3, 1, (2, 1)), ("gl", 3, 1, (1, 0)))}
+FULL_STACK_MODULES[("sl", 3, 2, (0, 0, 0))] = build_kac("sl", 3, 2, (0, 0, 0))
+FULL_STACK_MODULES[("sl", 2, 3, (1, 0, 0))] = build_kac("sl", 2, 3, (1, 0, 0))
+
+
+def full_stack_cases():
+    for key, K in FULL_STACK_MODULES.items():
+        binds = bindings_for(K.spec.flavor)
+        roots = [root for root, _ in kac_typicality(K).factor_roots]
+        for b in [binds["b"]] + roots[:2]:
+            flavor, m, n, a = key
+            yield pytest.param(key, dict(binds, b=b),
+                               id=f"{flavor}{m}{n}-{a}-b={b}")
+
+
+@pytest.mark.parametrize("key,bindings", list(full_stack_cases()))
+def test_simple_raising_stack_matches_the_full_stack(key, bindings,
+                                                     monkeypatch):
+    """The solve stacks only the simple e_i and u_1, which generate the
+    raising subalgebra, and finds the vectors of the reference, which
+    stacks every raising matrix, u_2, ..., u_P included."""
+    K = FULL_STACK_MODULES[key]
+    rows_solved = []
+    rref = kacmod.rref
+
+    def spy(rows):
+        rows = list(rows)
+        rows_solved.append(len(rows))
+        return rref(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kacmod, "rref", spy)
+        got = singular_vectors(K, bindings)
+    assert got == reference_singular_vectors(K, bindings)
+    # a raising matrix maps one weight space into another, so each of its
+    # nonzero rows is solved in exactly one weight space
+    simple = [lab for lab in K.matrices
+              if lab.kind == "e" or lab == GenLabel("u", 1)]
+    assert K.odd_count > 1 and len(simple) < len(
+        [lab for lab in K.matrices if lab.kind in ("e", "u")])
+    assert sum(rows_solved) == sum(
+        len(K.matrices[lab].substitute(bindings).integer_term()[1])
+        for lab in simple)
+
+
 def test_non_integral_odd_root_is_refused():
     K = OCTET
     roots = list(K.datum.odd_positive_roots)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from superkac import algebra
+from superkac import algebra, matryoshka
 from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
                               build_fundamental_rep, check_super_relations,
                               extend_matrices, sbracket, structure_constants,
@@ -32,7 +32,8 @@ from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix, combination
 from superkac.kacmod import induce
-from superkac.matryoshka import (deformation, derivative_report,
+from superkac.matryoshka import (ReplicatedModule, block_relations_report,
+                                 deformation, derivative_report,
                                  derivative_violations)
 from dense_oracles import dense_rref
 from testmatrix import ALGEBRA_CONFIGS
@@ -466,6 +467,16 @@ def test_generators_close_to_the_basis_by_dense_oracle(sc):
     assert dense_closure_dim(sc, raising) < len(sc.basis)
 
 
+@pytest.mark.parametrize("sc", GENERATION_CASES.values(),
+                         ids=GENERATION_CASES.keys())
+def test_simple_raising_labels_generate_the_raising_subalgebra(sc):
+    """The simple e_i and u_1 generate every raising label, e, E and u,
+    which ``kacmod.singular_vectors`` relies on when it stacks only them."""
+    simple = [lab for lab in sc.basis if lab.kind == "e" or lab == U1]
+    raising = [lab for lab in sc.basis if lab.kind in ("e", "E", "u")]
+    assert dense_closure_dim(sc, simple) == len(raising)
+
+
 class TestAntisymmetryGuard:
     """A table that is not graded-antisymmetric at a pair makes the checker
     compute that pair's mirror directly."""
@@ -684,3 +695,177 @@ def test_jacobi_verdict_is_that_of_all_triples(name, sc, monkeypatch):
     report, violations = jacobi_check(sc, monkeypatch)
     has_defect = bool(ref_jacobi_defects(sc, first_only=True))
     assert bool(violations) == (not report.ok) == has_defect
+
+
+# -- block-module relations by the derivation lemma ---------------------------
+
+
+def zero_label_module(cfg):
+    rank = SuperAlgebraSpec(cfg["m"], cfg["n"], cfg["flavor"]).rank
+    return build_kac(cfg["flavor"], cfg["m"], cfg["n"], (0,) * rank)
+
+
+LEMMA_MODULES = dict(MODULES)
+LEMMA_MODULES.update({f"{c['flavor']}{c['m']}{c['n']}_a0": zero_label_module(c)
+                      for c in ALGEBRA_CONFIGS})
+SL_DIRECTIONS = ((Fraction(1), Fraction(0)), (Fraction(-2, 3), Fraction(0)))
+GL_DIRECTIONS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                 (Fraction(2), Fraction(-3)))
+LEMMA_CASES = [(name, nu) for name, K in LEMMA_MODULES.items()
+               for nu in (GL_DIRECTIONS if "c" in K.params
+                          else SL_DIRECTIONS)]
+
+
+def block(D, N):
+    return ReplicatedModule(D, (Fraction(1),) * (N - 1), None)
+
+
+def direct_items(D, N) -> list:
+    """The items of (i) on the base plus the directly computed (ii)-(iii)."""
+    K = D.base
+    return (check_super_relations(K.matrices, K.sc, "base relations").items
+            + derivative_report(D, N, "first-order relations").items)
+
+
+def count_direct(monkeypatch) -> list:
+    """A list that grows by N at each direct computation of (ii)-(iii)."""
+    calls = []
+
+    def counted(D, N):
+        calls.append(N)
+        return derivative_violations(D, N)
+
+    monkeypatch.setattr(matryoshka, "derivative_violations", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,nu", LEMMA_CASES,
+                         ids=[f"{n}-{','.join(map(str, nu))}"
+                              for n, nu in LEMMA_CASES])
+def test_lemma_path_gives_the_direct_items(name, nu, monkeypatch):
+    """On true modules both premises hold, and for N = 1, 2, 3 the report
+    equals (i) plus the direct (ii)-(iii), item for item, without
+    computing the latter."""
+    D = deformation(LEMMA_MODULES[name], *nu)
+    assert D.nu == nu and D.is_derivative() and D.affine_along()
+    for N in (1, 2, 3):
+        expected = direct_items(D, N)
+        calls = count_direct(monkeypatch)
+        got = block_relations_report(block(D, N))
+        assert got.items == expected and got.ok
+        assert len(got.items) == N and calls == []
+
+
+def test_passing_module_forms_no_product(monkeypatch):
+    """With (i) passing, (ii)-(iii) call no relation checker, and the
+    premises form no matrix product."""
+    def refuse(*args):
+        raise AssertionError("(ii)-(iii) computed directly")
+
+    def no_products(terms):
+        assert all(right is None for _, _, right in terms)
+        return combination(terms)
+
+    monkeypatch.setattr(matryoshka, "derivative_violations", refuse)
+    monkeypatch.setattr(matryoshka, "bracket_violations", refuse)
+    monkeypatch.setattr(matryoshka, "combination", no_products)
+    for K in MODULES.values():
+        report = block_relations_report(block(
+            deformation(K, *directions(K)), 3))
+        assert report.ok and len(report.items) == 3
+
+
+def conjugated(K):
+    """K conjugated by g = I + b E, E a matrix unit with E^2 = 0 placed so
+    that g moves the first entry of u_1: a true module whose matrices have
+    terms of degree 3 in b."""
+    (r, c), _ = K.matrices[U1].first_nonzero()
+    E = PolyMatrix(K.dim, K.dim, K.params, {(c, r): ParamPoly.var(K.params, "b")})
+    eye = PolyMatrix.identity(K.dim, K.params)
+    g, g_inv = eye + E, eye - E
+    return K.replace(matrices={lab: g @ mat @ g_inv
+                               for lab, mat in K.matrices.items()})
+
+
+def failed_premise(name, case):
+    """A deformation of MODULES[name] on which (i), P1 or P2 fails."""
+    K = MODULES[name]
+    D = deformation(K, *directions(K))
+    if case == "bumped":
+        pos, _ = D.A[U1].first_nonzero()
+        one = ParamPoly.const(K.params, 1)
+        return D.replace(B={**D.B, U1: D.B[U1] + PolyMatrix(
+            K.dim, K.dim, K.params, {pos: one})})
+    if case == "cobound":
+        y = GenLabel("y")
+        return D.replace(B={lab: mat + D.A[y] @ D.A[lab] - D.A[lab] @ D.A[y]
+                            for lab, mat in D.B.items()})
+    if case == "u1_b":
+        return deformation(case_module(name, "u1_b"), *directions(K))
+    return deformation(conjugated(K), *directions(K))
+
+
+PREMISE_CASES = [(name, case) for name in MODULES
+                 for case in ("bumped", "cobound", "u1_b", "b_cubed")]
+
+
+@pytest.mark.parametrize("name,case", PREMISE_CASES,
+                         ids=[f"{n}-{c}" for n, c in PREMISE_CASES])
+def test_failed_premise_takes_the_direct_path(name, case, monkeypatch):
+    """A failing (i) or a failed premise computes (ii)-(iii) directly, and
+    the report is item for item that of the direct path, failures with
+    their counts and locators included."""
+    D = failed_premise(name, case)
+    base_ok = check_super_relations(D.base.matrices, D.base.sc).ok
+    assert (base_ok, D.is_derivative(), D.affine_along()) == {
+        "bumped": (True, False, True), "cobound": (True, False, True),
+        "u1_b": (False, True, True), "b_cubed": (True, True, False)}[case]
+    for N in (2, 3):
+        expected = direct_items(D, N)
+        calls = count_direct(monkeypatch)
+        assert block_relations_report(block(D, N)).items == expected
+        # P2 serves (iii) only, so the b^3 module at N = 2 takes the lemma
+        assert calls == ([] if (case, N) == ("b_cubed", 2) else [N])
+        failing = [item.name[:5] for item in expected if not item.passed]
+        if case == "u1_b":
+            assert failing[0] == "super"
+        else:
+            assert failing == {"bumped": ["(ii) ", "(iii)"][:N - 1],
+                               "cobound": ["(iii)"][:N - 2],
+                               "b_cubed": ["(iii)"][:N - 2]}[case]
+
+
+def test_degree_along_the_direction_counts_moved_parameters_only():
+    """The b^3 module twisted along z0 alone is affine along D = d/dc, so
+    the lemma proves its (iii), and the direct path agrees."""
+    D = deformation(conjugated(MODULES["gl21_a1"]), 0, 1)
+    assert D.is_derivative() and D.affine_along()
+    assert block_relations_report(block(D, 3)).items == direct_items(D, 3)
+    assert block_relations_report(block(D, 3)).ok
+
+
+@pytest.mark.parametrize("name,corruption", CASES,
+                         ids=[f"{n}-{c or 'true'}" for n, c in CASES])
+def test_direct_residuals_are_derivatives_of_base_residuals(name,
+                                                            corruption):
+    """The identity behind the lemma, on every pair of the full basis:
+    the direct (ii) residual is D of the (i) residual and, A being affine
+    along D, twice the (iii) residual is D^2 of it."""
+    K = case_module(name, corruption)
+    D = deformation(K, *directions(K))
+    assert D.affine_along()
+    sc, A, B = K.sc, D.A, D.B
+    failing = 0
+    for la, lb in itertools.product(sc.basis, repeat=2):
+        pa, pb = sc.parity[la], sc.parity[lb]
+        expansion = sc.table.get((la, lb), {}).items()
+        base = combination(sbracket(pa, pb, A[la], A[lb])
+                           + [(-c, A[t], None) for t, c in expansion])
+        linear = combination(sbracket(pa, pb, A[la], B[lb])
+                             + sbracket(pa, pb, B[la], A[lb])
+                             + [(-c, B[t], None) for t, c in expansion])
+        square = combination(sbracket(pa, pb, B[la], B[lb]))
+        assert linear == D.along(base)
+        assert square.scale(2) == D.along(D.along(base))
+        failing += not base.is_zero
+    assert bool(failing) == (corruption is not None)
