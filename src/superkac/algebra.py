@@ -21,7 +21,7 @@ Conventions fixed here and used everywhere downstream:
   off-diagonal entry, a matrix unit up to scale, so each bracket is read
   off matrix units and only root pairs that meet at an index are
   bracketed; a diagonal is solved against the Cartan labels by a left
-  inverse, from one RREF of [A | I] per table (``exact.rref``).
+  inverse, from one RREF of [A | I] per table (``exact.integer_rref``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import itertools
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from math import lcm
+from math import gcd, lcm
 
-from superkac.exact import (ParamPoly, PolyMatrix, combination,
-                           echelon_insert, rref)
+from superkac.exact import (DeclarationError, ParamPoly, PolyMatrix,
+                           combination, echelon_insert, integer_rref)
 from superkac.record import Record
 from superkac.report import VerificationReport
 
@@ -138,21 +138,14 @@ class SuperAlgebraSpec(Record):
         return f"{self.flavor}({self.m}|{self.n})"
 
 
-Weight = tuple  # length m+n, Fraction or ParamPoly entries
-
-
-def weight_add(w1: Weight, w2: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(w1, w2))
-
-def weight_sub(w1: Weight, w2: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(w1, w2))
-
-def weight_scale(w: Weight, s) -> Weight:
-    return tuple(a * s for a in w)
+Weight = tuple  # length m+n: int, Fraction or ParamPoly entries
 
 
 class RootDatum(Record):
-    """Distinguished-basis root data for gl/sl(m|n)."""
+    """Distinguished-basis root data for gl/sl(m|n).
+
+    The roots are int tuples; rho0, rho1 and rho are Fraction tuples, each
+    half an integer vector."""
 
     spec: SuperAlgebraSpec
     simple_even_roots: tuple          # r weights
@@ -165,6 +158,15 @@ class RootDatum(Record):
     rho1: Weight
     rho: Weight
 
+    def _validate(self):
+        # the weight shifts of evenrep and kacmod add roots as ints
+        for root in (self.simple_even_roots + self.even_positive_roots
+                     + self.odd_positive_roots):
+            if any(x.__class__ is not int for x in root):
+                raise InternalConsistencyError(
+                    f"root {tuple(map(str, root))} has a coordinate that is "
+                    "not an integer")
+
     @property
     def rank(self) -> int:
         return self.spec.rank
@@ -173,93 +175,42 @@ class RootDatum(Record):
     def odd_count(self) -> int:
         return self.spec.odd_count
 
-    def bilinear(self, w1: Weight, w2: Weight):
-        """Signature (+m, -n) diagonal pairing; accepts symbolic coordinates."""
-        m = self.spec.m
-        total = None
-        for idx, (a, b) in enumerate(zip(w1, w2)):
-            term = a * b if idx < m else -(a * b)
-            total = term if total is None else total + term
-        return total
-
-
-def _eps(spec: SuperAlgebraSpec, i: int) -> Weight:
-    w = [Fraction(0)] * spec.dim_fund
-    w[i] = Fraction(1)
-    return tuple(w)
-
-def _delta(spec: SuperAlgebraSpec, j: int) -> Weight:
-    w = [Fraction(0)] * spec.dim_fund
-    w[spec.m + j] = Fraction(1)
-    return tuple(w)
-
-
-def integer_roots(roots) -> list:
-    """Roots as int tuples; a coordinate that is not an integer is an
-    InternalConsistencyError, never truncated."""
-    out = []
-    for root in roots:
-        if any(x.denominator != 1 for x in root):
-            raise InternalConsistencyError(
-                f"root {tuple(map(str, root))} has a coordinate that is not "
-                "an integer")
-        out.append(tuple(int(x) for x in root))
-    return out
-
 
 def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
+    """The root datum on ints: each root is a difference of two unit
+    vectors, and rho0 = (m-1-2i | n-1-2j) / 2 and rho1 = (n..n | -m..-m) / 2
+    are read off the closed forms of 2 rho0 and 2 rho1."""
     m, n = spec.m, spec.n
-    zero = tuple(Fraction(0) for _ in range(m + n))
+    zero = (0,) * (m + n)
 
-    simple = []
-    for i in range(m - 1):
-        simple.append(weight_sub(_eps(spec, i), _eps(spec, i + 1)))
-    for j in range(n - 1):
-        simple.append(weight_sub(_delta(spec, j), _delta(spec, j + 1)))
+    def root(lo: int, hi: int) -> tuple:
+        """unit vector lo minus unit vector hi"""
+        w = list(zero)
+        w[lo], w[hi] = 1, -1
+        return tuple(w)
 
     # Even positive roots per block, ordered by height then start index, so a
     # nonsimple vector is always a commutator of earlier ones.
-    even_roots, even_pairs = [], []
-    for base, size in ((0, m), (m, n)):
-        for height in range(1, size):
-            for a in range(size - height):
-                lo, hi = base + a, base + a + height
-                root = [Fraction(0)] * (m + n)
-                root[lo], root[hi] = Fraction(1), Fraction(-1)
-                even_roots.append(tuple(root))
-                even_pairs.append((lo, hi))
+    even_pairs = [(lo, lo + height) for base, size in ((0, m), (m, n))
+                  for height in range(1, size)
+                  for lo in range(base, base + size - height)]
+    even_roots = [root(*pair) for pair in even_pairs]
+    simple = [root(lo, lo + 1) for lo in (*range(m - 1), *range(m, m + n - 1))]
+    odd_pairs = [(i, j) for i in range(m - 1, -1, -1) for j in range(n)]
+    odd_roots = [root(i, m + j) for i, j in odd_pairs]
 
-    odd_roots, odd_pairs = [], []
-    for i in range(m - 1, -1, -1):
-        for j in range(n):
-            odd_roots.append(weight_sub(_eps(spec, i), _delta(spec, j)))
-            odd_pairs.append((i, j))
-
-    cartan = []
     r = spec.rank
-    for i in range(r):
-        row = []
-        for j in range(r):
-            same_block = (i < m - 1) == (j < m - 1)
-            if not same_block:
-                row.append(0)
-            elif i == j:
-                row.append(2)
-            elif abs(i - j) == 1:
-                row.append(-1)
-            else:
-                row.append(0)
-        cartan.append(tuple(row))
+    cartan = tuple(
+        tuple(0 if (i < m - 1) != (j < m - 1) else
+              2 if i == j else -1 if abs(i - j) == 1 else 0
+              for j in range(r))
+        for i in range(r))
 
-    half = Fraction(1, 2)
-    rho0 = zero
-    for root in even_roots:
-        rho0 = weight_add(rho0, weight_scale(root, half))
-    rho1 = zero
-    for root in odd_roots:
-        rho1 = weight_add(rho1, weight_scale(root, half))
-    rho = weight_sub(rho0, rho1)
-
+    two_rho0 = [m - 1 - 2 * i for i in range(m)] + \
+        [n - 1 - 2 * j for j in range(n)]
+    two_rho1 = [n] * m + [-m] * n
+    two_rho = [x - y for x, y in zip(two_rho0, two_rho1)]
+    halves = {x: Fraction(x, 2) for x in {*two_rho0, *two_rho1, *two_rho}}
     return RootDatum(
         spec=spec,
         simple_even_roots=tuple(simple),
@@ -267,15 +218,17 @@ def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
         even_root_pairs=tuple(even_pairs),
         odd_positive_roots=tuple(odd_roots),
         odd_pairs=tuple(odd_pairs),
-        cartan_matrix=tuple(cartan),
-        rho0=rho0, rho1=rho1, rho=rho,
+        cartan_matrix=cartan,
+        rho0=tuple(halves[x] for x in two_rho0),
+        rho1=tuple(halves[x] for x in two_rho1),
+        rho=tuple(halves[x] for x in two_rho),
     )
 
 
 # -- fundamental representation --------------------------------------------
 
-def _unit_matrix(dim: int, r: int, c: int, value=1) -> PolyMatrix:
-    return PolyMatrix(dim, dim, (), {(r, c): ParamPoly.const((), value)})
+def _unit_matrix(dim: int, r: int, c: int) -> PolyMatrix:
+    return PolyMatrix._of(dim, dim, (), {(): (1, {r: {c: 1}})})
 
 
 class FundamentalRep(Record):
@@ -288,36 +241,33 @@ class FundamentalRep(Record):
         return self.spec.dim_fund
 
 
-def hypercharge_diagonal(spec: SuperAlgebraSpec) -> list:
-    """Diagonal of y: [y, u] = u exactly; supertraceless whenever m != n."""
+def _hypercharge(spec: SuperAlgebraSpec) -> PolyMatrix:
+    """y = diag(n..n, m..m) / (n - m), so [y, u] = u exactly and y is
+    supertraceless, for m != n; diag(1..1, -1..-1) / 2 for m = n."""
     m, n = spec.m, spec.n
-    if m != n:
-        top = Fraction(n, n - m)
-        bot = Fraction(m, n - m)
-    else:
-        top, bot = Fraction(1, 2), Fraction(-1, 2)
-    return [top] * m + [bot] * n
+    top, bot, den = (n, m, n - m) if m != n else (1, -1, 2)
+    if den < 0:
+        top, bot, den = -top, -bot, -den
+    g = gcd(top, bot, den)
+    rows = {i: {i: (top if i < m else bot) // g} for i in range(m + n)}
+    return PolyMatrix._of(m + n, m + n, (), {(): (den // g, rows)})
 
 
 def build_fundamental_rep(spec: SuperAlgebraSpec) -> FundamentalRep:
+    """Every matrix built straight from its integer term: the root vectors
+    and e_i, f_i are matrix units, h_i and y diagonal, z0 the identity."""
     datum = build_root_datum(spec)
-    m, n, dim = spec.m, spec.n, spec.dim_fund
+    m, dim = spec.m, spec.dim_fund
     mats: dict = {}
 
     for i in range(1, spec.rank + 1):
-        if i <= m - 1:
-            a = i - 1
-        else:
-            a = m + (i - m)          # first delta slot of alpha_i
+        a = i - 1 if i <= m - 1 else i     # first slot of alpha_i
         mats[GenLabel("e", i)] = _unit_matrix(dim, a, a + 1)
         mats[GenLabel("f", i)] = _unit_matrix(dim, a + 1, a)
-        mats[GenLabel("h", i)] = PolyMatrix(dim, dim, (), {
-            (a, a): ParamPoly.const((), 1),
-            (a + 1, a + 1): ParamPoly.const((), -1)})
+        mats[GenLabel("h", i)] = PolyMatrix._of(
+            dim, dim, (), {(): (1, {a: {a: 1}, a + 1: {a + 1: -1}})})
 
-    ydiag = hypercharge_diagonal(spec)
-    mats[GenLabel("y")] = PolyMatrix(dim, dim, (), {
-        (i, i): ParamPoly.const((), ydiag[i]) for i in range(dim)})
+    mats[GenLabel("y")] = _hypercharge(spec)
     if spec.flavor == "gl":
         mats[GenLabel("z0")] = PolyMatrix.identity(dim, ())
 
@@ -498,40 +448,39 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
     roots = []                        # (position, r, c, numerator, denominator)
     slots = {}                        # (r, c) off the diagonal -> its root
     cartan = []                       # (position, {i: numerator}, denominator)
-    cartan_rows = [{} for _ in range(dim)]  # row i of A = [Cartan diagonals]
     for pos, lab in enumerate(basis):
-        entries = mats[lab].rational_entries()
-        if all(r == c for r, c in entries):
-            den = lcm(*(x.denominator for x in entries.values()))
-            for (i, _), x in entries.items():
-                cartan_rows[i][len(cartan)] = x
-            cartan.append((pos, {i: x.numerator * (den // x.denominator)
-                                 for (i, _), x in entries.items()}, den))
+        den, stored = mats[lab].integer_term()
+        if all(len(row) == 1 and r in row for r, row in stored.items()):
+            cartan.append((pos, {i: row[i] for i, row in stored.items()}, den))
             continue
-        if len(entries) != 1:
+        if len(stored) != 1 or len(next(iter(stored.values()))) != 1:
             raise InternalConsistencyError(
                 f"{lab} is neither diagonal nor one off-diagonal entry")
-        (slot, x), = entries.items()
-        if slot in slots:
+        (r, row), = stored.items()
+        (c, x), = row.items()
+        if (r, c) in slots:
             raise InternalConsistencyError(
-                f"{lab} shares the entry {slot} with {basis[slots[slot][0]]}")
-        slots[slot] = (pos, *slot, x.numerator, x.denominator)
-        roots.append(slots[slot])
+                f"{lab} shares the entry {(r, c)} with {basis[slots[r, c][0]]}")
+        slots[r, c] = (pos, r, c, x, den)
+        roots.append(slots[r, c])
     width = len(cartan)
-    # the RREF of [A | I] is [I | L] over [0 | N]: L A = I and N A = 0
-    pivots, reduced = rref({**row, width + i: 1}
-                           for i, row in enumerate(cartan_rows))
+    # row i of [A | I], over the common denominator of the Cartan labels;
+    # its RREF is [I | L] over [0 | N]: L A = I and N A = 0
+    common = lcm(*(den for _, _, den in cartan))
+    rows = [{width + i: common} for i in range(dim)]
+    for k, (_, diag, den) in enumerate(cartan):
+        for i, x in diag.items():
+            rows[i][k] = x * (common // den)
+    pivots, reduced = integer_rref(rows)
     if pivots[:width] != list(range(width)):
         raise InternalConsistencyError("the Cartan labels are linearly dependent")
-
-    def integer_rows(rows) -> tuple:
-        """(den, [{i: int}]): the I part of the rows over one denominator."""
-        den = lcm(*(x.denominator for row in rows for x in row.values()))
-        return den, [{c - width: x.numerator * (den // x.denominator)
-                      for c, x in row.items() if c >= width} for row in rows]
-
-    scale, left = integer_rows(reduced[:width])
-    _, annihilator = integer_rows(reduced[width:])
+    # row k of L is reduced[k] / reduced[k][k] without its pivot, the only
+    # entry left of the I part; the rows of L go over one denominator
+    scale = lcm(*(row[k] for k, row in enumerate(reduced[:width])))
+    left = [{c - width: x * (scale // row[k]) for c, x in row.items() if c != k}
+            for k, row in enumerate(reduced[:width])]
+    annihilator = [{c - width: x for c, x in row.items()}
+                   for row in reduced[width:]]
 
     def solve(vec: dict, den: int):
         """[(position, numerator, denominator)] of the diagonal vec / den
@@ -821,43 +770,58 @@ def module_params(spec: SuperAlgebraSpec) -> tuple:
     return ("b", "c") if spec.flavor == "gl" else ("b",)
 
 
-def weight_from_labels(datum: RootDatum, a: Sequence[int],
-                       params: Sequence[str] | None = None) -> tuple:
-    """Epsilon/delta coordinates of the highest weight, linear in b (and c).
+def _highest_weight(spec: SuperAlgebraSpec, a: Sequence[int]) -> tuple:
+    """The highest weight on ints, (den, const, bs, cs): coordinate k is
+    (const[k] + bs[k] b + cs[k] c) / den, for valid even labels a.
 
     Gauge: for sl the coordinates are fixed by lambda_m = 0 (weights are only
     defined up to the supertrace direction, which pairs to zero with every
-    root).  For gl the supertrace direction is fixed by the central charge c.
+    root).  For gl the eps coordinates are shifted by t and the delta ones
+    by -t so that they add up to the central charge c,
+    t = (c - S - n b) / (m - n) with S + n b the sum before the shift.
     """
-    spec = datum.spec
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
     m, n = spec.m, spec.n
-    b = ParamPoly.var(params, "b")
-    zero = ParamPoly.zero(params)
-
-    lam = [zero] * m
+    const = [0] * (m + n)
     for i in range(m - 2, -1, -1):
-        lam[i] = lam[i + 1] + a[i]
-    cs = [zero] * n
-    cs[0] = b - lam[m - 1]
+        const[i] = const[i + 1] + a[i]
     for j in range(1, n):
-        cs[j] = cs[j - 1] - a[m - 1 + j - 1]
+        const[m + j] = const[m + j - 1] - a[m + j - 2]
+    if spec.flavor == "sl":
+        return 1, const, [0] * m + [1] * n, [0] * (m + n)
+    if m == n:
+        raise InputError(
+            "gl(n|n) highest weights are not determined by (a, b, c); "
+            "the odd label is not independent of the central charge")
+    d, total = m - n, sum(const)
+    return (d, [d * x - total if k < m else d * x + total
+                for k, x in enumerate(const)],
+            [-n] * m + [m] * n, [1] * m + [-1] * n)
 
-    coords = lam + cs
-    if spec.flavor == "gl":
-        if m == n:
-            raise InputError(
-                "gl(n|n) highest weights are not determined by (a, b, c); "
-                "the odd label is not independent of the central charge")
-        c = ParamPoly.var(params, "c")
-        total = zero
-        for i, coord in enumerate(coords):
-            total = total + coord
-        t = (c - total) * Fraction(1, m - n)
-        coords = [coord + t if i < m else coord - t
-                  for i, coord in enumerate(coords)]
-    return tuple(coords)
+
+def _affine_polys(params, spec: SuperAlgebraSpec, den: int,
+                  columns: Sequence) -> list:
+    """The ParamPolys (const[i] + bs[i] b + cs[i] c) / den for the columns
+    (const, bs, cs), over params or the module's; cs is read only for gl."""
+    params = tuple(params) if params is not None else module_params(spec)
+    names = ("b", "c") if spec.flavor == "gl" else ("b",)
+    monomials = [(0,) * len(params)]
+    for name in names:
+        if name not in params:
+            raise DeclarationError(
+                f"parameter {name!r} not declared in {params}")
+        monomials.append(tuple(int(p == name) for p in params))
+    return [ParamPoly._of(params, {mono: Fraction(x, den)
+                                   for mono, x in zip(monomials, nums) if x})
+            for nums in zip(*columns[:len(monomials)])]
+
+
+def weight_from_labels(datum: RootDatum, a: Sequence[int],
+                       params: Sequence[str] | None = None) -> tuple:
+    """Epsilon/delta coordinates of the highest weight, linear in b (and c);
+    see ``_highest_weight`` for the gauge."""
+    den, *columns = _highest_weight(datum.spec, a)
+    return tuple(_affine_polys(params, datum.spec, den, columns))
 
 
 def weight_eval(coords: Sequence, diagonal: Sequence[Fraction]):
@@ -871,7 +835,17 @@ def weight_eval(coords: Sequence, diagonal: Sequence[Fraction]):
 
 def typicality_factors(datum: RootDatum, a: Sequence[int],
                        params: Sequence[str] | None = None) -> list:
-    """The P linear polynomials <Lambda + rho | beta_i> in the odd label b."""
-    coords = weight_from_labels(datum, a, params)
-    shifted = tuple(coord + r for coord, r in zip(coords, datum.rho))
-    return [datum.bilinear(shifted, beta) for beta in datum.odd_positive_roots]
+    """The P linear polynomials <Lambda + rho | beta_i> in the odd label b,
+    paired on ints over the denominators of Lambda and rho."""
+    spec = datum.spec
+    den, const, bs, cs = _highest_weight(spec, a)
+    rden = lcm(*(r.denominator for r in datum.rho))
+    shifted = [x * rden + r.numerator * (rden // r.denominator) * den
+               for x, r in zip(const, datum.rho)]
+    pairings = ([], [], [])
+    for beta in datum.odd_positive_roots:
+        signed = [x if k < spec.m else -x for k, x in enumerate(beta)]
+        for column, vec, scale in zip(pairings, (shifted, bs, cs),
+                                      (1, rden, rden)):
+            column.append(scale * sum(v * x for v, x in zip(vec, signed) if x))
+    return _affine_polys(params, spec, den * rden, pairings)

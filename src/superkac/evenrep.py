@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import mul
 
 from superkac.algebra import (GenLabel, InternalConsistencyError,
-                              RootDatum, StructureConstants, integer_roots,
+                              RootDatum, StructureConstants,
                               module_params, validate_even_labels,
                               weight_from_labels)
 from superkac.exact import ParamPoly, PolyMatrix, integer_rref
@@ -66,7 +66,11 @@ def labels_to_hypercharge(sc: StructureConstants, a: Sequence[int],
             h_part += coeff * a[label.index - 1]
         elif label.kind == "z0" and coeff != 0:
             raise InternalConsistencyError("{u_1,v_1} acquired a z0 part")
-    return (ParamPoly.var(params, "b") - h_part) * (Fraction(1) / sc.k)
+    # (b - h_part) / k
+    inv = 1 / sc.k
+    terms = {(0,) * len(params): -h_part * inv} if h_part else {}
+    terms[next(iter(ParamPoly.var(params, "b").terms))] = inv
+    return ParamPoly._of(params, terms)
 
 
 def weyl_dimension(datum: RootDatum, a: Sequence[int]) -> int:
@@ -298,12 +302,11 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
     # the weight of a content is hw_coords minus an int shift, and each
     # (coordinate, shift) difference is computed once
     hw_coords = weight_from_labels(datum, a, params)
-    roots = integer_roots(datum.simple_even_roots)
     differences: dict = {}
     weights = []
     for content, space in spaces.items():
         shift = [0] * len(hw_coords)
-        for count, root in zip(content, roots):
+        for count, root in zip(content, datum.simple_even_roots):
             if count:
                 shift = [x + count * r for x, r in zip(shift, root)]
         weight = []

@@ -125,17 +125,19 @@ class ParamPoly:
         return ParamPoly.const(self.params, other)
 
     def _plus(self, other, sign: int) -> "ParamPoly":
-        """self + sign * other in one pass, for a ParamPoly or a rational."""
+        """self + sign * other in one pass, for a ParamPoly or a rational;
+        a rational goes straight into the constant term."""
         if isinstance(other, ParamPoly):
-            other = self._coerce(other).terms
+            items = self._coerce(other).terms.items()
         else:
-            value = rat(other)
-            other = {(0,) * len(self.params): value} if value else {}
+            if other.__class__ is not int and other.__class__ is not Fraction:
+                other = rat(other)
+            items = (((0,) * len(self.params), other),) if other else ()
         terms = dict(self.terms)
-        for exps, coeff in other.items():
+        for exps, coeff in items:
             acc = terms.get(exps, 0) + (coeff if sign > 0 else -coeff)
             if acc:
-                terms[exps] = acc
+                terms[exps] = acc if acc.__class__ is Fraction else Fraction(acc)
             else:
                 del terms[exps]
         return ParamPoly._of(self.params, terms)
@@ -345,23 +347,27 @@ def integer_product(left: dict, right: dict) -> dict:
     return {} if term is None else term[1]
 
 
-def _reduced(den: int, acc: dict):
+def _reduced(den: int, acc: dict, clean: bool = False):
     """The canonical term (den, rows) of the matrix acc / den: zeros and
     empty rows dropped, then one gcd pass to lowest terms.  None if zero.
 
     An all-zero row is dropped, and only a row that holds a zero is
     rebuilt; the other rows of acc are kept as they are, so acc must own
-    them."""
-    rows = {}
+    them.  A caller that knows acc holds no zero entry and no empty row
+    passes clean=True, and only the gcd pass runs."""
+    rows = acc if clean else {}
+    if not clean:
+        for r, row in acc.items():
+            if not any(row.values()):
+                continue
+            if 0 in row.values():
+                row = {c: x for c, x in row.items() if x}
+            rows[r] = row
     g = den
-    for r, row in acc.items():
-        if not any(row.values()):
-            continue
-        if 0 in row.values():
-            row = {c: x for c, x in row.items() if x}
-        rows[r] = row
-        if g != 1:
-            g = gcd(g, *row.values())
+    for row in rows.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
     if not rows:
         return None
     if g != 1:
@@ -500,7 +506,9 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
     (zero entries and a common factor are allowed), and B a base_dim-square
     PolyMatrix, re-declared over params.  The parts of each exponent are
     brought to one common denominator, so the whole sum is one integer
-    accumulation per exponent.
+    accumulation per exponent.  Only an entry that two parts add to can
+    vanish, so an accumulation where no such sum came out zero skips the
+    scans for zeros and empty rows.
     """
     params = tuple(params)
     groups: dict = {}             # exps -> [(rows of W, rows of B, den)]
@@ -520,6 +528,7 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
     for exps, group in groups.items():
         common = lcm(*(den for _, _, den in group))
         acc: dict = {}
+        cancelled = False
         for rows, rows_b, den in group:
             mult = common // den
             for i, wrow in rows.items():
@@ -536,8 +545,12 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
                         for c, x in brow.items():
                             c += off
                             cur = target.get(c)
-                            target[c] = w * x if cur is None else cur + w * x
-        term = _reduced(common, acc)
+                            if cur is None:
+                                target[c] = w * x
+                            else:
+                                target[c] = cur = cur + w * x
+                                cancelled = cancelled or not cur
+        term = _reduced(common, acc, not cancelled)
         if term is not None:
             terms[exps] = term
     dim = size * base_dim
@@ -725,13 +738,6 @@ class PolyMatrix:
                 f"entry ({r},{c}) = {self.entry(r, c)} is not a pure rational; "
                 "substitute parameters before solving")
         return self.terms.get(constant, (1, {}))
-
-    def rational_entries(self) -> dict:
-        """{(row, col): Fraction} of the nonzero entries of a parameter-free
-        matrix, read off its constant term."""
-        den, rows = self.integer_term()
-        return {(r, c): Fraction(x, den)
-                for r, row in rows.items() for c, x in row.items()}
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -35,7 +35,7 @@ from math import lcm
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               RootDatum, StructureConstants, extend_matrices,
-                              integer_roots, typicality_factors)
+                              typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
                             kronecker_sum, nullspace, rref)
@@ -272,7 +272,6 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     spec = sc.spec
     P = spec.odd_count
     params = L.params
-    roots = integer_roots(datum.odd_positive_roots)
 
     base_even = dict(L.matrices)
     base_even[GenLabel("y")] = _scaled_identity(L.dim, params, L.y_scalar)
@@ -304,7 +303,8 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     basis, matrices = induce_core(P, params, L.dim, even_labels,
                                   base_even, adj, uv_exp)
 
-    weights, layers = _shifted_weights(L.weights, _subset_order(P), roots)
+    weights, layers = _shifted_weights(L.weights, _subset_order(P),
+                                       datum.odd_positive_roots)
 
     return KacModule(
         params=params, basis=basis, matrices=matrices,

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
+from setup_oracles import rational_entries
 from superkac import exact
 from superkac.exact import (DeclarationError, ParamPoly,
                             ParameterizedEntryError, PolyMatrix, _reduced,
@@ -132,6 +133,29 @@ def test_arithmetic_matches_the_validating_constructor(p, q, x):
         assert got == expected
         assert all(isinstance(coeff, Fraction) and coeff != 0
                    for coeff in got.terms.values())
+
+
+@settings(deadline=None, max_examples=200)
+@given(polys, st.one_of(st.integers(-4, 4), rationals),
+       st.sampled_from(["drawn", "cancel", "negated"]))
+def test_rational_sums_match_the_polynomial_path(p, x, kind):
+    """p + x, p - x, x + p and x - p with x an int or a Fraction, which add
+    x straight into the constant term, equal the sums with the constant
+    polynomial x; drawn cases include sums that cancel the constant."""
+    constant = p.terms.get((0, 0), Fraction(0))
+    if kind == "cancel":
+        x = constant
+    elif kind == "negated":
+        x = -constant
+    r = ParamPoly.const(PARAMS, x)
+    for got, want in ((p + x, p + r), (p - x, p - r),
+                      (x + p, r + p), (x - p, r - p)):
+        assert got == want
+        assert got.terms == want.terms
+        assert all(type(coeff) is Fraction and coeff != 0
+                   for coeff in got.terms.values())
+    if kind == "cancel" and constant:
+        assert (0, 0) not in (p - x).terms
 
 
 class TestPolyHash:
@@ -454,6 +478,55 @@ def test_kronecker_sum_matches_from_blocks(case):
     assert got.terms == want.terms
 
 
+def dense_kronecker(size: int, base_dim: int, parts) -> PolyMatrix:
+    """sum W (x) B added up entry by entry in ParamPolys and stored by the
+    validating constructor."""
+    entries: dict = {}
+    for (den, w), B in parts:
+        for i, row in w.items():
+            for j, x in row.items():
+                for (r, c), v in B.with_params(PARAMS).entries.items():
+                    pos = (i * base_dim + r, j * base_dim + c)
+                    entries[pos] = entries.get(pos, ParamPoly.zero(PARAMS)) \
+                        + v * Fraction(x, den)
+    return PolyMatrix(size * base_dim, size * base_dim, PARAMS, entries)
+
+
+B_TWO = PolyMatrix(2, 2, PARAMS, {(0, 0): b(), (0, 1): 3 * b() + const("1/2"),
+                                  (1, 0): c()})
+TWICE_B00 = PolyMatrix(2, 2, PARAMS, {(0, 0): 2 * b()})
+
+
+@pytest.mark.parametrize("parts, cancels", [
+    # one part: no sum, nothing to cancel
+    ([((1, {0: {0: 1}, 1: {1: 2}}), B_TWO)], False),
+    # entry (0, 0) of the b term cancels, row 0 keeps (0, 1)
+    ([((1, {0: {0: 1}}), B_TWO), ((2, {0: {0: -1}}), TWICE_B00)], True),
+    # block row 0 cancels in every term, block row 1 stays
+    ([((1, {0: {0: 1}, 1: {1: 1}}), B_TWO), ((3, {0: {0: -3}}), B_TWO)],
+     True),
+], ids=["no-sum", "entry", "row"])
+def test_kronecker_sum_cancellation_gives_the_dense_sum(parts, cancels,
+                                                        monkeypatch):
+    """An accumulation in which no sum cancels skips the zero scans of
+    ``_reduced``; one in which an entry or a whole row cancels runs them,
+    and either way the pencil is the canonical one of the dense sum."""
+    clean_flags = []
+
+    def recorded(den, acc, clean=False):
+        clean_flags.append(clean)
+        return _reduced(den, acc, clean)
+
+    monkeypatch.setattr(exact, "_reduced", recorded)
+    got = kronecker_sum(2, 2, PARAMS, parts)
+    want = dense_kronecker(2, 2, parts)
+    assert_canonical(got)
+    assert got.terms == want.terms
+    assert (False in clean_flags) == cancels
+    if cancels:
+        assert got != kronecker_sum(2, 2, PARAMS, parts[:1])
+
+
 def reduced_by_comprehension(den: int, acc: dict):
     """The canonical term of acc / den with every row rebuilt: the
     reference for ``exact._reduced``, which rebuilds only rows that hold a
@@ -501,6 +574,10 @@ def test_reduced_matches_the_comprehension_reference(den, acc):
     want = reduced_by_comprehension(den, acc)
     got = _reduced(den, {r: dict(row) for r, row in acc.items()})
     assert ordered(got) == ordered(want)
+    if all(row and all(row.values()) for row in acc.values()):
+        # no zero entry and no empty row: the caller may skip their scans
+        got = _reduced(den, {r: dict(row) for r, row in acc.items()}, True)
+        assert ordered(got) == ordered(want)
 
 
 @pytest.mark.parametrize("params", [(), ("b",), ("b", "c")])
@@ -562,12 +639,12 @@ def test_maps_and_queries_match_entrywise(pair, bv, cv, pick_rows, pick_cols):
         with pytest.raises(DeclarationError):
             a.with_params(("b",))
     bound = {"b": bv, "c": cv}
-    assert a.substitute(bound).rational_entries() == {
+    assert rational_entries(a.substitute(bound)) == {
         p: v.substitute(bound).constant_value()
         for p, v in ea.items() if not v.substitute(bound).is_zero}
     if not a.is_constant:
         with pytest.raises(ParameterizedEntryError):
-            a.rational_entries()
+            rational_entries(a)
 
     live = nonzero(ea)
     for name in PARAMS:

@@ -1,0 +1,95 @@
+"""Byte-identity of the README examples.
+
+Each example runs in a fresh directory, with `--out` and `--report` added
+where its verb writes them, and the sha256 of its stdout and of each file
+it wrote is compared with a pin.  A change that alters any of these bytes
+updates the pin and says why in CHANGES.md.
+"""
+
+import hashlib
+import shlex
+
+import pytest
+
+from superkac.cli import WRITES, main
+
+# (README command line, {stream: sha256}); "stdout", "out" and "report"
+# are the printed text and the bytes of out.json and report.json.
+GOLDEN = [
+    ("build --algebra sl --m 2 --n 1 --labels 0", {
+        "stdout":
+            "8d23060e4908b03fac16395ca8d1ccfcac5ef793f3f53beca20bb5056844c213",
+        "out":
+            "5ad96f302b1f2d17a50e8d154e818a0b341b9ecdfd405271f79131b9aa62bb79",
+    }),
+    ("verify --algebra gl --m 2 --n 1 --labels 1", {
+        "stdout":
+            "f27d2304a4880495881c9d44655023fb9ebcb7e59de3ba97e956ac5014cf0099",
+        "report":
+            "cf30bf0fe6032048190db8c15bddec4e2c948b5099023e59678c32c98653a394",
+    }),
+    ("typicality --algebra sl --m 2 --n 1 --labels 1 --b 0", {
+        "stdout":
+            "86bfaf4fcc9629366884db0d278c7d467728393c1badd43761f015350d1e91fa",
+        "report":
+            "4bce9b9cc9277bb87b0aab765bf19b8b6b45812c7f14135161638bc54ecb175c",
+    }),
+    ("replicate --algebra sl --m 2 --n 1 --labels 0 --N 3 --lambdas 1,1", {
+        "stdout":
+            "9c02a8694843b9b0113ceb04eda9999bf9ecd5d567f3f31ddbbfe85302ed9553",
+        "out":
+            "4e1b73555982fe20e19639e04785ac457b7ade4d3419f8abd4e50f034ab7c58a",
+        "report":
+            "2b752499c639d8613d373bfeced1c24af7322525ac35c93f969f6a32c35b4a64",
+    }),
+    ("twist --algebra gl --m 2 --n 1 --labels 0 --nu 0,1 --n-twist 2", {
+        "stdout":
+            "eed11c28aa4b93bdcce70fcc79e9c889af9788dd878120d2aa66639fda7671f8",
+        "out":
+            "35daa302a8cf99bf1fe33fc8d8a9123e3172f6635a1c0bf16c6f22cc67dea867",
+        "report":
+            "2e23d02a8e29df43b0ad97917c6237e2c2c8e8d0ba87c01edc5973819c124f5b",
+    }),
+    ("twist --algebra gl --m 2 --n 1 --labels 0 --nu -1,2", {
+        "stdout":
+            "01a608cb4bb6502f79fb243e7522847b86d1acbba0f9c9e6845779b0aad2bf3e",
+        "out":
+            "25a071fbee4ebcb9448294fd1127b3f22a4460b990460db04e20a760c7135618",
+        "report":
+            "88f13c5eac51d78b767ac978ca2abd2f7940cfae931b89e80c83dc23b07a23b2",
+    }),
+    ("heisenberg --algebra gl --m 2 --n 1 --labels 1 --nu 2,-3", {
+        "stdout":
+            "66920e96a4b6c63c9f47e2f53c968be1bdca0832dc9274b8f40b3505217c3d92",
+        "out":
+            "c9da74a0f497176f4e8fc4fadcb93efe40fc4821cd77a23f92a001b923c8e031",
+        "report":
+            "c2a98681197e079120a966972604afd9488d3efe632960a71264033698c9fb03",
+    }),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_example(command, directory, capsys, monkeypatch) -> dict:
+    """Run one example in directory; return the sha256 of each stream."""
+    monkeypatch.chdir(directory)
+    argv = shlex.split(command)
+    for name in WRITES[argv[0]]:
+        argv += [f"--{name}", f"{name}.json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    digests = {"stdout": _sha(capsys.readouterr().out.encode())}
+    for name in WRITES[argv[0]]:
+        digests[name] = _sha((directory / f"{name}.json").read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize("command,pins", GOLDEN,
+                         ids=[c.split(" --")[0] + str(i)
+                              for i, (c, _) in enumerate(GOLDEN)])
+def test_readme_example_bytes(command, pins, tmp_path, capsys,
+                              monkeypatch):
+    assert run_example(command, tmp_path, capsys, monkeypatch) == pins

@@ -21,6 +21,7 @@ from superkac.kacmod import (SingularVector, SingularVectorReport,
                              singular_vectors, weight_spaces)
 from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
 from testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
+from setup_oracles import rational_entries, reference_bilinear
 
 
 def build_kac(flavor, m, n, a):
@@ -276,8 +277,9 @@ class TestSecondaryAtypicality:
                     shifted = tuple(c - x for c, x in zip(coords, beta))
                     shifted_rho = tuple(
                         c + r for c, r in zip(shifted, K.datum.rho))
-                    factor_i = K.datum.bilinear(
-                        shifted_rho, K.datum.odd_positive_roots[i - 1])
+                    factor_i = reference_bilinear(
+                        K.datum.spec, shifted_rho,
+                        K.datum.odd_positive_roots[i - 1])
                     assert factor_i.substitute({"b": root}).is_zero
 
 
@@ -597,7 +599,7 @@ def reference_singular_vectors(K, bindings, raising_set="even-and-odd"):
     mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
     by_column: dict = {}
     for lab in raising:
-        for (r, c), val in mats[lab].rational_entries().items():
+        for (r, c), val in rational_entries(mats[lab]).items():
             by_column.setdefault(c, []).append(((lab, r), val))
 
     found = []
@@ -703,9 +705,9 @@ def test_simple_raising_stack_matches_the_full_stack(key, bindings,
 
 
 def test_non_integral_odd_root_is_refused():
+    # the root datum refuses it, so no induction ever sees one
     K = OCTET
     roots = list(K.datum.odd_positive_roots)
     roots[1] = (Fraction(1, 2),) + roots[1][1:]
-    datum = K.datum.replace(odd_positive_roots=tuple(roots))
     with pytest.raises(InternalConsistencyError, match="not an integer"):
-        induce(K.L, datum, K.sc)
+        K.datum.replace(odd_positive_roots=tuple(roots))

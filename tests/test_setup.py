@@ -1,0 +1,154 @@
+"""The integer set-up of a job against the Fraction one it replaced.
+
+For every sl(m|n) with m != n and every gl(m|n), 1 <= m, n <= 5: the root
+datum, the fundamental matrices, the structure constants and the
+highest-weight readers are compared with the references kept in
+``setup_oracles`` and with the all-pairs loop of ``test_algebra``.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from superkac.algebra import (FundamentalRep, InputError, RootDatum,
+                              SuperAlgebraSpec, build_fundamental_rep,
+                              build_root_datum, structure_constants,
+                              typicality_factors, weight_from_labels)
+from superkac.evenrep import labels_to_hypercharge
+from superkac.exact import DeclarationError
+from setup_oracles import (reference_fundamental_matrices,
+                           reference_labels_to_hypercharge,
+                           reference_root_datum, reference_typicality_factors,
+                           reference_weight_from_labels)
+from test_algebra import loop_structure_constants, table_items
+
+SPECS = [(flavor, m, n)
+         for flavor, m, n in itertools.product(("sl", "gl"), range(1, 6),
+                                               range(1, 6))
+         if not (flavor == "sl" and m == n)]
+SOLVABLE = [spec for spec in SPECS if spec[1] != spec[2]]
+
+ROOT_FIELDS = ("simple_even_roots", "even_positive_roots",
+               "odd_positive_roots")
+HALF_FIELDS = ("rho0", "rho1", "rho")
+
+
+def spec_of(flavor, m, n) -> SuperAlgebraSpec:
+    return SuperAlgebraSpec(m, n, flavor)
+
+
+def as_fractions(value):
+    """Every number in nested tuples as a Fraction."""
+    if isinstance(value, tuple):
+        return tuple(as_fractions(x) for x in value)
+    if isinstance(value, int):
+        return Fraction(value)
+    return value
+
+
+def label_vectors(spec) -> list:
+    rank = spec.rank
+    return [(0,) * rank, (1,) * rank,
+            tuple((3 * i + 2) % 4 for i in range(rank))]
+
+
+def param_lists(spec) -> list:
+    names = ("b", "c") if spec.flavor == "gl" else ("b",)
+    return [None, names[::-1], ("t",) + names[::-1]]
+
+
+def coefficient_types(polys) -> set:
+    return {type(q) for poly in polys for q in poly.terms.values()}
+
+
+@pytest.mark.parametrize("flavor, m, n", SPECS)
+def test_root_datum_matches_fraction_reference(flavor, m, n):
+    spec = spec_of(flavor, m, n)
+    datum = build_root_datum(spec)
+    want = reference_root_datum(spec)
+    assert list(RootDatum._fields) == list(want)
+    for field in RootDatum._fields:
+        assert as_fractions(getattr(datum, field)) == want[field], field
+    for field in ROOT_FIELDS:
+        assert {type(x) for root in getattr(datum, field) for x in root} \
+            <= {int}
+    for field in HALF_FIELDS:
+        assert {type(x) for x in getattr(datum, field)} == {Fraction}
+
+
+@pytest.mark.parametrize("flavor, m, n", SPECS)
+def test_fundamental_matrices_match_fraction_reference(flavor, m, n):
+    spec = spec_of(flavor, m, n)
+    rep = build_fundamental_rep(spec)
+    want = reference_fundamental_matrices(spec)
+    assert list(rep.matrices) == list(want)
+    for label, mat in rep.matrices.items():
+        ref = want[label]
+        assert (mat.rows, mat.cols, mat.params) == \
+            (ref.rows, ref.cols, ref.params), label
+        assert mat.terms == ref.terms, label
+
+
+@pytest.mark.parametrize("flavor, m, n", SOLVABLE)
+def test_structure_constants_match_references(flavor, m, n):
+    spec = spec_of(flavor, m, n)
+    rep = build_fundamental_rep(spec)
+    sc = structure_constants(rep)
+    from_reference = structure_constants(FundamentalRep(
+        spec=spec, datum=rep.datum,
+        matrices=reference_fundamental_matrices(spec)))
+    loop = loop_structure_constants(rep)
+    for want in (from_reference, loop):
+        assert table_items(sc.table) == table_items(want.table)
+        assert (sc.k, sc.d, sc.grade) == (want.k, want.d, want.grade)
+        assert (sc.basis, sc.parity, sc.recipes) == \
+            (want.basis, want.parity, want.recipes)
+        assert sc.fundamental == want.fundamental
+        assert sc.generators == want.generators
+    assert type(sc.k) is Fraction
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gl_nn_still_raises(n):
+    rep = build_fundamental_rep(spec_of("gl", n, n))
+    with pytest.raises(InputError, match="vanishing hypercharge"):
+        structure_constants(rep)
+    with pytest.raises(InputError, match="vanishing hypercharge"):
+        loop_structure_constants(rep)
+    for read in (weight_from_labels, typicality_factors):
+        with pytest.raises(InputError, match="gl\\(n\\|n\\)"):
+            read(rep.datum, (0,) * rep.spec.rank)
+
+
+@pytest.mark.parametrize("flavor, m, n", SOLVABLE)
+def test_weight_readers_match_fraction_reference(flavor, m, n):
+    spec = spec_of(flavor, m, n)
+    rep = build_fundamental_rep(spec)
+    sc = structure_constants(rep)
+    for a, params in itertools.product(label_vectors(spec),
+                                       param_lists(spec)):
+        coords = weight_from_labels(rep.datum, a, params)
+        assert coords == reference_weight_from_labels(spec, a, params)
+        factors = typicality_factors(rep.datum, a, params)
+        assert factors == reference_typicality_factors(spec, a, params)
+        y0 = labels_to_hypercharge(sc, a, params)
+        assert y0 == reference_labels_to_hypercharge(sc, a, params)
+        assert coefficient_types([*coords, *factors, y0]) <= {Fraction}
+
+
+@pytest.mark.parametrize("flavor, m, n", [("sl", 2, 1), ("gl", 2, 3)])
+def test_weight_readers_name_an_undeclared_parameter(flavor, m, n):
+    spec = spec_of(flavor, m, n)
+    rep = build_fundamental_rep(spec)
+    sc = structure_constants(rep)
+    a = (0,) * spec.rank
+    for params in (("c",), ("b",)) if flavor == "gl" else (("c",),):
+        for read, ref in ((weight_from_labels, reference_weight_from_labels),
+                          (typicality_factors, reference_typicality_factors)):
+            with pytest.raises(DeclarationError):
+                ref(spec, a, params)
+            with pytest.raises(DeclarationError):
+                read(rep.datum, a, params)
+    with pytest.raises(DeclarationError):
+        labels_to_hypercharge(sc, a, ("c",))
