@@ -26,7 +26,6 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -278,14 +277,6 @@ def build_fundamental_rep(spec: SuperAlgebraSpec) -> FundamentalRep:
     return FundamentalRep(spec=spec, datum=datum, matrices=mats)
 
 
-def supertrace(spec: SuperAlgebraSpec, mat: PolyMatrix):
-    total = ParamPoly.zero(mat.params)
-    for a in range(spec.dim_fund):
-        val = mat.entry(a, a)
-        total = total + val if a < spec.m else total - val
-    return total
-
-
 def parity_of(label: GenLabel) -> int:
     return 1 if label.kind in ("u", "v") else 0
 
@@ -328,7 +319,9 @@ def generating_set(sc: StructureConstants) -> tuple:
     (Kac, Adv. Math. 26, 1977), z0 too for gl.  Its iterated brackets grow an
     echelon form over basis positions (``exact.echelon_insert``), and
     every label still outside the span is added, so X generates
-    whatever the seed.  X is listed in basis order.
+    whatever the seed.  X is listed in basis order.  A bracket with a
+    seed label x is read off the integer columns of ad x over one
+    denominator, which scales each image but not the span.
     """
     lowering = [lab for lab in sc.basis
                 if lab.kind == "f" or lab == GenLabel("v", 1)]
@@ -337,16 +330,22 @@ def generating_set(sc: StructureConstants) -> tuple:
             or not any(sc.bracket(x, lab) for x in lowering)]
     echelon: dict = {}                # over basis positions
     order = {lab: pos for pos, lab in enumerate(sc.basis)}
+    ads = []                          # per seed label, column per position
+    for x in seed:
+        columns = [sc.bracket(x, lab) for lab in sc.basis]
+        den = lcm(*(c.denominator for col in columns for c in col.values()))
+        ads.append([{order[t]: c.numerator * (den // c.denominator)
+                     for t, c in col.items()} for col in columns])
     queue = [{order[lab]: 1} for lab in seed]
     while queue:
         vec = echelon_insert(echelon, queue.pop())
         if vec is None:
             continue
-        for x in seed:
+        for columns in ads:
             image: dict = {}
             for pos, coeff in vec.items():
-                for t, c in sc.bracket(x, sc.basis[pos]).items():
-                    image[order[t]] = image.get(order[t], 0) + coeff * c
+                for t, c in columns[pos].items():
+                    image[t] = image.get(t, 0) + coeff * c
             queue.append(image)
     completion = [lab for lab in sc.basis
                   if echelon_insert(echelon, {order[lab]: 1}) is not None]
@@ -596,15 +595,23 @@ def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
     [ad_a, ad_b} - sum_t f_ab^t ad_t is the Jacobi defect J(a, b, c) =
     [a,[b,c]] - (-1)^{|a||b|}[b,[a,c]] - [[a,b],c].  The generator pairs
     decide every triple with no Jacobi premise (see ``bracket_violations``,
-    the ad case), so a defect anywhere fails the check.
+    the ad case), so a defect anywhere fails the check.  Each ad_a is
+    built as one integer term over the lcm of its denominators.
     """
     index = {lab: i for i, lab in enumerate(sc.basis)}
-    entries = {lab: {} for lab in sc.basis}
+    columns = {lab: [] for lab in sc.basis}
     for (a, c), expansion in sc.table.items():
-        for t, coeff in expansion.items():
-            entries[a][(index[t], index[c])] = coeff
+        columns[a].append((index[c], expansion))
     dim = len(sc.basis)
-    ad = {lab: PolyMatrix(dim, dim, (), entries[lab]) for lab in sc.basis}
+    ad = {}
+    for lab, cols in columns.items():
+        den = lcm(*(x.denominator for _, exp in cols for x in exp.values()))
+        rows: dict = {}
+        for c, expansion in cols:
+            for t, x in expansion.items():
+                rows.setdefault(index[t], {})[c] = \
+                    x.numerator * (den // x.denominator)
+        ad[lab] = PolyMatrix.from_term(dim, dim, (), (den, rows))
     violations = bracket_violations(
         sc.basis, sc.generators, sc.parity, sc.table,
         lambda la, lb, pa, pb: sbracket(pa, pb, ad[la], ad[lb]), ad)
@@ -621,12 +628,16 @@ def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
 
 
 def grading_report(sc: StructureConstants) -> VerificationReport:
-    """Structure constants vanish unless hypercharge grades add up."""
+    """Structure constants vanish unless hypercharge grades add up,
+    compared as integers over the lcm of the grade denominators."""
     report = VerificationReport(f"hypercharge grading for {sc.spec}")
+    den = lcm(*(g.denominator for g in sc.grade.values()))
+    grade = {lab: g.numerator * (den // g.denominator)
+             for lab, g in sc.grade.items()}
     for (a, b), expansion in sc.table.items():
-        total = sc.grade[a] + sc.grade[b]
+        total = grade[a] + grade[b]
         for target, coeff in expansion.items():
-            if sc.grade[target] != total:
+            if grade[target] != total:
                 report.add_fail("grade additivity", f"[{a},{b}] -> {target}",
                                 str(coeff))
                 return report
@@ -675,27 +686,46 @@ def bracket_violations(labels: Sequence[GenLabel],
     """
     violations = []
     located = {}
-    order = {label: pos for pos, label in enumerate(labels)}
     generators = set(generators)
-    for la, lb in itertools.product(labels, repeat=2):
-        if la not in generators and lb not in generators:
-            continue
-        expansion = table.get((la, lb), {})
-        sign = 1 if (parity[la] and parity[lb]) else -1
-        if order[lb] < order[la] and expansion == {
-                t: sign * c for t, c in table.get((lb, la), {}).items()}:
-            mirror = located.get((lb, la))
-            if mirror is not None:
-                pos, val = mirror
-                violations.append(((la, lb), (pos, val * sign)))
-            continue
-        residual = combination(
-            bracket(la, lb, parity[la], parity[lb])
-            + [(-coeff, targets[t], None) for t, coeff in expansion.items()])
-        if not residual.is_zero:
-            located[(la, lb)] = residual.first_nonzero()
-            violations.append(((la, lb), located[(la, lb)]))
+    flags = [label in generators for label in labels]
+    odd = [parity[label] for label in labels]
+    for i, la in enumerate(labels):
+        for j, lb in enumerate(labels):
+            if not (flags[i] or flags[j]):
+                continue
+            expansion = table.get((la, lb), {})
+            sign = 1 if (odd[i] and odd[j]) else -1
+            if j < i and _is_mirror(expansion, table.get((lb, la), {}), sign):
+                mirror = located.get((lb, la))
+                if mirror is not None:
+                    pos, val = mirror
+                    violations.append(((la, lb), (pos, val * sign)))
+                continue
+            # the residual negated, table minus bracket: the table's
+            # coefficients go in as they are, only the bracket's are negated
+            negated = combination(
+                [(-c, left, right)
+                 for c, left, right in bracket(la, lb, odd[i], odd[j])]
+                + [(coeff, targets[t], None)
+                   for t, coeff in expansion.items()])
+            if not negated.is_zero:
+                pos, val = negated.first_nonzero()
+                located[(la, lb)] = (pos, -val)
+                violations.append(((la, lb), located[(la, lb)]))
     return violations
+
+
+def _is_mirror(expansion: Mapping, mirror: Mapping, sign: int) -> bool:
+    """expansion == {t: sign * c for t, c in mirror.items()} for rational
+    coefficients, compared in lowest terms without forming the products."""
+    if len(expansion) != len(mirror):
+        return False
+    for t, c in mirror.items():
+        x = expansion.get(t)
+        if (x is None or x.denominator != c.denominator
+                or x.numerator != sign * c.numerator):
+            return False
+    return True
 
 
 def violations_report(title: str, name: str, labels: Sequence[GenLabel],
@@ -822,15 +852,6 @@ def weight_from_labels(datum: RootDatum, a: Sequence[int],
     see ``_highest_weight`` for the gauge."""
     den, *columns = _highest_weight(datum.spec, a)
     return tuple(_affine_polys(params, datum.spec, den, columns))
-
-
-def weight_eval(coords: Sequence, diagonal: Sequence[Fraction]):
-    """Evaluate a weight on a diagonal Cartan element."""
-    total = None
-    for coord, d in zip(coords, diagonal):
-        term = coord * d
-        total = term if total is None else total + term
-    return total
 
 
 def typicality_factors(datum: RootDatum, a: Sequence[int],

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from superkac.record import Record
 
@@ -294,7 +295,7 @@ class ParamPoly:
 
 
 def _exps_add(e1: tuple, e2: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def _accumulate(acc: dict, rows: dict, factor: int, row_off: int = 0,
@@ -418,10 +419,10 @@ def _pencil(parts) -> dict:
     """Canonical pencil terms of a sum of scaled, shifted products.
 
     ``parts`` yields (exps, q, left, right, row_off, col_off) for the
-    summand q * params^exps * (left @ right), where q is a nonzero rational,
-    left and right are stored terms (den, rows) and right = None stands for
-    the identity; the offsets shift the rows and columns of an identity
-    summand.  The parts of each output exponent are brought to one common
+    summand q * params^exps * (left @ right), where q is a nonzero int or
+    Fraction, left and right are stored terms (den, rows) and right = None
+    stands for the identity; the offsets shift the rows and columns of an
+    identity summand.  The parts of each output exponent are brought to one common
     denominator D = lcm(q.den * den_left * den_right), so the sums run over
     ints with the multipliers q * D / (den_left * den_right).
 
@@ -465,7 +466,8 @@ def _pencil(parts) -> dict:
 def combination(terms: Sequence[tuple]) -> "PolyMatrix":
     """sum_i c_i * A_i @ B_i over (c_i, A_i, B_i), computed in one
     accumulation; B_i = None stands for the identity.  The c_i are
-    rationals; every product must have the shape of the first and every
+    rationals: an int is taken as it is, anything else goes through
+    ``rat``.  Every product must have the shape of the first and every
     matrix its params.  A lone term (1, A, None) gives A itself: its terms
     are already canonical, and results may share terms."""
     first = terms[0]
@@ -484,7 +486,8 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
                 f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
         if shape != (rows, cols):
             raise ValueError("matrix shapes differ")
-        coeff = rat(coeff)
+        if coeff.__class__ is not int:
+            coeff = rat(coeff)
         if not coeff:
             continue
         for e1, left in a.terms.items():

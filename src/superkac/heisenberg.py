@@ -17,8 +17,8 @@ from fractions import Fraction
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               StructureConstants, bracket_violations, sbracket,
                               violations_report)
-from superkac.exact import (ParamPoly, PolyMatrix, kronecker_sum,
-                            rational_linear_solve)
+from superkac.exact import (ParamPoly, PolyMatrix, integer_rref,
+                            kronecker_sum)
 from superkac.kacmod import KacModule, induce_core
 from superkac.matryoshka import (Deformation, TwistSpec, deformation,
                                  derivative_report)
@@ -237,9 +237,10 @@ def lowering_rank(phi: HModule, generating: list) -> int:
         lowered[subset] = (phi.matrices[GenLabel("v", subset[0])]
                            @ lowered[subset[1:]])
     width = len(generating)
-    return rational_linear_solve(PolyMatrix.from_blocks(
+    stacked = PolyMatrix.from_blocks(
         phi.dim, width * len(subsets), phi.params,
-        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])).rank
+        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])
+    return len(integer_rref(stacked.integer_term()[1].values())[0])
 
 
 def compare_with_KH(phi: HModule) -> VerificationReport:

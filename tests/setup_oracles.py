@@ -8,13 +8,19 @@ coordinate in ``ParamPoly`` arithmetic.  ``rational_entries`` is the
 ``Fraction`` view of a parameter-free matrix that the structure constants
 used to read, and ``reference_bilinear`` the pairing ``typicality_factors``
 used to take.
+
+The table checks' ``Fraction`` forms are kept here too: the generating
+set grown by ``coeff * c`` products and the ad matrices built entry by
+entry, which ``algebra.generating_set`` and ``super_jacobi_report`` now
+form over integer columns and integer terms; and ``weight_eval`` and
+``supertrace``, which only the tests call.
 """
 
 from fractions import Fraction
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               module_params, validate_even_labels)
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, echelon_insert
 
 
 def rational_entries(mat: PolyMatrix) -> dict:
@@ -220,3 +226,59 @@ def reference_labels_to_hypercharge(sc, a, params=None) -> ParamPoly:
         elif label.kind == "z0" and coeff != 0:
             raise InternalConsistencyError("{u_1,v_1} acquired a z0 part")
     return (ParamPoly.var(params, "b") - h_part) * (Fraction(1) / sc.k)
+
+
+def reference_generating_set(sc) -> tuple:
+    """X of ``algebra.generating_set``, each bracket image summed up in
+    ``coeff * c`` products of the table's rationals."""
+    lowering = [lab for lab in sc.basis
+                if lab.kind == "f" or lab == GenLabel("v", 1)]
+    seed = [lab for lab in sc.basis
+            if lab.kind == "e" or lab == GenLabel("u", 1)
+            or not any(sc.bracket(x, lab) for x in lowering)]
+    echelon: dict = {}
+    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+    queue = [{order[lab]: 1} for lab in seed]
+    while queue:
+        vec = echelon_insert(echelon, queue.pop())
+        if vec is None:
+            continue
+        for x in seed:
+            image: dict = {}
+            for pos, coeff in vec.items():
+                for t, c in sc.bracket(x, sc.basis[pos]).items():
+                    image[order[t]] = image.get(order[t], 0) + coeff * c
+            queue.append(image)
+    completion = [lab for lab in sc.basis
+                  if echelon_insert(echelon, {order[lab]: 1}) is not None]
+    return tuple(lab for lab in sc.basis
+                 if lab in completion or lab in seed)
+
+
+def reference_ad_matrices(sc) -> dict:
+    """GenLabel a -> ad_a, ad_a[t, c] = table[(a, c)][t], built from its
+    Fraction entries."""
+    index = {lab: i for i, lab in enumerate(sc.basis)}
+    entries = {lab: {} for lab in sc.basis}
+    for (a, c), expansion in sc.table.items():
+        for t, coeff in expansion.items():
+            entries[a][(index[t], index[c])] = coeff
+    dim = len(sc.basis)
+    return {lab: PolyMatrix(dim, dim, (), entries[lab]) for lab in sc.basis}
+
+
+def weight_eval(coords, diagonal):
+    """Evaluate a weight on a diagonal Cartan element."""
+    total = None
+    for coord, d in zip(coords, diagonal):
+        term = coord * d
+        total = term if total is None else total + term
+    return total
+
+
+def supertrace(spec, mat: PolyMatrix):
+    total = ParamPoly.zero(mat.params)
+    for a in range(spec.dim_fund):
+        val = mat.entry(a, a)
+        total = total + val if a < spec.m else total - val
+    return total

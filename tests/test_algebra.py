@@ -17,11 +17,11 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               extend_matrices, generating_set,
                               grading_report, parity_of,
                               sbracket, structure_constants,
-                              super_jacobi_report, supertrace,
-                              typicality_factors, weight_eval,
+                              super_jacobi_report, typicality_factors,
                               weight_from_labels)
 from dense_oracles import ExactSolver
-from setup_oracles import rational_entries, reference_bilinear
+from setup_oracles import (rational_entries, reference_bilinear, supertrace,
+                           weight_eval)
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
                            integer_rref, rref)
 
@@ -432,11 +432,10 @@ def outcome(build, rep):
     return table_items(sc.table), sc.grade, sc.k, sc.d
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_perturbed_fundamental_matches_all_pairs_loop(data):
-    """Fundamental representations with one matrix perturbed give the
-    all-pairs loop's table, or its error message."""
+def draw_perturbed_rep(data):
+    """A fundamental representation of PERTURBED_REPS with one matrix
+    perturbed: a root scaled or moved, a stray entry added, a Cartan label
+    made dependent or given a fractional diagonal."""
     rep = data.draw(st.sampled_from(PERTURBED_REPS))
     entries = {lab: rational_entries(mat)
                for lab, mat in sorted(rep.matrices.items())}
@@ -474,7 +473,15 @@ def test_perturbed_fundamental_matches_all_pairs_loop(data):
         t = data.draw(RATIONALS)
         new = {(i, i): q * entries[label].get((i, i), 0) + t
                for i in range(rep.dim)}
-    rep = with_matrix(rep, label, {cell: x for cell, x in new.items() if x})
+    return with_matrix(rep, label, {cell: x for cell, x in new.items() if x})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_perturbed_fundamental_matches_all_pairs_loop(data):
+    """Fundamental representations with one matrix perturbed give the
+    all-pairs loop's table, or its error message."""
+    rep = draw_perturbed_rep(data)
     assert outcome(structure_constants, rep) == \
         outcome(loop_structure_constants, rep)
 

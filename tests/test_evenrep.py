@@ -445,7 +445,8 @@ class TestLabelsToHypercharge:
                 y0.params, Fraction(1) / sc.k)
 
     def test_matches_weight_evaluation(self):
-        from superkac.algebra import weight_from_labels, weight_eval
+        from superkac.algebra import weight_from_labels
+        from setup_oracles import weight_eval
         for rep, sc, a in ((SL21, SC21, (2,)), (SL31, SC31, (1, 0)),
                            (GL21, SCG21, (1,))):
             coords = weight_from_labels(rep.datum, a)

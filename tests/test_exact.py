@@ -900,3 +900,28 @@ def test_thin_products_match_the_row_pass(terms):
     for thin in (0, rows + 1):
         with mock.patch.object(exact, "_THIN", thin):
             assert combination(terms) == got
+
+
+# -- int coefficients taken as they are ---------------------------------------
+
+@settings(deadline=None, max_examples=100)
+@given(entry_pairs(), st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+@example(({(0, 0): const(1)}, {(1, 2): b()}), [0, 3, 0])
+def test_int_coefficients_equal_fraction_ones(pair, ints):
+    """combination with int coefficients, zeros among them, gives what the
+    same call with Fraction coefficients or 'p/q' strings gives."""
+    a, b_ = matrix(pair[0]), matrix(pair[1])
+    factors = [(a, b_), (b_, a), (a, None), (b_, None)]
+    terms = [(q, *factors[i % 4]) for i, q in enumerate(ints)]
+    got = combination(terms)
+    assert_canonical(got)
+    assert got == combination([(Fraction(q), x, y) for q, x, y in terms])
+    assert got == combination([(f"{2 * q}/2", x, y) for q, x, y in terms])
+
+
+def test_float_coefficients_still_raise():
+    a = PolyMatrix(2, 2, PARAMS, {(0, 1): b(), (1, 0): Fraction(1, 3)})
+    for terms in ([(2.0, a, None)], [(1, a, a), (0.5, a, None)],
+                  [(0.0, a, a)]):
+        with pytest.raises(TypeError):
+            combination(terms)

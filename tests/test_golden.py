@@ -1,4 +1,4 @@
-"""Byte-identity of the README examples.
+"""Byte-identity of the README examples and of the verify ladder jobs.
 
 Each example runs in a fresh directory, with `--out` and `--report` added
 where its verb writes them, and the sha256 of its stdout and of each file
@@ -68,6 +68,30 @@ GOLDEN = [
     }),
 ]
 
+# (command line, {stream: sha256}) of the three verify jobs of the
+# benchmark's verify ladder, whose reports the relation checker and the
+# table checks write.
+LADDER = [
+    ("verify --algebra sl --m 3 --n 1 --labels 1,1", {
+        "stdout":
+            "acd40d9e8784fa83a0682b6de8ed2c59188d8b1f2a6fdaf0ca40995cdac6dca9",
+        "report":
+            "8c344e6eedc4e391ffc03f6b958a28b608ac07ac4b00f8696cbbfb3d46c0ff10",
+    }),
+    ("verify --algebra sl --m 3 --n 2 --labels 0,0,0", {
+        "stdout":
+            "419084b4aeceb7ba38a88f9786e0f43d3e4d2f27153acb167637677b788ef9c9",
+        "report":
+            "6e2fd5189144b6214dc048028a390754d457dff46a72e9ebb0750255316a6cac",
+    }),
+    ("verify --algebra sl --m 4 --n 2 --labels 0,0,0,0", {
+        "stdout":
+            "2adcf41bbb37ee4ab5fb70461dc5ba6546b2e6a1dd8af7aeb2dce991da28ce3f",
+        "report":
+            "4b93f68e92ced77861484acb39b6613d2cb34215aa838f9c805ffb760fa8a4c6",
+    }),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -92,4 +116,10 @@ def run_example(command, directory, capsys, monkeypatch) -> dict:
                               for i, (c, _) in enumerate(GOLDEN)])
 def test_readme_example_bytes(command, pins, tmp_path, capsys,
                               monkeypatch):
+    assert run_example(command, tmp_path, capsys, monkeypatch) == pins
+
+
+@pytest.mark.parametrize("command,pins", LADDER,
+                         ids=[c.split(" --algebra ")[1] for c, _ in LADDER])
+def test_verify_ladder_bytes(command, pins, tmp_path, capsys, monkeypatch):
     assert run_example(command, tmp_path, capsys, monkeypatch) == pins

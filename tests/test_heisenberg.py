@@ -9,7 +9,7 @@ from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
 from dense_oracles import dense_linear_solve
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, rational_linear_solve
 from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  check_phi_representation, compare_with_KH,
                                  heisenberg_structure_report,
@@ -199,6 +199,50 @@ def generating_columns(phi) -> list:
     K = phi.rho.base
     return [j * K.dim + l for j in range(phi.rho.spec.n)
             for l in range(K.L.dim)]
+
+
+def solved_lowering_rank(phi, generating) -> int:
+    """The rank ``lowering_rank`` took from ``rational_linear_solve``,
+    whose Fraction rows and nullspace it threw away."""
+    subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
+    lowered = {(): PolyMatrix.identity(phi.dim, phi.params).submatrix(
+        range(phi.dim), generating)}
+    for subset in subsets[1:]:
+        lowered[subset] = (phi.matrices[GenLabel("v", subset[0])]
+                           @ lowered[subset[1:]])
+    width = len(generating)
+    return rational_linear_solve(PolyMatrix.from_blocks(
+        phi.dim, width * len(subsets), phi.params,
+        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])).rank
+
+
+# every (algebra, labels, twist) whose phi the tests build: MATRIX and
+# the cases of test_acceptance's criterion 8
+PHI_CASES = [("sl", 2, 1, (0,), TwistSpec(2, (1,))),
+             ("sl", 2, 1, (0,), TwistSpec(3, (Fraction(-2, 3),))),
+             ("gl", 2, 1, (0,), TwistSpec(2, (0, 1))),
+             ("gl", 2, 1, (1,), TwistSpec(2, (2, -3))),
+             ("gl", 2, 1, (1,), TwistSpec(3, (1, 0))),
+             ("gl", 2, 1, (0,), TwistSpec(2, (1, 0))),
+             ("gl", 2, 1, (0,), TwistSpec(3, (0, 1))),
+             ("sl", 2, 1, (1,), TwistSpec(2, (1,))),
+             ("sl", 3, 1, (0, 0), TwistSpec(2, (1,)))]
+
+
+@pytest.mark.parametrize("flavor, m, n, a, tspec", PHI_CASES)
+def test_lowering_rank_is_the_solved_rank(flavor, m, n, a, tspec):
+    """The rank read off the integer RREF is the rank of the Fraction
+    solve, on phi and on phi with v_1 zeroed or halved."""
+    K, sc = build_kac(flavor, m, n, a)
+    phi = phi_map(rho_family(K, tspec), build_heisenberg(sc))
+    label = GenLabel("v", 1)
+    generating = generating_columns(phi)
+    for mat in (phi.matrices[label],
+                PolyMatrix.zeros(phi.dim, phi.dim, phi.params),
+                phi.matrices[label].scale(Fraction(1, 2))):
+        broken = phi.replace(matrices={**phi.matrices, label: mat})
+        assert lowering_rank(broken, generating) == \
+            solved_lowering_rank(broken, generating)
 
 
 class TestCompareWithKH:
