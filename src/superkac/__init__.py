@@ -4,7 +4,7 @@ N-replications, J_n(nu) twists and the associated Heisenberg-superalgebra
 module structure.
 """
 
-from superkac.exact import ParamPoly, PolyMatrix, Rational, rational_linear_solve
+from superkac.exact import ParamPoly, PolyMatrix, Rational
 
-__all__ = ["ParamPoly", "PolyMatrix", "Rational", "rational_linear_solve"]
+__all__ = ["ParamPoly", "PolyMatrix", "Rational"]
 __version__ = "0.1.0"

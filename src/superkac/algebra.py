@@ -296,7 +296,7 @@ class StructureConstants(Record):
     parity: dict                      # GenLabel -> 0 | 1
     grade: dict                       # GenLabel -> hypercharge grade (Fraction)
     fundamental: dict                 # GenLabel -> PolyMatrix (parity-faithful source)
-    recipes: dict                     # nonsimple GenLabel -> (left, right, coeff)
+    recipes: dict                     # nonsimple GenLabel -> (left, right)
     table: dict                       # (GenLabel, GenLabel) -> {GenLabel: Fraction}
     k: Fraction                       # y coefficient of {u_i, v_i}
     d: dict                           # (i, j) -> expansion dict of {u_i, v_j}
@@ -358,7 +358,8 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
 
     A root pair (a, b) of height one is a simple generator; taller vectors are
     defined recursively by E_(a,b) = [E_(a,a+1), E_(a+1,b)] and
-    F_(a,b) = [F_(a+1,b), F_(a,a+1)], each with coefficient 1.
+    F_(a,b) = [F_(a+1,b), F_(a,a+1)], so a recipe is the pair of operands
+    (left, right) of that bracket.
     """
     pair_pos = {pair: t for t, pair in enumerate(datum.even_root_pairs)}
     simple_pos = {}                   # (a,b) height one -> simple index
@@ -393,10 +394,8 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
         raising.append(e_lab)
         lowering.append(f_lab)
         if b - a > 1:
-            recipes[e_lab] = (raise_label((a, a + 1)), raise_label((a + 1, b)),
-                              Fraction(1))
-            recipes[f_lab] = (lower_label((a + 1, b)), lower_label((a, a + 1)),
-                              Fraction(1))
+            recipes[e_lab] = (raise_label((a, a + 1)), raise_label((a + 1, b)))
+            recipes[f_lab] = (lower_label((a + 1, b)), lower_label((a, a + 1)))
     basis += raising + lowering
     basis += [GenLabel("u", i) for i in range(1, spec.odd_count + 1)]
     basis += [GenLabel("v", i) for i in range(1, spec.odd_count + 1)]
@@ -415,11 +414,10 @@ def extend_matrices(matrices: Mapping[GenLabel, PolyMatrix],
 def _ensure_matrix(label: GenLabel, out: dict, recipes: Mapping) -> PolyMatrix:
     """out[label], first derived from its recipe (operands first) if absent."""
     if label not in out:
-        left, right, coeff = recipes[label]
-        ml = _ensure_matrix(left, out, recipes)
-        mr = _ensure_matrix(right, out, recipes)
-        out[label] = combination([(coeff * c, a, b)
-                                  for c, a, b in sbracket(0, 0, ml, mr)])
+        left, right = recipes[label]
+        out[label] = combination(sbracket(0, 0,
+                                          _ensure_matrix(left, out, recipes),
+                                          _ensure_matrix(right, out, recipes)))
     return out[label]
 
 

@@ -14,9 +14,10 @@ The Cartan matrix and the even labels are integers, so all of this runs on
 Python ints: the Gram entries of words are integers, and each weight space
 keeps its e and f coordinates as integer rows over one denominator, in
 lowest terms, handed to and read off the integer row reduction
-(``exact.integer_rref``).  A weight is the highest weight minus an integer
-shift, read once per content.  The hypercharge and (for gl) the central
-charge act on everything by scalars, kept symbolic in b and c.
+(``exact.integer_rref``).  The highest weight is stored once, and each
+basis vector keeps only its int shift below it, its content times the
+simple even roots.  The hypercharge and (for gl) the central charge act on
+everything by scalars, kept symbolic in b and c.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class EvenModule(Record):
     dim: int
     basis_words: tuple                # word in simple lowering ops per vector
     contents: tuple                   # root-coordinate content per vector
-    weights: tuple                    # epsilon/delta coordinates (ParamPoly)
+    hw: tuple                         # epsilon/delta coordinates of the
+                                      # highest weight (ParamPoly)
+    shifts: tuple                     # per vector, hw minus its weight (ints)
     matrices: dict                    # GenLabel h/e/f -> PolyMatrix
     y_scalar: ParamPoly               # hypercharge eigenvalue y0(b)
     z0_scalar: ParamPoly | None       # central charge c, gl only
@@ -299,23 +302,15 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
                 PolyMatrix.from_term(dim, dim, params, _term(parts))
                 for (kind, i), parts in blocks.items()}
 
-    # the weight of a content is hw_coords minus an int shift, and each
-    # (coordinate, shift) difference is computed once
-    hw_coords = weight_from_labels(datum, a, params)
-    differences: dict = {}
-    weights = []
+    # the weight of a content is the highest weight minus the content
+    # times the simple even roots
+    shifts = []
     for content, space in spaces.items():
-        shift = [0] * len(hw_coords)
+        shift = [0] * spec.dim_fund
         for count, root in zip(content, datum.simple_even_roots):
             if count:
                 shift = [x + count * r for x, r in zip(shift, root)]
-        weight = []
-        for k, (hw, x) in enumerate(zip(hw_coords, shift)):
-            diff = differences.get((k, x))
-            if diff is None:
-                diff = differences[(k, x)] = hw - x if x else hw
-            weight.append(diff)
-        weights += [tuple(weight)] * len(space.basis)
+        shifts += [tuple(shift)] * len(space.basis)
 
     y_scalar = labels_to_hypercharge(sc, a, params)
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
@@ -323,5 +318,6 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
         basis_words=tuple(basis_words), contents=tuple(contents),
-        weights=tuple(weights), matrices=matrices,
+        hw=weight_from_labels(datum, a, params), shifts=tuple(shifts),
+        matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)

@@ -11,10 +11,10 @@ denominator per monomial, so its products and sums run over Python ints;
 Every exact solve is a reduced row echelon form computed by
 ``integer_rref``: sparse rows are scaled to integers, eliminated
 fraction-free into an echelon form of primitive rows (``echelon_insert``)
-and back-substituted over the integers; ``rref`` divides each row by its
-pivot entry for callers that want ``Fraction`` rows.  The RREF of a matrix
-is unique, so its pivots, rows and nullspace basis do not depend on the
-row order.
+and back-substituted over the integers.  Its callers read the integer rows
+as they are; ``nullspace`` builds a ``Fraction`` only per nullspace entry.
+The RREF of a matrix is unique, so its pivots, rows and nullspace basis do
+not depend on the row order.
 
 No floating point enters anywhere; every identity checked downstream is a
 bit-exact statement about these objects.
@@ -26,8 +26,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-
-from superkac.record import Record
 
 Rational = Fraction
 
@@ -921,12 +919,6 @@ def integer_rref(rows) -> tuple:
     rows[k][pivots[k]] is row k of the RREF.  Both are unique: they do not
     depend on the order or the scaling of the input rows.
     """
-    return _integer_rref(rows)
-
-
-def _integer_rref(rows) -> tuple:
-    """The elimination kernel of ``integer_rref`` and ``rref``, so that
-    each public call is one elimination."""
     echelon: dict = {}
     for row in rows:
         echelon_insert(echelon, row)
@@ -941,44 +933,20 @@ def _integer_rref(rows) -> tuple:
     return pivots, [echelon[lead] for lead in pivots]
 
 
-def rref(rows) -> tuple:
-    """Reduced row echelon form of sparse rational rows {col: x}, read off
-    the integer form of ``integer_rref``.  Returns (pivots, reduced): the
-    pivot columns in increasing order and the nonzero rows {col: Fraction}
-    of the RREF, row k with a 1 at pivots[k].
-    """
-    pivots, rows = _integer_rref(rows)
-    return pivots, [{c: Fraction(x, row[lead]) for c, x in row.items()}
-                    for lead, row in zip(pivots, rows)]
-
-
-class SolveResult(Record):
-    rank: int
-    nullspace: tuple           # tuple of tuples of Fractions (right nullspace basis)
-
-
-def nullspace(pivots: Sequence[int], reduced: Sequence[dict],
+def nullspace(pivots: Sequence[int], rows: Sequence[dict],
               cols: int) -> tuple:
-    """The right-nullspace basis read off an RREF (pivots, reduced) as
-    ``rref`` returns it, for rows of cols columns: one vector per free
-    column, a tuple of Fractions with a 1 there."""
+    """The right-nullspace basis read off the integer RREF (pivots, rows)
+    that ``integer_rref`` returns, for rows of cols columns: one vector per
+    free column, a tuple of Fractions with a 1 there."""
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for pc, row in zip(pivots, reduced):
+        for pc, row in zip(pivots, rows):
             if fc in row:
-                vec[pc] = -row[fc]
+                vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(vec))
     return tuple(basis)
-
-
-def rational_linear_solve(m: PolyMatrix) -> SolveResult:
-    """Exact rank and right-nullspace basis of a parameter-free matrix, read
-    off the RREF of its integer rows."""
-    pivots, reduced = rref(m.integer_term()[1].values())
-    return SolveResult(rank=len(pivots),
-                       nullspace=nullspace(pivots, reduced, m.cols))
 
 
 def extract_rational_roots(poly: ParamPoly, name: str):

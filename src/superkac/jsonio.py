@@ -92,14 +92,14 @@ def matrix_from_json(data: dict) -> PolyMatrix:
     return PolyMatrix(data["rows"], data["cols"], params, entries)
 
 
-def _weight_json(coord, memo: dict) -> list:
-    """The coordinates of a weight, each distinct ParamPoly serialized once
-    per memo."""
+def _weight_json(hw: tuple, shift: tuple, memo: dict) -> list:
+    """The coordinates hw[k] - shift[k] of a weight, each (k, shift[k])
+    serialized once per memo."""
     out = []
-    for c in coord:
-        data = memo.get(c)
+    for k, s in enumerate(shift):
+        data = memo.get((k, s))
         if data is None:
-            data = memo[c] = poly_to_json(c)
+            data = memo[k, s] = poly_to_json(hw[k] - s)
         out.append(data)
     return out
 
@@ -137,7 +137,7 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         out["bindings"] = {k: str(v) for k, v in sorted(bindings.items())}
 
     if isinstance(module, KacModule):
-        coords: dict = {}
+        memo: dict = {}
         out.update({
             "kind": "kac",
             "algebra": _algebra_header(module.spec),
@@ -146,7 +146,8 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
             "dim": module.dim,
             "basis": [{"odd_subset": list(subset), "even_index": l,
                        "layer": module.layers[pos],
-                       "weight": _weight_json(module.weights[pos], coords)}
+                       "weight": _weight_json(module.hw, module.shifts[pos],
+                                              memo)}
                       for pos, (subset, l) in enumerate(module.basis)],
             "generators": {str(lab): render(mat)
                            for lab, mat in sorted(module.matrices.items(),

@@ -18,12 +18,12 @@ denominator on odd subsets stored as bitmasks, with the action of each
 even label on each subset computed once, and assembles each generator in
 one integer pass (exact.kronecker_sum).
 
-The weights stay on integers as well: the odd roots are int vectors, so
-the weight of v_S w_l is weight(w_l) minus an int shift, computed once per
-(coordinate, shift).  weight_spaces groups basis positions by numbers
-given to the distinct substituted values, and singular_vectors feeds the
-integer rows of the substituted raising matrices, one weight space at a
-time, straight to exact.rref.
+The weights stay on integers as well: K keeps the highest weight of L
+once, and the weight of v_S w_l is it minus the int shift of w_l plus the
+odd roots of S.  weight_spaces substitutes the highest weight once and
+groups basis positions by shift, and singular_vectors feeds the integer
+rows of the substituted raising matrices, one weight space at a time,
+straight to exact.integer_rref.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ import itertools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               RootDatum, StructureConstants, extend_matrices,
                               typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
-                            kronecker_sum, nullspace, rref)
+                            integer_rref, kronecker_sum, nullspace, rat)
 from superkac.record import Record
 
 
@@ -49,7 +50,9 @@ class KacModule(Record):
     params: tuple
     basis: tuple                  # (subset, even_index) pairs
     matrices: dict                # GenLabel -> PolyMatrix
-    weights: tuple                # epsilon/delta coordinates per basis vector
+    hw: tuple                     # epsilon/delta coordinates of the highest
+                                  # weight (ParamPoly)
+    shifts: tuple                 # per basis vector, hw minus its weight (ints)
     layers: tuple                 # |subset| per basis vector
     spec: object
     datum: RootDatum
@@ -233,38 +236,22 @@ def _scaled_identity(dim: int, params: tuple, scalar: ParamPoly) -> PolyMatrix:
     return PolyMatrix.identity(dim, params).scale(scalar)
 
 
-def _shifted_weights(base_weights: Sequence[tuple], subsets: Sequence,
-                     roots: Sequence[tuple]) -> tuple:
-    """(weights, layers) of the basis (subset, l), subsets in the given
-    order and l running fastest: the weight of v_S w_l is weight(w_l)
-    minus the roots of S.
-
-    Each distinct coordinate of base_weights gets a number, the shift of a
-    subset is its tail's plus its head's root as an int tuple, and each
-    (coordinate number, int shift) difference is computed once."""
-    number: dict = {}             # ParamPoly -> its number
-    base = [tuple(number.setdefault(c, len(number)) for c in coord)
-            for coord in base_weights]
-    polys = list(number)
-    shifts = {(): (0,) * len(roots[0])}
-    differences: dict = {}
-    weights, layers = [], []
+def _shifted(base_shifts: Sequence[tuple], subsets: Sequence,
+             roots: Sequence[tuple]) -> tuple:
+    """(shifts, layers) of the basis (subset, l), subsets in the given
+    order and l running fastest: v_S w_l sits below the highest weight by
+    the shift of w_l plus the roots of S, a subset's roots being its
+    tail's plus its head's."""
+    odd = {(): (0,) * len(roots[0])}
+    shifts, layers = [], []
     for subset in subsets:
-        shift = shifts.get(subset)
+        shift = odd.get(subset)
         if shift is None:
-            shift = shifts[subset] = tuple(
-                r + x for r, x in zip(shifts[subset[1:]], roots[subset[0] - 1]))
-        for coord in base:
-            weight = []
-            for k, r in zip(coord, shift):
-                diff = differences.get((k, r))
-                if diff is None:
-                    diff = differences[(k, r)] = polys[k] - r if r \
-                        else polys[k]
-                weight.append(diff)
-            weights.append(tuple(weight))
-        layers.extend([len(subset)] * len(base))
-    return tuple(weights), tuple(layers)
+            shift = odd[subset] = tuple(
+                map(add, odd[subset[1:]], roots[subset[0] - 1]))
+        shifts += [tuple(map(add, base, shift)) for base in base_shifts]
+        layers += [len(subset)] * len(base_shifts)
+    return tuple(shifts), tuple(layers)
 
 
 def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule:
@@ -303,13 +290,14 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
     basis, matrices = induce_core(P, params, L.dim, even_labels,
                                   base_even, adj, uv_exp)
 
-    weights, layers = _shifted_weights(L.weights, _subset_order(P),
-                                       datum.odd_positive_roots)
+    shifts, layers = _shifted(L.shifts, _subset_order(P),
+                              datum.odd_positive_roots)
 
     return KacModule(
         params=params, basis=basis, matrices=matrices,
-        weights=weights, layers=layers, spec=spec, datum=datum, sc=sc, L=L,
-        labels=tuple(L.labels), hw_index=0, y_scalar=L.y_scalar, z0_scalar=L.z0_scalar)
+        hw=L.hw, shifts=shifts, layers=layers, spec=spec, datum=datum,
+        sc=sc, L=L, labels=tuple(L.labels), hw_index=0, y_scalar=L.y_scalar,
+        z0_scalar=L.z0_scalar)
 
 
 # -- typicality -------------------------------------------------------------
@@ -385,33 +373,16 @@ def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
     {weight: [position, ...]} in sorted weight order, a weight being the
     tuple of its substituted Fraction coordinates.
 
-    Each distinct coordinate is substituted once and each distinct value
-    gets a number; positions are grouped by their tuples of value numbers,
-    and a Fraction key is built once per group."""
-    # coordinates are numbered by object, which costs one id lookup where
-    # a value key would hash and compare polynomials; weights keeps every
-    # object alive for the call, and equal coordinates held by different
-    # objects get the same value number
-    weights = tuple(module.weights)
-    number: dict = {}                 # id(ParamPoly) -> number of its value
-    value_number: dict = {}           # Fraction -> its number
+    The highest weight is substituted once and positions are grouped by
+    shift.  Every weight is that one value minus its shift, so two weights
+    are equal iff their shifts are, and descending shifts are ascending
+    weights."""
+    hw = [c.substitute(bindings).constant_value() for c in module.hw]
     groups: dict = {}
-    for pos, coord in enumerate(weights):
-        key = []
-        for c in coord:
-            k = number.get(id(c))
-            if k is None:
-                value = c.substitute(bindings).constant_value()
-                k = number[id(c)] = value_number.setdefault(
-                    value, len(value_number))
-            key.append(k)
-        groups.setdefault(tuple(key), []).append(pos)
-    values = list(value_number)
-    rank = [0] * len(values)
-    for r, k in enumerate(sorted(range(len(values)), key=values.__getitem__)):
-        rank[k] = r
-    ordered = sorted(groups, key=lambda key: [rank[k] for k in key])
-    return {tuple(values[k] for k in key): groups[key] for key in ordered}
+    for pos, shift in enumerate(module.shifts):
+        groups.setdefault(shift, []).append(pos)
+    return {tuple(x - s for x, s in zip(hw, shift)): groups[shift]
+            for shift in sorted(groups, reverse=True)}
 
 
 class SingularVector(Record):
@@ -437,7 +408,7 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
     """
     if raising_set not in ("even-and-odd", "even-only"):
         raise InputError(f"unknown raising set {raising_set!r}")
-    bindings = {name: Fraction(v) for name, v in bindings.items()}
+    bindings = {name: rat(v) for name, v in bindings.items()}
     missing = [p for p in K.params if p not in bindings]
     if missing:
         raise InputError(f"parameters {missing} must be bound for the solve")
@@ -474,7 +445,7 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
                     rows[stacked] = {j: x}
                 else:
                     row[j] = x
-        pivots, reduced = rref(rows.values())
+        pivots, reduced = integer_rref(rows.values())
         for vec in nullspace(pivots, reduced, len(cols)):
             coeffs = tuple((cols[i], value) for i, value in enumerate(vec)
                            if value != 0)

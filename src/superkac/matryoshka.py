@@ -24,7 +24,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, check_super_relations,
                               extend_matrices, sbracket, violations_report)
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
-                            integer_product, kronecker_sum)
+                            integer_product, kronecker_sum, rat)
 from superkac.kacmod import KacModule, weight_spaces
 from superkac.record import Record
 from superkac.report import VerificationReport
@@ -121,9 +121,9 @@ def _along(k, nu: tuple, mat: PolyMatrix) -> PolyMatrix:
 
 def deformation(K: KacModule, nu_y, nu_c=Fraction(0)) -> Deformation:
     """The first-order deformation of K along nu = (nu_y, nu_c)."""
-    if nu_c and "c" not in K.params:
+    nu = (rat(nu_y), rat(nu_c))
+    if nu[1] and "c" not in K.params:
         raise InputError("a z0 twist direction needs flavor gl")
-    nu = (Fraction(nu_y), Fraction(nu_c))
     A = extend_matrices(K.matrices, K.sc.recipes)
     return Deformation(base=K, nu=nu, A=A,
                        B={label: _along(K.sc.k, nu, mat)
@@ -209,6 +209,16 @@ def block_relations_report(module: ReplicatedModule,
 
 # -- block modules ------------------------------------------------------------
 
+def _rationals(field: str, values) -> tuple:
+    """values as exact rationals, through ``exact.rat``; a value it
+    refuses, such as a float, raises an InputError that names the field."""
+    try:
+        return tuple(rat(x) for x in values)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"{field} must be exact rationals such as 5/7, "
+                         f"got {values!r}") from None
+
+
 class ReplicationSpec(Record):
     N: int
     lambdas: tuple
@@ -216,7 +226,7 @@ class ReplicationSpec(Record):
     def _validate(self):
         if self.N < 1:
             raise InputError("replication needs N >= 1")
-        lams = tuple(Fraction(x) for x in self.lambdas)
+        lams = _rationals("lambdas", self.lambdas)
         if len(lams) != self.N - 1:
             raise InputError(f"N={self.N} needs {self.N - 1} coupling scalars, "
                              f"got {len(lams)}")
@@ -234,7 +244,7 @@ class TwistSpec(Record):
     def _validate(self):
         if self.n < 1:
             raise InputError("twist needs n >= 1")
-        nu = tuple(Fraction(x) for x in self.nu)
+        nu = _rationals("nu", self.nu)
         if len(nu) not in (1, 2):
             raise InputError("nu must have one (sl) or two (gl) components")
         if all(x == 0 for x in nu):
@@ -283,9 +293,13 @@ class ReplicatedModule(Record):
         return self.deformation.materialize(self.couplings, self.params,
                                             labels)
 
+    @property
+    def hw(self) -> tuple:
+        return self.base.hw
+
     @cached_property
-    def weights(self) -> tuple:
-        return tuple(self.base.weights) * self.N
+    def shifts(self) -> tuple:
+        return self.base.shifts * self.N
 
     @property
     def layers(self) -> tuple:
@@ -408,9 +422,8 @@ def upsilon_extract(R: ReplicatedModule) -> dict:
     [[lam(h), mu(h)], [0, lam(h)]]."""
     if R.N != 2:
         raise InputError("upsilon extraction needs an N = 2 self-extension")
-    hw = R.base.hw_index
-    top = [pos for pos, coord in enumerate(R.weights)
-           if coord == R.weights[hw]]
+    top = [pos for pos, shift in enumerate(R.shifts)
+           if shift == R.shifts[R.base.hw_index]]
     if len(top) != 2:
         raise InternalConsistencyError(
             f"top generalized weight space has dimension {len(top)}, not 2")
@@ -466,8 +479,7 @@ def self_extension_iso_decision(K: KacModule, nu: Sequence, mu: Sequence,
         bindings = {"b": Fraction(5, 7)}
         if "c" in K.params:
             bindings = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
-    hw_weight = tuple(c.substitute(bindings).constant_value()
-                      for c in K.weights[K.hw_index])
+    hw_weight = tuple(c.substitute(bindings).constant_value() for c in K.hw)
     degrees = []
     for tspec in (nu_t, mu_t):
         module = twist(K, tspec)

@@ -1,4 +1,4 @@
-"""Dense Fraction elimination, kept as the oracle for ``exact.rref``.
+"""Dense Fraction elimination, kept as the oracle for ``exact.integer_rref``.
 
 These are the solves the sparse fraction-free kernel replaced: an in-place
 RREF on dense Fraction rows, the rank and nullspace read off it, and a
@@ -44,6 +44,11 @@ def dense_rref(rows: list, ncols: int):
         if pr == nrows:
             break
     return pivots
+
+
+def dense_rows(rows, ncols: int) -> list:
+    """Sparse rows {col: x} as dense Fraction rows of ncols entries."""
+    return [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
 
 
 def dense_linear_solve(entries: dict, nrows: int, ncols: int):

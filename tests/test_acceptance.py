@@ -104,7 +104,7 @@ def test_criterion_4_typicality_and_singular_vectors():
         assert ty.roots_match, f"root multisets differ for {cfg}"
         assert ty.proportional
         binds = bindings_for(cfg["flavor"])
-        hw = K.weights[K.hw_index]
+        hw = K.hw
 
         for root, _ in ty.factor_roots:
             bound = dict(binds, b=root)

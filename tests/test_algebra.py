@@ -19,11 +19,10 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               sbracket, structure_constants,
                               super_jacobi_report, typicality_factors,
                               weight_from_labels)
-from dense_oracles import ExactSolver
+from dense_oracles import ExactSolver, dense_rows, dense_rref
 from setup_oracles import (rational_entries, reference_bilinear, supertrace,
                            weight_eval)
-from superkac.exact import (ParamPoly, PolyMatrix, combination,
-                           integer_rref, rref)
+from superkac.exact import ParamPoly, PolyMatrix, combination, integer_rref
 
 
 def make(flavor, m, n):
@@ -257,7 +256,7 @@ def loop_structure_constants(rep) -> StructureConstants:
                 f"{lab} shares the entry {slot} with {basis[slots[slot][0]]}")
         slots[slot] = (pos, x)
     width = len(cartan_pos)
-    if len(rref(cartan_rows)[0]) != width:
+    if len(dense_rref(dense_rows(cartan_rows, width), width)) != width:
         raise InternalConsistencyError("the Cartan labels are linearly dependent")
 
     table = {}
@@ -285,13 +284,13 @@ def loop_structure_constants(rep) -> StructureConstants:
         if any(diagonal):
             # the RREF of [A | diagonal]: consistent iff its last column has
             # no pivot, and then that column holds the coefficients
-            pivots, reduced = rref({**row, width: x} if x else row
-                                   for row, x in zip(cartan_rows, diagonal))
-            if width in pivots:
+            reduced = dense_rows(({**row, width: x} for row, x
+                                  in zip(cartan_rows, diagonal)), width + 1)
+            if width in dense_rref(reduced, width + 1):
                 raise InternalConsistencyError(
                     f"superbracket [{la}, {lb}] does not close on the basis")
             expansion.update((pos, row[width]) for pos, row
-                             in zip(cartan_pos, reduced) if width in row)
+                             in zip(cartan_pos, reduced) if row[width])
         if expansion:
             table[(la, lb)] = {basis[pos]: expansion[pos]
                                for pos in sorted(expansion)}

@@ -18,7 +18,7 @@ from superkac import evenrep
 from superkac.evenrep import (EvenModule, build_even_irrep,
                               labels_to_hypercharge, weyl_dimension)
 from dense_oracles import ExactSolver, dense_rref
-from superkac.exact import ParamPoly, PolyMatrix, rref
+from superkac.exact import ParamPoly, PolyMatrix
 from superkac.record import Record
 
 
@@ -198,15 +198,14 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
     matrices = {lab: PolyMatrix(dim, dim, params, entries)
                 for lab, entries in mats.items()}
 
-    hw_coords = weight_from_labels(datum, a, params)
-    weights = []
+    shifts = []
     for content in contents:
-        coord = list(hw_coords)
+        shift = [0] * spec.dim_fund
         for j, count in enumerate(content):
             if count:
                 root = datum.simple_even_roots[j]
-                coord = [cc - count * rr for cc, rr in zip(coord, root)]
-        weights.append(tuple(coord))
+                shift = [ss + count * rr for ss, rr in zip(shift, root)]
+        shifts.append(tuple(shift))
 
     y_scalar = labels_to_hypercharge(sc, a, params)
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
@@ -214,7 +213,8 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
         basis_words=tuple(basis_words), contents=tuple(contents),
-        weights=tuple(weights), matrices=matrices,
+        hw=weight_from_labels(datum, a, params), shifts=tuple(shifts),
+        matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)
 
 
@@ -270,8 +270,10 @@ def _weight_space(spaces: dict, content: tuple,
     gram = [[sum(parents[i].gram[p][r] * x for r, x in image.items())
              for image in images[i]]
             for _, i, p in candidates]
-    pivots, reduced = rref({c: x for c, x in enumerate(row) if x}
-                           for row in gram)
+    dense = [[Fraction(x) for x in row] for row in gram]
+    pivots = dense_rref(dense, len(candidates))
+    reduced = [{c: x for c, x in enumerate(row) if x}
+               for row in dense[:len(pivots)]]
     if not pivots:
         return None
     # row reduction keeps the linear relations among the Gram columns, so
@@ -368,15 +370,14 @@ def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
     matrices = {lab: PolyMatrix(dim, dim, params, entries)
                 for lab, entries in mats.items()}
 
-    hw_coords = weight_from_labels(datum, a, params)
-    weights = []
+    shifts = []
     for content in contents:
-        coord = list(hw_coords)
+        shift = [0] * spec.dim_fund
         for j, count in enumerate(content):
             if count:
                 root = datum.simple_even_roots[j]
-                coord = [cc - count * rr for cc, rr in zip(coord, root)]
-        weights.append(tuple(coord))
+                shift = [ss + count * rr for ss, rr in zip(shift, root)]
+        shifts.append(tuple(shift))
 
     y_scalar = labels_to_hypercharge(sc, a, params)
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
@@ -384,7 +385,8 @@ def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
         basis_words=tuple(basis_words), contents=tuple(contents),
-        weights=tuple(weights), matrices=matrices,
+        hw=weight_from_labels(datum, a, params), shifts=tuple(shifts),
+        matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)
 
 

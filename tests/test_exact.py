@@ -16,8 +16,7 @@ from superkac.exact import (DeclarationError, ParamPoly,
                             ParameterizedEntryError, PolyMatrix, _reduced,
                             combination, echelon_insert,
                             extract_rational_roots, integer_product,
-                            integer_rref, kronecker_sum, nullspace,
-                            rational_linear_solve, rref)
+                            integer_rref, kronecker_sum, nullspace)
 
 PARAMS = ("b", "c")
 
@@ -197,15 +196,20 @@ def test_derivative_linear_and_leibniz(p, q, x, y):
     assert d(p * q) == d(p) * q + p * d(q)
 
 
+def linear_solve(m: PolyMatrix) -> tuple:
+    """(rank, nullspace) of a parameter-free matrix, read off the integer
+    RREF of its integer rows."""
+    pivots, rows = integer_rref(m.integer_term()[1].values())
+    return len(pivots), nullspace(pivots, rows, m.cols)
+
+
 class TestLinearSolve:
     def test_identity(self):
-        res = rational_linear_solve(PolyMatrix.identity(3, ()))
-        assert res.rank == 3 and res.nullspace == ()
+        assert linear_solve(PolyMatrix.identity(3, ())) == (3, ())
 
     def test_proportional_rows(self):
-        res = rational_linear_solve(PolyMatrix.from_rows([[1, 2], [2, 4]]))
-        assert res.rank == 1
-        assert res.nullspace == ((Fraction(-2), Fraction(1)),)
+        assert linear_solve(PolyMatrix.from_rows([[1, 2], [2, 4]])) == \
+            (1, ((Fraction(-2), Fraction(1)),))
 
     def test_sl2_shapovalov_depth3_singular_at_a2(self):
         # Gram value of the depth-3 lowering string from e f^n L = n(a-n+1) f^(n-1) L:
@@ -214,23 +218,19 @@ class TestLinearSolve:
         gram = Fraction(1)
         for n in (1, 2, 3):
             gram *= Fraction(n * (a - n + 1))
-        res = rational_linear_solve(PolyMatrix.from_rows([[gram]]))
         assert gram == 0
-        assert res.rank == 0
-        assert res.nullspace == ((Fraction(1),),)
+        assert linear_solve(PolyMatrix.from_rows([[gram]])) == \
+            (0, ((Fraction(1),),))
 
     def test_parameterized_entry_rejected(self):
         m = PolyMatrix(1, 1, PARAMS, {(0, 0): b()})
         with pytest.raises(ParameterizedEntryError):
-            rational_linear_solve(m)
+            linear_solve(m)
 
     def test_deterministic_pivoting(self):
         m = PolyMatrix.from_rows([[0, 1, 1], [1, 1, 0], [1, 2, 1]])
-        res1 = rational_linear_solve(m)
-        res2 = rational_linear_solve(m)
-        assert (res1.rank, res1.nullspace) == (res2.rank, res2.nullspace)
-        assert res1.rank == 2
-        assert res1.nullspace == ((Fraction(1), Fraction(-1), Fraction(1)),)
+        assert linear_solve(m) == linear_solve(m) == \
+            (2, ((Fraction(1), Fraction(-1), Fraction(1)),))
 
 
 @settings(deadline=None, max_examples=40)
@@ -240,9 +240,9 @@ class TestLinearSolve:
                 min_size=1, max_size=4))
 def test_rref_nullspace_identities(rows):
     m = PolyMatrix.from_rows(rows)
-    res = rational_linear_solve(m)
-    assert res.rank + len(res.nullspace) == m.cols
-    for vec in res.nullspace:
+    rank, basis = linear_solve(m)
+    assert rank + len(basis) == m.cols
+    for vec in basis:
         assert (m @ PolyMatrix.from_rows([[x] for x in vec])).is_zero
 
 
@@ -714,11 +714,10 @@ def test_rref_matches_dense_oracle(matrix):
     want_pivots = dense_rref(dense, ncols)
     want = [sparse(row) for row in dense[:len(want_pivots)]]
     for order in (rows, rows[::-1]):
-        pivots, reduced = rref(sparse(row) for row in order)
+        pivots, integer_rows = integer_rref(sparse(row) for row in order)
         assert pivots == want_pivots
-        assert reduced == want
-        assert all(type(x) is Fraction
-                   for row in reduced for x in row.values())
+        assert [{c: Fraction(x, row[lead]) for c, x in row.items()}
+                for lead, row in zip(pivots, integer_rows)] == want
 
 
 @settings(deadline=None, max_examples=300)
@@ -734,18 +733,6 @@ def test_integer_rref_rows_are_the_rref_rows(matrix):
         assert all(type(x) is int and x for x in row.values())
         assert math.gcd(*row.values()) == 1 and row[lead] > 0
         assert not set(row) & set(pivots) - {lead}
-    assert rref(sparse(row) for row in rows) == (pivots, [
-        {c: Fraction(x, row[lead]) for c, x in row.items()}
-        for lead, row in zip(pivots, integer_rows)])
-
-
-def test_rref_does_not_call_the_public_integer_rref(monkeypatch):
-    """rref and integer_rref share a private kernel, so a call of either is
-    one elimination, not one public call inside another."""
-    monkeypatch.setattr(exact, "integer_rref",
-                        mock.Mock(side_effect=AssertionError))
-    assert rref([{0: Fraction(2), 1: Fraction(4)}, {1: Fraction(3)}]) == (
-        [0, 1], [{0: Fraction(1)}, {1: Fraction(1)}])
 
 
 @settings(deadline=None, max_examples=200)
@@ -754,8 +741,7 @@ def test_linear_solve_matches_dense_oracle(matrix):
     rows, ncols = matrix
     entries = {(r, c): x for r, row in enumerate(rows)
                for c, x in sparse(row).items()}
-    res = rational_linear_solve(PolyMatrix(len(rows), ncols, (), entries))
-    assert (res.rank, res.nullspace) == \
+    assert linear_solve(PolyMatrix(len(rows), ncols, (), entries)) == \
         dense_linear_solve(entries, len(rows), ncols)
 
 
@@ -773,8 +759,8 @@ def test_nullspace_matches_dense_oracle(matrix):
         den = math.lcm(*(x.denominator for x in row))
         integer_rows.append({c: int(x * den) for c, x in sparse(row).items()})
     for order in (rows, integer_rows):
-        pivots, reduced = rref(sparse(row) if isinstance(row, list) else row
-                               for row in order)
+        pivots, reduced = integer_rref(
+            sparse(row) if isinstance(row, list) else row for row in order)
         assert (len(pivots), nullspace(pivots, reduced, ncols)) == want
 
 
@@ -840,11 +826,12 @@ def augmented_solve(columns, target):
     its last column has a pivot: the solve of the Cartan diagonal in
     ``structure_constants``."""
     width = len(columns)
-    pivots, reduced = rref(
+    pivots, rows = integer_rref(
         sparse([col[r] for col in columns] + [t]) for r, t in enumerate(target))
     if width in pivots:
         return None
-    return [row.get(width, Fraction(0)) for row in reduced]
+    return [Fraction(row.get(width, 0), row[lead])
+            for lead, row in zip(pivots, rows)]
 
 
 @settings(deadline=None, max_examples=150)

@@ -1,4 +1,5 @@
-"""Byte-identity of the README examples and of the verify ladder jobs.
+"""Byte-identity of the README examples, of the verify ladder jobs and of
+the jobs whose output reads the module weights.
 
 Each example runs in a fresh directory, with `--out` and `--report` added
 where its verb writes them, and the sha256 of its stdout and of each file
@@ -92,6 +93,45 @@ LADDER = [
     }),
 ]
 
+# (command line, {stream: sha256}) of jobs that read the weights of K or
+# of a replication: the exported weights, with the gl central charge c and
+# with odd shifts, the weight spaces of the singular-vector solve at an
+# atypical b, and the hypercharge Jordan profile per weight space.
+WEIGHTS = [
+    ("export --algebra gl --m 2 --n 3 --labels 0,0,0", {
+        "stdout":
+            "5cd2786b4448c45238b69280342c4ef50939812b61f1ebc48a2106b5259bfbde",
+        "out":
+            "ad03a4aaec71b768d0b0b51c95d003e92592da8712e8718eda362c58a208d7c0",
+    }),
+    ("export --algebra sl --m 3 --n 1 --labels 2,1", {
+        "stdout":
+            "1066b8a6a5298caff5d0cb42011c5bd13791d6f61a27bba109d449f30a9655b4",
+        "out":
+            "43a137003e0cde704d1f4e1d171d80daa30fb5b4212165ede098dc2cf1351f2d",
+    }),
+    ("typicality --algebra gl --m 2 --n 1 --labels 1 --b -2 --c 1/3", {
+        "stdout":
+            "ded91c8c822fd63dbaa5bc084cfe4d949a70374d0d3df18c2eaedd428cc99cff",
+        "report":
+            "6904f1c4d06422df2e1adc9bef38d0cd767a9a54d0f20ac9d11a49811d15e42f",
+    }),
+    ("typicality --algebra sl --m 3 --n 1 --labels 2,1 --b -5", {
+        "stdout":
+            "43bbdd38e8ceeebb2e9f143f6fe824217096b584399db4067150d4850ed4202e",
+        "report":
+            "55f87a3e8a62f011d7eee76ed953489c61dfd17d39f0490648cd701c3afa3456",
+    }),
+    ("replicate --algebra gl --m 2 --n 1 --labels 1 --N 3", {
+        "stdout":
+            "9c02a8694843b9b0113ceb04eda9999bf9ecd5d567f3f31ddbbfe85302ed9553",
+        "out":
+            "ace3c09e482aab91d566c85e05748d1e159c246e76f006e2e2ee0e7018e6a2a4",
+        "report":
+            "ddd8df97ee89353e68c6f89fe76233434a9e104d12ef6f4fdcf7a0202e41c073",
+    }),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -122,4 +162,11 @@ def test_readme_example_bytes(command, pins, tmp_path, capsys,
 @pytest.mark.parametrize("command,pins", LADDER,
                          ids=[c.split(" --algebra ")[1] for c, _ in LADDER])
 def test_verify_ladder_bytes(command, pins, tmp_path, capsys, monkeypatch):
+    assert run_example(command, tmp_path, capsys, monkeypatch) == pins
+
+
+@pytest.mark.parametrize("command,pins", WEIGHTS,
+                         ids=[c.split(" --labels")[0].replace(" --", " ")
+                              for c, _ in WEIGHTS])
+def test_weight_reading_bytes(command, pins, tmp_path, capsys, monkeypatch):
     assert run_example(command, tmp_path, capsys, monkeypatch) == pins

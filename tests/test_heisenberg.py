@@ -9,7 +9,8 @@ from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
 from dense_oracles import dense_linear_solve
-from superkac.exact import ParamPoly, PolyMatrix, rational_linear_solve
+from setup_oracles import rational_entries
+from superkac.exact import ParamPoly, PolyMatrix
 from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  check_phi_representation, compare_with_KH,
                                  heisenberg_structure_report,
@@ -202,8 +203,8 @@ def generating_columns(phi) -> list:
 
 
 def solved_lowering_rank(phi, generating) -> int:
-    """The rank ``lowering_rank`` took from ``rational_linear_solve``,
-    whose Fraction rows and nullspace it threw away."""
+    """The rank of the stacked lowered columns, solved by the dense
+    oracle."""
     subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
     lowered = {(): PolyMatrix.identity(phi.dim, phi.params).submatrix(
         range(phi.dim), generating)}
@@ -211,9 +212,11 @@ def solved_lowering_rank(phi, generating) -> int:
         lowered[subset] = (phi.matrices[GenLabel("v", subset[0])]
                            @ lowered[subset[1:]])
     width = len(generating)
-    return rational_linear_solve(PolyMatrix.from_blocks(
+    stacked = PolyMatrix.from_blocks(
         phi.dim, width * len(subsets), phi.params,
-        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])).rank
+        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])
+    return dense_linear_solve(rational_entries(stacked), stacked.rows,
+                              stacked.cols)[0]
 
 
 # every (algebra, labels, twist) whose phi the tests build: MATRIX and

@@ -12,14 +12,14 @@ from superkac import heisenberg, kacmod
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, structure_constants,
-                              typicality_factors)
+                              typicality_factors, weight_from_labels)
 from superkac.evenrep import build_even_irrep
-from superkac.exact import (ParameterizedEntryError, ParamPoly, PolyMatrix,
-                            rational_linear_solve)
+from superkac.exact import ParameterizedEntryError, ParamPoly, PolyMatrix
 from superkac.kacmod import (SingularVector, SingularVectorReport,
                              _subset_order, induce, kac_typicality,
                              singular_vectors, weight_spaces)
 from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
+from dense_oracles import dense_linear_solve
 from testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
 from setup_oracles import rational_entries, reference_bilinear
 
@@ -187,7 +187,7 @@ class TestSingularVectors:
             beta1 = K.datum.odd_positive_roots[0]
             expected_weight = tuple(
                 c.substitute(binds).constant_value() - br
-                for c, br in zip(K.weights[K.hw_index], beta1))
+                for c, br in zip(K.hw, beta1))
             sv = singular_vectors(K, binds)
             extra = [v for v in sv.vectors if v.layer > 0]
             assert [v.weight for v in extra] == [expected_weight]
@@ -206,8 +206,7 @@ class TestSingularVectors:
                     continue
                 (itype,) = ty.vanishing_types(root)
                 bound = dict(binds, b=root)
-                hw = tuple(c.substitute(bound).constant_value()
-                           for c in K.weights[K.hw_index])
+                hw = tuple(c.substitute(bound).constant_value() for c in K.hw)
                 sv = singular_vectors(K, bound)
                 (extra,) = [v for v in sv.vectors if v.layer > 0]
                 beta_i = K.datum.odd_positive_roots[itype - 1]
@@ -286,24 +285,26 @@ class TestSecondaryAtypicality:
 class TestCharacter:
     def test_total_multiplicity(self):
         for key, K in ALL_MODULES.items():
-            table = collections.Counter(K.weights)
+            table = collections.Counter(K.shifts)
             assert sum(table.values()) == 2 ** K.odd_count * K.L.dim
 
     def test_induced_product_identity(self):
-        # ch K = (product over odd positive roots of (1 + e^-beta)) ch L
+        # ch K = (product over odd positive roots of (1 + e^-beta)) ch L,
+        # on the shifts below the highest weight that K and L share
         for key, K in [(k, m) for k, m in ALL_MODULES.items()][:4]:
+            assert K.hw == K.L.hw
             expected: dict = {}
             for subset_size in range(K.odd_count + 1):
                 for subset in itertools.combinations(
                         range(K.odd_count), subset_size):
-                    shift = [Fraction(0)] * (K.spec.m + K.spec.n)
+                    shift = [0] * (K.spec.m + K.spec.n)
                     for s in subset:
                         beta = K.datum.odd_positive_roots[s]
                         shift = [x + y for x, y in zip(shift, beta)]
-                    for coord in K.L.weights:
-                        key2 = tuple(c - s for c, s in zip(coord, shift))
+                    for base in K.L.shifts:
+                        key2 = tuple(c + s for c, s in zip(base, shift))
                         expected[key2] = expected.get(key2, 0) + 1
-            assert collections.Counter(K.weights) == expected
+            assert collections.Counter(K.shifts) == expected
 
     def test_hypercharge_graded_dimensions_binomial(self):
         from math import comb
@@ -433,17 +434,17 @@ def reference_induce_core(P: int, params: tuple, base_dim: int,
     return tuple(basis), matrices
 
 
-def reference_weights(K) -> tuple:
-    """Weights and layers with one root subtraction per slot of the subset."""
-    weights, layers = [], []
+def reference_shifts(K) -> tuple:
+    """Shifts and layers with one root addition per slot of the subset."""
+    shifts, layers = [], []
     for subset, l in K.basis:
-        coord = list(K.L.weights[l])
+        shift = list(K.L.shifts[l])
         for s in subset:
             beta = K.datum.odd_positive_roots[s - 1]
-            coord = [c - r for c, r in zip(coord, beta)]
-        weights.append(tuple(coord))
+            shift = [c + r for c, r in zip(shift, beta)]
+        shifts.append(tuple(shift))
         layers.append(len(subset))
-    return tuple(weights), tuple(layers)
+    return tuple(shifts), tuple(layers)
 
 
 def assert_same_induction(got, want):
@@ -473,7 +474,9 @@ def test_induce_matches_block_matrix_reference(flavor, m, n, a, monkeypatch):
     monkeypatch.setattr(kacmod, "induce_core", reference_induce_core)
     ref = induce(L, rep.datum, sc)
     assert_same_induction((K.basis, K.matrices), (ref.basis, ref.matrices))
-    assert (K.weights, K.layers) == reference_weights(ref)
+    assert (K.shifts, K.layers) == reference_shifts(ref)
+    assert K.hw is L.hw and all(type(x) is int
+                                for shift in K.shifts for x in shift)
     if flavor == "gl":
         assert K.params == ("b", "c")
         assert any(mat.degree("c") for mat in K.matrices.values())
@@ -540,38 +543,91 @@ def test_induce_leaves_no_garbage():
 
 # -- weight spaces against substituting every coordinate ---------------------
 
-def reference_weight_spaces(module, bindings) -> dict:
-    """weight_spaces with every coordinate of every basis vector substituted."""
+def reference_weights(module) -> tuple:
+    """The weight of every basis vector of a Kac module, or of its block
+    module, as ParamPoly coordinates built here: the highest weight minus
+    the simple even roots of its even content and the odd roots of its
+    subset, one subtraction per coordinate and root."""
+    K = getattr(module, "base", module)
+    hw = weight_from_labels(K.datum, K.labels, K.params)
+    weights = []
+    for subset, l in K.basis:
+        coord = list(hw)
+        for count, root in zip(K.L.contents[l], K.datum.simple_even_roots):
+            coord = [c - count * r for c, r in zip(coord, root)]
+        for s in subset:
+            beta = K.datum.odd_positive_roots[s - 1]
+            coord = [c - r for c, r in zip(coord, beta)]
+        weights.append(tuple(coord))
+    return tuple(weights) * (module.dim // K.dim)
+
+
+def grouped_by_weight(weights, bindings) -> dict:
+    """Positions grouped by weight, with every coordinate of every weight
+    substituted, in sorted weight order."""
     groups: dict = {}
-    for pos, coord in enumerate(module.weights):
+    for pos, coord in enumerate(weights):
         key = tuple(c.substitute(bindings).constant_value() for c in coord)
         groups.setdefault(key, []).append(pos)
     return {key: groups[key] for key in sorted(groups)}
 
 
+def reference_weight_spaces(module, bindings) -> dict:
+    """weight_spaces with every coordinate of every basis vector substituted."""
+    return grouped_by_weight(reference_weights(module), bindings)
+
+
+WEIGHT_MODULES = [("sl", 2, 1, (3,)), ("gl", 2, 3, (0, 0, 0)),
+                  ("sl", 4, 1, (1, 0, 0)), ("sl", 3, 1, (2, 1)),
+                  ("gl", 2, 1, (1,)), ("sl", 3, 2, (1, 0, 1)),
+                  ("gl", 3, 1, (1, 2))]
+
+
+def weight_space_cases():
+    """Each module of WEIGHT_MODULES and its N = 2 replication, at a
+    generic b, at b = 0 and -3/2, and at its atypical values of b, with
+    the gl centre bound too."""
+    for key in WEIGHT_MODULES:
+        K = build_kac(*key)
+        R = replicate(K, ReplicationSpec(2, (Fraction(2, 3),)))
+        binds = bindings_for(K.spec.flavor)
+        roots = [root for root, _ in kac_typicality(K).factor_roots]
+        for b in dict.fromkeys([binds["b"], Fraction(0), Fraction(-3, 2)]
+                               + roots):
+            flavor, m, n, a = key
+            for name, module in (("K", K), ("N2", R)):
+                yield pytest.param(module, dict(binds, b=b),
+                                   id=f"{flavor}{m}{n}-{a}-{name}-b={b}")
+
+
 @pytest.mark.parametrize("module, bindings", [
-    (replicate(build_kac("sl", 3, 1, (1, 1)),
-               ReplicationSpec(3, (Fraction(1), Fraction(2)))),
-     {"b": Fraction(5, 7)}),
-    (GL21_A1, {"b": Fraction(5, 7), "c": Fraction(3, 11)}),
-], ids=["sl31-N3", "gl21"])
+    pytest.param(replicate(build_kac("sl", 3, 1, (1, 1)),
+                           ReplicationSpec(3, (Fraction(1), Fraction(2)))),
+                 {"b": Fraction(5, 7)}, id="sl31-N3"),
+    pytest.param(GL21_A1, {"b": Fraction(5, 7), "c": Fraction(3, 11)},
+                 id="gl21"),
+] + list(weight_space_cases()))
 def test_weight_spaces_match_per_entry_reference(module, bindings):
     got = weight_spaces(module, bindings)
     assert list(got.items()) == \
         list(reference_weight_spaces(module, bindings).items())
+    assert all(type(x) is Fraction for key in got for x in key)
 
 
 def test_weight_spaces_of_equal_and_colliding_coordinates():
-    # hash(-1) == hash(-2), so b - 1 and b - 2 share a hash; the twins are
-    # equal coordinates held by different objects
+    # hash(-1) == hash(-2), so b - 1 and b - 2 share a hash; shifts of
+    # both signs repeat out of order, and coordinates of different
+    # positions coincide: (b - 1) - 1 == (b - 2) - 0
     b = ParamPoly.var(("b",), "b")
-    coords = [b - 1, b - 2, b - 1, b + 0, b, -b - 2]
-    weights = tuple((x, y) for x in coords for y in coords[::-1])
-    module = types.SimpleNamespace(weights=weights)
+    hw = (b - 1, b - 2)
+    values = [1, 0, -2, 1, 0]
+    shifts = tuple((x, y) for x in values for y in values[::-1])
+    module = types.SimpleNamespace(hw=hw, shifts=shifts)
+    weights = [tuple(h - x for h, x in zip(hw, shift)) for shift in shifts]
     for value in (Fraction(0), Fraction(1), Fraction(-3, 2)):
         got = weight_spaces(module, {"b": value})
         assert list(got.items()) == \
-            list(reference_weight_spaces(module, {"b": value}).items())
+            list(grouped_by_weight(weights, {"b": value}).items())
 
 
 def test_weight_spaces_need_every_parameter_bound():
@@ -582,8 +638,8 @@ def test_weight_spaces_need_every_parameter_bound():
 # -- singular vectors against one Fraction solve per weight space -------------
 
 def reference_singular_vectors(K, bindings, raising_set="even-and-odd"):
-    """singular_vectors with one PolyMatrix of Fraction entries per weight
-    space, solved by rational_linear_solve, and its weight spaces from
+    """singular_vectors with one matrix of Fraction entries per weight
+    space, solved by the dense oracle, and its weight spaces from
     reference_weight_spaces."""
     if raising_set not in ("even-and-odd", "even-only"):
         raise InputError(f"unknown raising set {raising_set!r}")
@@ -611,9 +667,8 @@ def reference_singular_vectors(K, bindings, raising_set="even-and-odd"):
         for j, c in enumerate(cols):
             for row_key, val in by_column.get(c, ()):
                 entries[(row_of.setdefault(row_key, len(row_of)), j)] = val
-        result = rational_linear_solve(
-            PolyMatrix(len(row_of), len(cols), K.params, entries))
-        for vec in result.nullspace:
+        _, basis = dense_linear_solve(entries, len(row_of), len(cols))
+        for vec in basis:
             coeffs = tuple((cols[i], value) for i, value in enumerate(vec)
                            if value != 0)
             layer = K.layers[coeffs[0][0]]
@@ -682,15 +737,15 @@ def test_simple_raising_stack_matches_the_full_stack(key, bindings,
     stacks every raising matrix, u_2, ..., u_P included."""
     K = FULL_STACK_MODULES[key]
     rows_solved = []
-    rref = kacmod.rref
+    integer_rref = kacmod.integer_rref
 
     def spy(rows):
         rows = list(rows)
         rows_solved.append(len(rows))
-        return rref(rows)
+        return integer_rref(rows)
 
     with monkeypatch.context() as patch:
-        patch.setattr(kacmod, "rref", spy)
+        patch.setattr(kacmod, "integer_rref", spy)
         got = singular_vectors(K, bindings)
     assert got == reference_singular_vectors(K, bindings)
     # a raising matrix maps one weight space into another, so each of its
@@ -702,6 +757,14 @@ def test_simple_raising_stack_matches_the_full_stack(key, bindings,
     assert sum(rows_solved) == sum(
         len(K.matrices[lab].substitute(bindings).integer_term()[1])
         for lab in simple)
+
+
+def test_singular_vectors_refuse_a_float_binding():
+    # Fraction(0.1) would solve at b = 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        singular_vectors(OCTET, {"b": 0.1})
+    assert singular_vectors(OCTET, {"b": "0"}) == \
+        singular_vectors(OCTET, {"b": Fraction(0)})
 
 
 def test_non_integral_odd_root_is_refused():

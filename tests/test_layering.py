@@ -1,8 +1,10 @@
 """Module layering: no superkac module reaches into another one's private
-names, so each module's public functions are its whole interface; and no
-module imports ``typing``, which a CLI run would otherwise load."""
+names, so each module's public functions are its whole interface; no
+module imports ``typing``, which a CLI run would otherwise load; and the
+public names that nothing in ``src/`` names are a known, pinned list."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,7 +44,7 @@ def test_no_private_cross_module_imports(path):
 
 def test_checker_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
-    probe.write_text("from superkac.exact import _pencil, rref\n"
+    probe.write_text("from superkac.exact import _pencil, integer_rref\n"
                      "from superkac import kacmod as km\n"
                      "x = km._subset_order\n", encoding="utf-8")
     assert private_imports(probe) == [(1, "superkac.exact._pencil"),
@@ -77,3 +79,86 @@ def test_checker_sees_a_typing_import(tmp_path):
                      "def f():\n"
                      "    import typing\n", encoding="utf-8")
     assert typing_imports(probe) == [2, 3, 5]
+
+
+def _names(tree) -> Counter:
+    """How often each identifier is read: as a name, an attribute or an
+    imported name."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def unnamed_public_definitions(paths) -> list:
+    """'module.name' of each public function, class and method defined at
+    the top level of ``paths`` (a method as 'module.Class.name') whose name
+    no code in ``paths`` reads outside its own body."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    read = sum((_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{sub.name}", sub)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+            for qualified, definition in members:
+                name = definition.name
+                if not name.startswith("_") \
+                        and read[name] == _names(definition)[name]:
+                    found.append(f"{module}.{qualified}")
+    return sorted(found)
+
+
+# Public names that only tests use: the paper features not yet reached
+# from the CLI (ROADMAP item 5) and helpers the tests call.  A new public
+# name needs a caller in src/, or its place here.
+TEST_ONLY = [
+    "exact.PolyMatrix.from_rows",
+    "exact.PolyMatrix.zeros",
+    "jsonio.module_matrices_from_json",
+    "kacmod.KacModule.index_of",
+    "kacmod.SingularVectorReport.at_layer",
+    "kacmod.TypicalityReport.is_typical",
+    "matryoshka.Deformation.u_prime",
+    "matryoshka.diagonal_block",
+    "matryoshka.leading_principal_submodule",
+    "matryoshka.rescale_conjugation_check",
+    "matryoshka.self_extension_iso_decision",
+    "matryoshka.upsilon_extract",
+]
+
+
+def test_public_names_used_only_by_tests_are_pinned():
+    assert unnamed_public_definitions(MODULES) == TEST_ONLY
+
+
+def test_checker_sees_a_name_only_tests_use(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def lonely(n):\n"
+        "    return lonely(n - 1) if n else used()\n"
+        "class Box:\n"
+        "    def opened(self):\n"
+        "        return self.closed()\n"
+        "    def closed(self):\n"
+        "        return 0\n"
+        "    def shut(self):\n"
+        "        return self._hidden()\n"
+        "    def _hidden(self):\n"
+        "        return 0\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from a import Box\n"
+                                   "x = Box().opened()\n", encoding="utf-8")
+    assert unnamed_public_definitions(sorted(tmp_path.glob("*.py"))) == \
+        ["a.Box.shut", "a.lonely"]

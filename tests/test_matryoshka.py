@@ -172,6 +172,15 @@ class TestReplicate:
         with pytest.raises(InputError):
             ReplicationSpec(3, (Fraction(1),))
 
+    def test_float_coupling_rejected(self):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968
+        with pytest.raises(InputError, match="lambdas"):
+            ReplicationSpec(2, (0.1,))
+        with pytest.raises(InputError, match="lambdas"):
+            ReplicationSpec(3, (1, "1/0"))
+        assert ReplicationSpec(3, (2, "-1/10")).lambdas == \
+            (Fraction(2), Fraction(-1, 10))
+
 
 class TestRescaleConjugation:
     def test_identity_and_generic_scalars(self):
@@ -276,9 +285,8 @@ class TestJordanProfile:
 
     def test_not_scalar_plus_nilpotent_rejected(self):
         # one weight space on which y has two distinct eigenvalues
-        weight = (ParamPoly.const((), 0),)
         module = SimpleNamespace(
-            weights=(weight, weight),
+            hw=(ParamPoly.const((), 0),), shifts=((0,), (0,)),
             matrices={GenLabel("y"): PolyMatrix.from_rows([[1, 1], [0, 2]])})
         for profile in (jordan_minpoly_profile, reference_jordan_profile):
             with pytest.raises(InternalConsistencyError):
@@ -336,6 +344,18 @@ class TestTwist:
     def test_zero_direction_rejected(self):
         with pytest.raises(InputError):
             TwistSpec(2, (0, 0))
+
+    def test_float_direction_rejected(self):
+        with pytest.raises(InputError, match="nu"):
+            TwistSpec(2, (1, 0.1))
+        assert TwistSpec(2, ("1/10",)).nu == (Fraction(1, 10),)
+
+    def test_deformation_refuses_a_float_direction(self):
+        with pytest.raises(TypeError):
+            deformation(QUARTET, 0.1)
+        with pytest.raises(TypeError):
+            deformation(GL_A1, 1, 0.5)
+        assert deformation(GL_A1, "1/2", 3).nu == (Fraction(1, 2), 3)
 
     def test_z0_component_needs_gl(self):
         with pytest.raises(InputError):

@@ -90,9 +90,9 @@ def ref_extended(matrices, recipes) -> dict:
 
     def ensure(label):
         if label not in out:
-            left, right, coeff = recipes[label]
+            left, right = recipes[label]
             out[label] = ref_combination(
-                [(coeff, ref_sbracket(0, 0, ensure(left), ensure(right)),
+                [(1, ref_sbracket(0, 0, ensure(left), ensure(right)),
                   None)])
         return out[label]
 
