@@ -294,7 +294,7 @@ class StructureConstants(Record):
     datum: RootDatum
     basis: tuple                      # full ordered GenLabel basis
     parity: dict                      # GenLabel -> 0 | 1
-    grade: dict                       # GenLabel -> hypercharge grade (Fraction)
+    grade: dict                       # GenLabel -> hypercharge grade (Fraction|0)
     fundamental: dict                 # GenLabel -> PolyMatrix (parity-faithful source)
     recipes: dict                     # nonsimple GenLabel -> (left, right)
     table: dict                       # (GenLabel, GenLabel) -> {GenLabel: Fraction}
@@ -308,6 +308,12 @@ class StructureConstants(Record):
     def generators(self) -> tuple:
         """``generating_set(self)``, computed once."""
         return generating_set(self)
+
+    @cached_property
+    def root_weights(self):
+        """``_root_weights(self)``, computed once: the table premises of
+        the root-space certificate of ``bracket_violations``."""
+        return _root_weights(self)
 
 
 def generating_set(sc: StructureConstants) -> tuple:
@@ -351,6 +357,66 @@ def generating_set(sc: StructureConstants) -> tuple:
                   if echelon_insert(echelon, {order[lab]: 1}) is not None]
     return tuple(lab for lab in sc.basis
                  if lab in completion or lab in seed)
+
+
+_CARTAN = ("h", "y", "z0")
+# the triangular parts n0+, n0-, g+1 and g-1 of the root labels
+_PARTS = (("e", "E"), ("f", "F"), ("u",), ("v",))
+
+
+def _root_weights(sc: StructureConstants):
+    """(cartan, dens, weights, parts), the table premises of the root-space
+    certificate of ``bracket_violations``, or None where one fails.
+
+    Each Cartan label h (h_i, y, z0) is even and acts diagonally, [h, b] =
+    alpha_b(h) b, which gives each label b a weight alpha_b.  The Cartan
+    labels weigh 0, the root labels have nonzero, pairwise distinct
+    weights, and each triangular part has one parity.  t in [a, b] implies
+    alpha_t = alpha_a + alpha_b, and the table is graded-antisymmetric.
+    ``cartan`` lists the Cartan labels, ``dens`` per Cartan label the lcm
+    of the denominators of the alpha_b(h), ``weights`` maps each label to
+    its alpha as ints over ``dens``, and ``parts`` holds the nonempty parts
+    e/E, f/F, u and v, each in basis order.
+    """
+    cartan = tuple(lab for lab in sc.basis if lab.kind in _CARTAN)
+    parts = tuple(part for part in (
+        tuple(lab for lab in sc.basis if lab.kind in kinds)
+        for kinds in _PARTS) if part)
+    if (len(cartan) + sum(map(len, parts)) != len(sc.basis)
+            or any(sc.parity[h] for h in cartan)
+            or any(len({sc.parity[b] for b in part}) != 1 for part in parts)):
+        return None
+    columns = []                      # per Cartan label, {label: alpha(h)}
+    for h in cartan:
+        column = {}
+        for lab in sc.basis:
+            expansion = sc.bracket(h, lab)
+            if any(t != lab for t in expansion):
+                return None
+            column[lab] = expansion.get(lab, 0)
+        columns.append(column)
+    dens = tuple(lcm(*(x.denominator for x in column.values()))
+                 for column in columns)
+    weights = {lab: tuple(col[lab].numerator * (d // col[lab].denominator)
+                          for col, d in zip(columns, dens))
+               for lab in sc.basis}
+    # packed in base 3M + 1, M the largest |alpha(h)|: a signed sum of at
+    # most three packed weights is 0 only if that of the weights is
+    base = 3 * max((abs(x) for w in weights.values() for x in w),
+                   default=0) + 1
+    key = {lab: sum(x * base ** i for i, x in enumerate(w))
+           for lab, w in weights.items()}
+    roots = [key[lab] for part in parts for lab in part]
+    if (any(key[h] for h in cartan) or 0 in roots
+            or len(set(roots)) != len(roots)):
+        return None
+    for (a, b), expansion in sc.table.items():
+        sign = 1 if (sc.parity[a] and sc.parity[b]) else -1
+        weight = key[a] + key[b]
+        if (any(key.get(t) != weight for t in expansion)
+                or not _is_mirror(expansion, sc.bracket(b, a), sign)):
+            return None
+    return cartan, dens, weights, parts
 
 
 def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
@@ -552,7 +618,7 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
         exp = table.get((ylab, lab), {})
         if any(other != lab for other in exp):
             raise InternalConsistencyError(f"[y, {lab}] is not diagonal in the basis")
-        grade[lab] = exp.get(lab, Fraction(0))
+        grade[lab] = exp.get(lab, 0)
 
     d = {}
     k = None
@@ -561,7 +627,7 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
         for j in range(1, P + 1):
             exp = table.get((GenLabel("u", i), GenLabel("v", j)), {})
             d[(i, j)] = exp
-            ycoeff = exp.get(ylab, Fraction(0))
+            ycoeff = exp.get(ylab, 0)
             if i == j:
                 if k is None:
                     k = ycoeff
@@ -610,9 +676,8 @@ def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
                 rows.setdefault(index[t], {})[c] = \
                     x.numerator * (den // x.denominator)
         ad[lab] = PolyMatrix.from_term(dim, dim, (), (den, rows))
-    violations = bracket_violations(
-        sc.basis, sc.generators, sc.parity, sc.table,
-        lambda la, lb, pa, pb: sbracket(pa, pb, ad[la], ad[lb]), ad)
+    violations = bracket_violations(sc.basis, sc.generators, sc.parity,
+                                    sc.table, ad, weights=sc.root_weights)
     report = VerificationReport(f"super-Jacobi identity for {sc.spec}")
     if violations:
         (a, b), ((t, c), val) = violations[0]
@@ -645,16 +710,18 @@ def grading_report(sc: StructureConstants) -> VerificationReport:
 
 def bracket_violations(labels: Sequence[GenLabel],
                        generators: Sequence[GenLabel], parity: Mapping,
-                       table: Mapping, bracket: Callable,
-                       targets: Mapping[GenLabel, PolyMatrix]) -> list:
+                       table: Mapping, targets: Mapping[GenLabel, PolyMatrix],
+                       bracket: Callable | None = None,
+                       weights: tuple | None = None) -> list:
     """The one relation checker: every ordered pair (a, b) of ``labels``
     with a or b in ``generators`` at which the bracket differs from the
     table's expansion sum_t table[(a, b)][t] * targets[t].
 
     ``bracket(a, b, parity[a], parity[b])`` gives the bracket as product
     terms (coeff, left, right), e.g. ``sbracket``, so each residual is one
-    ``combination`` pass.  Returns ``[((a, b), (entry, residual)), ...]``
-    in pair order, locating the first nonzero entry of each residual.
+    ``combination`` pass; None stands for the superbracket of the targets
+    themselves.  Returns ``[((a, b), (entry, residual)), ...]`` in pair
+    order, locating the first nonzero entry of each residual.
 
     Checking only these pairs gives the verdict of all pairs by a standard
     lemma.  Let rho be a linear map from g to End V, where the table is
@@ -675,6 +742,26 @@ def bracket_violations(labels: Sequence[GenLabel],
     derivations is one: these a form a subalgebra, which contains X.  As
     X generates through iterated table brackets plus its completion, the
     generator pairs give the verdict of all triples.
+
+    With the superbracket of the targets and ``weights``, the table's
+    ``StructureConstants.root_weights``, a root-space certificate is
+    tried first (``_certified``); where it proves every generator pair,
+    no pair residual is formed and the list is empty.  Otherwise, and for
+    every other bracket, each pair is computed (``_pairwise``), which
+    alone gives violation counts and locators.
+    """
+    if bracket is None:
+        if weights is not None and _certified(labels, generators, parity,
+                                              table, targets, weights):
+            return []
+
+        def bracket(la, lb, pa, pb):
+            return sbracket(pa, pb, targets[la], targets[lb])
+    return _pairwise(labels, generators, parity, table, bracket, targets)
+
+
+def _pairwise(labels, generators, parity, table, bracket, targets) -> list:
+    """The violations of ``bracket_violations``, one residual per pair.
 
     The bracket must be graded-antisymmetric, [b, a] = -(-1)^{|a||b|} [a, b],
     as every matrix superbracket and sum of them is.  Then wherever the
@@ -711,6 +798,110 @@ def bracket_violations(labels: Sequence[GenLabel],
                 located[(la, lb)] = (pos, -val)
                 violations.append(((la, lb), located[(la, lb)]))
     return violations
+
+
+def _certified(labels, generators, parity, table, targets, weights) -> bool:
+    """Whether every generator pair of the superbracket of the targets
+    holds, proved by root-space sums; False where a premise or a sum
+    fails, which proves nothing.
+
+    The table premises are ``weights`` (``_root_weights``) and the target
+    premises are checked by ``_homogeneous``.  Then [rho_h, rho_b] =
+    alpha_b(h) rho_b, which is the table's [h, b], so every pair with a
+    Cartan label h holds, and each residual D(x, b) of roots x, b lies in
+    the block lambda(r) - lambda(c) = alpha_x + alpha_b.
+
+    For each root x in X and each triangular part G, of one parity, the
+    residual R = [rho_x, S_G} - sum_t c_t rho_t with S_G = sum_{b in G}
+    rho_b and c_t = sum_{b in G} f_xb^t is the sum of the D(x, b) over G.
+    The alpha_b of G are distinct, so these lie in disjoint blocks and
+    R = 0 iff every D(x, b) = 0.  The pairs (b, x) follow by the graded
+    antisymmetry of the table and of the superbracket.
+    """
+    cartan, _, _, parts = weights
+    if not _homogeneous(labels, targets, weights):
+        return False
+    roots = [x for x in generators if x not in cartan]
+    for part in parts:
+        total = combination([(1, targets[b], None) for b in part])
+        odd = parity[part[0]]
+        for x in roots:
+            coeffs: dict = {}
+            for b in part:
+                for t, c in table.get((x, b), {}).items():
+                    coeffs[t] = coeffs.get(t, 0) + c
+            residual = combination(
+                sbracket(parity[x], odd, targets[x], total)
+                + [(-c, targets[t], None) for t, c in coeffs.items() if c])
+            if not residual.is_zero:
+                return False
+        del total                     # before the next part's sum
+    return True
+
+
+def _homogeneous(labels, targets, weights) -> bool:
+    """The target premises of ``_certified``, in O(nnz) and no product:
+    each Cartan target rho_h is diagonal, which gives each row r a weight
+    lambda(r), one coordinate per Cartan label and pencil monomial; and
+    each target is homogeneous, rho_b[r, c] != 0 only where lambda(r) -
+    lambda(c) = alpha_b, which is zero in the coordinates of nonconstant
+    monomials."""
+    cartan, dens, alpha, parts = weights
+    columns = []                      # per coordinate, {row: int}
+    shifts = {lab: [] for lab in labels}
+    for i, (h, den_h) in enumerate(zip(cartan, dens)):
+        terms = targets[h].terms
+        zero = (0,) * len(targets[h].params)
+        for mono in (zero, *(e for e in terms if e != zero)):
+            den, rows = terms.get(mono, (1, {}))
+            if any(len(row) != 1 or r not in row for r, row in rows.items()):
+                return False
+            # over lcm(den, den_h), where alpha(h) is an int too
+            scale = lcm(den, den_h) if mono == zero else den
+            columns.append({r: row[r] * (scale // den)
+                            for r, row in rows.items()})
+            for lab, vec in shifts.items():
+                vec.append(alpha[lab][i] * (scale // den_h)
+                           if mono == zero else 0)
+    keys, label_keys = _weight_keys(columns, shifts, targets[labels[0]].rows)
+    for part in parts:
+        for lab in part:
+            shift = label_keys[lab]
+            for _, rows in targets[lab].terms.values():
+                for r, row in rows.items():
+                    want = keys[r] - shift
+                    for c in row:
+                        if keys[c] != want:
+                            return False
+    return True
+
+
+def _weight_keys(columns: Sequence, shifts: Mapping, rows: int) -> tuple:
+    """(keys, label_keys): one int per row and per label, such that
+    keys[r] - keys[c] == label_keys[b] iff columns[k][r] - columns[k][c]
+    == shifts[b][k] for every k, for int columns {row: int} (0 at a row
+    left out) and int shift vectors.
+
+    Every |columns[k][r] - columns[k][c] - shifts[b][k]| is at most
+    E = max_k (span_k + max_b |shifts[b][k]|), so each vector is read as
+    digits in base E + 1: a vector of digits at most E in absolute value
+    reads as 0 only if every digit is 0, since the lowest nonzero digit
+    would have to be a multiple of the base."""
+    bound = 0
+    for k, col in enumerate(columns):
+        values = [0, *col.values()]
+        bound = max(bound, max(values) - min(values)
+                    + max((abs(vec[k]) for vec in shifts.values()),
+                          default=0))
+    base = bound + 1
+    keys = [0] * rows
+    for k, col in enumerate(columns):
+        digit = base ** k
+        for r, x in col.items():
+            keys[r] += x * digit
+    label_keys = {lab: sum(x * base ** k for k, x in enumerate(vec))
+                  for lab, vec in shifts.items()}
+    return keys, label_keys
 
 
 def _is_mirror(expansion: Mapping, mirror: Mapping, sign: int) -> bool:
@@ -752,10 +943,9 @@ def superbracket_violations(matrices: Mapping[GenLabel, PolyMatrix],
                             sc: StructureConstants) -> list:
     """Violating pairs of the superbracket table for representation
     matrices; nonsimple root vectors are derived from their recipes."""
-    mats = extend_matrices(matrices, sc.recipes)
-    return bracket_violations(
-        sc.basis, sc.generators, sc.parity, sc.table,
-        lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
+    return bracket_violations(sc.basis, sc.generators, sc.parity, sc.table,
+                              extend_matrices(matrices, sc.recipes),
+                              weights=sc.root_weights)
 
 
 def check_super_relations(matrices: Mapping[GenLabel, PolyMatrix],

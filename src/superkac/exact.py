@@ -410,6 +410,9 @@ def _accumulate_walk(acc: dict, index: dict, right: dict,
 # up to twice as fast walked.  The relation checks' products have ratios
 # of at most 4 and run slower walked, so they keep the row pass; every
 # cut-off from 5 to 64 does that and times the same on the benchmark.
+# Measured on sl(2|1)-sl(4|3): the root-space sums [rho_x, S_G} reach 2.3
+# on module targets and 3.6 on the ad targets of sl(4|3), the pair
+# residuals 2.3.
 _THIN = 8
 
 

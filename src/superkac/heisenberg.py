@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
-                              StructureConstants, bracket_violations, sbracket,
+                              StructureConstants, bracket_violations,
                               violations_report)
 from superkac.exact import (ParamPoly, PolyMatrix, integer_rref,
                             kronecker_sum)
@@ -162,10 +162,8 @@ def check_phi_representation(phi: HModule, H: HeisenbergSpec) -> VerificationRep
 
     All pairs are checked: [H, H] lies in h', so a generating set of H
     holds every odd label and leaves out at most the h' labels."""
-    mats = phi.matrices
-    violations = bracket_violations(
-        H.labels, H.labels, H.parity, H.table,
-        lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
+    violations = bracket_violations(H.labels, H.labels, H.parity, H.table,
+                                    phi.matrices)
     return violations_report("phi is an H-representation",
                              "H bracket table under phi", H.labels, H.labels,
                              violations)

@@ -156,13 +156,12 @@ def derivative_violations(D: Deformation, N: int) -> dict:
     out = {}
     if N >= 2:
         out[LINEARIZED] = bracket_violations(
-            sc.basis, sc.generators, sc.parity, sc.table,
+            sc.basis, sc.generators, sc.parity, sc.table, B,
             lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
-            + sbracket(pa, pb, B[la], A[lb]), B)
+            + sbracket(pa, pb, B[la], A[lb]))
     if N >= 3:
-        out[SQUARE] = bracket_violations(
-            sc.basis, sc.generators, sc.parity, {},
-            lambda la, lb, pa, pb: sbracket(pa, pb, B[la], B[lb]), B)
+        out[SQUARE] = bracket_violations(sc.basis, sc.generators, sc.parity,
+                                         {}, B)
     return out
 
 
@@ -301,7 +300,7 @@ class ReplicatedModule(Record):
     def shifts(self) -> tuple:
         return self.base.shifts * self.N
 
-    @property
+    @cached_property
     def layers(self) -> tuple:
         return tuple(self.base.layers) * self.N
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superkac import algebra
 from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
@@ -101,6 +102,18 @@ class TestPhi:
         for K, sc, H, tspec in MATRIX:
             phi = phi_map(rho_family(K, tspec), H)
             assert check_phi_representation(phi, H).ok
+
+    def test_checks_without_a_root_grading_stay_pairwise(self, monkeypatch):
+        """The H check and the t-derivative identities give the relation
+        checker no root weights, so it never tries the certificate."""
+        def refuse(*args):
+            raise AssertionError("the certificate was tried")
+
+        monkeypatch.setattr(algebra, "_certified", refuse)
+        for K, sc, H, tspec in MATRIX:
+            rho = rho_family(K, tspec)
+            assert check_phi_representation(phi_map(rho, H), H).ok
+            assert mixed_derivative_report(rho).ok
 
     def test_lowering_part_is_plain_wedge_insertion(self):
         K, H, tspec = GL_TRIV, HG21, TwistSpec(2, (1, 0))

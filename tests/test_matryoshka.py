@@ -5,14 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from superkac import exact, matryoshka
+from superkac import algebra, exact, matryoshka
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
-                              check_super_relations, structure_constants,
-                              superbracket_violations)
+                              check_super_relations, extend_matrices,
+                              structure_constants, superbracket_violations)
 from superkac.evenrep import build_even_irrep
 from superkac.exact import (ParamPoly, ParameterizedEntryError, PolyMatrix,
                             kronecker_sum)
+from superkac.jsonio import dumps_canonical, module_to_json
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
                                  TwistSpec, cartan_matrix_of, deformation,
@@ -161,6 +162,21 @@ class TestReplicate:
         R2 = replicate(QUARTET, ReplicationSpec(2, lams[:1]))
         lead = leading_principal_submodule(R3)
         assert all(lead[lab] == R2.matrices[lab] for lab in lead)
+
+    def test_layers_built_once_with_the_same_artifact(self, monkeypatch):
+        """``layers`` is built on first read and kept, so the export's
+        read per basis position copies nothing; the artifact is that of
+        the property it replaced, which rebuilt the tuple on every read."""
+        spec = ReplicationSpec(3, (Fraction(1), Fraction(4)))
+        R = replicate(OCTET, spec)
+        cached = dumps_canonical(module_to_json(R))
+        assert R.__dict__["layers"] is R.layers
+        assert R.layers == tuple(OCTET.layers) * 3
+        monkeypatch.setattr(ReplicatedModule, "layers", property(
+            lambda self: tuple(self.base.layers) * self.N))
+        fresh = replicate(OCTET, spec)
+        assert fresh.layers is not fresh.layers
+        assert dumps_canonical(module_to_json(fresh)) == cached
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(InputError):
@@ -440,6 +456,14 @@ class TestReductionToBaseDimension:
         blocks = D.materialize(couplings, D.base.params)
         full = superbracket_violations(blocks, D.base.sc)
         assert {pair for pair, _ in reduced} == {pair for pair, _ in full}
+        # from N = 2 a Cartan block holds a Jordan block, not a diagonal,
+        # so the root-space certificate declines and the verdict above is
+        # the pairwise loop's
+        sc = D.base.sc
+        certified = algebra._certified(
+            sc.basis, sc.generators, sc.parity, sc.table,
+            extend_matrices(blocks, sc.recipes), sc.root_weights)
+        assert certified == (N == 1 and not full)
         assert check_super_relations(blocks, D.base.sc).ok == (not full)
         return {pair for pair, _ in full}
 

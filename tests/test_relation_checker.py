@@ -13,6 +13,11 @@ Super-Jacobi, which the checker verifies as "ad is a representation" on
 the generator pairs, is compared with the per-triple loop that expands
 every triple through the table: its pairs must equal the loop's violating
 pairs that contain a generator, and its verdict that of all triples.
+
+The root-space certificate, which the checker tries first for the plain
+superbracket of a table's targets, must leave every report and list as
+the pairwise loop gives it, never prove a case the loop rejects, and be
+taken on every passing module and verify job here.
 """
 
 import itertools
@@ -22,6 +27,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superkac import algebra, matryoshka
 from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
@@ -36,6 +43,7 @@ from superkac.matryoshka import (ReplicatedModule, block_relations_report,
                                  deformation, derivative_report,
                                  derivative_violations)
 from dense_oracles import dense_rref
+from test_golden import LADDER, run_example
 from testmatrix import ALGEBRA_CONFIGS
 
 # -- the reference: ParamPoly arithmetic entry by entry -----------------------
@@ -117,6 +125,7 @@ MODULES = {"sl21_a1": build_kac("sl", 2, 1, (1,)),
            "gl21_a1": build_kac("gl", 2, 1, (1,)),
            "sl31_a11": build_kac("sl", 3, 1, (1, 1))}
 E1, U1, V1 = GenLabel("e", 1), GenLabel("u", 1), GenLabel("v", 1)
+CARTAN = ("h", "y", "z0")
 
 
 def corrupted(K, label, value):
@@ -339,7 +348,7 @@ def test_one_combination_per_computed_pair(monkeypatch):
 
     monkeypatch.setattr(algebra, "combination", counted)
     assert bracket_violations(sc.basis, sc.generators, sc.parity, sc.table,
-                              bracket, mats) == []
+                              mats, bracket) == []
     # the table is graded-antisymmetric, so exactly the pairs listed with
     # the first label no later than the second are computed
     computed = sum(1 for la, lb in itertools.product(sc.basis, repeat=2)
@@ -348,11 +357,8 @@ def test_one_combination_per_computed_pair(monkeypatch):
     assert calls == {"bracket": computed, "combination": computed}
 
 
-def test_one_bracket_per_computed_jacobi_generator_pair(monkeypatch):
-    """super_jacobi_report brackets the ad matrices of the generator pairs
-    only: a return to all n^2 pairs makes more calls."""
-    sc = stack_sc("sl", 3, 1)
-    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+def count_products(monkeypatch) -> dict:
+    """Counts of the checker's ``sbracket`` and ``combination`` calls."""
     calls = {"bracket": 0, "combination": 0}
 
     def counted_bracket(*args):
@@ -365,6 +371,31 @@ def test_one_bracket_per_computed_jacobi_generator_pair(monkeypatch):
 
     monkeypatch.setattr(algebra, "sbracket", counted_bracket)
     monkeypatch.setattr(algebra, "combination", counted)
+    return calls
+
+
+def decline(monkeypatch) -> None:
+    """Force the root-space certificate to decline, so that every check
+    runs the pairwise loop."""
+    monkeypatch.setattr(algebra, "_certified", lambda *args: False)
+
+
+def refuse_pairwise(monkeypatch) -> None:
+    """Make an entry into the pairwise loop fail the test."""
+    def refuse(*args):
+        raise AssertionError("the pairwise loop ran")
+
+    monkeypatch.setattr(algebra, "_pairwise", refuse)
+
+
+def test_one_bracket_per_computed_jacobi_generator_pair(monkeypatch):
+    """With the certificate declined, super_jacobi_report brackets the ad
+    matrices of the generator pairs only: a return to all n^2 pairs makes
+    more calls."""
+    sc = stack_sc("sl", 3, 1)
+    order = {lab: pos for pos, lab in enumerate(sc.basis)}
+    decline(monkeypatch)
+    calls = count_products(monkeypatch)
     assert super_jacobi_report(sc).ok
     computed = sum(1 for la, lb in itertools.product(sc.basis, repeat=2)
                    if order[la] <= order[lb]
@@ -372,6 +403,21 @@ def test_one_bracket_per_computed_jacobi_generator_pair(monkeypatch):
     n = len(sc.basis)
     assert computed < n * (n + 1) // 2
     assert calls == {"bracket": computed, "combination": computed}
+
+
+def test_one_combination_per_generator_and_triangular_part(monkeypatch):
+    """The certificate forms one residual per root x of X and part G of
+    the triangular decomposition, [ad_x, S_G} - sum_t c_t ad_t, with one
+    ``combination`` per part for S_G: sl(3|1) has X = {e_1, e_2, u_1,
+    v_3} and the parts e/E, f/F, u, v."""
+    sc = stack_sc("sl", 3, 1)
+    refuse_pairwise(monkeypatch)
+    calls = count_products(monkeypatch)
+    assert super_jacobi_report(sc).ok
+    roots = [x for x in sc.generators if x.kind not in CARTAN]
+    parts = sc.root_weights[3]
+    assert (len(roots), len(parts)) == (4, 4)
+    assert calls == {"bracket": 4 * 4, "combination": 4 * 4 + 4}
 
 
 # -- the generating set --------------------------------------------------------
@@ -487,8 +533,8 @@ class TestAntisymmetryGuard:
         sc = self.K.sc
         mats = extend_matrices(self.K.matrices, sc.recipes)
         got = bracket_violations(
-            sc.basis, sc.generators, sc.parity, table,
-            lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
+            sc.basis, sc.generators, sc.parity, table, mats,
+            lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]))
         ref = ref_extended(self.K.matrices, sc.recipes)
         expected = on_generator_pairs(ref_violations(
             sc.basis, sc.parity, table,
@@ -564,8 +610,8 @@ def jacobi_check(sc, monkeypatch):
     """super_jacobi_report(sc) and the violations it got from the checker."""
     seen = []
 
-    def spy(*args):
-        seen.append(bracket_violations(*args))
+    def spy(*args, **kwargs):
+        seen.append(bracket_violations(*args, **kwargs))
         return seen[-1]
 
     with monkeypatch.context() as patch:
@@ -869,3 +915,267 @@ def test_direct_residuals_are_derivatives_of_base_residuals(name,
         assert square.scale(2) == D.along(D.along(base))
         failing += not base.is_zero
     assert bool(failing) == (corruption is not None)
+
+
+# -- the root-space certificate ------------------------------------------------
+#
+# A check that the certificate proves returns [] with no pair residual; any
+# other check runs the pairwise loop.  So with the certificate and with it
+# forced to decline, every report and violation list must be the same, and
+# the certificate must never prove a case that the pairwise loop rejects.
+
+
+def both_paths(monkeypatch, check) -> tuple:
+    """check() as it runs, and with the certificate forced to decline."""
+    taken = check()
+    with monkeypatch.context() as patch:
+        decline(patch)
+        return taken, check()
+
+
+def module_check(K, sc):
+    """The violation list and the report items of K's relations, checked
+    against the table of sc."""
+    return (flat(superbracket_violations(K.matrices, sc)),
+            check_super_relations(K.matrices, sc, "relations").items)
+
+
+# (name, module, whether its check fails)
+EQUIVALENT_MODULES = (
+    [(f"{name}-{corruption or 'true'}", case_module(name, corruption),
+      corruption is not None) for name, corruption in CASES]
+    + [(f"{name}-{label}", corrupted(MODULES[name], label, Fraction(1)), True)
+       for name, label in SWEEP]
+    + [(name, K, False) for name, K in LEMMA_MODULES.items()
+       if name not in MODULES])
+
+
+@pytest.mark.parametrize("name,K,fails", EQUIVALENT_MODULES,
+                         ids=[name for name, _, _ in EQUIVALENT_MODULES])
+def test_module_checks_equal_with_the_certificate_declined(name, K, fails,
+                                                            monkeypatch):
+    taken, declined = both_paths(monkeypatch, lambda: module_check(K, K.sc))
+    assert taken == declined
+    assert bool(taken[0]) == fails
+
+
+def module_of(sc):
+    """The zero-label module of sc's algebra, built on the true table."""
+    spec = sc.spec
+    return LEMMA_MODULES[f"{spec.flavor}{spec.m}{spec.n}_a0"]
+
+
+@pytest.mark.parametrize("name,sc", VERDICT_CASES,
+                         ids=[name for name, _ in VERDICT_CASES])
+def test_table_corruptions_equal_with_the_certificate_declined(name, sc,
+                                                               monkeypatch):
+    """super-Jacobi of a corrupted table, and a true module checked
+    against it: the same reports, pairs, entries and residuals."""
+    def jacobi():
+        report, violations = jacobi_check(sc, monkeypatch)
+        return report.items, flat(violations)
+
+    taken, declined = both_paths(monkeypatch, jacobi)
+    assert taken == declined
+    taken, declined = both_paths(monkeypatch,
+                                 lambda: module_check(module_of(sc), sc))
+    assert taken == declined
+
+
+@pytest.mark.parametrize("cfg", ALGEBRA_CONFIGS,
+                         ids=[f"{c['flavor']}{c['m']}{c['n']}"
+                              for c in ALGEBRA_CONFIGS])
+def test_true_tables_equal_with_the_certificate_declined(cfg, monkeypatch):
+    sc = stack_sc(cfg["flavor"], cfg["m"], cfg["n"])
+    taken, declined = both_paths(
+        monkeypatch, lambda: super_jacobi_report(sc).items)
+    assert taken == declined
+
+
+@pytest.mark.parametrize("name", LEMMA_MODULES)
+def test_passing_modules_take_the_certificate(name, monkeypatch):
+    """Every passing module of ALGEBRA_CONFIGS is proved without entering
+    the pairwise loop, so a premise that a later change breaks fails here
+    instead of silently costing the pair residuals."""
+    K = LEMMA_MODULES[name]
+    refuse_pairwise(monkeypatch)
+    assert superbracket_violations(K.matrices, K.sc) == []
+    assert check_super_relations(K.matrices, K.sc).ok
+
+
+@pytest.mark.parametrize("command,pins", LADDER,
+                         ids=[c.split(" --algebra ")[1] for c, _ in LADDER])
+def test_verify_ladder_takes_the_certificate(command, pins, tmp_path, capsys,
+                                             monkeypatch):
+    """The benchmark's verify jobs, super-Jacobi and module relations,
+    write their pinned bytes without entering the pairwise loop."""
+    refuse_pairwise(monkeypatch)
+    assert run_example(command, tmp_path, capsys, monkeypatch) == pins
+
+
+def test_compensating_table_corruptions_are_declined(monkeypatch):
+    """[x, b'] = c t loses c t to [x, b], b and b' in one triangular part:
+    the part's sum of the f_xb^t is unchanged, so only the premise
+    alpha_t = alpha_x + alpha_b, which [x, b] breaks, makes the
+    certificate decline; the pairwise loop finds both pairs."""
+    K = MODULES["sl31_a11"]
+    sc = K.sc
+    x, b_prime, b = E1, GenLabel("e", 2), GenLabel("E", 3)
+    (t, c), = sc.bracket(x, b_prime).items()
+    assert not sc.bracket(x, b)
+    bad = with_terms(sc, [((x, b), t, c), ((b, x), t, -c),
+                          ((x, b_prime), t, -c), ((b_prime, x), t, c)])
+    assert bad.root_weights is None
+    taken, declined = both_paths(monkeypatch, lambda: module_check(K, bad))
+    assert taken == declined
+    assert {(x, b), (x, b_prime)} <= {pair for pair, _, _ in taken[0]}
+
+
+def test_duplicate_root_weights_are_declined():
+    """In the abelian algebra on h_1, e_1, e_2, E_3 with [h_1, e] = e for
+    every root e, all roots weigh the same.  Targets with rho_e2 =
+    -rho_E3 make the residuals of (e_1, e_2) and (e_1, E_3) cancel in
+    their part's sum, so only the premise of distinct root weights makes
+    the certificate decline."""
+    h1, e2, E3 = GenLabel("h", 1), GenLabel("e", 2), GenLabel("E", 3)
+    basis = (h1, E1, e2, E3)
+    table = {}
+    for lab in basis[1:]:
+        table[(h1, lab)], table[(lab, h1)] = {lab: Fraction(1)}, \
+            {lab: Fraction(-1)}
+    sc = stack_sc("sl", 2, 1).replace(
+        basis=basis, parity=dict.fromkeys(basis, 0), table=table)
+    unit = {(0, 0): 0, (1, 1): 1, (2, 2): 2}
+    targets = {h1: PolyMatrix(3, 3, (), unit),
+               E1: PolyMatrix(3, 3, (), {(1, 0): 1}),
+               e2: PolyMatrix(3, 3, (), {(2, 1): 1}),
+               E3: PolyMatrix(3, 3, (), {(2, 1): -1})}
+    assert sc.root_weights is None
+    got = bracket_violations(basis, (E1,), sc.parity, table, targets,
+                             weights=sc.root_weights)
+    assert [pair for pair, _ in got] == [(E1, e2), (E1, E3), (e2, E1),
+                                         (E3, E1)]
+
+
+def test_mixed_parity_part_is_declined():
+    """u_1 odd and u_2 even, [h_1, u_i] = i u_i and every other bracket 0,
+    on C^4 with rho_u1 = E_10 + E_32 and rho_u2 = E_20 - E_31: there
+    {rho_u1, rho_u2} = 0 but [rho_u1, rho_u2] = 2 E_30.  A part summed
+    with one sign would pass the pair (u_1, u_2), so the certificate
+    declines a part of two parities and the pairwise loop finds it."""
+    h1, u1, u2 = GenLabel("h", 1), U1, GenLabel("u", 2)
+    basis = (h1, u1, u2)
+    table = {}
+    for weight, lab in enumerate(basis[1:], start=1):
+        table[(h1, lab)], table[(lab, h1)] = {lab: Fraction(weight)}, \
+            {lab: Fraction(-weight)}
+    sc = stack_sc("sl", 2, 1).replace(basis=basis, parity={h1: 0, u1: 1,
+                                                           u2: 0},
+                                      table=table)
+    targets = {h1: PolyMatrix(4, 4, (), {(i, i): i for i in range(4)}),
+               u1: PolyMatrix(4, 4, (), {(1, 0): 1, (3, 2): 1}),
+               u2: PolyMatrix(4, 4, (), {(2, 0): 1, (3, 1): -1})}
+    assert sc.root_weights is None
+    got = bracket_violations(basis, (u1,), sc.parity, table, targets,
+                             weights=sc.root_weights)
+    assert flat(got) == [((u1, u2), (3, 0), "2"), ((u2, u1), (3, 0), "-2")]
+
+
+def with_entry(mat, pos, value):
+    """mat with value added at pos."""
+    return mat + PolyMatrix(mat.rows, mat.cols, mat.params, {pos: value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_certificate_never_proves_a_rejected_case(data):
+    """One corruption of the targets (a changed value, a new entry at a
+    free position, a removed entry, an off-diagonal entry on a Cartan
+    target) or a graded-antisymmetric one of the table.  Where the
+    certificate proves the check, the pairwise loop finds nothing, and
+    the checker's list is always the pairwise loop's."""
+    K = MODULES[data.draw(st.sampled_from(sorted(MODULES)))]
+    sc = K.sc
+    mats = extend_matrices(K.matrices, sc.recipes)
+    kind = data.draw(st.sampled_from(
+        ["value", "new", "removed", "cartan", "table"]))
+    value = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3)]))
+    if data.draw(st.booleans()):
+        value = ParamPoly.var(K.params, "b") * value
+    if kind == "table":
+        a, b = data.draw(st.tuples(st.sampled_from(sc.basis),
+                                   st.sampled_from(sc.basis)))
+        t = data.draw(st.sampled_from([
+            t for t in sc.basis
+            if sc.parity[t] == sc.parity[a] ^ sc.parity[b]]))
+        coeff = Fraction(data.draw(st.sampled_from([1, -3])),
+                         data.draw(st.sampled_from([1, 2])))
+        sign = 1 if (sc.parity[a] and sc.parity[b]) else -1
+        sc = with_terms(sc, [((a, b), t, coeff)]
+                        + ([((b, a), t, sign * coeff)] if a != b else []))
+    else:
+        labels = [lab for lab in sc.basis
+                  if (lab.kind in CARTAN) == (kind == "cartan")]
+        label = data.draw(st.sampled_from(labels))
+        entries = mats[label].entries
+        if kind in ("value", "removed"):
+            pos = data.draw(st.sampled_from(sorted(entries)))
+            if kind == "removed":
+                value = -entries[pos]
+        else:
+            pos = data.draw(st.tuples(st.integers(0, K.dim - 1),
+                                      st.integers(0, K.dim - 1))
+                            .filter(lambda rc: rc not in entries
+                                    and (kind == "new" or rc[0] != rc[1])))
+        mats = {**mats, label: with_entry(mats[label], pos, value)}
+    args = (sc.basis, sc.generators, sc.parity, sc.table, mats)
+    pairwise = algebra._pairwise(
+        *args[:4], lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]),
+        mats)
+    weights = sc.root_weights
+    if weights is not None and algebra._certified(*args, weights):
+        assert pairwise == []
+    assert bracket_violations(*args, weights=weights) == pairwise
+    if kind == "table":
+        # the ad targets of the corrupted table, in super-Jacobi
+        with pytest.MonkeyPatch.context() as patch:
+            taken, declined = both_paths(
+                patch, lambda: flat(jacobi_check(sc, patch)[1]))
+        assert taken == declined
+
+
+def keys_agree(columns, shifts, rows) -> None:
+    """_weight_keys compares keys exactly where the vectors agree."""
+    keys, label_keys = algebra._weight_keys(columns, shifts, rows)
+    for r, c in itertools.product(range(rows), repeat=2):
+        for lab, vec in shifts.items():
+            same = all(col.get(r, 0) - col.get(c, 0) == vec[k]
+                       for k, col in enumerate(columns))
+            assert (keys[r] - keys[c] == label_keys[lab]) == same
+
+
+def test_weight_keys_are_exact_at_the_edge_of_the_base():
+    """Column 0 spans 3 and its shifts reach 3 in size, so E = 6: row 1
+    against row 0 under the shift (-3, 2) has the digits (6, -1), which
+    read as 6 - 6 = 0 in base E = 6.  The keys take base E + 1 = 7."""
+    columns = [{0: 0, 1: 3}, {1: 1}]
+    shifts = {"x": (-3, 2), "unit": (0, 1), "zero": (0, 0)}
+    keys, label_keys = algebra._weight_keys(columns, shifts, 2)
+    assert label_keys["unit"] == 7
+    assert 6 + (-1) * 6 == 0
+    assert keys[1] - keys[0] != label_keys["x"]
+    keys_agree(columns, shifts, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weight_keys_are_exact(data):
+    rows = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 3))
+    columns = [data.draw(st.dictionaries(st.integers(0, rows - 1),
+                                         st.integers(-5, 5)))
+               for _ in range(width)]
+    shifts = {i: tuple(data.draw(st.lists(st.integers(-9, 9), min_size=width,
+                                          max_size=width)))
+              for i in range(data.draw(st.integers(1, 4)))}
+    keys_agree(columns, shifts, rows)

@@ -4,7 +4,9 @@ For every sl(m|n) with m != n and every gl(m|n) with m != n, 1 <= m, n <= 5,
 for perturbed fundamental representations and for corrupted tables, the
 generating set X and every ad_a that ``super_jacobi_report`` hands to the
 relation checker equal the ``Fraction`` references kept in
-``setup_oracles``.  ``grading_report`` is pinned on a failing table.
+``setup_oracles``.  On every table, super-Jacobi is proved by the
+relation checker's root-space certificate without a pair residual.
+``grading_report`` is pinned on a failing table.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               structure_constants, super_jacobi_report)
 from setup_oracles import reference_ad_matrices, reference_generating_set
 from test_algebra import draw_perturbed_rep
-from test_relation_checker import VERDICT_CASES, stack_sc
+from test_relation_checker import VERDICT_CASES, refuse_pairwise, stack_sc
 from test_setup import SOLVABLE
 
 
@@ -27,7 +29,8 @@ def ad_matrices(sc, monkeypatch) -> dict:
     """The targets super_jacobi_report gives the relation checker."""
     seen = []
 
-    def spy(labels, generators, parity, table, bracket, targets):
+    def spy(labels, generators, parity, table, targets, bracket=None,
+            weights=None):
         seen.append(targets)
         return []
 
@@ -55,6 +58,16 @@ def completes(sc) -> bool:
 @pytest.mark.parametrize("flavor, m, n", SOLVABLE)
 def test_every_algebra_matches_the_references(flavor, m, n, monkeypatch):
     assert_matches_references(stack_sc(flavor, m, n), monkeypatch)
+
+
+@pytest.mark.parametrize("flavor, m, n", SOLVABLE)
+def test_every_algebra_takes_the_certificate(flavor, m, n, monkeypatch):
+    """super-Jacobi on the ad targets of every table is proved by the
+    root-space certificate, without entering the pairwise loop."""
+    sc = stack_sc(flavor, m, n)
+    assert sc.root_weights is not None
+    refuse_pairwise(monkeypatch)
+    assert super_jacobi_report(sc).ok
 
 
 @pytest.mark.parametrize("name,sc", VERDICT_CASES,
