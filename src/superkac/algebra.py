@@ -31,8 +31,8 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import gcd, lcm
 
-from superkac.exact import (DeclarationError, ParamPoly, PolyMatrix,
-                           combination, echelon_insert, integer_rref)
+from superkac.exact import (ParamPoly, PolyMatrix, combination,
+                           echelon_insert, integer_rref)
 from superkac.record import Record
 from superkac.report import VerificationReport
 
@@ -1017,33 +1017,25 @@ def _highest_weight(spec: SuperAlgebraSpec, a: Sequence[int]) -> tuple:
             [-n] * m + [m] * n, [1] * m + [-1] * n)
 
 
-def _affine_polys(params, spec: SuperAlgebraSpec, den: int,
-                  columns: Sequence) -> list:
-    """The ParamPolys (const[i] + bs[i] b + cs[i] c) / den for the columns
-    (const, bs, cs), over params or the module's; cs is read only for gl."""
-    params = tuple(params) if params is not None else module_params(spec)
-    names = ("b", "c") if spec.flavor == "gl" else ("b",)
-    monomials = [(0,) * len(params)]
-    for name in names:
-        if name not in params:
-            raise DeclarationError(
-                f"parameter {name!r} not declared in {params}")
-        monomials.append(tuple(int(p == name) for p in params))
+def _affine_polys(spec: SuperAlgebraSpec, den: int, columns: Sequence) -> list:
+    """The ParamPolys (const[i] + bs[i] b + cs[i] c) / den over the module's
+    params for the columns (const, bs, cs); cs is read only for gl."""
+    params = module_params(spec)
+    monomials = [(0,) * len(params)] + [
+        tuple(int(p == name) for p in params) for name in params]
     return [ParamPoly._of(params, {mono: Fraction(x, den)
                                    for mono, x in zip(monomials, nums) if x})
             for nums in zip(*columns[:len(monomials)])]
 
 
-def weight_from_labels(datum: RootDatum, a: Sequence[int],
-                       params: Sequence[str] | None = None) -> tuple:
+def weight_from_labels(datum: RootDatum, a: Sequence[int]) -> tuple:
     """Epsilon/delta coordinates of the highest weight, linear in b (and c);
     see ``_highest_weight`` for the gauge."""
     den, *columns = _highest_weight(datum.spec, a)
-    return tuple(_affine_polys(params, datum.spec, den, columns))
+    return tuple(_affine_polys(datum.spec, den, columns))
 
 
-def typicality_factors(datum: RootDatum, a: Sequence[int],
-                       params: Sequence[str] | None = None) -> list:
+def typicality_factors(datum: RootDatum, a: Sequence[int]) -> list:
     """The P linear polynomials <Lambda + rho | beta_i> in the odd label b,
     paired on ints over the denominators of Lambda and rho."""
     spec = datum.spec
@@ -1057,4 +1049,4 @@ def typicality_factors(datum: RootDatum, a: Sequence[int],
         for column, vec, scale in zip(pairings, (shifted, bs, cs),
                                       (1, rden, rden)):
             column.append(scale * sum(v * x for v, x in zip(vec, signed) if x))
-    return _affine_polys(params, spec, den * rden, pairings)
+    return _affine_polys(spec, den * rden, pairings)

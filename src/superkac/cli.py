@@ -82,12 +82,15 @@ class JobConfig(Record, frozen=False):
                 and self.c == "symbolic":
             raise InputError("c must be bound when b is: a gl job with a "
                              "rational b needs a rational c as well")
+        if self.flavor == "sl" and self.c != "symbolic":
+            raise InputError(f"c is the central charge of gl, and an sl job "
+                             f"has none: got {self.c}")
 
     def bindings(self) -> dict:
         out = {}
         if isinstance(self.b, Fraction):
             out["b"] = self.b
-        if self.flavor == "gl" and isinstance(self.c, Fraction):
+        if isinstance(self.c, Fraction):
             out["c"] = self.c
         return out
 

@@ -53,8 +53,8 @@ class EvenModule(Record):
     z0_scalar: ParamPoly | None       # central charge c, gl only
 
 
-def labels_to_hypercharge(sc: StructureConstants, a: Sequence[int],
-                          params: Sequence[str] | None = None) -> ParamPoly:
+def labels_to_hypercharge(sc: StructureConstants,
+                          a: Sequence[int]) -> ParamPoly:
     """Hypercharge eigenvalue y0 on the highest weight, linear in b.
 
     Inverts {u_1, v_1} = d^a_11 h_a + k y on the highest weight state, where
@@ -62,7 +62,7 @@ def labels_to_hypercharge(sc: StructureConstants, a: Sequence[int],
     """
     spec = sc.spec
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
+    params = module_params(spec)
     h_part = 0
     for label, coeff in sc.d[(1, 1)].items():
         if label.kind == "h":
@@ -227,8 +227,7 @@ def _term(blocks) -> tuple:
 
 
 def build_even_irrep(datum: RootDatum, a: Sequence[int],
-                     sc: StructureConstants,
-                     params: Sequence[str] | None = None) -> EvenModule:
+                     sc: StructureConstants) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
     Weight spaces are built level by level outward from the highest weight,
@@ -246,7 +245,7 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
     """
     spec = datum.spec
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
+    params = module_params(spec)
     a = tuple(int(x) for x in a)
     rank = spec.rank
     cartan = datum.cartan_matrix
@@ -312,12 +311,12 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
                 shift = [x + count * r for x, r in zip(shift, root)]
         shifts += [tuple(shift)] * len(space.basis)
 
-    y_scalar = labels_to_hypercharge(sc, a, params)
+    y_scalar = labels_to_hypercharge(sc, a)
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
 
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
         basis_words=tuple(basis_words), contents=tuple(contents),
-        hw=weight_from_labels(datum, a, params), shifts=tuple(shifts),
+        hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)

@@ -376,46 +376,6 @@ def _reduced(den: int, acc: dict, clean: bool = False):
     return den, rows
 
 
-def _column_index(left: dict, needed: set) -> dict:
-    """{col: [(row, x)]} of the entries of left in the needed columns."""
-    index: dict = {}
-    for r, lrow in left.items():
-        for k, x in lrow.items():
-            if k in needed:
-                index.setdefault(k, []).append((r, x))
-    return index
-
-
-def _accumulate_walk(acc: dict, index: dict, right: dict,
-                     factor: int) -> None:
-    """acc += factor * left @ right, walking the rows of right against a
-    column index of left (``_column_index``); may leave zeros, which
-    _reduced drops."""
-    for k, rrow in right.items():
-        for r, x in index.get(k, ()):
-            arow = acc.get(r)
-            if arow is None:
-                arow = acc[r] = {}
-            if factor != 1:
-                x *= factor
-            for c, y in rrow.items():
-                cur = arow.get(c)
-                arow[c] = x * y if cur is None else cur + x * y
-
-
-# a right term with at most 1/_THIN as many stored rows as its left term is
-# walked against a column index of the left term.  The walk pays for the
-# index, so it wins only where few left entries meet a right row: the
-# one-column products of kac_typicality, with row ratios of 8 and up, run
-# up to twice as fast walked.  The relation checks' products have ratios
-# of at most 4 and run slower walked, so they keep the row pass; every
-# cut-off from 5 to 64 does that and times the same on the benchmark.
-# Measured on sl(2|1)-sl(4|3): the root-space sums [rho_x, S_G} reach 2.3
-# on module targets and 3.6 on the ad targets of sl(4|3), the pair
-# residuals 2.3.
-_THIN = 8
-
-
 def _pencil(parts) -> dict:
     """Canonical pencil terms of a sum of scaled, shifted products.
 
@@ -427,19 +387,11 @@ def _pencil(parts) -> dict:
     denominator D = lcm(q.den * den_left * den_right), so the sums run over
     ints with the multipliers q * D / (den_left * den_right).
 
-    A product passes over every stored row of its left term, unless its
-    right term is thin (``_THIN``): then one column index of the left term,
-    over the columns its thin right terms need, serves all of them, and
-    each product costs in proportion to the entries it meets.
+    Each product is one pass over the stored rows of its left term.
     """
     groups: dict = {}
-    needed: dict = {}             # id of a left term -> columns to index
     for part in parts:
         groups.setdefault(part[0], []).append(part)
-        left, right = part[2], part[3]
-        if right is not None and len(right[1]) * _THIN <= len(left[1]):
-            needed.setdefault(id(left), set()).update(right[1])
-    indexes: dict = {}
     out = {}
     for exps, group in groups.items():
         dens = [q.denominator * left[0] * (1 if right is None else right[0])
@@ -450,12 +402,6 @@ def _pencil(parts) -> dict:
             factor = q.numerator * (common // den)
             if right is None:
                 _accumulate(acc, left[1], factor, row_off, col_off)
-            elif len(right[1]) * _THIN <= len(left[1]):
-                index = indexes.get(id(left))
-                if index is None:
-                    index = indexes[id(left)] = _column_index(
-                        left[1], needed[id(left)])
-                _accumulate_walk(acc, index, right[1], factor)
             else:
                 _accumulate_product(acc, left[1], right[1], factor)
         term = _reduced(common, acc)
@@ -626,27 +572,11 @@ class PolyMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, params: Sequence[str]) -> "PolyMatrix":
-        return cls(rows, cols, params, {})
-
-    @classmethod
     def identity(cls, n: int, params: Sequence[str]) -> "PolyMatrix":
         params = tuple(params)
         terms = {(0,) * len(params): (1, {i: {i: 1} for i in range(n)})} \
             if n else {}
         return cls._of(n, n, params, terms)
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence], params: Sequence[str] = ()) -> "PolyMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, val in enumerate(row):
-                entries[(r, c)] = val
-        return cls(rows, cols, params, entries)
 
     @classmethod
     def from_blocks(cls, rows: int, cols: int, params: Sequence[str],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
+from superkac.algebra import (GenLabel, InternalConsistencyError,
                               StructureConstants, bracket_violations,
                               violations_report)
 from superkac.exact import (ParamPoly, PolyMatrix, integer_rref,
@@ -87,7 +87,6 @@ class RhoFamily(Record):
 
     base: KacModule
     spec: TwistSpec
-    t_name: str
     params: tuple
     deformation: Deformation
     matrices: dict
@@ -97,13 +96,13 @@ class RhoFamily(Record):
         return self.spec.n * self.base.dim
 
 
-def rho_family(K: KacModule, spec: TwistSpec, t_name: str = "t") -> RhoFamily:
-    if t_name in K.params:
-        raise InputError(f"parameter {t_name!r} already in use")
+def rho_family(K: KacModule, spec: TwistSpec) -> RhoFamily:
+    """K's twist with the superdiagonal scaled by a new parameter t, which
+    follows K's params (b) or (b, c)."""
     D = deformation(K, spec.nu_y, spec.nu_c)
-    params = K.params + (t_name,)
-    t = ParamPoly.var(params, t_name)
-    return RhoFamily(base=K, spec=spec, t_name=t_name, params=params,
+    params = K.params + ("t",)
+    t = ParamPoly.var(params, "t")
+    return RhoFamily(base=K, spec=spec, params=params,
                      deformation=D,
                      matrices=D.materialize([t] * (spec.n - 1), params))
 
@@ -111,13 +110,13 @@ def rho_family(K: KacModule, spec: TwistSpec, t_name: str = "t") -> RhoFamily:
 def affine_in_t_report(rho: RhoFamily) -> VerificationReport:
     report = VerificationReport("rho_t affine in t")
     for label, mat in sorted(rho.matrices.items(), key=lambda kv: str(kv[0])):
-        deg = mat.degree(rho.t_name)
+        deg = mat.degree("t")
         if deg > 1:
             report.add_fail("degree in t at most 1", f"{label}", str(deg))
             return report
     report.add_pass("every generator matrix has degree <= 1 in t")
     report_t0 = all(
-        rho.matrices[label].coefficient(rho.t_name, 1).is_zero
+        rho.matrices[label].coefficient("t", 1).is_zero
         for label in rho.matrices if label.kind in ("h", "e", "f", "v"))
     if report_t0:
         report.add_pass("t appears only through h' and the odd raising part")
@@ -142,17 +141,16 @@ class HModule(Record):
 
 def phi_map(rho: RhoFamily, H: HeisenbergSpec) -> HModule:
     """phi(a_-) = rho_0(a_-), phi(a_+) = rho'_t(a_+), phi(h) = rho'_t(h)."""
-    t = rho.t_name
     base_params = rho.base.params
     matrices = {}
     for label in H.labels:
         mat = rho.matrices[label]
-        if mat.degree(t) > 1:
+        if mat.degree("t") > 1:
             raise InternalConsistencyError(f"rho_t({label}) is not affine in t")
         if label.kind == "v":
-            chosen = mat.coefficient(t, 0)
+            chosen = mat.coefficient("t", 0)
         else:
-            chosen = mat.coefficient(t, 1)
+            chosen = mat.coefficient("t", 1)
         matrices[label] = chosen.with_params(base_params)
     return HModule(rho=rho, H=H, params=base_params, matrices=matrices)
 
@@ -298,7 +296,7 @@ def compare_with_KH(phi: HModule) -> VerificationReport:
         report.add_pass("h' acts by nu(h) times the J-layer shift")
 
     consts = [lab for lab in rho.matrices if lab.kind in ("h", "e", "f")]
-    flat = all(rho.matrices[lab].coefficient(rho.t_name, 1).is_zero
+    flat = all(rho.matrices[lab].coefficient("t", 1).is_zero
                for lab in consts)
     if flat:
         report.add_pass("the semisimple even part has vanishing t-derivative")

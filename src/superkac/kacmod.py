@@ -71,9 +71,6 @@ class KacModule(Record):
     def odd_count(self) -> int:
         return self.sc.spec.odd_count
 
-    def index_of(self, subset: tuple, even_index: int) -> int:
-        return self.basis.index((tuple(subset), even_index))
-
 
 def _subset_order(P: int):
     """Layer-major, then lexicographic on the sorted subset."""
@@ -319,9 +316,6 @@ class TypicalityReport(Record):
                 out.append(pos)
         return tuple(out)
 
-    def is_typical(self, b_value) -> bool:
-        return not self.vanishing_types(b_value)
-
 
 def kac_typicality(K: KacModule) -> TypicalityReport:
     """Apply all lowering then all raising odd generators to the highest
@@ -341,7 +335,7 @@ def kac_typicality(K: KacModule) -> TypicalityReport:
         raise InternalConsistencyError(
             "typicality scalar vanished identically in b")
 
-    factors = typicality_factors(K.datum, K.labels, params)
+    factors = typicality_factors(K.datum, K.labels)
     product = ParamPoly.const(params, 1)
     for factor in factors:
         product = product * factor
@@ -395,9 +389,6 @@ class SingularVectorReport(Record):
     raising_set: str
     bindings: dict
     vectors: tuple
-
-    def at_layer(self, layer: int):
-        return [v for v in self.vectors if v.layer == layer]
 
 
 def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],

@@ -172,11 +172,11 @@ def reference_fundamental_matrices(spec) -> dict:
     return mats
 
 
-def reference_weight_from_labels(spec, a, params=None) -> tuple:
+def reference_weight_from_labels(spec, a) -> tuple:
     """Epsilon/delta coordinates of the highest weight, summed up in
     ParamPoly arithmetic."""
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
+    params = module_params(spec)
     m, n = spec.m, spec.n
     b = ParamPoly.var(params, "b")
     zero = ParamPoly.zero(params)
@@ -205,20 +205,20 @@ def reference_weight_from_labels(spec, a, params=None) -> tuple:
     return tuple(coords)
 
 
-def reference_typicality_factors(spec, a, params=None) -> list:
+def reference_typicality_factors(spec, a) -> list:
     """<Lambda + rho | beta_i> on the Fraction datum."""
     datum = reference_root_datum(spec)
-    coords = reference_weight_from_labels(spec, a, params)
+    coords = reference_weight_from_labels(spec, a)
     shifted = tuple(coord + r for coord, r in zip(coords, datum["rho"]))
     return [reference_bilinear(spec, shifted, beta)
             for beta in datum["odd_positive_roots"]]
 
 
-def reference_labels_to_hypercharge(sc, a, params=None) -> ParamPoly:
+def reference_labels_to_hypercharge(sc, a) -> ParamPoly:
     """(b - d^a_11 a_a) / k in ParamPoly arithmetic."""
     spec = sc.spec
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
+    params = module_params(spec)
     h_part = 0
     for label, coeff in sc.d[(1, 1)].items():
         if label.kind == "h":

@@ -27,6 +27,7 @@ from superkac.cli import main as cli_main
 from superkac.evenrep import build_even_irrep
 from superkac.exact import PolyMatrix
 from superkac.kacmod import induce, kac_typicality, singular_vectors
+from rescaling import rescale_conjugation_check
 from testmatrix import (ALGEBRA_CONFIGS, COUPLING_SETS, GENERIC_B,
                         KAC_CONFIGS, bindings_for)
 
@@ -146,10 +147,10 @@ def test_criterion_5_derivative_identity():
         eye = PolyMatrix.identity(K.dim, K.params)
         P = K.odd_count
         for i, j in itertools.product(range(1, P + 1), repeat=2):
-            up = D.u_prime[i]
+            up = D.B[GenLabel("u", i)]
             v = K.matrices[GenLabel("v", j)]
             expected = eye.scale(sc.k) if i == j else \
-                PolyMatrix.zeros(K.dim, K.dim, K.params)
+                PolyMatrix(K.dim, K.dim, K.params)
             assert up @ v + v @ up == expected
     report(5, "{u'_i, v_j} = k delta_ij I exactly on every test module")
 
@@ -171,7 +172,7 @@ def test_criterion_6_matryoshka_theorem():
             profile = mat.jordan_minpoly_profile(R, dict(binds, b=GENERIC_B))
             assert set(profile.values()) == {N}
         for lam in (Fraction(1), Fraction(2), Fraction(-3, 5)):
-            assert mat.rescale_conjugation_check(K, lam).ok
+            assert rescale_conjugation_check(K, lam).ok
     report(6, "N in {2,3} replications with couplings (1), (1,1), (2,-3/5): "
               "exact relations, base diagonal blocks, Jordan degree N on "
               "every weight space, and the rescaling conjugation identity")

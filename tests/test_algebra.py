@@ -526,7 +526,7 @@ class TestRelationChecker:
 
     def test_zeroed_generator_fails_with_locator(self):
         broken = dict(SL21.matrices)
-        broken[GenLabel("u", 1)] = PolyMatrix.zeros(3, 3, ())
+        broken[GenLabel("u", 1)] = PolyMatrix(3, 3, ())
         report = check_super_relations(broken, SC21)
         assert not report.ok
         failure = report.failures[0]

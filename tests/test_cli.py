@@ -113,6 +113,23 @@ class TestConfigValidation:
         assert main([action, "--algebra", "gl", "--b", "5/7",
                      "--c", "3/11"]) == 0
 
+    @pytest.mark.parametrize("argv,config", [
+        (["verify", "--c", "1"], None),
+        (["typicality", "--b", "5/7", "--c", "3/11"], None),
+        (["verify"], {"c": "1"}),
+    ])
+    def test_sl_job_refuses_a_rational_c(self, tmp_path, capsys, argv,
+                                         config):
+        if config is not None:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: c ")
+        assert "sl job" in err
+
 
 class TestFieldNamedErrors:
     """A path that cannot be read or written exits 2 with a message that

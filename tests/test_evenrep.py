@@ -87,8 +87,7 @@ class _VermaWords:
 
 
 def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
-                               sc: StructureConstants,
-                               params: Sequence[str] | None = None) -> EvenModule:
+                               sc: StructureConstants) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
     Weight supports are explored outward from the highest weight.  Since
@@ -101,7 +100,7 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
     """
     spec = datum.spec
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
+    params = module_params(spec)
     a = tuple(int(x) for x in a)
     rank = spec.rank
     verma = _VermaWords(datum.cartan_matrix, a)
@@ -207,13 +206,13 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
                 shift = [ss + count * rr for ss, rr in zip(shift, root)]
         shifts.append(tuple(shift))
 
-    y_scalar = labels_to_hypercharge(sc, a, params)
+    y_scalar = labels_to_hypercharge(sc, a)
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
 
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
         basis_words=tuple(basis_words), contents=tuple(contents),
-        hw=weight_from_labels(datum, a, params), shifts=tuple(shifts),
+        hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)
 
@@ -290,9 +289,7 @@ def _weight_space(spaces: dict, content: tuple,
 
 
 def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
-                               sc: StructureConstants,
-                               params: Sequence[str] | None = None
-                               ) -> EvenModule:
+                               sc: StructureConstants) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
     Weight spaces are built level by level outward from the highest weight,
@@ -308,7 +305,7 @@ def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
     """
     spec = datum.spec
     validate_even_labels(spec, a)
-    params = tuple(params) if params is not None else module_params(spec)
+    params = module_params(spec)
     a = tuple(int(x) for x in a)
     rank = spec.rank
     cartan = datum.cartan_matrix
@@ -379,13 +376,13 @@ def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
                 shift = [ss + count * rr for ss, rr in zip(shift, root)]
         shifts.append(tuple(shift))
 
-    y_scalar = labels_to_hypercharge(sc, a, params)
+    y_scalar = labels_to_hypercharge(sc, a)
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
 
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
         basis_words=tuple(basis_words), contents=tuple(contents),
-        hw=weight_from_labels(datum, a, params), shifts=tuple(shifts),
+        hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)
 

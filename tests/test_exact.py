@@ -3,7 +3,6 @@
 import math
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -196,6 +195,13 @@ def test_derivative_linear_and_leibniz(p, q, x, y):
     assert d(p * q) == d(p) * q + p * d(q)
 
 
+def dense(data, params=()) -> PolyMatrix:
+    """The matrix of a list of equal-length rows."""
+    return PolyMatrix(len(data), len(data[0]), params,
+                      {(r, c): x for r, row in enumerate(data)
+                       for c, x in enumerate(row)})
+
+
 def linear_solve(m: PolyMatrix) -> tuple:
     """(rank, nullspace) of a parameter-free matrix, read off the integer
     RREF of its integer rows."""
@@ -208,7 +214,7 @@ class TestLinearSolve:
         assert linear_solve(PolyMatrix.identity(3, ())) == (3, ())
 
     def test_proportional_rows(self):
-        assert linear_solve(PolyMatrix.from_rows([[1, 2], [2, 4]])) == \
+        assert linear_solve(dense([[1, 2], [2, 4]])) == \
             (1, ((Fraction(-2), Fraction(1)),))
 
     def test_sl2_shapovalov_depth3_singular_at_a2(self):
@@ -219,7 +225,7 @@ class TestLinearSolve:
         for n in (1, 2, 3):
             gram *= Fraction(n * (a - n + 1))
         assert gram == 0
-        assert linear_solve(PolyMatrix.from_rows([[gram]])) == \
+        assert linear_solve(dense([[gram]])) == \
             (0, ((Fraction(1),),))
 
     def test_parameterized_entry_rejected(self):
@@ -228,7 +234,7 @@ class TestLinearSolve:
             linear_solve(m)
 
     def test_deterministic_pivoting(self):
-        m = PolyMatrix.from_rows([[0, 1, 1], [1, 1, 0], [1, 2, 1]])
+        m = dense([[0, 1, 1], [1, 1, 0], [1, 2, 1]])
         assert linear_solve(m) == linear_solve(m) == \
             (2, ((Fraction(1), Fraction(-1), Fraction(1)),))
 
@@ -239,11 +245,11 @@ class TestLinearSolve:
                          min_size=3, max_size=3),
                 min_size=1, max_size=4))
 def test_rref_nullspace_identities(rows):
-    m = PolyMatrix.from_rows(rows)
+    m = dense(rows)
     rank, basis = linear_solve(m)
     assert rank + len(basis) == m.cols
     for vec in basis:
-        assert (m @ PolyMatrix.from_rows([[x] for x in vec])).is_zero
+        assert (m @ dense([[x] for x in vec])).is_zero
 
 
 class TestExactSolver:
@@ -290,7 +296,7 @@ class TestMatrixAlgebra:
         assert combination([(2, m, None)]) == m + m
 
     def test_matmul_against_dense(self):
-        m1 = PolyMatrix.from_rows([[1, 2], [0, 1]], PARAMS)
+        m1 = dense([[1, 2], [0, 1]], PARAMS)
         m2 = PolyMatrix(2, 2, PARAMS, {(0, 0): b(), (1, 0): c()})
         prod = m1 @ m2
         assert prod.entry(0, 0) == b() + 2 * c()
@@ -299,7 +305,7 @@ class TestMatrixAlgebra:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            PolyMatrix.zeros(2, 3, ()) @ PolyMatrix.zeros(2, 3, ())
+            PolyMatrix(2, 3, ()) @ PolyMatrix(2, 3, ())
 
     def test_out_of_range_entry(self):
         with pytest.raises(IndexError):
@@ -462,7 +468,7 @@ ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
 @example((2, 1, [((2, {0: {1: 1}}), ONE_BY_ONE),
                  ((2, {0: {1: -1}}), ONE_BY_ONE)]))           # cancelling W
 @example((2, 2, [((4, {0: {0: 4}, 1: {0: 3}}),
-                  PolyMatrix.zeros(2, 2, PARAMS))]))            # zero B
+                  PolyMatrix(2, 2, PARAMS))]))            # zero B
 @example((3, 1, [((5, {0: {2: 10}, 2: {1: -2}}), ONE_BY_ONE),
                  ((1, {1: {1: 1}}), PolyMatrix(1, 1, PARAMS,
                                                {(0, 0): c() * b()}))]))
@@ -779,7 +785,7 @@ def integer_factors(draw):
 @given(integer_factors())
 def test_integer_product_matches_matmul(factors):
     left, right = factors
-    want = PolyMatrix.from_rows(left) @ PolyMatrix.from_rows(right)
+    want = dense(left) @ dense(right)
     got = integer_product(
         {r: sparse(row) for r, row in enumerate(left) if any(row)},
         {r: sparse(row) for r, row in enumerate(right) if any(row)})
@@ -869,11 +875,9 @@ def thin_products(draw):
 @settings(deadline=None, max_examples=150)
 @given(thin_products())
 def test_thin_products_match_the_row_pass(terms):
-    # the column walk (every product thin), the pass over the left rows
-    # (none thin) and the path the stored row counts pick agree, and each
-    # is the entry-wise sum of products
+    # one pass over the left rows is the entry-wise sum of products
     zero = ParamPoly.zero(PARAMS)
-    rows, cols = terms[0][1].rows, terms[0][2].cols
+    cols = terms[0][2].cols
     want = {}
     for q, a, b_ in terms:
         ea, eb = a.entries, b_.entries
@@ -882,11 +886,7 @@ def test_thin_products_match_the_row_pass(terms):
                 y = eb.get((k, c))
                 if y is not None:
                     want[(r, c)] = want.get((r, c), zero) + x * y * q
-    got = combination(terms)
-    assert_matches(got, want)
-    for thin in (0, rows + 1):
-        with mock.patch.object(exact, "_THIN", thin):
-            assert combination(terms) == got
+    assert_matches(combination(terms), want)
 
 
 # -- int coefficients taken as they are ---------------------------------------

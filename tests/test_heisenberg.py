@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superkac import algebra
-from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
+from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
 from dense_oracles import dense_linear_solve
@@ -91,10 +91,6 @@ class TestRhoFamily:
     def test_affine_in_t(self):
         for K, sc, H, tspec in MATRIX:
             assert affine_in_t_report(rho_family(K, tspec)).ok
-
-    def test_parameter_collision_rejected(self):
-        with pytest.raises(InputError):
-            rho_family(QUARTET, TwistSpec(2, (1,)), t_name="b")
 
 
 class TestPhi:
@@ -254,7 +250,7 @@ def test_lowering_rank_is_the_solved_rank(flavor, m, n, a, tspec):
     label = GenLabel("v", 1)
     generating = generating_columns(phi)
     for mat in (phi.matrices[label],
-                PolyMatrix.zeros(phi.dim, phi.dim, phi.params),
+                PolyMatrix(phi.dim, phi.dim, phi.params),
                 phi.matrices[label].scale(Fraction(1, 2))):
         broken = phi.replace(matrices={**phi.matrices, label: mat})
         assert lowering_rank(broken, generating) == \
@@ -279,7 +275,7 @@ class TestCompareWithKH:
     def test_corrupted_lowering_rank_matches_reference(self):
         phi = phi_map(rho_family(GL_A1, TwistSpec(2, (2, -3))), HG21)
         label = GenLabel("v", 1)
-        for mat in (PolyMatrix.zeros(phi.dim, phi.dim, phi.params),
+        for mat in (PolyMatrix(phi.dim, phi.dim, phi.params),
                     phi.matrices[label].scale(Fraction(1, 2))):
             broken = phi.replace(matrices={**phi.matrices, label: mat})
             generating = generating_columns(broken)
@@ -307,7 +303,7 @@ class TestCompareWithKH:
     def test_zeroed_lowering_fails_free_generation(self):
         failed = self._failed_checks(
             GenLabel("v", 1),
-            lambda mat: PolyMatrix.zeros(mat.rows, mat.cols, mat.params))
+            lambda mat: PolyMatrix(mat.rows, mat.cols, mat.params))
         assert failed == {"generator matrices agree", "free generation rank"}
 
     def test_direct_induction_dimension(self):

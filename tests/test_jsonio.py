@@ -147,7 +147,7 @@ def poly(terms):
                   (1, 1): 2}),
     (0, 2): poly({(0, 0): Fraction(-2, 3), (1, 0): Fraction(5, 6)}),
     (1, 1): poly({(0, 0): Fraction(-1, 12), (2, 0): -6})}))
-@example(PolyMatrix.zeros(3, 2, PARAMS))
+@example(PolyMatrix(3, 2, PARAMS))
 def test_matrix_to_json_matches_the_param_poly_reference(m):
     got = jsonio.matrix_to_json(m)
     want = reference_matrix_to_json(m)

@@ -1,10 +1,11 @@
 """Module layering: no superkac module reaches into another one's private
 names, so each module's public functions are its whole interface; no
 module imports ``typing``, which a CLI run would otherwise load; and the
-public names that nothing in ``src/`` names are a known, pinned list."""
+public names that nothing in ``src/`` names, and the defaulted parameters
+that no call in ``src/`` sets, are known, pinned lists."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -121,19 +122,12 @@ def unnamed_public_definitions(paths) -> list:
 
 
 # Public names that only tests use: the paper features not yet reached
-# from the CLI (ROADMAP item 5) and helpers the tests call.  A new public
-# name needs a caller in src/, or its place here.
+# from the CLI (ROADMAP items 3 and 6).  A new public name needs a caller
+# in src/, or its place here.
 TEST_ONLY = [
-    "exact.PolyMatrix.from_rows",
-    "exact.PolyMatrix.zeros",
     "jsonio.module_matrices_from_json",
-    "kacmod.KacModule.index_of",
-    "kacmod.SingularVectorReport.at_layer",
-    "kacmod.TypicalityReport.is_typical",
-    "matryoshka.Deformation.u_prime",
     "matryoshka.diagonal_block",
     "matryoshka.leading_principal_submodule",
-    "matryoshka.rescale_conjugation_check",
     "matryoshka.self_extension_iso_decision",
     "matryoshka.upsilon_extract",
 ]
@@ -162,3 +156,92 @@ def test_checker_sees_a_name_only_tests_use(tmp_path):
                                    "x = Box().opened()\n", encoding="utf-8")
     assert unnamed_public_definitions(sorted(tmp_path.glob("*.py"))) == \
         ["a.Box.shut", "a.lonely"]
+
+
+def unset_defaults(paths) -> list:
+    """'module.name(param)' for each defaulted parameter of a public
+    function or method defined at the top level of ``paths`` (a method as
+    'module.Class.name(param)') that no call in ``paths`` sets, by position
+    or by keyword.  A call is matched by the name it calls alone, and one
+    that splats *args or **kwargs sets every parameter."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))] \
+                    .append(node)
+
+    def sets(call, name, position) -> bool:
+        return any(isinstance(arg, ast.Starred) for arg in call.args) \
+            or any(kw.arg in (None, name) for kw in call.keywords) \
+            or (position is not None and position < len(call.args))
+
+    found = []
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                # a method's self or cls is not passed by position
+                members = [(f"{node.name}.{sub.name}", sub, 0 if any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in sub.decorator_list) else 1)
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            for qualified, definition, implicit in members:
+                if definition.name.startswith("_"):
+                    continue
+                args = definition.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaulted = [(arg.arg, k - implicit)
+                             for k, arg in enumerate(positional) if k >= first]
+                defaulted += [(arg.arg, None) for arg, default
+                              in zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                found += [f"{path.stem}.{qualified}({name})"
+                          for name, position in defaulted
+                          if not any(sets(call, name, position)
+                                     for call in calls[definition.name])]
+    return sorted(found)
+
+
+# Defaulted parameters that no call in src/ sets: the CLI's argv, which
+# tests pass, the singular-vector raising set and a test-only function's
+# bindings.  A new one needs a caller that sets it, or its place here.
+UNSET_DEFAULTS = [
+    "cli.main(argv)",
+    "kacmod.singular_vectors(raising_set)",
+    "matryoshka.self_extension_iso_decision(bindings)",
+]
+
+
+def test_defaults_no_call_sets_are_pinned():
+    assert unset_defaults(MODULES) == UNSET_DEFAULTS
+
+
+def test_checker_sees_a_default_no_call_sets(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, z=2, *, w=3):\n"
+        "    return x\n"
+        "def splat(p=0):\n"
+        "    return p\n"
+        "def _hidden(q=0):\n"
+        "    return q\n"
+        "class Box:\n"
+        "    def put(self, item=None, many=False):\n"
+        "        return item\n"
+        "    @staticmethod\n"
+        "    def make(size=0, kind=None):\n"
+        "        return Box()\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from a import Box, f, splat\n"
+                                   "f(0, 1)\n"
+                                   "f(0, w=4)\n"
+                                   "splat(*[])\n"
+                                   "Box().put(5)\n"
+                                   "Box.make(1)\n", encoding="utf-8")
+    assert unset_defaults(sorted(tmp_path.glob("*.py"))) == \
+        ["a.Box.make(kind)", "a.Box.put(many)", "a.f(z)"]

@@ -16,7 +16,6 @@ from superkac.algebra import (FundamentalRep, InputError, RootDatum,
                               build_root_datum, structure_constants,
                               typicality_factors, weight_from_labels)
 from superkac.evenrep import labels_to_hypercharge
-from superkac.exact import DeclarationError
 from setup_oracles import (reference_fundamental_matrices,
                            reference_labels_to_hypercharge,
                            reference_root_datum, reference_typicality_factors,
@@ -51,11 +50,6 @@ def label_vectors(spec) -> list:
     rank = spec.rank
     return [(0,) * rank, (1,) * rank,
             tuple((3 * i + 2) % 4 for i in range(rank))]
-
-
-def param_lists(spec) -> list:
-    names = ("b", "c") if spec.flavor == "gl" else ("b",)
-    return [None, names[::-1], ("t",) + names[::-1]]
 
 
 def coefficient_types(polys) -> set:
@@ -126,29 +120,11 @@ def test_weight_readers_match_fraction_reference(flavor, m, n):
     spec = spec_of(flavor, m, n)
     rep = build_fundamental_rep(spec)
     sc = structure_constants(rep)
-    for a, params in itertools.product(label_vectors(spec),
-                                       param_lists(spec)):
-        coords = weight_from_labels(rep.datum, a, params)
-        assert coords == reference_weight_from_labels(spec, a, params)
-        factors = typicality_factors(rep.datum, a, params)
-        assert factors == reference_typicality_factors(spec, a, params)
-        y0 = labels_to_hypercharge(sc, a, params)
-        assert y0 == reference_labels_to_hypercharge(sc, a, params)
+    for a in label_vectors(spec):
+        coords = weight_from_labels(rep.datum, a)
+        assert coords == reference_weight_from_labels(spec, a)
+        factors = typicality_factors(rep.datum, a)
+        assert factors == reference_typicality_factors(spec, a)
+        y0 = labels_to_hypercharge(sc, a)
+        assert y0 == reference_labels_to_hypercharge(sc, a)
         assert coefficient_types([*coords, *factors, y0]) <= {Fraction}
-
-
-@pytest.mark.parametrize("flavor, m, n", [("sl", 2, 1), ("gl", 2, 3)])
-def test_weight_readers_name_an_undeclared_parameter(flavor, m, n):
-    spec = spec_of(flavor, m, n)
-    rep = build_fundamental_rep(spec)
-    sc = structure_constants(rep)
-    a = (0,) * spec.rank
-    for params in (("c",), ("b",)) if flavor == "gl" else (("c",),):
-        for read, ref in ((weight_from_labels, reference_weight_from_labels),
-                          (typicality_factors, reference_typicality_factors)):
-            with pytest.raises(DeclarationError):
-                ref(spec, a, params)
-            with pytest.raises(DeclarationError):
-                read(rep.datum, a, params)
-    with pytest.raises(DeclarationError):
-        labels_to_hypercharge(sc, a, ("c",))
