@@ -428,24 +428,15 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
     (left, right) of that bracket.
     """
     pair_pos = {pair: t for t, pair in enumerate(datum.even_root_pairs)}
-    simple_pos = {}                   # (a,b) height one -> simple index
-    idx = 1
-    for a in range(spec.m - 1):
-        simple_pos[(a, a + 1)] = idx
-        idx += 1
-    for j in range(spec.n - 1):
-        simple_pos[(spec.m + j, spec.m + j + 1)] = idx
-        idx += 1
 
-    def raise_label(pair):
-        if pair in simple_pos:
-            return GenLabel("e", simple_pos[pair])
-        return GenLabel("E", pair_pos[pair] + 1)
-
-    def lower_label(pair):
-        if pair in simple_pos:
-            return GenLabel("f", simple_pos[pair])
-        return GenLabel("F", pair_pos[pair] + 1)
+    def label(kind: str, pair: tuple) -> GenLabel:
+        """The root vector of kind E or F at an even root pair: a simple
+        e_i or f_i for height one, numbered through sl(m) and then sl(n),
+        and otherwise numbered by the pair's place in the datum."""
+        a, b = pair
+        if b - a == 1:
+            return GenLabel(kind.lower(), a + 1 if a < spec.m else a)
+        return GenLabel(kind, pair_pos[pair] + 1)
 
     basis = [GenLabel("h", i) for i in range(1, spec.rank + 1)]
     basis.append(GenLabel("y"))
@@ -456,12 +447,12 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
     raising, lowering = [], []
     for pair in datum.even_root_pairs:
         a, b = pair
-        e_lab, f_lab = raise_label(pair), lower_label(pair)
+        e_lab, f_lab = label("E", pair), label("F", pair)
         raising.append(e_lab)
         lowering.append(f_lab)
         if b - a > 1:
-            recipes[e_lab] = (raise_label((a, a + 1)), raise_label((a + 1, b)))
-            recipes[f_lab] = (lower_label((a + 1, b)), lower_label((a, a + 1)))
+            recipes[e_lab] = (label("E", (a, a + 1)), label("E", (a + 1, b)))
+            recipes[f_lab] = (label("F", (a + 1, b)), label("F", (a, a + 1)))
     basis += raising + lowering
     basis += [GenLabel("u", i) for i in range(1, spec.odd_count + 1)]
     basis += [GenLabel("v", i) for i in range(1, spec.odd_count + 1)]
@@ -563,7 +554,8 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
 
     def put(i: int, j: int, s: int, terms) -> None:
         """[b_i, b_j} = sum num / den b_t and [b_j, b_i} = s times that,
-        both None where the bracket leaves the basis."""
+        each an expansion {label: Fraction}, both None where the bracket
+        leaves the basis."""
         if terms is None:
             brackets[i][j] = brackets[j][i] = None
             return
@@ -573,7 +565,7 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
                 key = (sign * num, den)
                 if key not in fractions:
                     fractions[key] = Fraction(*key)
-                expansion[t] = fractions[key]
+                expansion[basis[t]] = fractions[key]
 
     # The Cartan labels h, y (and z0) are even, so Cartan x Cartan is 0 and
     # Cartan x root the weight difference.  An odd label on the diagonal is
@@ -610,7 +602,7 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
                 raise InternalConsistencyError(
                     f"superbracket [{la}, {basis[j]}] does not close on the "
                     "basis")
-            table[(la, basis[j])] = {basis[t]: v for t, v in row[j].items()}
+            table[(la, basis[j])] = row[j]
 
     ylab = GenLabel("y")
     grade = {}

@@ -36,6 +36,13 @@ WRITES = {"build": ("out",), "export": ("out",), "verify": ("report",),
           "typicality": ("report",), "replicate": ("out", "report"),
           "twist": ("out", "report"), "heisenberg": ("out", "report")}
 
+# the job fields only some verbs read: verify checks the module with b
+# and c symbolic
+READ_BY = {"N": ("replicate",), "lambdas": ("replicate",),
+           "nu": ("twist", "heisenberg"), "n_twist": ("twist", "heisenberg"),
+           "b": tuple(a for a in ACTIONS if a != "verify"),
+           "c": tuple(a for a in ACTIONS if a != "verify")}
+
 
 class JobConfig(Record, frozen=False):
     action: str
@@ -78,13 +85,18 @@ class JobConfig(Record, frozen=False):
                 raise InputError(
                     f"{name} is not written by {self.action}, which writes "
                     f"only {' and '.join(WRITES[self.action])}")
+        if self.flavor == "sl" and self.c != "symbolic":
+            raise InputError(f"c is the central charge of gl, and an sl job "
+                             f"has none: got {self.c}")
+        for name, readers in READ_BY.items():
+            if self.action not in readers \
+                    and getattr(self, name) != self._defaults[name]:
+                raise InputError(f"{name} is not read by {self.action}, "
+                                 f"only by {', '.join(readers)}")
         if self.flavor == "gl" and self.b != "symbolic" \
                 and self.c == "symbolic":
             raise InputError("c must be bound when b is: a gl job with a "
                              "rational b needs a rational c as well")
-        if self.flavor == "sl" and self.c != "symbolic":
-            raise InputError(f"c is the central charge of gl, and an sl job "
-                             f"has none: got {self.c}")
 
     def bindings(self) -> dict:
         out = {}
@@ -207,13 +219,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _build_stack(cfg: JobConfig):
-    spec = SuperAlgebraSpec(cfg.m, cfg.n, cfg.flavor)
-    rep = build_fundamental_rep(spec)
+    rep = build_fundamental_rep(SuperAlgebraSpec(cfg.m, cfg.n, cfg.flavor))
     sc = structure_constants(rep)
-    labels = cfg.labels if cfg.labels else tuple([0] * spec.rank)
-    L = build_even_irrep(rep.datum, labels, sc)
-    K = induce(L, rep.datum, sc)
-    return spec, rep, sc, K
+    labels = cfg.labels if cfg.labels else tuple([0] * rep.spec.rank)
+    return induce(build_even_irrep(rep.datum, labels, sc), sc)
 
 
 def _check_writable(field: str, path: str) -> None:
@@ -251,7 +260,7 @@ def _emit(cfg: JobConfig, module, report: VerificationReport | None) -> None:
     if report is not None:
         print(report.summary())
         if cfg.report:
-            _write("report", jsonio.report_to_json(report), cfg.report)
+            _write("report", report.to_jsonable(), cfg.report)
 
 
 def run(cfg: JobConfig) -> int:
@@ -259,19 +268,23 @@ def run(cfg: JobConfig) -> int:
     for name in WRITES[cfg.action]:
         if getattr(cfg, name):
             _check_writable(name, getattr(cfg, name))
+    if cfg.action == "export" and not cfg.out:
+        raise InputError("export needs --out")
+    if cfg.action == "twist" and not cfg.nu:
+        raise InputError("twist needs --nu")
+
+    K = _build_stack(cfg)
+    sc, spec = K.sc, K.sc.spec
+    title = f"{spec} a={list(K.L.labels)}"
+    module, report = None, None
 
     if cfg.action in ("build", "export"):
-        if cfg.action == "export" and not cfg.out:
-            raise InputError("export needs --out")
-        spec, rep, sc, K = _build_stack(cfg)
-        print(f"{spec} a={list(K.labels)}: Kac module of dimension {K.dim} "
+        print(f"{title}: Kac module of dimension {K.dim} "
               f"(2^{K.odd_count} x {K.L.dim}), params {list(K.params)}")
-        _emit(cfg, K, None)
-        return 0
+        module = K
 
-    if cfg.action == "verify":
-        spec, rep, sc, K = _build_stack(cfg)
-        report = VerificationReport(f"verification of {spec} a={list(K.labels)}")
+    elif cfg.action == "verify":
+        report = VerificationReport(f"verification of {title}")
         report.extend(super_jacobi_report(sc))
         report.extend(grading_report(sc))
         report.extend(check_super_relations(
@@ -286,19 +299,16 @@ def run(cfg: JobConfig) -> int:
         else:
             degs.add_pass("deg_b(u) <= 1 and deg_b(h,e,f,v,z0) = 0")
         report.extend(degs)
-        _emit(cfg, None, report)
-        return 0 if report.ok else 1
 
-    if cfg.action == "typicality":
-        spec, rep, sc, K = _build_stack(cfg)
+    elif cfg.action == "typicality":
         ty = kac_typicality(K)
-        print(f"{spec} a={list(K.labels)}")
+        print(title)
         print(f"  s(b) = {ty.s_poly}")
         print(f"  factors: {[str(f) for f in ty.factors]}")
         print(f"  s(b) = constant * product(factors): {ty.proportional} "
               f"(constant {ty.constant})")
         print(f"  root multisets coincide: {ty.roots_match}")
-        report = VerificationReport(f"typicality of {spec} a={list(K.labels)}")
+        report = VerificationReport(f"typicality of {title}")
         if ty.roots_match and ty.proportional:
             report.add_pass("root multiset equality and proportionality")
         else:
@@ -311,11 +321,8 @@ def run(cfg: JobConfig) -> int:
             layers = sorted({v.layer for v in sv.vectors})
             print(f"  singular vectors at layers {layers} "
                   f"({len(sv.vectors)} total)")
-        _emit(cfg, None, report)
-        return 0 if report.ok else 1
 
-    if cfg.action == "replicate":
-        spec, rep, sc, K = _build_stack(cfg)
+    elif cfg.action == "replicate":
         lambdas = cfg.lambdas if cfg.lambdas else tuple(
             [Fraction(1)] * (cfg.N - 1))
         module = mat.replicate(K, mat.ReplicationSpec(cfg.N, lambdas))
@@ -335,41 +342,32 @@ def run(cfg: JobConfig) -> int:
                             "weight space")
         else:
             report.add_fail("hypercharge Jordan degree", str(degrees))
-        _emit(cfg, module, report)
-        return 0 if report.ok else 1
 
-    if cfg.action == "twist":
-        spec, rep, sc, K = _build_stack(cfg)
-        if not cfg.nu:
-            raise InputError("twist needs --nu")
+    elif cfg.action == "twist":
         tspec = mat.TwistSpec(cfg.n_twist, cfg.nu)
         module = mat.twist(K, tspec)
         report = VerificationReport(
             f"twist n={cfg.n_twist} nu={[str(x) for x in tspec.nu]}")
         report.extend(mat.block_relations_report(module,
                                                  check_super_relations))
-        _emit(cfg, module, report)
-        return 0 if report.ok else 1
 
-    if cfg.action == "heisenberg":
-        spec, rep, sc, K = _build_stack(cfg)
+    else:                         # heisenberg
         nu = cfg.nu if cfg.nu else ((1, 0) if spec.flavor == "gl" else (1,))
         tspec = mat.TwistSpec(cfg.n_twist, nu)
         H = hsb.build_heisenberg(sc)
         rho = hsb.rho_family(K, tspec)
-        phi = hsb.phi_map(rho, H)
+        module = hsb.phi_map(rho, H)
         report = VerificationReport(
-            f"Heisenberg structure on {spec} a={list(K.labels)} "
+            f"Heisenberg structure on {title} "
             f"n={cfg.n_twist} nu={[str(x) for x in tspec.nu]}")
         report.extend(hsb.heisenberg_structure_report(H))
         report.extend(hsb.affine_in_t_report(rho))
-        report.extend(hsb.check_phi_representation(phi, H))
+        report.extend(hsb.check_phi_representation(module, H))
         report.extend(hsb.mixed_derivative_report(rho))
-        report.extend(hsb.compare_with_KH(phi))
-        _emit(cfg, phi, report)
-        return 0 if report.ok else 1
+        report.extend(hsb.compare_with_KH(module))
 
-    raise InputError(f"unhandled action {cfg.action!r}")
+    _emit(cfg, module, report)
+    return 0 if report is None or report.ok else 1
 
 
 def _attach_negative_values(argv) -> list:
@@ -392,10 +390,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return run(cfg)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # InputError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError:

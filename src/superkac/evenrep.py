@@ -43,7 +43,6 @@ class EvenModule(Record):
     labels: tuple                     # even Dynkin labels a_1..a_r
     params: tuple                     # ("b",) or ("b", "c")
     dim: int
-    basis_words: tuple                # word in simple lowering ops per vector
     contents: tuple                   # root-coordinate content per vector
     hw: tuple                         # epsilon/delta coordinates of the
                                       # highest weight (ParamPoly)
@@ -271,10 +270,9 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
             dim += len(space.basis)
 
     offset: dict = {}
-    basis_words, contents = [], []
+    contents: list = []
     for content, space in spaces.items():
-        offset[content] = len(basis_words)
-        basis_words += space.basis
+        offset[content] = len(contents)
         contents += [content] * len(space.basis)
 
     if dim != oracle:
@@ -316,7 +314,7 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
 
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
-        basis_words=tuple(basis_words), contents=tuple(contents),
+        contents=tuple(contents),
         hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)

@@ -20,7 +20,7 @@ from superkac.algebra import (GenLabel, InternalConsistencyError,
 from superkac.exact import (ParamPoly, PolyMatrix, integer_rref,
                             kronecker_sum)
 from superkac.kacmod import KacModule, induce_core
-from superkac.matryoshka import (Deformation, TwistSpec, deformation,
+from superkac.matryoshka import (ReplicatedModule, TwistSpec, deformation,
                                  derivative_report)
 from superkac.record import Record
 from superkac.report import VerificationReport
@@ -34,13 +34,10 @@ class HeisenbergSpec(Record):
     hprime: tuple
     parity: dict
     table: dict                   # (la, lb) -> {h' label: Fraction}
-    k: Fraction
 
 
 def build_heisenberg(sc: StructureConstants) -> HeisenbergSpec:
-    hprime = [GenLabel("y")]
-    if sc.spec.flavor == "gl":
-        hprime.append(GenLabel("z0"))
+    hprime = [lab for lab in sc.basis if lab.kind in ("y", "z0")]
     P = sc.spec.odd_count
     odd = [GenLabel("u", i) for i in range(1, P + 1)] + \
           [GenLabel("v", i) for i in range(1, P + 1)]
@@ -57,7 +54,7 @@ def build_heisenberg(sc: StructureConstants) -> HeisenbergSpec:
                 table[(GenLabel("u", i), GenLabel("v", j))] = projected
                 table[(GenLabel("v", j), GenLabel("u", i))] = projected
     return HeisenbergSpec(base=sc, labels=labels, hprime=tuple(hprime),
-                          parity=parity, table=table, k=sc.k)
+                          parity=parity, table=table)
 
 
 def heisenberg_structure_report(H: HeisenbergSpec) -> VerificationReport:
@@ -82,32 +79,16 @@ def heisenberg_structure_report(H: HeisenbergSpec) -> VerificationReport:
     return report
 
 
-class RhoFamily(Record):
-    """The twisted module with its superdiagonal scaled by a formal t."""
-
-    base: KacModule
-    spec: TwistSpec
-    params: tuple
-    deformation: Deformation
-    matrices: dict
-
-    @property
-    def dim(self) -> int:
-        return self.spec.n * self.base.dim
-
-
-def rho_family(K: KacModule, spec: TwistSpec) -> RhoFamily:
+def rho_family(K: KacModule, spec: TwistSpec) -> ReplicatedModule:
     """K's twist with the superdiagonal scaled by a new parameter t, which
     follows K's params (b) or (b, c)."""
-    D = deformation(K, spec.nu_y, spec.nu_c)
     params = K.params + ("t",)
     t = ParamPoly.var(params, "t")
-    return RhoFamily(base=K, spec=spec, params=params,
-                     deformation=D,
-                     matrices=D.materialize([t] * (spec.n - 1), params))
+    return ReplicatedModule(deformation(K, *spec.nu), (t,) * (spec.n - 1),
+                            spec.nu, params)
 
 
-def affine_in_t_report(rho: RhoFamily) -> VerificationReport:
+def affine_in_t_report(rho: ReplicatedModule) -> VerificationReport:
     report = VerificationReport("rho_t affine in t")
     for label, mat in sorted(rho.matrices.items(), key=lambda kv: str(kv[0])):
         deg = mat.degree("t")
@@ -129,7 +110,7 @@ def affine_in_t_report(rho: RhoFamily) -> VerificationReport:
 class HModule(Record):
     """Matrices of the H generators on L x J_n(nu) x Lambda(g_-1)."""
 
-    rho: RhoFamily
+    rho: ReplicatedModule
     H: HeisenbergSpec
     params: tuple
     matrices: dict
@@ -139,7 +120,7 @@ class HModule(Record):
         return self.rho.dim
 
 
-def phi_map(rho: RhoFamily, H: HeisenbergSpec) -> HModule:
+def phi_map(rho: ReplicatedModule, H: HeisenbergSpec) -> HModule:
     """phi(a_-) = rho_0(a_-), phi(a_+) = rho'_t(a_+), phi(h) = rho'_t(h)."""
     base_params = rho.base.params
     matrices = {}
@@ -167,7 +148,7 @@ def check_phi_representation(phi: HModule, H: HeisenbergSpec) -> VerificationRep
                              violations)
 
 
-def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:
+def mixed_derivative_report(rho: ReplicatedModule) -> VerificationReport:
     """[rho_t(a), rho'_t(b)] + [rho'_t(a), rho_t(b)] = rho'_t([a, b]) exactly,
     over every ordered pair of the full basis.
 
@@ -177,7 +158,7 @@ def mixed_derivative_report(rho: RhoFamily) -> VerificationReport:
     computed directly: the derivation lemma of ``Deformation`` needs (i),
     which this check does not otherwise compute and which costs more than
     (ii)."""
-    return derivative_report(rho.deformation, rho.spec.n,
+    return derivative_report(rho.deformation, rho.N,
                              "t-derivative of the representation property")
 
 
@@ -189,15 +170,15 @@ def _j_shift(n: int, base_dim: int, params: tuple, scale: Fraction) -> PolyMatri
          PolyMatrix.identity(base_dim, params))])
 
 
-def induce_heisenberg(H: HeisenbergSpec, base_dim: int, spec: TwistSpec,
+def induce_heisenberg(H: HeisenbergSpec, base_dim: int, n: int, nu: tuple,
                       params: tuple) -> tuple:
     """K_H(L'; n; nu): direct wedge induction over H with the same
-    conventions as the g-side Kac module.  Returns (basis, matrices)."""
-    n = spec.n
+    conventions as the g-side Kac module, nu = (nu_y, nu_c).  Returns
+    (basis, matrices)."""
     jdim = n * base_dim
-    base_mats = {GenLabel("y"): _j_shift(n, base_dim, params, spec.nu_y)}
+    base_mats = {GenLabel("y"): _j_shift(n, base_dim, params, nu[0])}
     if GenLabel("z0") in H.hprime:
-        base_mats[GenLabel("z0")] = _j_shift(n, base_dim, params, spec.nu_c)
+        base_mats[GenLabel("z0")] = _j_shift(n, base_dim, params, nu[1])
     uv_exp = {}
     P = H.base.spec.odd_count
     for i in range(1, P + 1):
@@ -205,20 +186,20 @@ def induce_heisenberg(H: HeisenbergSpec, base_dim: int, spec: TwistSpec,
             expansion = H.table.get((GenLabel("u", i), GenLabel("v", j)))
             if expansion:
                 uv_exp[(i, j)] = tuple(expansion.items())
-    basis, matrices = induce_core(P, params, jdim, list(H.hprime),
-                                  base_mats, {}, uv_exp)
-    return basis, matrices
+    return induce_core(P, params, jdim, list(H.hprime), base_mats, {}, uv_exp)
 
 
 def kh_in_phi_basis(phi: HModule) -> dict:
     """The directly induced K_H matrices in the phi basis, where the phi
     vector (J layer j, odd subset S, base vector l) is the K_H vector
     (S, J layer j, base vector l)."""
-    K, dL = phi.rho.base, phi.rho.base.L.dim
-    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.rho.spec, phi.params)
+    rho = phi.rho
+    K, dL = rho.base, rho.base.L.dim
+    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, rho.N,
+                                          rho.deformation.nu, phi.params)
     kh_index = {vector: index for index, vector in enumerate(basis_kh)}
     source = [kh_index[(subset, j * dL + l)]
-              for j in range(phi.rho.spec.n) for subset, l in K.basis]
+              for j in range(rho.N) for subset, l in K.basis]
     return {label: mat.submatrix(source, source)
             for label, mat in mats_kh.items()}
 
@@ -249,8 +230,8 @@ def compare_with_KH(phi: HModule) -> VerificationReport:
     """
     report = VerificationReport("phi vs directly induced K_H")
     rho = phi.rho
-    K, H, spec = rho.base, phi.H, rho.spec
-    n, D, dL = spec.n, K.dim, K.L.dim
+    K, H = rho.base, phi.H
+    n, D, dL = rho.N, K.dim, K.L.dim
     P = K.odd_count
 
     if phi.dim != (2 ** P) * n * dL:
@@ -285,8 +266,9 @@ def compare_with_KH(phi: HModule) -> VerificationReport:
         report.add_fail("phi(a_+) on generating subspace", "nonzero column")
 
     shift_ok = True
+    nu_y, nu_c = rho.deformation.nu
     for label in H.hprime:
-        scale = spec.nu_y if label.kind == "y" else spec.nu_c
+        scale = nu_y if label.kind == "y" else nu_c
         expected = _j_shift(n, D, phi.params, scale)
         if phi.matrices[label] != expected:
             shift_ok = False

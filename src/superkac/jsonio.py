@@ -18,7 +18,6 @@ from math import gcd
 from superkac.algebra import GenLabel, InputError
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import KacModule
-from superkac.report import VerificationReport
 
 SCHEMA_MODULE = "superkac.module.v1"
 
@@ -104,10 +103,6 @@ def _weight_json(hw: tuple, shift: tuple, memo: dict) -> list:
     return out
 
 
-def _algebra_header(spec) -> dict:
-    return {"flavor": spec.flavor, "m": spec.m, "n": spec.n}
-
-
 def module_to_json(module, bindings: dict | None = None) -> dict:
     """Serialize a Kac module, a block replication/twist, or an H module.
 
@@ -136,71 +131,51 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
     if bindings:
         out["bindings"] = {k: str(v) for k, v in sorted(bindings.items())}
 
+    # blocks: the block module a replication, twist or phi is built from
     if isinstance(module, KacModule):
+        base, kind, blocks = module, "kac", None
+    elif isinstance(module, ReplicatedModule):
+        base, blocks = module.base, module
+        kind = "twist" if module.nu is not None else "replication"
+    elif isinstance(module, HModule):
+        base, kind, blocks = module.rho.base, "heisenberg-phi", module.rho
+    else:
+        raise InputError(f"cannot serialize {type(module).__name__}")
+    spec = base.sc.spec
+    out.update({
+        "kind": kind,
+        "algebra": {"flavor": spec.flavor, "m": spec.m, "n": spec.n},
+        "highest_weight": {"a": list(base.L.labels)},
+        "params": list(module.params),
+        "dim": module.dim,
+        "generators": {str(lab): render(mat)
+                       for lab, mat in sorted(module.matrices.items(),
+                                              key=lambda kv: str(kv[0]))},
+    })
+
+    if blocks is None:
         memo: dict = {}
-        out.update({
-            "kind": "kac",
-            "algebra": _algebra_header(module.spec),
-            "highest_weight": {"a": list(module.labels)},
-            "params": list(module.params),
-            "dim": module.dim,
-            "basis": [{"odd_subset": list(subset), "even_index": l,
-                       "layer": module.layers[pos],
-                       "weight": _weight_json(module.hw, module.shifts[pos],
-                                              memo)}
-                      for pos, (subset, l) in enumerate(module.basis)],
-            "generators": {str(lab): render(mat)
-                           for lab, mat in sorted(module.matrices.items(),
-                                                  key=lambda kv: str(kv[0]))},
-        })
+        out["basis"] = [{"odd_subset": list(subset), "even_index": l,
+                         "layer": module.layers[pos],
+                         "weight": _weight_json(module.hw, module.shifts[pos],
+                                                memo)}
+                        for pos, (subset, l) in enumerate(module.basis)]
         return out
-
-    if isinstance(module, ReplicatedModule):
-        base = module.base
-        out.update({
-            "kind": "twist" if module.nu is not None else "replication",
-            "algebra": _algebra_header(base.spec),
-            "highest_weight": {"a": list(base.labels)},
-            "params": list(module.params),
-            "dim": module.dim,
-            "block_structure": {
-                "copies": module.N,
-                "base_dim": base.dim,
-                "couplings": [str(x) for x in module.couplings],
-                "nu": [str(x) for x in module.nu] if module.nu else None,
-                "superdiagonal": "first block superdiagonal only",
-            },
-            "basis": [{"copy": pos // base.dim,
-                       "odd_subset": list(base.basis[pos % base.dim][0]),
-                       "even_index": base.basis[pos % base.dim][1],
-                       "layer": module.layers[pos]}
-                      for pos in range(module.dim)],
-            "generators": {str(lab): render(mat)
-                           for lab, mat in sorted(module.matrices.items(),
-                                                  key=lambda kv: str(kv[0]))},
-        })
-        return out
-
-    if isinstance(module, HModule):
-        rho = module.rho
-        out.update({
-            "kind": "heisenberg-phi",
-            "algebra": _algebra_header(rho.base.spec),
-            "highest_weight": {"a": list(rho.base.labels)},
-            "params": list(module.params),
-            "dim": module.dim,
-            "block_structure": {
-                "copies": rho.spec.n,
-                "base_dim": rho.base.dim,
-                "nu": [str(x) for x in rho.spec.nu],
-            },
-            "generators": {str(lab): render(mat)
-                           for lab, mat in sorted(module.matrices.items(),
-                                                  key=lambda kv: str(kv[0]))},
-        })
-        return out
-
-    raise InputError(f"cannot serialize {type(module).__name__}")
+    block = out["block_structure"] = {
+        "copies": blocks.N,
+        "base_dim": base.dim,
+        "nu": [str(x) for x in blocks.nu] if blocks.nu else None,
+    }
+    if blocks is module:
+        # a replication or twist: phi's couplings are the formal t
+        block["couplings"] = [str(x) for x in module.couplings]
+        block["superdiagonal"] = "first block superdiagonal only"
+        out["basis"] = [{"copy": pos // base.dim,
+                         "odd_subset": list(base.basis[pos % base.dim][0]),
+                         "even_index": base.basis[pos % base.dim][1],
+                         "layer": module.layers[pos]}
+                        for pos in range(module.dim)]
+    return out
 
 
 def module_matrices_from_json(data: dict) -> dict:
@@ -209,10 +184,6 @@ def module_matrices_from_json(data: dict) -> dict:
         raise InputError("not a module artifact")
     return {GenLabel.parse(name): matrix_from_json(mat)
             for name, mat in data["generators"].items()}
-
-
-def report_to_json(report: VerificationReport) -> dict:
-    return report.to_jsonable()
 
 
 def dumps_canonical(data: dict) -> str:

@@ -35,7 +35,7 @@ from math import lcm
 from operator import add
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
-                              RootDatum, StructureConstants, extend_matrices,
+                              StructureConstants, extend_matrices,
                               typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
@@ -48,20 +48,14 @@ class KacModule(Record):
     labels."""
 
     params: tuple
-    basis: tuple                  # (subset, even_index) pairs
+    basis: tuple                  # (subset, even_index) pairs, v_Lambda first
     matrices: dict                # GenLabel -> PolyMatrix
     hw: tuple                     # epsilon/delta coordinates of the highest
                                   # weight (ParamPoly)
     shifts: tuple                 # per basis vector, hw minus its weight (ints)
     layers: tuple                 # |subset| per basis vector
-    spec: object
-    datum: RootDatum
     sc: StructureConstants
     L: EvenModule
-    labels: tuple
-    hw_index: int
-    y_scalar: ParamPoly
-    z0_scalar: ParamPoly
 
     @property
     def dim(self) -> int:
@@ -229,10 +223,6 @@ def _u_action(j: int, masks: Sequence[int], pos: Mapping, uv: Mapping,
     return ws
 
 
-def _scaled_identity(dim: int, params: tuple, scalar: ParamPoly) -> PolyMatrix:
-    return PolyMatrix.identity(dim, params).scale(scalar)
-
-
 def _shifted(base_shifts: Sequence[tuple], subsets: Sequence,
              roots: Sequence[tuple]) -> tuple:
     """(shifts, layers) of the basis (subset, l), subsets in the given
@@ -251,16 +241,17 @@ def _shifted(base_shifts: Sequence[tuple], subsets: Sequence,
     return tuple(shifts), tuple(layers)
 
 
-def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule:
+def induce(L: EvenModule, sc: StructureConstants) -> KacModule:
     """The Kac module K(L): free action of the odd lowering generators on L."""
     spec = sc.spec
     P = spec.odd_count
     params = L.params
 
+    eye = PolyMatrix.identity(L.dim, params)
     base_even = dict(L.matrices)
-    base_even[GenLabel("y")] = _scaled_identity(L.dim, params, L.y_scalar)
+    base_even[GenLabel("y")] = eye.scale(L.y_scalar)
     if spec.flavor == "gl":
-        base_even[GenLabel("z0")] = _scaled_identity(L.dim, params, L.z0_scalar)
+        base_even[GenLabel("z0")] = eye.scale(L.z0_scalar)
     base_even = extend_matrices(base_even, sc.recipes)
 
     even_labels = [lab for lab in sc.basis
@@ -288,13 +279,10 @@ def induce(L: EvenModule, datum: RootDatum, sc: StructureConstants) -> KacModule
                                   base_even, adj, uv_exp)
 
     shifts, layers = _shifted(L.shifts, _subset_order(P),
-                              datum.odd_positive_roots)
+                              sc.datum.odd_positive_roots)
 
-    return KacModule(
-        params=params, basis=basis, matrices=matrices,
-        hw=L.hw, shifts=shifts, layers=layers, spec=spec, datum=datum,
-        sc=sc, L=L, labels=tuple(L.labels), hw_index=0, y_scalar=L.y_scalar,
-        z0_scalar=L.z0_scalar)
+    return KacModule(params=params, basis=basis, matrices=matrices, hw=L.hw,
+                     shifts=shifts, layers=layers, sc=sc, L=L)
 
 
 # -- typicality -------------------------------------------------------------
@@ -323,19 +311,19 @@ def kac_typicality(K: KacModule) -> TypicalityReport:
     odd-root factors, as polynomials in b."""
     P = K.odd_count
     params = K.params
-    state = PolyMatrix(K.dim, 1, params, {(K.hw_index, 0): 1})
+    state = PolyMatrix(K.dim, 1, params, {(0, 0): 1})
     for kind in ("v", "u"):
         for i in range(P, 0, -1):
             state = K.matrices[GenLabel(kind, i)] @ state
-    s_poly = state.entry(K.hw_index, 0)
-    if state != PolyMatrix(K.dim, 1, params, {(K.hw_index, 0): s_poly}):
+    s_poly = state.entry(0, 0)
+    if state != PolyMatrix(K.dim, 1, params, {(0, 0): s_poly}):
         raise InternalConsistencyError(
             "w+ w- Lambda left the highest weight line")
     if s_poly.is_zero:
         raise InternalConsistencyError(
             "typicality scalar vanished identically in b")
 
-    factors = typicality_factors(K.datum, K.labels)
+    factors = typicality_factors(K.sc.datum, K.L.labels)
     product = ParamPoly.const(params, 1)
     for factor in factors:
         product = product * factor

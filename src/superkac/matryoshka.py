@@ -256,11 +256,13 @@ class TwistSpec(Record):
 class ReplicatedModule(Record):
     """N x N block module of a deformation: base blocks on the diagonal,
     derivative blocks scaled by the couplings on the first superdiagonal.
-    The block matrices are built on first use."""
+    A coupling may be a polynomial over params, such as the formal t of the
+    Heisenberg family rho_t.  The block matrices are built on first use."""
 
     deformation: Deformation
     couplings: tuple              # per-level scalars multiplying the superdiagonal
     nu: tuple | None              # twist direction, None for pure replications
+    params: tuple                 # the base's, plus any formal coupling's
 
     @property
     def base(self) -> KacModule:
@@ -269,10 +271,6 @@ class ReplicatedModule(Record):
     @property
     def N(self) -> int:
         return len(self.couplings) + 1
-
-    @property
-    def params(self) -> tuple:
-        return self.base.params
 
     @cached_property
     def matrices(self) -> dict:
@@ -305,13 +303,13 @@ class ReplicatedModule(Record):
 
 def replicate(K: KacModule, spec: ReplicationSpec) -> ReplicatedModule:
     """N stacked copies coupled through u' and the identity on Y."""
-    return ReplicatedModule(odd_derivative(K), spec.lambdas, None)
+    return ReplicatedModule(odd_derivative(K), spec.lambdas, None, K.params)
 
 
 def twist(K: KacModule, spec: TwistSpec) -> ReplicatedModule:
     """K(L x J_n(nu)): n copies coupled through the nu-directional derivative."""
-    return ReplicatedModule(deformation(K, spec.nu_y, spec.nu_c),
-                            (Fraction(1),) * (spec.n - 1), spec.nu)
+    return ReplicatedModule(deformation(K, *spec.nu),
+                            (Fraction(1),) * (spec.n - 1), spec.nu, K.params)
 
 
 # -- invariants of the block modules ------------------------------------------
@@ -388,15 +386,11 @@ def upsilon_extract(R: ReplicatedModule) -> dict:
     [[lam(h), mu(h)], [0, lam(h)]]."""
     if R.N != 2:
         raise InputError("upsilon extraction needs an N = 2 self-extension")
-    top = [pos for pos, shift in enumerate(R.shifts)
-           if shift == R.shifts[R.base.hw_index]]
+    top = [pos for pos, shift in enumerate(R.shifts) if shift == R.shifts[0]]
     if len(top) != 2:
         raise InternalConsistencyError(
             f"top generalized weight space has dimension {len(top)}, not 2")
-    cartan = [GenLabel("h", i) for i in range(1, R.base.sc.spec.rank + 1)]
-    cartan.append(GenLabel("y"))
-    if R.base.sc.spec.flavor == "gl":
-        cartan.append(GenLabel("z0"))
+    cartan = [lab for lab in R.base.sc.basis if lab.kind in ("h", "y", "z0")]
     mu = {}
     for label in cartan:
         block = R.matrices[label].submatrix(top, top)
@@ -439,7 +433,7 @@ def self_extension_iso_decision(K: KacModule, nu: Sequence, mu: Sequence,
     # h = -nu_c * y + nu_y * z0 satisfies nu(h) = 0 and mu(h) = det != 0.
     witness = {GenLabel("y"): -nc, GenLabel("z0"): ny}
     witness = {lab: coeff for lab, coeff in witness.items() if coeff != 0}
-    if GenLabel("z0") in witness and K.spec.flavor != "gl":
+    if GenLabel("z0") in witness and K.sc.spec.flavor != "gl":
         raise InputError("distinguishing the directions needs the gl centre")
     if bindings is None:
         bindings = {"b": Fraction(5, 7)}

@@ -48,7 +48,7 @@ def kac(flavor, m, n, a):
     if key not in _MODULES:
         rep, sc = stack(flavor, m, n)
         L = build_even_irrep(rep.datum, a, sc)
-        _MODULES[key] = induce(L, rep.datum, sc)
+        _MODULES[key] = induce(L, sc)
     return _MODULES[key]
 
 
@@ -77,7 +77,7 @@ def test_criterion_2_kac_module_relations():
         assert K.dim == 2 ** K.odd_count * K.L.dim
         y = K.matrices[GenLabel("y")]
         for pos, layer in enumerate(K.layers):
-            assert y.entry(pos, pos) == K.y_scalar - layer
+            assert y.entry(pos, pos) == K.L.y_scalar - layer
         sizes = {}
         for layer in K.layers:
             sizes[layer] = sizes.get(layer, 0) + 1
@@ -113,7 +113,7 @@ def test_criterion_4_typicality_and_singular_vectors():
             extra = [v for v in sv.vectors if v.layer > 0]
             assert len(extra) == 1, f"no extra singular vector for {cfg} b={root}"
             (itype,) = ty.vanishing_types(root)
-            beta_i = K.datum.odd_positive_roots[itype - 1]
+            beta_i = K.sc.datum.odd_positive_roots[itype - 1]
             at_beta_i = tuple(c.substitute(bound).constant_value() - x
                               for c, x in zip(hw, beta_i))
             if extra[0].layer == 1:
@@ -124,7 +124,7 @@ def test_criterion_4_typicality_and_singular_vectors():
                 partial = [Fraction(0)] * len(hw)
                 for j in range(itype):
                     partial = [p + x for p, x in
-                               zip(partial, K.datum.odd_positive_roots[j])]
+                               zip(partial, K.sc.datum.odd_positive_roots[j])]
                 deep = tuple(c.substitute(bound).constant_value() - x
                              for c, x in zip(hw, partial))
                 assert extra[0].weight == deep
@@ -133,7 +133,7 @@ def test_criterion_4_typicality_and_singular_vectors():
         generic = singular_vectors(K, dict(binds, b=GENERIC_B))
         assert len(generic.vectors) == 1
         assert generic.vectors[0].coefficients == \
-            ((K.hw_index, Fraction(1)),)
+            ((0, Fraction(1)),)
     report(4, "root multisets of s(b) match the odd-root factors; each "
               "atypical point adds exactly one singular vector at the "
               "predicted weight; b = 5/7 has none beyond the highest weight")
@@ -242,7 +242,7 @@ def test_criterion_10_determinism(tmp_path):
     assert blobs[0] == blobs[1]
     K = kac("sl", 3, 1, (1, 0))
     blob1 = jsonio.dumps_canonical(jsonio.module_to_json(K))
-    K2 = induce(build_even_irrep(K.datum, (1, 0), K.sc), K.datum, K.sc)
+    K2 = induce(build_even_irrep(K.sc.datum, (1, 0), K.sc), K.sc)
     blob2 = jsonio.dumps_canonical(jsonio.module_to_json(K2))
     assert blob1 == blob2
     report(10, "independent runs produce byte-identical JSON artifacts")

@@ -20,7 +20,7 @@ def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(rep.datum, a, sc)
-    return induce(L, rep.datum, sc)
+    return induce(L, sc)
 
 
 class TestExitCodes:
@@ -129,6 +129,33 @@ class TestConfigValidation:
         assert out == ""
         assert err.startswith("error: c ")
         assert "sl job" in err
+
+    @pytest.mark.parametrize("argv,config,field", [
+        (["twist", "--nu", "1", "--N", "3"], None, "N"),
+        (["replicate", "--n-twist", "5"], None, "n_twist"),
+        (["heisenberg", "--lambdas", "2"], None, "lambdas"),
+        (["verify", "--b", "5/7"], None, "b"),
+        (["verify", "--algebra", "gl", "--b", "5/7", "--c", "3/11"], None,
+         "b"),
+        (["build"], {"nu": [1]}, "nu"),
+        (["typicality", "--b", "0"], {"N": 3}, "N"),
+        (["twist", "--nu", "1"], {"lambdas": [2]}, "lambdas"),
+        (["verify", "--algebra", "gl"], {"c": "1"}, "c"),
+    ])
+    def test_field_the_verb_never_reads_is_refused(
+            self, tmp_path, capsys, monkeypatch, argv, config, field):
+        def never(cfg):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli, "_build_stack", never)
+        if config is not None:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {field} is not read by {argv[0]}")
 
 
 class TestFieldNamedErrors:

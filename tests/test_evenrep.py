@@ -211,7 +211,7 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
 
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
-        basis_words=tuple(basis_words), contents=tuple(contents),
+        contents=tuple(contents),
         hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)
@@ -381,7 +381,7 @@ def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
 
     return EvenModule(
         datum=datum, labels=a, params=params, dim=dim,
-        basis_words=tuple(basis_words), contents=tuple(contents),
+        contents=tuple(contents),
         hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
         y_scalar=y_scalar, z0_scalar=z0_scalar)
@@ -529,12 +529,19 @@ class TestBuildEvenIrrep:
 
     def test_basis_words_pinned_sl31_a21(self):
         # the graded-lex pivot choice, word by word, so that a change of
-        # basis cannot pass silently
+        # basis cannot pass silently: vector k is f_{i+1} applied to the
+        # vector of the rest of its word (i,) + rest, so f_{i+1} maps the
+        # basis vector of rest to the basis vector k itself
         L = build_even_irrep(SL31.datum, (2, 1), SC31)
-        assert L.basis_words == (
+        words = (
             (), (1,), (0,), (0, 1), (1, 0), (0, 0), (1, 0, 1), (0, 0, 1),
             (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1),
             (1, 0, 1, 0, 1), (0, 0, 1, 0, 1), (0, 1, 0, 1, 0, 1))
+        assert L.dim == len(words)
+        for k, (i, *rest) in enumerate(words[1:], start=1):
+            f = L.matrices[GenLabel("f", i + 1)]
+            column = f.submatrix(range(L.dim), [words.index(tuple(rest))])
+            assert column.entries == {(k, 0): ParamPoly.const(L.params, 1)}
 
     def test_weyl_group_multiplicity_symmetry(self):
         # multiplicities are symmetric along every alpha_i string

@@ -19,14 +19,15 @@ from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  lowering_rank, mixed_derivative_report,
                                  phi_map, rho_family)
 from superkac.kacmod import induce
-from superkac.matryoshka import TwistSpec, twist
+from superkac.matryoshka import (ReplicatedModule, TwistSpec, deformation,
+                                 twist)
 
 
 def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(rep.datum, a, sc)
-    return induce(L, rep.datum, sc), sc
+    return induce(L, sc), sc
 
 
 QUARTET, SC21 = build_kac("sl", 2, 1, (0,))
@@ -91,6 +92,19 @@ class TestRhoFamily:
     def test_affine_in_t(self):
         for K, sc, H, tspec in MATRIX:
             assert affine_in_t_report(rho_family(K, tspec)).ok
+
+    def test_block_module_with_a_formal_coupling(self):
+        # oracle: the eager materialization of the same deformation
+        for K, sc, H, tspec in MATRIX:
+            rho = rho_family(K, tspec)
+            assert isinstance(rho, ReplicatedModule)
+            assert (rho.N, rho.nu, rho.params) == \
+                (tspec.n, tspec.nu, K.params + ("t",))
+            assert rho.deformation.nu == (tspec.nu_y, tspec.nu_c)
+            D = deformation(K, tspec.nu_y, tspec.nu_c)
+            t = ParamPoly.var(rho.params, "t")
+            assert rho.matrices == D.materialize([t] * (tspec.n - 1),
+                                                 rho.params)
 
 
 class TestPhi:
@@ -178,7 +192,8 @@ def reference_kh_in_phi_basis(phi) -> dict:
     """The K_H matrices moved to the phi basis entry by entry."""
     K = phi.rho.base
     dL = K.L.dim
-    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.rho.spec, phi.params)
+    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.rho.N,
+                                          phi.rho.deformation.nu, phi.params)
     subsets = [subset for subset, l in basis_kh if l == 0]
     perm = []                     # K_H index -> phi index
     for subset, jl in basis_kh:
@@ -207,7 +222,7 @@ def reference_lowering_rank(phi, generating) -> int:
 def generating_columns(phi) -> list:
     """(J layer j, empty subset, base vector l) for every j and l."""
     K = phi.rho.base
-    return [j * K.dim + l for j in range(phi.rho.spec.n)
+    return [j * K.dim + l for j in range(phi.rho.N)
             for l in range(K.L.dim)]
 
 
@@ -307,7 +322,7 @@ class TestCompareWithKH:
         assert failed == {"generator matrices agree", "free generation rank"}
 
     def test_direct_induction_dimension(self):
-        tspec = TwistSpec(2, (1, 0))
-        basis, mats = induce_heisenberg(HG21, GL_TRIV.L.dim, tspec,
+        basis, mats = induce_heisenberg(HG21, GL_TRIV.L.dim, 2,
+                                        (Fraction(1), Fraction(0)),
                                         GL_TRIV.params)
         assert len(basis) == 2 ** GL_TRIV.odd_count * 2 * GL_TRIV.L.dim

@@ -50,7 +50,7 @@ def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(rep.datum, a, sc)
-    return induce(L, rep.datum, sc)
+    return induce(L, sc)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +69,8 @@ def artifacts() -> dict:
         "twist": jsonio.module_to_json(mat.twist(
             G, mat.TwistSpec(2, (0, 1)))),
         "heisenberg-phi": jsonio.module_to_json(phi),
-        "report": jsonio.report_to_json(check_super_relations(
-            K.matrices, K.sc, "Kac module relations")),
+        "report": check_super_relations(
+            K.matrices, K.sc, "Kac module relations").to_jsonable(),
     }
 
 

@@ -28,7 +28,7 @@ def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(rep.datum, a, sc)
-    return induce(L, rep.datum, sc)
+    return induce(L, sc)
 
 
 QUARTET = build_kac("sl", 2, 1, (0,))
@@ -47,7 +47,7 @@ class TestInduce:
         assert K.dim == 4
         y = K.matrices[GenLabel("y")]
         diag = [y.entry(i, i) for i in range(4)]
-        y0 = K.y_scalar
+        y0 = K.L.y_scalar
         assert diag == [y0, y0 - 1, y0 - 1, y0 - 2]
         off_diag = {pos for pos in y.entries if pos[0] != pos[1]}
         assert not off_diag
@@ -66,6 +66,17 @@ class TestInduce:
     def test_dimension_formula_all_configs(self):
         for key, K in ALL_MODULES.items():
             assert K.dim == 2 ** K.odd_count * K.L.dim
+
+    def test_fields_hold_no_copy_of_L_or_sc(self):
+        assert kacmod.KacModule._fields == (
+            "params", "basis", "matrices", "hw", "shifts", "layers", "sc",
+            "L")
+
+    def test_highest_weight_vector_comes_first(self):
+        for key, K in ALL_MODULES.items():
+            assert K.basis[0] == ((), 0)
+            assert K.shifts[0] == (0,) * len(K.hw)
+            assert K.layers[0] == 0
 
     def test_layer_sizes_binomial(self):
         from math import comb
@@ -100,7 +111,7 @@ class TestDegreeProfile:
     def test_y_minus_scalar_is_integer_diagonal(self):
         for key, K in ALL_MODULES.items():
             y = K.matrices[GenLabel("y")]
-            shifted = y - PolyMatrix.identity(K.dim, K.params).scale(K.y_scalar)
+            shifted = y - PolyMatrix.identity(K.dim, K.params).scale(K.L.y_scalar)
             assert shifted.degree("b") == 0
             for (r, c), val in shifted.entries.items():
                 assert r == c
@@ -157,23 +168,23 @@ class TestTypicality:
         # route is the object under test
         for key, K in ALL_MODULES.items():
             ty = kac_typicality(K)
-            oracle = typicality_factors(K.datum, K.labels)
+            oracle = typicality_factors(K.sc.datum, K.L.labels)
             assert list(ty.factors) == oracle
 
 
 class TestSingularVectors:
     def test_typical_only_highest_weight(self):
         for key, K in ALL_MODULES.items():
-            sv = singular_vectors(K, bindings_for(K.spec.flavor))
+            sv = singular_vectors(K, bindings_for(K.sc.spec.flavor))
             assert len(sv.vectors) == 1
             only = sv.vectors[0]
             assert only.layer == 0
-            assert only.coefficients == ((K.hw_index, Fraction(1)),)
+            assert only.coefficients == ((0, Fraction(1)),)
 
     def test_atypical_adds_exactly_one_extra_vector(self):
         for key, K in ALL_MODULES.items():
             ty = kac_typicality(K)
-            binds = bindings_for(K.spec.flavor)
+            binds = bindings_for(K.sc.spec.flavor)
             for root, _ in ty.factor_roots:
                 sv = singular_vectors(K, dict(binds, b=root))
                 extra = [v for v in sv.vectors if v.layer > 0]
@@ -183,8 +194,8 @@ class TestSingularVectors:
         # the simple-root factor is b itself, so the type-1 point is b = 0
         # and v_1 applied to the highest weight is singular there
         for key, K in ALL_MODULES.items():
-            binds = dict(bindings_for(K.spec.flavor), b=Fraction(0))
-            beta1 = K.datum.odd_positive_roots[0]
+            binds = dict(bindings_for(K.sc.spec.flavor), b=Fraction(0))
+            beta1 = K.sc.datum.odd_positive_roots[0]
             expected_weight = tuple(
                 c.substitute(binds).constant_value() - br
                 for c, br in zip(K.hw, beta1))
@@ -200,7 +211,7 @@ class TestSingularVectors:
         # layer i.  Both branches verified against the nullspace.
         for key, K in ALL_MODULES.items():
             ty = kac_typicality(K)
-            binds = bindings_for(K.spec.flavor)
+            binds = bindings_for(K.sc.spec.flavor)
             for root, _ in ty.factor_roots:
                 if root == 0:
                     continue
@@ -209,12 +220,12 @@ class TestSingularVectors:
                 hw = tuple(c.substitute(bound).constant_value() for c in K.hw)
                 sv = singular_vectors(K, bound)
                 (extra,) = [v for v in sv.vectors if v.layer > 0]
-                beta_i = K.datum.odd_positive_roots[itype - 1]
+                beta_i = K.sc.datum.odd_positive_roots[itype - 1]
                 shallow = tuple(h - x for h, x in zip(hw, beta_i))
                 partial = [Fraction(0)] * len(hw)
                 for j in range(itype):
                     partial = [p + x for p, x in
-                               zip(partial, K.datum.odd_positive_roots[j])]
+                               zip(partial, K.sc.datum.odd_positive_roots[j])]
                 deep = tuple(h - x for h, x in zip(hw, partial))
                 assert extra.weight in (shallow, deep)
                 assert extra.layer == (1 if extra.weight == shallow
@@ -229,7 +240,7 @@ class TestSingularVectors:
             sv = singular_vectors(K, {"b": bval}, "even-only")
             fmat = K.matrices[GenLabel("f", 1)].substitute({"b": bval})
             vmat = K.matrices[GenLabel("v", 1)].substitute({"b": bval})
-            hw = PolyMatrix(K.dim, 1, K.params, {(K.hw_index, 0): 1})
+            hw = PolyMatrix(K.dim, 1, K.params, {(0, 0): 1})
             omega: dict = {}
             for (pos, _), val in (fmat @ (vmat @ hw)).entries.items():
                 omega[pos] = omega.get(pos, Fraction(0)) + \
@@ -269,16 +280,16 @@ class TestSecondaryAtypicality:
         from superkac.algebra import weight_from_labels
         for key, K in ALL_MODULES.items():
             ty = kac_typicality(K)
-            coords = weight_from_labels(K.datum, K.labels)
+            coords = weight_from_labels(K.sc.datum, K.L.labels)
             for root, _ in ty.factor_roots:
                 for i in ty.vanishing_types(root):
-                    beta = K.datum.odd_positive_roots[i - 1]
+                    beta = K.sc.datum.odd_positive_roots[i - 1]
                     shifted = tuple(c - x for c, x in zip(coords, beta))
                     shifted_rho = tuple(
-                        c + r for c, r in zip(shifted, K.datum.rho))
+                        c + r for c, r in zip(shifted, K.sc.datum.rho))
                     factor_i = reference_bilinear(
-                        K.datum.spec, shifted_rho,
-                        K.datum.odd_positive_roots[i - 1])
+                        K.sc.datum.spec, shifted_rho,
+                        K.sc.datum.odd_positive_roots[i - 1])
                     assert factor_i.substitute({"b": root}).is_zero
 
 
@@ -297,9 +308,9 @@ class TestCharacter:
             for subset_size in range(K.odd_count + 1):
                 for subset in itertools.combinations(
                         range(K.odd_count), subset_size):
-                    shift = [0] * (K.spec.m + K.spec.n)
+                    shift = [0] * (K.sc.spec.m + K.sc.spec.n)
                     for s in subset:
-                        beta = K.datum.odd_positive_roots[s]
+                        beta = K.sc.datum.odd_positive_roots[s]
                         shift = [x + y for x, y in zip(shift, beta)]
                     for base in K.L.shifts:
                         key2 = tuple(c + s for c, s in zip(base, shift))
@@ -440,7 +451,7 @@ def reference_shifts(K) -> tuple:
     for subset, l in K.basis:
         shift = list(K.L.shifts[l])
         for s in subset:
-            beta = K.datum.odd_positive_roots[s - 1]
+            beta = K.sc.datum.odd_positive_roots[s - 1]
             shift = [c + r for c, r in zip(shift, beta)]
         shifts.append(tuple(shift))
         layers.append(len(subset))
@@ -470,9 +481,9 @@ def test_induce_matches_block_matrix_reference(flavor, m, n, a, monkeypatch):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(rep.datum, a, sc)
-    K = induce(L, rep.datum, sc)
+    K = induce(L, sc)
     monkeypatch.setattr(kacmod, "induce_core", reference_induce_core)
-    ref = induce(L, rep.datum, sc)
+    ref = induce(L, sc)
     assert_same_induction((K.basis, K.matrices), (ref.basis, ref.matrices))
     assert (K.shifts, K.layers) == reference_shifts(ref)
     assert K.hw is L.hw and all(type(x) is int
@@ -491,12 +502,13 @@ def test_heisenberg_induction_matches_block_matrix_reference(
         flavor, m, n, a, twist_n, nu, monkeypatch):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    K = induce(build_even_irrep(rep.datum, a, sc), rep.datum, sc)
+    K = induce(build_even_irrep(rep.datum, a, sc), sc)
     H = heisenberg.build_heisenberg(sc)
     spec = TwistSpec(twist_n, nu)
-    got = heisenberg.induce_heisenberg(H, K.L.dim, spec, K.params)
+    args = (H, K.L.dim, spec.n, (spec.nu_y, spec.nu_c), K.params)
+    got = heisenberg.induce_heisenberg(*args)
     monkeypatch.setattr(heisenberg, "induce_core", reference_induce_core)
-    want = heisenberg.induce_heisenberg(H, K.L.dim, spec, K.params)
+    want = heisenberg.induce_heisenberg(*args)
     assert len(got[0]) == 2 ** K.odd_count * twist_n * K.L.dim
     assert_same_induction(got, want)
 
@@ -515,7 +527,7 @@ def test_induce_core_matches_reference_on_fractional_slots(flavor, m, n, a,
     monkeypatch.setattr(kacmod, "induce_core",
                         lambda *args: calls.append(args) or
                         reference_induce_core(*args))
-    induce(L, rep.datum, sc)
+    induce(L, sc)
     (P, params, base_dim, surface, base_mats, adj, uv_exp), = calls
     scales = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4)]
     adj = {key: tuple((t, c * scales[k % 3]) for t, c in pairs)
@@ -534,7 +546,7 @@ def test_induce_leaves_no_garbage():
     gc.collect()
     gc.disable()
     try:
-        K = induce(L, rep.datum, sc)
+        K = induce(L, sc)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -549,14 +561,14 @@ def reference_weights(module) -> tuple:
     the simple even roots of its even content and the odd roots of its
     subset, one subtraction per coordinate and root."""
     K = getattr(module, "base", module)
-    hw = weight_from_labels(K.datum, K.labels)
+    hw = weight_from_labels(K.sc.datum, K.L.labels)
     weights = []
     for subset, l in K.basis:
         coord = list(hw)
-        for count, root in zip(K.L.contents[l], K.datum.simple_even_roots):
+        for count, root in zip(K.L.contents[l], K.sc.datum.simple_even_roots):
             coord = [c - count * r for c, r in zip(coord, root)]
         for s in subset:
-            beta = K.datum.odd_positive_roots[s - 1]
+            beta = K.sc.datum.odd_positive_roots[s - 1]
             coord = [c - r for c, r in zip(coord, beta)]
         weights.append(tuple(coord))
     return tuple(weights) * (module.dim // K.dim)
@@ -590,7 +602,7 @@ def weight_space_cases():
     for key in WEIGHT_MODULES:
         K = build_kac(*key)
         R = replicate(K, ReplicationSpec(2, (Fraction(2, 3),)))
-        binds = bindings_for(K.spec.flavor)
+        binds = bindings_for(K.sc.spec.flavor)
         roots = [root for root, _ in kac_typicality(K).factor_roots]
         for b in dict.fromkeys([binds["b"], Fraction(0), Fraction(-3, 2)]
                                + roots):
@@ -694,7 +706,7 @@ def solve_cases():
     """(module key, bindings): a generic b and every atypical root, with the
     gl centre bound too."""
     for key, K in SOLVE_MODULES.items():
-        binds = bindings_for(K.spec.flavor)
+        binds = bindings_for(K.sc.spec.flavor)
         roots = [root for root, _ in kac_typicality(K).factor_roots]
         for b in [binds["b"]] + roots:
             flavor, m, n, a = key
@@ -721,7 +733,7 @@ FULL_STACK_MODULES[("sl", 2, 3, (1, 0, 0))] = build_kac("sl", 2, 3, (1, 0, 0))
 
 def full_stack_cases():
     for key, K in FULL_STACK_MODULES.items():
-        binds = bindings_for(K.spec.flavor)
+        binds = bindings_for(K.sc.spec.flavor)
         roots = [root for root, _ in kac_typicality(K).factor_roots]
         for b in [binds["b"]] + roots[:2]:
             flavor, m, n, a = key
@@ -770,7 +782,7 @@ def test_singular_vectors_refuse_a_float_binding():
 def test_non_integral_odd_root_is_refused():
     # the root datum refuses it, so no induction ever sees one
     K = OCTET
-    roots = list(K.datum.odd_positive_roots)
+    roots = list(K.sc.datum.odd_positive_roots)
     roots[1] = (Fraction(1, 2),) + roots[1][1:]
     with pytest.raises(InternalConsistencyError, match="not an integer"):
-        K.datum.replace(odd_positive_roots=tuple(roots))
+        K.sc.datum.replace(odd_positive_roots=tuple(roots))

@@ -32,7 +32,7 @@ def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(rep.datum, a, sc)
-    return induce(L, rep.datum, sc), sc
+    return induce(L, sc), sc
 
 
 QUARTET, SC21 = build_kac("sl", 2, 1, (0,))
@@ -53,7 +53,7 @@ class TestOddDerivative:
         for b0 in (Fraction(0), Fraction(2, 3), Fraction(-7)):
             for i, up in u_prime(D).items():
                 u = QUARTET.matrices[GenLabel("u", i)]
-                y0 = QUARTET.y_scalar
+                y0 = QUARTET.L.y_scalar
                 dy = y0 - y0.substitute({"b": b0})
                 reconstructed = u.substitute({"b": b0}) + up.scale(dy)
                 assert reconstructed == u
@@ -81,7 +81,7 @@ class TestOddDerivative:
         col = D.B[GenLabel("u", 1)].submatrix(range(QUARTET.dim),
                                      [QUARTET.basis.index(((1,), 0))])
         assert col.entries == {
-            (QUARTET.hw_index, 0): ParamPoly.const(QUARTET.params, SC21.k)}
+            (0, 0): ParamPoly.const(QUARTET.params, SC21.k)}
 
 
 class TestHeisenbergIdentity:
@@ -251,7 +251,7 @@ class TestJordanProfile:
         (replicate(SL31_A21, ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))),
          B57, None, {3}),
         (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
-                          None), B57, None, {2}),
+                          None, OCTET.params), B57, None, {2}),
         (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
          B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)},
          {3}),
@@ -335,7 +335,8 @@ class TestJordanProfile:
         # a zero coupling, which ReplicationSpec rejects, given to the block
         # module directly gives a direct sum, detected by the profile
         # collapsing to 1
-        R0 = ReplicatedModule(odd_derivative(QUARTET), (Fraction(0),), None)
+        R0 = ReplicatedModule(odd_derivative(QUARTET), (Fraction(0),), None,
+                              QUARTET.params)
         profile = jordan_minpoly_profile(R0, {"b": Fraction(5, 7)})
         assert set(profile.values()) == {1}
 

@@ -118,7 +118,7 @@ def flat(violations) -> list:
 
 def build_kac(flavor, m, n, a):
     sc = structure_constants(build_fundamental_rep(SuperAlgebraSpec(m, n, flavor)))
-    return induce(build_even_irrep(sc.datum, a, sc), sc.datum, sc)
+    return induce(build_even_irrep(sc.datum, a, sc), sc)
 
 
 MODULES = {"sl21_a1": build_kac("sl", 2, 1, (1,)),
@@ -763,7 +763,7 @@ LEMMA_CASES = [(name, nu) for name, K in LEMMA_MODULES.items()
 
 
 def block(D, N):
-    return ReplicatedModule(D, (Fraction(1),) * (N - 1), None)
+    return ReplicatedModule(D, (Fraction(1),) * (N - 1), None, D.base.params)
 
 
 def direct_items(D, N) -> list:
