@@ -295,7 +295,6 @@ class StructureConstants(Record):
     basis: tuple                      # full ordered GenLabel basis
     parity: dict                      # GenLabel -> 0 | 1
     grade: dict                       # GenLabel -> hypercharge grade (Fraction|0)
-    fundamental: dict                 # GenLabel -> PolyMatrix (parity-faithful source)
     recipes: dict                     # nonsimple GenLabel -> (left, right)
     table: dict                       # (GenLabel, GenLabel) -> {GenLabel: Fraction}
     k: Fraction                       # y coefficient of {u_i, v_i}
@@ -639,7 +638,7 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
 
     return StructureConstants(
         spec=spec, datum=datum, basis=tuple(basis), parity=parity, grade=grade,
-        fundamental=mats, recipes=recipes, table=table, k=k, d=d)
+        recipes=recipes, table=table, k=k, d=d)
 
 
 def super_jacobi_report(sc: StructureConstants) -> VerificationReport:

@@ -162,24 +162,17 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise InputError(f"unknown config fields rejected: {unknown}")
+        if raw.get("action", args.action) != args.action:
+            raise InputError(f"config action {raw['action']!r} differs from "
+                             f"the verb {args.action!r}")
         values.update(raw)
-    flags = {
-        "flavor": args.flavor,
-        "m": args.m,
-        "n": args.n,
-        "labels": _flag_list("labels", args.labels, int),
-        "b": args.b,
-        "c": args.c,
-        "N": args.N,
-        "lambdas": _flag_list("lambdas", args.lambdas),
-        "nu": _flag_list("nu", args.nu),
-        "n_twist": args.n_twist,
-        "out": args.out,
-        "report": args.report,
-    }
-    values.update({key: value for key, value in flags.items()
-                   if value is not None})
-    values["action"] = args.action
+    # every flag's dest is the JobConfig field it sets
+    for name in JobConfig._fields:
+        value = getattr(args, name)
+        if name in ("labels", "lambdas", "nu"):
+            value = _flag_list(name, value, int if name == "labels" else str)
+        if value is not None:
+            values[name] = value
     return JobConfig(**values)
 
 
@@ -222,7 +215,7 @@ def _build_stack(cfg: JobConfig):
     rep = build_fundamental_rep(SuperAlgebraSpec(cfg.m, cfg.n, cfg.flavor))
     sc = structure_constants(rep)
     labels = cfg.labels if cfg.labels else tuple([0] * rep.spec.rank)
-    return induce(build_even_irrep(rep.datum, labels, sc), sc)
+    return induce(build_even_irrep(labels, sc), sc)
 
 
 def _check_writable(field: str, path: str) -> None:
@@ -362,7 +355,7 @@ def run(cfg: JobConfig) -> int:
             f"n={cfg.n_twist} nu={[str(x) for x in tspec.nu]}")
         report.extend(hsb.heisenberg_structure_report(H))
         report.extend(hsb.affine_in_t_report(rho))
-        report.extend(hsb.check_phi_representation(module, H))
+        report.extend(hsb.check_phi_representation(module))
         report.extend(hsb.mixed_derivative_report(rho))
         report.extend(hsb.compare_with_KH(module))
 

@@ -39,7 +39,6 @@ from superkac.record import Record
 class EvenModule(Record):
     """An irreducible module of the even subalgebra with scalar h' action."""
 
-    datum: RootDatum
     labels: tuple                     # even Dynkin labels a_1..a_r
     params: tuple                     # ("b",) or ("b", "c")
     dim: int
@@ -225,8 +224,7 @@ def _term(blocks) -> tuple:
     return common, rows
 
 
-def build_even_irrep(datum: RootDatum, a: Sequence[int],
-                     sc: StructureConstants) -> EvenModule:
+def build_even_irrep(a: Sequence[int], sc: StructureConstants) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
     Weight spaces are built level by level outward from the highest weight,
@@ -242,7 +240,7 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
     integers, which is all the next level reads; h, e and f are assembled
     from those integer rows.
     """
-    spec = datum.spec
+    datum, spec = sc.datum, sc.spec
     validate_even_labels(spec, a)
     params = module_params(spec)
     a = tuple(int(x) for x in a)
@@ -313,7 +311,7 @@ def build_even_irrep(datum: RootDatum, a: Sequence[int],
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
 
     return EvenModule(
-        datum=datum, labels=a, params=params, dim=dim,
+        labels=a, params=params, dim=dim,
         contents=tuple(contents),
         hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,

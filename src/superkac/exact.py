@@ -296,21 +296,17 @@ def _exps_add(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(add, e1, e2))
 
 
-def _accumulate(acc: dict, rows: dict, factor: int, row_off: int = 0,
-                col_off: int = 0) -> None:
-    """acc += factor * rows for sparse integer matrices {row: {col: x}},
-    with rows shifted by the offsets.  Mutates only rows that acc owns;
-    may leave zeros, which _reduced drops."""
+def _accumulate(acc: dict, rows: dict, factor: int) -> None:
+    """acc += factor * rows for sparse integer matrices {row: {col: x}}.
+    Mutates only rows that acc owns; may leave zeros, which _reduced
+    drops."""
     unit = factor == 1
     for r, row in rows.items():
-        r += row_off
         target = acc.get(r)
         if target is None:
-            acc[r] = {c + col_off: x if unit else x * factor
-                      for c, x in row.items()}
+            acc[r] = {c: x if unit else x * factor for c, x in row.items()}
             continue
         for c, x in row.items():
-            c += col_off
             if not unit:
                 x = x * factor
             cur = target.get(c)
@@ -377,15 +373,14 @@ def _reduced(den: int, acc: dict, clean: bool = False):
 
 
 def _pencil(parts) -> dict:
-    """Canonical pencil terms of a sum of scaled, shifted products.
+    """Canonical pencil terms of a sum of scaled products.
 
-    ``parts`` yields (exps, q, left, right, row_off, col_off) for the
-    summand q * params^exps * (left @ right), where q is a nonzero int or
-    Fraction, left and right are stored terms (den, rows) and right = None
-    stands for the identity; the offsets shift the rows and columns of an
-    identity summand.  The parts of each output exponent are brought to one common
-    denominator D = lcm(q.den * den_left * den_right), so the sums run over
-    ints with the multipliers q * D / (den_left * den_right).
+    ``parts`` yields (exps, q, left, right) for the summand
+    q * params^exps * (left @ right), where q is a nonzero int or Fraction,
+    left and right are stored terms (den, rows) and right = None stands
+    for the identity.  The parts of each output exponent are brought to
+    one common denominator D = lcm(q.den * den_left * den_right), so the
+    sums run over ints with the multipliers q * D / (den_left * den_right).
 
     Each product is one pass over the stored rows of its left term.
     """
@@ -395,13 +390,13 @@ def _pencil(parts) -> dict:
     out = {}
     for exps, group in groups.items():
         dens = [q.denominator * left[0] * (1 if right is None else right[0])
-                for _, q, left, right, _, _ in group]
+                for _, q, left, right in group]
         common = lcm(*dens)
         acc: dict = {}
-        for (_, q, left, right, row_off, col_off), den in zip(group, dens):
+        for (_, q, left, right), den in zip(group, dens):
             factor = q.numerator * (common // den)
             if right is None:
-                _accumulate(acc, left[1], factor, row_off, col_off)
+                _accumulate(acc, left[1], factor)
             else:
                 _accumulate_product(acc, left[1], right[1], factor)
         term = _reduced(common, acc)
@@ -439,10 +434,10 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
             continue
         for e1, left in a.terms.items():
             if b is None:
-                parts.append((e1, coeff, left, None, 0, 0))
+                parts.append((e1, coeff, left, None))
                 continue
             for e2, right in b.terms.items():
-                parts.append((_exps_add(e1, e2), coeff, left, right, 0, 0))
+                parts.append((_exps_add(e1, e2), coeff, left, right))
     return PolyMatrix._of(rows, cols, params, _pencil(parts))
 
 
@@ -578,28 +573,6 @@ class PolyMatrix:
             if n else {}
         return cls._of(n, n, params, terms)
 
-    @classmethod
-    def from_blocks(cls, rows: int, cols: int, params: Sequence[str],
-                    blocks) -> "PolyMatrix":
-        """Sum of scaled blocks placed at offsets, in one accumulation:
-        ``blocks`` yields (row offset, col offset, PolyMatrix) or (row
-        offset, col offset, PolyMatrix, q) for q times the block, q a
-        rational; each block is re-declared over params."""
-        params = tuple(params)
-        parts = []
-        for row_off, col_off, block, *scale in blocks:
-            if not (0 <= row_off and row_off + block.rows <= rows
-                    and 0 <= col_off and col_off + block.cols <= cols):
-                raise IndexError(
-                    f"{block.rows}x{block.cols} block at ({row_off},{col_off}) "
-                    f"outside {rows}x{cols}")
-            q = rat(scale[0]) if scale else 1
-            if q:
-                parts.extend(
-                    (exps, q, term, None, row_off, col_off)
-                    for exps, term in block.with_params(params).terms.items())
-        return cls._of(rows, cols, params, _pencil(parts))
-
     # -- entry views ---------------------------------------------------------
 
     @property
@@ -694,7 +667,7 @@ class PolyMatrix:
         if factor.params != self.params:
             raise DeclarationError("parameter lists differ")
         return PolyMatrix._of(self.rows, self.cols, self.params, _pencil(
-            (_exps_add(exps, ef), f, term, None, 0, 0)
+            (_exps_add(exps, ef), f, term, None)
             for ef, f in factor.terms.items()
             for exps, term in self.terms.items()))
 
@@ -721,7 +694,7 @@ class PolyMatrix:
                 factor *= val ** exps[idx]
                 new[idx] = 0
             if factor:
-                parts.append((tuple(new), factor, term, None, 0, 0))
+                parts.append((tuple(new), factor, term, None))
         return PolyMatrix._of(self.rows, self.cols, self.params,
                               _pencil(parts))
 
@@ -729,8 +702,8 @@ class PolyMatrix:
         """Exact formal partial derivative with respect to one parameter."""
         idx = self._index(name)
         return PolyMatrix._of(self.rows, self.cols, self.params, _pencil(
-            (exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:], exps[idx], term,
-             None, 0, 0)
+            (exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:], exps[idx],
+             term, None)
             for exps, term in self.terms.items() if exps[idx]))
 
     def coefficient(self, name: str, power: int) -> "PolyMatrix":

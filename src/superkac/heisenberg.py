@@ -112,17 +112,20 @@ class HModule(Record):
 
     rho: ReplicatedModule
     H: HeisenbergSpec
-    params: tuple
     matrices: dict
 
     @property
     def dim(self) -> int:
         return self.rho.dim
 
+    @property
+    def params(self) -> tuple:
+        """K's params (b) or (b, c), without rho's t."""
+        return self.rho.base.params
+
 
 def phi_map(rho: ReplicatedModule, H: HeisenbergSpec) -> HModule:
     """phi(a_-) = rho_0(a_-), phi(a_+) = rho'_t(a_+), phi(h) = rho'_t(h)."""
-    base_params = rho.base.params
     matrices = {}
     for label in H.labels:
         mat = rho.matrices[label]
@@ -132,15 +135,16 @@ def phi_map(rho: ReplicatedModule, H: HeisenbergSpec) -> HModule:
             chosen = mat.coefficient("t", 0)
         else:
             chosen = mat.coefficient("t", 1)
-        matrices[label] = chosen.with_params(base_params)
-    return HModule(rho=rho, H=H, params=base_params, matrices=matrices)
+        matrices[label] = chosen.with_params(rho.base.params)
+    return HModule(rho=rho, H=H, matrices=matrices)
 
 
-def check_phi_representation(phi: HModule, H: HeisenbergSpec) -> VerificationReport:
+def check_phi_representation(phi: HModule) -> VerificationReport:
     """Every superbracket of phi matrices equals its H bracket expansion.
 
     All pairs are checked: [H, H] lies in h', so a generating set of H
     holds every odd label and leaves out at most the h' labels."""
+    H = phi.H
     violations = bracket_violations(H.labels, H.labels, H.parity, H.table,
                                     phi.matrices)
     return violations_report("phi is an H-representation",
@@ -213,11 +217,15 @@ def lowering_rank(phi: HModule, generating: list) -> int:
     for subset in subsets[1:]:
         lowered[subset] = (phi.matrices[GenLabel("v", subset[0])]
                            @ lowered[subset[1:]])
+    # block k holds the numerators of lowered[subsets[k]] at column offset
+    # k * width: scaling a block's columns by its denominator keeps the rank
     width = len(generating)
-    stacked = PolyMatrix.from_blocks(
-        phi.dim, width * len(subsets), phi.params,
-        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])
-    return len(integer_rref(stacked.integer_term()[1].values())[0])
+    stacked: dict = {}
+    for k, subset in enumerate(subsets):
+        for r, row in lowered[subset].integer_term()[1].items():
+            stacked.setdefault(r, {}).update(
+                (k * width + c, x) for c, x in row.items())
+    return len(integer_rref(stacked.values())[0])
 
 
 def compare_with_KH(phi: HModule) -> VerificationReport:

@@ -374,28 +374,21 @@ class SingularVector(Record):
 
 
 class SingularVectorReport(Record):
-    raising_set: str
-    bindings: dict
     vectors: tuple
 
 
-def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
-                     raising_set: str = "even-and-odd") -> SingularVectorReport:
+def singular_vectors(K: KacModule,
+                     bindings: Mapping[str, Fraction]) -> SingularVectorReport:
     """Exact nullspace of the stacked raising action, organized by weight.
 
     bindings must make every matrix parameter-free (b, and c for gl).
     """
-    if raising_set not in ("even-and-odd", "even-only"):
-        raise InputError(f"unknown raising set {raising_set!r}")
     bindings = {name: rat(v) for name, v in bindings.items()}
     missing = [p for p in K.params if p not in bindings]
     if missing:
         raise InputError(f"parameters {missing} must be bound for the solve")
 
-    raising = [lab for lab in K.matrices
-               if lab.kind == "e" or (raising_set == "even-and-odd"
-                                      and lab.kind == "u")]
-    raising.sort()
+    raising = sorted(lab for lab in K.matrices if lab.kind in ("e", "u"))
     mats = {lab: K.matrices[lab].substitute(bindings) for lab in raising}
     # only the simple e_i and u_1 are stacked: u_1 is the lowest weight
     # vector of g_1 under the even Borel, so they generate the raising
@@ -438,6 +431,5 @@ def singular_vectors(K: KacModule, bindings: Mapping[str, Fraction],
                 if not (mats[lab] @ embedded).is_zero:
                     raise InternalConsistencyError(
                         f"reported singular vector not annihilated by {lab}")
-    return SingularVectorReport(raising_set=raising_set,
-                                bindings=dict(bindings), vectors=tuple(found))
+    return SingularVectorReport(vectors=tuple(found))
 

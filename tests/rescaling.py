@@ -4,10 +4,17 @@ conjugation: the acceptance gate and the matryoshka tests both run it."""
 from fractions import Fraction
 
 from superkac.algebra import GenLabel, InputError
-from superkac.exact import PolyMatrix
+from superkac.exact import PolyMatrix, kronecker_sum
 from superkac.kacmod import KacModule
 from superkac.matryoshka import ReplicationSpec, replicate
 from superkac.report import VerificationReport
+
+
+def _diagonal(lam: Fraction, K: KacModule) -> PolyMatrix:
+    """diag(lam, 1) (x) I on two copies of K."""
+    return kronecker_sum(2, K.dim, K.params, [(
+        (lam.denominator, {0: {0: lam.numerator}, 1: {1: lam.denominator}}),
+        PolyMatrix.identity(K.dim, K.params))])
 
 
 def rescale_conjugation_check(K: KacModule, lam: Fraction) -> VerificationReport:
@@ -18,12 +25,7 @@ def rescale_conjugation_check(K: KacModule, lam: Fraction) -> VerificationReport
     report = VerificationReport(f"superdiagonal rescaling by {lam}")
     base = replicate(K, ReplicationSpec(2, (Fraction(1),)))
     target = replicate(K, ReplicationSpec(2, (lam,)))
-    dim, params = K.dim, K.params
-    eye = PolyMatrix.identity(dim, params)
-    q = PolyMatrix.from_blocks(2 * dim, 2 * dim, params,
-                               [(0, 0, eye, lam), (dim, dim, eye)])
-    q_inv = PolyMatrix.from_blocks(2 * dim, 2 * dim, params,
-                                   [(0, 0, eye, 1 / lam), (dim, dim, eye)])
+    q, q_inv = _diagonal(lam, K), _diagonal(1 / lam, K)
     labels = [GenLabel("y")] + [GenLabel("u", i)
                                 for i in range(1, K.odd_count + 1)]
     for label in labels:

@@ -47,7 +47,7 @@ def kac(flavor, m, n, a):
     key = (flavor, m, n, tuple(a))
     if key not in _MODULES:
         rep, sc = stack(flavor, m, n)
-        L = build_even_irrep(rep.datum, a, sc)
+        L = build_even_irrep(a, sc)
         _MODULES[key] = induce(L, sc)
     return _MODULES[key]
 
@@ -208,7 +208,7 @@ def test_criterion_8_heisenberg_module():
         rho = hsb.rho_family(K, tspec)
         assert hsb.affine_in_t_report(rho).ok
         phi = hsb.phi_map(rho, H)
-        assert hsb.check_phi_representation(phi, H).ok
+        assert hsb.check_phi_representation(phi).ok
         assert hsb.mixed_derivative_report(rho).ok
         compare = hsb.compare_with_KH(phi)
         assert compare.ok, compare.summary()
@@ -225,7 +225,7 @@ def test_criterion_9_negative_controls(capsys):
         mat.ReplicationSpec(2, (Fraction(0),))
     with pytest.raises(InputError):
         rep, sc = stack("sl", 2, 1)
-        build_even_irrep(rep.datum, (-1,), sc)
+        build_even_irrep((-1,), sc)
     capsys.readouterr()
     report(9, "sl(n|n) exits with code 2; zero couplings and non-dominant "
               "labels are rejected")
@@ -242,7 +242,7 @@ def test_criterion_10_determinism(tmp_path):
     assert blobs[0] == blobs[1]
     K = kac("sl", 3, 1, (1, 0))
     blob1 = jsonio.dumps_canonical(jsonio.module_to_json(K))
-    K2 = induce(build_even_irrep(K.sc.datum, (1, 0), K.sc), K.sc)
+    K2 = induce(build_even_irrep((1, 0), K.sc), K.sc)
     blob2 = jsonio.dumps_canonical(jsonio.module_to_json(K2))
     assert blob1 == blob2
     report(10, "independent runs produce byte-identical JSON artifacts")

@@ -330,7 +330,7 @@ def loop_structure_constants(rep) -> StructureConstants:
 
     return StructureConstants(
         spec=spec, datum=datum, basis=tuple(basis), parity=parity, grade=grade,
-        fundamental=mats, recipes=recipes, table=table, k=k, d=d)
+        recipes=recipes, table=table, k=k, d=d)
 
 
 ORACLE_ALGEBRAS = (("sl", 2, 1), ("gl", 2, 1), ("gl", 1, 2), ("sl", 3, 1),

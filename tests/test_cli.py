@@ -19,7 +19,7 @@ from superkac.kacmod import induce
 def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, a, sc)
+    L = build_even_irrep(a, sc)
     return induce(L, sc)
 
 
@@ -70,6 +70,26 @@ class TestExitCodes:
         code = main(["build", "--config", str(cfg)])
         assert code == 2
         assert "unknown config fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["verify", 5])
+    def test_config_action_other_than_the_verb_rejected(self, tmp_path,
+                                                         capsys, action):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"action": action}))
+        assert main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: config action {action!r} differs "
+                                "from the verb 'build'\n")
+        assert captured.out == ""
+
+    def test_config_action_equal_to_the_verb_accepted(self, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"action": "verify", "labels": [1]}))
+        assert main(["verify", "--config", str(cfg)]) == 0
+
+    def test_every_flag_sets_the_config_field_of_its_dest(self):
+        dests = {action.dest for action in cli.make_parser()._actions}
+        assert dests - {"help"} == set(cli.JobConfig._fields) | {"config"}
 
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "job.json"

@@ -210,7 +210,7 @@ def reference_build_even_irrep(datum: RootDatum, a: Sequence[int],
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
 
     return EvenModule(
-        datum=datum, labels=a, params=params, dim=dim,
+        labels=a, params=params, dim=dim,
         contents=tuple(contents),
         hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
@@ -380,7 +380,7 @@ def reference_shapovalov_irrep(datum: RootDatum, a: Sequence[int],
     z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
 
     return EvenModule(
-        datum=datum, labels=a, params=params, dim=dim,
+        labels=a, params=params, dim=dim,
         contents=tuple(contents),
         hw=weight_from_labels(datum, a), shifts=tuple(shifts),
         matrices=matrices,
@@ -472,7 +472,7 @@ class TestWeylDimension:
 
 class TestBuildEvenIrrep:
     def test_sl2_a2_radical_at_depth3(self):
-        L = build_even_irrep(SL21.datum, (2,), SC21)
+        L = build_even_irrep((2,), SC21)
         assert L.dim == 3
         e1, f1 = L.matrices[GenLabel("e", 1)], L.matrices[GenLabel("f", 1)]
         # e f^n L = n(a - n + 1) f^(n-1) L for a = 2: coefficients 2, 2, 0
@@ -487,13 +487,13 @@ class TestBuildEvenIrrep:
         assert state.is_zero  # f^3 L = 0 in the irreducible quotient
 
     def test_all_zero_labels_trivial(self):
-        L = build_even_irrep(SL31.datum, (0, 0), SC31)
+        L = build_even_irrep((0, 0), SC31)
         assert L.dim == 1
         assert all(mat.is_zero for lab, mat in L.matrices.items()
                    if lab.kind in ("e", "f"))
 
     def test_sl3_adjoint_dimension(self):
-        L = build_even_irrep(SL31.datum, (1, 1), SC31)
+        L = build_even_irrep((1, 1), SC31)
         assert L.dim == 8 == weyl_dimension(SL31.datum, (1, 1))
 
     def test_dimension_matches_weyl_oracle(self):
@@ -501,10 +501,10 @@ class TestBuildEvenIrrep:
         cases += [(SL31.datum, SC31, a) for a in ((1, 0), (0, 1), (2, 0))]
         cases += LARGE_CASES + (SL41_A311,)
         for datum, sc, a in cases:
-            assert build_even_irrep(datum, a, sc).dim == weyl_dimension(datum, a)
+            assert build_even_irrep(a, sc).dim == weyl_dimension(datum, a)
 
     def test_h_matrices_integer_diagonal(self):
-        L = build_even_irrep(SL31.datum, (1, 1), SC31)
+        L = build_even_irrep((1, 1), SC31)
         for i in range(1, 3):
             h = L.matrices[GenLabel("h", i)]
             for (r, c), val in h.entries.items():
@@ -514,8 +514,8 @@ class TestBuildEvenIrrep:
         # restricted check: even generators only, h' as scalar matrices
         cases = ((SL21.datum, SC21, (2,)), (SL31.datum, SC31, (1, 0)),
                  (GL21.datum, SCG21, (1,))) + LARGE_CASES + (SL41_A311,)
-        for datum, sc, a in cases:
-            L = build_even_irrep(datum, a, sc)
+        for _, sc, a in cases:
+            L = build_even_irrep(a, sc)
             mats = dict(L.matrices)
             eye = PolyMatrix.identity(L.dim, L.params)
             mats[GenLabel("y")] = eye.scale(L.y_scalar)
@@ -532,7 +532,7 @@ class TestBuildEvenIrrep:
         # basis cannot pass silently: vector k is f_{i+1} applied to the
         # vector of the rest of its word (i,) + rest, so f_{i+1} maps the
         # basis vector of rest to the basis vector k itself
-        L = build_even_irrep(SL31.datum, (2, 1), SC31)
+        L = build_even_irrep((2, 1), SC31)
         words = (
             (), (1,), (0,), (0, 1), (1, 0), (0, 0), (1, 0, 1), (0, 0, 1),
             (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1),
@@ -547,7 +547,7 @@ class TestBuildEvenIrrep:
         # multiplicities are symmetric along every alpha_i string
         for datum, sc, a in ((SL31.datum, SC31, (2, 1)),
                              (SL21.datum, SC21, (3,))):
-            L = build_even_irrep(datum, a, sc)
+            L = build_even_irrep(a, sc)
             mult: dict = {}
             for content in L.contents:
                 mult[content] = mult.get(content, 0) + 1
@@ -566,7 +566,7 @@ class TestBuildEvenIrrep:
              + ",".join(map(str, a)) for _, sc, a in REFERENCE_CASES])
     def test_equals_reference(self, datum, sc, a):
         # same candidates, same form, same pivots: every field is equal
-        assert build_even_irrep(datum, a, sc) == \
+        assert build_even_irrep(a, sc) == \
             reference_build_even_irrep(datum, a, sc)
 
     @pytest.mark.parametrize(
@@ -577,7 +577,7 @@ class TestBuildEvenIrrep:
     def test_equals_fraction_shapovalov(self, datum, sc, a):
         # integer rows over one denominator per weight space give the
         # record the Fraction recursion gives, field by field
-        got = build_even_irrep(datum, a, sc)
+        got = build_even_irrep(a, sc)
         want = reference_shapovalov_irrep(datum, a, sc)
         for field in EvenModule._fields:
             assert getattr(got, field) == getattr(want, field), field
@@ -597,8 +597,8 @@ class TestBuildEvenIrrep:
             return space
 
         monkeypatch.setattr(evenrep, "_weight_space", spy)
-        for datum, sc, a in ((SL31.datum, SC31, (3, 2)), SL41_A311):
-            build_even_irrep(datum, a, sc)
+        for _, sc, a in ((SL31.datum, SC31, (3, 2)), SL41_A311):
+            build_even_irrep(a, sc)
         assert any(space.f_den > 1 for space in spaces)
         assert any(space.e_den > 1 for space in spaces)
         for space in spaces:
@@ -619,9 +619,9 @@ class TestBuildEvenIrrep:
             return weight_space(spaces, content, h_of)
 
         monkeypatch.setattr(evenrep, "_weight_space", spy)
-        for datum, sc, a in REFERENCE_CASES:
+        for _, sc, a in REFERENCE_CASES:
             tried.clear()
-            L = build_even_irrep(datum, a, sc)
+            L = build_even_irrep(a, sc)
             assert sorted(tried) == sorted(set(L.contents) - {L.contents[0]})
 
     def test_vanishing_form_on_a_tried_content_raises(self, monkeypatch):
@@ -629,7 +629,7 @@ class TestBuildEvenIrrep:
         # are not weights; the form vanishes there and the build stops
         monkeypatch.setattr(evenrep, "_lowers", lambda *args: True)
         with pytest.raises(InternalConsistencyError, match="vanishes"):
-            build_even_irrep(SL41.datum, (1, 0, 0), SC41)
+            build_even_irrep((1, 0, 0), SC41)
 
     def test_shapovalov_form_symmetric(self):
         words = _VermaWords(SL31.datum.cartan_matrix, (2, 1))
@@ -643,7 +643,7 @@ class TestBuildEvenIrrep:
 
     def test_non_dominant_rejected(self):
         with pytest.raises(InputError):
-            build_even_irrep(SL21.datum, (-1,), SC21)
+            build_even_irrep((-1,), SC21)
 
 
 def _restrict(sc, labels):
@@ -656,5 +656,4 @@ def _restrict(sc, labels):
         spec=sc.spec, datum=sc.datum, basis=tuple(l for l in sc.basis if l in keep),
         parity={l: sc.parity[l] for l in keep},
         grade={l: sc.grade[l] for l in keep},
-        fundamental={l: sc.fundamental[l] for l in keep},
         recipes=recipes, table=table, k=sc.k, d=sc.d)

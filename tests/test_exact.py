@@ -405,20 +405,6 @@ def test_ring_operations_match_entrywise(pair, poly, q, q2):
                      for k in range(SIZE)), zero) - get(ea, (r, c)) * q
         for r, c in cells})
 
-    # overlapping blocks, one re-declared from ("b",) to PARAMS, some with
-    # a rational coefficient
-    in_b = a.coefficient("c", 0).with_params(("b",))
-    blocks = [(0, 0, a), (1, 1, b_, q), (1, 0, in_b), (0, 1, a, q2),
-              (1, 1, in_b, -q)]
-    expected: dict = {}
-    for row_off, col_off, block, *scale in blocks:
-        coeff = scale[0] if scale else 1
-        for (r, c), v in block.with_params(PARAMS).entries.items():
-            pos = (r + row_off, c + col_off)
-            expected[pos] = expected.get(pos, zero) + v * coeff
-    assert_matches(PolyMatrix.from_blocks(SIZE + 1, SIZE + 1, PARAMS, blocks),
-                   expected)
-
 
 @st.composite
 def kronecker_cases(draw):
@@ -452,11 +438,18 @@ def kronecker_cases(draw):
     return size, base_dim, parts
 
 
-def kronecker_blocks(base_dim: int, parts) -> list:
-    """The blocks of sum W (x) B for PolyMatrix.from_blocks."""
-    return [(i * base_dim, j * base_dim, B, Fraction(x, den))
-            for (den, w), B in parts
-            for i, row in w.items() for j, x in row.items()]
+def dense_kronecker(size: int, base_dim: int, parts) -> PolyMatrix:
+    """sum W (x) B added up entry by entry in ParamPolys and stored by the
+    validating constructor."""
+    entries: dict = {}
+    for (den, w), B in parts:
+        for i, row in w.items():
+            for j, x in row.items():
+                for (r, c), v in B.with_params(PARAMS).entries.items():
+                    pos = (i * base_dim + r, j * base_dim + c)
+                    entries[pos] = entries.get(pos, ParamPoly.zero(PARAMS)) \
+                        + v * Fraction(x, den)
+    return PolyMatrix(size * base_dim, size * base_dim, PARAMS, entries)
 
 
 ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
@@ -473,29 +466,14 @@ ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
                  ((1, {1: {1: 1}}), PolyMatrix(1, 1, PARAMS,
                                                {(0, 0): c() * b()}))]))
 @example((2, 1, [((6, {0: {0: 4, 1: 0}, 1: {}}), ONE_BY_ONE)]))  # 4/6, 0
-def test_kronecker_sum_matches_from_blocks(case):
+def test_kronecker_sum_matches_dense_kronecker(case):
     size, base_dim, parts = case
     got = kronecker_sum(size, base_dim, PARAMS, parts)
-    want = PolyMatrix.from_blocks(size * base_dim, size * base_dim, PARAMS,
-                                  kronecker_blocks(base_dim, parts))
+    want = dense_kronecker(size, base_dim, parts)
     assert_canonical(got)
     assert (got.rows, got.cols, got.params) == (want.rows, want.cols,
                                                 want.params)
     assert got.terms == want.terms
-
-
-def dense_kronecker(size: int, base_dim: int, parts) -> PolyMatrix:
-    """sum W (x) B added up entry by entry in ParamPolys and stored by the
-    validating constructor."""
-    entries: dict = {}
-    for (den, w), B in parts:
-        for i, row in w.items():
-            for j, x in row.items():
-                for (r, c), v in B.with_params(PARAMS).entries.items():
-                    pos = (i * base_dim + r, j * base_dim + c)
-                    entries[pos] = entries.get(pos, ParamPoly.zero(PARAMS)) \
-                        + v * Fraction(x, den)
-    return PolyMatrix(size * base_dim, size * base_dim, PARAMS, entries)
 
 
 B_TWO = PolyMatrix(2, 2, PARAMS, {(0, 0): b(), (0, 1): 3 * b() + const("1/2"),

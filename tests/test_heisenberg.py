@@ -9,6 +9,7 @@ from superkac import algebra
 from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
+from block_oracle import place_blocks
 from dense_oracles import dense_linear_solve
 from setup_oracles import rational_entries
 from superkac.exact import ParamPoly, PolyMatrix
@@ -26,7 +27,7 @@ from superkac.matryoshka import (ReplicatedModule, TwistSpec, deformation,
 def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, a, sc)
+    L = build_even_irrep(a, sc)
     return induce(L, sc), sc
 
 
@@ -111,7 +112,7 @@ class TestPhi:
     def test_phi_is_h_representation(self):
         for K, sc, H, tspec in MATRIX:
             phi = phi_map(rho_family(K, tspec), H)
-            assert check_phi_representation(phi, H).ok
+            assert check_phi_representation(phi).ok
 
     def test_checks_without_a_root_grading_stay_pairwise(self, monkeypatch):
         """The H check and the t-derivative identities give the relation
@@ -122,7 +123,7 @@ class TestPhi:
         monkeypatch.setattr(algebra, "_certified", refuse)
         for K, sc, H, tspec in MATRIX:
             rho = rho_family(K, tspec)
-            assert check_phi_representation(phi_map(rho, H), H).ok
+            assert check_phi_representation(phi_map(rho, H)).ok
             assert mixed_derivative_report(rho).ok
 
     def test_lowering_part_is_plain_wedge_insertion(self):
@@ -236,9 +237,9 @@ def solved_lowering_rank(phi, generating) -> int:
         lowered[subset] = (phi.matrices[GenLabel("v", subset[0])]
                            @ lowered[subset[1:]])
     width = len(generating)
-    stacked = PolyMatrix.from_blocks(
+    stacked = place_blocks(
         phi.dim, width * len(subsets), phi.params,
-        [(0, k * width, lowered[s]) for k, s in enumerate(subsets)])
+        [(0, k * width, lowered[s], 1) for k, s in enumerate(subsets)])
     return dense_linear_solve(rational_entries(stacked), stacked.rows,
                               stacked.cols)[0]
 

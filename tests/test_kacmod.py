@@ -13,12 +13,13 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, structure_constants,
                               typicality_factors, weight_from_labels)
-from superkac.evenrep import build_even_irrep
+from superkac.evenrep import build_even_irrep, weyl_dimension
 from superkac.exact import ParameterizedEntryError, ParamPoly, PolyMatrix
 from superkac.kacmod import (SingularVector, SingularVectorReport,
                              _subset_order, induce, kac_typicality,
                              singular_vectors, weight_spaces)
 from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
+from block_oracle import place_blocks
 from dense_oracles import dense_linear_solve
 from testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
 from setup_oracles import rational_entries, reference_bilinear
@@ -27,7 +28,7 @@ from setup_oracles import rational_entries, reference_bilinear
 def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, a, sc)
+    L = build_even_irrep(a, sc)
     return induce(L, sc)
 
 
@@ -237,7 +238,7 @@ class TestSingularVectors:
         for a in (1, 2):
             K = ALL_MODULES[("sl", 2, 1, (a,))]
             bval = Fraction(-(a + 1))
-            sv = singular_vectors(K, {"b": bval}, "even-only")
+            sv = reference_singular_vectors(K, {"b": bval}, "even-only")
             fmat = K.matrices[GenLabel("f", 1)].substitute({"b": bval})
             vmat = K.matrices[GenLabel("v", 1)].substitute({"b": bval})
             hw = PolyMatrix(K.dim, 1, K.params, {(0, 0): 1})
@@ -422,8 +423,8 @@ def reference_induce_core(P: int, params: tuple, base_dim: int,
 
     matrices: dict = {}
     for g in surface_labels:
-        matrices[g] = PolyMatrix.from_blocks(dim, dim, params, (
-            (offset[new_subset], offset[subset], mat)
+        matrices[g] = place_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset], mat, 1)
             for subset in subsets
             for new_subset, mat in even_action_on_subset(g, subset).items()))
 
@@ -433,12 +434,10 @@ def reference_induce_core(P: int, params: tuple, base_dim: int,
             inserted = wedge_insert(i, subset)
             if inserted is not None:
                 new_subset, sign = inserted
-                blocks.append((offset[new_subset], offset[subset],
-                               eye.scale(sign)))
-        matrices[GenLabel("v", i)] = PolyMatrix.from_blocks(
-            dim, dim, params, blocks)
-        matrices[GenLabel("u", i)] = PolyMatrix.from_blocks(dim, dim, params, (
-            (offset[new_subset], offset[subset], mat)
+                blocks.append((offset[new_subset], offset[subset], eye, sign))
+        matrices[GenLabel("v", i)] = place_blocks(dim, dim, params, blocks)
+        matrices[GenLabel("u", i)] = place_blocks(dim, dim, params, (
+            (offset[new_subset], offset[subset], mat, 1)
             for subset in subsets
             for new_subset, mat in u_action(i, subset).items()))
 
@@ -480,7 +479,7 @@ DIFFERENTIAL_CASES = (
 def test_induce_matches_block_matrix_reference(flavor, m, n, a, monkeypatch):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, a, sc)
+    L = build_even_irrep(a, sc)
     K = induce(L, sc)
     monkeypatch.setattr(kacmod, "induce_core", reference_induce_core)
     ref = induce(L, sc)
@@ -502,7 +501,7 @@ def test_heisenberg_induction_matches_block_matrix_reference(
         flavor, m, n, a, twist_n, nu, monkeypatch):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    K = induce(build_even_irrep(rep.datum, a, sc), sc)
+    K = induce(build_even_irrep(a, sc), sc)
     H = heisenberg.build_heisenberg(sc)
     spec = TwistSpec(twist_n, nu)
     args = (H, K.L.dim, spec.n, (spec.nu_y, spec.nu_c), K.params)
@@ -522,7 +521,7 @@ def test_induce_core_matches_reference_on_fractional_slots(flavor, m, n, a,
     # contractions' (induce_core reads them as given, not as a Lie bracket)
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, a, sc)
+    L = build_even_irrep(a, sc)
     calls = []
     monkeypatch.setattr(kacmod, "induce_core",
                         lambda *args: calls.append(args) or
@@ -542,7 +541,7 @@ def test_induce_leaves_no_garbage():
     # a memo that outlives induce, or a cycle through it, would show here
     rep = build_fundamental_rep(SuperAlgebraSpec(3, 2, "sl"))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, (0, 0, 0), sc)
+    L = build_even_irrep((0, 0, 0), sc)
     gc.collect()
     gc.disable()
     try:
@@ -652,7 +651,8 @@ def test_weight_spaces_need_every_parameter_bound():
 def reference_singular_vectors(K, bindings, raising_set="even-and-odd"):
     """singular_vectors with one matrix of Fraction entries per weight
     space, solved by the dense oracle, and its weight spaces from
-    reference_weight_spaces."""
+    reference_weight_spaces.  raising_set "even-only" stacks the e_i
+    alone: the vectors of the even subalgebra's highest weights."""
     if raising_set not in ("even-and-odd", "even-only"):
         raise InputError(f"unknown raising set {raising_set!r}")
     bindings = {name: Fraction(v) for name, v in bindings.items()}
@@ -693,8 +693,7 @@ def reference_singular_vectors(K, bindings, raising_set="even-and-odd"):
                 if not (mats[lab] @ embedded).is_zero:
                     raise InternalConsistencyError(
                         f"reported singular vector not annihilated by {lab}")
-    return SingularVectorReport(raising_set=raising_set,
-                                bindings=dict(bindings), vectors=tuple(found))
+    return SingularVectorReport(vectors=tuple(found))
 
 
 SOLVE_MODULES = dict(ALL_MODULES)
@@ -714,15 +713,31 @@ def solve_cases():
                                id=f"{flavor}{m}{n}-{a}-b={b}")
 
 
-@pytest.mark.parametrize("raising_set", ["even-and-odd", "even-only"])
 @pytest.mark.parametrize("key,bindings", list(solve_cases()))
-def test_singular_vectors_match_fraction_reference(key, bindings,
-                                                   raising_set):
+def test_singular_vectors_match_fraction_reference(key, bindings):
     K = SOLVE_MODULES[key]
-    got = singular_vectors(K, bindings, raising_set)
-    assert got == reference_singular_vectors(K, bindings, raising_set)
+    got = singular_vectors(K, bindings)
+    assert got == reference_singular_vectors(K, bindings)
     assert all(type(x) is Fraction for vec in got.vectors
                for x in vec.weight + tuple(q for _, q in vec.coefficients))
+
+
+@pytest.mark.parametrize("key,bindings", list(solve_cases()))
+def test_even_highest_weight_vectors_fill_the_module(key, bindings):
+    """K is a direct sum of even irreducibles, one per vector that the e_i
+    annihilate (the even-only stack), so the Weyl dimensions of their h
+    eigenvalues add up to dim K."""
+    K = SOLVE_MODULES[key]
+    h = [K.matrices[GenLabel("h", i)] for i in range(1, len(K.L.labels) + 1)]
+    total = 0
+    for vec in reference_singular_vectors(K, bindings, "even-only").vectors:
+        column = PolyMatrix(K.dim, 1, K.params,
+                            {(pos, 0): x for pos, x in vec.coefficients})
+        pos, x = vec.coefficients[0]
+        labels = [(m @ column).entry(pos, 0).constant_value() / x for m in h]
+        assert all(q.denominator == 1 and q >= 0 for q in labels)
+        total += weyl_dimension(K.sc.datum, [int(q) for q in labels])
+    assert total == K.dim
 
 
 FULL_STACK_MODULES = {key: SOLVE_MODULES[key]

@@ -31,7 +31,7 @@ from testmatrix import COUPLING_SETS
 def build_kac(flavor, m, n, a):
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
-    L = build_even_irrep(rep.datum, a, sc)
+    L = build_even_irrep(a, sc)
     return induce(L, sc), sc
 
 

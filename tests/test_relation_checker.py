@@ -118,7 +118,7 @@ def flat(violations) -> list:
 
 def build_kac(flavor, m, n, a):
     sc = structure_constants(build_fundamental_rep(SuperAlgebraSpec(m, n, flavor)))
-    return induce(build_even_irrep(sc.datum, a, sc), sc)
+    return induce(build_even_irrep(a, sc), sc)
 
 
 MODULES = {"sl21_a1": build_kac("sl", 2, 1, (1,)),

@@ -13,7 +13,8 @@ import pytest
 
 from superkac.algebra import (FundamentalRep, InputError, RootDatum,
                               SuperAlgebraSpec, build_fundamental_rep,
-                              build_root_datum, structure_constants,
+                              build_root_datum, extend_matrices,
+                              structure_constants,
                               typicality_factors, weight_from_labels)
 from superkac.evenrep import labels_to_hypercharge
 from setup_oracles import (reference_fundamental_matrices,
@@ -89,16 +90,20 @@ def test_structure_constants_match_references(flavor, m, n):
     spec = spec_of(flavor, m, n)
     rep = build_fundamental_rep(spec)
     sc = structure_constants(rep)
-    from_reference = structure_constants(FundamentalRep(
+    reference_rep = FundamentalRep(
         spec=spec, datum=rep.datum,
-        matrices=reference_fundamental_matrices(spec)))
+        matrices=reference_fundamental_matrices(spec))
+    from_reference = structure_constants(reference_rep)
     loop = loop_structure_constants(rep)
+    # the matrices the table is read off: the given ones and each nonsimple
+    # root vector from its recipe
+    assert extend_matrices(rep.matrices, sc.recipes) == \
+        extend_matrices(reference_rep.matrices, from_reference.recipes)
     for want in (from_reference, loop):
         assert table_items(sc.table) == table_items(want.table)
         assert (sc.k, sc.d, sc.grade) == (want.k, want.d, want.grade)
         assert (sc.basis, sc.parity, sc.recipes) == \
             (want.basis, want.parity, want.recipes)
-        assert sc.fundamental == want.fundamental
         assert sc.generators == want.generators
     assert type(sc.k) is Fraction
 
