@@ -348,15 +348,15 @@ def run(cfg: JobConfig) -> int:
         nu = cfg.nu if cfg.nu else ((1, 0) if spec.flavor == "gl" else (1,))
         tspec = mat.TwistSpec(cfg.n_twist, nu)
         H = hsb.build_heisenberg(sc)
-        rho = hsb.rho_family(K, tspec)
-        module = hsb.phi_map(rho, H)
+        T = mat.twist(K, tspec)
+        module = hsb.phi_map(T, H)
         report = VerificationReport(
             f"Heisenberg structure on {title} "
             f"n={cfg.n_twist} nu={[str(x) for x in tspec.nu]}")
         report.extend(hsb.heisenberg_structure_report(H))
-        report.extend(hsb.affine_in_t_report(rho))
+        report.extend(hsb.affine_in_t_report(T))
         report.extend(hsb.check_phi_representation(module))
-        report.extend(hsb.mixed_derivative_report(rho))
+        report.extend(hsb.mixed_derivative_report(T))
         report.extend(hsb.compare_with_KH(module))
 
     _emit(cfg, module, report)

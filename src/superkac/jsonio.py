@@ -138,7 +138,7 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         base, blocks = module.base, module
         kind = "twist" if module.nu is not None else "replication"
     elif isinstance(module, HModule):
-        base, kind, blocks = module.rho.base, "heisenberg-phi", module.rho
+        base, kind, blocks = module.twist.base, "heisenberg-phi", module.twist
     else:
         raise InputError(f"cannot serialize {type(module).__name__}")
     spec = base.sc.spec

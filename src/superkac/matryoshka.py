@@ -9,8 +9,8 @@ gives for every N a representation on N stacked copies of the module that
 cannot be split.  The pure hypercharge direction with couplings lambda_t is
 the replication, whose hypercharge acts by Jordan blocks of size N on every
 weight space; a general direction with unit couplings is the twist by the
-indecomposable h'-module J_n(nu); a formal coupling t gives the Heisenberg
-family rho_t.
+indecomposable h'-module J_n(nu).  The Heisenberg family rho_t scales a
+twist's superdiagonal by a formal t, and is read off its deformation.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from math import lcm
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, check_super_relations,
                               extend_matrices, sbracket, violations_report)
-from superkac.exact import (ParamPoly, PolyMatrix, combination,
-                            integer_product, kronecker_sum, rat)
+from superkac.exact import (PolyMatrix, combination, integer_product,
+                            kronecker_sum, rat)
 from superkac.kacmod import KacModule, weight_spaces
 from superkac.record import Record
 from superkac.report import VerificationReport
@@ -74,34 +74,22 @@ class Deformation(Record):
         return all(sum(exps[i] for i in moved) <= 1
                    for mat in self.A.values() for exps in mat.terms)
 
-    def materialize(self, couplings: Sequence, params: tuple,
-                    labels=None) -> dict:
-        """Block matrices I (x) A + S (x) B over ``params`` of the given
-        labels, by default the generator surface, where S carries
-        couplings[t] from copy t+1 to copy t; a coupling may be a rational
-        or a ParamPoly over ``params``."""
+    def materialize(self, couplings: Sequence, labels=None) -> dict:
+        """Block matrices I (x) A + S (x) B of the given labels, by default
+        the generator surface, where S carries the rational couplings[t]
+        from copy t+1 to copy t over one common denominator."""
         N = len(couplings) + 1
         diagonal = (1, {t: {t: 1} for t in range(N)})
-        # S splits into a shift of the rational couplings, which scale B,
-        # and a shift of ones per distinct polynomial coupling c, with c B;
-        # the rational couplings share one denominator
-        den = lcm(*(c.denominator for c in couplings
-                    if not isinstance(c, ParamPoly)))
-        shifts: dict = {}
-        for t, coupling in enumerate(couplings):
-            if isinstance(coupling, ParamPoly):
-                shifts.setdefault(coupling, (1, {}))[1][t] = {t + 1: 1}
-            else:
-                shifts.setdefault(None, (den, {}))[1][t] = {
-                    t + 1: int(coupling * den)}
+        den = lcm(*(c.denominator for c in couplings))
+        shift = (den, {t: {t + 1: int(c * den)}
+                       for t, c in enumerate(couplings)})
         matrices = {}
         for label in self.base.matrices if labels is None else labels:
-            deriv = self.B[label].with_params(params)
             parts = [(diagonal, self.A[label])]
-            if not deriv.is_zero:
-                parts += [(shift, deriv if c is None else deriv.scale(c))
-                          for c, shift in shifts.items()]
-            matrices[label] = kronecker_sum(N, self.base.dim, params, parts)
+            if not self.B[label].is_zero:
+                parts.append((shift, self.B[label]))
+            matrices[label] = kronecker_sum(N, self.base.dim,
+                                            self.base.params, parts)
         return matrices
 
 
@@ -255,18 +243,20 @@ class TwistSpec(Record):
 
 class ReplicatedModule(Record):
     """N x N block module of a deformation: base blocks on the diagonal,
-    derivative blocks scaled by the couplings on the first superdiagonal.
-    A coupling may be a polynomial over params, such as the formal t of the
-    Heisenberg family rho_t.  The block matrices are built on first use."""
+    derivative blocks scaled by the rational couplings on the first
+    superdiagonal.  The block matrices are built on first use."""
 
     deformation: Deformation
     couplings: tuple              # per-level scalars multiplying the superdiagonal
     nu: tuple | None              # twist direction, None for pure replications
-    params: tuple                 # the base's, plus any formal coupling's
 
     @property
     def base(self) -> KacModule:
         return self.deformation.base
+
+    @property
+    def params(self) -> tuple:
+        return self.base.params
 
     @property
     def N(self) -> int:
@@ -274,15 +264,14 @@ class ReplicatedModule(Record):
 
     @cached_property
     def matrices(self) -> dict:
-        return self.deformation.materialize(self.couplings, self.params)
+        return self.deformation.materialize(self.couplings)
 
     def matrices_of(self, labels) -> dict:
         """The block matrices of some labels; until ``matrices`` is built,
         only these are built."""
         if "matrices" in self.__dict__:
             return {label: self.matrices[label] for label in labels}
-        return self.deformation.materialize(self.couplings, self.params,
-                                            labels)
+        return self.deformation.materialize(self.couplings, labels)
 
     @property
     def hw(self) -> tuple:
@@ -303,13 +292,16 @@ class ReplicatedModule(Record):
 
 def replicate(K: KacModule, spec: ReplicationSpec) -> ReplicatedModule:
     """N stacked copies coupled through u' and the identity on Y."""
-    return ReplicatedModule(odd_derivative(K), spec.lambdas, None, K.params)
+    return ReplicatedModule(odd_derivative(K), spec.lambdas, None)
 
 
 def twist(K: KacModule, spec: TwistSpec) -> ReplicatedModule:
     """K(L x J_n(nu)): n copies coupled through the nu-directional derivative."""
+    if len(spec.nu) == 2 and "c" not in K.params:
+        raise InputError("nu must have one component on sl, which has no "
+                         f"z0 direction; got {[str(x) for x in spec.nu]}")
     return ReplicatedModule(deformation(K, *spec.nu),
-                            (Fraction(1),) * (spec.n - 1), spec.nu, K.params)
+                            (Fraction(1),) * (spec.n - 1), spec.nu)
 
 
 # -- invariants of the block modules ------------------------------------------

@@ -205,11 +205,11 @@ def test_criterion_8_heisenberg_module():
         K = kac(flavor, m, n, a)
         rep, sc = stack(flavor, m, n)
         H = hsb.build_heisenberg(sc)
-        rho = hsb.rho_family(K, tspec)
-        assert hsb.affine_in_t_report(rho).ok
-        phi = hsb.phi_map(rho, H)
+        T = mat.twist(K, tspec)
+        assert hsb.affine_in_t_report(T).ok
+        phi = hsb.phi_map(T, H)
         assert hsb.check_phi_representation(phi).ok
-        assert hsb.mixed_derivative_report(rho).ok
+        assert hsb.mixed_derivative_report(T).ok
         compare = hsb.compare_with_KH(phi)
         assert compare.ok, compare.summary()
     report(8, "rho_t affine in t, phi satisfies every H bracket identity, and "

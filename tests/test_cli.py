@@ -150,6 +150,25 @@ class TestConfigValidation:
         assert err.startswith("error: c ")
         assert "sl job" in err
 
+    @pytest.mark.parametrize("argv,config", [
+        (["twist", "--nu", "1,0"], None),
+        (["heisenberg", "--nu", "1,0"], None),
+        (["twist"], {"nu": [1, 0]}),
+        (["heisenberg"], {"nu": ["1", "0"]}),
+    ])
+    def test_sl_job_refuses_a_two_component_nu(self, tmp_path, capsys,
+                                               monkeypatch, argv, config):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "job.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "job.json"]
+        assert main(argv + ["--algebra", "sl", "--out", "t.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: nu ")
+        assert "sl" in err
+        assert not (tmp_path / "t.json").exists()
+
     @pytest.mark.parametrize("argv,config,field", [
         (["twist", "--nu", "1", "--N", "3"], None, "N"),
         (["replicate", "--n-twist", "5"], None, "n_twist"),

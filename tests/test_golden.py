@@ -61,11 +61,11 @@ GOLDEN = [
     }),
     ("heisenberg --algebra gl --m 2 --n 1 --labels 1 --nu 2,-3", {
         "stdout":
-            "66920e96a4b6c63c9f47e2f53c968be1bdca0832dc9274b8f40b3505217c3d92",
+            "4a78c07e8879b0d62859c69f2933e9bdfa638ff09bee4ac0ea55998f043e7c80",
         "out":
             "c9da74a0f497176f4e8fc4fadcb93efe40fc4821cd77a23f92a001b923c8e031",
         "report":
-            "c2a98681197e079120a966972604afd9488d3efe632960a71264033698c9fb03",
+            "2c6adbc3ea81950579d64455cfc721c67abad515355640573d777ff9dd3641e7",
     }),
 ]
 

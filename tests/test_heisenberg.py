@@ -18,10 +18,9 @@ from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  heisenberg_structure_report,
                                  induce_heisenberg, kh_in_phi_basis,
                                  lowering_rank, mixed_derivative_report,
-                                 phi_map, rho_family)
+                                 phi_map)
 from superkac.kacmod import induce
-from superkac.matryoshka import (ReplicatedModule, TwistSpec, deformation,
-                                 twist)
+from superkac.matryoshka import TwistSpec, twist
 
 
 def build_kac(flavor, m, n, a):
@@ -45,6 +44,19 @@ MATRIX = [
     (GL_A1, SCG21, HG21, TwistSpec(2, (2, -3))),
     (GL_A1, SCG21, HG21, TwistSpec(3, (1, 0))),
 ]
+
+
+# every (algebra, labels, twist) whose phi the tests build: MATRIX and
+# the cases of test_acceptance's criterion 8
+PHI_CASES = [("sl", 2, 1, (0,), TwistSpec(2, (1,))),
+             ("sl", 2, 1, (0,), TwistSpec(3, (Fraction(-2, 3),))),
+             ("gl", 2, 1, (0,), TwistSpec(2, (0, 1))),
+             ("gl", 2, 1, (1,), TwistSpec(2, (2, -3))),
+             ("gl", 2, 1, (1,), TwistSpec(3, (1, 0))),
+             ("gl", 2, 1, (0,), TwistSpec(2, (1, 0))),
+             ("gl", 2, 1, (0,), TwistSpec(3, (0, 1))),
+             ("sl", 2, 1, (1,), TwistSpec(2, (1,))),
+             ("sl", 3, 1, (0, 0), TwistSpec(2, (1,)))]
 
 
 class TestBracketTable:
@@ -77,41 +89,58 @@ class TestBracketTable:
                     assert (lc, target) not in H21.table
 
 
+def reference_rho_t(T) -> dict:
+    """rho_t = I (x) A + t S (x) B of a twist's deformation on its generator
+    surface, placed entry by entry over the twist's params and t."""
+    D, K = T.deformation, T.base
+    params = K.params + ("t",)
+    t = ParamPoly.var(params, "t")
+    return {label: place_blocks(
+        T.dim, T.dim, params,
+        [(j * K.dim, j * K.dim, D.A[label], 1) for j in range(T.N)]
+        + [(j * K.dim, (j + 1) * K.dim, D.B[label], t)
+           for j in range(T.N - 1)])
+        for label in K.matrices}
+
+
 class TestRhoFamily:
-    def test_t0_splits_and_t1_twists(self):
-        for K, sc, H, tspec in MATRIX:
-            rho = rho_family(K, tspec)
-            T = twist(K, tspec)
-            dim = K.dim
-            for lab, mat in rho.matrices.items():
-                at1 = mat.substitute({"t": 1}).with_params(K.params)
-                assert at1 == T.matrices[lab]
-                at0 = mat.substitute({"t": 0})
-                for (r, c) in at0.entries:
-                    assert r // dim == c // dim  # block diagonal at t = 0
+    @pytest.mark.parametrize("flavor, m, n, a, tspec", PHI_CASES)
+    def test_phi_is_a_t_part_of_rho_t(self, flavor, m, n, a, tspec):
+        """phi is rho_t's t^0 part on the lowering part and its t^1 part
+        elsewhere; rho_1 is the twist, and t reaches no h, e, f or v."""
+        K, sc = build_kac(flavor, m, n, a)
+        T = twist(K, tspec)
+        phi = phi_map(T, build_heisenberg(sc))
+        rho = reference_rho_t(T)
+        for label, mat in phi.matrices.items():
+            power = 0 if label.kind == "v" else 1
+            assert rho[label].coefficient("t", power).with_params(
+                K.params) == mat
+        for label, mat in rho.items():
+            assert mat.degree("t") <= 1
+            assert mat.substitute({"t": 1}).with_params(K.params) == \
+                T.matrices[label]
+            if label.kind in ("h", "e", "f", "v"):
+                assert mat.coefficient("t", 1).is_zero
+        assert affine_in_t_report(T).ok
 
     def test_affine_in_t(self):
         for K, sc, H, tspec in MATRIX:
-            assert affine_in_t_report(rho_family(K, tspec)).ok
+            assert affine_in_t_report(twist(K, tspec)).ok
 
-    def test_block_module_with_a_formal_coupling(self):
-        # oracle: the eager materialization of the same deformation
-        for K, sc, H, tspec in MATRIX:
-            rho = rho_family(K, tspec)
-            assert isinstance(rho, ReplicatedModule)
-            assert (rho.N, rho.nu, rho.params) == \
-                (tspec.n, tspec.nu, K.params + ("t",))
-            assert rho.deformation.nu == (tspec.nu_y, tspec.nu_c)
-            D = deformation(K, tspec.nu_y, tspec.nu_c)
-            t = ParamPoly.var(rho.params, "t")
-            assert rho.matrices == D.materialize([t] * (tspec.n - 1),
-                                                 rho.params)
+    def test_a_lowering_derivative_fails_the_t_location(self):
+        T = twist(GL_A1, TwistSpec(2, (2, -3)))
+        D, v1 = T.deformation, GenLabel("v", 1)
+        bad = T.replace(deformation=D.replace(B={**D.B, v1: D.A[v1]}))
+        report = affine_in_t_report(bad)
+        assert [(item.name, item.location) for item in report.failures] == \
+            [("t-dependence location", f"{v1} gained a t term")]
 
 
 class TestPhi:
     def test_phi_is_h_representation(self):
         for K, sc, H, tspec in MATRIX:
-            phi = phi_map(rho_family(K, tspec), H)
+            phi = phi_map(twist(K, tspec), H)
             assert check_phi_representation(phi).ok
 
     def test_checks_without_a_root_grading_stay_pairwise(self, monkeypatch):
@@ -122,13 +151,13 @@ class TestPhi:
 
         monkeypatch.setattr(algebra, "_certified", refuse)
         for K, sc, H, tspec in MATRIX:
-            rho = rho_family(K, tspec)
-            assert check_phi_representation(phi_map(rho, H)).ok
-            assert mixed_derivative_report(rho).ok
+            T = twist(K, tspec)
+            assert check_phi_representation(phi_map(T, H)).ok
+            assert mixed_derivative_report(T).ok
 
     def test_lowering_part_is_plain_wedge_insertion(self):
         K, H, tspec = GL_TRIV, HG21, TwistSpec(2, (1, 0))
-        phi = phi_map(rho_family(K, tspec), H)
+        phi = phi_map(twist(K, tspec), H)
         dim, n = K.dim, tspec.n
         for i in range(1, K.odd_count + 1):
             base = K.matrices[GenLabel("v", i)]
@@ -141,7 +170,7 @@ class TestPhi:
         # phi(h) sends (w x layer j) to nu(h) (w x layer j-1)
         K, H = GL_TRIV, HG21
         tspec = TwistSpec(3, (Fraction(2), Fraction(-5)))
-        phi = phi_map(rho_family(K, tspec), H)
+        phi = phi_map(twist(K, tspec), H)
         dim = K.dim
         for lab, scale in ((GenLabel("y"), Fraction(2)),
                            (GenLabel("z0"), Fraction(-5))):
@@ -155,7 +184,7 @@ class TestPhi:
 
     def test_raising_part_kills_generating_subspace(self):
         K, H, tspec = GL_A1, HG21, TwistSpec(2, (1, 1))
-        phi = phi_map(rho_family(K, tspec), H)
+        phi = phi_map(twist(K, tspec), H)
         dim = K.dim
         generating = [j * dim + l for j in range(tspec.n)
                       for l in range(K.L.dim)]
@@ -168,7 +197,7 @@ class TestPhi:
         # [phi(a-), phi(b-)] = 0, [phi(h), phi(a-)] = 0, and the raising
         # plus centre part is abelian
         K, H, tspec = GL_TRIV, HG21, TwistSpec(2, (1, -2))
-        phi = phi_map(rho_family(K, tspec), H)
+        phi = phi_map(twist(K, tspec), H)
         P = K.odd_count
         vs = [phi.matrices[GenLabel("v", i)] for i in range(1, P + 1)]
         us = [phi.matrices[GenLabel("u", i)] for i in range(1, P + 1)]
@@ -186,15 +215,15 @@ class TestPhi:
 class TestMixedDerivative:
     def test_identity_on_full_basis(self):
         for K, sc, H, tspec in MATRIX:
-            assert mixed_derivative_report(rho_family(K, tspec)).ok
+            assert mixed_derivative_report(twist(K, tspec)).ok
 
 
 def reference_kh_in_phi_basis(phi) -> dict:
     """The K_H matrices moved to the phi basis entry by entry."""
-    K = phi.rho.base
+    K = phi.twist.base
     dL = K.L.dim
-    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.rho.N,
-                                          phi.rho.deformation.nu, phi.params)
+    basis_kh, mats_kh = induce_heisenberg(phi.H, dL, phi.twist.N,
+                                          phi.twist.deformation.nu, phi.params)
     subsets = [subset for subset, l in basis_kh if l == 0]
     perm = []                     # K_H index -> phi index
     for subset, jl in basis_kh:
@@ -208,7 +237,7 @@ def reference_kh_in_phi_basis(phi) -> dict:
 def reference_lowering_rank(phi, generating) -> int:
     """Rank of the stacked rows v_S g, each one chain of one-column
     products, by the dense elimination."""
-    subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
+    subsets = [subset for subset, l in phi.twist.base.basis if l == 0]
     lowered = [(g, subset) for g in generating for subset in subsets]
     stack = {}
     for row, (g, subset) in enumerate(lowered):
@@ -222,15 +251,15 @@ def reference_lowering_rank(phi, generating) -> int:
 
 def generating_columns(phi) -> list:
     """(J layer j, empty subset, base vector l) for every j and l."""
-    K = phi.rho.base
-    return [j * K.dim + l for j in range(phi.rho.N)
+    K = phi.twist.base
+    return [j * K.dim + l for j in range(phi.twist.N)
             for l in range(K.L.dim)]
 
 
 def solved_lowering_rank(phi, generating) -> int:
     """The rank of the stacked lowered columns, solved by the dense
     oracle."""
-    subsets = [subset for subset, l in phi.rho.base.basis if l == 0]
+    subsets = [subset for subset, l in phi.twist.base.basis if l == 0]
     lowered = {(): PolyMatrix.identity(phi.dim, phi.params).submatrix(
         range(phi.dim), generating)}
     for subset in subsets[1:]:
@@ -244,25 +273,12 @@ def solved_lowering_rank(phi, generating) -> int:
                               stacked.cols)[0]
 
 
-# every (algebra, labels, twist) whose phi the tests build: MATRIX and
-# the cases of test_acceptance's criterion 8
-PHI_CASES = [("sl", 2, 1, (0,), TwistSpec(2, (1,))),
-             ("sl", 2, 1, (0,), TwistSpec(3, (Fraction(-2, 3),))),
-             ("gl", 2, 1, (0,), TwistSpec(2, (0, 1))),
-             ("gl", 2, 1, (1,), TwistSpec(2, (2, -3))),
-             ("gl", 2, 1, (1,), TwistSpec(3, (1, 0))),
-             ("gl", 2, 1, (0,), TwistSpec(2, (1, 0))),
-             ("gl", 2, 1, (0,), TwistSpec(3, (0, 1))),
-             ("sl", 2, 1, (1,), TwistSpec(2, (1,))),
-             ("sl", 3, 1, (0, 0), TwistSpec(2, (1,)))]
-
-
 @pytest.mark.parametrize("flavor, m, n, a, tspec", PHI_CASES)
 def test_lowering_rank_is_the_solved_rank(flavor, m, n, a, tspec):
     """The rank read off the integer RREF is the rank of the Fraction
     solve, on phi and on phi with v_1 zeroed or halved."""
     K, sc = build_kac(flavor, m, n, a)
-    phi = phi_map(rho_family(K, tspec), build_heisenberg(sc))
+    phi = phi_map(twist(K, tspec), build_heisenberg(sc))
     label = GenLabel("v", 1)
     generating = generating_columns(phi)
     for mat in (phi.matrices[label],
@@ -276,20 +292,20 @@ def test_lowering_rank_is_the_solved_rank(flavor, m, n, a, tspec):
 class TestCompareWithKH:
     def test_structural_isomorphism(self):
         for K, sc, H, tspec in MATRIX:
-            phi = phi_map(rho_family(K, tspec), H)
+            phi = phi_map(twist(K, tspec), H)
             report = compare_with_KH(phi)
             assert report.ok, report.summary()
 
     def test_block_reads_match_entrywise_reference(self):
         for K, sc, H, tspec in MATRIX:
-            phi = phi_map(rho_family(K, tspec), H)
+            phi = phi_map(twist(K, tspec), H)
             assert kh_in_phi_basis(phi) == reference_kh_in_phi_basis(phi)
             generating = generating_columns(phi)
             assert lowering_rank(phi, generating) == \
                 reference_lowering_rank(phi, generating) == phi.dim
 
     def test_corrupted_lowering_rank_matches_reference(self):
-        phi = phi_map(rho_family(GL_A1, TwistSpec(2, (2, -3))), HG21)
+        phi = phi_map(twist(GL_A1, TwistSpec(2, (2, -3))), HG21)
         label = GenLabel("v", 1)
         for mat in (PolyMatrix(phi.dim, phi.dim, phi.params),
                     phi.matrices[label].scale(Fraction(1, 2))):
@@ -300,7 +316,7 @@ class TestCompareWithKH:
 
     @staticmethod
     def _failed_checks(label, corrupt):
-        phi = phi_map(rho_family(GL_A1, TwistSpec(2, (2, -3))), HG21)
+        phi = phi_map(twist(GL_A1, TwistSpec(2, (2, -3))), HG21)
         matrices = dict(phi.matrices)
         matrices[label] = corrupt(matrices[label])
         report = compare_with_KH(phi.replace(matrices=matrices))

@@ -58,8 +58,8 @@ def artifacts() -> dict:
     """Every artifact kind and a report, by name."""
     K = build_kac("sl", 3, 1, (1, 0))
     G = build_kac("gl", 2, 1, (1,))
-    rho = hsb.rho_family(G, mat.TwistSpec(2, (2, -3)))
-    phi = hsb.phi_map(rho, hsb.build_heisenberg(G.sc))
+    phi = hsb.phi_map(mat.twist(G, mat.TwistSpec(2, (2, -3))),
+                      hsb.build_heisenberg(G.sc))
     return {
         "kac symbolic": jsonio.module_to_json(K),
         "kac bound": jsonio.module_to_json(G, {"b": Fraction(5, 7),

@@ -1,9 +1,9 @@
 """Module layering: no superkac module reaches into another one's private
 names, so each module's public functions are its whole interface; no
-module imports ``typing``, which a CLI run would otherwise load; and the
-public names that nothing in ``src/`` names, the defaulted parameters
-that no call in ``src/`` sets and the record fields that no code in
-``src/`` reads are known, pinned lists."""
+module imports ``typing``, which a CLI run would otherwise load, or a name
+it never reads; and the public names that nothing in ``src/`` names, the
+defaulted parameters that no call in ``src/`` sets and the record fields
+that no code in ``src/`` reads are known, pinned lists."""
 
 import ast
 from collections import Counter, defaultdict
@@ -81,6 +81,54 @@ def test_checker_sees_a_typing_import(tmp_path):
                      "def f():\n"
                      "    import typing\n", encoding="utf-8")
     assert typing_imports(probe) == [2, 3, 5]
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) for each name that ``path`` imports and never reads.
+    ``from __future__`` imports are exempt, and a name inside a quoted
+    annotation counts as a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname
+                          or alias.name.split(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name)
+                         for alias in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        annotations = [getattr(node, "returns", None),
+                       getattr(node, "annotation", None)]
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) \
+                        and isinstance(sub.value, str):
+                    read |= {name.id for name in ast.walk(ast.parse(
+                        sub.value, mode="eval")) if isinstance(name, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_checker_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os.path, sys as system\n"
+                     "from fractions import Fraction\n"
+                     "from superkac.exact import ParamPoly, PolyMatrix, rat\n"
+                     "def f(x: 'ParamPoly') -> dict[str, 'PolyMatrix']:\n"
+                     "    return os.path.join(x)\n", encoding="utf-8")
+    assert unused_imports(probe) == [(2, "system"), (3, "Fraction"),
+                                     (4, "rat")]
 
 
 def _names(tree) -> Counter:

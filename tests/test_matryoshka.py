@@ -251,7 +251,7 @@ class TestJordanProfile:
         (replicate(SL31_A21, ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))),
          B57, None, {3}),
         (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
-                          None, OCTET.params), B57, None, {2}),
+                          None), B57, None, {2}),
         (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
          B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)},
          {3}),
@@ -335,8 +335,7 @@ class TestJordanProfile:
         # a zero coupling, which ReplicationSpec rejects, given to the block
         # module directly gives a direct sum, detected by the profile
         # collapsing to 1
-        R0 = ReplicatedModule(odd_derivative(QUARTET), (Fraction(0),), None,
-                              QUARTET.params)
+        R0 = ReplicatedModule(odd_derivative(QUARTET), (Fraction(0),), None)
         profile = jordan_minpoly_profile(R0, {"b": Fraction(5, 7)})
         assert set(profile.values()) == {1}
 
@@ -384,6 +383,13 @@ class TestTwist:
     def test_z0_component_needs_gl(self):
         with pytest.raises(InputError):
             twist(QUARTET, TwistSpec(2, (1, 1)))
+
+    def test_sl_twist_refuses_a_zero_z0_component(self):
+        # TwistSpec cannot tell sl from gl, and deformation sees only the
+        # zero z0 coefficient, so twist refuses the second component
+        with pytest.raises(InputError, match="^nu .* sl"):
+            twist(QUARTET, TwistSpec(2, (1, 0)))
+        assert twist(QUARTET, TwistSpec(2, (1,))).nu == (Fraction(1),)
 
 
 class TestUpsilon:
@@ -461,7 +467,7 @@ class TestReductionToBaseDimension:
         reduced = superbracket_violations(D.A, D.base.sc)
         for violations in derivative_violations(D, N).values():
             reduced += violations
-        blocks = D.materialize(couplings, D.base.params)
+        blocks = D.materialize(couplings)
         full = superbracket_violations(blocks, D.base.sc)
         assert {pair for pair, _ in reduced} == {pair for pair, _ in full}
         # from N = 2 a Cartan block holds a Jordan block, not a diagonal,

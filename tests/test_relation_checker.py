@@ -763,7 +763,7 @@ LEMMA_CASES = [(name, nu) for name, K in LEMMA_MODULES.items()
 
 
 def block(D, N):
-    return ReplicatedModule(D, (Fraction(1),) * (N - 1), None, D.base.params)
+    return ReplicatedModule(D, (Fraction(1),) * (N - 1), None)
 
 
 def direct_items(D, N) -> list:
