@@ -143,8 +143,8 @@ Weight = tuple  # length m+n: int, Fraction or ParamPoly entries
 class RootDatum(Record):
     """Distinguished-basis root data for gl/sl(m|n).
 
-    The roots are int tuples; rho0, rho1 and rho are Fraction tuples, each
-    half an integer vector."""
+    The roots are int tuples; rho is a Fraction tuple, half an integer
+    vector."""
 
     spec: SuperAlgebraSpec
     simple_even_roots: tuple          # r weights
@@ -153,8 +153,6 @@ class RootDatum(Record):
     odd_positive_roots: tuple         # P weights, beta_1 = eps_m - delta_1 first
     odd_pairs: tuple                  # matching (i, j), i in 0..m-1, j in 0..n-1
     cartan_matrix: tuple              # r x r integer tuples
-    rho0: Weight
-    rho1: Weight
     rho: Weight
 
     def _validate(self):
@@ -177,8 +175,9 @@ class RootDatum(Record):
 
 def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
     """The root datum on ints: each root is a difference of two unit
-    vectors, and rho0 = (m-1-2i | n-1-2j) / 2 and rho1 = (n..n | -m..-m) / 2
-    are read off the closed forms of 2 rho0 and 2 rho1."""
+    vectors, and rho = rho0 - rho1 is read off the closed form of
+    2 rho = (m-1-n-2i | n-1+m-2j), from 2 rho0 = (m-1-2i | n-1-2j) and
+    2 rho1 = (n..n | -m..-m)."""
     m, n = spec.m, spec.n
     zero = (0,) * (m + n)
 
@@ -205,11 +204,9 @@ def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
               for j in range(r))
         for i in range(r))
 
-    two_rho0 = [m - 1 - 2 * i for i in range(m)] + \
-        [n - 1 - 2 * j for j in range(n)]
-    two_rho1 = [n] * m + [-m] * n
-    two_rho = [x - y for x, y in zip(two_rho0, two_rho1)]
-    halves = {x: Fraction(x, 2) for x in {*two_rho0, *two_rho1, *two_rho}}
+    two_rho = [m - 1 - n - 2 * i for i in range(m)] + \
+        [n - 1 + m - 2 * j for j in range(n)]
+    halves = {x: Fraction(x, 2) for x in two_rho}
     return RootDatum(
         spec=spec,
         simple_even_roots=tuple(simple),
@@ -218,8 +215,6 @@ def build_root_datum(spec: SuperAlgebraSpec) -> RootDatum:
         odd_positive_roots=tuple(odd_roots),
         odd_pairs=tuple(odd_pairs),
         cartan_matrix=cartan,
-        rho0=tuple(halves[x] for x in two_rho0),
-        rho1=tuple(halves[x] for x in two_rho1),
         rho=tuple(halves[x] for x in two_rho),
     )
 
@@ -293,12 +288,9 @@ class StructureConstants(Record):
     spec: SuperAlgebraSpec
     datum: RootDatum
     basis: tuple                      # full ordered GenLabel basis
-    parity: dict                      # GenLabel -> 0 | 1
-    grade: dict                       # GenLabel -> hypercharge grade (Fraction|0)
     recipes: dict                     # nonsimple GenLabel -> (left, right)
     table: dict                       # (GenLabel, GenLabel) -> {GenLabel: Fraction}
     k: Fraction                       # y coefficient of {u_i, v_i}
-    d: dict                           # (i, j) -> expansion dict of {u_i, v_j}
 
     def bracket(self, a: GenLabel, b: GenLabel) -> dict:
         return self.table.get((a, b), {})
@@ -367,11 +359,12 @@ def _root_weights(sc: StructureConstants):
     """(cartan, dens, weights, parts), the table premises of the root-space
     certificate of ``bracket_violations``, or None where one fails.
 
-    Each Cartan label h (h_i, y, z0) is even and acts diagonally, [h, b] =
-    alpha_b(h) b, which gives each label b a weight alpha_b.  The Cartan
-    labels weigh 0, the root labels have nonzero, pairwise distinct
-    weights, and each triangular part has one parity.  t in [a, b] implies
-    alpha_t = alpha_a + alpha_b, and the table is graded-antisymmetric.
+    Each Cartan label h (h_i, y, z0) acts diagonally, [h, b] = alpha_b(h) b,
+    which gives each label b a weight alpha_b.  The Cartan labels weigh 0,
+    the root labels have nonzero, pairwise distinct weights, t in [a, b]
+    implies alpha_t = alpha_a + alpha_b, and the table is
+    graded-antisymmetric.  Parity is read off the label kind (``parity_of``),
+    so the Cartan labels are even and each triangular part has one parity.
     ``cartan`` lists the Cartan labels, ``dens`` per Cartan label the lcm
     of the denominators of the alpha_b(h), ``weights`` maps each label to
     its alpha as ints over ``dens``, and ``parts`` holds the nonempty parts
@@ -381,9 +374,7 @@ def _root_weights(sc: StructureConstants):
     parts = tuple(part for part in (
         tuple(lab for lab in sc.basis if lab.kind in kinds)
         for kinds in _PARTS) if part)
-    if (len(cartan) + sum(map(len, parts)) != len(sc.basis)
-            or any(sc.parity[h] for h in cartan)
-            or any(len({sc.parity[b] for b in part}) != 1 for part in parts)):
+    if len(cartan) + sum(map(len, parts)) != len(sc.basis):
         return None
     columns = []                      # per Cartan label, {label: alpha(h)}
     for h in cartan:
@@ -410,7 +401,7 @@ def _root_weights(sc: StructureConstants):
             or len(set(roots)) != len(roots)):
         return None
     for (a, b), expansion in sc.table.items():
-        sign = 1 if (sc.parity[a] and sc.parity[b]) else -1
+        sign = 1 if (parity_of(a) and parity_of(b)) else -1
         weight = key[a] + key[b]
         if (any(key.get(t) != weight for t in expansion)
                 or not _is_mirror(expansion, sc.bracket(b, a), sign)):
@@ -495,7 +486,6 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
     spec, datum = rep.spec, rep.datum
     basis, recipes = _full_basis(spec, datum)
     mats = extend_matrices(rep.matrices, recipes)
-    parity = {lab: parity_of(lab) for lab in basis}
     dim = spec.dim_fund
 
     roots = []                        # (position, r, c, numerator, denominator)
@@ -581,7 +571,7 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
     starting = {}                     # row r -> the roots there
     for root in roots:
         starting.setdefault(root[1], []).append(root)
-    odd = [parity[lab] for lab in basis]
+    odd = [parity_of(lab) for lab in basis]
     for p, r, c, xn, xd in roots:
         for q, _, c2, yn, yd in starting.get(c, ()):
             s = 1 if (odd[p] and odd[q]) else -1
@@ -604,20 +594,11 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
             table[(la, basis[j])] = row[j]
 
     ylab = GenLabel("y")
-    grade = {}
-    for lab in basis:
-        exp = table.get((ylab, lab), {})
-        if any(other != lab for other in exp):
-            raise InternalConsistencyError(f"[y, {lab}] is not diagonal in the basis")
-        grade[lab] = exp.get(lab, 0)
-
-    d = {}
     k = None
     P = spec.odd_count
     for i in range(1, P + 1):
         for j in range(1, P + 1):
             exp = table.get((GenLabel("u", i), GenLabel("v", j)), {})
-            d[(i, j)] = exp
             ycoeff = exp.get(ylab, 0)
             if i == j:
                 if k is None:
@@ -636,9 +617,8 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
             f"{spec} has a vanishing hypercharge coefficient in the odd "
             "contraction; modules with a free odd label need m != n")
 
-    return StructureConstants(
-        spec=spec, datum=datum, basis=tuple(basis), parity=parity, grade=grade,
-        recipes=recipes, table=table, k=k, d=d)
+    return StructureConstants(spec=spec, datum=datum, basis=tuple(basis),
+                              recipes=recipes, table=table, k=k)
 
 
 def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
@@ -667,8 +647,8 @@ def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
                 rows.setdefault(index[t], {})[c] = \
                     x.numerator * (den // x.denominator)
         ad[lab] = PolyMatrix.from_term(dim, dim, (), (den, rows))
-    violations = bracket_violations(sc.basis, sc.generators, sc.parity,
-                                    sc.table, ad, weights=sc.root_weights)
+    violations = bracket_violations(sc.basis, sc.generators, sc.table, ad,
+                                    weights=sc.root_weights)
     report = VerificationReport(f"super-Jacobi identity for {sc.spec}")
     if violations:
         (a, b), ((t, c), val) = violations[0]
@@ -683,11 +663,20 @@ def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
 
 def grading_report(sc: StructureConstants) -> VerificationReport:
     """Structure constants vanish unless hypercharge grades add up,
-    compared as integers over the lcm of the grade denominators."""
+    compared as integers over the lcm of the grade denominators.  The
+    grade of a label is read off its bracket with y, which must be
+    diagonal."""
     report = VerificationReport(f"hypercharge grading for {sc.spec}")
-    den = lcm(*(g.denominator for g in sc.grade.values()))
+    grades = {}
+    for lab in sc.basis:
+        expansion = sc.bracket(GenLabel("y"), lab)
+        if any(other != lab for other in expansion):
+            raise InternalConsistencyError(
+                f"[y, {lab}] is not diagonal in the basis")
+        grades[lab] = expansion.get(lab, 0)
+    den = lcm(*(g.denominator for g in grades.values()))
     grade = {lab: g.numerator * (den // g.denominator)
-             for lab, g in sc.grade.items()}
+             for lab, g in grades.items()}
     for (a, b), expansion in sc.table.items():
         total = grade[a] + grade[b]
         for target, coeff in expansion.items():
@@ -700,7 +689,7 @@ def grading_report(sc: StructureConstants) -> VerificationReport:
 
 
 def bracket_violations(labels: Sequence[GenLabel],
-                       generators: Sequence[GenLabel], parity: Mapping,
+                       generators: Sequence[GenLabel],
                        table: Mapping, targets: Mapping[GenLabel, PolyMatrix],
                        bracket: Callable | None = None,
                        weights: tuple | None = None) -> list:
@@ -708,8 +697,9 @@ def bracket_violations(labels: Sequence[GenLabel],
     with a or b in ``generators`` at which the bracket differs from the
     table's expansion sum_t table[(a, b)][t] * targets[t].
 
-    ``bracket(a, b, parity[a], parity[b])`` gives the bracket as product
-    terms (coeff, left, right), e.g. ``sbracket``, so each residual is one
+    ``bracket(a, b, pa, pb)``, with pa and pb the parities ``parity_of``
+    reads off a and b, gives the bracket as product terms
+    (coeff, left, right), e.g. ``sbracket``, so each residual is one
     ``combination`` pass; None stands for the superbracket of the targets
     themselves.  Returns ``[((a, b), (entry, residual)), ...]`` in pair
     order, locating the first nonzero entry of each residual.
@@ -742,16 +732,16 @@ def bracket_violations(labels: Sequence[GenLabel],
     alone gives violation counts and locators.
     """
     if bracket is None:
-        if weights is not None and _certified(labels, generators, parity,
-                                              table, targets, weights):
+        if weights is not None and _certified(labels, generators, table,
+                                              targets, weights):
             return []
 
         def bracket(la, lb, pa, pb):
             return sbracket(pa, pb, targets[la], targets[lb])
-    return _pairwise(labels, generators, parity, table, bracket, targets)
+    return _pairwise(labels, generators, table, bracket, targets)
 
 
-def _pairwise(labels, generators, parity, table, bracket, targets) -> list:
+def _pairwise(labels, generators, table, bracket, targets) -> list:
     """The violations of ``bracket_violations``, one residual per pair.
 
     The bracket must be graded-antisymmetric, [b, a] = -(-1)^{|a||b|} [a, b],
@@ -764,7 +754,7 @@ def _pairwise(labels, generators, parity, table, bracket, targets) -> list:
     located = {}
     generators = set(generators)
     flags = [label in generators for label in labels]
-    odd = [parity[label] for label in labels]
+    odd = [parity_of(label) for label in labels]
     for i, la in enumerate(labels):
         for j, lb in enumerate(labels):
             if not (flags[i] or flags[j]):
@@ -791,7 +781,7 @@ def _pairwise(labels, generators, parity, table, bracket, targets) -> list:
     return violations
 
 
-def _certified(labels, generators, parity, table, targets, weights) -> bool:
+def _certified(labels, generators, table, targets, weights) -> bool:
     """Whether every generator pair of the superbracket of the targets
     holds, proved by root-space sums; False where a premise or a sum
     fails, which proves nothing.
@@ -815,14 +805,14 @@ def _certified(labels, generators, parity, table, targets, weights) -> bool:
     roots = [x for x in generators if x not in cartan]
     for part in parts:
         total = combination([(1, targets[b], None) for b in part])
-        odd = parity[part[0]]
+        odd = parity_of(part[0])
         for x in roots:
             coeffs: dict = {}
             for b in part:
                 for t, c in table.get((x, b), {}).items():
                     coeffs[t] = coeffs.get(t, 0) + c
             residual = combination(
-                sbracket(parity[x], odd, targets[x], total)
+                sbracket(parity_of(x), odd, targets[x], total)
                 + [(-c, targets[t], None) for t, c in coeffs.items() if c])
             if not residual.is_zero:
                 return False
@@ -934,7 +924,7 @@ def superbracket_violations(matrices: Mapping[GenLabel, PolyMatrix],
                             sc: StructureConstants) -> list:
     """Violating pairs of the superbracket table for representation
     matrices; nonsimple root vectors are derived from their recipes."""
-    return bracket_violations(sc.basis, sc.generators, sc.parity, sc.table,
+    return bracket_violations(sc.basis, sc.generators, sc.table,
                               extend_matrices(matrices, sc.recipes),
                               weights=sc.root_weights)
 

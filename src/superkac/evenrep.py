@@ -62,7 +62,8 @@ def labels_to_hypercharge(sc: StructureConstants,
     validate_even_labels(spec, a)
     params = module_params(spec)
     h_part = 0
-    for label, coeff in sc.d[(1, 1)].items():
+    for label, coeff in sc.bracket(GenLabel("u", 1),
+                                   GenLabel("v", 1)).items():
         if label.kind == "h":
             h_part += coeff * a[label.index - 1]
         elif label.kind == "z0" and coeff != 0:

@@ -449,9 +449,10 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
     ``parts`` yields (W, B): W a size x size rational matrix stored like a
     PolyMatrix term, as (den, {row: {col: int}}) for {row: {col: int / den}}
     (zero entries and a common factor are allowed), and B a base_dim-square
-    PolyMatrix, re-declared over params.  The parts of each exponent are
-    brought to one common denominator, so the whole sum is one integer
-    accumulation per exponent.  Only an entry that two parts add to can
+    PolyMatrix over params; a B over other params raises DeclarationError,
+    as in ``combination``.  The parts of each exponent are brought to one
+    common denominator, so the whole sum is one integer accumulation per
+    exponent.  Only an entry that two parts add to can
     vanish, so an accumulation where no such sum came out zero skips the
     scans for zeros and empty rows.
     """
@@ -461,13 +462,15 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
         if (B.rows, B.cols) != (base_dim, base_dim):
             raise ValueError(f"{B.rows}x{B.cols} factor, expected "
                              f"{base_dim}x{base_dim}")
+        if B.params != params:
+            raise DeclarationError("matrix parameter lists differ")
         for i, row in rows.items():
             if row and not (0 <= i < size and 0 <= min(row)
                             and max(row) < size):
                 raise IndexError(f"entry of W outside {size}x{size}")
         if not rows:
             continue
-        for exps, (den_b, rows_b) in B.with_params(params).terms.items():
+        for exps, (den_b, rows_b) in B.terms.items():
             groups.setdefault(exps, []).append((rows, rows_b, den * den_b))
     terms = {}
     for exps, group in groups.items():
@@ -706,31 +709,6 @@ class PolyMatrix:
              term, None)
             for exps, term in self.terms.items() if exps[idx]))
 
-    def coefficient(self, name: str, power: int) -> "PolyMatrix":
-        """Coefficient matrix of ``name**power`` (over the same params)."""
-        idx = self._index(name)
-        terms = {exps[:idx] + (0,) + exps[idx + 1:]: rows
-                 for exps, rows in self.terms.items() if exps[idx] == power}
-        return PolyMatrix._of(self.rows, self.cols, self.params, terms)
-
-    def with_params(self, params: Sequence[str]) -> "PolyMatrix":
-        """Re-declare over a different parameter list.
-
-        New names embed freely; a dropped name must not actually occur.
-        """
-        params = tuple(params)
-        if params == self.params:
-            return self
-        for name in self.params:
-            if name not in params and self.degree(name) > 0:
-                raise DeclarationError(
-                    f"cannot drop {name!r}: it occurs with positive degree")
-        slots = [self.params.index(name) if name in self.params else None
-                 for name in params]
-        terms = {tuple(0 if s is None else exps[s] for s in slots): rows
-                 for exps, rows in self.terms.items()}
-        return PolyMatrix._of(self.rows, self.cols, params, terms)
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -741,10 +719,6 @@ class PolyMatrix:
         """Exact degree in one parameter (the zero matrix has degree 0)."""
         idx = self._index(name)
         return max((exps[idx] for exps in self.terms), default=0)
-
-    @property
-    def is_constant(self) -> bool:
-        return not any(any(exps) for exps in self.terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyMatrix)

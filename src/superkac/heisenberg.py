@@ -31,7 +31,6 @@ class HeisenbergSpec(Record):
     base: StructureConstants
     labels: tuple                 # u_1..u_P, v_1..v_P, y (, z0)
     hprime: tuple
-    parity: dict
     table: dict                   # (la, lb) -> {h' label: Fraction}
 
 
@@ -41,19 +40,19 @@ def build_heisenberg(sc: StructureConstants) -> HeisenbergSpec:
     odd = [GenLabel("u", i) for i in range(1, P + 1)] + \
           [GenLabel("v", i) for i in range(1, P + 1)]
     labels = tuple(odd + hprime)
-    parity = {lab: (1 if lab.kind in ("u", "v") else 0) for lab in labels}
 
     table = {}
     for i in range(1, P + 1):
         for j in range(1, P + 1):
-            projected = {lab: coeff for lab, coeff in sc.d[(i, j)].items()
+            contraction = sc.bracket(GenLabel("u", i), GenLabel("v", j))
+            projected = {lab: coeff for lab, coeff in contraction.items()
                          if lab in hprime and coeff != 0}
             if projected:
                 # anticommutators are symmetric, so both orders carry it
                 table[(GenLabel("u", i), GenLabel("v", j))] = projected
                 table[(GenLabel("v", j), GenLabel("u", i))] = projected
     return HeisenbergSpec(base=sc, labels=labels, hprime=tuple(hprime),
-                          parity=parity, table=table)
+                          table=table)
 
 
 def heisenberg_structure_report(H: HeisenbergSpec) -> VerificationReport:
@@ -127,7 +126,7 @@ def check_phi_representation(phi: HModule) -> VerificationReport:
     All pairs are checked: [H, H] lies in h', so a generating set of H
     holds every odd label and leaves out at most the h' labels."""
     H = phi.H
-    violations = bracket_violations(H.labels, H.labels, H.parity, H.table,
+    violations = bracket_violations(H.labels, H.labels, H.table,
                                     phi.matrices)
     return violations_report("phi is an H-representation",
                              "H bracket table under phi", H.labels, H.labels,

@@ -36,7 +36,7 @@ from operator import add
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               StructureConstants, extend_matrices,
-                              typicality_factors)
+                              parity_of, typicality_factors)
 from superkac.evenrep import EvenModule
 from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
                             integer_rref, kronecker_sum, nullspace, rat)
@@ -45,17 +45,22 @@ from superkac.record import Record
 
 class KacModule(Record):
     """A module built by wedge induction; matrices are indexed by generator
-    labels."""
+    labels.  The params and the highest weight are those of L."""
 
-    params: tuple
     basis: tuple                  # (subset, even_index) pairs, v_Lambda first
     matrices: dict                # GenLabel -> PolyMatrix
-    hw: tuple                     # epsilon/delta coordinates of the highest
-                                  # weight (ParamPoly)
     shifts: tuple                 # per basis vector, hw minus its weight (ints)
     layers: tuple                 # |subset| per basis vector
     sc: StructureConstants
     L: EvenModule
+
+    @property
+    def params(self) -> tuple:
+        return self.L.params
+
+    @property
+    def hw(self) -> tuple:
+        return self.L.hw
 
     @property
     def dim(self) -> int:
@@ -258,7 +263,7 @@ def induce(L: EvenModule, sc: StructureConstants) -> KacModule:
                    if lab.kind in ("h", "e", "f", "y", "z0")]
     adj = {}
     for g in sc.basis:
-        if sc.parity[g]:
+        if parity_of(g):
             continue
         for s in range(1, P + 1):
             expansion = sc.bracket(g, GenLabel("v", s))
@@ -271,9 +276,9 @@ def induce(L: EvenModule, sc: StructureConstants) -> KacModule:
             if pairs:
                 adj[(g, s)] = tuple(pairs)
 
-    uv_exp = {}
-    for (i, j), expansion in sc.d.items():
-        uv_exp[(i, j)] = tuple(expansion.items())
+    uv_exp = {(i, j): tuple(sc.bracket(GenLabel("u", i),
+                                       GenLabel("v", j)).items())
+              for i in range(1, P + 1) for j in range(1, P + 1)}
 
     basis, matrices = induce_core(P, params, L.dim, even_labels,
                                   base_even, adj, uv_exp)
@@ -281,8 +286,8 @@ def induce(L: EvenModule, sc: StructureConstants) -> KacModule:
     shifts, layers = _shifted(L.shifts, _subset_order(P),
                               sc.datum.odd_positive_roots)
 
-    return KacModule(params=params, basis=basis, matrices=matrices, hw=L.hw,
-                     shifts=shifts, layers=layers, sc=sc, L=L)
+    return KacModule(basis=basis, matrices=matrices, shifts=shifts,
+                     layers=layers, sc=sc, L=L)
 
 
 # -- typicality -------------------------------------------------------------

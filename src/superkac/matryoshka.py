@@ -34,37 +34,39 @@ class Deformation(Record):
     """A Kac module's matrices A with their derivative B along nu on h'.
 
     A covers the full basis (nonsimple root vectors via their recipes) and
-    B = D(A) for the derivation D = nu_y * k * d/db + nu_c * d/dc, where
-    nu = (nu_y, nu_c).  With S the block shift carrying the couplings,
-    X = I (x) A + S (x) B satisfies the superbracket relations exactly
-    when, at base dimension,
+    B = D(A) is computed from it, for the derivation D = nu_y * k * d/db +
+    nu_c * d/dc, where nu = (nu_y, nu_c).  With S the block shift carrying
+    the couplings, X = I (x) A + S (x) B satisfies the superbracket
+    relations exactly when, at base dimension,
       (i)   the base relations hold, symbolically in (b, c);
       (ii)  [A_a, B_b] + [B_a, A_b] = sum_t f_ab^t B_t  (for N >= 2);
       (iii) [B_a, B_b] = 0  (for N >= 3, where S^2 is nonzero).
 
     Derivation lemma: with R_ab = [A_a, A_b] - sum_t f_ab^t A_t the
     residual of (i), the residual of (ii) is D(R_ab) by Leibniz, as B = D(A)
-    (premise P1).  Where no term of any A has degree above 1 along D
-    (premise P2), D(B) = 0, and the residual of (iii) is D^2(R_ab) / 2.  So
-    wherever (i) holds symbolically and the premises hold, (ii) and (iii)
-    hold too.  Both premises are checked in O(nnz) by ``is_derivative``
-    and ``affine_along``; ``block_relations_report`` relies on them.
+    (premise P1, which holds by construction).  Where no term of any A has
+    degree above 1 along D (premise P2), D(B) = 0, and the residual of
+    (iii) is D^2(R_ab) / 2.  So wherever (i) holds symbolically and P2
+    holds, (ii) and (iii) hold too.  P2 is checked in O(nnz) by
+    ``affine_along``; ``block_relations_report`` relies on it.
     """
 
     base: KacModule
     nu: tuple                     # (nu_y, nu_c), the direction of D
     A: dict                       # GenLabel -> PolyMatrix
-    B: dict                       # GenLabel -> PolyMatrix
+
+    @cached_property
+    def B(self) -> dict:
+        """GenLabel -> D(A), over the labels of A."""
+        return {label: self.along(mat) for label, mat in self.A.items()}
 
     def along(self, mat: PolyMatrix) -> PolyMatrix:
         """D(mat), the derivative of a matrix over the base params along
         this deformation's direction."""
-        return _along(self.base.sc.k, self.nu, mat)
-
-    def is_derivative(self) -> bool:
-        """Premise P1: B covers the labels of A, and each B is D(A)."""
-        return self.B.keys() == self.A.keys() and all(
-            self.B[label] == self.along(mat) for label, mat in self.A.items())
+        nu_y, nu_c = self.nu
+        return combination(
+            [(self.base.sc.k * nu_y, mat.derivative("b"), None)]
+            + ([(nu_c, mat.derivative("c"), None)] if nu_c else []))
 
     def affine_along(self) -> bool:
         """Premise P2: no term of any A has degree above 1 along D, i.e.
@@ -93,23 +95,13 @@ class Deformation(Record):
         return matrices
 
 
-def _along(k, nu: tuple, mat: PolyMatrix) -> PolyMatrix:
-    """D(mat) for D = nu_y * k * d/db + nu_c * d/dc, nu = (nu_y, nu_c)."""
-    nu_y, nu_c = nu
-    return combination(
-        [(k * nu_y, mat.derivative("b"), None)]
-        + ([(nu_c, mat.derivative("c"), None)] if nu_c else []))
-
-
 def deformation(K: KacModule, nu_y, nu_c=Fraction(0)) -> Deformation:
     """The first-order deformation of K along nu = (nu_y, nu_c)."""
     nu = (rat(nu_y), rat(nu_c))
     if nu[1] and "c" not in K.params:
         raise InputError("a z0 twist direction needs flavor gl")
-    A = extend_matrices(K.matrices, K.sc.recipes)
-    return Deformation(base=K, nu=nu, A=A,
-                       B={label: _along(K.sc.k, nu, mat)
-                          for label, mat in A.items()})
+    return Deformation(base=K, nu=nu,
+                       A=extend_matrices(K.matrices, K.sc.recipes))
 
 
 def odd_derivative(K: KacModule) -> Deformation:
@@ -138,12 +130,11 @@ def derivative_violations(D: Deformation, N: int) -> dict:
     out = {}
     if N >= 2:
         out[LINEARIZED] = bracket_violations(
-            sc.basis, sc.generators, sc.parity, sc.table, B,
+            sc.basis, sc.generators, sc.table, B,
             lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
             + sbracket(pa, pb, B[la], A[lb]))
     if N >= 3:
-        out[SQUARE] = bracket_violations(sc.basis, sc.generators, sc.parity,
-                                         {}, B)
+        out[SQUARE] = bracket_violations(sc.basis, sc.generators, {}, B)
     return out
 
 
@@ -169,10 +160,11 @@ def block_relations_report(module: ReplicatedModule,
     at base dimension as (i) the base relations and (ii)-(iii).
 
     (i) is ``check(A, sc, title)``, the one relation checker unless a
-    caller passes its own binding of it.  Where (i) has no violation, B is
-    D(A) (premise P1) and, for N >= 3, every A is affine along D (premise
-    P2), the derivation lemma of ``Deformation`` proves (ii) and (iii) on
-    every pair, and they are reported as passing without a product.
+    caller passes its own binding of it.  B is D(A) by construction
+    (premise P1), so where (i) has no violation and, for N >= 3, every A is
+    affine along D (premise P2), the derivation lemma of ``Deformation``
+    proves (ii) and (iii) on every pair, and they are reported as passing
+    without a product.
     Otherwise they are computed by ``derivative_report``, so every failing
     item, count and locator is that of the direct path."""
     D, N = module.deformation, module.N
@@ -180,7 +172,7 @@ def block_relations_report(module: ReplicatedModule,
     if N == 1:
         return report
     title = "first-order relations"
-    if report.ok and D.is_derivative() and (N < 3 or D.affine_along()):
+    if report.ok and (N < 3 or D.affine_along()):
         report.extend(_identities_report(
             D, title, {name: [] for name in (LINEARIZED, SQUARE)[:N - 1]}))
     else:
@@ -266,13 +258,6 @@ class ReplicatedModule(Record):
     def matrices(self) -> dict:
         return self.deformation.materialize(self.couplings)
 
-    def matrices_of(self, labels) -> dict:
-        """The block matrices of some labels; until ``matrices`` is built,
-        only these are built."""
-        if "matrices" in self.__dict__:
-            return {label: self.matrices[label] for label in labels}
-        return self.deformation.materialize(self.couplings, labels)
-
     @property
     def hw(self) -> tuple:
         return self.base.hw
@@ -321,7 +306,7 @@ def leading_principal_submodule(R: ReplicatedModule) -> dict:
 def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatrix:
     """Matrix of a Cartan combination sum h_coeffs[label] * label; a block
     module builds only the labels of h_coeffs."""
-    mats = module.matrices_of(h_coeffs) \
+    mats = module.deformation.materialize(module.couplings, h_coeffs) \
         if isinstance(module, ReplicatedModule) else module.matrices
     return combination([(coeff, mats[label], None)
                         for label, coeff in h_coeffs.items()])

@@ -115,7 +115,7 @@ def reference_root_datum(spec) -> dict:
         odd_positive_roots=tuple(odd_roots),
         odd_pairs=tuple(odd_pairs),
         cartan_matrix=tuple(cartan),
-        rho0=rho0, rho1=rho1, rho=rho,
+        rho=rho,
     )
 
 
@@ -220,7 +220,8 @@ def reference_labels_to_hypercharge(sc, a) -> ParamPoly:
     validate_even_labels(spec, a)
     params = module_params(spec)
     h_part = 0
-    for label, coeff in sc.d[(1, 1)].items():
+    for label, coeff in sc.bracket(GenLabel("u", 1),
+                                   GenLabel("v", 1)).items():
         if label.kind == "h":
             h_part += coeff * a[label.index - 1]
         elif label.kind == "z0" and coeff != 0:

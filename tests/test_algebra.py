@@ -19,6 +19,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               sbracket, structure_constants,
                               super_jacobi_report, typicality_factors,
                               weight_from_labels)
+from block_oracle import part_over
 from dense_oracles import ExactSolver, dense_rows, dense_rref
 from setup_oracles import (rational_entries, reference_bilinear, supertrace,
                            weight_eval)
@@ -156,7 +157,8 @@ class TestStructureConstants:
         assert (alpha, kappa) == (Fraction(1, 2), Fraction(-1, 2))
         assert SC21.k == kappa
         # the same coefficient appears in every {u_i, v_i} contraction
-        assert SC21.d[(2, 2)][GenLabel("y")] == kappa
+        assert SC21.bracket(GenLabel("u", 2),
+                            GenLabel("v", 2))[GenLabel("y")] == kappa
 
     def test_k_nonzero_all_test_algebras(self):
         for flavor in ("sl", "gl"):
@@ -230,7 +232,6 @@ def loop_structure_constants(rep) -> StructureConstants:
     spec, datum = rep.spec, rep.datum
     basis, recipes = _full_basis(spec, datum)
     mats = extend_matrices(rep.matrices, recipes)
-    parity = {lab: parity_of(lab) for lab in basis}
     dim = spec.dim_fund
 
     rows = []                         # per basis position: {r: {c: x}}
@@ -261,7 +262,7 @@ def loop_structure_constants(rep) -> StructureConstants:
 
     table = {}
     for (la, ra), (lb, rb) in itertools.product(zip(basis, rows), repeat=2):
-        sign = 1 if (parity[la] and parity[lb]) else -1
+        sign = 1 if (parity_of(la) and parity_of(lb)) else -1
         bracket: dict = {}
         for left, right, s in ((ra, rb, 1), (rb, ra, sign)):
             for r, row in left.items():
@@ -296,20 +297,11 @@ def loop_structure_constants(rep) -> StructureConstants:
                                for pos in sorted(expansion)}
 
     ylab = GenLabel("y")
-    grade = {}
-    for lab in basis:
-        exp = table.get((ylab, lab), {})
-        if any(other != lab for other in exp):
-            raise InternalConsistencyError(f"[y, {lab}] is not diagonal in the basis")
-        grade[lab] = exp.get(lab, Fraction(0))
-
-    d = {}
     k = None
     P = spec.odd_count
     for i in range(1, P + 1):
         for j in range(1, P + 1):
             exp = table.get((GenLabel("u", i), GenLabel("v", j)), {})
-            d[(i, j)] = exp
             ycoeff = exp.get(ylab, Fraction(0))
             if i == j:
                 if k is None:
@@ -328,9 +320,8 @@ def loop_structure_constants(rep) -> StructureConstants:
             f"{spec} has a vanishing hypercharge coefficient in the odd "
             "contraction; modules with a free odd label need m != n")
 
-    return StructureConstants(
-        spec=spec, datum=datum, basis=tuple(basis), parity=parity, grade=grade,
-        recipes=recipes, table=table, k=k, d=d)
+    return StructureConstants(spec=spec, datum=datum, basis=tuple(basis),
+                              recipes=recipes, table=table, k=k)
 
 
 ORACLE_ALGEBRAS = (("sl", 2, 1), ("gl", 2, 1), ("gl", 1, 2), ("sl", 3, 1),
@@ -354,7 +345,7 @@ def test_structure_constants_match_all_pairs_loop(flavor, m, n):
     rep, sc = make(flavor, m, n)
     want = loop_structure_constants(rep)
     assert table_items(sc.table) == table_items(want.table)
-    assert (sc.grade, sc.k, sc.d) == (want.grade, want.k, want.d)
+    assert sc.k == want.k
     assert sc.recipes == want.recipes
     assert sc.generators == want.generators
 
@@ -369,6 +360,21 @@ def test_generating_set_is_the_cached_generators(flavor, m, n):
     assert "generators" not in vars(sc)
     assert generating_set(sc) == sc.generators
     assert vars(sc)["generators"] == generating_set(sc)
+
+
+@pytest.mark.parametrize("flavor, m, n", ALL_ALGEBRAS)
+def test_label_kind_is_the_parity(flavor, m, n):
+    """Parity is read off the label kind: the fundamental matrix of a u or
+    v label maps C^m and C^n into each other, that of every other label
+    keeps both, and every target of [a, b] has parity |a| + |b|."""
+    rep, sc = make(flavor, m, n)
+    mats = extend_matrices(rep.matrices, sc.recipes)
+    for lab in sc.basis:
+        assert {(r >= m) != (c >= m) for r, c in rational_entries(mats[lab])} \
+            == {bool(parity_of(lab))}
+    for (a, b), expansion in sc.table.items():
+        for target in expansion:
+            assert parity_of(target) == parity_of(a) ^ parity_of(b)
 
 
 def test_one_rref_per_table(monkeypatch):
@@ -401,11 +407,6 @@ def test_structure_constants_match_dense_reference(flavor, m, n):
     assert [(key, list(exp.items())) for key, exp in sc.table.items()] == \
         [(key, list(exp.items())) for key, exp in want.items()]
     y = GenLabel("y")
-    assert sc.grade == {lab: want.get((y, lab), {}).get(lab, 0)
-                        for lab in sc.basis}
-    P = rep.spec.odd_count
-    assert sc.d == {(i, j): want.get((GenLabel("u", i), GenLabel("v", j)), {})
-                    for i in range(1, P + 1) for j in range(1, P + 1)}
     assert sc.k == want[(GenLabel("u", 1), GenLabel("v", 1))][y] != 0
 
 
@@ -422,13 +423,13 @@ RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 def outcome(build, rep):
-    """The table, grades, k and d that build(rep) gives, or the type and
-    message of the consistency error it raises."""
+    """The table and k that build(rep) gives, or the type and message of
+    the consistency error it raises."""
     try:
         sc = build(rep)
     except (InternalConsistencyError, InputError) as exc:
         return type(exc), str(exc)
-    return table_items(sc.table), sc.grade, sc.k, sc.d
+    return table_items(sc.table), sc.k
 
 
 def draw_perturbed_rep(data):
@@ -520,7 +521,7 @@ class TestRelationChecker:
         assert check_super_relations(SL21.matrices, SC21).ok
 
     def test_symbolic_parameters_pass(self):
-        lifted = {lab: mat.with_params(("b",))
+        lifted = {lab: part_over(mat, ("b",))
                   for lab, mat in SL21.matrices.items()}
         assert check_super_relations(lifted, SC21).ok
 
@@ -548,7 +549,8 @@ class TestWeightsFromLabels:
         for rep, sc in ((SL21, SC21), (GL21, SCG21)):
             coords = weight_from_labels(rep.datum, (1,))
             hbeta_mat = None
-            for label, coeff in sc.d[(1, 1)].items():
+            for label, coeff in sc.bracket(GenLabel("u", 1),
+                                           GenLabel("v", 1)).items():
                 term = rep.matrices[label].scale(coeff)
                 hbeta_mat = term if hbeta_mat is None else hbeta_mat + term
             diag = [hbeta_mat.entry(p, p).constant_value() for p in range(3)]

@@ -654,6 +654,4 @@ def _restrict(sc, labels):
     recipes = {lab: recipe for lab, recipe in sc.recipes.items() if lab in keep}
     return StructureConstants(
         spec=sc.spec, datum=sc.datum, basis=tuple(l for l in sc.basis if l in keep),
-        parity={l: sc.parity[l] for l in keep},
-        grade={l: sc.grade[l] for l in keep},
-        recipes=recipes, table=table, k=sc.k, d=sc.d)
+        recipes=recipes, table=table, k=sc.k)

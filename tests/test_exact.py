@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from block_oracle import part_over
 from dense_oracles import ExactSolver, dense_linear_solve, dense_rref
 from setup_oracles import rational_entries
 from superkac import exact
@@ -364,18 +365,6 @@ def assert_canonical(m: PolyMatrix):
     assert PolyMatrix(m.rows, m.cols, m.params, m.entries) == m
 
 
-def redeclared(p: ParamPoly, params: tuple) -> ParamPoly:
-    """p rebuilt over params from its monomials, one variable at a time."""
-    out = ParamPoly.zero(params)
-    for exps, coeff in p.terms.items():
-        monomial = ParamPoly.const(params, coeff)
-        for name, power in zip(p.params, exps):
-            for _ in range(power):
-                monomial = monomial * ParamPoly.var(params, name)
-        out = out + monomial
-    return out
-
-
 def assert_matches(m: PolyMatrix, entries: dict):
     assert_canonical(m)
     assert m.entries == nonzero(entries)
@@ -411,8 +400,8 @@ def kronecker_cases(draw):
     """(size, base_dim, parts) for kronecker_sum.  W is a stored term
     (den, {row: {col: int}}), zeros and a factor common to den and the
     entries included, and a part may repeat an earlier B with some W
-    entries negated, so that sums cancel; B is over (b, c) or over (b,)
-    alone, and may be zero."""
+    entries negated, so that sums cancel; B is over (b, c), may be free of
+    c, and may be zero."""
     size, base_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cells = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
     base_cells = st.tuples(st.integers(0, base_dim - 1),
@@ -429,7 +418,7 @@ def kronecker_cases(draw):
                        draw(st.dictionaries(base_cells, small_polys,
                                             max_size=4)))
         if draw(st.booleans()):
-            B = B.coefficient("c", 0).with_params(("b",))
+            B = part_over(B, PARAMS, {"c": 0})
         parts.append(((den, w), B))
         if draw(st.booleans()):
             parts.append(((den, {i: {j: -x for j, x in row.items()
@@ -445,7 +434,7 @@ def dense_kronecker(size: int, base_dim: int, parts) -> PolyMatrix:
     for (den, w), B in parts:
         for i, row in w.items():
             for j, x in row.items():
-                for (r, c), v in B.with_params(PARAMS).entries.items():
+                for (r, c), v in B.entries.items():
                     pos = (i * base_dim + r, j * base_dim + c)
                     entries[pos] = entries.get(pos, ParamPoly.zero(PARAMS)) \
                         + v * Fraction(x, den)
@@ -591,6 +580,16 @@ def test_from_term_rejects_entries_outside():
             PolyMatrix.from_term(SIZE, SIZE, PARAMS, (1, rows))
 
 
+def test_kronecker_sum_refuses_a_factor_over_other_params():
+    """As in ``combination``, every factor is over the sum's params: one
+    over fewer or reordered params raises, even with an empty W."""
+    for B in (part_over(ONE_BY_ONE, ("b",)), part_over(ONE_BY_ONE, ("c", "b")),
+              PolyMatrix.identity(1, ())):
+        for W in ({0: {1: 1}}, {}):
+            with pytest.raises(DeclarationError):
+                kronecker_sum(2, 1, PARAMS, [((1, W), B)])
+
+
 def test_kronecker_sum_rejects_misshapen_factors():
     with pytest.raises(ValueError):
         kronecker_sum(2, 2, PARAMS, [((1, {0: {0: 1}}), ONE_BY_ONE)])
@@ -608,25 +607,11 @@ def test_maps_and_queries_match_entrywise(pair, bv, cv, pick_rows, pick_cols):
     assert_matches(a.derivative("b"), {p: v.derivative("b") for p, v in ea.items()})
     assert_matches(a.substitute({"b": bv}),
                    {p: v.substitute({"b": bv}) for p, v in ea.items()})
-    for power in range(3):
-        assert_matches(a.coefficient("b", power),
-                       {p: v.coefficient("b", power) for p, v in ea.items()})
-    wider = ("t", "c", "b")
-    assert_matches(a.with_params(wider),
-                   {p: redeclared(v, wider) for p, v in ea.items()})
-    assert a.with_params(wider).with_params(PARAMS) == a
-    constant_in_c = a.coefficient("c", 0)
-    assert_matches(constant_in_c.with_params(("b",)),
-                   {p: redeclared(v.coefficient("c", 0), ("b",))
-                    for p, v in ea.items()})
-    if a.degree("c") > 0:
-        with pytest.raises(DeclarationError):
-            a.with_params(("b",))
     bound = {"b": bv, "c": cv}
     assert rational_entries(a.substitute(bound)) == {
         p: v.substitute(bound).constant_value()
         for p, v in ea.items() if not v.substitute(bound).is_zero}
-    if not a.is_constant:
+    if not all(v.is_constant for v in ea.values()):
         with pytest.raises(ParameterizedEntryError):
             rational_entries(a)
 
@@ -636,7 +621,6 @@ def test_maps_and_queries_match_entrywise(pair, bv, cv, pick_rows, pick_cols):
                                      default=0)
     assert a.is_zero == (not live)
     assert repr(a) == f"PolyMatrix({SIZE}x{SIZE}, {len(live)} entries)"
-    assert a.is_constant == all(v.is_constant for v in live.values())
     assert a.first_nonzero() == (
         (min(live), live[min(live)]) if live else None)
     for pos in ((r, c) for r in range(SIZE) for c in range(SIZE)):

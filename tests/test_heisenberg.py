@@ -9,7 +9,7 @@ from superkac import algebra
 from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, structure_constants)
 from superkac.evenrep import build_even_irrep
-from block_oracle import place_blocks
+from block_oracle import part_over, place_blocks
 from dense_oracles import dense_linear_solve
 from setup_oracles import rational_entries
 from superkac.exact import ParamPoly, PolyMatrix
@@ -70,7 +70,7 @@ class TestBracketTable:
         # oracle: apply the centre projection to the full contraction; the
         # semisimple h parts drop, leaving exactly k y (no z0 component)
         for sc, H in ((SC21, H21), (SCG21, HG21)):
-            expansion = dict(sc.d[(1, 1)])
+            expansion = sc.bracket(GenLabel("u", 1), GenLabel("v", 1))
             projected = {lab: coeff for lab, coeff in expansion.items()
                          if lab.kind in ("y", "z0") and coeff != 0}
             assert projected == {GenLabel("y"): sc.k}
@@ -114,14 +114,13 @@ class TestRhoFamily:
         rho = reference_rho_t(T)
         for label, mat in phi.matrices.items():
             power = 0 if label.kind == "v" else 1
-            assert rho[label].coefficient("t", power).with_params(
-                K.params) == mat
+            assert part_over(rho[label], K.params, {"t": power}) == mat
         for label, mat in rho.items():
             assert mat.degree("t") <= 1
-            assert mat.substitute({"t": 1}).with_params(K.params) == \
+            assert part_over(mat.substitute({"t": 1}), K.params) == \
                 T.matrices[label]
             if label.kind in ("h", "e", "f", "v"):
-                assert mat.coefficient("t", 1).is_zero
+                assert part_over(mat, K.params, {"t": 1}).is_zero
         assert affine_in_t_report(T).ok
 
     def test_affine_in_t(self):
@@ -129,9 +128,13 @@ class TestRhoFamily:
             assert affine_in_t_report(twist(K, tspec)).ok
 
     def test_a_lowering_derivative_fails_the_t_location(self):
+        """A b-term in A_v gives v a nonzero derivative B_v = 2k A_v."""
         T = twist(GL_A1, TwistSpec(2, (2, -3)))
         D, v1 = T.deformation, GenLabel("v", 1)
-        bad = T.replace(deformation=D.replace(B={**D.B, v1: D.A[v1]}))
+        b = ParamPoly.var(GL_A1.params, "b")
+        bad = T.replace(deformation=D.replace(
+            A={**D.A, v1: D.A[v1].scale(b)}))
+        assert bad.deformation.B[v1] == D.A[v1].scale(2 * GL_A1.sc.k)
         report = affine_in_t_report(bad)
         assert [(item.name, item.location) for item in report.failures] == \
             [("t-dependence location", f"{v1} gained a t term")]

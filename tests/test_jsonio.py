@@ -16,6 +16,7 @@ from superkac.algebra import (SuperAlgebraSpec, build_fundamental_rep,
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.kacmod import induce
+from block_oracle import part_over
 
 
 def stdlib_dumps(data) -> str:
@@ -127,12 +128,8 @@ def matrices(draw):
         if rows and cols else {}
     params = draw(st.sampled_from([PARAMS, ("b",), ()]))
     m = PolyMatrix(rows, cols, PARAMS, entries)
-    if params != PARAMS:
-        m = m.coefficient("c", 0)
-        if params == ():
-            m = m.coefficient("b", 0)
-        m = m.with_params(params)
-    return m
+    return part_over(m, params, {name: 0 for name in PARAMS
+                                 if name not in params})
 
 
 def poly(terms):

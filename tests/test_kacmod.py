@@ -68,11 +68,6 @@ class TestInduce:
         for key, K in ALL_MODULES.items():
             assert K.dim == 2 ** K.odd_count * K.L.dim
 
-    def test_fields_hold_no_copy_of_L_or_sc(self):
-        assert kacmod.KacModule._fields == (
-            "params", "basis", "matrices", "hw", "shifts", "layers", "sc",
-            "L")
-
     def test_highest_weight_vector_comes_first(self):
         for key, K in ALL_MODULES.items():
             assert K.basis[0] == ((), 0)

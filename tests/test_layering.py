@@ -2,14 +2,18 @@
 names, so each module's public functions are its whole interface; no
 module imports ``typing``, which a CLI run would otherwise load, or a name
 it never reads; and the public names that nothing in ``src/`` names, the
-defaulted parameters that no call in ``src/`` sets and the record fields
-that no code in ``src/`` reads are known, pinned lists."""
+defaulted parameters that no call in ``src/`` sets, the record fields
+that no code in ``src/`` reads and the fields of every record are known,
+pinned lists."""
 
 import ast
+import importlib
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
+
+from superkac.record import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "superkac"
 MODULES = sorted(SRC.glob("*.py"))
@@ -324,8 +328,6 @@ def unread_record_fields(paths) -> list:
 # or the callers of the test-only functions above, read.  A new field needs
 # a reader in src/, or its place here.
 UNREAD_FIELDS = [
-    "algebra.RootDatum.rho0",
-    "algebra.RootDatum.rho1",
     "evenrep.EvenModule.contents",
     "kacmod.SingularVector.coefficients",
     "kacmod.SingularVector.weight",
@@ -360,3 +362,60 @@ def test_checker_sees_a_field_no_code_reads(tmp_path):
                                    "box.kind.scale(2)\n", encoding="utf-8")
     assert unread_record_fields(sorted(tmp_path.glob("*.py"))) == \
         ["a.Box.label", "a.Box.scale", "a.Box.size"]
+
+
+# The fields of every Record subclass in src/, in order.
+RECORD_FIELDS = {
+    "algebra.SuperAlgebraSpec": ("m", "n", "flavor"),
+    "algebra.RootDatum": ("spec", "simple_even_roots", "even_positive_roots",
+                          "even_root_pairs", "odd_positive_roots",
+                          "odd_pairs", "cartan_matrix", "rho"),
+    "algebra.FundamentalRep": ("spec", "datum", "matrices"),
+    "algebra.StructureConstants": ("spec", "datum", "basis", "recipes",
+                                   "table", "k"),
+    "cli.JobConfig": ("action", "flavor", "m", "n", "labels", "b", "c", "N",
+                      "lambdas", "nu", "n_twist", "out", "report"),
+    "evenrep.EvenModule": ("labels", "params", "dim", "contents", "hw",
+                           "shifts", "matrices", "y_scalar", "z0_scalar"),
+    "evenrep._WeightSpace": ("basis", "h", "gram", "f_den", "f", "e_den",
+                             "e"),
+    "heisenberg.HeisenbergSpec": ("base", "labels", "hprime", "table"),
+    "heisenberg.HModule": ("twist", "H", "matrices"),
+    "kacmod.KacModule": ("basis", "matrices", "shifts", "layers", "sc", "L"),
+    "kacmod.TypicalityReport": ("s_poly", "factors", "constant",
+                                "proportional", "s_roots", "factor_roots",
+                                "roots_match"),
+    "kacmod.SingularVector": ("weight", "layer", "coefficients"),
+    "kacmod.SingularVectorReport": ("vectors",),
+    "matryoshka.Deformation": ("base", "nu", "A"),
+    "matryoshka.ReplicationSpec": ("N", "lambdas"),
+    "matryoshka.TwistSpec": ("n", "nu"),
+    "matryoshka.ReplicatedModule": ("deformation", "couplings", "nu"),
+    "matryoshka.IsoDecision": ("isomorphic", "scale", "witness_h",
+                               "witness_weight", "degrees"),
+    "report.CheckItem": ("name", "passed", "location", "residual"),
+    "report.VerificationReport": ("title", "items"),
+}
+
+
+def record_fields(paths) -> dict:
+    """{'module.Class': fields} of each Record subclass that the modules of
+    ``paths`` define."""
+    found = {}
+    for path in paths:
+        module = importlib.import_module(f"superkac.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, Record) \
+                    and obj is not Record \
+                    and obj.__module__ == module.__name__:
+                found[f"{path.stem}.{name}"] = obj._fields
+    return found
+
+
+def test_record_fields_are_pinned():
+    """Every record's fields are pinned.  A new field needs its place in
+    RECORD_FIELDS, and must hold a fact that no other field or record
+    holds: a value that can be read off another one, such as a parity off
+    its label, a derivative off its matrix or a module's params off its
+    even module, is computed from it and not stored."""
+    assert record_fields(MODULES) == RECORD_FIELDS

@@ -33,9 +33,9 @@ from hypothesis import strategies as st
 from superkac import algebra, matryoshka
 from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
                               build_fundamental_rep, check_super_relations,
-                              extend_matrices, sbracket, structure_constants,
-                              super_jacobi_report, superbracket_violations,
-                              violations_report)
+                              extend_matrices, parity_of, sbracket,
+                              structure_constants, super_jacobi_report,
+                              superbracket_violations, violations_report)
 from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix, combination
 from superkac.kacmod import induce
@@ -71,13 +71,12 @@ def ref_sbracket(pa, pb, a, b) -> dict:
     return ref_combination([(1, a, b), (1 if pa and pb else -1, b, a)])
 
 
-def ref_violations(labels, parity, table, bracket, targets,
-                   first_only=False) -> list:
+def ref_violations(labels, table, bracket, targets, first_only=False) -> list:
     """Every violating ordered pair of ``labels``, or only the first."""
     out = []
     for la, lb in itertools.product(labels, repeat=2):
         residual = ref_combination(
-            [(1, bracket(la, lb, parity[la], parity[lb]), None)]
+            [(1, bracket(la, lb, parity_of(la), parity_of(lb)), None)]
             + [(-c, targets[t], None) for t, c in table.get((la, lb), {}).items()])
         if residual:
             pos = min(residual)
@@ -155,12 +154,30 @@ def case_module(name, corruption):
     return K
 
 
+def unit_conjugator(K) -> tuple:
+    """E, g = I + b E and g^-1 = I - b E, E a matrix unit with E^2 = 0
+    placed so that g moves the first entry of u_1."""
+    (r, c), _ = K.matrices[U1].first_nonzero()
+    E = PolyMatrix(K.dim, K.dim, K.params, {(c, r): 1})
+    eye = PolyMatrix.identity(K.dim, K.params)
+    bE = E.scale(ParamPoly.var(K.params, "b"))
+    return E, eye + bE, eye - bE
+
+
+def conjugated(K):
+    """K conjugated by g = I + b E: a true module whose matrices have
+    terms of degree 3 in b."""
+    _, g, g_inv = unit_conjugator(K)
+    return K.replace(matrices={lab: g @ mat @ g_inv
+                               for lab, mat in K.matrices.items()})
+
+
 def ref_superbracket(K, first_only=False) -> list:
     """The reference violations of K's superbracket table on all pairs."""
     sc = K.sc
     mats = ref_extended(K.matrices, sc.recipes)
     return ref_violations(
-        sc.basis, sc.parity, sc.table,
+        sc.basis, sc.table,
         lambda la, lb, pa, pb: ref_sbracket(pa, pb, mats[la], mats[lb]), mats,
         first_only)
 
@@ -177,19 +194,17 @@ def ref_deformation(K, nu_y, nu_c) -> tuple:
     return A, B
 
 
-def ref_derivative(sc, A, B, first_only=False) -> dict:
+def ref_derivative(sc, A, B) -> dict:
     """The reference violations of identities (ii) and (iii) on all pairs."""
     return {
         "(ii) linearized relations [A_a,B_b] + [B_a,A_b] = f.B": ref_violations(
-            sc.basis, sc.parity, sc.table,
+            sc.basis, sc.table,
             lambda la, lb, pa, pb: ref_combination(
                 [(1, ref_sbracket(pa, pb, A[la], B[lb]), None),
-                 (1, ref_sbracket(pa, pb, B[la], A[lb]), None)]), B,
-            first_only),
+                 (1, ref_sbracket(pa, pb, B[la], A[lb]), None)]), B),
         "(iii) [B_a,B_b] = 0": ref_violations(
-            sc.basis, sc.parity, {},
-            lambda la, lb, pa, pb: ref_sbracket(pa, pb, B[la], B[lb]), B,
-            first_only),
+            sc.basis, {},
+            lambda la, lb, pa, pb: ref_sbracket(pa, pb, B[la], B[lb]), B),
     }
 
 
@@ -260,36 +275,42 @@ def test_corruption_sweep_verdicts_match_full_reference(name, label):
 @pytest.mark.parametrize("name,label", SWEEP,
                          ids=[f"{n}-{lab}" for n, lab in SWEEP])
 def test_derivative_sweep_verdicts_match_full_reference(name, label):
-    """The base kept true and one entry of one derivative matrix B bumped,
-    where A has its first nonzero entry."""
-    K = MODULES[name]
+    """One entry of one generator matrix A bumped by b, where A has its
+    first nonzero entry, so that its derivative B moves there too.  The
+    directly computed (ii) and (iii) equal the full reference on the
+    generator pairs, and both fail."""
+    K = corrupted(MODULES[name], label, ParamPoly.var(MODULES[name].params,
+                                                      "b"))
     D = deformation(K, *directions(K))
-    A, B = ref_deformation(K, *directions(K))
-    pos, _ = D.A[label].first_nonzero()
-    one = ParamPoly.const(K.params, 1)
-    bumped = D.replace(B={**D.B, label: D.B[label] + PolyMatrix(
-        K.dim, K.dim, K.params, {pos: one})})
-    B[label] = ref_combination([(1, B[label], None), (1, {pos: one}, None)])
-    assert block_verdicts([], derivative_violations(bumped, 3)) == \
-        block_verdicts([], ref_derivative(K.sc, A, B, first_only=True)) == \
+    assert D.B[label] != deformation(MODULES[name], *directions(K)).B[label]
+    got = derivative_violations(D, 3)
+    full = ref_derivative(K.sc, *ref_deformation(K, *directions(K)))
+    assert {key: flat(v) for key, v in got.items()} == {
+        key: on_generator_pairs(v, K.sc.generators) for key, v in full.items()}
+    assert block_verdicts([], got) == block_verdicts([], full) == \
         [False, True, True]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_coboundary_verdicts_match_full_reference(name):
-    """The coboundary [A_y, A] added to every B keeps (ii) and breaks (iii)."""
+    """K conjugated by g = I + b E is a true module whose B is
+    g (B + D(b) [E, A]) g^-1: the coboundary of E added to every B, then
+    conjugated.  It keeps (ii), as for every true module, and breaks
+    (iii)."""
     K = MODULES[name]
+    E, g, g_inv = unit_conjugator(K)
     D = deformation(K, *directions(K))
-    A, B = ref_deformation(K, *directions(K))
-    y = GenLabel("y")
-    cobound = D.replace(B={
-        lab: mat + D.A[y] @ D.A[lab] - D.A[lab] @ D.A[y]
-        for lab, mat in D.B.items()})
-    B = {lab: ref_combination(
-        [(1, B[lab], None), (1, ref_sbracket(0, 0, A[y], A[lab]), None)])
-        for lab in B}
-    assert block_verdicts([], derivative_violations(cobound, 3)) == \
-        block_verdicts([], ref_derivative(K.sc, A, B, first_only=True)) == \
+    C = deformation(conjugated(K), *directions(K))
+    for lab, mat in D.A.items():
+        cobound = (E @ mat - mat @ E).scale(K.sc.k * D.nu[0])
+        assert C.B[lab] == g @ (D.B[lab] + cobound) @ g_inv
+    got = derivative_violations(C, 3)
+    full = ref_derivative(K.sc, *ref_deformation(C.base, *directions(K)))
+    assert {key: flat(v) for key, v in got.items()} == {
+        key: on_generator_pairs(v, K.sc.generators) for key, v in full.items()}
+    assert block_verdicts(superbracket_violations(C.base.matrices, K.sc),
+                          got) == \
+        block_verdicts(ref_superbracket(C.base, first_only=True), full) == \
         [False, False, True]
 
 
@@ -347,7 +368,7 @@ def test_one_combination_per_computed_pair(monkeypatch):
         return combination(terms)
 
     monkeypatch.setattr(algebra, "combination", counted)
-    assert bracket_violations(sc.basis, sc.generators, sc.parity, sc.table,
+    assert bracket_violations(sc.basis, sc.generators, sc.table,
                               mats, bracket) == []
     # the table is graded-antisymmetric, so exactly the pairs listed with
     # the first label no later than the second are computed
@@ -454,7 +475,7 @@ def test_generators_are_the_simple_ones(cfg):
 
 
 def even_restriction(sc):
-    even = tuple(lab for lab in sc.basis if not sc.parity[lab])
+    even = tuple(lab for lab in sc.basis if not parity_of(lab))
     return sc.replace(basis=even, table={
         pair: exp for pair, exp in sc.table.items()
         if pair[0] in even and pair[1] in even})
@@ -533,11 +554,11 @@ class TestAntisymmetryGuard:
         sc = self.K.sc
         mats = extend_matrices(self.K.matrices, sc.recipes)
         got = bracket_violations(
-            sc.basis, sc.generators, sc.parity, table, mats,
+            sc.basis, sc.generators, table, mats,
             lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]))
         ref = ref_extended(self.K.matrices, sc.recipes)
         expected = on_generator_pairs(ref_violations(
-            sc.basis, sc.parity, table,
+            sc.basis, table,
             lambda la, lb, pa, pb: ref_sbracket(pa, pb, ref[la], ref[lb]), ref),
             sc.generators)
         assert flat(got) == expected
@@ -586,11 +607,11 @@ def ref_jacobi_defects(sc, first_only=False) -> dict:
 
     defects = {}
     for a, b, c in itertools.product(sc.basis, repeat=3):
-        sign = Fraction(-1) if (sc.parity[a] and sc.parity[b]) else Fraction(1)
+        sign = Fraction(-1) if (parity_of(a) and parity_of(b)) else Fraction(1)
         lhs = bracket_combo(a, sc.bracket(b, c))
         rhs = {}
         for target, coeff in bracket_combo(c, sc.bracket(a, b)).items():
-            s = Fraction(-1) if (sc.parity[c] and (sc.parity[a] ^ sc.parity[b])) \
+            s = Fraction(-1) if (parity_of(c) and (parity_of(a) ^ parity_of(b))) \
                 else Fraction(1)
             rhs[target] = rhs.get(target, Fraction(0)) - s * coeff
         for target, coeff in bracket_combo(b, sc.bracket(a, c)).items():
@@ -649,10 +670,10 @@ def both_orders(sc):
     through the basis elements of parity |a| + |b|."""
     order = {lab: i for i, lab in enumerate(sc.basis)}
     for a, b in itertools.combinations_with_replacement(sc.basis, 2):
-        pa, pb = sc.parity[a], sc.parity[b]
+        pa, pb = parity_of(a), parity_of(b)
         if a == b and not pa:
             continue                  # [a, a] = 0 for even a
-        targets = [t for t in sc.basis if sc.parity[t] == pa ^ pb]
+        targets = [t for t in sc.basis if parity_of(t) == pa ^ pb]
         t = targets[(order[a] + 2 * order[b]) % len(targets)]
         coeff = Fraction(order[a] + 1, order[b] + 2)
         mirror = coeff if (pa and pb) else -coeff
@@ -700,7 +721,7 @@ def one_order(sc):
             target = GenLabel("z0")
         else:
             target = next(t for t in sc.basis
-                          if sc.parity[t] == sc.parity[a] ^ sc.parity[b])
+                          if parity_of(t) == parity_of(a) ^ parity_of(b))
         yield f"{sc.spec}:{a},{b}->{target}", with_terms(sc, [((a, b), target,
                                                        Fraction(1))])
 
@@ -789,11 +810,11 @@ def count_direct(monkeypatch) -> list:
                          ids=[f"{n}-{','.join(map(str, nu))}"
                               for n, nu in LEMMA_CASES])
 def test_lemma_path_gives_the_direct_items(name, nu, monkeypatch):
-    """On true modules both premises hold, and for N = 1, 2, 3 the report
+    """On true modules premise P2 holds, and for N = 1, 2, 3 the report
     equals (i) plus the direct (ii)-(iii), item for item, without
     computing the latter."""
     D = deformation(LEMMA_MODULES[name], *nu)
-    assert D.nu == nu and D.is_derivative() and D.affine_along()
+    assert D.nu == nu and D.affine_along()
     for N in (1, 2, 3):
         expected = direct_items(D, N)
         calls = count_direct(monkeypatch)
@@ -803,8 +824,8 @@ def test_lemma_path_gives_the_direct_items(name, nu, monkeypatch):
 
 
 def test_passing_module_forms_no_product(monkeypatch):
-    """With (i) passing, (ii)-(iii) call no relation checker, and the
-    premises form no matrix product."""
+    """With (i) passing, (ii)-(iii) call no relation checker, and
+    premise P2 forms no matrix product."""
     def refuse(*args):
         raise AssertionError("(ii)-(iii) computed directly")
 
@@ -821,51 +842,28 @@ def test_passing_module_forms_no_product(monkeypatch):
         assert report.ok and len(report.items) == 3
 
 
-def conjugated(K):
-    """K conjugated by g = I + b E, E a matrix unit with E^2 = 0 placed so
-    that g moves the first entry of u_1: a true module whose matrices have
-    terms of degree 3 in b."""
-    (r, c), _ = K.matrices[U1].first_nonzero()
-    E = PolyMatrix(K.dim, K.dim, K.params, {(c, r): ParamPoly.var(K.params, "b")})
-    eye = PolyMatrix.identity(K.dim, K.params)
-    g, g_inv = eye + E, eye - E
-    return K.replace(matrices={lab: g @ mat @ g_inv
-                               for lab, mat in K.matrices.items()})
-
-
 def failed_premise(name, case):
-    """A deformation of MODULES[name] on which (i), P1 or P2 fails."""
+    """A deformation of MODULES[name] on which (i) or P2 fails."""
     K = MODULES[name]
-    D = deformation(K, *directions(K))
-    if case == "bumped":
-        pos, _ = D.A[U1].first_nonzero()
-        one = ParamPoly.const(K.params, 1)
-        return D.replace(B={**D.B, U1: D.B[U1] + PolyMatrix(
-            K.dim, K.dim, K.params, {pos: one})})
-    if case == "cobound":
-        y = GenLabel("y")
-        return D.replace(B={lab: mat + D.A[y] @ D.A[lab] - D.A[lab] @ D.A[y]
-                            for lab, mat in D.B.items()})
     if case == "u1_b":
         return deformation(case_module(name, "u1_b"), *directions(K))
     return deformation(conjugated(K), *directions(K))
 
 
 PREMISE_CASES = [(name, case) for name in MODULES
-                 for case in ("bumped", "cobound", "u1_b", "b_cubed")]
+                 for case in ("u1_b", "b_cubed")]
 
 
 @pytest.mark.parametrize("name,case", PREMISE_CASES,
                          ids=[f"{n}-{c}" for n, c in PREMISE_CASES])
 def test_failed_premise_takes_the_direct_path(name, case, monkeypatch):
-    """A failing (i) or a failed premise computes (ii)-(iii) directly, and
+    """A failing (i) or a failed P2 computes (ii)-(iii) directly, and
     the report is item for item that of the direct path, failures with
     their counts and locators included."""
     D = failed_premise(name, case)
     base_ok = check_super_relations(D.base.matrices, D.base.sc).ok
-    assert (base_ok, D.is_derivative(), D.affine_along()) == {
-        "bumped": (True, False, True), "cobound": (True, False, True),
-        "u1_b": (False, True, True), "b_cubed": (True, True, False)}[case]
+    assert (base_ok, D.affine_along()) == {
+        "u1_b": (False, True), "b_cubed": (True, False)}[case]
     for N in (2, 3):
         expected = direct_items(D, N)
         calls = count_direct(monkeypatch)
@@ -876,16 +874,14 @@ def test_failed_premise_takes_the_direct_path(name, case, monkeypatch):
         if case == "u1_b":
             assert failing[0] == "super"
         else:
-            assert failing == {"bumped": ["(ii) ", "(iii)"][:N - 1],
-                               "cobound": ["(iii)"][:N - 2],
-                               "b_cubed": ["(iii)"][:N - 2]}[case]
+            assert failing == ["(iii)"][:N - 2]
 
 
 def test_degree_along_the_direction_counts_moved_parameters_only():
     """The b^3 module twisted along z0 alone is affine along D = d/dc, so
     the lemma proves its (iii), and the direct path agrees."""
     D = deformation(conjugated(MODULES["gl21_a1"]), 0, 1)
-    assert D.is_derivative() and D.affine_along()
+    assert D.affine_along()
     assert block_relations_report(block(D, 3)).items == direct_items(D, 3)
     assert block_relations_report(block(D, 3)).ok
 
@@ -903,7 +899,7 @@ def test_direct_residuals_are_derivatives_of_base_residuals(name,
     sc, A, B = K.sc, D.A, D.B
     failing = 0
     for la, lb in itertools.product(sc.basis, repeat=2):
-        pa, pb = sc.parity[la], sc.parity[lb]
+        pa, pb = parity_of(la), parity_of(lb)
         expansion = sc.table.get((la, lb), {}).items()
         base = combination(sbracket(pa, pb, A[la], A[lb])
                            + [(-c, A[t], None) for t, c in expansion])
@@ -1043,42 +1039,17 @@ def test_duplicate_root_weights_are_declined():
     for lab in basis[1:]:
         table[(h1, lab)], table[(lab, h1)] = {lab: Fraction(1)}, \
             {lab: Fraction(-1)}
-    sc = stack_sc("sl", 2, 1).replace(
-        basis=basis, parity=dict.fromkeys(basis, 0), table=table)
+    sc = stack_sc("sl", 2, 1).replace(basis=basis, table=table)
     unit = {(0, 0): 0, (1, 1): 1, (2, 2): 2}
     targets = {h1: PolyMatrix(3, 3, (), unit),
                E1: PolyMatrix(3, 3, (), {(1, 0): 1}),
                e2: PolyMatrix(3, 3, (), {(2, 1): 1}),
                E3: PolyMatrix(3, 3, (), {(2, 1): -1})}
     assert sc.root_weights is None
-    got = bracket_violations(basis, (E1,), sc.parity, table, targets,
+    got = bracket_violations(basis, (E1,), table, targets,
                              weights=sc.root_weights)
     assert [pair for pair, _ in got] == [(E1, e2), (E1, E3), (e2, E1),
                                          (E3, E1)]
-
-
-def test_mixed_parity_part_is_declined():
-    """u_1 odd and u_2 even, [h_1, u_i] = i u_i and every other bracket 0,
-    on C^4 with rho_u1 = E_10 + E_32 and rho_u2 = E_20 - E_31: there
-    {rho_u1, rho_u2} = 0 but [rho_u1, rho_u2] = 2 E_30.  A part summed
-    with one sign would pass the pair (u_1, u_2), so the certificate
-    declines a part of two parities and the pairwise loop finds it."""
-    h1, u1, u2 = GenLabel("h", 1), U1, GenLabel("u", 2)
-    basis = (h1, u1, u2)
-    table = {}
-    for weight, lab in enumerate(basis[1:], start=1):
-        table[(h1, lab)], table[(lab, h1)] = {lab: Fraction(weight)}, \
-            {lab: Fraction(-weight)}
-    sc = stack_sc("sl", 2, 1).replace(basis=basis, parity={h1: 0, u1: 1,
-                                                           u2: 0},
-                                      table=table)
-    targets = {h1: PolyMatrix(4, 4, (), {(i, i): i for i in range(4)}),
-               u1: PolyMatrix(4, 4, (), {(1, 0): 1, (3, 2): 1}),
-               u2: PolyMatrix(4, 4, (), {(2, 0): 1, (3, 1): -1})}
-    assert sc.root_weights is None
-    got = bracket_violations(basis, (u1,), sc.parity, table, targets,
-                             weights=sc.root_weights)
-    assert flat(got) == [((u1, u2), (3, 0), "2"), ((u2, u1), (3, 0), "-2")]
 
 
 def with_entry(mat, pos, value):
@@ -1107,10 +1078,10 @@ def test_certificate_never_proves_a_rejected_case(data):
                                    st.sampled_from(sc.basis)))
         t = data.draw(st.sampled_from([
             t for t in sc.basis
-            if sc.parity[t] == sc.parity[a] ^ sc.parity[b]]))
+            if parity_of(t) == parity_of(a) ^ parity_of(b)]))
         coeff = Fraction(data.draw(st.sampled_from([1, -3])),
                          data.draw(st.sampled_from([1, 2])))
-        sign = 1 if (sc.parity[a] and sc.parity[b]) else -1
+        sign = 1 if (parity_of(a) and parity_of(b)) else -1
         sc = with_terms(sc, [((a, b), t, coeff)]
                         + ([((b, a), t, sign * coeff)] if a != b else []))
     else:
@@ -1128,9 +1099,9 @@ def test_certificate_never_proves_a_rejected_case(data):
                             .filter(lambda rc: rc not in entries
                                     and (kind == "new" or rc[0] != rc[1])))
         mats = {**mats, label: with_entry(mats[label], pos, value)}
-    args = (sc.basis, sc.generators, sc.parity, sc.table, mats)
+    args = (sc.basis, sc.generators, sc.table, mats)
     pairwise = algebra._pairwise(
-        *args[:4], lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]),
+        *args[:3], lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]),
         mats)
     weights = sc.root_weights
     if weights is not None and algebra._certified(*args, weights):

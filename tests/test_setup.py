@@ -31,7 +31,7 @@ SOLVABLE = [spec for spec in SPECS if spec[1] != spec[2]]
 
 ROOT_FIELDS = ("simple_even_roots", "even_positive_roots",
                "odd_positive_roots")
-HALF_FIELDS = ("rho0", "rho1", "rho")
+HALF_FIELDS = ("rho",)
 
 
 def spec_of(flavor, m, n) -> SuperAlgebraSpec:
@@ -101,9 +101,8 @@ def test_structure_constants_match_references(flavor, m, n):
         extend_matrices(reference_rep.matrices, from_reference.recipes)
     for want in (from_reference, loop):
         assert table_items(sc.table) == table_items(want.table)
-        assert (sc.k, sc.d, sc.grade) == (want.k, want.d, want.grade)
-        assert (sc.basis, sc.parity, sc.recipes) == \
-            (want.basis, want.parity, want.recipes)
+        assert sc.k == want.k
+        assert (sc.basis, sc.recipes) == (want.basis, want.recipes)
         assert sc.generators == want.generators
     assert type(sc.k) is Fraction
 

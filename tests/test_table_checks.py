@@ -29,8 +29,7 @@ def ad_matrices(sc, monkeypatch) -> dict:
     """The targets super_jacobi_report gives the relation checker."""
     seen = []
 
-    def spy(labels, generators, parity, table, targets, bracket=None,
-            weights=None):
+    def spy(labels, generators, table, targets, bracket=None, weights=None):
         seen.append(targets)
         return []
 
@@ -108,3 +107,15 @@ def test_grading_report_names_the_first_corrupted_target():
     (item,) = report.items
     assert (item.name, item.passed, item.location, item.residual) == (
         "grade additivity", False, "[u_1,v_1] -> u_1", "-1/2")
+
+
+def test_grading_report_refuses_a_non_diagonal_y():
+    """The grade of a label is read off [y, lab]; a y bracket with a second
+    target gives no grade, an internal error rather than a failed item."""
+    sc = stack_sc("sl", 2, 1)
+    y, u1, e1 = GenLabel("y"), GenLabel("u", 1), GenLabel("e", 1)
+    table = dict(sc.table)
+    table[(y, u1)] = {**table[(y, u1)], e1: Fraction(1)}
+    with pytest.raises(InternalConsistencyError,
+                       match=r"\[y, u_1\] is not diagonal in the basis"):
+        grading_report(sc.replace(table=table))
