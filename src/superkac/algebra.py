@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from math import gcd, lcm
 
 from superkac.exact import (ParamPoly, PolyMatrix, combination,
@@ -228,7 +228,7 @@ def _unit_matrix(dim: int, r: int, c: int) -> PolyMatrix:
 class FundamentalRep(Record):
     spec: SuperAlgebraSpec
     datum: RootDatum
-    matrices: dict            # GenLabel -> PolyMatrix over ()
+    matrices: dict            # GenLabel -> PolyMatrix over (), full basis
 
     @property
     def dim(self) -> int:
@@ -248,8 +248,9 @@ def _hypercharge(spec: SuperAlgebraSpec) -> PolyMatrix:
 
 
 def build_fundamental_rep(spec: SuperAlgebraSpec) -> FundamentalRep:
-    """Every matrix built straight from its integer term: the root vectors
-    and e_i, f_i are matrix units, h_i and y diagonal, z0 the identity."""
+    """The matrix of every basis label, each built straight from its
+    integer term: the root vectors, nonsimple ones included, are matrix
+    units, h_i and y diagonal, z0 the identity."""
     datum = build_root_datum(spec)
     m, dim = spec.m, spec.dim_fund
     mats: dict = {}
@@ -269,6 +270,8 @@ def build_fundamental_rep(spec: SuperAlgebraSpec) -> FundamentalRep:
         mats[GenLabel("u", idx)] = _unit_matrix(dim, i, m + j)
         mats[GenLabel("v", idx)] = _unit_matrix(dim, m + j, i)
 
+    for label, (r, c) in _full_basis(spec, datum)[2].items():
+        mats[label] = _unit_matrix(dim, r, c)
     return FundamentalRep(spec=spec, datum=datum, matrices=mats)
 
 
@@ -305,6 +308,19 @@ class StructureConstants(Record):
         """``_root_weights(self)``, computed once: the table premises of
         the root-space certificate of ``bracket_violations``."""
         return _root_weights(self)
+
+    @cached_property
+    def presentation(self):
+        """The Serre presentation of the table's algebra, read once per
+        spec off the table ``structure_constants`` builds for it
+        (``_reference_presentation``); None where this table differs from
+        that one, as a corrupted or restricted table does, since the
+        presentation theorem speaks of that table."""
+        reference, presentation = _reference_presentation(self.spec)
+        if (self.basis, self.recipes, self.table) != \
+                (reference.basis, reference.recipes, reference.table):
+            return None
+        return presentation
 
 
 def generating_set(sc: StructureConstants) -> tuple:
@@ -410,12 +426,14 @@ def _root_weights(sc: StructureConstants):
 
 
 def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
-    """Ordered full basis with bracket recipes for the nonsimple root vectors.
+    """(basis, recipes, units): the ordered full basis, the bracket recipes
+    of the nonsimple root vectors and their slots in the fundamental rep.
 
     A root pair (a, b) of height one is a simple generator; taller vectors are
     defined recursively by E_(a,b) = [E_(a,a+1), E_(a+1,b)] and
     F_(a,b) = [F_(a+1,b), F_(a,a+1)], so a recipe is the pair of operands
-    (left, right) of that bracket.
+    (left, right) of that bracket.  On matrix units [E_rk, E_kc] = E_rc for
+    r != c, so E_(a,b) is the unit at (a, b) and F_(a,b) the one at (b, a).
     """
     pair_pos = {pair: t for t, pair in enumerate(datum.even_root_pairs)}
 
@@ -433,7 +451,7 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
     if spec.flavor == "gl":
         basis.append(GenLabel("z0"))
 
-    recipes = {}
+    recipes, units = {}, {}
     raising, lowering = [], []
     for pair in datum.even_root_pairs:
         a, b = pair
@@ -443,10 +461,11 @@ def _full_basis(spec: SuperAlgebraSpec, datum: RootDatum):
         if b - a > 1:
             recipes[e_lab] = (label("E", (a, a + 1)), label("E", (a + 1, b)))
             recipes[f_lab] = (label("F", (a + 1, b)), label("F", (a, a + 1)))
+            units[e_lab], units[f_lab] = (a, b), (b, a)
     basis += raising + lowering
     basis += [GenLabel("u", i) for i in range(1, spec.odd_count + 1)]
     basis += [GenLabel("v", i) for i in range(1, spec.odd_count + 1)]
-    return basis, recipes
+    return basis, recipes, units
 
 
 def extend_matrices(matrices: Mapping[GenLabel, PolyMatrix],
@@ -469,7 +488,8 @@ def _ensure_matrix(label: GenLabel, out: dict, recipes: Mapping) -> PolyMatrix:
 
 
 def structure_constants(rep: FundamentalRep) -> StructureConstants:
-    """The superbracket table of the fundamental representation.
+    """The superbracket table of the fundamental representation, read off
+    the matrix of every basis label in ``rep.matrices``.
 
     Every root vector is one off-diagonal entry x at a slot (r, c) of its
     own, and the Cartan labels are diagonal: their diagonals are the
@@ -484,8 +504,8 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
     graded sign; the table lists its pairs in basis order.
     """
     spec, datum = rep.spec, rep.datum
-    basis, recipes = _full_basis(spec, datum)
-    mats = extend_matrices(rep.matrices, recipes)
+    basis, recipes, _ = _full_basis(spec, datum)
+    mats = rep.matrices
     dim = spec.dim_fund
 
     roots = []                        # (position, r, c, numerator, denominator)
@@ -727,9 +747,11 @@ def bracket_violations(labels: Sequence[GenLabel],
     With the superbracket of the targets and ``weights``, the table's
     ``StructureConstants.root_weights``, a root-space certificate is
     tried first (``_certified``); where it proves every generator pair,
-    no pair residual is formed and the list is empty.  Otherwise, and for
-    every other bracket, each pair is computed (``_pairwise``), which
-    alone gives violation counts and locators.
+    no pair residual is formed and the list is empty.  Super-Jacobi
+    passes weights; a module check tries the Serre presentation before it
+    calls this (``superbracket_violations``), and passes none.  Otherwise,
+    and for every other bracket, each pair is computed (``_pairwise``),
+    which alone gives violation counts and locators.
     """
     if bracket is None:
         if weights is not None and _certified(labels, generators, table,
@@ -800,7 +822,8 @@ def _certified(labels, generators, table, targets, weights) -> bool:
     antisymmetry of the table and of the superbracket.
     """
     cartan, _, _, parts = weights
-    if not _homogeneous(labels, targets, weights):
+    if not _homogeneous([lab for part in parts for lab in part], targets,
+                        weights):
         return False
     roots = [x for x in generators if x not in cartan]
     for part in parts:
@@ -820,16 +843,17 @@ def _certified(labels, generators, table, targets, weights) -> bool:
     return True
 
 
-def _homogeneous(labels, targets, weights) -> bool:
-    """The target premises of ``_certified``, in O(nnz) and no product:
-    each Cartan target rho_h is diagonal, which gives each row r a weight
-    lambda(r), one coordinate per Cartan label and pencil monomial; and
-    each target is homogeneous, rho_b[r, c] != 0 only where lambda(r) -
+def _homogeneous(roots, targets, weights) -> bool:
+    """The target premises of ``_certified`` and relations R1 of
+    ``_presented``, in O(nnz) and no product: each Cartan target rho_h is
+    diagonal, which gives each row r a weight lambda(r), one coordinate
+    per Cartan label and pencil monomial; and the target of each label b
+    of ``roots`` is homogeneous, rho_b[r, c] != 0 only where lambda(r) -
     lambda(c) = alpha_b, which is zero in the coordinates of nonconstant
-    monomials."""
-    cartan, dens, alpha, parts = weights
+    monomials.  Then [rho_h, rho_b] = alpha_b(h) rho_b."""
+    cartan, dens, alpha, _ = weights
     columns = []                      # per coordinate, {row: int}
-    shifts = {lab: [] for lab in labels}
+    shifts = {lab: [] for lab in roots}
     for i, (h, den_h) in enumerate(zip(cartan, dens)):
         terms = targets[h].terms
         zero = (0,) * len(targets[h].params)
@@ -844,16 +868,15 @@ def _homogeneous(labels, targets, weights) -> bool:
             for lab, vec in shifts.items():
                 vec.append(alpha[lab][i] * (scale // den_h)
                            if mono == zero else 0)
-    keys, label_keys = _weight_keys(columns, shifts, targets[labels[0]].rows)
-    for part in parts:
-        for lab in part:
-            shift = label_keys[lab]
-            for _, rows in targets[lab].terms.values():
-                for r, row in rows.items():
-                    want = keys[r] - shift
-                    for c in row:
-                        if keys[c] != want:
-                            return False
+    keys, label_keys = _weight_keys(columns, shifts, targets[cartan[0]].rows)
+    for lab in roots:
+        shift = label_keys[lab]
+        for _, rows in targets[lab].terms.values():
+            for r, row in rows.items():
+                want = keys[r] - shift
+                for c in row:
+                    if keys[c] != want:
+                        return False
     return True
 
 
@@ -920,13 +943,231 @@ def violations_report(title: str, name: str, labels: Sequence[GenLabel],
     return report
 
 
+# -- the Serre presentation ---------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _reference_presentation(spec: SuperAlgebraSpec) -> tuple:
+    """(sc, presentation) for the table sc that ``structure_constants``
+    builds for spec, computed once per spec.
+
+    For m != n, gl/sl(m|n) is presented on the Chevalley set of its
+    distinguished Dynkin diagram, the Cartan labels, the simple raising
+    labels e_i and u_1 and the simple lowering labels f_i and v_1, by the
+    Cartan relations (R1), [x, y} = sum_t f_xy^t t for simple raising x
+    and simple lowering y (R2) and the Serre relations (R3) (V. G. Kac,
+    Adv. Math. 26, 1977; H. Yamane, Publ. RIMS 30, 1994; R. B. Zhang,
+    "Serre presentations of Lie superalgebras", 2014); gl adds z0, which
+    R1 makes central.  Every other root label t is reached by a chain,
+    t = (1/c) [x, s} with x simple and s reached before it (R4).  So the
+    presentation is (weights, simple, cartan_sums, serre, chains): the
+    table's ``root_weights`` for R1; the simple labels per side, (raising,
+    lowering); per simple raising x, (x, ((t, sum_y f_xy^t), ...)); per
+    side, the Serre relations (``_serre_relations``); and per side, the
+    chains (``_chains``).
+    """
+    sc = structure_constants(build_fundamental_rep(spec))
+    raising = tuple(lab for lab in sc.basis
+                    if lab.kind == "e" or lab == GenLabel("u", 1))
+    lowering = tuple(lab for lab in sc.basis
+                     if lab.kind == "f" or lab == GenLabel("v", 1))
+    cartan_sums = []
+    for x in raising:
+        sums: dict = {}
+        for y in lowering:
+            for t, c in sc.bracket(x, y).items():
+                sums[t] = sums.get(t, 0) + c
+        cartan_sums.append((x, tuple((t, c) for t, c in sums.items() if c)))
+    sides = (raising, lowering)
+    return sc, (sc.root_weights, sides, tuple(cartan_sums),
+                tuple(_serre_relations(sc, side) for side in sides),
+                tuple(_chains(sc, side) for side in sides))
+
+
+def _serre_relations(sc: StructureConstants, simple: tuple) -> tuple:
+    """The Serre relations of one side as bracket trees (left, right), a
+    leaf being a label: [a, b} for nonadjacent nodes, [x, [a, b]], that is
+    (ad x)^2 of its neighbour, for each even x of an edge (a, b), and for
+    an odd x, [x, x} and, where it has two neighbours a and b,
+    [x, [a, [b, x]]].  Nodes are adjacent where the table brackets them
+    to nonzero, and an inner tree (a, b) lists a before b in ``simple``,
+    so the relations share it."""
+    relations = []
+    for i, a in enumerate(simple):
+        for b in simple[i + 1:]:
+            if not sc.bracket(a, b):
+                relations.append((a, b))
+                continue
+            relations += [(x, (a, b)) for x in (a, b) if not parity_of(x)]
+    for x in simple:
+        if parity_of(x):
+            relations.append((x, x))
+            neighbours = [a for a in simple if a != x and sc.bracket(a, x)]
+            if len(neighbours) == 2:
+                a, b = neighbours
+                relations.append((x, (a, (b, x))))
+    return tuple(relations)
+
+
+def _chains(sc: StructureConstants, simple: tuple) -> dict:
+    """t -> ((x, s, c), ...) for every label t outside ``simple`` that a
+    bracket [x, s] = c t reaches, with x in ``simple`` and s in ``simple``
+    or reached before t; the pairs are listed in the order their s is
+    reached."""
+    chains: dict = {}
+    reached = list(simple)
+    for s in reached:                 # grows while it is walked
+        for x in simple:
+            expansion = sc.bracket(x, s)
+            if len(expansion) != 1:
+                continue
+            (t, c), = expansion.items()
+            if t in simple:
+                continue
+            if t not in chains:
+                reached.append(t)
+            chains.setdefault(t, []).append((x, s, c))
+    return {t: tuple(pairs) for t, pairs in chains.items()}
+
+
+def _presented(targets: Mapping[GenLabel, PolyMatrix],
+               sc: StructureConstants) -> bool:
+    """Whether the targets satisfy the relations of ``sc.presentation``,
+    which proves every pair of the superbracket table; False where a
+    premise or a residual fails, which proves nothing.
+
+    R1 is ``_homogeneous`` on the Chevalley set and the other given
+    targets.  By the presentation theorem, R1-R3 make the Chevalley
+    targets the images of a representation rho~ of the algebra.  R4 ties
+    each given target t outside the Chevalley set to its chain:
+    rho_t = (1/c) [rho_x, rho_s}, with s tied before it, so rho_t =
+    rho~(t).  A label that is not given is its recipe's bracket, which is
+    rho~ of it too.  So the targets extended by their recipes are rho~,
+    a representation, and every pair holds.  Each residual sums relations
+    of pairwise distinct weights: given R1, a relation of weight mu lies
+    in the block lambda(r) - lambda(c) = mu, so the sum is zero iff each
+    relation holds.
+    """
+    presentation = sc.presentation
+    if presentation is None or any(lab not in targets for lab in sc.basis
+                                   if lab not in sc.recipes):
+        return False
+    weights, simple, _, _, chains = presentation
+    reached = set(weights[0]).union(*simple)
+    ties = [_ties(targets, side, reached) for side in chains]
+    if None in ties:
+        return False
+    roots = [lab for lab in sc.basis
+             if lab in reached and lab.kind not in _CARTAN]
+    if not _homogeneous(roots, targets, weights):
+        return False
+    return all(residual.is_zero
+               for residual in _residuals(targets, presentation, ties))
+
+
+def _ties(targets, chains: Mapping, reached: set) -> list | None:
+    """[(t, x, s, c)] for each given target t of ``chains``, where (x, s,
+    c) is its first chain whose s is reached, t being reached in turn;
+    None where a given target reaches none."""
+    ties = []
+    pending = [t for t in chains if t in targets]
+    while pending:
+        left = []
+        for t in pending:
+            tie = next(((x, s, c) for x, s, c in chains[t] if s in reached),
+                       None)
+            if tie is None:
+                left.append(t)
+            else:
+                ties.append((t, *tie))
+                reached.add(t)
+        if len(left) == len(pending):
+            return None
+        pending = left
+    return ties
+
+
+def _residuals(targets, presentation: tuple, ties: list):
+    """The residuals of R2, R3 and R4, one ``combination`` each, in turn.
+
+    R2, per simple raising x: [rho_x, S_0} + [rho_x, S_1} - sum_t c_t
+    rho_t, with S_p the sum of the simple lowering targets of parity p and
+    c_t = sum_y f_xy^t.  R3, per side: the sum of its Serre relations,
+    each inner bracket formed once.  R4, per side: the sum over its ties
+    of c rho_t - [rho_x, rho_s}, where an inner bracket of R3, [rho_x,
+    rho_s} or [rho_s, rho_x} = -(-1)^{|x||s|} [rho_x, rho_s}, serves."""
+    _, (_, lowering), cartan_sums, serre, _ = presentation
+    sums = []
+    for odd in (0, 1):
+        group = [(1, targets[y], None) for y in lowering
+                 if parity_of(y) == odd]
+        if group:
+            sums.append((odd, combination(group)))
+    for x, cartan_part in cartan_sums:
+        yield combination(
+            [term for odd, total in sums
+             for term in sbracket(parity_of(x), odd, targets[x], total)]
+            + [(-c, targets[t], None) for t, c in cartan_part])
+    inner: dict = {}                  # bracket tree -> its matrix
+    for relations in serre:
+        yield combination([term for tree in relations
+                           for term in _tree_terms(tree, targets, inner)])
+    for side in ties:
+        if side:
+            yield combination([
+                term for t, x, s, c in side
+                for term in [(c, targets[t], None)]
+                + _tie_terms(x, s, targets, inner)])
+
+
+def _tie_terms(x: GenLabel, s: GenLabel, targets, inner: dict) -> list:
+    """-[rho_x, rho_s} as ``combination`` terms, read off an inner bracket
+    where one holds it."""
+    if (x, s) in inner:
+        return [(-1, inner[x, s], None)]
+    both_odd = parity_of(x) and parity_of(s)
+    if (s, x) in inner:
+        return [(-1 if both_odd else 1, inner[s, x], None)]
+    return [(-k, left, right) for k, left, right
+            in sbracket(parity_of(x), parity_of(s), targets[x], targets[s])]
+
+
+def _tree_terms(tree: tuple, targets, inner: dict) -> list:
+    """The ``sbracket`` product terms of a bracket tree (left, right),
+    each operand a target or an inner tree's matrix, formed once."""
+    operands = []
+    for node in tree:
+        if node.__class__ is not GenLabel:
+            if node not in inner:
+                inner[node] = combination(_tree_terms(node, targets, inner))
+            operands.append(inner[node])
+        else:
+            operands.append(targets[node])
+    left, right = tree
+    return sbracket(_tree_parity(left), _tree_parity(right), *operands)
+
+
+def _tree_parity(node) -> int:
+    if node.__class__ is GenLabel:
+        return parity_of(node)
+    return sum(map(_tree_parity, node)) % 2
+
+
 def superbracket_violations(matrices: Mapping[GenLabel, PolyMatrix],
                             sc: StructureConstants) -> list:
     """Violating pairs of the superbracket table for representation
-    matrices; nonsimple root vectors are derived from their recipes."""
+    matrices; nonsimple root vectors not given are derived from their
+    recipes.
+
+    The relations of the table's Serre presentation are tried first
+    (``_presented``): where they hold, every pair holds, and the list is
+    empty with no pair residual and no nonsimple matrix formed.
+    Otherwise, and where a premise fails, the pairwise loop of
+    ``bracket_violations`` runs on the extended matrices, which alone
+    gives violation counts and locators."""
+    if _presented(matrices, sc):
+        return []
     return bracket_violations(sc.basis, sc.generators, sc.table,
-                              extend_matrices(matrices, sc.recipes),
-                              weights=sc.root_weights)
+                              extend_matrices(matrices, sc.recipes))
 
 
 def check_super_relations(matrices: Mapping[GenLabel, PolyMatrix],
@@ -935,9 +1176,12 @@ def check_super_relations(matrices: Mapping[GenLabel, PolyMatrix],
     """Exact polynomial identity check of all superbrackets against the table.
 
     ``matrices`` must cover the generator surface (h/e/f simple, y, z0 for gl,
-    all u and v); nonsimple root vectors are derived from their recipes before
-    checking every ordered pair of the full basis that contains a label of
-    ``sc.generators``, which gives the verdict of all pairs.
+    all u and v); a nonsimple root vector not given is its recipe's bracket.
+    ``superbracket_violations`` proves a passing module on the relations of
+    the table's Serre presentation and otherwise checks every ordered pair
+    of the full basis that contains a label of ``sc.generators``; either
+    gives the verdict of all pairs.  The report names the generator pairs,
+    whose verdict it is.
     """
     missing = [lab for lab in sc.basis
                if lab not in matrices and lab not in sc.recipes]

@@ -24,6 +24,7 @@ from dense_oracles import ExactSolver, dense_rows, dense_rref
 from setup_oracles import (rational_entries, reference_bilinear, supertrace,
                            weight_eval)
 from superkac.exact import ParamPoly, PolyMatrix, combination, integer_rref
+from testmatrix import ALGEBRA_CONFIGS
 
 
 def make(flavor, m, n):
@@ -200,7 +201,7 @@ class TestStructureConstants:
 def reference_structure_constants(rep) -> dict:
     """The table by one dense solve per pair: each bracket flattened to a
     dim^2 vector and solved against all flattened basis matrices."""
-    basis, recipes = _full_basis(rep.spec, rep.datum)
+    basis, recipes, _ = _full_basis(rep.spec, rep.datum)
     mats = extend_matrices(rep.matrices, recipes)
     dim = rep.dim
 
@@ -230,7 +231,7 @@ def loop_structure_constants(rep) -> StructureConstants:
     diagonal d is solved against the Cartan labels by the RREF of [A | d].
     """
     spec, datum = rep.spec, rep.datum
-    basis, recipes = _full_basis(spec, datum)
+    basis, recipes, _ = _full_basis(spec, datum)
     mats = extend_matrices(rep.matrices, recipes)
     dim = spec.dim_fund
 
@@ -379,8 +380,8 @@ def test_label_kind_is_the_parity(flavor, m, n):
 
 def test_one_rref_per_table(monkeypatch):
     """One integer RREF of [A | I] serves every diagonal of the table, and
-    the only ``combination`` calls build the nonsimple root vectors from
-    their recipes."""
+    no ``combination`` call: each nonsimple root vector is read off its
+    matrix unit, not built from its recipe."""
     rep = build_fundamental_rep(SuperAlgebraSpec(3, 2, "gl"))
     calls = {"integer_rref": 0, "combination": 0}
 
@@ -396,7 +397,21 @@ def test_one_rref_per_table(monkeypatch):
                         counted("combination", combination))
     sc = structure_constants(rep)
     assert sc.recipes
-    assert calls == {"integer_rref": 1, "combination": len(sc.recipes)}
+    assert calls == {"integer_rref": 1, "combination": 0}
+
+
+@pytest.mark.parametrize("cfg", ALGEBRA_CONFIGS,
+                         ids=[f"{c['flavor']}{c['m']}{c['n']}"
+                              for c in ALGEBRA_CONFIGS])
+def test_nonsimple_root_vectors_are_their_recipe_products(cfg):
+    """The matrix unit of each nonsimple root vector, with 1 at its slot,
+    is the superbracket of its recipe's operands."""
+    rep, sc = make(cfg["flavor"], cfg["m"], cfg["n"])
+    for label, (left, right) in sc.recipes.items():
+        mat = rep.matrices[label]
+        assert list(mat.entries.values()) == [ParamPoly.const((), 1)]
+        assert mat == combination(sbracket(0, 0, rep.matrices[left],
+                                           rep.matrices[right]))
 
 
 @pytest.mark.parametrize("flavor, m, n", ORACLE_ALGEBRAS)

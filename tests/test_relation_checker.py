@@ -14,10 +14,11 @@ the generator pairs, is compared with the per-triple loop that expands
 every triple through the table: its pairs must equal the loop's violating
 pairs that contain a generator, and its verdict that of all triples.
 
-The root-space certificate, which the checker tries first for the plain
-superbracket of a table's targets, must leave every report and list as
-the pairwise loop gives it, never prove a case the loop rejects, and be
-taken on every passing module and verify job here.
+The Serre presentation, which a module check tries first, and the
+root-space certificate, which super-Jacobi tries first, must leave every
+report and list as the pairwise loop gives it and never prove a case the
+loop rejects.  The presentation must be taken on every passing module and
+ladder job here, and the certificate on every true table.
 """
 
 import itertools
@@ -42,8 +43,8 @@ from superkac.kacmod import induce
 from superkac.matryoshka import (ReplicatedModule, block_relations_report,
                                  deformation, derivative_report,
                                  derivative_violations)
-from dense_oracles import dense_rref
-from test_golden import LADDER, run_example
+from dense_oracles import dense_linear_solve, dense_rref
+from test_golden import GOLDEN, LADDER, run_example
 from testmatrix import ALGEBRA_CONFIGS
 
 # -- the reference: ParamPoly arithmetic entry by entry -----------------------
@@ -396,8 +397,9 @@ def count_products(monkeypatch) -> dict:
 
 
 def decline(monkeypatch) -> None:
-    """Force the root-space certificate to decline, so that every check
-    runs the pairwise loop."""
+    """Force the Serre presentation and the root-space certificate to
+    decline, so that every check runs the pairwise loop."""
+    monkeypatch.setattr(algebra, "_presented", lambda *args: False)
     monkeypatch.setattr(algebra, "_certified", lambda *args: False)
 
 
@@ -407,6 +409,35 @@ def refuse_pairwise(monkeypatch) -> None:
         raise AssertionError("the pairwise loop ran")
 
     monkeypatch.setattr(algebra, "_pairwise", refuse)
+
+
+def guard_module_checks(monkeypatch) -> None:
+    """Make a module relation check that enters the root-space
+    certificate, the pairwise loop or ``extend_matrices`` fail the test.
+    Super-Jacobi, which runs outside a module check, keeps its
+    certificate."""
+    checking = []
+    real = {name: getattr(algebra, name) for name in (
+        "_certified", "_pairwise", "extend_matrices",
+        "superbracket_violations")}
+
+    def guarded(name):
+        def call(*args):
+            if checking:
+                raise AssertionError(f"a module check entered {name}")
+            return real[name](*args)
+        return call
+
+    def module_check(*args):
+        checking.append(True)
+        try:
+            return real["superbracket_violations"](*args)
+        finally:
+            checking.pop()
+
+    for name in ("_certified", "_pairwise", "extend_matrices"):
+        monkeypatch.setattr(algebra, name, guarded(name))
+    monkeypatch.setattr(algebra, "superbracket_violations", module_check)
 
 
 def test_one_bracket_per_computed_jacobi_generator_pair(monkeypatch):
@@ -913,16 +944,18 @@ def test_direct_residuals_are_derivatives_of_base_residuals(name,
     assert bool(failing) == (corruption is not None)
 
 
-# -- the root-space certificate ------------------------------------------------
+# -- the presentation and the root-space certificate ---------------------------
 #
-# A check that the certificate proves returns [] with no pair residual; any
-# other check runs the pairwise loop.  So with the certificate and with it
-# forced to decline, every report and violation list must be the same, and
-# the certificate must never prove a case that the pairwise loop rejects.
+# A module check that the Serre presentation proves, or a super-Jacobi check
+# that the certificate proves, returns [] with no pair residual; any other
+# check runs the pairwise loop.  So with these paths and with them forced
+# to decline, every report and violation list must be the same, and
+# neither may prove a case that the pairwise loop rejects.
 
 
 def both_paths(monkeypatch, check) -> tuple:
-    """check() as it runs, and with the certificate forced to decline."""
+    """check() as it runs, and with the presentation and the certificate
+    forced to decline."""
     taken = check()
     with monkeypatch.context() as patch:
         decline(patch)
@@ -989,23 +1022,34 @@ def test_true_tables_equal_with_the_certificate_declined(cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("name", LEMMA_MODULES)
-def test_passing_modules_take_the_certificate(name, monkeypatch):
-    """Every passing module of ALGEBRA_CONFIGS is proved without entering
-    the pairwise loop, so a premise that a later change breaks fails here
-    instead of silently costing the pair residuals."""
+def test_passing_modules_take_the_presentation(name, monkeypatch):
+    """Every passing module of ALGEBRA_CONFIGS, given on its generator
+    surface or with every nonsimple root vector as a deformation gives
+    it, is proved by the presentation, without the certificate, the
+    pairwise loop or a recipe product, so a premise that a later change
+    breaks fails here instead of silently costing the pair residuals."""
     K = LEMMA_MODULES[name]
-    refuse_pairwise(monkeypatch)
-    assert superbracket_violations(K.matrices, K.sc) == []
-    assert check_super_relations(K.matrices, K.sc).ok
+    guard_module_checks(monkeypatch)
+    for matrices in (K.matrices, deformation(K, 1).A):
+        assert superbracket_violations(matrices, K.sc) == []
+        assert check_super_relations(matrices, K.sc).ok
 
 
-@pytest.mark.parametrize("command,pins", LADDER,
-                         ids=[c.split(" --algebra ")[1] for c, _ in LADDER])
-def test_verify_ladder_takes_the_certificate(command, pins, tmp_path, capsys,
-                                             monkeypatch):
-    """The benchmark's verify jobs, super-Jacobi and module relations,
-    write their pinned bytes without entering the pairwise loop."""
-    refuse_pairwise(monkeypatch)
+# the verify ladder and one replicate and one twist job of GOLDEN, whose
+# base relations go through the same module check
+GUARDED_JOBS = LADDER + [next(job for job in GOLDEN if job[0].startswith(verb))
+                         for verb in ("replicate", "twist")]
+
+
+@pytest.mark.parametrize("command,pins", GUARDED_JOBS,
+                         ids=[c.replace(" --algebra", "")
+                              for c, _ in GUARDED_JOBS])
+def test_verify_ladder_takes_the_presentation(command, pins, tmp_path, capsys,
+                                              monkeypatch):
+    """The benchmark's verify jobs and one replicate and one twist job
+    write their pinned bytes with every module check proved by the
+    presentation; super-Jacobi keeps its certificate."""
+    guard_module_checks(monkeypatch)
     assert run_example(command, tmp_path, capsys, monkeypatch) == pins
 
 
@@ -1113,6 +1157,242 @@ def test_certificate_never_proves_a_rejected_case(data):
             taken, declined = both_paths(
                 patch, lambda: flat(jacobi_check(sc, patch)[1]))
         assert taken == declined
+
+
+# -- the Serre presentation ----------------------------------------------------
+
+
+def pairwise_of(matrices, sc) -> list:
+    """The violations of the pairwise loop on the matrices extended by
+    their recipes, the path a module check falls back to."""
+    mats = extend_matrices(matrices, sc.recipes)
+    return algebra._pairwise(
+        sc.basis, sc.generators, sc.table,
+        lambda la, lb, pa, pb: sbracket(pa, pb, mats[la], mats[lb]), mats)
+
+
+def test_a_corrupted_nonsimple_target_fails_as_pairwise():
+    """One entry of D.A[E_3] changed on an sl(3|1) replication: the tie of
+    E_3 to its chain fails, so the base relations report the pairwise
+    loop's count and first locator.  Every other relation holds, so
+    without that tie the check would have passed."""
+    K = MODULES["sl31_a11"]
+    sc, E3 = K.sc, GenLabel("E", 3)
+    D = deformation(K, 1)
+    pos, _ = D.A[E3].first_nonzero()
+    A = {**D.A, E3: with_entry(D.A[E3], pos, Fraction(1))}
+    expected = pairwise_of(A, sc)
+    assert expected and superbracket_violations(A, sc) == expected
+    assert algebra._presented({lab: mat for lab, mat in A.items()
+                               if lab != E3}, sc)
+    (item,) = violations_report("base relations",
+                                "superbracket table reproduced", sc.basis,
+                                sc.generators, expected).items
+    report = block_relations_report(block(D.replace(A=A), 2))
+    assert report.items[0] == item and not item.passed
+
+
+PRESENTED_MODULES = {"sl21": MODULES["sl21_a1"], "sl31": MODULES["sl31_a11"],
+                     "sl12": build_kac("sl", 1, 2, (1,)),
+                     "gl21": MODULES["gl21_a1"]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_target_corruptions_match_the_pairwise_loop(data):
+    """One entry of one target changed (a value, a new entry or a removed
+    one, constant or times b), with the module given on its generator
+    surface or with every nonsimple root vector too: the check's list is
+    the pairwise loop's, and where the presentation proves the check the
+    loop finds nothing."""
+    K = PRESENTED_MODULES[data.draw(st.sampled_from(sorted(PRESENTED_MODULES)))]
+    sc = K.sc
+    mats = dict(K.matrices) if data.draw(st.booleans()) else \
+        extend_matrices(K.matrices, sc.recipes)
+    label = data.draw(st.sampled_from(sorted(mats)))
+    entries = mats[label].entries
+    kind = data.draw(st.sampled_from(["value", "new", "removed"]))
+    value = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3)]))
+    if data.draw(st.booleans()):
+        value = ParamPoly.var(K.params, "b") * value
+    if kind == "new" or not entries:
+        pos = data.draw(st.tuples(st.integers(0, K.dim - 1),
+                                  st.integers(0, K.dim - 1))
+                        .filter(lambda rc: rc not in entries))
+    else:
+        pos = data.draw(st.sampled_from(sorted(entries)))
+        if kind == "removed":
+            value = -entries[pos]
+    mats[label] = with_entry(mats[label], pos, value)
+    expected = pairwise_of(mats, sc)
+    assert superbracket_violations(mats, sc) == expected
+    if algebra._presented(mats, sc):
+        assert expected == []
+
+
+def residuals_zero(mats, sc) -> list:
+    """Whether each residual of the presentation is zero, in turn."""
+    weights, simple, _, _, chains = sc.presentation
+    reached = set(weights[0]).union(*simple)
+    ties = [algebra._ties(mats, side, reached) for side in chains]
+    return [residual.is_zero
+            for residual in algebra._residuals(mats, sc.presentation, ties)]
+
+
+def test_a_graded_rescaling_fails_only_r2():
+    """rho'_t = 2^ht(t) rho_t on the raising targets, ht the height, keeps
+    R1, the Serre relations and the ties, which are homogeneous in the
+    height, and breaks [e_i, f_i] = h_i: only the R2 residuals are
+    nonzero, and the check reports the pairwise loop's list."""
+    K = MODULES["sl31_a11"]
+    sc = K.sc
+    _, (raising, _), cartan_sums, _, (chains, _) = sc.presentation
+    height = {x: 1 for x in raising}
+    for t, ((x, s, _), *_) in chains.items():
+        height[t] = height[x] + height[s]
+    mats = {lab: mat.scale(2 ** height[lab]) if lab in height else mat
+            for lab, mat in K.matrices.items()}
+    expected = pairwise_of(mats, sc)
+    assert expected and superbracket_violations(mats, sc) == expected
+    r2 = len(cartan_sums)
+    zero = residuals_zero(mats, sc)
+    assert zero == [False] * r2 + [True] * (len(zero) - r2)
+
+
+def serre_only_targets() -> dict:
+    """Targets on K(0) + K(2) of sl(2|1) that break [u_1, u_1} = 0 and
+    no other relation of the presentation: every label acts block
+    diagonally except u_1, which gains M: K(2) -> K(0) of weight beta
+    above the diagonal, and u_2, the bracket of its chain.  M solves the
+    relations of R2 and R3 that hold u_1 once, [M, f_1] = 0,
+    {M, v_1} = 0 and [e_1, [e_1, M]] = 0, by a dense solve; its
+    {u_1, M} is not zero."""
+    top, low = build_kac("sl", 2, 1, (0,)), build_kac("sl", 2, 1, (2,))
+    sc, params, dim = top.sc, top.params, top.dim + low.dim
+    cartan = [lab for lab in sc.basis if lab.kind in CARTAN]
+    beta = [sc.bracket(h, U1)[U1] for h in cartan]
+    pos = [(r, c) for r in range(top.dim) for c in range(low.dim)
+           if all(top.matrices[h].entry(r, r) - low.matrices[h].entry(c, c)
+                  == ParamPoly.const(params, w) for h, w in zip(cartan, beta))]
+    f1 = GenLabel("f", 1)
+
+    def constraints(M) -> list:
+        inner = combination([(1, top.matrices[E1], M),
+                             (-1, M, low.matrices[E1])])
+        return [combination([(1, M, low.matrices[f1]),
+                             (-1, top.matrices[f1], M)]),
+                combination([(1, M, low.matrices[V1]),
+                             (1, top.matrices[V1], M)]),
+                combination([(1, top.matrices[E1], inner),
+                             (-1, inner, low.matrices[E1])])]
+
+    entries, rows = {}, {}
+    for j, p in enumerate(pos):
+        unit = PolyMatrix(top.dim, low.dim, params, {p: 1})
+        for k, mat in enumerate(constraints(unit)):
+            for (r, c), val in mat.entries.items():
+                for mono, coeff in val.terms.items():
+                    row = rows.setdefault((k, r, c, mono), len(rows))
+                    entries[row, j] = coeff
+    _, kernel = dense_linear_solve(entries, len(rows), len(pos))
+    for vec in kernel:
+        M = PolyMatrix(top.dim, low.dim, params,
+                       {p: x for p, x in zip(pos, vec) if x})
+        if not combination([(1, top.matrices[U1], M),
+                            (1, M, low.matrices[U1])]).is_zero:
+            break
+    else:
+        raise AssertionError("no M breaks [u_1, u_1} alone")
+    assert all(mat.is_zero for mat in constraints(M))
+
+    def blocks(a, b, corner=None) -> PolyMatrix:
+        out = {pos: val for pos, val in a.entries.items()}
+        out.update({(top.dim + r, top.dim + c): val
+                    for (r, c), val in b.entries.items()})
+        if corner is not None:
+            out.update({(r, top.dim + c): val
+                        for (r, c), val in corner.entries.items()})
+        return PolyMatrix(dim, dim, params, out)
+
+    mats = {lab: blocks(top.matrices[lab], low.matrices[lab],
+                        M if lab == U1 else None) for lab in top.matrices}
+    u2 = GenLabel("u", 2)
+    (x, s, c), *_ = sc.presentation[4][0][u2]
+    mats[u2] = combination(sbracket(parity_of(x), parity_of(s), mats[x],
+                                    mats[s])).scale(1 / c)
+    return mats
+
+
+def test_a_serre_only_failure_fails_only_r3():
+    """Only the raising Serre residual of the presentation is nonzero,
+    and the check reports the pairwise loop's list, (u_1, u_1)
+    included."""
+    mats = serre_only_targets()
+    sc = MODULES["sl21_a1"].sc
+    zero = residuals_zero(mats, sc)
+    r3 = len(sc.presentation[2])
+    assert zero == [index != r3 for index in range(len(zero))]
+    expected = pairwise_of(mats, sc)
+    assert (U1, U1) in [pair for pair, _ in expected]
+    assert superbracket_violations(mats, sc) == expected
+
+
+@pytest.mark.parametrize("sc", GENERATION_CASES.values(),
+                         ids=GENERATION_CASES.keys())
+def test_each_residual_sums_relations_of_distinct_weights(sc):
+    """The premise of one residual per group of relations: in each R2
+    residual the weights alpha_x + alpha_y differ over y, and on each side
+    the weights of the Serre relations differ, none is a root, and those
+    of the tied labels differ.  A table other than the built one has no
+    presentation."""
+    if sc.basis != structure_constants(build_fundamental_rep(sc.spec)).basis:
+        assert sc.presentation is None
+        return
+    weights, (_, lowering), cartan_sums, serre, chains = sc.presentation
+    alpha = weights[2]
+
+    def weight(node) -> tuple:
+        if node.__class__ is GenLabel:
+            return alpha[node]
+        return tuple(map(sum, zip(*map(weight, node))))
+
+    roots = {alpha[lab] for lab in sc.basis if lab.kind not in CARTAN}
+    for x, _ in cartan_sums:
+        found = [weight((x, y)) for y in lowering]
+        assert len(set(found)) == len(found)
+    for relations, side in zip(serre, chains):
+        found = [weight(tree) for tree in relations]
+        assert len(set(found)) == len(found)
+        assert not roots & set(found)
+        assert len({alpha[t] for t in side}) == len(side)
+
+
+def test_a_changed_table_has_no_presentation():
+    sc = stack_sc("sl", 3, 1)
+    assert sc.presentation is not None
+    (pair, expansion), = list(sc.table.items())[:1]
+    changed = with_terms(sc, [(pair, next(iter(expansion)), Fraction(1))])
+    assert changed.presentation is None
+    assert even_restriction(sc).presentation is None
+
+
+@pytest.mark.parametrize("flavor,m,n,a,count", [
+    ("sl", 3, 1, (1, 1), 13), ("sl", 4, 2, (0, 0, 0, 0), 21)],
+    ids=["sl31", "sl42"])
+def test_one_combination_per_presentation_residual(flavor, m, n, a, count,
+                                                   monkeypatch):
+    """A passing module check forms one sum per parity of the simple
+    lowering targets and one R2 residual per simple raising x; per side,
+    one inner bracket per edge of the Dynkin diagram and one for the
+    quartic relation, then one R3 residual; and one R4 residual per
+    side.  sl(3|1), on the chain e_1 - e_2 - u_1: 2 + 3, 2 x (2 + 1) and
+    2.  sl(4|2), on e_1 - e_2 - e_3 - u_1 - e_4: 2 + 5, 2 x (4 + 1 + 1)
+    and 2.  A return to per-part residuals or to ``extend_matrices``
+    makes more calls."""
+    K = build_kac(flavor, m, n, a)
+    calls = count_products(monkeypatch)
+    assert superbracket_violations(K.matrices, K.sc) == []
+    assert calls["combination"] == count
 
 
 def keys_agree(columns, shifts, rows) -> None:

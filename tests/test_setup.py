@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from superkac.algebra import (FundamentalRep, InputError, RootDatum,
-                              SuperAlgebraSpec, build_fundamental_rep,
-                              build_root_datum, extend_matrices,
-                              structure_constants,
+                              SuperAlgebraSpec, _full_basis,
+                              build_fundamental_rep, build_root_datum,
+                              extend_matrices, structure_constants,
                               typicality_factors, weight_from_labels)
 from superkac.evenrep import labels_to_hypercharge
 from setup_oracles import (reference_fundamental_matrices,
@@ -47,6 +47,13 @@ def as_fractions(value):
     return value
 
 
+def reference_matrices(spec) -> dict:
+    """The reference fundamental matrices of the generator surface, with
+    each nonsimple root vector the recipe product of its operands."""
+    recipes = _full_basis(spec, build_root_datum(spec))[1]
+    return extend_matrices(reference_fundamental_matrices(spec), recipes)
+
+
 def label_vectors(spec) -> list:
     rank = spec.rank
     return [(0,) * rank, (1,) * rank,
@@ -76,7 +83,7 @@ def test_root_datum_matches_fraction_reference(flavor, m, n):
 def test_fundamental_matrices_match_fraction_reference(flavor, m, n):
     spec = spec_of(flavor, m, n)
     rep = build_fundamental_rep(spec)
-    want = reference_fundamental_matrices(spec)
+    want = reference_matrices(spec)
     assert list(rep.matrices) == list(want)
     for label, mat in rep.matrices.items():
         ref = want[label]
@@ -91,14 +98,12 @@ def test_structure_constants_match_references(flavor, m, n):
     rep = build_fundamental_rep(spec)
     sc = structure_constants(rep)
     reference_rep = FundamentalRep(
-        spec=spec, datum=rep.datum,
-        matrices=reference_fundamental_matrices(spec))
+        spec=spec, datum=rep.datum, matrices=reference_matrices(spec))
     from_reference = structure_constants(reference_rep)
     loop = loop_structure_constants(rep)
-    # the matrices the table is read off: the given ones and each nonsimple
-    # root vector from its recipe
-    assert extend_matrices(rep.matrices, sc.recipes) == \
-        extend_matrices(reference_rep.matrices, from_reference.recipes)
+    # the matrices the table is read off: each nonsimple root vector is a
+    # matrix unit equal to the product of its recipe
+    assert rep.matrices == reference_rep.matrices
     for want in (from_reference, loop):
         assert table_items(sc.table) == table_items(want.table)
         assert sc.k == want.k
