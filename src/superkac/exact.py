@@ -441,6 +441,34 @@ def combination(terms: Sequence[tuple]) -> "PolyMatrix":
     return PolyMatrix._of(rows, cols, params, _pencil(parts))
 
 
+def _scalar_term(group):
+    """The canonical term of sum W * x / den over the (rows of W, rows of
+    a 1 x 1 term {0: {0: x}}, den) of group, or None if it is zero.  A
+    lone part is brought to lowest terms as x / den before its rows are
+    scaled, and with x / den = 1 / den' its rows are W's own."""
+    if len(group) == 1:
+        (rows, rows_b, den), = group
+        x = rows_b[0][0]
+        g = gcd(x, den)
+        x, den = x // g, den // g
+        if x != 1:
+            rows = {i: {j: w * x for j, w in row.items()}
+                    for i, row in rows.items()}
+        return _reduced(den, rows)
+    common = lcm(*(den for _, _, den in group))
+    acc: dict = {}
+    for rows, rows_b, den in group:
+        f = rows_b[0][0] * (common // den)
+        for i, row in rows.items():
+            target = acc.get(i)
+            if target is None:
+                acc[i] = {j: w * f for j, w in row.items()}
+            else:
+                for j, w in row.items():
+                    target[j] = target.get(j, 0) + w * f
+    return _reduced(common, acc)
+
+
 def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
                   parts) -> "PolyMatrix":
     """sum_k W_k (x) B_k: the square matrix of size * base_dim whose block
@@ -455,6 +483,11 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
     exponent.  Only an entry that two parts add to can
     vanish, so an accumulation where no such sum came out zero skips the
     scans for zeros and empty rows.
+
+    At base_dim 1 each B is a scalar, so W (x) B is W scaled row by row,
+    and an exponent with a lone part whose scalar is 1 over some integer
+    takes the rows of W as they are: the result may share them, and W is
+    never changed.
     """
     params = tuple(params)
     groups: dict = {}             # exps -> [(rows of W, rows of B, den)]
@@ -464,16 +497,21 @@ def kronecker_sum(size: int, base_dim: int, params: Sequence[str],
                              f"{base_dim}x{base_dim}")
         if B.params != params:
             raise DeclarationError("matrix parameter lists differ")
-        for i, row in rows.items():
-            if row and not (0 <= i < size and 0 <= min(row)
-                            and max(row) < size):
-                raise IndexError(f"entry of W outside {size}x{size}")
         if not rows:
             continue
+        cols = set().union(*rows.values())
+        if not (0 <= min(rows) and max(rows) < size
+                and (not cols or 0 <= min(cols) and max(cols) < size)):
+            raise IndexError(f"row or entry of W outside {size}x{size}")
         for exps, (den_b, rows_b) in B.terms.items():
             groups.setdefault(exps, []).append((rows, rows_b, den * den_b))
     terms = {}
     for exps, group in groups.items():
+        if base_dim == 1:
+            term = _scalar_term(group)
+            if term is not None:
+                terms[exps] = term
+            continue
         common = lcm(*(den for _, _, den in group))
         acc: dict = {}
         cancelled = False

@@ -13,10 +13,17 @@ So every generator is a Kronecker sum, sum_op W_op (x) B_op, where B_op is
 the identity or a base operator (an even label acting on the even factor)
 and W_op is a wedge-sized rational matrix that depends only on the
 structure constants and P.  induce_core scales the structure constants to
-integers once, computes each W_op as an integer matrix over one
-denominator on odd subsets stored as bitmasks, with the action of each
-even label on each subset computed once, and assembles each generator in
-one integer pass (exact.kronecker_sum).
+integers once and computes each W_op as an integer matrix over one
+denominator on odd subsets stored as bitmasks, with work that follows the
+entries it writes.  The slot action of each even label is split once into
+a diagonal part, which acts on a subset by its weight (one lookup in a
+table filled over all subsets in one pass; all of h_i, y and z0 is
+diagonal), and moves s -> t, each walked over just the subsets it maps.
+u_j is written in closed form: on v_S it is the sum over the slots s of S
+of (-1)^|prefix| v_prefix ({u_j, v_s} v_tail), each contraction {u_j, v_s}
+split once into one weight table on tails, its moves and its base
+operators.  Each generator is then assembled in one integer pass
+(exact.kronecker_sum), where W (x) I at base dimension 1 is W itself.
 
 The weights stay on integers as well: K keeps the highest weight of L
 once, and the weight of v_S w_l is it minus the int shift of w_l plus the
@@ -31,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
@@ -79,16 +86,32 @@ def _subset_order(P: int):
     return out
 
 
-def _signed(q: int, bits: int) -> int:
-    """q times (-1)^popcount(bits): the sign of moving a wedge slot past
-    the slots set in bits."""
-    return -q if bits.bit_count() & 1 else q
+def _weights(d: Sequence[int]) -> list:
+    """w[x] = the sum of d[i] over the set bits i of x, for every
+    x < 2^len(d); each x is filled from x without its top bit."""
+    w = [0]
+    for q in d:
+        w += [x + q for x in w]
+    return w
 
 
-def _common_den(coefficients) -> int:
-    """The lcm of the denominators of some rationals: each of them times it
-    is an int."""
-    return lcm(*(q.denominator for q in coefficients))
+def _submasks(m: int) -> list:
+    """Every submask of m, in increasing order."""
+    out = [0]
+    while m:
+        low = m & -m
+        out += [x | low for x in out]
+        m ^= low
+    return out
+
+
+def _add(rows: dict, r: int, c: int, q: int) -> None:
+    """rows[r][c] += q on dict-of-dict rows."""
+    row = rows.get(r)
+    if row is None:
+        rows[r] = {c: q}
+    else:
+        row[c] = row.get(c, 0) + q
 
 
 def induce_core(P: int, params: tuple, base_dim: int,
@@ -98,134 +121,152 @@ def induce_core(P: int, params: tuple, base_dim: int,
     """Wedge induction shared by Kac modules over g and over the Heisenberg
     superalgebra.
 
-    base_mats must provide the action of every even label reachable through
-    uv_exp on the base module; adj[(g, s)] lists (t, coeff) with
+    base_mats must provide the action of every surface label and of every
+    even label reachable through uv_exp on the base module (a missing one
+    raises InternalConsistencyError); adj[(g, s)] lists (t, coeff) with
     [g, v_s] = sum coeff v_t; uv_exp[(i, j)] lists (even label, coeff) for
     the contraction {u_i, v_j}.  Returns (basis, matrices) where matrices
     covers surface_labels plus all u_i and v_i.
 
-    An odd subset is a bitmask with bit s for v_s, and a wedge sign is the
-    parity of the slots passed.  The adj coefficients are scaled to ints
-    over the lcm of their denominators, adj_den, and the uv_exp ones over
-    theirs, uv_den.  Each generator is first computed as {op: W_op}, where
-    op is None (the identity on the base) or the position of an even label
-    (its base operator), and W_op is the wedge-sized matrix
-    (den, {subset' position: {subset position: int}}); it is then assembled
-    as sum_op W_op (x) base operator in one pass.
+    An odd subset is a bitmask with bit s - 1 for v_s, and a wedge sign is
+    the parity of the slots passed.  The adj coefficients are scaled to
+    ints over the lcm of their denominators, adj_den, and the uv_exp ones
+    over theirs, uv_den.  Each label's slot action is split once into its
+    diagonal part (s -> s), which acts on a subset by its weight, the sum
+    over the subset's slots, and its moves s -> t.  Each generator is
+    first computed as {op: W_op}, where op is None (the identity on the
+    base) or the position of an even label (its base operator), and W_op
+    is the wedge-sized matrix (den, {subset' position: {subset position:
+    int}}); it is then assembled as sum_op W_op (x) base operator in one
+    pass.
     """
     subsets = _subset_order(P)
-    masks = [sum(1 << s for s in subset) for subset in subsets]
-    pos = {mask: k for k, mask in enumerate(masks)}
+    masks = [sum(1 << (s - 1) for s in subset) for subset in subsets]
+    pos = [0] * (1 << P)          # mask -> position in the subset order
+    for k, mask in enumerate(masks):
+        pos[mask] = k
     size = len(masks)
+    full = (1 << P) - 1
     # even labels by position: the surface, then any reached only via uv_exp
     label_pos = {g: k for k, g in enumerate(surface_labels)}
     for expansion in uv_exp.values():
         for g, _ in expansion:
             label_pos.setdefault(g, len(label_pos))
     labels = list(label_pos)
-    uv_den = _common_den(c for expansion in uv_exp.values()
-                         for _, c in expansion)
-    uv = {key: [(label_pos[g], int(coeff * uv_den)) for g, coeff in expansion]
-          for key, expansion in uv_exp.items()}
-    adj = {key: pairs for key, pairs in adj.items() if key[0] in label_pos}
-    adj_den = _common_den(c for pairs in adj.values() for _, c in pairs)
-    # slots[g][s]: adj_den [g, v_s] as (t, int) pairs
-    slots: list = [{} for _ in labels]
-    for (g, s), pairs in adj.items():
-        slots[label_pos[g]][s] = [(t, int(c * adj_den)) for t, c in pairs]
+    for g in labels:
+        if g not in base_mats:
+            raise InternalConsistencyError(
+                f"no action of {g} on the base module")
     # a label acting by zero on the base acts only on the wedge slots
-    on_base = [g in base_mats and not base_mats[g].is_zero for g in labels]
+    on_base = [not base_mats[g].is_zero for g in labels]
+    uv_den = lcm(*(c.denominator for expansion in uv_exp.values()
+                   for _, c in expansion))
+    adj = {key: pairs for key, pairs in adj.items() if key[0] in label_pos}
+    adj_den = lcm(*(c.denominator for pairs in adj.values()
+                    for _, c in pairs))
+    # adj_den [g, v_s]: diag[g][s - 1] on v_s itself, moves[g][(s, t)] on v_t
+    diag = [[0] * P for _ in labels]
+    moves: list = [{} for _ in labels]
+    for (g, s), pairs in adj.items():
+        g = label_pos[g]
+        for t, c in pairs:
+            if t == s:
+                diag[g][s - 1] += int(c * adj_den)
+            else:
+                moves[g][(s, t)] = moves[g].get((s, t), 0) + int(c * adj_den)
     eye = PolyMatrix.identity(base_dim, params)
-    memo: dict = {}
-
-    def slot_action(g: int, mask: int) -> dict:
-        """adj_den times the adjoint action of label position g on the wedge
-        slots of mask, {mask': int}; computed once per (g, mask)."""
-        key = g << (P + 1) | mask
-        out = memo.get(key)
-        if out is None:
-            out = {}
-            for s, pairs in slots[g].items():
-                bit = 1 << s
-                if not mask & bit:
-                    continue
-                rest, below = mask ^ bit, mask & (bit - 1)
-                for t, coeff in pairs:
-                    new_bit = 1 << t
-                    if rest & new_bit:
-                        continue
-                    new = rest | new_bit
-                    q = _signed(coeff, below ^ (rest & (new_bit - 1)))
-                    out[new] = out.get(new, 0) + q
-            out = memo[key] = {m: q for m, q in out.items() if q}
-        return out
 
     def assemble(ws: dict) -> PolyMatrix:
         return kronecker_sum(size, base_dim, params, (
             (W, eye if op is None else base_mats[labels[op]])
             for op, W in ws.items()))
 
+    def move(rows: dict, s: int, t: int, q: int, drop: int,
+             sign_bits: int) -> None:
+        """rows += q times v_s -> v_t on every subset that holds s and the
+        slots of drop but not t: each goes to the subset without drop and
+        with t in place of s, signed by the parity of its other slots in
+        sign_bits or strictly between s and t."""
+        sb, tb = 1 << (s - 1), 1 << (t - 1)
+        sign_bits ^= max(sb, tb) - (min(sb, tb) << 1)
+        for r in _submasks(full & ~(sb | tb | drop)):
+            _add(rows, pos[r | tb], pos[r | sb | drop],
+                 -q if (r & sign_bits).bit_count() & 1 else q)
+
     matrices: dict = {}
     for g, label in enumerate(surface_labels):
-        ident: dict = {}
-        for k, mask in enumerate(masks):
-            for new, q in slot_action(g, mask).items():
-                ident.setdefault(pos[new], {})[k] = q
-        ws = {None: (adj_den, ident)}
+        rows: dict = {}
+        if any(diag[g]):
+            weight = _weights(diag[g])
+            for k, mask in enumerate(masks):
+                if weight[mask]:
+                    rows[k] = {k: weight[mask]}
+        for (s, t), q in moves[g].items():
+            if q:
+                move(rows, s, t, q, 0, 0)
+        ws = {None: (adj_den, rows)}
         if on_base[g]:
             ws[g] = (1, {k: {k: 1} for k in range(size)})
         matrices[label] = assemble(ws)
-    u_den = uv_den * adj_den
     for i in range(1, P + 1):
-        bit = 1 << i
+        bit = 1 << (i - 1)
         matrices[GenLabel("v", i)] = assemble({None: (1, {
-            pos[mask | bit]: {k: _signed(1, mask & (bit - 1))}
+            pos[mask | bit]: {k: -1 if (mask & (bit - 1)).bit_count() & 1
+                              else 1}
             for k, mask in enumerate(masks) if not mask & bit})})
+        # u_i v_S = sum over the slots s of S, prefix below s and tail
+        # above: (-1)^|prefix| v_prefix ({u_i, v_s} v_tail), each
+        # contraction split once into its weight on tails, its moves of a
+        # tail slot and its base operators
+        splits = []
+        # op -> gcd of its W's den and ints, divided out so that each W
+        # is stored in lowest terms
+        shared = {None: uv_den * adj_den}
+        for s in range(1, P + 1):
+            expansion = uv_exp.get((i, s))
+            if not expansion:
+                continue
+            tail_diag = [0] * (P - s)
+            tail_moves: dict = {}
+            base: dict = {}
+            for g, c in expansion:
+                g, c = label_pos[g], int(c * uv_den)
+                tail_diag = [x + c * y for x, y in zip(tail_diag, diag[g][s:])]
+                for key, q in moves[g].items():
+                    if key[0] > s:
+                        tail_moves[key] = tail_moves.get(key, 0) + c * q
+                if on_base[g]:
+                    base[g] = base.get(g, 0) + c
+            tail_moves = {key: q for key, q in tail_moves.items() if q}
+            base = {g: c for g, c in base.items() if c}
+            shared[None] = gcd(shared[None], *tail_diag, *tail_moves.values())
+            for g, c in base.items():
+                shared[g] = gcd(shared.get(g, uv_den), c)
+            splits.append((s, tail_diag, tail_moves, base))
+        u_rows: dict = {op: {} for op in shared}
+        wedge = u_rows[None]
+        for s, tail_diag, tail_moves, base in splits:
+            sb = 1 << (s - 1)
+            weight = _weights([x // shared[None] for x in tail_diag]) \
+                if any(tail_diag) else None
+            base = [(u_rows[g], c // shared[g]) for g, c in base.items()]
+            if weight or base:
+                for r in _submasks(full ^ sb):
+                    k, new = pos[r | sb], pos[r]
+                    neg = (r & (sb - 1)).bit_count() & 1
+                    if weight and weight[r >> s]:
+                        q = weight[r >> s]
+                        _add(wedge, new, k, -q if neg else q)
+                    for rows, c in base:
+                        _add(rows, new, k, -c if neg else c)
+            for (s2, t), q in tail_moves.items():
+                move(wedge, s2, t, q // shared[None], sb, sb - 1)
         matrices[GenLabel("u", i)] = assemble({
-            op: (u_den, W) for op, W in _u_action(
-                i, masks, pos, uv, adj_den, on_base, slot_action).items()})
+            op: ((uv_den * adj_den if op is None else uv_den) // shared[op],
+                 rows)
+            for op, rows in u_rows.items()})
     basis = tuple((subset, l) for subset in subsets for l in range(base_dim))
     return basis, matrices
-
-
-def _u_action(j: int, masks: Sequence[int], pos: Mapping, uv: Mapping,
-              adj_den: int, on_base: Sequence[bool], slot_action) -> dict:
-    """uv_den * adj_den * u_j as {op: integer W_op}, where uv holds the
-    contraction coefficients times uv_den, by normal ordering
-    u_j v_head tail = {u_j, v_head} tail - v_head u_j tail, head the least
-    slot.  masks run layer by layer, so u_j on a tail is known before it is
-    needed."""
-    images: dict = {}             # mask -> {op: {mask': q}}
-    ws: dict = {}
-    for k, mask in enumerate(masks):
-        image: dict = {}
-        if mask:
-            head_bit = mask & -mask
-            tail = mask ^ head_bit
-            for g, coeff in uv.get((j, head_bit.bit_length() - 1), ()):
-                col = image.setdefault(None, {})
-                for new, q in slot_action(g, tail).items():
-                    col[new] = col.get(new, 0) + coeff * q
-                if on_base[g]:
-                    col = image.setdefault(g, {})
-                    col[tail] = col.get(tail, 0) + coeff * adj_den
-            for op, tail_col in images[tail].items():
-                col = image.setdefault(op, {})
-                for m, q in tail_col.items():
-                    if m & head_bit:
-                        continue
-                    new = m | head_bit
-                    col[new] = col.get(new, 0) - _signed(
-                        q, m & (head_bit - 1))
-        images[mask] = kept = {}
-        for op, col in image.items():
-            col = {m: q for m, q in col.items() if q}
-            if col:
-                kept[op] = col
-                rows = ws.setdefault(op, {})
-                for m, q in col.items():
-                    rows.setdefault(pos[m], {})[k] = q
-    return ws
 
 
 def _shifted(base_shifts: Sequence[tuple], subsets: Sequence,

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: ring laws, evaluation, derivatives, RREF."""
 
+import copy
 import math
 import time
 from fractions import Fraction
@@ -455,14 +456,22 @@ ONE_BY_ONE = PolyMatrix(1, 1, PARAMS, {(0, 0): b() - Fraction(2, 3)})
                  ((1, {1: {1: 1}}), PolyMatrix(1, 1, PARAMS,
                                                {(0, 0): c() * b()}))]))
 @example((2, 1, [((6, {0: {0: 4, 1: 0}, 1: {}}), ONE_BY_ONE)]))  # 4/6, 0
+@example((2, 1, [((1, {0: {1: 1}}), PolyMatrix.identity(1, PARAMS)),
+                 ((1, {0: {1: 2}, 1: {0: 1}}),
+                  PolyMatrix.identity(1, PARAMS))]))    # W (x) I summed
+@example((2, 1, [((2, {0: {1: 3}, 1: {1: 1}}),
+                  PolyMatrix(1, 1, PARAMS, {(0, 0): 4 * b()}))]))  # 4/2
 def test_kronecker_sum_matches_dense_kronecker(case):
     size, base_dim, parts = case
+    given_w = copy.deepcopy([W for W, _ in parts])
     got = kronecker_sum(size, base_dim, PARAMS, parts)
     want = dense_kronecker(size, base_dim, parts)
     assert_canonical(got)
     assert (got.rows, got.cols, got.params) == (want.rows, want.cols,
                                                 want.params)
     assert got.terms == want.terms
+    # the result may share the rows of W, but never changes them
+    assert [W for W, _ in parts] == given_w
 
 
 B_TWO = PolyMatrix(2, 2, PARAMS, {(0, 0): b(), (0, 1): 3 * b() + const("1/2"),
@@ -597,6 +606,8 @@ def test_kronecker_sum_rejects_misshapen_factors():
         kronecker_sum(2, 1, PARAMS, [((1, {0: {2: 1}}), ONE_BY_ONE)])
     with pytest.raises(IndexError):
         kronecker_sum(2, 1, PARAMS, [((1, {-1: {0: 1}}), ONE_BY_ONE)])
+    with pytest.raises(IndexError):
+        kronecker_sum(2, 1, PARAMS, [((1, {1: {-1: 1}}), ONE_BY_ONE)])
 
 
 @settings(deadline=None, max_examples=80)

@@ -465,7 +465,9 @@ DIFFERENTIAL_CASES = (
     [(cfg["flavor"], cfg["m"], cfg["n"], (0,) * (cfg["m"] + cfg["n"] - 2))
      for cfg in ALGEBRA_CONFIGS]
     + [("sl", 3, 1, (2, 1)), ("gl", 2, 1, (1,)), ("gl", 3, 1, (1, 0)),
-       ("sl", 3, 2, (0, 0, 0)), ("sl", 4, 2, (0, 0, 0, 0))])
+       ("sl", 3, 2, (0, 0, 0)), ("sl", 4, 2, (0, 0, 0, 0)),
+       # P = 6 with a nontrivial L: every base operator of u_j enters
+       ("sl", 3, 2, (1, 0, 0)), ("gl", 2, 3, (0, 1, 0))])
 
 
 @pytest.mark.parametrize("flavor,m,n,a", DIFFERENTIAL_CASES,
@@ -530,6 +532,49 @@ def test_induce_core_matches_reference_on_fractional_slots(flavor, m, n, a,
     monkeypatch.undo()
     assert_same_induction(kacmod.induce_core(*args),
                           reference_induce_core(*args))
+
+
+def synthetic_core_input(base_dim: int) -> tuple:
+    """An induce_core input that no table gives: e_1 has both a diagonal
+    (1 -> 1) and a moving (1 -> 2) slot pair and moves 3 past 2 to 1, f_1
+    is reached only through contractions, and {u_1, v_1} mixes a Cartan
+    and two root labels, with fractional coefficients throughout."""
+    params = ("b",)
+    h, e, f = GenLabel("h", 1), GenLabel("e", 1), GenLabel("f", 1)
+    b = ParamPoly.var(params, "b")
+    cells = {h: {(0, 0): b, (base_dim - 1, base_dim - 1): Fraction(-1, 2)},
+             e: {(0, base_dim - 1): Fraction(3, 2)},
+             f: {(base_dim - 1, 0): b + 1}}
+    base_mats = {g: PolyMatrix(base_dim, base_dim, params, entries)
+                 for g, entries in cells.items()}
+    adj = {(h, 1): ((1, Fraction(1, 2)),), (h, 2): ((2, -1),),
+           (h, 3): ((3, Fraction(2, 3)),),
+           (e, 1): ((1, Fraction(1, 2)), (2, 1)),
+           (e, 3): ((1, Fraction(-2, 3)),),
+           (f, 2): ((1, Fraction(3, 4)), (3, 1)),
+           (f, 3): ((2, Fraction(1, 3)),)}
+    uv_exp = {(1, 1): ((h, Fraction(1, 2)), (e, Fraction(-3, 2)),
+                       (f, Fraction(2, 3))),
+              (1, 2): ((e, 1),), (2, 2): ((h, Fraction(-1, 3)), (f, 2)),
+              (2, 3): ((f, Fraction(5, 2)), (h, 2)),
+              (3, 1): ((f, Fraction(1, 4)),), (3, 3): ((h, 1), (e, 1))}
+    return 3, params, base_dim, [h, e], base_mats, adj, uv_exp
+
+
+@pytest.mark.parametrize("base_dim", [1, 2])
+def test_induce_core_matches_reference_on_a_synthetic_input(base_dim):
+    args = synthetic_core_input(base_dim)
+    assert_same_induction(kacmod.induce_core(*args),
+                          reference_induce_core(*args))
+
+
+def test_induce_core_refuses_a_label_without_a_base_action():
+    P, params, base_dim, surface, base_mats, adj, uv_exp = \
+        synthetic_core_input(2)
+    base_mats = {g: m for g, m in base_mats.items() if g.kind != "f"}
+    with pytest.raises(InternalConsistencyError, match="f_1"):
+        kacmod.induce_core(P, params, base_dim, surface, base_mats, adj,
+                           uv_exp)
 
 
 def test_induce_leaves_no_garbage():

@@ -4,7 +4,7 @@ module imports ``typing``, which a CLI run would otherwise load, or a name
 it never reads; and the public names that nothing in ``src/`` names, the
 defaulted parameters that no call in ``src/`` sets, the record fields
 that no code in ``src/`` reads and the fields of every record are known,
-pinned lists."""
+pinned lists, and every private top-level function has a reader."""
 
 import ast
 import importlib
@@ -209,6 +209,42 @@ def test_checker_sees_a_name_only_tests_use(tmp_path):
                                    "x = Box().opened()\n", encoding="utf-8")
     assert unnamed_public_definitions(sorted(tmp_path.glob("*.py"))) == \
         ["a.Box.shut", "a.lonely"]
+
+
+def unread_private_functions(paths) -> list:
+    """'module.name' of each private function defined at the top level of
+    ``paths`` whose name no code in ``paths`` reads outside its own body:
+    a helper left behind when its last caller went."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    read = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(f"{module}.{node.name}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and read[node.name] == _names(node)[node.name])
+
+
+def test_every_private_function_has_a_reader():
+    assert unread_private_functions(MODULES) == []
+
+
+def test_checker_sees_an_unread_private_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n"
+        "    return 1\n"
+        "def _orphan(n):\n"
+        "    return _orphan(n - 1) if n else _used()\n"
+        "def _passed():\n"
+        "    return 0\n"
+        "def public():\n"
+        "    return sorted([], key=_passed)\n"
+        "class Box:\n"
+        "    def _hidden(self):\n"
+        "        return 0\n", encoding="utf-8")
+    assert unread_private_functions(sorted(tmp_path.glob("*.py"))) == \
+        ["a._orphan"]
 
 
 def unset_defaults(paths) -> list:
