@@ -923,9 +923,12 @@ def _is_mirror(expansion: Mapping, mirror: Mapping, sign: int) -> bool:
 
 def violations_report(title: str, name: str, labels: Sequence[GenLabel],
                       generators: Sequence[GenLabel],
-                      violations: list) -> VerificationReport:
+                      violations: list,
+                      premise: str | None = None) -> VerificationReport:
     """One check item: the pairs checked, or the count of violating pairs
-    and the first locator."""
+    and the first locator.  A check on generator pairs implies all pairs,
+    or, where the lemma of ``bracket_violations`` needs a premise that this
+    check does not compute, implies them given that premise."""
     report = VerificationReport(title)
     n = len(labels)
     checked = n * n - (n - len(set(generators))) ** 2
@@ -933,7 +936,9 @@ def violations_report(title: str, name: str, labels: Sequence[GenLabel],
         kind, scope = "pairs", f"all {n}^2 pairs"
     else:
         kind = "generator pairs"
-        scope = f"all {checked} generator pairs (implies all {n}^2 pairs)"
+        scope = f"all {checked} generator pairs" + (
+            f" (implies all {n}^2 pairs)" if premise is None
+            else f"; all {n}^2 pairs follow given {premise}")
     if violations:
         (la, lb), (pos, val) = violations[0]
         report.add_fail(f"{name} ({len(violations)} violating {kind})",

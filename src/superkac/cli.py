@@ -12,6 +12,7 @@ import errno
 import json
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
 
@@ -219,15 +220,25 @@ def _build_stack(cfg: JobConfig):
 
 
 def _check_writable(field: str, path: str) -> None:
-    """Refuse, before the job runs, a path that cannot be written: a
-    directory, or a file whose directory is missing or not writable.  The
-    file is not opened, so a job that fails leaves an old file as it was."""
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    """Refuse, before the job runs, a path that cannot be written, as
+    ``jsonio.export_json`` writes it: a directory; a device or FIFO that is
+    not writable; a regular file that is not writable, or whose directory is
+    missing or not writable, since the file is written beside its path
+    first.  The file is not opened, so a job that fails leaves an old file
+    as it was."""
+    old = jsonio.existing(path)
+    target = jsonio.written_path(path)
+    parent = os.path.dirname(target) or "."
+    if old is not None and stat.S_ISDIR(old.st_mode):
         code = errno.EISDIR
+    elif old is not None and not stat.S_ISREG(old.st_mode):
+        if os.access(path, os.W_OK):
+            return
+        code = errno.EACCES
     elif not os.path.isdir(parent):
         code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+    elif not os.access(parent, os.W_OK) or (
+            old is not None and not os.access(target, os.W_OK)):
         code = errno.EACCES
     else:
         return

@@ -142,9 +142,11 @@ def mixed_derivative_report(twist: ReplicatedModule) -> VerificationReport:
     is checked as (ii) and, for n >= 3, (iii) at base dimension.  They are
     computed directly: the derivation lemma of ``Deformation`` needs (i),
     which this check does not otherwise compute and which costs more than
-    (ii)."""
+    (ii).  (ii) and (iii) on the generator pairs give them on all pairs
+    only where (i) holds, so the report names (i) as that premise."""
     return derivative_report(twist.deformation, twist.N,
-                             "t-derivative of the representation property")
+                             "t-derivative of the representation property",
+                             "the base relations, which verify checks")
 
 
 def _j_shift(n: int, base_dim: int, params: tuple, scale: Fraction) -> PolyMatrix:

@@ -5,13 +5,27 @@ rational strings, the key being '1' for the constant term and otherwise the
 nonzero-exponent factors joined by dots in declared parameter order, e.g.
 {'b^1': '3/2', '1': '-1/4'}.  Matrices are {'rows': R, 'cols': C, 'params':
 [...], 'entries': [[r, c, {poly}], ...]} with entries sorted by position.
-All dumps sort keys, so identical inputs give byte-identical artifacts;
-the writer gives the bytes of json.dumps(data, indent=2, sort_keys=True).
+Every file has the bytes of json.dumps(data, indent=2, sort_keys=True) plus
+a newline, so identical inputs give byte-identical artifacts.
+
+No JSON value is built per matrix entry or basis vector.
+``module_to_json`` returns an artifact's header fields, with each generator
+matrix and the basis left as a deferred part.  ``export_json`` renders each
+part as text, straight from the pencil terms and the module's fields, as it
+streams the file.  It writes a temporary file beside the target, which
+replaces the target only once complete, so a failed job leaves an existing
+file as it was; a device or FIFO, such as /dev/null, is written through.
+The tests keep the per-entry tree builder and the stdlib encoder as the
+oracles of this writer (tests/test_jsonio.py).
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import stat
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
@@ -53,37 +67,6 @@ def _rational_str(x: int, den: int) -> str:
     return str(x // g) if den == g else f"{x // g}/{den // g}"
 
 
-def matrix_to_json(m: PolyMatrix) -> dict:
-    """The matrix read straight off its pencil terms: one monomial key per
-    term, in sorted exponent order, and one 'p/q' string per distinct
-    numerator of a term."""
-    cells: dict = {}                  # row -> col -> {monomial key: 'p/q'}
-    for exps in sorted(m.terms):
-        den, rows = m.terms[exps]
-        key = _monomial_key(m.params, exps)
-        text: dict = {}
-        for r, row in rows.items():
-            out = cells.get(r)
-            if out is None:
-                out = cells[r] = {}
-            for c, x in row.items():
-                value = text.get(x)
-                if value is None:
-                    value = text[x] = _rational_str(x, den)
-                poly = out.get(c)
-                if poly is None:
-                    out[c] = {key: value}
-                else:
-                    poly[key] = value
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "params": list(m.params),
-        "entries": [[r, c, row[c]] for r, row in sorted(cells.items())
-                    for c in sorted(row)],
-    }
-
-
 def matrix_from_json(data: dict) -> PolyMatrix:
     params = tuple(data["params"])
     entries = {(r, c): poly_from_json(poly, params)
@@ -91,31 +74,114 @@ def matrix_from_json(data: dict) -> PolyMatrix:
     return PolyMatrix(data["rows"], data["cols"], params, entries)
 
 
-def _weight_json(hw: tuple, shift: tuple, memo: dict) -> list:
-    """The coordinates hw[k] - shift[k] of a weight, each (k, shift[k])
-    serialized once per memo."""
-    out = []
-    for k, s in enumerate(shift):
-        data = memo.get((k, s))
-        if data is None:
-            data = memo[k, s] = poly_to_json(hw[k] - s)
-        out.append(data)
-    return out
+# -- rendering ----------------------------------------------------------------
+# Each renderer writes its part at the indentation that ``newline`` ends
+# with, through ``out``, as _write_json would write its JSON tree.
+
+def _write_matrix(m: PolyMatrix, bindings: dict | None, newline: str,
+                  out) -> None:
+    """The matrix, with bindings substituted if given, in one pass over its
+    sorted rows.  Each term's monomial key and each distinct numerator's
+    'p/q' string are rendered once, and the terms are walked in the order
+    of their keys, so each entry's polynomial has its keys sorted."""
+    if bindings:
+        m = m.substitute(bindings)
+    inner = newline + "  "
+    item = inner + "  "
+    field = item + "  "
+    # per term: its rows, the head of its polynomial item, its denominator
+    # and the text of the item per numerator
+    terms = [(rows, field + "  " + _quote(key) + ": ", den, {})
+             for key, den, rows in sorted(
+                 (_monomial_key(m.params, exps), den, rows)
+                 for exps, (den, rows) in m.terms.items())]
+    middle = "," + field
+    opening, closing = "," + field + "{", field + "}" + item + "]"
+    entries = []
+    for r in sorted(set().union(*(rows for rows, _, _, _ in terms))):
+        cells: dict = {}              # col -> text of the entry's terms
+        for rows, head, den, text in terms:
+            for c, x in rows.get(r, {}).items():
+                value = text.get(x)
+                if value is None:
+                    value = text[x] = head + _quote(_rational_str(x, den))
+                before = cells.get(c)
+                cells[c] = value if before is None else before + "," + value
+        start = f"[{field}{r}{middle}"
+        for c in sorted(cells):
+            entries.append(f"{start}{c}{opening}{cells[c]}{closing}")
+    out("{" + inner + '"cols": ' + str(m.cols) + "," + inner + '"entries": ')
+    out(_items_text(entries, inner))
+    out("," + inner + '"params": ')
+    _write_json(list(m.params), inner, out)
+    out("," + inner + '"rows": ' + str(m.rows) + newline + "}")
+
+
+def _items_text(items: list, newline: str) -> str:
+    """A list whose items are already rendered one level below newline."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _text(value, newline: str) -> str:
+    """value as _write_json writes it, in one string."""
+    chunks: list = []
+    _write_json(value, newline, chunks.append)
+    return "".join(chunks)
+
+
+def _write_basis(module, base: KacModule, newline: str, out) -> None:
+    """The basis of a Kac module (odd subset, even index, layer, weight), or
+    of a block module of base (copy, odd subset, even index, layer).  Each
+    distinct odd subset, weight coordinate and weight is rendered once."""
+    item = newline + "  "
+    field = item + "  "
+    subsets: dict = {}
+    coordinates: dict = {}            # (k, shift[k]) -> text
+    weights: dict = {}                # shift -> text
+    vectors = []
+    dim = base.dim
+    for pos, layer in enumerate(module.layers):
+        copy, index = divmod(pos, dim)
+        subset, even = base.basis[index]
+        subset_text = subsets.get(subset)
+        if subset_text is None:
+            subset_text = subsets[subset] = _items_text(
+                [str(i) for i in subset], field)
+        if module is not base:
+            vectors.append(f'{{{field}"copy": {copy},{field}"even_index": '
+                           f'{even},{field}"layer": {layer},{field}'
+                           f'"odd_subset": {subset_text}{item}}}')
+            continue
+        shift = module.shifts[pos]
+        weight = weights.get(shift)
+        if weight is None:
+            coords = []
+            for k, s in enumerate(shift):
+                coord = coordinates.get((k, s))
+                if coord is None:
+                    coord = coordinates[k, s] = _text(
+                        poly_to_json(module.hw[k] - s), field + "  ")
+                coords.append(coord)
+            weight = weights[shift] = _items_text(coords, field)
+        vectors.append(f'{{{field}"even_index": {even},{field}"layer": '
+                       f'{layer},{field}"odd_subset": {subset_text},{field}'
+                       f'"weight": {weight}{item}}}')
+    out(_items_text(vectors, newline))
 
 
 def module_to_json(module, bindings: dict | None = None) -> dict:
-    """Serialize a Kac module, a block replication/twist, or an H module.
+    """The artifact of a Kac module, a block replication/twist, or an H
+    module: its header fields, with each generator matrix and the basis a
+    part that ``export_json`` renders as it writes it.
 
     Optional bindings substitute rational values for parameters in every
     exported matrix (the symbolic module is built first either way).
     """
     from superkac.heisenberg import HModule
     from superkac.matryoshka import ReplicatedModule
-
-    def render(mat: PolyMatrix) -> dict:
-        if bindings:
-            mat = mat.substitute(bindings)
-        return matrix_to_json(mat)
 
     out = {
         "schema": SCHEMA_MODULE,
@@ -148,18 +214,11 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         "highest_weight": {"a": list(base.L.labels)},
         "params": list(module.params),
         "dim": module.dim,
-        "generators": {str(lab): render(mat)
-                       for lab, mat in sorted(module.matrices.items(),
-                                              key=lambda kv: str(kv[0]))},
+        "generators": {str(lab): partial(_write_matrix, mat, bindings)
+                       for lab, mat in module.matrices.items()},
     })
-
     if blocks is None:
-        memo: dict = {}
-        out["basis"] = [{"odd_subset": list(subset), "even_index": l,
-                         "layer": module.layers[pos],
-                         "weight": _weight_json(module.hw, module.shifts[pos],
-                                                memo)}
-                        for pos, (subset, l) in enumerate(module.basis)]
+        out["basis"] = partial(_write_basis, module, base)
         return out
     block = out["block_structure"] = {
         "copies": blocks.N,
@@ -170,11 +229,7 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         # a replication or twist: phi's couplings are the formal t
         block["couplings"] = [str(x) for x in module.couplings]
         block["superdiagonal"] = "first block superdiagonal only"
-        out["basis"] = [{"copy": pos // base.dim,
-                         "odd_subset": list(base.basis[pos % base.dim][0]),
-                         "even_index": base.basis[pos % base.dim][1],
-                         "layer": module.layers[pos]}
-                        for pos in range(module.dim)]
+        out["basis"] = partial(_write_basis, module, base)
     return out
 
 
@@ -186,24 +241,18 @@ def module_matrices_from_json(data: dict) -> dict:
             for name, mat in data["generators"].items()}
 
 
-def dumps_canonical(data: dict) -> str:
-    """json.dumps(data, indent=2, sort_keys=True) plus a newline, written
-    directly (the stdlib's indented encoder is its pure-Python one), for
-    values built of str-keyed dicts, lists, tuples, str, int, bool and
-    None.  Strings go through the stdlib's ASCII string encoder."""
-    chunks: list = []
-    _write_json(data, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
-
+# -- writing ------------------------------------------------------------------
 
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _write_json(value, newline: str, out) -> None:
-    """Write value at the indentation that newline ends with; a str or int
-    item of a container is written in its loop, in one chunk with the
-    separator before it."""
+    """Write value at the indentation that newline ends with, as
+    json.dumps(value, indent=2, sort_keys=True) would, for values built of
+    str-keyed dicts, lists, tuples, str, int, bool, None and the deferred
+    parts of ``module_to_json``, which render themselves.  A str or int item
+    of a container is written in its loop, in one chunk with the separator
+    before it; strings go through the stdlib's ASCII string encoder."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -247,11 +296,79 @@ def _write_json(value, newline: str, out) -> None:
         out(int.__repr__(value))
     elif value is None or kind is bool:
         out(_LITERALS[value])
+    elif kind is partial:
+        value(newline, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON "
                         "serializable")
 
 
-def export_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_canonical(data))
+def existing(path: str) -> os.stat_result | None:
+    """The status of the file that path names, following symlinks, or None
+    if there is none."""
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
+
+
+def written_path(path: str) -> str:
+    """The file that ``export_json`` writes for path: path itself, or the
+    file that a symlink at path points to, as open(path, 'w') would."""
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
+def _create_beside(target: str) -> tuple:
+    """(descriptor, name) of a new file in target's directory, created as
+    open(target, 'w') would create target: with mode 0o666 less the
+    umask."""
+    directory, name = os.path.split(target)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                           0o666), temp
+        except FileExistsError:
+            pass
+
+
+def _write_document(data, handle) -> None:
+    _write_json(data, "\n", handle.write)
+    handle.write("\n")
+
+
+def export_json(data, path: str) -> None:
+    """Write data, a report or a ``module_to_json`` artifact, to path.
+
+    The text goes to a new file beside ``written_path(path)``, which takes
+    its place only once complete: a failure, such as running out of memory
+    while rendering, leaves an existing file as it was and removes the new
+    one.  The new file replaces an existing one that has one link and the
+    new file's owner, with that file's mode; into any other existing file
+    it is copied, which keeps its links, owner and mode, as open(path, 'w')
+    would.  A path that is not a regular file, such as /dev/null, a FIFO or
+    /dev/stdout, is written through, as it cannot be replaced."""
+    old = existing(path)
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            _write_document(data, handle)
+        return
+    target = written_path(path)
+    fd, temp = _create_beside(target)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            _write_document(data, handle)
+            new = os.fstat(fd)
+            replace = old is None or (old.st_nlink == 1 and (
+                old.st_uid, old.st_gid) == (new.st_uid, new.st_gid))
+            if old is not None and replace:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        if replace:
+            os.replace(temp, target)
+            return
+        with open(temp, "rb") as text, open(target, "wb") as handle:
+            shutil.copyfileobj(text, handle)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    os.unlink(temp)

@@ -138,20 +138,24 @@ def derivative_violations(D: Deformation, N: int) -> dict:
     return out
 
 
-def _identities_report(D: Deformation, title: str,
-                       violations: dict) -> VerificationReport:
+def _identities_report(D: Deformation, title: str, violations: dict,
+                       premise: str | None = None) -> VerificationReport:
     """One check item per identity of {name: violating pairs}."""
     report = VerificationReport(title)
     for name, found in violations.items():
         report.extend(violations_report(title, name, D.base.sc.basis,
-                                        D.base.sc.generators, found))
+                                        D.base.sc.generators, found,
+                                        premise))
     return report
 
 
-def derivative_report(D: Deformation, N: int,
-                      title: str) -> VerificationReport:
-    """One check item per identity of derivative_violations."""
-    return _identities_report(D, title, derivative_violations(D, N))
+def derivative_report(D: Deformation, N: int, title: str,
+                      premise: str | None = None) -> VerificationReport:
+    """One check item per identity of derivative_violations.  A caller
+    that has not checked (i) names it as the premise under which the
+    generator pairs imply all pairs."""
+    return _identities_report(D, title, derivative_violations(D, N),
+                              premise)
 
 
 def block_relations_report(module: ReplicatedModule,

@@ -11,6 +11,7 @@ of sizes k1 and k2 has largest block k1+k2-1, not k1+k2.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 
@@ -241,8 +242,12 @@ def test_criterion_10_determinism(tmp_path):
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
     K = kac("sl", 3, 1, (1, 0))
-    blob1 = jsonio.dumps_canonical(jsonio.module_to_json(K))
     K2 = induce(build_even_irrep((1, 0), K.sc), K.sc)
-    blob2 = jsonio.dumps_canonical(jsonio.module_to_json(K2))
-    assert blob1 == blob2
+    blobs = []
+    for run, module in enumerate((K, K2)):
+        path = tmp_path / f"module{run}.json"
+        jsonio.export_json(jsonio.module_to_json(module), str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["dim"] == K.dim
     report(10, "independent runs produce byte-identical JSON artifacts")

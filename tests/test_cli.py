@@ -1,8 +1,12 @@
 """CLI behaviour, JSON schema, round trips and determinism."""
 
 import json
+import os
 import shlex
+import stat
+import threading
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -222,6 +226,83 @@ class TestFieldNamedErrors:
         assert "Is a directory" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("field", ["out", "report"])
+    def test_file_in_a_read_only_directory_fails_before_the_job(
+            self, tmp_path, capsys, monkeypatch, field):
+        """The file is written beside its path and moved onto it, so a
+        writable file in a directory that cannot be written is refused up
+        front, as an unwritable file is."""
+        def never(cfg):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli, "_build_stack", never)
+        path = tmp_path / f"{field}.json"
+        path.write_text("OLD CONTENT")
+        directory, access = os.path.realpath(tmp_path), os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode)
+                            and os.path.realpath(p) != directory)
+        assert main(["verify" if field == "report" else "export",
+                     f"--{field}", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} ")
+        assert "Permission denied" in captured.err
+        assert path.read_text() == "OLD CONTENT"
+
+    @pytest.mark.parametrize("argv,field", [
+        (["export", "--out"], "out"),
+        (["verify", "--report"], "report"),
+    ])
+    def test_fifo_is_written_through(self, tmp_path, monkeypatch, argv,
+                                     field):
+        """A path that is not a regular file, such as a FIFO, /dev/null or
+        /dev/stdout, is written through.  It is not replaced by a file,
+        and its directory need not be writable."""
+        fifo, link = tmp_path / "fifo", tmp_path / "stdout"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        directory, access = os.path.realpath(tmp_path), os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode)
+                            and os.path.realpath(p) != directory)
+        chunks = []
+
+        def read():
+            with open(fifo, "rb") as handle:
+                chunks.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert main(argv + [str(link)]) == 0
+        reader.join(timeout=60)
+        assert isinstance(json.loads(chunks[0]), dict)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["fifo", "stdout"]
+
+    @pytest.mark.parametrize("argv,field", [
+        (["export", "--out"], "out"),
+        (["verify", "--report"], "report"),
+    ])
+    def test_job_failing_while_it_writes_leaves_the_old_file(
+            self, tmp_path, capsys, monkeypatch, argv, field):
+        """Running out of memory halfway through writing the file exits 2
+        and leaves the old bytes, and no temporary file, behind."""
+        path = tmp_path / f"{field}.json"
+        path.write_text("OLD CONTENT")
+        quote, calls = jsonio._quote, []
+
+        def exhausted(text):
+            calls.append(text)
+            if len(calls) > 20:
+                raise MemoryError
+            return quote(text)
+
+        monkeypatch.setattr(jsonio, "_quote", exhausted)
+        assert main(argv + [str(path)]) == 2
+        assert "does not fit in memory" in capsys.readouterr().err
+        assert len(calls) > 20
+        assert path.read_text() == "OLD CONTENT"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     @pytest.mark.parametrize("argv,field", [
         (["verify", "--report"], "report"),
         (["replicate", "--N", "3", "--out"], "out"),
@@ -319,6 +400,13 @@ def test_readme_example_runs(tmp_path, monkeypatch, argv):
     assert main(argv) == 0
 
 
+def exported(tmp_path, data) -> dict:
+    """data as jsonio.export_json writes it, read back."""
+    path = tmp_path / "exported.json"
+    jsonio.export_json(data, str(path))
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 class TestSerialization:
     def test_poly_round_trip(self):
         params = ("b", "c")
@@ -329,34 +417,36 @@ class TestSerialization:
         assert data["1"] == "-1/4"
         assert jsonio.poly_from_json(data, params) == p
 
-    def test_matrix_round_trip(self):
+    def test_matrix_round_trip(self, tmp_path):
         params = ("b",)
         b = ParamPoly.var(params, "b")
         m = PolyMatrix(2, 3, params, {(0, 1): b + 1, (1, 2): b * b})
-        assert jsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
+        data = exported(tmp_path, partial(jsonio._write_matrix, m, None))
+        assert jsonio.matrix_from_json(data) == m
 
-    def test_module_round_trip_exact(self):
+    def test_module_round_trip_exact(self, tmp_path):
         K = build_kac("gl", 2, 1, (1,))
-        data = jsonio.module_to_json(K)
+        data = exported(tmp_path, jsonio.module_to_json(K))
         rebuilt = jsonio.module_matrices_from_json(data)
         assert set(rebuilt) == set(K.matrices)
         for lab, mat in K.matrices.items():
             assert rebuilt[lab] == mat
 
-    def test_exported_quartet_hypercharge_diagonal(self):
+    def test_exported_quartet_hypercharge_diagonal(self, tmp_path):
         # diagonal entries are y0, y0-1, y0-1, y0-2 with y0 = -2b in the
         # unit-grading normalization
         K = build_kac("sl", 2, 1, (0,))
-        data = jsonio.module_to_json(K)
+        data = exported(tmp_path, jsonio.module_to_json(K))
         y = data["generators"]["y"]
         diag = {r: poly for r, c, poly in y["entries"] if r == c}
         assert diag[0] == {"b^1": "-2"}
         assert diag[1] == diag[2] == {"1": "-1", "b^1": "-2"}
         assert diag[3] == {"1": "-2", "b^1": "-2"}
 
-    def test_bound_export_substitutes(self):
+    def test_bound_export_substitutes(self, tmp_path):
         K = build_kac("sl", 2, 1, (0,))
-        data = jsonio.module_to_json(K, {"b": Fraction(5, 7)})
+        data = exported(tmp_path,
+                        jsonio.module_to_json(K, {"b": Fraction(5, 7)}))
         y = data["generators"]["y"]
         diag = {r: poly for r, c, poly in y["entries"] if r == c}
         assert diag[0] == {"1": "-10/7"}

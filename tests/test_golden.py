@@ -65,7 +65,7 @@ GOLDEN = [
         "out":
             "c9da74a0f497176f4e8fc4fadcb93efe40fc4821cd77a23f92a001b923c8e031",
         "report":
-            "2c6adbc3ea81950579d64455cfc721c67abad515355640573d777ff9dd3641e7",
+            "40486aab6c7471c857034fd9274322c60d0e85bbd97c1f6d64579b3d277a3a61",
     }),
 ]
 

@@ -7,7 +7,8 @@ import pytest
 
 from superkac import algebra
 from superkac.algebra import (GenLabel, SuperAlgebraSpec,
-                              build_fundamental_rep, structure_constants)
+                              build_fundamental_rep, check_super_relations,
+                              structure_constants)
 from superkac.evenrep import build_even_irrep
 from block_oracle import part_over, place_blocks
 from dense_oracles import dense_linear_solve
@@ -20,7 +21,8 @@ from superkac.heisenberg import (affine_in_t_report, build_heisenberg,
                                  lowering_rank, mixed_derivative_report,
                                  phi_map)
 from superkac.kacmod import induce
-from superkac.matryoshka import TwistSpec, twist
+from superkac.matryoshka import (ReplicatedModule, TwistSpec, deformation,
+                                 twist)
 
 
 def build_kac(flavor, m, n, a):
@@ -219,6 +221,29 @@ class TestMixedDerivative:
     def test_identity_on_full_basis(self):
         for K, sc, H, tspec in MATRIX:
             assert mixed_derivative_report(twist(K, tspec)).ok
+
+    def test_generator_pairs_imply_all_pairs_only_given_the_base_relations(
+            self):
+        """With A[F_3] doubled, (i) fails and (ii) holds on every generator
+        pair but not on every pair, so the report's item names (i) as the
+        premise of its claim on all pairs."""
+        K, sc = build_kac("sl", 3, 1, (1, 1))
+        D = deformation(K, Fraction(1))
+        F3 = GenLabel("F", 3)
+        bad = D.replace(A={**D.A, F3: D.A[F3].scale(2)})
+        assert not check_super_relations(bad.A, sc, "base relations").ok
+        (item,) = mixed_derivative_report(
+            ReplicatedModule(bad, (Fraction(1),), (Fraction(1),))).items
+        assert item.passed
+        assert item.name.endswith(
+            "on all 104 generator pairs; all 15^2 pairs follow given the "
+            "base relations, which verify checks")
+        A, B = bad.A, bad.B
+        full = algebra.bracket_violations(
+            sc.basis, sc.basis, sc.table, B,
+            lambda la, lb, pa, pb: algebra.sbracket(pa, pb, A[la], B[lb])
+            + algebra.sbracket(pa, pb, B[la], A[lb]))
+        assert len(full) == 2
 
 
 def reference_kh_in_phi_basis(phi) -> dict:

@@ -1,5 +1,6 @@
 """Nested replications: derivatives, block forms, Jordan profiles, twists."""
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
 from superkac.evenrep import build_even_irrep
 from superkac.exact import (ParamPoly, ParameterizedEntryError, PolyMatrix,
                             kronecker_sum)
-from superkac.jsonio import dumps_canonical, module_to_json
+from superkac.jsonio import export_json, module_to_json
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
                                  TwistSpec, cartan_matrix_of, deformation,
@@ -184,20 +185,28 @@ class TestReplicate:
         lead = leading_principal_submodule(R3)
         assert all(lead[lab] == R2.matrices[lab] for lab in lead)
 
-    def test_layers_built_once_with_the_same_artifact(self, monkeypatch):
+    def test_layers_built_once_with_the_same_artifact(self, monkeypatch,
+                                                      tmp_path):
         """``layers`` is built on first read and kept, so the export's
         read per basis position copies nothing; the artifact is that of
         the property it replaced, which rebuilt the tuple on every read."""
+        def exported(module) -> bytes:
+            path = tmp_path / "module.json"
+            export_json(module_to_json(module), str(path))
+            return path.read_bytes()
+
         spec = ReplicationSpec(3, (Fraction(1), Fraction(4)))
         R = replicate(OCTET, spec)
-        cached = dumps_canonical(module_to_json(R))
+        cached = exported(R)
         assert R.__dict__["layers"] is R.layers
         assert R.layers == tuple(OCTET.layers) * 3
+        assert [vector["layer"] for vector in json.loads(cached)["basis"]] \
+            == list(R.layers)
         monkeypatch.setattr(ReplicatedModule, "layers", property(
             lambda self: tuple(self.base.layers) * self.N))
         fresh = replicate(OCTET, spec)
         assert fresh.layers is not fresh.layers
-        assert dumps_canonical(module_to_json(fresh)) == cached
+        assert exported(fresh) == cached
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(InputError):
