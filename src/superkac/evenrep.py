@@ -1,22 +1,18 @@
 """Finite-dimensional irreducible modules of the even subalgebra
-sl(m) + sl(n) + h', built from Verma weight spaces and the contravariant
-(Shapovalov) form.
+sl(m) + sl(n) + h', built on Gelfand-Tsetlin patterns.
 
-A vector of L is named by a word in the simple lowering generators applied
-to the highest weight vector.  L is built level by level: the weight space
-at a content is spanned by f_i applied to the basis words one level up, and
-its Gram matrix on those words follows from the level above by the
-Shapovalov recursion <f_i w, x> = <w, e_i x>, with e_i f_j = f_j e_i +
-[i = j] h_i.  Exact row reduction of that Gram matrix picks the basis and
-gives the f coordinates; the recursion gives the e coordinates.
+L is the tensor product of the sl(m) irrep with labels a[:m-1] and the
+sl(n) irrep with labels a[m-1:].  Each factor has the Gelfand-Tsetlin
+patterns of its highest weight as a basis, and e_i, f_i act on them by
+closed-form rational coefficients (Molev, "Gelfand-Tsetlin bases for
+classical Lie algebras", math/0211289, Thm 2.3), so no Gram matrix is
+formed and nothing is solved.  Each e_i and f_i is one integer term over
+the lcm of its denominators, and h_i is read off the content.
 
-The Cartan matrix and the even labels are integers, so all of this runs on
-Python ints: the Gram entries of words are integers, and each weight space
-keeps its e and f coordinates as integer rows over one denominator, in
-lowest terms, handed to and read off the integer row reduction
-(``exact.integer_rref``).  The highest weight is stored once, and each
-basis vector keeps only its int shift below it, its content times the
-simple even roots.  The hypercharge and (for gl) the central charge act on
+The basis is ordered by (level, content, pattern), so the highest weight
+vector is position 0.  The highest weight is stored once, and each basis
+vector keeps only its int shift below it, its content times the simple
+even roots.  The hypercharge and (for gl) the central charge act on
 everything by scalars, kept symbolic in b and c.
 """
 
@@ -25,14 +21,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from superkac.algebra import (GenLabel, InternalConsistencyError,
                               RootDatum, StructureConstants,
                               module_params, validate_even_labels,
                               weight_from_labels)
-from superkac.exact import ParamPoly, PolyMatrix, integer_rref
+from superkac.exact import ParamPoly, PolyMatrix
 from superkac.record import Record
 
 
@@ -80,7 +76,7 @@ def weyl_dimension(datum: RootDatum, a: Sequence[int]) -> int:
 
     For an sl(k) factor with labels (a_1..a_{k-1}) this is
     prod_{i<j} (l_i - l_j) / (j - i) with l_i = sum_{p>=i} a_p + (k - i).
-    Independent of the Shapovalov construction; used as its oracle.
+    Independent of the Gelfand-Tsetlin construction; used as its oracle.
     """
     spec = datum.spec
     validate_even_labels(spec, a)
@@ -100,220 +96,116 @@ def weyl_dimension(datum: RootDatum, a: Sequence[int]) -> int:
     return num // den
 
 
-def _step(content: tuple, i: int, delta: int) -> tuple:
-    return content[:i] + (content[i] + delta,) + content[i + 1:]
+def _patterns(labels: tuple) -> list:
+    """(content, pattern) for each Gelfand-Tsetlin pattern of the sl(k)
+    irrep with labels a_1..a_{k-1}, in (level, content, pattern) order.
+
+    A pattern is its rows lambda_1..lambda_k, row p of p entries, under the
+    top row lambda_{k,r} = a_r + ... + a_{k-1}; each row interlaces the one
+    above, lambda_{p+1,r} >= lambda_{p,r} >= lambda_{p+1,r+1}.  E_pp acts
+    by |lambda_p| - |lambda_{p-1}|, so the content is
+    c_p = lambda_{k,1} + ... + lambda_{k,p} - |lambda_p|."""
+    top = tuple(sum(labels[r:]) for r in range(len(labels) + 1))
+    grown = [(top,)]
+    for _ in labels:
+        grown = [(row,) + rows for rows in grown
+                 for row in itertools.product(*map(
+                     range, rows[0][1:], [x + 1 for x in rows[0]]))]
+    heads = tuple(itertools.accumulate(top[:-1]))
+    keyed = [(tuple(head - sum(row) for head, row in zip(heads, pattern)),
+              pattern) for pattern in grown]
+    return sorted(keyed, key=lambda item: (sum(item[0]), item))
 
 
-class _WeightSpace(Record, frozen=False):
-    """The basis of L at one content, with what the next level reads off it.
+def _actions(patterns: list) -> dict:
+    """{(kind, p): (den, [(target, source, int)])}: e_p and f_p,
+    p = 1..k-1, on the patterns, each over the lcm of its denominators.
 
-    Images are sparse integer coordinate dicts {basis position: int} over
-    one denominator per space: f_j of a word is f[j][q] / f_den, e_i of a
-    basis word is e[i][p] / e_den.  Each is in lowest terms.
-    """
-
-    basis: list       # basis words, in pivot order
-    h: tuple          # eigenvalue of each h_i here
-    gram: list        # contravariant form on the basis words (int rows)
-    f_den: int
-    f: dict           # j -> f_j of each basis word at content - e_j, here
-    e_den: int
-    e: dict           # i -> e_i of each basis word here, at content - e_i
-
-
-def _weight_space(spaces: dict, content: tuple, h_of) -> _WeightSpace:
-    """The weight space of L at content, from the contents one level up.
-
-    The candidates are the words x = (j,) + w for each basis word w at
-    content - e_j.  Their raising images follow from the level above,
-    e_i f_j w = f_j (e_i w) + [i = j] h_i(w) w, so the Gram entry
-    <(i,) + w', x> = <w', e_i x> is a row of the basis Gram at content - e_i
-    against those coordinates.  The images are kept over one denominator,
-    the lcm of e_den(content - e_j) * f_den(content - e_i); the form of two
-    words is an integer, so each Gram entry is an exact quotient by it.
-    Only weights of L are asked for (``_lowers``), so a form that vanishes
-    there is an error.
-    """
-    parents = {i: spaces[shrunk] for i in range(len(content))
-               if (shrunk := _step(content, i, -1)) in spaces}
-    candidates = sorted(((j,) + w, j, q)
-                        for j, space in parents.items()
-                        for q, w in enumerate(space.basis))
-    den = lcm(*(parents[j].e_den * parents[i].f_den
-                for i in parents for j in parents))
-
-    def raised(i: int, j: int, q: int) -> dict:
-        """den * e_i f_j (word q at content - e_j), in the basis at
-        content - e_i."""
-        out: dict = {}
-        e_i = parents[j].e.get(i)
-        if e_i is not None:
-            f_j = parents[i].f[j]
-            for s, coeff in e_i[q].items():
-                for r, x in f_j[s].items():
-                    out[r] = out.get(r, 0) + coeff * x
-            mult = den // (parents[j].e_den * parents[i].f_den)
-            if mult != 1:
-                out = {r: x * mult for r, x in out.items()}
-        if i == j:
-            out[q] = out.get(q, 0) + parents[i].h[i] * den
-        return {r: x for r, x in out.items() if x}
-
-    images = {i: [raised(i, j, q) for _, j, q in candidates] for i in parents}
-    gram = []
-    for _, i, p in candidates:
-        row = parents[i].gram[p]
-        gram.append([sum([row[r] * x for r, x in image.items()]) // den
-                     for image in images[i]])
-    pivots, rows = integer_rref({c: x for c, x in enumerate(row) if x}
-                                for row in gram)
-    if not pivots:
-        raise InternalConsistencyError(
-            f"the contravariant form vanishes at content {content}, "
-            "a weight of the irrep")
-    # row reduction keeps the linear relations among the Gram columns, so
-    # candidate column col is the sum over k of rows[k][col] / rows[k][lead]
-    # times pivot column k; over the lcm of the pivot entries these
-    # coordinates are in lowest terms, as each row is primitive
-    f_den = lcm(*(row[lead] for lead, row in zip(pivots, rows)))
-    coords: list = [{} for _ in candidates]
-    for k, (lead, row) in enumerate(zip(pivots, rows)):
-        mult = f_den // row[lead]
-        for col, x in row.items():
-            coords[col][k] = x * mult
-    f = {j: [None] * len(space.basis) for j, space in parents.items()}
-    for (_, j, q), coord in zip(candidates, coords):
-        f[j][q] = coord
-    e = {i: [image[c] for c in pivots] for i, image in images.items()}
-    g = 1 if den == 1 else gcd(den, *(x for image in e.values()
-                                      for coord in image
-                                      for x in coord.values()))
-    if g != 1:
-        den //= g
-        e = {i: [{r: x // g for r, x in coord.items()} for coord in image]
-             for i, image in e.items()}
-    return _WeightSpace(
-        basis=[candidates[c][0] for c in pivots], h=h_of(content),
-        gram=[[gram[r][c] for c in pivots] for r in pivots],
-        f_den=f_den, f=f, e_den=den, e=e)
-
-
-def _lowers(spaces: dict, content: tuple, j: int) -> bool:
-    """Whether content + e_j is a weight of L, content being one.
-
-    The alpha_j-string through a weight of a finite-dimensional module is
-    unbroken, p steps up and q down with q - p = h_j, so one step down
-    stays a weight iff p + h_j >= 1; p is read off the spaces already
-    built, as the contents up the string are at lower levels."""
-    p = 0
-    while p < content[j] and _step(content, j, -p - 1) in spaces:
-        p += 1
-    return p + spaces[content].h[j] >= 1
-
-
-def _term(blocks) -> tuple:
-    """(den, {row: {col: int}}) of the blocks (den, start, cols, images):
-    the images {r: int / den} of the basis vectors at cols, rows shifted by
-    start, over the lcm of the block denominators."""
-    common = lcm(*(den for den, *_ in blocks))
-    rows: dict = {}
-    for den, start, cols, images in blocks:
-        mult = common // den
-        for col, image in zip(cols, images):
-            for r, x in image.items():
-                rows.setdefault(start + r, {})[col] = x * mult
-    return common, rows
+    By Molev's Thm 2.3, with l_{p,r} = lambda_{p,r} - r + 1 and
+    D_r = prod_{s != r} (l_{p,r} - l_{p,s}),
+      e_p L = -sum_r prod_s (l_{p,r} - l_{p+1,s}) / D_r  L + d_{p,r},
+      f_p L =  sum_r prod_s (l_{p,r} - l_{p-1,s}) / D_r  L - d_{p,r},
+    where L +- d_{p,r} moves lambda_{p,r} by one, and is dropped where
+    that leaves the patterns."""
+    index = {pattern: q for q, (_, pattern) in enumerate(patterns)}
+    out = {}
+    for p in range(1, len(patterns[0][1])):
+        raw: dict = {"e": [], "f": []}
+        for q, (_, pattern) in enumerate(patterns):
+            below = pattern[p - 2] if p > 1 else ()
+            row, above = pattern[p - 1], pattern[p]
+            ell = [x - s for s, x in enumerate(row)]
+            for r, l in enumerate(ell):
+                den = prod(l - x for s, x in enumerate(ell) if s != r)
+                up = -prod(l - x + s for s, x in enumerate(above))
+                down = prod(l - x + s for s, x in enumerate(below))
+                for kind, step, num in (("e", 1, up), ("f", -1, down)):
+                    moved = row[:r] + (row[r] + step,) + row[r + 1:]
+                    target = index.get(pattern[:p - 1] + (moved,)
+                                       + pattern[p:])
+                    if num and target is not None:
+                        g = gcd(num, den) if den > 0 else -gcd(num, den)
+                        raw[kind].append((target, q, num // g, den // g))
+        for kind, entries in raw.items():
+            common = lcm(*(den for *_, den in entries))
+            out[kind, p] = (common, [(target, source, num * (common // den))
+                                     for target, source, num, den in entries])
+    return out
 
 
 def build_even_irrep(a: Sequence[int], sc: StructureConstants) -> EvenModule:
     """Construct the irreducible even module with dominant integral labels.
 
-    Weight spaces are built level by level outward from the highest weight,
-    whose Gram matrix is [[1]].  Since L_mu = sum_i f_i L_{mu+alpha_i} and f_i
-    maps the radical into itself, the candidate words at a content are
-    (i,) + w for every basis word w one level up, and the dimension there is
-    the rank of the Gram matrix of the contravariant form on them.  Only
-    contents that are weights of L are tried (``_lowers``).  The basis words
-    at a weight are the pivot columns of the exact row reduction of that
-    Gram matrix (graded lex word order), so the whole construction is
-    deterministic.  Each level keeps its basis Gram, the f coordinates of
-    its candidates and the e coordinates of its basis words, all on
-    integers, which is all the next level reads; h, e and f are assembled
-    from those integer rows.
-    """
+    sl(m) acts on the first pattern of a basis vector as e_i, f_i, h_i for
+    i = 1..m-1, and sl(n) on the second as i = m..m+n-2, the numbering of
+    ``build_fundamental_rep``."""
     datum, spec = sc.datum, sc.spec
     validate_even_labels(spec, a)
     params = module_params(spec)
     a = tuple(int(x) for x in a)
-    rank = spec.rank
-    cartan = datum.cartan_matrix
-
-    def h_of(content: tuple) -> tuple:
-        """Eigenvalue of each h_i on any word of the given content."""
-        return tuple(x - sum(map(mul, row, content))
-                     for x, row in zip(a, cartan))
-
-    # contents in (level, content) order, which is the order of the basis;
-    # only weights of L are grown, and growth stops past the oracle
+    m = spec.m
+    first, second = _patterns(a[:m - 1]), _patterns(a[m - 1:])
+    order = sorted(itertools.product(range(len(first)), range(len(second))),
+                   key=lambda q: (sum(first[q[0]][0]) + sum(second[q[1]][0]),
+                                  first[q[0]][0] + second[q[1]][0], q))
+    dim = len(order)
     oracle = weyl_dimension(datum, a)
-    highest = (0,) * rank
-    spaces = {highest: _WeightSpace(basis=[()], h=a, gram=[[1]], f_den=1,
-                                    f={}, e_den=1, e={})}
-    level, dim = [highest], 1
-    while level and dim <= oracle:
-        level = sorted({_step(content, j, 1)
-                        for content in level for j in range(rank)
-                        if _lowers(spaces, content, j)})
-        for content in level:
-            space = spaces[content] = _weight_space(spaces, content, h_of)
-            dim += len(space.basis)
-
-    offset: dict = {}
-    contents: list = []
-    for content, space in spaces.items():
-        offset[content] = len(contents)
-        contents += [content] * len(space.basis)
-
     if dim != oracle:
         raise InternalConsistencyError(
             f"even module dimension {dim} disagrees with the Weyl formula {oracle}")
 
-    blocks: dict = {(kind, i): [] for kind in "hef" for i in range(rank)}
-    for content, space in spaces.items():
-        start, size = offset[content], len(space.basis)
-        cols = range(start, start + size)
-        for i, h_val in enumerate(space.h):
-            if h_val:
-                blocks["h", i].append(
-                    (1, start, cols, [{p: h_val} for p in range(size)]))
-            grown = _step(content, i, 1)
-            if grown in spaces:
-                blocks["f", i].append((spaces[grown].f_den, offset[grown],
-                                       cols, spaces[grown].f[i]))
-            if i in space.e:
-                blocks["e", i].append((space.e_den,
-                                       offset[_step(content, i, -1)], cols,
-                                       space.e[i]))
-    matrices = {GenLabel(kind, i + 1):
-                PolyMatrix.from_term(dim, dim, params, _term(parts))
-                for (kind, i), parts in blocks.items()}
+    contents = tuple(first[q1][0] + second[q2][0] for q1, q2 in order)
+    terms = {GenLabel("h", i): (1, {
+        pos: {pos: h} for pos, content in enumerate(contents)
+        if (h := x - sum(map(mul, row, content)))})
+        for i, (x, row) in enumerate(zip(a, datum.cartan_matrix), start=1)}
+    places = ([[] for _ in first], [[] for _ in second])
+    for pos, (q1, q2) in enumerate(order):
+        places[0][q1].append(pos)
+        places[1][q2].append(pos)
+    for offset, patterns, place in ((0, first, places[0]),
+                                    (m - 1, second, places[1])):
+        for (kind, p), (den, entries) in _actions(patterns).items():
+            rows: dict = {}
+            for target, source, x in entries:
+                for row, col in zip(place[target], place[source]):
+                    rows.setdefault(row, {})[col] = x
+            terms[GenLabel(kind, offset + p)] = (den, rows)
+    labels = [GenLabel(kind, i) for kind in "hef"
+              for i in range(1, spec.rank + 1)]
+    matrices = {label: PolyMatrix.from_term(dim, dim, params, terms[label])
+                for label in labels}
 
     # the weight of a content is the highest weight minus the content
     # times the simple even roots
-    shifts = []
-    for content, space in spaces.items():
-        shift = [0] * spec.dim_fund
-        for count, root in zip(content, datum.simple_even_roots):
-            if count:
-                shift = [x + count * r for x, r in zip(shift, root)]
-        shifts += [tuple(shift)] * len(space.basis)
-
-    y_scalar = labels_to_hypercharge(sc, a)
-    z0_scalar = ParamPoly.var(params, "c") if spec.flavor == "gl" else None
-
+    roots = datum.simple_even_roots
+    shift_of = {content: tuple(sum(count * root[x]
+                                   for count, root in zip(content, roots))
+                               for x in range(spec.dim_fund))
+                for content in set(contents)}
     return EvenModule(
-        labels=a, params=params, dim=dim,
-        contents=tuple(contents),
-        hw=weight_from_labels(datum, a), shifts=tuple(shifts),
-        matrices=matrices,
-        y_scalar=y_scalar, z0_scalar=z0_scalar)
+        labels=a, params=params, dim=dim, contents=contents,
+        hw=weight_from_labels(datum, a),
+        shifts=tuple(shift_of[content] for content in contents),
+        matrices=matrices, y_scalar=labels_to_hypercharge(sc, a),
+        z0_scalar=ParamPoly.var(params, "c") if spec.flavor == "gl" else None)

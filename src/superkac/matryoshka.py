@@ -170,7 +170,9 @@ def block_relations_report(module: ReplicatedModule,
     proves (ii) and (iii) on every pair, and they are reported as passing
     without a product.
     Otherwise they are computed by ``derivative_report``, so every failing
-    item, count and locator is that of the direct path."""
+    item, count and locator is that of the direct path; where (i) fails,
+    their items name it as the premise under which the generator pairs
+    imply all pairs."""
     D, N = module.deformation, module.N
     report = check(D.A, D.base.sc, "base relations")
     if N == 1:
@@ -180,7 +182,8 @@ def block_relations_report(module: ReplicatedModule,
         report.extend(_identities_report(
             D, title, {name: [] for name in (LINEARIZED, SQUARE)[:N - 1]}))
     else:
-        report.extend(derivative_report(D, N, title))
+        report.extend(derivative_report(
+            D, N, title, None if report.ok else "the base relations"))
     return report
 
 

@@ -1,9 +1,10 @@
-"""Even-subalgebra irreps: Shapovalov construction against the Weyl oracle,
-against the Verma-word construction it replaced and against the same
-recursion on Fraction coordinates."""
+"""Even-subalgebra irreps: the Gelfand-Tsetlin construction against the
+Weyl oracle, against two Shapovalov constructions (on Verma words, and the
+level-by-level recursion on Fraction coordinates), against the even
+relations and against an irreducibility test."""
 
 import itertools
-import math
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -14,11 +15,11 @@ from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               build_fundamental_rep, check_super_relations,
                               module_params, structure_constants,
                               validate_even_labels, weight_from_labels)
-from superkac import evenrep
+from superkac import evenrep, exact
 from superkac.evenrep import (EvenModule, build_even_irrep,
                               labels_to_hypercharge, weyl_dimension)
 from dense_oracles import ExactSolver, dense_rref
-from superkac.exact import ParamPoly, PolyMatrix
+from superkac.exact import ParamPoly, PolyMatrix, integer_rref, nullspace
 from superkac.record import Record
 
 
@@ -403,7 +404,7 @@ GL32, SCG32 = stack("gl", 3, 2)
 LARGE_CASES = ((SL31.datum, SC31, (2, 2)), (SL31.datum, SC31, (3, 2)),
                (SL41.datum, SC41, (1, 1, 0)), (GL32.datum, SCG32, (1, 1, 1)))
 
-# dim L 256: only the oracle tests build it, as the reference takes ~13 s
+# dim L 256: the Verma-word reference takes ~12 s on it
 SL41_A311 = (SL41.datum, SC41, (3, 1, 1))
 
 
@@ -421,6 +422,20 @@ def _reference_cases():
 
 
 REFERENCE_CASES = _reference_cases()
+
+# the Verma-word reference takes ~12 s on SL41_A311, so there only the
+# Fraction recursion is compared
+MATCH_CASES = REFERENCE_CASES + [SL41_A311]
+
+
+def _h_by_content(L: EvenModule) -> dict:
+    """content -> the h_i eigenvalues there, read off the diagonals."""
+    out: dict = {}
+    for pos, content in enumerate(L.contents):
+        out.setdefault(content, set()).add(tuple(
+            L.matrices[GenLabel("h", i)].entry(pos, pos).constant_value()
+            for i in range(1, len(content) + 1)))
+    return out
 
 
 class TestLabelsToHypercharge:
@@ -527,21 +542,47 @@ class TestBuildEvenIrrep:
                                            "even restriction")
             assert report.ok
 
-    def test_basis_words_pinned_sl31_a21(self):
-        # the graded-lex pivot choice, word by word, so that a change of
-        # basis cannot pass silently: vector k is f_{i+1} applied to the
-        # vector of the rest of its word (i,) + rest, so f_{i+1} maps the
-        # basis vector of rest to the basis vector k itself
+    def test_gelfand_tsetlin_pinned_sl31_a21(self):
+        # the pattern order and Molev's coefficients, so that a change of
+        # basis cannot pass silently; each pattern lists its rows from
+        # lambda_1 up to the top row (3, 1, 0) of the labels (2, 1)
+        rows = (
+            ((3,), (3, 1)), ((3,), (3, 0)), ((2,), (3, 1)), ((2,), (2, 1)),
+            ((2,), (3, 0)), ((1,), (3, 1)), ((2,), (2, 0)), ((1,), (2, 1)),
+            ((1,), (3, 0)), ((1,), (1, 1)), ((1,), (2, 0)), ((0,), (3, 0)),
+            ((1,), (1, 0)), ((0,), (2, 0)), ((0,), (1, 0)))
+        patterns = evenrep._patterns((2, 1))
+        assert [pattern for _, pattern in patterns] == \
+            [row + ((3, 1, 0),) for row in rows]
         L = build_even_irrep((2, 1), SC31)
-        words = (
-            (), (1,), (0,), (0, 1), (1, 0), (0, 0), (1, 0, 1), (0, 0, 1),
-            (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1),
-            (1, 0, 1, 0, 1), (0, 0, 1, 0, 1), (0, 1, 0, 1, 0, 1))
-        assert L.dim == len(words)
-        for k, (i, *rest) in enumerate(words[1:], start=1):
-            f = L.matrices[GenLabel("f", i + 1)]
-            column = f.submatrix(range(L.dim), [words.index(tuple(rest))])
-            assert column.entries == {(k, 0): ParamPoly.const(L.params, 1)}
+        assert L.contents == tuple(content for content, _ in patterns)
+        # the middle pattern ((2,), (3, 0)): l_11 = 2, (l_21, l_22) =
+        # (3, -1), top (3, 0, -2); e_1 gives -(2 - 3)(2 + 1) = 3,
+        # e_2 gives -(-1 - 3)(-1)(1) / (-1 - 3) = 1 and f_2 gives
+        # (3 - 2) / (3 + 1) = 1/4, its other term leaving the patterns
+        middle = rows.index(((2,), (3, 0)))
+        expected = {("e", 1): {rows.index(((3,), (3, 0))): 3},
+                    ("f", 1): {rows.index(((1,), (3, 0))): 1},
+                    ("e", 2): {rows.index(((2,), (3, 1))): 1},
+                    ("f", 2): {rows.index(((2,), (2, 0))): Fraction(1, 4)}}
+        for (kind, i), column in expected.items():
+            mat = L.matrices[GenLabel(kind, i)]
+            assert mat.submatrix(range(L.dim), [middle]).entries == {
+                (r, 0): ParamPoly.const(L.params, x)
+                for r, x in column.items()}
+
+    def test_sl2_coefficients_are_the_shapovalov_ones(self):
+        # on f^k v: e = k(a - k + 1) and f = 1, as the Shapovalov basis has
+        a = 3
+        L = build_even_irrep((a,), SC21)
+        e, f = L.matrices[GenLabel("e", 1)], L.matrices[GenLabel("f", 1)]
+        assert e.entries == {
+            (k - 1, k): ParamPoly.const(L.params, k * (a - k + 1))
+            for k in range(1, a + 1)}
+        assert f.entries == {(k, k - 1): ParamPoly.const(L.params, 1)
+                             for k in range(1, a + 1)}
+        want = reference_shapovalov_irrep(SL21.datum, (a,), SC21)
+        assert L.matrices == want.matrices
 
     def test_weyl_group_multiplicity_symmetry(self):
         # multiplicities are symmetric along every alpha_i string
@@ -561,75 +602,57 @@ class TestBuildEvenIrrep:
                     assert mult.get(tuple(reflected)) == mult[content]
 
     @pytest.mark.parametrize(
-        "datum, sc, a", REFERENCE_CASES,
+        "datum, sc, a", MATCH_CASES,
         ids=[f"{sc.spec.flavor}{sc.spec.m}{sc.spec.n}-"
-             + ",".join(map(str, a)) for _, sc, a in REFERENCE_CASES])
-    def test_equals_reference(self, datum, sc, a):
-        # same candidates, same form, same pivots: every field is equal
-        assert build_even_irrep(a, sc) == \
-            reference_build_even_irrep(datum, a, sc)
+             + ",".join(map(str, a)) for _, sc, a in MATCH_CASES])
+    def test_matches_references(self, datum, sc, a):
+        # the bases differ, the modules do not: same scalars and highest
+        # weight, the same multiplicity and h eigenvalues at every content,
+        # and each shift the content times the simple even roots
+        got = build_even_irrep(a, sc)
+        references = [reference_shapovalov_irrep]
+        if (datum, sc, a) != SL41_A311:
+            references.append(reference_build_even_irrep)
+        for reference in references:
+            want = reference(datum, a, sc)
+            for field in ("dim", "labels", "params", "hw", "y_scalar",
+                          "z0_scalar"):
+                assert getattr(got, field) == getattr(want, field), field
+            assert Counter(got.contents) == Counter(want.contents)
+            assert got.contents[0] == want.contents[0] == (0,) * len(a)
+            assert _h_by_content(got) == _h_by_content(want)
+        for content, shift in zip(got.contents, got.shifts):
+            expected = [0] * sc.spec.dim_fund
+            for count, root in zip(content, datum.simple_even_roots):
+                expected = [x + count * r for x, r in zip(expected, root)]
+            assert shift == tuple(expected)
 
     @pytest.mark.parametrize(
-        "datum, sc, a", REFERENCE_CASES + [SL41_A311],
+        "datum, sc, a", MATCH_CASES,
         ids=[f"{sc.spec.flavor}{sc.spec.m}{sc.spec.n}-"
-             + ",".join(map(str, a))
-             for _, sc, a in REFERENCE_CASES + [SL41_A311]])
-    def test_equals_fraction_shapovalov(self, datum, sc, a):
-        # integer rows over one denominator per weight space give the
-        # record the Fraction recursion gives, field by field
-        got = build_even_irrep(a, sc)
-        want = reference_shapovalov_irrep(datum, a, sc)
-        for field in EvenModule._fields:
-            assert getattr(got, field) == getattr(want, field), field
-        assert got == want
+             + ",".join(map(str, a)) for _, sc, a in MATCH_CASES])
+    def test_highest_weight_vectors_form_a_line(self, datum, sc, a):
+        # the common kernel of the e_i is span{v_Lambda}, position 0; a
+        # finite-dimensional module whose highest weight vectors form a
+        # line is irreducible
+        L = build_even_irrep(a, sc)
+        rows = [row for i in range(1, sc.spec.rank + 1)
+                for row in L.matrices[GenLabel("e", i)]
+                .integer_term()[1].values()]
+        pivots, reduced = integer_rref(rows)
+        assert nullspace(pivots, reduced, L.dim) == \
+            ((Fraction(1),) + (Fraction(0),) * (L.dim - 1),)
 
-    def test_weight_space_coordinates_in_lowest_terms(self, monkeypatch):
-        # each weight space keeps its e and f coordinates over one
-        # denominator in lowest terms, so the integers do not grow from
-        # level to level
-        spaces = []
-        weight_space = evenrep._weight_space
+    def test_builds_without_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the even irrep ran an elimination")
 
-        def spy(*args):
-            space = weight_space(*args)
-            if space is not None:
-                spaces.append(space)
-            return space
-
-        monkeypatch.setattr(evenrep, "_weight_space", spy)
-        for _, sc, a in ((SL31.datum, SC31, (3, 2)), SL41_A311):
-            build_even_irrep(a, sc)
-        assert any(space.f_den > 1 for space in spaces)
-        assert any(space.e_den > 1 for space in spaces)
-        for space in spaces:
-            for den, images in ((space.f_den, space.f),
-                                (space.e_den, space.e)):
-                assert math.gcd(den, *(x for image in images.values()
-                                       for coord in image
-                                       for x in coord.values())) == 1
-
-    def test_only_weights_are_tried(self, monkeypatch):
-        # the alpha_i-string criterion grows exactly the weights of L, each
-        # once: no content is tried whose form vanishes
-        tried = []
-        weight_space = evenrep._weight_space
-
-        def spy(spaces, content, h_of):
-            tried.append(content)
-            return weight_space(spaces, content, h_of)
-
-        monkeypatch.setattr(evenrep, "_weight_space", spy)
-        for _, sc, a in REFERENCE_CASES:
-            tried.clear()
-            L = build_even_irrep(a, sc)
-            assert sorted(tried) == sorted(set(L.contents) - {L.contents[0]})
-
-    def test_vanishing_form_on_a_tried_content_raises(self, monkeypatch):
-        # with every content tried, sl(4|1) a=(1,0,0) reaches contents that
-        # are not weights; the form vanishes there and the build stops
-        monkeypatch.setattr(evenrep, "_lowers", lambda *args: True)
-        with pytest.raises(InternalConsistencyError, match="vanishes"):
-            build_even_irrep((1, 0, 0), SC41)
+        # in exact, and in evenrep should it import them by name
+        for name in ("integer_rref", "echelon_insert", "_eliminate"):
+            monkeypatch.setattr(exact, name, refuse)
+            monkeypatch.setattr(evenrep, name, refuse, raising=False)
+        for datum, sc, a in LARGE_CASES:
+            assert build_even_irrep(a, sc).dim == weyl_dimension(datum, a)
 
     def test_shapovalov_form_symmetric(self):
         words = _VermaWords(SL31.datum.cartan_matrix, (2, 1))

@@ -108,7 +108,7 @@ WEIGHTS = [
         "stdout":
             "1066b8a6a5298caff5d0cb42011c5bd13791d6f61a27bba109d449f30a9655b4",
         "out":
-            "43a137003e0cde704d1f4e1d171d80daa30fb5b4212165ede098dc2cf1351f2d",
+            "748d9e75ba3e113f6fa383fab22efa84e9d02265a9c64106647cbfea13df44e6",
     }),
     ("typicality --algebra gl --m 2 --n 1 --labels 1 --b -2 --c 1/3", {
         "stdout":

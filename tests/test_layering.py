@@ -413,8 +413,6 @@ RECORD_FIELDS = {
                       "lambdas", "nu", "n_twist", "out", "report"),
     "evenrep.EvenModule": ("labels", "params", "dim", "contents", "hw",
                            "shifts", "matrices", "y_scalar", "z0_scalar"),
-    "evenrep._WeightSpace": ("basis", "h", "gram", "f_den", "f", "e_den",
-                             "e"),
     "heisenberg.HeisenbergSpec": ("base", "labels", "hprime", "table"),
     "heisenberg.HModule": ("twist", "H", "matrices"),
     "kacmod.KacModule": ("basis", "matrices", "shifts", "layers", "sc", "L"),

@@ -908,6 +908,28 @@ def test_failed_premise_takes_the_direct_path(name, case, monkeypatch):
             assert failing == ["(iii)"][:N - 2]
 
 
+def test_failed_base_relations_are_the_premise_of_all_pairs():
+    """With A[F_3] doubled on sl(3|1) a=(1,1), (i) fails, and (ii) holds on
+    every generator pair but fails on 2 pairs of the full basis, so the
+    passing (ii) item of an N = 2 block module claims all pairs only given
+    the base relations."""
+    K = MODULES["sl31_a11"]
+    sc, F3 = K.sc, GenLabel("F", 3)
+    D = deformation(K, Fraction(1))
+    bad = D.replace(A={**D.A, F3: D.A[F3].scale(2)})
+    base, item = block_relations_report(block(bad, 2)).items
+    assert not base.passed and item.passed
+    assert item.name.startswith("(ii) ") and item.name.endswith(
+        "on all 104 generator pairs; all 15^2 pairs follow given the base "
+        "relations")
+    A, B = bad.A, bad.B
+    full = bracket_violations(
+        sc.basis, sc.basis, sc.table, B,
+        lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
+        + sbracket(pa, pb, B[la], A[lb]))
+    assert len(full) == 2
+
+
 def test_degree_along_the_direction_counts_moved_parameters_only():
     """The b^3 module twisted along z0 alone is affine along D = d/dc, so
     the lemma proves its (iii), and the direct path agrees."""
