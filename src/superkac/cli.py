@@ -19,7 +19,7 @@ from fractions import Fraction
 from superkac import heisenberg as hsb
 from superkac import jsonio
 from superkac import matryoshka as mat
-from superkac.algebra import (InputError, SuperAlgebraSpec,
+from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
                               build_fundamental_rep, check_super_relations,
                               grading_report, structure_constants,
                               super_jacobi_report)
@@ -339,7 +339,7 @@ def run(cfg: JobConfig) -> int:
         generic = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
         profile = mat.jordan_minpoly_profile(
             module, {name: bindings.get(name, generic[name])
-                     for name in K.params})
+                     for name in K.params}, {GenLabel("y"): Fraction(1)})
         degrees = sorted(set(profile.values()))
         if degrees == [cfg.N]:
             report.add_pass(f"hypercharge Jordan degree {cfg.N} on every "

@@ -1,16 +1,19 @@
-"""Indecomposable nested N-replications of Kac modules.
+"""Nested N-replications of Kac modules.
 
 Because the module matrices are affine in the odd label b (and the gl
 central charge c), they have an exact first-order derivative B along any
 direction nu on the centre h' of the even subalgebra, with the hypercharge
 part taken through y0 = (b - d.a)/k.  Placing the base matrices A on the
 block diagonal and B, scaled by couplings, on the first block superdiagonal
-gives for every N a representation on N stacked copies of the module that
-cannot be split.  The pure hypercharge direction with couplings lambda_t is
-the replication, whose hypercharge acts by Jordan blocks of size N on every
-weight space; a general direction with unit couplings is the twist by the
-indecomposable h'-module J_n(nu).  The Heisenberg family rho_t scales a
-twist's superdiagonal by a formal t, and is read off its deformation.
+gives for every N a representation on N stacked copies of the module.  The
+pure hypercharge direction with couplings lambda_t is the replication; with
+every coupling nonzero its hypercharge acts by Jordan blocks of size N on
+every weight space, which the replicate verb checks.  That profile alone
+does not prove the module indecomposable: the direct sum of an N-fold
+replication and K has the same one.  A general direction with
+unit couplings is the twist by the indecomposable h'-module J_n(nu).  The
+Heisenberg family rho_t scales a twist's superdiagonal by a formal t, and
+is read off its deformation.
 """
 
 from __future__ import annotations
@@ -231,14 +234,6 @@ class TwistSpec(Record):
             raise InputError("nu = 0 rejected: the twist would be trivial")
         object.__setattr__(self, "nu", nu)
 
-    @property
-    def nu_y(self) -> Fraction:
-        return self.nu[0]
-
-    @property
-    def nu_c(self) -> Fraction:
-        return self.nu[1] if len(self.nu) > 1 else Fraction(0)
-
 
 class ReplicatedModule(Record):
     """N x N block module of a deformation: base blocks on the diagonal,
@@ -298,18 +293,6 @@ def twist(K: KacModule, spec: TwistSpec) -> ReplicatedModule:
 
 # -- invariants of the block modules ------------------------------------------
 
-def diagonal_block(R: ReplicatedModule, label: GenLabel, t: int) -> PolyMatrix:
-    copy = range(t * R.base.dim, (t + 1) * R.base.dim)
-    return R.matrices[label].submatrix(copy, copy)
-
-
-def leading_principal_submodule(R: ReplicatedModule) -> dict:
-    """Matrices restricted to the first (N-1) copies (the nesting property)."""
-    lead = range((R.N - 1) * R.base.dim)
-    return {label: mat.submatrix(lead, lead)
-            for label, mat in R.matrices.items()}
-
-
 def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatrix:
     """Matrix of a Cartan combination sum h_coeffs[label] * label; a block
     module builds only the labels of h_coeffs."""
@@ -320,17 +303,14 @@ def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatri
 
 
 def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
-                           h_coeffs: Mapping[GenLabel, Fraction] | None = None
-                           ) -> dict:
-    """Exact minimal polynomial degree of a Cartan element on every
-    generalized weight space, after binding the symbolic parameters.
+                           h_coeffs: Mapping[GenLabel, Fraction]) -> dict:
+    """Exact minimal polynomial degree of the Cartan element h_coeffs on
+    every generalized weight space, after binding the symbolic parameters.
 
-    Defaults to the hypercharge.  The degree is the nilpotency index of the
-    restriction minus its scalar part; for an N-fold replication with all
-    couplings nonzero it equals N wherever the base multiplicity is nonzero.
+    The degree is the nilpotency index of the restriction minus its scalar
+    part; for an N-fold replication with all couplings nonzero it equals N
+    for the hypercharge wherever the base multiplicity is nonzero.
     """
-    if h_coeffs is None:
-        h_coeffs = {GenLabel("y"): Fraction(1)}
     # weight_spaces raises ParameterizedEntryError unless every parameter
     # is bound, and integer_term unless the matrix is then rational
     _, stored = cartan_matrix_of(module, h_coeffs).substitute(
@@ -361,73 +341,3 @@ def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
         profile[key] = degree
     return profile
 
-
-# -- self-extension functionals ----------------------------------------------
-
-def upsilon_extract(R: ReplicatedModule) -> dict:
-    """The functional mu of a self-extension, read off the 2x2 generalized
-    weight action of every Cartan element at the highest weight:
-    [[lam(h), mu(h)], [0, lam(h)]]."""
-    if R.N != 2:
-        raise InputError("upsilon extraction needs an N = 2 self-extension")
-    top = [pos for pos, shift in enumerate(R.shifts) if shift == R.shifts[0]]
-    if len(top) != 2:
-        raise InternalConsistencyError(
-            f"top generalized weight space has dimension {len(top)}, not 2")
-    cartan = [lab for lab in R.base.sc.basis if lab.kind in ("h", "y", "z0")]
-    mu = {}
-    for label in cartan:
-        block = R.matrices[label].submatrix(top, top)
-        if block.entry(0, 0) != block.entry(1, 1) or not block.entry(1, 0).is_zero:
-            raise InternalConsistencyError(
-                f"{label} is not upper triangular on the top weight space")
-        mu[label] = block.entry(0, 1)
-    return mu
-
-
-class IsoDecision(Record):
-    isomorphic: bool
-    scale: Fraction | None        # mu = scale * nu when isomorphic
-    witness_h: dict | None        # Cartan combination with nu(h)=0 != mu(h)
-    witness_weight: tuple | None
-    degrees: tuple | None         # minpoly degrees (nu twist, mu twist)
-
-
-def self_extension_iso_decision(K: KacModule, nu: Sequence, mu: Sequence,
-                                n: int,
-                                bindings: Mapping[str, Fraction] | None = None
-                                ) -> IsoDecision:
-    """Twists by proportional directions are isomorphic; otherwise a Cartan
-    element annihilating nu but not mu distinguishes the modules through the
-    minimal polynomial degrees of its action on a weight space."""
-    nu_t = TwistSpec(n, tuple(nu))
-    mu_t = TwistSpec(n, tuple(mu))
-    ny, nc = nu_t.nu_y, nu_t.nu_c
-    my, mc = mu_t.nu_y, mu_t.nu_c
-    det = ny * mc - nc * my
-    if det == 0:
-        scale = None
-        for a, b in ((my, ny), (mc, nc)):
-            if b != 0:
-                scale = a / b
-                break
-        return IsoDecision(isomorphic=True, scale=scale, witness_h=None,
-                           witness_weight=None, degrees=None)
-
-    # h = -nu_c * y + nu_y * z0 satisfies nu(h) = 0 and mu(h) = det != 0.
-    witness = {GenLabel("y"): -nc, GenLabel("z0"): ny}
-    witness = {lab: coeff for lab, coeff in witness.items() if coeff != 0}
-    if GenLabel("z0") in witness and K.sc.spec.flavor != "gl":
-        raise InputError("distinguishing the directions needs the gl centre")
-    if bindings is None:
-        bindings = {"b": Fraction(5, 7)}
-        if "c" in K.params:
-            bindings = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
-    hw_weight = tuple(c.substitute(bindings).constant_value() for c in K.hw)
-    degrees = []
-    for tspec in (nu_t, mu_t):
-        module = twist(K, tspec)
-        profile = jordan_minpoly_profile(module, bindings, witness)
-        degrees.append(profile[hw_weight])
-    return IsoDecision(isomorphic=False, scale=None, witness_h=witness,
-                       witness_weight=hw_weight, degrees=tuple(degrees))

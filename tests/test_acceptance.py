@@ -28,7 +28,7 @@ from superkac.cli import main as cli_main
 from superkac.evenrep import build_even_irrep
 from superkac.exact import PolyMatrix
 from superkac.kacmod import induce, kac_typicality, singular_vectors
-from rescaling import rescale_conjugation_check
+from rescaling import conjugation_check, rescale_conjugation_check
 from testmatrix import (ALGEBRA_CONFIGS, COUPLING_SETS, GENERIC_B,
                         KAC_CONFIGS, bindings_for)
 
@@ -169,8 +169,11 @@ def test_criterion_6_matryoshka_theorem():
             assert result.ok, result.summary()
             for lab in K.matrices:
                 for t in range(N):
-                    assert mat.diagonal_block(R, lab, t) == K.matrices[lab]
-            profile = mat.jordan_minpoly_profile(R, dict(binds, b=GENERIC_B))
+                    copy = range(t * K.dim, (t + 1) * K.dim)
+                    assert R.matrices[lab].submatrix(copy, copy) == \
+                        K.matrices[lab]
+            profile = mat.jordan_minpoly_profile(
+                R, dict(binds, b=GENERIC_B), {GenLabel("y"): Fraction(1)})
             assert set(profile.values()) == {N}
         for lam in (Fraction(1), Fraction(2), Fraction(-3, 5)):
             assert rescale_conjugation_check(K, lam).ok
@@ -182,15 +185,23 @@ def test_criterion_6_matryoshka_theorem():
 def test_criterion_7_self_extension_isomorphism():
     K = kac("gl", 2, 1, (0,))
     n = 2
-    decision = mat.self_extension_iso_decision(K, (1, 0), (0, 1), n)
-    assert not decision.isomorphic
-    # minimal polynomial degrees (k, k+n-1) with k = 1 on the diagonal base:
-    # the twist along the annihilated direction stays semisimple while the
-    # transverse one reaches the full Jordan depth n
-    assert decision.degrees == (1, n)
-    assert decision.degrees[1] - decision.degrees[0] == n - 1
-    same = mat.self_extension_iso_decision(K, (1, 0), (2, 0), n)
-    assert same.isomorphic and same.scale == 2
+    binds = bindings_for("gl")
+    top = tuple(c.substitute(binds).constant_value() for c in K.hw)
+    # z0 annihilates the y direction nu = (1, 0) but not mu = (0, 1), so its
+    # minimal polynomial degrees (k, k+n-1) at the highest weight, with
+    # k = 1 on the diagonal base, tell the twists apart: the twist along
+    # the annihilated direction stays semisimple while the transverse one
+    # reaches the full Jordan depth n
+    degrees = tuple(
+        mat.jordan_minpoly_profile(mat.twist(K, mat.TwistSpec(n, d)), binds,
+                                   {GenLabel("z0"): Fraction(1)})[top]
+        for d in ((1, 0), (0, 1)))
+    assert degrees == (1, n)
+    # proportional directions: diag(2, 1) (x) I conjugates the twist by nu
+    # into the twist by 2 nu on every generator
+    same = conjugation_check(mat.twist(K, mat.TwistSpec(n, (1, 0))),
+                             mat.twist(K, mat.TwistSpec(n, (2, 0))), 2)
+    assert same.ok, same.summary()
     report(7, "transverse twist directions on gl(2|1) are not isomorphic "
               "(minimal polynomial degrees 1 vs n); proportional directions "
               "are isomorphic")

@@ -18,7 +18,7 @@ from superkac.exact import ParameterizedEntryError, ParamPoly, PolyMatrix
 from superkac.kacmod import (SingularVector, SingularVectorReport,
                              _subset_order, induce, kac_typicality,
                              singular_vectors, weight_spaces)
-from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate
+from superkac.matryoshka import ReplicationSpec, TwistSpec, replicate, twist
 from block_oracle import place_blocks
 from dense_oracles import dense_linear_solve
 from testmatrix import ALGEBRA_CONFIGS, KAC_CONFIGS, bindings_for
@@ -500,8 +500,9 @@ def test_heisenberg_induction_matches_block_matrix_reference(
     sc = structure_constants(rep)
     K = induce(build_even_irrep(a, sc), sc)
     H = heisenberg.build_heisenberg(sc)
-    spec = TwistSpec(twist_n, nu)
-    args = (H, K.L.dim, spec.n, (spec.nu_y, spec.nu_c), K.params)
+    # nu as compare_with_KH passes it, (nu_y, nu_c) with nu_c = 0 on sl
+    T = twist(K, TwistSpec(twist_n, nu))
+    args = (H, K.L.dim, T.N, T.deformation.nu, K.params)
     got = heisenberg.induce_heisenberg(*args)
     monkeypatch.setattr(heisenberg, "induce_core", reference_induce_core)
     want = heisenberg.induce_heisenberg(*args)

@@ -174,15 +174,11 @@ def unnamed_public_definitions(paths) -> list:
     return sorted(found)
 
 
-# Public names that only tests use: the paper features not yet reached
-# from the CLI (ROADMAP items 3 and 6).  A new public name needs a caller
-# in src/, or its place here.
+# Public names that only tests use: the artifact reader, which waits for
+# a verb that re-verifies an export (ROADMAP item 7).  A new public name
+# needs a caller in src/, or its place here.
 TEST_ONLY = [
     "jsonio.module_matrices_from_json",
-    "matryoshka.diagonal_block",
-    "matryoshka.leading_principal_submodule",
-    "matryoshka.self_extension_iso_decision",
-    "matryoshka.upsilon_extract",
 ]
 
 
@@ -299,11 +295,9 @@ def unset_defaults(paths) -> list:
 
 
 # Defaulted parameters that no call in src/ sets: the CLI's argv, which
-# tests pass, and a test-only function's bindings.  A new one needs a
-# caller that sets it, or its place here.
+# tests pass.  A new one needs a caller that sets it, or its place here.
 UNSET_DEFAULTS = [
     "cli.main(argv)",
-    "matryoshka.self_extension_iso_decision(bindings)",
 ]
 
 
@@ -360,20 +354,14 @@ def unread_record_fields(paths) -> list:
     return sorted(found)
 
 
-# Record fields that nothing in src/ reads: parts of a result that tests,
-# or the callers of the test-only functions above, read.  A new field needs
-# a reader in src/, or its place here.
+# Record fields that nothing in src/ reads: parts of a result that only
+# tests read.  A new field needs a reader in src/, or its place here.
 UNREAD_FIELDS = [
     "evenrep.EvenModule.contents",
     "kacmod.SingularVector.coefficients",
     "kacmod.SingularVector.weight",
     "kacmod.TypicalityReport.factor_roots",
     "kacmod.TypicalityReport.s_roots",
-    "matryoshka.IsoDecision.degrees",
-    "matryoshka.IsoDecision.isomorphic",
-    "matryoshka.IsoDecision.scale",
-    "matryoshka.IsoDecision.witness_h",
-    "matryoshka.IsoDecision.witness_weight",
 ]
 
 
@@ -425,8 +413,6 @@ RECORD_FIELDS = {
     "matryoshka.ReplicationSpec": ("N", "lambdas"),
     "matryoshka.TwistSpec": ("n", "nu"),
     "matryoshka.ReplicatedModule": ("deformation", "couplings", "nu"),
-    "matryoshka.IsoDecision": ("isomorphic", "scale", "witness_h",
-                               "witness_weight", "degrees"),
     "report.CheckItem": ("name", "passed", "location", "residual"),
     "report.VerificationReport": ("title", "items"),
 }

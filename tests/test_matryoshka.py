@@ -18,14 +18,10 @@ from superkac.jsonio import export_json, module_to_json
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
                                  TwistSpec, cartan_matrix_of, deformation,
-                                 derivative_report,
-                                 derivative_violations, diagonal_block,
-                                 jordan_minpoly_profile,
-                                 leading_principal_submodule, odd_derivative,
-                                 replicate,
-                                 self_extension_iso_decision, twist,
-                                 upsilon_extract)
-from rescaling import rescale_conjugation_check
+                                 derivative_report, derivative_violations,
+                                 jordan_minpoly_profile, odd_derivative,
+                                 replicate, twist)
+from rescaling import conjugation_check, rescale_conjugation_check
 from testmatrix import COUPLING_SETS
 
 
@@ -40,6 +36,7 @@ QUARTET, SC21 = build_kac("sl", 2, 1, (0,))
 OCTET, _ = build_kac("sl", 2, 1, (1,))
 GL_TRIV, SCG21 = build_kac("gl", 2, 1, (0,))
 GL_A1, _ = build_kac("gl", 2, 1, (1,))
+HYPERCHARGE = {GenLabel("y"): Fraction(1)}
 
 
 def u_prime(D) -> dict:
@@ -175,15 +172,18 @@ class TestReplicate:
         R = replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4))))
         for lab in OCTET.matrices:
             for t in range(3):
-                assert diagonal_block(R, lab, t) == OCTET.matrices[lab]
+                copy = range(t * OCTET.dim, (t + 1) * OCTET.dim)
+                assert R.matrices[lab].submatrix(copy, copy) == \
+                    OCTET.matrices[lab]
 
     def test_nesting(self):
         # dropping the last copy of an N-fold module gives the (N-1)-fold one
         lams = (Fraction(2), Fraction(-3, 5))
         R3 = replicate(QUARTET, ReplicationSpec(3, lams))
         R2 = replicate(QUARTET, ReplicationSpec(2, lams[:1]))
-        lead = leading_principal_submodule(R3)
-        assert all(lead[lab] == R2.matrices[lab] for lab in lead)
+        lead = range(2 * QUARTET.dim)
+        assert all(mat.submatrix(lead, lead) == R2.matrices[lab]
+                   for lab, mat in R3.matrices.items())
 
     def test_layers_built_once_with_the_same_artifact(self, monkeypatch,
                                                       tmp_path):
@@ -237,11 +237,18 @@ class TestRescaleConjugation:
         with pytest.raises(InputError):
             rescale_conjugation_check(QUARTET, Fraction(0))
 
+    def test_wrong_scale_refused(self):
+        # diag(3, 1) does not carry the twist by nu to the one by 2 nu
+        source = twist(GL_TRIV, TwistSpec(2, (1, 0)))
+        target = twist(GL_TRIV, TwistSpec(2, (2, 0)))
+        assert conjugation_check(source, target, 2).ok
+        found = conjugation_check(source, target, 3)
+        assert not found.ok
+        assert found.items[0].name == "conjugation on y"
 
-def reference_jordan_profile(module, bindings, h_coeffs=None) -> dict:
+
+def reference_jordan_profile(module, bindings, h_coeffs) -> dict:
     """The profile from dense Fraction blocks read cell by cell."""
-    if h_coeffs is None:
-        h_coeffs = {GenLabel("y"): Fraction(1)}
     mat = cartan_matrix_of(module, h_coeffs).substitute(bindings)
 
     profile = {}
@@ -273,9 +280,9 @@ GL_BINDINGS = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
 class TestJordanProfile:
     @pytest.mark.parametrize("module,bindings,h_coeffs,degrees", [
         (replicate(SL31_A21, ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))),
-         B57, None, {3}),
+         B57, HYPERCHARGE, {3}),
         (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
-                          None), B57, None, {2}),
+                          None), B57, HYPERCHARGE, {2}),
         (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
          B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)},
          {3}),
@@ -299,19 +306,19 @@ class TestJordanProfile:
         R = replicate(SL31_A21, ReplicationSpec(3, (Fraction(2),
                                                     Fraction(-1, 3))))
         y = GenLabel("y")
-        expected = reference_jordan_profile(R, B57)
+        expected = reference_jordan_profile(R, B57, HYPERCHARGE)
         block = R.matrices[y]       # all blocks and B, built outside the count
         assert cartan_matrix_of(R, {y: Fraction(1)}) == block
         passes = []
         pencil = exact._pencil
         monkeypatch.setattr(exact, "_pencil",
                             lambda parts: passes.append(1) or pencil(parts))
-        assert jordan_minpoly_profile(R, B57) == expected
+        assert jordan_minpoly_profile(R, B57, HYPERCHARGE) == expected
         assert set(expected.values()) == {3}
         assert len(passes) == 1
 
     @pytest.mark.parametrize("h_coeffs", [
-        None, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}])
+        HYPERCHARGE, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}])
     def test_fresh_block_module_builds_only_the_cartan_labels(
             self, monkeypatch, h_coeffs):
         calls = []
@@ -324,7 +331,7 @@ class TestJordanProfile:
         spec = ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))
         fresh = replicate(SL31_A21, spec)
         profile = jordan_minpoly_profile(fresh, B57, h_coeffs)
-        assert len(calls) == len(h_coeffs or {GenLabel("y"): 1})
+        assert len(calls) == len(h_coeffs)
         assert "matrices" not in vars(fresh)
         built = replicate(SL31_A21, spec)
         assert len(built.matrices) == len(SL31_A21.matrices)
@@ -338,22 +345,22 @@ class TestJordanProfile:
                 2, 2, (), {(0, 0): 1, (0, 1): 1, (1, 1): 2})})
         for profile in (jordan_minpoly_profile, reference_jordan_profile):
             with pytest.raises(InternalConsistencyError):
-                profile(module, {})
+                profile(module, {}, HYPERCHARGE)
 
     def test_unbound_parameter_rejected(self):
         # a gl module with only b bound still has c in its weights
         module = twist(GL_A1, TwistSpec(2, (1, 2)))
         with pytest.raises(ParameterizedEntryError):
-            jordan_minpoly_profile(module, B57)
+            jordan_minpoly_profile(module, B57, HYPERCHARGE)
 
     def test_base_module_is_diagonal(self):
-        profile = jordan_minpoly_profile(QUARTET, {"b": Fraction(5, 7)})
+        profile = jordan_minpoly_profile(QUARTET, B57, HYPERCHARGE)
         assert set(profile.values()) == {1}
 
     def test_replication_degree_equals_copies(self):
         for lams in COUPLING_SETS:
             R = replicate(QUARTET, ReplicationSpec(len(lams) + 1, lams))
-            profile = jordan_minpoly_profile(R, {"b": Fraction(5, 7)})
+            profile = jordan_minpoly_profile(R, B57, HYPERCHARGE)
             assert set(profile.values()) == {len(lams) + 1}
 
     def test_split_bypass_degree_one(self):
@@ -361,7 +368,7 @@ class TestJordanProfile:
         # module directly gives a direct sum, detected by the profile
         # collapsing to 1
         R0 = ReplicatedModule(odd_derivative(QUARTET), (Fraction(0),), None)
-        profile = jordan_minpoly_profile(R0, {"b": Fraction(5, 7)})
+        profile = jordan_minpoly_profile(R0, B57, HYPERCHARGE)
         assert set(profile.values()) == {1}
 
 
@@ -417,59 +424,109 @@ class TestTwist:
         assert twist(QUARTET, TwistSpec(2, (1,))).nu == (Fraction(1),)
 
 
-class TestUpsilon:
-    def test_replication_gives_hypercharge_direction(self):
-        R = replicate(GL_TRIV, ReplicationSpec(2, (Fraction(7),)))
-        mu = upsilon_extract(R)
+def top_weight_mu(module) -> dict:
+    """Cartan label -> mu(h), its first superdiagonal entry on the top
+    weight space v_Lambda (x) C^N, the highest weight vector of each copy.
+
+    There h acts by lambda(h) on the diagonal and by mu(h) scaled as the
+    couplings on the first superdiagonal, and by zero elsewhere; that shape
+    is asserted."""
+    top = range(0, module.dim, module.base.dim)
+    mu = {}
+    for label in module.base.matrices:
+        if label.kind not in ("h", "y", "z0"):
+            continue
+        block = module.matrices[label].submatrix(top, top)
+        for i in range(module.N):
+            for j in range(module.N):
+                if i == j:
+                    assert block.entry(i, j) == block.entry(0, 0)
+                elif j != i + 1:
+                    assert block.entry(i, j).is_zero
+        for i in range(1, module.N - 1):
+            assert block.entry(i, i + 1) * module.couplings[0] == \
+                block.entry(0, 1) * module.couplings[i]
+        mu[label] = block.entry(0, 1)
+    return mu
+
+
+class TestTopWeightBlock:
+    def test_twist_reads_nu_on_the_top_weight_space(self):
+        # on the top weight space v_Lambda (x) J_2(nu), each Cartan element
+        # h acts by [[lambda(h), mu(h)], [0, lambda(h)]] with mu = nu
+        T = twist(GL_TRIV, TwistSpec(2, (Fraction(2), Fraction(-3))))
+        top = [pos for pos, shift in enumerate(T.shifts)
+               if shift == T.shifts[0]]
+        assert top == [0, GL_TRIV.dim]
         params = GL_TRIV.params
-        assert mu[GenLabel("y")] == ParamPoly.const(params, 7)
+        for label, mu in ((GenLabel("y"), 2), (GenLabel("z0"), -3),
+                          (GenLabel("h", 1), 0)):
+            block = T.matrices[label].submatrix(top, top)
+            assert block.entry(0, 0) == block.entry(1, 1)
+            assert block.entry(1, 0).is_zero
+            assert block.entry(0, 1) == ParamPoly.const(params, mu)
+
+    def test_replication_gives_hypercharge_direction(self):
+        mu = top_weight_mu(replicate(GL_TRIV,
+                                     ReplicationSpec(2, (Fraction(7),))))
+        assert mu[GenLabel("y")] == ParamPoly.const(GL_TRIV.params, 7)
         assert mu[GenLabel("z0")].is_zero
         assert mu[GenLabel("h", 1)].is_zero
 
-    def test_twist_recovers_nu(self):
-        T = twist(GL_TRIV, TwistSpec(2, (Fraction(2), Fraction(-3))))
-        mu = upsilon_extract(T)
-        params = GL_TRIV.params
-        assert mu[GenLabel("y")] == ParamPoly.const(params, 2)
-        assert mu[GenLabel("z0")] == ParamPoly.const(params, -3)
-
     def test_annihilates_semisimple_cartan(self):
         T = twist(GL_A1, TwistSpec(2, (Fraction(1), Fraction(1))))
-        mu = upsilon_extract(T)
+        mu = top_weight_mu(T)
         assert mu[GenLabel("h", 1)].is_zero
+        assert mu[GenLabel("y")] == ParamPoly.const(GL_A1.params, 1)
 
-    def test_needs_two_copies(self):
-        T = twist(GL_TRIV, TwistSpec(3, (1, 0)))
-        with pytest.raises(InputError):
-            upsilon_extract(T)
+    def test_three_copies_carry_nu_on_each_superdiagonal(self):
+        T = twist(GL_TRIV, TwistSpec(3, (Fraction(1), Fraction(0))))
+        mu = top_weight_mu(T)
+        assert mu[GenLabel("y")] == ParamPoly.const(GL_TRIV.params, 1)
+        assert mu[GenLabel("z0")].is_zero
 
     def test_faithful_on_directions(self):
-        # distinct directions produce non-proportional functionals
-        mu1 = upsilon_extract(twist(GL_TRIV, TwistSpec(2, (1, 0))))
-        mu2 = upsilon_extract(twist(GL_TRIV, TwistSpec(2, (0, 1))))
+        # distinct directions give non-proportional functionals
+        mu1 = top_weight_mu(twist(GL_TRIV, TwistSpec(2, (1, 0))))
+        mu2 = top_weight_mu(twist(GL_TRIV, TwistSpec(2, (0, 1))))
         y, z0 = GenLabel("y"), GenLabel("z0")
         det = mu1[y] * mu2[z0] - mu1[z0] * mu2[y]
         assert not det.is_zero
 
 
-class TestIsoDecision:
-    def test_proportional_is_isomorphic(self):
-        dec = self_extension_iso_decision(GL_TRIV, (1, 0), (2, 0), 2)
-        assert dec.isomorphic and dec.scale == 2
-        dec = self_extension_iso_decision(GL_TRIV, (1, 0), (1, 0), 3)
-        assert dec.isomorphic and dec.scale == 1
+Z0 = {GenLabel("z0"): Fraction(1)}
 
+
+def top_degree(module) -> int:
+    """Minimal polynomial degree of z0 on the highest weight space."""
+    top = tuple(c.substitute(GL_BINDINGS).constant_value()
+                for c in module.hw)
+    return jordan_minpoly_profile(module, GL_BINDINGS, Z0)[top]
+
+
+class TestDegreeGap:
     def test_transverse_directions_distinguished(self):
-        dec = self_extension_iso_decision(GL_TRIV, (1, 0), (0, 1), 2)
-        assert not dec.isomorphic
-        assert dec.degrees == (1, 2)
-        # the witness annihilates nu: here nu = y-direction, so h = z0
-        assert dec.witness_h == {GenLabel("z0"): Fraction(1)}
+        # z0 annihilates nu = (1, 0) but not mu = (0, 1): at the highest
+        # weight its minimal polynomial has degree 1 on the twist by nu and
+        # the full Jordan depth n on the twist by mu
+        for n in (2, 3):
+            degrees = tuple(top_degree(twist(GL_TRIV, TwistSpec(n, d)))
+                            for d in ((1, 0), (0, 1)))
+            assert degrees == (1, n)
 
     def test_degree_gap_grows_with_n(self):
-        for n in (2, 3):
-            dec = self_extension_iso_decision(GL_TRIV, (1, 0), (0, 1), n)
-            assert dec.degrees == (1, n)
+        gaps = [top_degree(twist(GL_TRIV, TwistSpec(n, (0, 1))))
+                - top_degree(twist(GL_TRIV, TwistSpec(n, (1, 0))))
+                for n in (1, 2, 3, 4)]
+        assert gaps == [0, 1, 2, 3]
+
+    def test_proportional_is_isomorphic(self):
+        # equal degrees, and diag(2, 1) (x) I conjugates one into the other
+        source = twist(GL_TRIV, TwistSpec(2, (0, 1)))
+        target = twist(GL_TRIV, TwistSpec(2, (0, 2)))
+        assert top_degree(source) == top_degree(target) == 2
+        assert conjugation_check(source, target, 2).ok
+        assert conjugation_check(source, source, 1).ok
 
 
 class TestReductionToBaseDimension:
