@@ -22,6 +22,8 @@ Conventions fixed here and used everywhere downstream:
   off matrix units and only root pairs that meet at an index are
   bracketed; a diagonal is solved against the Cartan labels by a left
   inverse, from one RREF of [A | I] per table (``exact.integer_rref``).
+  ``algebra_of`` builds that table once per spec, and every job on the
+  spec shares it.
 """
 
 from __future__ import annotations
@@ -311,16 +313,17 @@ class StructureConstants(Record):
 
     @cached_property
     def presentation(self):
-        """The Serre presentation of the table's algebra, read once per
-        spec off the table ``structure_constants`` builds for it
-        (``_reference_presentation``); None where this table differs from
-        that one, as a corrupted or restricted table does, since the
-        presentation theorem speaks of that table."""
-        reference, presentation = _reference_presentation(self.spec)
+        """The Serre presentation of the table's algebra (``_presentation``),
+        read once per spec off ``algebra_of(spec)``; None where this table
+        differs from that one, as a corrupted or restricted table does,
+        since the presentation theorem speaks of that table."""
+        canonical = algebra_of(self.spec)
+        if self is canonical:
+            return _presentation(self)
         if (self.basis, self.recipes, self.table) != \
-                (reference.basis, reference.recipes, reference.table):
+                (canonical.basis, canonical.recipes, canonical.table):
             return None
-        return presentation
+        return canonical.presentation
 
 
 def generating_set(sc: StructureConstants) -> tuple:
@@ -641,6 +644,15 @@ def structure_constants(rep: FundamentalRep) -> StructureConstants:
                               recipes=recipes, table=table, k=k)
 
 
+@lru_cache(maxsize=None)
+def algebra_of(spec: SuperAlgebraSpec) -> StructureConstants:
+    """The table ``structure_constants`` builds for spec, built once per
+    spec and shared, with its ``generators``, ``root_weights`` and
+    ``presentation``, by every job on that algebra.  It depends on the spec
+    alone; no caller mutates it."""
+    return structure_constants(build_fundamental_rep(spec))
+
+
 def super_jacobi_report(sc: StructureConstants) -> VerificationReport:
     """Exact graded Jacobi identity with the verdict of every basis triple,
     checked as "ad is a representation" by the relation checker on the
@@ -950,10 +962,9 @@ def violations_report(title: str, name: str, labels: Sequence[GenLabel],
 
 # -- the Serre presentation ---------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _reference_presentation(spec: SuperAlgebraSpec) -> tuple:
-    """(sc, presentation) for the table sc that ``structure_constants``
-    builds for spec, computed once per spec.
+def _presentation(sc: StructureConstants) -> tuple:
+    """The presentation of the table sc that ``structure_constants``
+    builds for its spec.
 
     For m != n, gl/sl(m|n) is presented on the Chevalley set of its
     distinguished Dynkin diagram, the Cartan labels, the simple raising
@@ -970,7 +981,6 @@ def _reference_presentation(spec: SuperAlgebraSpec) -> tuple:
     side, the Serre relations (``_serre_relations``); and per side, the
     chains (``_chains``).
     """
-    sc = structure_constants(build_fundamental_rep(spec))
     raising = tuple(lab for lab in sc.basis
                     if lab.kind == "e" or lab == GenLabel("u", 1))
     lowering = tuple(lab for lab in sc.basis
@@ -983,9 +993,9 @@ def _reference_presentation(spec: SuperAlgebraSpec) -> tuple:
                 sums[t] = sums.get(t, 0) + c
         cartan_sums.append((x, tuple((t, c) for t, c in sums.items() if c)))
     sides = (raising, lowering)
-    return sc, (sc.root_weights, sides, tuple(cartan_sums),
-                tuple(_serre_relations(sc, side) for side in sides),
-                tuple(_chains(sc, side) for side in sides))
+    return (sc.root_weights, sides, tuple(cartan_sums),
+            tuple(_serre_relations(sc, side) for side in sides),
+            tuple(_chains(sc, side) for side in sides))
 
 
 def _serre_relations(sc: StructureConstants, simple: tuple) -> tuple:

@@ -20,9 +20,8 @@ from superkac import heisenberg as hsb
 from superkac import jsonio
 from superkac import matryoshka as mat
 from superkac.algebra import (GenLabel, InputError, SuperAlgebraSpec,
-                              build_fundamental_rep, check_super_relations,
-                              grading_report, structure_constants,
-                              super_jacobi_report)
+                              algebra_of, check_super_relations,
+                              grading_report, super_jacobi_report)
 from superkac.evenrep import build_even_irrep
 from superkac.kacmod import induce, kac_typicality, singular_vectors
 from superkac.record import Record
@@ -213,9 +212,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _build_stack(cfg: JobConfig):
-    rep = build_fundamental_rep(SuperAlgebraSpec(cfg.m, cfg.n, cfg.flavor))
-    sc = structure_constants(rep)
-    labels = cfg.labels if cfg.labels else tuple([0] * rep.spec.rank)
+    sc = algebra_of(SuperAlgebraSpec(cfg.m, cfg.n, cfg.flavor))
+    labels = cfg.labels if cfg.labels else tuple([0] * sc.spec.rank)
     return induce(build_even_irrep(labels, sc), sc)
 
 

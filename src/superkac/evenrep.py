@@ -126,31 +126,48 @@ def _actions(patterns: list) -> dict:
       e_p L = -sum_r prod_s (l_{p,r} - l_{p+1,s}) / D_r  L + d_{p,r},
       f_p L =  sum_r prod_s (l_{p,r} - l_{p-1,s}) / D_r  L - d_{p,r},
     where L +- d_{p,r} moves lambda_{p,r} by one, and is dropped where
-    that leaves the patterns."""
+    that leaves the patterns.  The coefficients depend on rows p-1, p and
+    p+1 alone, so they are computed once per such triple of rows."""
     index = {pattern: q for q, (_, pattern) in enumerate(patterns)}
     out = {}
     for p in range(1, len(patterns[0][1])):
         raw: dict = {"e": [], "f": []}
+        steps_of: dict = {}           # (below, row, above) -> _steps
         for q, (_, pattern) in enumerate(patterns):
-            below = pattern[p - 2] if p > 1 else ()
-            row, above = pattern[p - 1], pattern[p]
-            ell = [x - s for s, x in enumerate(row)]
-            for r, l in enumerate(ell):
-                den = prod(l - x for s, x in enumerate(ell) if s != r)
-                up = -prod(l - x + s for s, x in enumerate(above))
-                down = prod(l - x + s for s, x in enumerate(below))
-                for kind, step, num in (("e", 1, up), ("f", -1, down)):
-                    moved = row[:r] + (row[r] + step,) + row[r + 1:]
-                    target = index.get(pattern[:p - 1] + (moved,)
-                                       + pattern[p:])
-                    if num and target is not None:
-                        g = gcd(num, den) if den > 0 else -gcd(num, den)
-                        raw[kind].append((target, q, num // g, den // g))
+            rows = (pattern[p - 2] if p > 1 else (),) + pattern[p - 1:p + 1]
+            steps = steps_of.get(rows)
+            if steps is None:
+                steps = steps_of[rows] = _steps(*rows)
+            head, tail = pattern[:p - 1], pattern[p:]
+            for kind, moved, num, den in steps:
+                target = index.get(head + (moved,) + tail)
+                if target is not None:
+                    raw[kind].append((target, q, num, den))
         for kind, entries in raw.items():
             common = lcm(*(den for *_, den in entries))
             out[kind, p] = (common, [(target, source, num * (common // den))
                                      for target, source, num, den in entries])
     return out
+
+
+def _steps(below: tuple, row: tuple, above: tuple) -> list:
+    """(kind, moved row, num, den) for each nonzero coefficient of e_p
+    ("e") and f_p ("f") on a pattern with these rows p-1, p and p+1, per
+    entry r of row p and kind in that order, num/den in lowest terms with
+    den > 0; the moved row is row p with entry r raised (e) or lowered (f)
+    by one."""
+    ell = [x - s for s, x in enumerate(row)]
+    steps = []
+    for r, l in enumerate(ell):
+        den = prod(l - x for s, x in enumerate(ell) if s != r)
+        up = -prod(l - x + s for s, x in enumerate(above))
+        down = prod(l - x + s for s, x in enumerate(below))
+        for kind, step, num in (("e", 1, up), ("f", -1, down)):
+            if num:
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                moved = row[:r] + (row[r] + step,) + row[r + 1:]
+                steps.append((kind, moved, num // g, den // g))
+    return steps
 
 
 def build_even_irrep(a: Sequence[int], sc: StructureConstants) -> EvenModule:

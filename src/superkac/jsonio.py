@@ -10,7 +10,9 @@ a newline, so identical inputs give byte-identical artifacts.
 
 No JSON value is built per matrix entry or basis vector.
 ``module_to_json`` returns an artifact's header fields, with each generator
-matrix and the basis left as a deferred part.  ``export_json`` renders each
+matrix and the basis left as a deferred part; a replication's or twist's
+block matrix is built from its deformation only as its part is written, so
+one block is held at a time.  ``export_json`` renders each
 part as text, straight from the pencil terms and the module's fields, as it
 streams the file.  It writes a temporary file beside the target, which
 replaces the target only once complete, so a failed job leaves an existing
@@ -117,6 +119,14 @@ def _write_matrix(m: PolyMatrix, bindings: dict | None, newline: str,
     out("," + inner + '"rows": ' + str(m.rows) + newline + "}")
 
 
+def _write_block_matrix(module, label: GenLabel, bindings: dict | None,
+                        newline: str, out) -> None:
+    """The block matrix of one label of a replication or twist, built from
+    its deformation and dropped once written."""
+    m, = module.deformation.materialize(module.couplings, [label]).values()
+    _write_matrix(m, bindings, newline, out)
+
+
 def _items_text(items: list, newline: str) -> str:
     """A list whose items are already rendered one level below newline."""
     if not items:
@@ -207,6 +217,13 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         base, kind, blocks = module.twist.base, "heisenberg-phi", module.twist
     else:
         raise InputError(f"cannot serialize {type(module).__name__}")
+    if blocks is module:
+        generators = {str(lab): partial(_write_block_matrix, module, lab,
+                                        bindings)
+                      for lab in base.matrices}
+    else:
+        generators = {str(lab): partial(_write_matrix, mat, bindings)
+                      for lab, mat in module.matrices.items()}
     spec = base.sc.spec
     out.update({
         "kind": kind,
@@ -214,8 +231,7 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
         "highest_weight": {"a": list(base.L.labels)},
         "params": list(module.params),
         "dim": module.dim,
-        "generators": {str(lab): partial(_write_matrix, mat, bindings)
-                       for lab, mat in module.matrices.items()},
+        "generators": generators,
     })
     if blocks is None:
         out["basis"] = partial(_write_basis, module, base)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from superkac import cli, jsonio
-from superkac.algebra import (SuperAlgebraSpec,
+from superkac import algebra, cli, jsonio
+from superkac.algebra import (SuperAlgebraSpec, algebra_of,
                               build_fundamental_rep, structure_constants)
 from superkac.cli import main
 from superkac.evenrep import build_even_irrep
@@ -483,3 +483,39 @@ class TestDeterminism:
             SuperAlgebraSpec(2, 3, "sl")))
         assert sc1.basis == sc2.basis
         assert list(sc1.table.items()) == list(sc2.table.items())
+
+
+class TestSharedAlgebra:
+    """Every job on one spec shares the table ``algebra_of`` builds."""
+
+    def test_one_table_per_spec(self, monkeypatch):
+        built = []
+        real = algebra.structure_constants
+
+        def counted(rep):
+            built.append(rep.spec)
+            return real(rep)
+
+        monkeypatch.setattr(algebra, "structure_constants", counted)
+        algebra_of.cache_clear()
+        for action in ("verify", "build"):
+            assert cli.run(cli.JobConfig(action=action, m=3, n=1,
+                                         labels=(1, 0))) == 0
+        assert built == [SuperAlgebraSpec(3, 1, "sl")]
+        assert cli.run(cli.JobConfig(action="verify", m=2, n=1)) == 0
+        assert built == [SuperAlgebraSpec(3, 1, "sl"),
+                         SuperAlgebraSpec(2, 1, "sl")]
+
+    @pytest.mark.parametrize("argv", [
+        ["build"], ["export", "--out", "{tmp}/module.json"],
+        ["typicality", "--b", "0"], ["verify"], ["replicate", "--N", "3"],
+        ["twist", "--nu", "1"], ["heisenberg"]], ids=lambda argv: argv[0])
+    def test_no_verb_changes_the_shared_table(self, tmp_path, argv):
+        spec = SuperAlgebraSpec(3, 1, "sl")
+        shared = algebra_of(spec)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]
+                    + ["--m", "3", "--n", "1", "--labels", "1,0"]) == 0
+        fresh = structure_constants(build_fundamental_rep(spec))
+        assert algebra_of(spec) is shared
+        assert (shared.basis, shared.recipes, shared.table) == \
+            (fresh.basis, fresh.recipes, fresh.table)

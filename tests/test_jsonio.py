@@ -163,6 +163,18 @@ def test_export_matches_the_stdlib_dump_of_the_tree(artifacts, name):
         stdlib_dumps(reference_module_to_json(module, bindings))
 
 
+@pytest.mark.parametrize("name", ["replication", "twist"])
+def test_block_export_keeps_no_block_matrix(artifacts, name):
+    """A block module's export builds each block matrix as its part is
+    written, from the deformation, and leaves the module's own matrices
+    unbuilt; the bytes are those of the tree of all blocks."""
+    module, _ = artifacts[name]
+    fresh = module.replace()
+    text = written(jsonio.module_to_json(fresh))
+    assert "matrices" not in vars(fresh)
+    assert text == stdlib_dumps(reference_module_to_json(module))
+
+
 def test_edge_matrices_are_exported(artifacts):
     module, _ = artifacts["kac edge matrices"]
     generators = json.loads(written(jsonio.module_to_json(module)))[
@@ -263,10 +275,11 @@ def test_bound_matrix_matches_the_param_poly_reference(m, value):
 @pytest.fixture(scope="module")
 def sl41_111():
     """sl(4|1) a=(1,1,1), dim K 1024, and its N=3 replication, with every
-    matrix and basis field the export reads already built."""
+    base matrix, derivative and basis field the export reads already
+    built; the replication's export builds its block matrices itself."""
     K = build_kac("sl", 4, 1, (1, 1, 1))
     R = mat.replicate(K, mat.ReplicationSpec(3, (Fraction(1), Fraction(2))))
-    R.matrices, R.layers
+    R.deformation.B, R.layers
     return {"kac": K, "replication": R}
 
 

@@ -4,7 +4,8 @@ module imports ``typing``, which a CLI run would otherwise load, or a name
 it never reads; and the public names that nothing in ``src/`` names, the
 defaulted parameters that no call in ``src/`` sets, the record fields
 that no code in ``src/`` reads and the fields of every record are known,
-pinned lists, and every private top-level function has a reader."""
+pinned lists; every private top-level function has a reader; and every
+function cache is keyed by an algebra's spec alone."""
 
 import ast
 import importlib
@@ -133,6 +134,60 @@ def test_checker_sees_an_unused_import(tmp_path):
                      "    return os.path.join(x)\n", encoding="utf-8")
     assert unused_imports(probe) == [(2, "system"), (3, "Fraction"),
                                      (4, "rat")]
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def unkeyed_caches(path: Path) -> list:
+    """(line, name) for each function in ``path`` decorated with
+    ``lru_cache`` or ``cache`` that does not take exactly one parameter,
+    annotated ``SuperAlgebraSpec``.  Such a cache holds one entry per
+    algebra, so nothing keyed on a job's labels, b or couplings stays in
+    the process."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = [dec.func if isinstance(dec, ast.Call) else dec
+                      for dec in node.decorator_list]
+        if not any(getattr(dec, "id", getattr(dec, "attr", None)) in CACHES
+                   for dec in decorators):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        annotation = params[0].annotation if len(params) == 1 else None
+        if args.vararg or args.kwarg or not (
+                isinstance(annotation, ast.Name)
+                and annotation.id == "SuperAlgebraSpec"):
+            found.append((node.lineno, node.name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_keyed_by_the_spec_alone(path):
+    assert unkeyed_caches(path) == []
+
+
+def test_checker_sees_a_cache_keyed_by_more_than_the_spec(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "@lru_cache(maxsize=None)\n"
+                     "def table(spec: SuperAlgebraSpec):\n"
+                     "    return spec\n"
+                     "@functools.lru_cache\n"
+                     "def irrep(spec: SuperAlgebraSpec, a: tuple):\n"
+                     "    return a\n"
+                     "@cache\n"
+                     "def anything(spec):\n"
+                     "    return spec\n"
+                     "class Box:\n"
+                     "    @functools.cache\n"
+                     "    def held(self, *specs: SuperAlgebraSpec):\n"
+                     "        return specs\n", encoding="utf-8")
+    assert unkeyed_caches(probe) == [(7, "irrep"), (10, "anything"),
+                                     (14, "held")]
 
 
 def _names(tree) -> Counter:

@@ -1398,6 +1398,20 @@ def test_a_changed_table_has_no_presentation():
     assert even_restriction(sc).presentation is None
 
 
+def test_an_equal_table_shares_the_presentation_of_the_shared_one():
+    """A table equal to ``algebra_of(spec)`` gets that table's very
+    presentation; a corrupted copy of either gets None."""
+    shared = algebra.algebra_of(SuperAlgebraSpec(3, 1, "sl"))
+    sc = structure_constants(build_fundamental_rep(shared.spec))
+    assert sc is not shared and sc.table is not shared.table
+    assert sc.presentation is shared.presentation is not None
+    (pair, expansion), = list(sc.table.items())[:1]
+    for table in (sc, shared):
+        changed = with_terms(table, [(pair, next(iter(expansion)),
+                                      Fraction(1))])
+        assert changed.presentation is None
+
+
 @pytest.mark.parametrize("flavor,m,n,a,count", [
     ("sl", 3, 1, (1, 1), 13), ("sl", 4, 2, (0, 0, 0, 0), 21)],
     ids=["sl31", "sl42"])
