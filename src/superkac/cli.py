@@ -335,7 +335,7 @@ def run(cfg: JobConfig) -> int:
         report.extend(mat.block_relations_report(module,
                                                  check_super_relations))
         generic = {"b": Fraction(5, 7), "c": Fraction(3, 11)}
-        profile = mat.jordan_minpoly_profile(
+        profile = mat.jordan_profile(
             module, {name: bindings.get(name, generic[name])
                      for name in K.params}, {GenLabel("y"): Fraction(1)})
         degrees = sorted(set(profile.values()))

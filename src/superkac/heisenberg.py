@@ -179,16 +179,25 @@ def induce_heisenberg(H: HeisenbergSpec, base_dim: int, n: int, nu: tuple,
 def kh_in_phi_basis(phi: HModule) -> dict:
     """The directly induced K_H matrices in the phi basis, where the phi
     vector (J layer j, odd subset S, base vector l) is the K_H vector
-    (S, J layer j, base vector l)."""
+    (S, J layer j, base vector l).
+
+    The change of basis is a permutation, so each stored term is moved by
+    relabelling its rows and columns, which keeps it canonical."""
     T = phi.twist
     K, dL = T.base, T.base.L.dim
     basis_kh, mats_kh = induce_heisenberg(phi.H, dL, T.N, T.deformation.nu,
                                           phi.params)
     kh_index = {vector: index for index, vector in enumerate(basis_kh)}
-    source = [kh_index[(subset, j * dL + l)]
-              for j in range(T.N) for subset, l in K.basis]
-    return {label: mat.submatrix(source, source)
-            for label, mat in mats_kh.items()}
+    target = [0] * len(basis_kh)          # K_H index -> phi index
+    phi_vectors = ((subset, j * dL + l) for j in range(T.N)
+                   for subset, l in K.basis)
+    for index, vector in enumerate(phi_vectors):
+        target[kh_index[vector]] = index
+    return {label: PolyMatrix._of(mat.rows, mat.cols, mat.params, {
+        exps: (den, {target[r]: {target[c]: x for c, x in row.items()}
+                     for r, row in rows.items()})
+        for exps, (den, rows) in mat.terms.items()})
+        for label, mat in mats_kh.items()}
 
 
 def lowering_rank(phi: HModule, generating: list) -> int:

@@ -5,10 +5,14 @@ central charge c), they have an exact first-order derivative B along any
 direction nu on the centre h' of the even subalgebra, with the hypercharge
 part taken through y0 = (b - d.a)/k.  Placing the base matrices A on the
 block diagonal and B, scaled by couplings, on the first block superdiagonal
-gives for every N a representation on N stacked copies of the module.  The
+gives for every N a representation on N stacked copies of the module.  A
+deformation holds A on the generator surface of K and derives B for a
+label on its first read; only the direct check of the first-order
+identities extends them to the full basis.  The
 pure hypercharge direction with couplings lambda_t is the replication; with
 every coupling nonzero its hypercharge acts by Jordan blocks of size N on
-every weight space, which the replicate verb checks.  That profile alone
+every weight space, which the replicate verb checks, reading the degree off
+the N x N coupling matrix.  That profile alone
 does not prove the module indecomposable: the direct sum of an N-fold
 replication and K has the same one.  A general direction with
 unit couplings is the twist by the indecomposable h'-module J_n(nu).  The
@@ -33,11 +37,37 @@ from superkac.record import Record
 from superkac.report import VerificationReport
 
 
+class _Derivatives(Mapping):
+    """D(A) of each label of a deformation's A, computed on its first
+    read."""
+
+    def __init__(self, deformation: Deformation):
+        self._deformation = deformation
+        self._read: dict = {}
+
+    def __getitem__(self, label: GenLabel) -> PolyMatrix:
+        mat = self._read.get(label)
+        if mat is None:
+            D = self._deformation
+            mat = self._read[label] = D.along(D.A[label])
+        return mat
+
+    def __contains__(self, label) -> bool:
+        return label in self._deformation.A
+
+    def __iter__(self):
+        return iter(self._deformation.A)
+
+    def __len__(self) -> int:
+        return len(self._deformation.A)
+
+
 class Deformation(Record):
     """A Kac module's matrices A with their derivative B along nu on h'.
 
-    A covers the full basis (nonsimple root vectors via their recipes) and
-    B = D(A) is computed from it, for the derivation D = nu_y * k * d/db +
+    A holds the generator surface (``K.matrices``); a nonsimple root
+    vector that A leaves out is its recipe's bracket.  B = D(A) is derived
+    label by label as it is read, for the derivation D = nu_y * k * d/db +
     nu_c * d/dc, where nu = (nu_y, nu_c).  With S the block shift carrying
     the couplings, X = I (x) A + S (x) B satisfies the superbracket
     relations exactly when, at base dimension,
@@ -59,9 +89,10 @@ class Deformation(Record):
     A: dict                       # GenLabel -> PolyMatrix
 
     @cached_property
-    def B(self) -> dict:
-        """GenLabel -> D(A), over the labels of A."""
-        return {label: self.along(mat) for label, mat in self.A.items()}
+    def B(self) -> Mapping:
+        """GenLabel -> D(A), over the labels of A, each formed on its
+        first read."""
+        return _Derivatives(self)
 
     def along(self, mat: PolyMatrix) -> PolyMatrix:
         """D(mat), the derivative of a matrix over the base params along
@@ -72,12 +103,33 @@ class Deformation(Record):
             + ([(nu_c, mat.derivative("c"), None)] if nu_c else []))
 
     def affine_along(self) -> bool:
-        """Premise P2: no term of any A has degree above 1 along D, i.e.
-        in the parameters whose coefficient in D is nonzero."""
+        """Premise P2: no term of any A on the full basis has degree above
+        1 along D, i.e. in the parameters whose coefficient in D is
+        nonzero.  A nonsimple label that A leaves to its recipe has at most
+        the sum of its operands' degrees, so its matrix is formed only
+        where that bound exceeds 1."""
         moved = [self.base.params.index(name)
                  for name, x in zip(("b", "c"), self.nu) if x]
-        return all(sum(exps[i] for i in moved) <= 1
-                   for mat in self.A.values() for exps in mat.terms)
+
+        def degree(mat: PolyMatrix) -> int:
+            return max((sum(exps[i] for i in moved) for exps in mat.terms),
+                       default=0)
+
+        degrees = {label: degree(mat) for label, mat in self.A.items()}
+        recipes = self.base.sc.recipes
+
+        def bound(label: GenLabel) -> int:
+            if label not in degrees:
+                left, right = recipes[label]
+                degrees[label] = bound(left) + bound(right)
+            return degrees[label]
+
+        if any(d > 1 for d in degrees.values()):
+            return False
+        if all(bound(label) <= 1 for label in recipes):
+            return True
+        extended = extend_matrices(self.A, recipes)
+        return all(degree(extended[label]) <= 1 for label in recipes)
 
     def materialize(self, couplings: Sequence, labels=None) -> dict:
         """Block matrices I (x) A + S (x) B of the given labels, by default
@@ -103,8 +155,7 @@ def deformation(K: KacModule, nu_y, nu_c=Fraction(0)) -> Deformation:
     nu = (rat(nu_y), rat(nu_c))
     if nu[1] and "c" not in K.params:
         raise InputError("a z0 twist direction needs flavor gl")
-    return Deformation(base=K, nu=nu,
-                       A=extend_matrices(K.matrices, K.sc.recipes))
+    return Deformation(base=K, nu=nu, A=K.matrices)
 
 
 def odd_derivative(K: KacModule) -> Deformation:
@@ -127,15 +178,21 @@ def derivative_violations(D: Deformation, N: int) -> dict:
     g whose I, S and S^2 parts separate, so the generator-pair lemma of
     ``bracket_violations`` gives the verdict of all pairs for (i)-(iii)
     together; (ii) alone is exact once (i) holds, (iii) once (i) and (ii)
-    hold."""
+    hold.
+
+    The pairs reach every label of ``sc.basis``, so A is extended to the
+    full basis once per call, and B is the deformation's own on the labels
+    of A and D of the extension elsewhere."""
+    if N < 2:
+        return {}
     sc = D.base.sc
-    A, B = D.A, D.B
-    out = {}
-    if N >= 2:
-        out[LINEARIZED] = bracket_violations(
-            sc.basis, sc.generators, sc.table, B,
-            lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
-            + sbracket(pa, pb, B[la], A[lb]))
+    A = extend_matrices(D.A, sc.recipes)
+    B = {label: D.B[label] if label in D.A else D.along(mat)
+         for label, mat in A.items()}
+    out = {LINEARIZED: bracket_violations(
+        sc.basis, sc.generators, sc.table, B,
+        lambda la, lb, pa, pb: sbracket(pa, pb, A[la], B[lb])
+        + sbracket(pa, pb, B[la], A[lb]))}
     if N >= 3:
         out[SQUARE] = bracket_violations(sc.basis, sc.generators, {}, B)
     return out
@@ -238,7 +295,8 @@ class TwistSpec(Record):
 class ReplicatedModule(Record):
     """N x N block module of a deformation: base blocks on the diagonal,
     derivative blocks scaled by the rational couplings on the first
-    superdiagonal.  The block matrices are built on first use."""
+    superdiagonal.  A block matrix is built only by a reader that needs
+    it, through ``Deformation.materialize``."""
 
     deformation: Deformation
     couplings: tuple              # per-level scalars multiplying the superdiagonal
@@ -255,10 +313,6 @@ class ReplicatedModule(Record):
     @property
     def N(self) -> int:
         return len(self.couplings) + 1
-
-    @cached_property
-    def matrices(self) -> dict:
-        return self.deformation.materialize(self.couplings)
 
     @property
     def hw(self) -> tuple:
@@ -341,3 +395,81 @@ def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
         profile[key] = degree
     return profile
 
+
+# the component of nu that each label of h' reads
+_NU_SLOT = {"y": 0, "z0": 1}
+
+
+def _constant_term(mat: PolyMatrix) -> tuple | None:
+    """The stored term (den, rows) of a parameter-free matrix, else None."""
+    constant = (0,) * len(mat.params)
+    if any(exps != constant for exps in mat.terms):
+        return None
+    return mat.terms.get(constant, (1, {}))
+
+
+def coupling_jordan_profile(module: ReplicatedModule,
+                            bindings: Mapping[str, Fraction],
+                            h_coeffs: Mapping[GenLabel, Fraction]
+                            ) -> dict | None:
+    """``jordan_minpoly_profile`` of a block module, read off its N x N
+    coupling matrix C; None where a premise fails.
+
+    The block matrix of h = sum h_coeffs[label] * label is
+    I (x) A_h + C (x) B_h.  Where, at the bindings, B_h = nu(h) I and A_h
+    is diagonal with one value per class of equal shifts of K (equal
+    shifts are equal weights, see ``weight_spaces``), h minus its scalar
+    is nu(h) C (x) I on every weight space.  Its degree there is the
+    nilpotency index of nu(h) C, found by N x N integer powers.  Both
+    premises are checked in O(nnz) at base dimension, and only B of the
+    labels of h_coeffs is derived."""
+    D = module.deformation
+    K = D.base
+    nu_h = sum((coeff * D.nu[_NU_SLOT[label.kind]]
+                for label, coeff in h_coeffs.items()
+                if label.kind in _NU_SLOT), Fraction(0))
+
+    def bound(matrices: Mapping) -> tuple | None:
+        """The stored term of h's matrix in ``matrices`` at the bindings."""
+        return _constant_term(combination(
+            [(coeff, matrices[label], None)
+             for label, coeff in h_coeffs.items()]).substitute(bindings))
+
+    scalar = (nu_h.denominator,
+              {i: {i: nu_h.numerator} for i in range(K.dim)} if nu_h else {})
+    if bound(D.B) != scalar:
+        return None
+    a_term = bound(D.A)
+    if a_term is None:
+        return None
+    rows = a_term[1]
+    if any(row.keys() != {r} for r, row in rows.items()):
+        return None
+    value: dict = {}
+    for pos, shift in enumerate(K.shifts):
+        x = rows.get(pos, {}).get(pos, 0)
+        if value.setdefault(shift, x) != x:
+            return None
+    # nu(h) C times the common denominator of the couplings, which does
+    # not change its nilpotency index
+    den = lcm(*(c.denominator for c in module.couplings))
+    nil = {t: {t + 1: int(c * den)}
+           for t, c in enumerate(module.couplings) if c} if nu_h else {}
+    degree = 1
+    power = nil
+    while power:
+        degree += 1
+        power = integer_product(power, nil)
+    return {weight: degree for weight in weight_spaces(K, bindings)}
+
+
+def jordan_profile(module: ReplicatedModule,
+                   bindings: Mapping[str, Fraction],
+                   h_coeffs: Mapping[GenLabel, Fraction]) -> dict:
+    """The profile of ``jordan_minpoly_profile``, read off the coupling
+    matrix by ``coupling_jordan_profile`` where its premises hold, and
+    computed on the block matrix where one fails."""
+    profile = coupling_jordan_profile(module, bindings, h_coeffs)
+    if profile is None:
+        profile = jordan_minpoly_profile(module, bindings, h_coeffs)
+    return profile

@@ -4,7 +4,9 @@ matrices re-declared over other params entry by entry.
 
 The entries are added up in ParamPolys and stored by the validating
 ``PolyMatrix`` constructor, so no pencil accumulation of ``exact`` runs in
-the placement.
+the placement.  ``block_matrices`` gives every block matrix of a
+replication or twist as the program builds it, for the tests that read
+the whole set.
 """
 
 from superkac.exact import ParamPoly, PolyMatrix
@@ -44,3 +46,10 @@ def place_blocks(rows: int, cols: int, params, blocks) -> PolyMatrix:
             pos = (r + row_off, c + col_off)
             entries[pos] = entries.get(pos, ParamPoly.zero(params)) + v * q
     return PolyMatrix(rows, cols, params, entries)
+
+
+def block_matrices(module) -> dict:
+    """Every generator's block matrix of a replication or twist, built by
+    ``Deformation.materialize``: the full set of blocks, which no verb
+    builds, for the tests that read it."""
+    return module.deformation.materialize(module.couplings)

@@ -3,6 +3,7 @@ conjugation: the acceptance gate and the matryoshka tests both run them."""
 
 from fractions import Fraction
 
+from block_oracle import block_matrices
 from superkac.algebra import InputError
 from superkac.exact import PolyMatrix, kronecker_sum
 from superkac.kacmod import KacModule
@@ -28,10 +29,12 @@ def conjugation_check(source: ReplicatedModule, target: ReplicatedModule,
     K = source.base
     report = VerificationReport(f"superdiagonal rescaling by {lam}")
     q, q_inv = _diagonal(lam, K), _diagonal(1 / lam, K)
+    source_blocks, target_blocks = block_matrices(source), \
+        block_matrices(target)
     for label in K.matrices:
-        lhs = q @ source.matrices[label] @ q_inv
-        if lhs != target.matrices[label]:
-            pos, val = (lhs - target.matrices[label]).first_nonzero()
+        lhs = q @ source_blocks[label] @ q_inv
+        if lhs != target_blocks[label]:
+            pos, val = (lhs - target_blocks[label]).first_nonzero()
             report.add_fail(f"conjugation on {label}", f"entry {pos}", str(val))
             return report
     report.add_pass(f"Q (.) Q^-1 maps one block module to the other on "

@@ -28,6 +28,7 @@ from superkac.cli import main as cli_main
 from superkac.evenrep import build_even_irrep
 from superkac.exact import PolyMatrix
 from superkac.kacmod import induce, kac_typicality, singular_vectors
+from block_oracle import block_matrices
 from rescaling import conjugation_check, rescale_conjugation_check
 from testmatrix import (ALGEBRA_CONFIGS, COUPLING_SETS, GENERIC_B,
                         KAC_CONFIGS, bindings_for)
@@ -165,12 +166,13 @@ def test_criterion_6_matryoshka_theorem():
         for lams in COUPLING_SETS:
             N = len(lams) + 1
             R = mat.replicate(K, mat.ReplicationSpec(N, lams))
-            result = check_super_relations(R.matrices, sc, f"N={N}")
+            blocks = block_matrices(R)
+            result = check_super_relations(blocks, sc, f"N={N}")
             assert result.ok, result.summary()
             for lab in K.matrices:
                 for t in range(N):
                     copy = range(t * K.dim, (t + 1) * K.dim)
-                    assert R.matrices[lab].submatrix(copy, copy) == \
+                    assert blocks[lab].submatrix(copy, copy) == \
                         K.matrices[lab]
             profile = mat.jordan_minpoly_profile(
                 R, dict(binds, b=GENERIC_B), {GenLabel("y"): Fraction(1)})

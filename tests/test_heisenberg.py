@@ -8,9 +8,9 @@ import pytest
 from superkac import algebra
 from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, check_super_relations,
-                              structure_constants)
+                              extend_matrices, structure_constants)
 from superkac.evenrep import build_even_irrep
-from block_oracle import part_over, place_blocks
+from block_oracle import block_matrices, part_over, place_blocks
 from dense_oracles import dense_linear_solve
 from setup_oracles import rational_entries
 from superkac.exact import ParamPoly, PolyMatrix
@@ -114,13 +114,14 @@ class TestRhoFamily:
         T = twist(K, tspec)
         phi = phi_map(T, build_heisenberg(sc))
         rho = reference_rho_t(T)
+        blocks = block_matrices(T)
         for label, mat in phi.matrices.items():
             power = 0 if label.kind == "v" else 1
             assert part_over(rho[label], K.params, {"t": power}) == mat
         for label, mat in rho.items():
             assert mat.degree("t") <= 1
             assert part_over(mat.substitute({"t": 1}), K.params) == \
-                T.matrices[label]
+                blocks[label]
             if label.kind in ("h", "e", "f", "v"):
                 assert part_over(mat, K.params, {"t": 1}).is_zero
         assert affine_in_t_report(T).ok
@@ -228,7 +229,8 @@ class TestMixedDerivative:
         pair but not on every pair, so the report's item names (i) as the
         premise of its claim on all pairs."""
         K, sc = build_kac("sl", 3, 1, (1, 1))
-        D = deformation(K, Fraction(1))
+        D = deformation(K, Fraction(1)).replace(
+            A=extend_matrices(K.matrices, sc.recipes))
         F3 = GenLabel("F", 3)
         bad = D.replace(A={**D.A, F3: D.A[F3].scale(2)})
         assert not check_super_relations(bad.A, sc, "base relations").ok

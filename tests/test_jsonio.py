@@ -22,7 +22,7 @@ from superkac.evenrep import build_even_irrep
 from superkac.exact import ParamPoly, PolyMatrix
 from superkac.heisenberg import HModule
 from superkac.kacmod import KacModule, induce
-from block_oracle import part_over
+from block_oracle import block_matrices, part_over
 
 
 def stdlib_dumps(data) -> str:
@@ -81,14 +81,14 @@ def reference_module_to_json(module, bindings: dict | None = None) -> dict:
         base, blocks = module.base, module
         kind = "twist" if module.nu is not None else "replication"
     spec = base.sc.spec
+    matrices = block_matrices(module) if blocks is module else module.matrices
     out.update({
         "kind": kind,
         "algebra": {"flavor": spec.flavor, "m": spec.m, "n": spec.n},
         "highest_weight": {"a": list(base.L.labels)},
         "params": list(module.params),
         "dim": module.dim,
-        "generators": {str(lab): render(m)
-                       for lab, m in module.matrices.items()},
+        "generators": {str(lab): render(m) for lab, m in matrices.items()},
     })
     if blocks is None:
         out["basis"] = [{"odd_subset": list(subset), "even_index": l,

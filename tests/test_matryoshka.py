@@ -5,22 +5,27 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superkac import algebra, exact, matryoshka
+from superkac import algebra, cli, exact, matryoshka
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, extend_matrices,
                               structure_constants, superbracket_violations)
+from superkac.cli import JobConfig
 from superkac.evenrep import build_even_irrep
 from superkac.exact import (ParamPoly, ParameterizedEntryError, PolyMatrix,
                             kronecker_sum)
 from superkac.jsonio import export_json, module_to_json
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
-                                 TwistSpec, cartan_matrix_of, deformation,
+                                 TwistSpec, cartan_matrix_of,
+                                 coupling_jordan_profile, deformation,
                                  derivative_report, derivative_violations,
-                                 jordan_minpoly_profile, odd_derivative,
-                                 replicate, twist)
+                                 jordan_minpoly_profile, jordan_profile,
+                                 odd_derivative, replicate, twist)
+from block_oracle import block_matrices
 from rescaling import conjugation_check, rescale_conjugation_check
 from testmatrix import COUPLING_SETS
 
@@ -120,8 +125,7 @@ class TestHeisenbergIdentity:
 class TestReplicate:
     def test_n1_unchanged(self):
         R = replicate(QUARTET, ReplicationSpec(1, ()))
-        assert all(R.matrices[lab] == QUARTET.matrices[lab]
-                   for lab in QUARTET.matrices)
+        assert block_matrices(R) == QUARTET.matrices
 
     def test_doubling_block_form(self):
         # the 2D x 2D matrices: M = diag(mu, mu), Y = [[y, I], [0, y]],
@@ -139,8 +143,9 @@ class TestReplicate:
                        and j * dim <= c < (j + 1) * dim}
             return PolyMatrix(dim, dim, K.params, entries)
 
+        blocks = block_matrices(R)
         for lab, base in K.matrices.items():
-            mat = R.matrices[lab]
+            mat = blocks[lab]
             assert block(mat, 0, 0) == base and block(mat, 1, 1) == base
             assert block(mat, 1, 0).is_zero
             upper = block(mat, 0, 1)
@@ -156,24 +161,26 @@ class TestReplicate:
         lams = (Fraction(2), Fraction(-3, 5))
         R = replicate(K, ReplicationSpec(3, lams))
         dim = K.dim
-        Y = R.matrices[GenLabel("y")]
+        blocks = block_matrices(R)
+        Y = blocks[GenLabel("y")]
         for level, lam in enumerate(lams):
             for i in range(dim):
                 assert Y.entry(level * dim + i, (level + 1) * dim + i) == lam
-        assert check_super_relations(R.matrices, sc, "N=3").ok
+        assert check_super_relations(blocks, sc, "N=3").ok
 
     def test_relations_on_all_coupling_sets(self):
         for K, sc in ((QUARTET, SC21), (GL_A1, SCG21)):
             for lams in COUPLING_SETS:
                 R = replicate(K, ReplicationSpec(len(lams) + 1, lams))
-                assert check_super_relations(R.matrices, sc).ok
+                assert check_super_relations(block_matrices(R), sc).ok
 
     def test_diagonal_blocks_equal_base(self):
         R = replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4))))
+        blocks = block_matrices(R)
         for lab in OCTET.matrices:
             for t in range(3):
                 copy = range(t * OCTET.dim, (t + 1) * OCTET.dim)
-                assert R.matrices[lab].submatrix(copy, copy) == \
+                assert blocks[lab].submatrix(copy, copy) == \
                     OCTET.matrices[lab]
 
     def test_nesting(self):
@@ -182,8 +189,9 @@ class TestReplicate:
         R3 = replicate(QUARTET, ReplicationSpec(3, lams))
         R2 = replicate(QUARTET, ReplicationSpec(2, lams[:1]))
         lead = range(2 * QUARTET.dim)
-        assert all(mat.submatrix(lead, lead) == R2.matrices[lab]
-                   for lab, mat in R3.matrices.items())
+        blocks = block_matrices(R2)
+        assert all(mat.submatrix(lead, lead) == blocks[lab]
+                   for lab, mat in block_matrices(R3).items())
 
     def test_layers_built_once_with_the_same_artifact(self, monkeypatch,
                                                       tmp_path):
@@ -307,7 +315,7 @@ class TestJordanProfile:
                                                     Fraction(-1, 3))))
         y = GenLabel("y")
         expected = reference_jordan_profile(R, B57, HYPERCHARGE)
-        block = R.matrices[y]       # all blocks and B, built outside the count
+        block = block_matrices(R)[y]    # all blocks and B, outside the count
         assert cartan_matrix_of(R, {y: Fraction(1)}) == block
         passes = []
         pencil = exact._pencil
@@ -321,20 +329,23 @@ class TestJordanProfile:
         HYPERCHARGE, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}])
     def test_fresh_block_module_builds_only_the_cartan_labels(
             self, monkeypatch, h_coeffs):
-        calls = []
+        calls, derived = [], []
 
         def counting(*args):
             calls.append(args)
             return kronecker_sum(*args)
 
+        along = matryoshka.Deformation.along
         monkeypatch.setattr(matryoshka, "kronecker_sum", counting)
+        monkeypatch.setattr(matryoshka.Deformation, "along",
+                            lambda D, mat: derived.append(mat)
+                            or along(D, mat))
         spec = ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))
         fresh = replicate(SL31_A21, spec)
         profile = jordan_minpoly_profile(fresh, B57, h_coeffs)
-        assert len(calls) == len(h_coeffs)
-        assert "matrices" not in vars(fresh)
+        assert len(calls) == len(derived) == len(h_coeffs)
         built = replicate(SL31_A21, spec)
-        assert len(built.matrices) == len(SL31_A21.matrices)
+        assert len(block_matrices(built)) == len(SL31_A21.matrices)
         assert jordan_minpoly_profile(built, B57, h_coeffs) == profile
 
     def test_not_scalar_plus_nilpotent_rejected(self):
@@ -372,19 +383,143 @@ class TestJordanProfile:
         assert set(profile.values()) == {1}
 
 
+# the bases of the benchmark's indecomposable ladder
+LADDER_BASES = {"sl21_a2": build_kac("sl", 2, 1, (2,))[0], "gl21_a1": GL_A1,
+                "sl31_a11": build_kac("sl", 3, 1, (1, 1))[0],
+                "sl31_a21": SL31_A21}
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+
+
+def same_profile(module, bindings, h_coeffs) -> dict:
+    """The profile read off the coupling matrix, asserted equal to the one
+    computed on the block matrix: the same degrees on as many weight
+    spaces, weight by weight."""
+    read = coupling_jordan_profile(module, bindings, h_coeffs)
+    direct = jordan_minpoly_profile(module, bindings, h_coeffs)
+    assert read is not None
+    assert set(read.values()) == set(direct.values())
+    assert len(read) == len(direct)
+    assert read == direct
+    return read
+
+
+def bumped_y(K):
+    """K's hypercharge matrix with 1 added on the diagonal at the first
+    position whose weight an earlier position has, so that it takes two
+    values on that weight space."""
+    seen = set()
+    pos = next(pos for pos, shift in enumerate(K.shifts)
+               if shift in seen or seen.add(shift))
+    return K.matrices[GenLabel("y")] + PolyMatrix(K.dim, K.dim, K.params,
+                                                  {(pos, pos): 1})
+
+
+def replicate_job(path) -> str:
+    """The report an sl(3|1) a=(2,1) replicate job, N = 3, writes to
+    path."""
+    cfg = JobConfig(action="replicate", m=3, n=1, labels=(2, 1), N=3,
+                    lambdas=("2", "-1/3"), report=str(path))
+    assert cli.run(cfg) == 0
+    return path.read_text()
+
+
+class TestCouplingProfile:
+    @pytest.mark.parametrize("name", LADDER_BASES)
+    @settings(max_examples=12, deadline=None)
+    @given(couplings=st.lists(nonzero_rationals, max_size=3),
+           b=st.sampled_from([Fraction(5, 7), Fraction(0), Fraction(-2)]))
+    def test_replication_degree_is_read_off_the_couplings(self, name,
+                                                          couplings, b):
+        K = LADDER_BASES[name]
+        bindings = {"b": b, "c": Fraction(3, 11)} if "c" in K.params \
+            else {"b": b}
+        N = len(couplings) + 1
+        R = replicate(K, ReplicationSpec(N, tuple(couplings)))
+        assert set(same_profile(R, bindings, HYPERCHARGE).values()) == {N}
+
+    @pytest.mark.parametrize("nu", [(0, 1), (2, -3)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gl_twist_degrees_of_y_and_z0(self, nu, n):
+        T = twist(GL_A1, TwistSpec(n, nu))
+        for label, x in zip((GenLabel("y"), GenLabel("z0")), nu):
+            degrees = set(same_profile(T, GL_BINDINGS, {label: 1}).values())
+            assert degrees == {n if x else 1}
+
+    @pytest.mark.parametrize("module,bindings,h_coeffs", [
+        (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
+                          None), B57, HYPERCHARGE),
+        (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
+         B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}),
+        (twist(GL_A1, TwistSpec(3, (1, 2))), GL_BINDINGS,
+         {GenLabel("y"): Fraction(-2), GenLabel("z0"): Fraction(1)}),
+    ], ids=["couplings-1-0", "h1-plus-y", "twist-kernel"])
+    def test_cartan_combinations(self, module, bindings, h_coeffs):
+        same_profile(module, bindings, h_coeffs)
+
+    def test_scaled_b_y_takes_the_fallback(self, monkeypatch, tmp_path):
+        """With B_y = 2 I, not nu_y I, the verb computes the degree on the
+        block matrix, which has the same Jordan type, and writes the
+        report it writes unpatched."""
+        expected = replicate_job(tmp_path / "expected.json")
+        y, along, direct = (GenLabel("y"), matryoshka.Deformation.along,
+                            matryoshka.jordan_minpoly_profile)
+        fallbacks = []
+        monkeypatch.setattr(matryoshka.Deformation, "along", lambda D, mat:
+                            along(D, mat).scale(2 if mat is D.A[y] else 1))
+        monkeypatch.setattr(matryoshka, "jordan_minpoly_profile",
+                            lambda *args: fallbacks.append(1) or direct(*args))
+        R = replicate(SL31_A21, ReplicationSpec(3, (Fraction(2),
+                                                    Fraction(-1, 3))))
+        assert coupling_jordan_profile(R, B57, HYPERCHARGE) is None
+        assert replicate_job(tmp_path / "report.json") == expected
+        assert fallbacks == [1]
+        assert "hypercharge Jordan degree 3 on every weight space" in expected
+
+    def test_unequal_a_y_in_a_weight_space_takes_the_fallback(
+            self, monkeypatch):
+        """A_y with two values on one weight space: the verb computes the
+        degree on the block matrix, which raises as it always has."""
+        fallbacks = []
+        direct = matryoshka.jordan_minpoly_profile
+
+        def bumped(K, spec):
+            D = odd_derivative(K)
+            return ReplicatedModule(
+                D.replace(A={**D.A, GenLabel("y"): bumped_y(K)}),
+                spec.lambdas, None)
+
+        monkeypatch.setattr(matryoshka, "replicate", bumped)
+        monkeypatch.setattr(matryoshka, "jordan_minpoly_profile",
+                            lambda *args: fallbacks.append(1) or direct(*args))
+        assert coupling_jordan_profile(bumped(OCTET, ReplicationSpec(
+            2, (Fraction(1),))), B57, HYPERCHARGE) is None
+        with pytest.raises(InternalConsistencyError,
+                           match="not nilpotent minus scalar"):
+            cli.run(JobConfig(action="replicate", labels=(1,), N=2))
+        assert fallbacks == [1]
+
+    def test_unbound_parameter_rejected_as_by_the_block_matrix(self):
+        module = twist(GL_A1, TwistSpec(2, (1, 2)))
+        for profile in (jordan_profile, jordan_minpoly_profile):
+            with pytest.raises(ParameterizedEntryError, match="not constant"):
+                profile(module, B57, HYPERCHARGE)
+
+
 class TestTwist:
     def test_pure_y_direction_equals_replication(self):
         T = twist(GL_TRIV, TwistSpec(3, (1, 0)))
         R = replicate(GL_TRIV, ReplicationSpec(3, (1, 1)))
-        assert all(T.matrices[lab] == R.matrices[lab] for lab in T.matrices)
+        assert block_matrices(T) == block_matrices(R)
 
     def test_z0_direction_superdiagonal(self):
         T = twist(GL_TRIV, TwistSpec(2, (0, 1)))
         dim = GL_TRIV.dim
-        Z = T.matrices[GenLabel("z0")]
+        blocks = block_matrices(T)
+        Z = blocks[GenLabel("z0")]
         for i in range(dim):
             assert Z.entry(i, dim + i) == 1
-        for lab, mat in T.matrices.items():
+        for lab, mat in blocks.items():
             if lab.kind in ("e", "f", "h", "v", "u"):
                 for (r, c) in mat.entries:
                     assert not (r < dim <= c)
@@ -392,9 +527,9 @@ class TestTwist:
     def test_relations_pass_on_every_twist(self):
         for nu in ((1, 0), (0, 1), (2, -3)):
             T = twist(GL_A1, TwistSpec(2, nu))
-            assert check_super_relations(T.matrices, SCG21).ok
+            assert check_super_relations(block_matrices(T), SCG21).ok
         T = twist(QUARTET, TwistSpec(3, (1,)))
-        assert check_super_relations(T.matrices, SC21).ok
+        assert check_super_relations(block_matrices(T), SC21).ok
 
     def test_zero_direction_rejected(self):
         with pytest.raises(InputError):
@@ -433,10 +568,11 @@ def top_weight_mu(module) -> dict:
     is asserted."""
     top = range(0, module.dim, module.base.dim)
     mu = {}
+    blocks = block_matrices(module)
     for label in module.base.matrices:
         if label.kind not in ("h", "y", "z0"):
             continue
-        block = module.matrices[label].submatrix(top, top)
+        block = blocks[label].submatrix(top, top)
         for i in range(module.N):
             for j in range(module.N):
                 if i == j:
@@ -461,7 +597,7 @@ class TestTopWeightBlock:
         params = GL_TRIV.params
         for label, mu in ((GenLabel("y"), 2), (GenLabel("z0"), -3),
                           (GenLabel("h", 1), 0)):
-            block = T.matrices[label].submatrix(top, top)
+            block = block_matrices(T)[label].submatrix(top, top)
             assert block.entry(0, 0) == block.entry(1, 1)
             assert block.entry(1, 0).is_zero
             assert block.entry(0, 1) == ParamPoly.const(params, mu)

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkac import algebra, matryoshka
+from superkac import algebra, cli, matryoshka
 from superkac.algebra import (GenLabel, SuperAlgebraSpec, bracket_violations,
                               build_fundamental_rep, check_super_relations,
                               extend_matrices, parity_of, sbracket,
@@ -302,9 +302,11 @@ def test_coboundary_verdicts_match_full_reference(name):
     E, g, g_inv = unit_conjugator(K)
     D = deformation(K, *directions(K))
     C = deformation(conjugated(K), *directions(K))
-    for lab, mat in D.A.items():
+    conjugate = extend_matrices(C.base.matrices, K.sc.recipes)
+    for lab, mat in extend_matrices(K.matrices, K.sc.recipes).items():
         cobound = (E @ mat - mat @ E).scale(K.sc.k * D.nu[0])
-        assert C.B[lab] == g @ (D.B[lab] + cobound) @ g_inv
+        assert C.along(conjugate[lab]) == \
+            g @ (D.along(mat) + cobound) @ g_inv
     got = derivative_violations(C, 3)
     full = ref_derivative(K.sc, *ref_deformation(C.base, *directions(K)))
     assert {key: flat(v) for key, v in got.items()} == {
@@ -915,7 +917,8 @@ def test_failed_base_relations_are_the_premise_of_all_pairs():
     the base relations."""
     K = MODULES["sl31_a11"]
     sc, F3 = K.sc, GenLabel("F", 3)
-    D = deformation(K, Fraction(1))
+    D = deformation(K, Fraction(1)).replace(
+        A=extend_matrices(K.matrices, sc.recipes))
     bad = D.replace(A={**D.A, F3: D.A[F3].scale(2)})
     base, item = block_relations_report(block(bad, 2)).items
     assert not base.passed and item.passed
@@ -939,6 +942,30 @@ def test_degree_along_the_direction_counts_moved_parameters_only():
     assert block_relations_report(block(D, 3)).ok
 
 
+def test_a_nonsimple_root_vector_of_degree_2_fails_p2():
+    """gl(3|1) a=0 conjugated by g = I + c X, X the matrix unit at the
+    transpose of E_3's first entry, twisted along z0 alone: a true module
+    whose generator surface is affine in c, while E_3, its recipe's
+    bracket, has degree 2.  So P2 fails on the full basis, and (iii),
+    which fails, is computed directly."""
+    K = zero_label_module({"flavor": "gl", "m": 3, "n": 1})
+    E3 = GenLabel("E", 3)
+    (r, c), _ = extend_matrices(K.matrices, K.sc.recipes)[E3].first_nonzero()
+    eye = PolyMatrix.identity(K.dim, K.params)
+    cX = PolyMatrix(K.dim, K.dim, K.params, {(c, r): 1}).scale(
+        ParamPoly.var(K.params, "c"))
+    g, g_inv = eye + cX, eye - cX
+    K = K.replace(matrices={lab: g @ mat @ g_inv
+                            for lab, mat in K.matrices.items()})
+    assert max(mat.degree("c") for mat in K.matrices.values()) == 1
+    assert extend_matrices(K.matrices, K.sc.recipes)[E3].degree("c") == 2
+    D = deformation(K, 0, 1)
+    assert not D.affine_along()
+    report = block_relations_report(block(D, 3))
+    assert report.items == direct_items(D, 3)
+    assert [item.passed for item in report.items] == [True, True, False]
+
+
 @pytest.mark.parametrize("name,corruption", CASES,
                          ids=[f"{n}-{c or 'true'}" for n, c in CASES])
 def test_direct_residuals_are_derivatives_of_base_residuals(name,
@@ -947,7 +974,8 @@ def test_direct_residuals_are_derivatives_of_base_residuals(name,
     the direct (ii) residual is D of the (i) residual and, A being affine
     along D, twice the (iii) residual is D^2 of it."""
     K = case_module(name, corruption)
-    D = deformation(K, *directions(K))
+    D = deformation(K, *directions(K)).replace(
+        A=extend_matrices(K.matrices, K.sc.recipes))
     assert D.affine_along()
     sc, A, B = K.sc, D.A, D.B
     failing = 0
@@ -1046,13 +1074,14 @@ def test_true_tables_equal_with_the_certificate_declined(cfg, monkeypatch):
 @pytest.mark.parametrize("name", LEMMA_MODULES)
 def test_passing_modules_take_the_presentation(name, monkeypatch):
     """Every passing module of ALGEBRA_CONFIGS, given on its generator
-    surface or with every nonsimple root vector as a deformation gives
-    it, is proved by the presentation, without the certificate, the
-    pairwise loop or a recipe product, so a premise that a later change
-    breaks fails here instead of silently costing the pair residuals."""
+    surface or with every nonsimple root vector too, is proved by the
+    presentation, without the certificate, the pairwise loop or a recipe
+    product, so a premise that a later change breaks fails here instead
+    of silently costing the pair residuals."""
     K = LEMMA_MODULES[name]
+    extended = extend_matrices(K.matrices, K.sc.recipes)
     guard_module_checks(monkeypatch)
-    for matrices in (K.matrices, deformation(K, 1).A):
+    for matrices in (K.matrices, extended):
         assert superbracket_violations(matrices, K.sc) == []
         assert check_super_relations(matrices, K.sc).ok
 
@@ -1073,6 +1102,69 @@ def test_verify_ladder_takes_the_presentation(command, pins, tmp_path, capsys,
     presentation; super-Jacobi keeps its certificate."""
     guard_module_checks(monkeypatch)
     assert run_example(command, tmp_path, capsys, monkeypatch) == pins
+
+
+def guard_block_work(monkeypatch) -> dict:
+    """Count the work a block-module job does beyond its verb's reads: each
+    extension of a deformation's A to the full basis (the
+    ``extend_matrices`` of ``matryoshka``; ``induce`` keeps its own, on L's
+    even matrices) and each label whose B is derived, None for a label off
+    A.  A call of ``cartan_matrix_of``, which builds a block matrix, fails
+    the test."""
+    work = {"extended": 0, "derived": []}
+    extend, along = matryoshka.extend_matrices, matryoshka.Deformation.along
+
+    def extended(*args):
+        work["extended"] += 1
+        return extend(*args)
+
+    def derived(D, mat):
+        work["derived"].append(next(
+            (label for label, m in D.A.items() if m is mat), None))
+        return along(D, mat)
+
+    def refuse(*args):
+        raise AssertionError("a block matrix was built by cartan_matrix_of")
+
+    monkeypatch.setattr(matryoshka, "extend_matrices", extended)
+    monkeypatch.setattr(matryoshka.Deformation, "along", derived)
+    monkeypatch.setattr(matryoshka, "cartan_matrix_of", refuse)
+    return work
+
+
+# the bases of the benchmark's indecomposable ladder, each with a direction
+BLOCK_BASES = [(("sl", 2, 1, (2,)), ("-2/3",)),
+               (("gl", 2, 1, (1,)), ("2", "-3")),
+               (("sl", 3, 1, (1, 1)), ("1/2",)),
+               (("sl", 3, 1, (2, 1)), ("-1",))]
+# (verb, JobConfig fields, extensions of A, labels whose B is derived)
+BLOCK_JOBS = [
+    ("replicate", {"N": 3, "lambdas": ("2", "-1/3")}, 0, [GenLabel("y")]),
+    ("twist", {"n_twist": 3}, 0, []),
+    ("heisenberg", {}, 1, None),
+]
+
+
+@pytest.mark.parametrize("verb,fields,extensions,derived", BLOCK_JOBS,
+                         ids=[job[0] for job in BLOCK_JOBS])
+@pytest.mark.parametrize("base,nu", BLOCK_BASES,
+                         ids=[f"{f}{m}{n}-{a}" for (f, m, n, a), _
+                              in BLOCK_BASES])
+def test_block_jobs_do_only_the_work_their_verb_reads(
+        verb, fields, extensions, derived, base, nu, monkeypatch):
+    """A passing replicate or twist job never extends a deformation's A and
+    builds no block matrix for its Jordan profile; a twist derives no B,
+    and a replication B_y alone.  A heisenberg job, whose mixed-derivative
+    identity reads every pair of the full basis, extends A once."""
+    flavor, m, n, labels = base
+    if verb != "replicate":
+        fields = dict(fields, nu=nu)
+    work = guard_block_work(monkeypatch)
+    assert cli.run(cli.JobConfig(action=verb, flavor=flavor, m=m, n=n,
+                                 labels=labels, **fields)) == 0
+    assert work["extended"] == extensions
+    if derived is not None:
+        assert work["derived"] == derived
 
 
 def test_compensating_table_corruptions_are_declined(monkeypatch):
@@ -1200,7 +1292,7 @@ def test_a_corrupted_nonsimple_target_fails_as_pairwise():
     without that tie the check would have passed."""
     K = MODULES["sl31_a11"]
     sc, E3 = K.sc, GenLabel("E", 3)
-    D = deformation(K, 1)
+    D = deformation(K, 1).replace(A=extend_matrices(K.matrices, sc.recipes))
     pos, _ = D.A[E3].first_nonzero()
     A = {**D.A, E3: with_entry(D.A[E3], pos, Fraction(1))}
     expected = pairwise_of(A, sc)
