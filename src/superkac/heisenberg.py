@@ -3,12 +3,13 @@ twisted Kac modules.
 
 H keeps only the odd generators and the centre h' of the even subalgebra;
 the sole nonzero brackets are [a_-, a_+] = iota'([a_-, a_+]), the projection
-of the contraction onto h'.  Scaling the twist superdiagonal by a formal
-parameter t gives a family rho_t = I (x) A + t S (x) B of representations,
-affine in t; the assignment phi = (rho_0 on lowering, d/dt on h' and
-raising) is itself a representation of H, and coincides with the Kac module
-of H induced from L x J_n(nu) with trivial h' action on L.  As phi is
-I (x) A on the lowering part and S (x) B elsewhere, it and the checks on
+of the contraction onto h'.  Scaling the twist's coupling matrix C = J_n(0)
+by a formal parameter t gives a family rho_t = I (x) A + t C (x) B of
+representations, affine in t; the assignment phi = (rho_0 on lowering,
+d/dt on h' and raising) is itself a representation of H, and coincides
+with the Kac module of H induced from L x J_n(nu) with trivial h' action
+on L.  As phi is
+I (x) A on the lowering part and C (x) B elsewhere, it and the checks on
 rho_t are read off the twist's deformation, and rho_t is never built.
 """
 
@@ -78,7 +79,7 @@ def heisenberg_structure_report(H: HeisenbergSpec) -> VerificationReport:
 
 
 def affine_in_t_report(twist: ReplicatedModule) -> VerificationReport:
-    """rho_t = I (x) A + t S (x) B is affine in t by its form; t reaches a
+    """rho_t = I (x) A + t C (x) B is affine in t by its form; t reaches a
     generator exactly where its derivative B is nonzero."""
     report = VerificationReport("rho_t affine in t")
     B = twist.deformation.B
@@ -109,14 +110,12 @@ class HModule(Record):
 
 def phi_map(twist: ReplicatedModule, H: HeisenbergSpec) -> HModule:
     """phi(a_-) = rho_0(a_-) = I (x) A and, on h' and the raising part,
-    phi = d/dt rho_t = S (x) B, with S the unit shift across J layers."""
-    D, n = twist.deformation, twist.N
-    diagonal = (1, {j: {j: 1} for j in range(n)})
-    shift = (1, {j: {j + 1: 1} for j in range(n - 1)})
-    matrices = {label: kronecker_sum(
-        n, twist.base.dim, twist.params,
-        [(diagonal, D.A[label]) if label.kind == "v" else (shift, D.B[label])])
-        for label in H.labels}
+    phi = d/dt rho_t = C (x) B, with C = J_n(0) the twist's coupling
+    matrix."""
+    D = twist.deformation
+    matrices = {label: twist.block_matrix(D.A[label], None)
+                if label.kind == "v" else twist.block_matrix(None, D.B[label])
+                for label in H.labels}
     return HModule(twist=twist, H=H, matrices=matrices)
 
 
@@ -137,14 +136,15 @@ def mixed_derivative_report(twist: ReplicatedModule) -> VerificationReport:
     """[rho_t(a), rho'_t(b)] + [rho'_t(a), rho_t(b)] = rho'_t([a, b]) exactly,
     over every ordered pair of the full basis.
 
-    With rho_t = I (x) A + t S (x) B the left side is
-    S (x) ([A_a, B_b] + [B_a, A_b]) + 2t S^2 (x) [B_a, B_b], so the identity
-    is checked as (ii) and, for n >= 3, (iii) at base dimension.  They are
-    computed directly: the derivation lemma of ``Deformation`` needs (i),
-    which this check does not otherwise compute and which costs more than
-    (ii).  (ii) and (iii) on the generator pairs give them on all pairs
-    only where (i) holds, so the report names (i) as that premise."""
-    return derivative_report(twist.deformation, twist.N,
+    With rho_t = I (x) A + t C (x) B the left side is
+    C (x) ([A_a, B_b] + [B_a, A_b]) + 2t C^2 (x) [B_a, B_b], so the
+    identity is checked as (ii) and, where C^2 != 0, (iii) at base
+    dimension.  They are computed directly: the derivation lemma of
+    ``Deformation`` needs (i), which the heisenberg verb does not run, and
+    reading (ii) and (iii) off it would change this report's item and its
+    pinned output.  (ii) and (iii) on the generator pairs give them on all
+    pairs only where (i) holds, so the report names (i) as that premise."""
+    return derivative_report(twist.deformation, twist.index,
                              "t-derivative of the representation property",
                              "the base relations, which verify checks")
 

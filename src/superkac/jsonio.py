@@ -123,7 +123,7 @@ def _write_block_matrix(module, label: GenLabel, bindings: dict | None,
                         newline: str, out) -> None:
     """The block matrix of one label of a replication or twist, built from
     its deformation and dropped once written."""
-    m, = module.deformation.materialize(module.couplings, [label]).values()
+    m, = module.materialize([label]).values()
     _write_matrix(m, bindings, newline, out)
 
 
@@ -243,7 +243,9 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
     }
     if blocks is module:
         # a replication or twist: phi's couplings are the formal t
-        block["couplings"] = [str(x) for x in module.couplings]
+        block["couplings"] = [
+            str(module.coupling.entry(t, t + 1).constant_value())
+            for t in range(module.N - 1)]
         block["superdiagonal"] = "first block superdiagonal only"
         out["basis"] = partial(_write_basis, module, base)
     return out

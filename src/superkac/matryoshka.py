@@ -3,29 +3,27 @@
 Because the module matrices are affine in the odd label b (and the gl
 central charge c), they have an exact first-order derivative B along any
 direction nu on the centre h' of the even subalgebra, with the hypercharge
-part taken through y0 = (b - d.a)/k.  Placing the base matrices A on the
-block diagonal and B, scaled by couplings, on the first block superdiagonal
-gives for every N a representation on N stacked copies of the module.  A
-deformation holds A on the generator surface of K and derives B for a
-label on its first read; only the direct check of the first-order
-identities extends them to the full basis.  The
-pure hypercharge direction with couplings lambda_t is the replication; with
-every coupling nonzero its hypercharge acts by Jordan blocks of size N on
-every weight space, which the replicate verb checks, reading the degree off
-the N x N coupling matrix.  That profile alone
-does not prove the module indecomposable: the direct sum of an N-fold
-replication and K has the same one.  A general direction with
-unit couplings is the twist by the indecomposable h'-module J_n(nu).  The
-Heisenberg family rho_t scales a twist's superdiagonal by a formal t, and
-is read off its deformation.
+part taken through y0 = (b - d.a)/k.  Every block module is
+I (x) A + C (x) B: the base matrices A on the block diagonal and B coupled
+by an N x N coupling matrix C, which gives for every N a representation on
+N stacked copies of the module.  A deformation holds A on the generator
+surface of K and derives B for a label on its first read; only the direct
+check of the first-order identities extends them to the full basis.  The
+pure hypercharge direction with C the superdiagonal of the couplings
+lambda_t is the replication; with every coupling nonzero its hypercharge
+acts by Jordan blocks of size N on every weight space, which the replicate
+verb checks, reading the degree off C.  That profile alone does not prove
+the module indecomposable: the direct sum of an N-fold replication and K
+has the same one.  A general direction with C = J_n(0) is the twist by the
+indecomposable h'-module J_n(nu).  The Heisenberg family rho_t scales a
+twist's C by a formal t, and is read off its deformation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               bracket_violations, check_super_relations,
@@ -68,12 +66,12 @@ class Deformation(Record):
     A holds the generator surface (``K.matrices``); a nonsimple root
     vector that A leaves out is its recipe's bracket.  B = D(A) is derived
     label by label as it is read, for the derivation D = nu_y * k * d/db +
-    nu_c * d/dc, where nu = (nu_y, nu_c).  With S the block shift carrying
-    the couplings, X = I (x) A + S (x) B satisfies the superbracket
+    nu_c * d/dc, where nu = (nu_y, nu_c).  With C a nilpotent N x N
+    coupling matrix, X = I (x) A + C (x) B satisfies the superbracket
     relations exactly when, at base dimension,
       (i)   the base relations hold, symbolically in (b, c);
-      (ii)  [A_a, B_b] + [B_a, A_b] = sum_t f_ab^t B_t  (for N >= 2);
-      (iii) [B_a, B_b] = 0  (for N >= 3, where S^2 is nonzero).
+      (ii)  [A_a, B_b] + [B_a, A_b] = sum_t f_ab^t B_t  (where C != 0);
+      (iii) [B_a, B_b] = 0  (where C^2 != 0).
 
     Derivation lemma: with R_ab = [A_a, A_b] - sum_t f_ab^t A_t the
     residual of (i), the residual of (ii) is D(R_ab) by Leibniz, as B = D(A)
@@ -131,24 +129,6 @@ class Deformation(Record):
         extended = extend_matrices(self.A, recipes)
         return all(degree(extended[label]) <= 1 for label in recipes)
 
-    def materialize(self, couplings: Sequence, labels=None) -> dict:
-        """Block matrices I (x) A + S (x) B of the given labels, by default
-        the generator surface, where S carries the rational couplings[t]
-        from copy t+1 to copy t over one common denominator."""
-        N = len(couplings) + 1
-        diagonal = (1, {t: {t: 1} for t in range(N)})
-        den = lcm(*(c.denominator for c in couplings))
-        shift = (den, {t: {t + 1: int(c * den)}
-                       for t, c in enumerate(couplings)})
-        matrices = {}
-        for label in self.base.matrices if labels is None else labels:
-            parts = [(diagonal, self.A[label])]
-            if not self.B[label].is_zero:
-                parts.append((shift, self.B[label]))
-            matrices[label] = kronecker_sum(N, self.base.dim,
-                                            self.base.params, parts)
-        return matrices
-
 
 def deformation(K: KacModule, nu_y, nu_c=Fraction(0)) -> Deformation:
     """The first-order deformation of K along nu = (nu_y, nu_c)."""
@@ -169,13 +149,15 @@ SQUARE = "(iii) [B_a,B_b] = 0"
 
 
 def derivative_violations(D: Deformation, N: int) -> dict:
-    """Violating generator pairs of identities (ii) and (iii) for an
-    N-fold module, each computed directly.
+    """Violating generator pairs of identities (ii) and (iii) for a block
+    module whose coupling matrix C has nilpotency index N, each computed
+    directly.
 
-    Only N decides which identities apply: (ii) from N = 2, (iii) from
-    N = 3.  Only the pairs that contain a label of ``sc.generators`` are
-    checked: the block matrices X = I (x) A + S (x) B are a linear map of
-    g whose I, S and S^2 parts separate, so the generator-pair lemma of
+    Only N decides which identities apply: (ii) from N = 2, where C != 0,
+    and (iii) from N = 3, where C^2 != 0.  Only the pairs that contain a
+    label of ``sc.generators`` are checked: the block matrices
+    X = I (x) A + C (x) B are a linear map of g whose I, C and C^2 parts
+    separate, so the generator-pair lemma of
     ``bracket_violations`` gives the verdict of all pairs for (i)-(iii)
     together; (ii) alone is exact once (i) holds, (iii) once (i) and (ii)
     hold.
@@ -224,16 +206,17 @@ def block_relations_report(module: ReplicatedModule,
     at base dimension as (i) the base relations and (ii)-(iii).
 
     (i) is ``check(A, sc, title)``, the one relation checker unless a
-    caller passes its own binding of it.  B is D(A) by construction
-    (premise P1), so where (i) has no violation and, for N >= 3, every A is
-    affine along D (premise P2), the derivation lemma of ``Deformation``
+    caller passes its own binding of it.  Which of (ii) and (iii) apply is
+    read off the index of the coupling matrix C.  B is D(A) by construction
+    (premise P1), so where (i) has no violation and, where C^2 != 0, every
+    A is affine along D (premise P2), the derivation lemma of ``Deformation``
     proves (ii) and (iii) on every pair, and they are reported as passing
     without a product.
     Otherwise they are computed by ``derivative_report``, so every failing
     item, count and locator is that of the direct path; where (i) fails,
     their items name it as the premise under which the generator pairs
     imply all pairs."""
-    D, N = module.deformation, module.N
+    D, N = module.deformation, module.index
     report = check(D.A, D.base.sc, "base relations")
     if N == 1:
         return report
@@ -293,13 +276,15 @@ class TwistSpec(Record):
 
 
 class ReplicatedModule(Record):
-    """N x N block module of a deformation: base blocks on the diagonal,
-    derivative blocks scaled by the rational couplings on the first
-    superdiagonal.  A block matrix is built only by a reader that needs
-    it, through ``Deformation.materialize``."""
+    """Block module I (x) A + C (x) B of a deformation: base blocks on the
+    diagonal, derivative blocks coupled by the parameter-free N x N
+    coupling matrix C.  A replication's C carries its couplings on the
+    first superdiagonal, and a twist's is J_n(0).  Which first-order
+    identities apply and the Jordan profile are read off C's nilpotency
+    index; a block matrix is built only by a reader that needs it."""
 
     deformation: Deformation
-    couplings: tuple              # per-level scalars multiplying the superdiagonal
+    coupling: PolyMatrix          # C
     nu: tuple | None              # twist direction, None for pure replications
 
     @property
@@ -312,7 +297,20 @@ class ReplicatedModule(Record):
 
     @property
     def N(self) -> int:
-        return len(self.couplings) + 1
+        return self.coupling.rows
+
+    @cached_property
+    def index(self) -> int:
+        """The nilpotency index of C, the least k with C^k = 0."""
+        _, nil = self.coupling.integer_term()
+        index, power = 1, nil
+        while power:
+            index += 1
+            if index > self.N:
+                raise InternalConsistencyError(
+                    "coupling matrix is not nilpotent")
+            power = integer_product(power, nil)
+        return index
 
     @property
     def hw(self) -> tuple:
@@ -330,146 +328,92 @@ class ReplicatedModule(Record):
     def dim(self) -> int:
         return self.N * self.base.dim
 
+    def block_matrix(self, a: PolyMatrix | None,
+                     b: PolyMatrix | None) -> PolyMatrix:
+        """I (x) a + C (x) b, a part given as None left out."""
+        identity = (1, {t: {t: 1} for t in range(self.N)})
+        parts = [(w, m) for w, m in ((identity, a),
+                                     (self.coupling.integer_term(), b))
+                 if m is not None]
+        return kronecker_sum(self.N, self.base.dim, self.params, parts)
+
+    def materialize(self, labels=None) -> dict:
+        """Block matrices I (x) A + C (x) B of the given labels, by default
+        the generator surface."""
+        D = self.deformation
+        return {label: self.block_matrix(D.A[label], D.B[label])
+                for label in (self.base.matrices if labels is None
+                              else labels)}
+
+
+def _superdiagonal(values: tuple) -> PolyMatrix:
+    """The square matrix with values on its first superdiagonal."""
+    N = len(values) + 1
+    return PolyMatrix(N, N, (), {(t, t + 1): x for t, x in enumerate(values)})
+
 
 def replicate(K: KacModule, spec: ReplicationSpec) -> ReplicatedModule:
-    """N stacked copies coupled through u' and the identity on Y."""
-    return ReplicatedModule(odd_derivative(K), spec.lambdas, None)
+    """N stacked copies coupled through u' and the identity on Y, with C
+    the superdiagonal of the couplings."""
+    return ReplicatedModule(odd_derivative(K), _superdiagonal(spec.lambdas),
+                            None)
 
 
 def twist(K: KacModule, spec: TwistSpec) -> ReplicatedModule:
-    """K(L x J_n(nu)): n copies coupled through the nu-directional derivative."""
+    """K(L x J_n(nu)): n copies coupled through the nu-directional
+    derivative, with C = J_n(0)."""
     if len(spec.nu) == 2 and "c" not in K.params:
         raise InputError("nu must have one component on sl, which has no "
                          f"z0 direction; got {[str(x) for x in spec.nu]}")
     return ReplicatedModule(deformation(K, *spec.nu),
-                            (Fraction(1),) * (spec.n - 1), spec.nu)
+                            _superdiagonal((1,) * (spec.n - 1)), spec.nu)
 
 
 # -- invariants of the block modules ------------------------------------------
 
-def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatrix:
-    """Matrix of a Cartan combination sum h_coeffs[label] * label; a block
-    module builds only the labels of h_coeffs."""
-    mats = module.deformation.materialize(module.couplings, h_coeffs) \
-        if isinstance(module, ReplicatedModule) else module.matrices
-    return combination([(coeff, mats[label], None)
-                        for label, coeff in h_coeffs.items()])
-
-
-def jordan_minpoly_profile(module, bindings: Mapping[str, Fraction],
-                           h_coeffs: Mapping[GenLabel, Fraction]) -> dict:
-    """Exact minimal polynomial degree of the Cartan element h_coeffs on
-    every generalized weight space, after binding the symbolic parameters.
-
-    The degree is the nilpotency index of the restriction minus its scalar
-    part; for an N-fold replication with all couplings nonzero it equals N
-    for the hypercharge wherever the base multiplicity is nonzero.
-    """
-    # weight_spaces raises ParameterizedEntryError unless every parameter
-    # is bound, and integer_term unless the matrix is then rational
-    _, stored = cartan_matrix_of(module, h_coeffs).substitute(
-        bindings).integer_term()
-    profile = {}
-    for key, cols in weight_spaces(module, bindings).items():
-        # the block minus its scalar part, the common diagonal value the
-        # weight space carries, times the matrix's denominator, which does
-        # not change its nilpotency index
-        at = {c: j for j, c in enumerate(cols)}
-        eigen = stored.get(cols[0], {}).get(cols[0], 0)
-        nil = {}
-        for i, r in enumerate(cols):
-            row = {at[c]: x for c, x in stored.get(r, {}).items() if c in at}
-            row[i] = row.get(i, 0) - eigen
-            row = {j: x for j, x in row.items() if x}
-            if row:
-                nil[i] = row
-        degree = 1
-        power = nil
-        while power:
-            degree += 1
-            if degree > len(cols):
-                raise InternalConsistencyError(
-                    "Cartan element is not nilpotent minus scalar on a "
-                    "generalized weight space")
-            power = integer_product(power, nil)
-        profile[key] = degree
-    return profile
-
-
-# the component of nu that each label of h' reads
-_NU_SLOT = {"y": 0, "z0": 1}
-
-
-def _constant_term(mat: PolyMatrix) -> tuple | None:
-    """The stored term (den, rows) of a parameter-free matrix, else None."""
-    constant = (0,) * len(mat.params)
-    if any(exps != constant for exps in mat.terms):
-        return None
-    return mat.terms.get(constant, (1, {}))
-
-
-def coupling_jordan_profile(module: ReplicatedModule,
-                            bindings: Mapping[str, Fraction],
-                            h_coeffs: Mapping[GenLabel, Fraction]
-                            ) -> dict | None:
-    """``jordan_minpoly_profile`` of a block module, read off its N x N
-    coupling matrix C; None where a premise fails.
-
-    The block matrix of h = sum h_coeffs[label] * label is
-    I (x) A_h + C (x) B_h.  Where, at the bindings, B_h = nu(h) I and A_h
-    is diagonal with one value per class of equal shifts of K (equal
-    shifts are equal weights, see ``weight_spaces``), h minus its scalar
-    is nu(h) C (x) I on every weight space.  Its degree there is the
-    nilpotency index of nu(h) C, found by N x N integer powers.  Both
-    premises are checked in O(nnz) at base dimension, and only B of the
-    labels of h_coeffs is derived."""
-    D = module.deformation
-    K = D.base
-    nu_h = sum((coeff * D.nu[_NU_SLOT[label.kind]]
-                for label, coeff in h_coeffs.items()
-                if label.kind in _NU_SLOT), Fraction(0))
-
-    def bound(matrices: Mapping) -> tuple | None:
-        """The stored term of h's matrix in ``matrices`` at the bindings."""
-        return _constant_term(combination(
-            [(coeff, matrices[label], None)
-             for label, coeff in h_coeffs.items()]).substitute(bindings))
-
-    scalar = (nu_h.denominator,
-              {i: {i: nu_h.numerator} for i in range(K.dim)} if nu_h else {})
-    if bound(D.B) != scalar:
-        return None
-    a_term = bound(D.A)
-    if a_term is None:
-        return None
-    rows = a_term[1]
-    if any(row.keys() != {r} for r, row in rows.items()):
-        return None
-    value: dict = {}
-    for pos, shift in enumerate(K.shifts):
-        x = rows.get(pos, {}).get(pos, 0)
-        if value.setdefault(shift, x) != x:
-            return None
-    # nu(h) C times the common denominator of the couplings, which does
-    # not change its nilpotency index
-    den = lcm(*(c.denominator for c in module.couplings))
-    nil = {t: {t + 1: int(c * den)}
-           for t, c in enumerate(module.couplings) if c} if nu_h else {}
-    degree = 1
-    power = nil
-    while power:
-        degree += 1
-        power = integer_product(power, nil)
-    return {weight: degree for weight in weight_spaces(K, bindings)}
-
-
 def jordan_profile(module: ReplicatedModule,
                    bindings: Mapping[str, Fraction],
                    h_coeffs: Mapping[GenLabel, Fraction]) -> dict:
-    """The profile of ``jordan_minpoly_profile``, read off the coupling
-    matrix by ``coupling_jordan_profile`` where its premises hold, and
-    computed on the block matrix where one fails."""
-    profile = coupling_jordan_profile(module, bindings, h_coeffs)
-    if profile is None:
-        profile = jordan_minpoly_profile(module, bindings, h_coeffs)
-    return profile
+    """Exact minimal polynomial degree of the Cartan element
+    h = sum h_coeffs[label] * label on every generalized weight space of a
+    block module, after binding the symbolic parameters, read off its
+    coupling matrix C.
+
+    The block matrix of h is I (x) A_h + C (x) B_h.  At the bindings,
+    B_h is read as mu I for a scalar mu, and A_h must be diagonal with one
+    value per class of equal shifts of K (equal shifts are equal weights,
+    see ``weight_spaces``).  Then h minus its scalar is mu C (x) I on every
+    weight space, and its degree there is the nilpotency index of mu C: 1
+    where mu = 0, else the index of C.  Both premises are checked in
+    O(nnz) at base dimension, and only B of the labels of h_coeffs is
+    derived; a failed premise raises InternalConsistencyError naming it.
+    An unbound parameter raises ParameterizedEntryError from
+    ``weight_spaces``."""
+    D = module.deformation
+    K = D.base
+    spaces = weight_spaces(K, bindings)
+
+    def bound(matrices: Mapping) -> dict:
+        """The integer rows of h's matrix in ``matrices`` at the bindings,
+        over their denominator."""
+        return combination([(coeff, matrices[label], None)
+                            for label, coeff in h_coeffs.items()]
+                           ).substitute(bindings).integer_term()[1]
+
+    rows = bound(D.B)
+    mu = rows.get(0, {}).get(0, 0)
+    if rows != ({i: {i: mu} for i in range(K.dim)} if mu else {}):
+        raise InternalConsistencyError(
+            "Jordan profile premise failed: B_h is not a scalar times I at "
+            "the bindings")
+    rows = bound(D.A)
+    value: dict = {}
+    for pos, shift in enumerate(K.shifts):
+        row = rows.get(pos, {})
+        x = row.get(pos, 0)
+        if row.keys() - {pos} or value.setdefault(shift, x) != x:
+            raise InternalConsistencyError(
+                "Jordan profile premise failed: A_h is not diagonal with one "
+                "value per weight space at the bindings")
+    degree = module.index if mu else 1
+    return {weight: degree for weight in spaces}

@@ -28,7 +28,7 @@ from superkac.cli import main as cli_main
 from superkac.evenrep import build_even_irrep
 from superkac.exact import PolyMatrix
 from superkac.kacmod import induce, kac_typicality, singular_vectors
-from block_oracle import block_matrices
+from block_oracle import block_matrices, jordan_minpoly_profile
 from rescaling import conjugation_check, rescale_conjugation_check
 from testmatrix import (ALGEBRA_CONFIGS, COUPLING_SETS, GENERIC_B,
                         KAC_CONFIGS, bindings_for)
@@ -174,11 +174,11 @@ def test_criterion_6_matryoshka_theorem():
                     copy = range(t * K.dim, (t + 1) * K.dim)
                     assert blocks[lab].submatrix(copy, copy) == \
                         K.matrices[lab]
-            profile = mat.jordan_minpoly_profile(
+            profile = jordan_minpoly_profile(
                 R, dict(binds, b=GENERIC_B), {GenLabel("y"): Fraction(1)})
             assert set(profile.values()) == {N}
         for lam in (Fraction(1), Fraction(2), Fraction(-3, 5)):
-            assert rescale_conjugation_check(K, lam).ok
+            assert rescale_conjugation_check(K, (lam,)).ok
     report(6, "N in {2,3} replications with couplings (1), (1,1), (2,-3/5): "
               "exact relations, base diagonal blocks, Jordan degree N on "
               "every weight space, and the rescaling conjugation identity")
@@ -195,14 +195,14 @@ def test_criterion_7_self_extension_isomorphism():
     # the annihilated direction stays semisimple while the transverse one
     # reaches the full Jordan depth n
     degrees = tuple(
-        mat.jordan_minpoly_profile(mat.twist(K, mat.TwistSpec(n, d)), binds,
-                                   {GenLabel("z0"): Fraction(1)})[top]
+        jordan_minpoly_profile(mat.twist(K, mat.TwistSpec(n, d)), binds,
+                               {GenLabel("z0"): Fraction(1)})[top]
         for d in ((1, 0), (0, 1)))
     assert degrees == (1, n)
     # proportional directions: diag(2, 1) (x) I conjugates the twist by nu
     # into the twist by 2 nu on every generator
     same = conjugation_check(mat.twist(K, mat.TwistSpec(n, (1, 0))),
-                             mat.twist(K, mat.TwistSpec(n, (2, 0))), 2)
+                             mat.twist(K, mat.TwistSpec(n, (2, 0))), (2, 1))
     assert same.ok, same.summary()
     report(7, "transverse twist directions on gl(2|1) are not isomorphic "
               "(minimal polynomial degrees 1 vs n); proportional directions "

@@ -10,7 +10,8 @@ from superkac.algebra import (GenLabel, SuperAlgebraSpec,
                               build_fundamental_rep, check_super_relations,
                               extend_matrices, structure_constants)
 from superkac.evenrep import build_even_irrep
-from block_oracle import block_matrices, part_over, place_blocks
+from block_oracle import (block_matrices, part_over, place_blocks,
+                          superdiagonal)
 from dense_oracles import dense_linear_solve
 from setup_oracles import rational_entries
 from superkac.exact import ParamPoly, PolyMatrix
@@ -235,7 +236,7 @@ class TestMixedDerivative:
         bad = D.replace(A={**D.A, F3: D.A[F3].scale(2)})
         assert not check_super_relations(bad.A, sc, "base relations").ok
         (item,) = mixed_derivative_report(
-            ReplicatedModule(bad, (Fraction(1),), (Fraction(1),))).items
+            ReplicatedModule(bad, superdiagonal((1,)), (Fraction(1),))).items
         assert item.passed
         assert item.name.endswith(
             "on all 104 generator pairs; all 15^2 pairs follow given the "

@@ -103,7 +103,9 @@ def reference_module_to_json(module, bindings: dict | None = None) -> dict:
         "nu": [str(x) for x in blocks.nu] if blocks.nu else None,
     }
     if blocks is module:
-        block["couplings"] = [str(x) for x in module.couplings]
+        block["couplings"] = [
+            str(module.coupling.entry(t, t + 1).constant_value())
+            for t in range(module.N - 1)]
         block["superdiagonal"] = "first block superdiagonal only"
         out["basis"] = [{"copy": pos // base.dim,
                          "odd_subset": list(base.basis[pos % base.dim][0]),

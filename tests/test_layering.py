@@ -467,7 +467,7 @@ RECORD_FIELDS = {
     "matryoshka.Deformation": ("base", "nu", "A"),
     "matryoshka.ReplicationSpec": ("N", "lambdas"),
     "matryoshka.TwistSpec": ("n", "nu"),
-    "matryoshka.ReplicatedModule": ("deformation", "couplings", "nu"),
+    "matryoshka.ReplicatedModule": ("deformation", "coupling", "nu"),
     "report.CheckItem": ("name", "passed", "location", "residual"),
     "report.VerificationReport": ("title", "items"),
 }

@@ -20,12 +20,11 @@ from superkac.exact import (ParamPoly, ParameterizedEntryError, PolyMatrix,
 from superkac.jsonio import export_json, module_to_json
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
-                                 TwistSpec, cartan_matrix_of,
-                                 coupling_jordan_profile, deformation,
-                                 derivative_report, derivative_violations,
-                                 jordan_minpoly_profile, jordan_profile,
+                                 TwistSpec, deformation, derivative_report,
+                                 derivative_violations, jordan_profile,
                                  odd_derivative, replicate, twist)
-from block_oracle import block_matrices
+from block_oracle import (block_matrices, cartan_matrix_of,
+                          jordan_minpoly_profile, superdiagonal)
 from rescaling import conjugation_check, rescale_conjugation_check
 from testmatrix import COUPLING_SETS
 
@@ -239,18 +238,32 @@ class TestReplicate:
 class TestRescaleConjugation:
     def test_identity_and_generic_scalars(self):
         for lam in (Fraction(1), Fraction(2), Fraction(-3, 5)):
-            assert rescale_conjugation_check(QUARTET, lam).ok
+            assert rescale_conjugation_check(QUARTET, (lam,)).ok
+
+    @pytest.mark.parametrize("lambdas", [
+        (Fraction(-2, 3),), (Fraction(2), Fraction(-3, 5)),
+        (Fraction(3), Fraction(1, 2), Fraction(-4))], ids=["N2", "N3", "N4"])
+    def test_couplings_are_a_choice_of_basis(self, lambdas):
+        # diag(q) (x) I with q_t = q_(t+1) / lambda_t carries the
+        # replication with couplings lambda to the one with unit couplings
+        K = LADDER_BASES["sl21_a2"]
+        assert rescale_conjugation_check(K, lambdas).ok
+        N = len(lambdas) + 1
+        unit = replicate(K, ReplicationSpec(N, (1,) * (N - 1)))
+        found = conjugation_check(
+            replicate(K, ReplicationSpec(N, lambdas)), unit, (1,) * N)
+        assert not found.ok
 
     def test_zero_rejected(self):
         with pytest.raises(InputError):
-            rescale_conjugation_check(QUARTET, Fraction(0))
+            rescale_conjugation_check(QUARTET, (Fraction(0),))
 
     def test_wrong_scale_refused(self):
         # diag(3, 1) does not carry the twist by nu to the one by 2 nu
         source = twist(GL_TRIV, TwistSpec(2, (1, 0)))
         target = twist(GL_TRIV, TwistSpec(2, (2, 0)))
-        assert conjugation_check(source, target, 2).ok
-        found = conjugation_check(source, target, 3)
+        assert conjugation_check(source, target, (2, 1)).ok
+        found = conjugation_check(source, target, (3, 1))
         assert not found.ok
         assert found.items[0].name == "conjugation on y"
 
@@ -289,7 +302,7 @@ class TestJordanProfile:
     @pytest.mark.parametrize("module,bindings,h_coeffs,degrees", [
         (replicate(SL31_A21, ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))),
          B57, HYPERCHARGE, {3}),
-        (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
+        (ReplicatedModule(odd_derivative(OCTET), superdiagonal((1, 0)),
                           None), B57, HYPERCHARGE, {2}),
         (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
          B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)},
@@ -378,7 +391,8 @@ class TestJordanProfile:
         # a zero coupling, which ReplicationSpec rejects, given to the block
         # module directly gives a direct sum, detected by the profile
         # collapsing to 1
-        R0 = ReplicatedModule(odd_derivative(QUARTET), (Fraction(0),), None)
+        R0 = ReplicatedModule(odd_derivative(QUARTET), superdiagonal((0,)),
+                              None)
         profile = jordan_minpoly_profile(R0, B57, HYPERCHARGE)
         assert set(profile.values()) == {1}
 
@@ -395,9 +409,8 @@ def same_profile(module, bindings, h_coeffs) -> dict:
     """The profile read off the coupling matrix, asserted equal to the one
     computed on the block matrix: the same degrees on as many weight
     spaces, weight by weight."""
-    read = coupling_jordan_profile(module, bindings, h_coeffs)
+    read = jordan_profile(module, bindings, h_coeffs)
     direct = jordan_minpoly_profile(module, bindings, h_coeffs)
-    assert read is not None
     assert set(read.values()) == set(direct.values())
     assert len(read) == len(direct)
     assert read == direct
@@ -447,7 +460,7 @@ class TestCouplingProfile:
             assert degrees == {n if x else 1}
 
     @pytest.mark.parametrize("module,bindings,h_coeffs", [
-        (ReplicatedModule(odd_derivative(OCTET), (Fraction(1), Fraction(0)),
+        (ReplicatedModule(odd_derivative(OCTET), superdiagonal((1, 0)),
                           None), B57, HYPERCHARGE),
         (replicate(OCTET, ReplicationSpec(3, (Fraction(1), Fraction(4)))),
          B57, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}),
@@ -457,47 +470,65 @@ class TestCouplingProfile:
     def test_cartan_combinations(self, module, bindings, h_coeffs):
         same_profile(module, bindings, h_coeffs)
 
-    def test_scaled_b_y_takes_the_fallback(self, monkeypatch, tmp_path):
-        """With B_y = 2 I, not nu_y I, the verb computes the degree on the
-        block matrix, which has the same Jordan type, and writes the
-        report it writes unpatched."""
+    def test_scaled_b_y_is_read_as_its_scalar(self, monkeypatch, tmp_path):
+        """With B_y = 2 I, not nu_y I, the profile reads mu = 2 off B_y,
+        builds no block matrix, and the verb writes the report it writes
+        unpatched."""
         expected = replicate_job(tmp_path / "expected.json")
-        y, along, direct = (GenLabel("y"), matryoshka.Deformation.along,
-                            matryoshka.jordan_minpoly_profile)
-        fallbacks = []
+        y, along = GenLabel("y"), matryoshka.Deformation.along
         monkeypatch.setattr(matryoshka.Deformation, "along", lambda D, mat:
                             along(D, mat).scale(2 if mat is D.A[y] else 1))
-        monkeypatch.setattr(matryoshka, "jordan_minpoly_profile",
-                            lambda *args: fallbacks.append(1) or direct(*args))
         R = replicate(SL31_A21, ReplicationSpec(3, (Fraction(2),
                                                     Fraction(-1, 3))))
-        assert coupling_jordan_profile(R, B57, HYPERCHARGE) is None
+        assert R.deformation.B[y] == PolyMatrix.identity(
+            SL31_A21.dim, SL31_A21.params).scale(2)
+        oracle = jordan_minpoly_profile(R, B57, HYPERCHARGE)
+
+        def refuse(*args):
+            raise AssertionError("a block matrix was built")
+
+        monkeypatch.setattr(matryoshka, "kronecker_sum", refuse)
+        assert jordan_profile(R, B57, HYPERCHARGE) == oracle
+        assert set(oracle.values()) == {3}
         assert replicate_job(tmp_path / "report.json") == expected
-        assert fallbacks == [1]
         assert "hypercharge Jordan degree 3 on every weight space" in expected
 
-    def test_unequal_a_y_in_a_weight_space_takes_the_fallback(
+    def test_unequal_a_y_in_a_weight_space_fails_its_premise(
             self, monkeypatch):
-        """A_y with two values on one weight space: the verb computes the
-        degree on the block matrix, which raises as it always has."""
-        fallbacks = []
-        direct = matryoshka.jordan_minpoly_profile
+        """A_y with two values on one weight space: the profile and the
+        verb raise the error that names the failed premise."""
+        original = matryoshka.replicate
 
         def bumped(K, spec):
-            D = odd_derivative(K)
-            return ReplicatedModule(
-                D.replace(A={**D.A, GenLabel("y"): bumped_y(K)}),
-                spec.lambdas, None)
+            R = original(K, spec)
+            return R.replace(deformation=R.deformation.replace(
+                A={**R.deformation.A, GenLabel("y"): bumped_y(K)}))
 
+        premise = "premise failed: A_h is not diagonal with one value per " \
+            "weight space"
+        with pytest.raises(InternalConsistencyError, match=premise):
+            jordan_profile(bumped(OCTET, ReplicationSpec(2, (Fraction(1),))),
+                           B57, HYPERCHARGE)
         monkeypatch.setattr(matryoshka, "replicate", bumped)
-        monkeypatch.setattr(matryoshka, "jordan_minpoly_profile",
-                            lambda *args: fallbacks.append(1) or direct(*args))
-        assert coupling_jordan_profile(bumped(OCTET, ReplicationSpec(
-            2, (Fraction(1),))), B57, HYPERCHARGE) is None
-        with pytest.raises(InternalConsistencyError,
-                           match="not nilpotent minus scalar"):
+        with pytest.raises(InternalConsistencyError, match=premise):
             cli.run(JobConfig(action="replicate", labels=(1,), N=2))
-        assert fallbacks == [1]
+
+    def test_non_scalar_b_y_and_non_nilpotent_c_are_named(self,
+                                                          monkeypatch):
+        R = replicate(OCTET, ReplicationSpec(2, (Fraction(1),)))
+        with pytest.raises(InternalConsistencyError,
+                           match="not nilpotent"):
+            R.replace(coupling=PolyMatrix(2, 2, (), {(0, 1): 1, (1, 0): 1})
+                      ).index
+        y, along = GenLabel("y"), matryoshka.Deformation.along
+        bump = PolyMatrix(OCTET.dim, OCTET.dim, OCTET.params, {(0, 0): 1})
+        monkeypatch.setattr(matryoshka.Deformation, "along", lambda D, mat:
+                            along(D, mat) + bump if mat is D.A[y]
+                            else along(D, mat))
+        with pytest.raises(InternalConsistencyError,
+                           match="premise failed: B_h is not a scalar"):
+            jordan_profile(replicate(OCTET, ReplicationSpec(
+                2, (Fraction(1),))), B57, HYPERCHARGE)
 
     def test_unbound_parameter_rejected_as_by_the_block_matrix(self):
         module = twist(GL_A1, TwistSpec(2, (1, 2)))
@@ -579,9 +610,10 @@ def top_weight_mu(module) -> dict:
                     assert block.entry(i, j) == block.entry(0, 0)
                 elif j != i + 1:
                     assert block.entry(i, j).is_zero
+        C = module.coupling
         for i in range(1, module.N - 1):
-            assert block.entry(i, i + 1) * module.couplings[0] == \
-                block.entry(0, 1) * module.couplings[i]
+            assert block.entry(i, i + 1) * C.entry(0, 1).constant_value() \
+                == block.entry(0, 1) * C.entry(i, i + 1).constant_value()
         mu[label] = block.entry(0, 1)
     return mu
 
@@ -661,8 +693,8 @@ class TestDegreeGap:
         source = twist(GL_TRIV, TwistSpec(2, (0, 1)))
         target = twist(GL_TRIV, TwistSpec(2, (0, 2)))
         assert top_degree(source) == top_degree(target) == 2
-        assert conjugation_check(source, target, 2).ok
-        assert conjugation_check(source, source, 1).ok
+        assert conjugation_check(source, target, (2, 1)).ok
+        assert conjugation_check(source, source, (1, 1)).ok
 
 
 class TestReductionToBaseDimension:
@@ -672,20 +704,24 @@ class TestReductionToBaseDimension:
 
     MODULES = [("sl", 2, 1, (0,)), ("sl", 2, 1, (1,)), ("sl", 2, 1, (2,)),
                ("gl", 2, 1, (0,)), ("gl", 2, 1, (1,)), ("sl", 3, 1, (1, 0))]
-    # N = 1, 2, 3, 3, 4
+    # C^2 = 0 at N = 3, so (iii) does not apply
+    ZERO_COUPLING = (Fraction(1), Fraction(0))
+    # N = 1, 2, 3, 3, 3, 4
     COUPLINGS = [()] + list(COUPLING_SETS) + \
-        [(Fraction(2), Fraction(-3, 5), Fraction(1))]
+        [ZERO_COUPLING, (Fraction(2), Fraction(-3, 5), Fraction(1))]
     DIRECTIONS = {"sl": [(Fraction(-2, 3),)], "gl": [(0, 1), (2, -3)]}
 
     @staticmethod
-    def block_pairs(D, couplings):
-        """Violating pairs on the materialized blocks, asserted equal to
-        those of identities (i)-(iii) at base dimension."""
-        N = len(couplings) + 1
+    def block_pairs(D, C):
+        """Violating pairs on the materialized blocks of the block module
+        of D with coupling matrix C, asserted equal to those of identities
+        (i)-(iii) at base dimension."""
+        module = ReplicatedModule(D, C, None)
+        N = module.N
         reduced = superbracket_violations(D.A, D.base.sc)
-        for violations in derivative_violations(D, N).values():
+        for violations in derivative_violations(D, module.index).values():
             reduced += violations
-        blocks = D.materialize(couplings)
+        blocks = module.materialize()
         full = superbracket_violations(blocks, D.base.sc)
         assert {pair for pair, _ in reduced} == {pair for pair, _ in full}
         # from N = 2 a Cartan block holds a Jordan block, not a diagonal,
@@ -706,11 +742,12 @@ class TestReductionToBaseDimension:
         # materialized N = 4 blocks alone take seconds to check
         small = K.dim <= 16
         for couplings in self.COUPLINGS if small else [(), COUPLING_SETS[-1]]:
-            assert self.block_pairs(odd_derivative(K), couplings) == set()
+            assert self.block_pairs(odd_derivative(K),
+                                    superdiagonal(couplings)) == set()
         for nu in self.DIRECTIONS[flavor]:
             for n_twist in (2, 3) if small else (3,):
                 T = twist(K, TwistSpec(n_twist, nu))
-                assert self.block_pairs(T.deformation, T.couplings) == set()
+                assert self.block_pairs(T.deformation, T.coupling) == set()
 
     @pytest.mark.parametrize("D", [odd_derivative(OCTET),
                                    deformation(GL_A1, 2, -3)],
@@ -718,5 +755,5 @@ class TestReductionToBaseDimension:
     def test_corrupted_deformations(self, D):
         u1 = GenLabel("u", 1)
         bad_a = D.replace(A={**D.A, u1: D.A[u1].scale(2)})
-        for couplings in self.COUPLINGS[1:3]:
-            assert self.block_pairs(bad_a, couplings)
+        for couplings in self.COUPLINGS[1:3] + [self.ZERO_COUPLING]:
+            assert self.block_pairs(bad_a, superdiagonal(couplings))

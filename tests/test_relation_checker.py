@@ -43,6 +43,7 @@ from superkac.kacmod import induce
 from superkac.matryoshka import (ReplicatedModule, block_relations_report,
                                  deformation, derivative_report,
                                  derivative_violations)
+from block_oracle import superdiagonal
 from dense_oracles import dense_linear_solve, dense_rref
 from test_golden import GOLDEN, LADDER, run_example
 from testmatrix import ALGEBRA_CONFIGS
@@ -817,7 +818,7 @@ LEMMA_CASES = [(name, nu) for name, K in LEMMA_MODULES.items()
 
 
 def block(D, N):
-    return ReplicatedModule(D, (Fraction(1),) * (N - 1), None)
+    return ReplicatedModule(D, superdiagonal((1,) * (N - 1)), None)
 
 
 def direct_items(D, N) -> list:
@@ -854,6 +855,24 @@ def test_lemma_path_gives_the_direct_items(name, nu, monkeypatch):
         got = block_relations_report(block(D, N))
         assert got.items == expected and got.ok
         assert len(got.items) == N and calls == []
+
+
+@pytest.mark.parametrize("case", ["true", "u1_b"])
+def test_a_zero_coupling_gates_the_identities_by_powers_of_c(case,
+                                                            monkeypatch):
+    """C = superdiagonal(1, 0) has C != 0 and C^2 = 0, so the 3-fold
+    module's report has the (i) and (ii) items and no (iii) item: on the
+    lemma path of a true module, and on the direct path where (i) fails."""
+    D = deformation(MODULES["sl21_a1"], 1) if case == "true" \
+        else failed_premise("sl21_a1", case)
+    expected = direct_items(D, 2)
+    module = ReplicatedModule(D, superdiagonal((1, 0)), None)
+    assert (module.N, module.index) == (3, 2)
+    calls = count_direct(monkeypatch)
+    report = block_relations_report(module)
+    assert report.items == expected
+    assert [item.name[:5] for item in report.items[1:]] == ["(ii) "]
+    assert calls == ([] if case == "true" else [2])
 
 
 def test_passing_module_forms_no_product(monkeypatch):
@@ -1109,8 +1128,8 @@ def guard_block_work(monkeypatch) -> dict:
     extension of a deformation's A to the full basis (the
     ``extend_matrices`` of ``matryoshka``; ``induce`` keeps its own, on L's
     even matrices) and each label whose B is derived, None for a label off
-    A.  A call of ``cartan_matrix_of``, which builds a block matrix, fails
-    the test."""
+    A.  A call of ``ReplicatedModule.materialize``, which builds block
+    matrices, fails the test."""
     work = {"extended": 0, "derived": []}
     extend, along = matryoshka.extend_matrices, matryoshka.Deformation.along
 
@@ -1124,11 +1143,11 @@ def guard_block_work(monkeypatch) -> dict:
         return along(D, mat)
 
     def refuse(*args):
-        raise AssertionError("a block matrix was built by cartan_matrix_of")
+        raise AssertionError("block matrices were built by materialize")
 
     monkeypatch.setattr(matryoshka, "extend_matrices", extended)
     monkeypatch.setattr(matryoshka.Deformation, "along", derived)
-    monkeypatch.setattr(matryoshka, "cartan_matrix_of", refuse)
+    monkeypatch.setattr(matryoshka.ReplicatedModule, "materialize", refuse)
     return work
 
 
