@@ -10,9 +10,10 @@ a newline, so identical inputs give byte-identical artifacts.
 
 No JSON value is built per matrix entry or basis vector.
 ``module_to_json`` returns an artifact's header fields, with each generator
-matrix and the basis left as a deferred part; a replication's or twist's
-block matrix is built from its deformation only as its part is written, so
-one block is held at a time.  ``export_json`` renders each
+matrix and the basis left as a deferred part.  A Kac module's generator is
+assembled from its factors, and a replication's or twist's block matrix
+built from its deformation, only as its part is written, and neither is
+kept, so one is held at a time.  ``export_json`` renders each
 part as text, straight from the pencil terms and the module's fields, as it
 streams the file.  It writes a temporary file beside the target, which
 replaces the target only once complete, so a failed job leaves an existing
@@ -33,7 +34,7 @@ from math import gcd
 
 from superkac.algebra import GenLabel, InputError
 from superkac.exact import ParamPoly, PolyMatrix
-from superkac.kacmod import KacModule
+from superkac.kacmod import KacModule, unkept
 
 SCHEMA_MODULE = "superkac.module.v1"
 
@@ -119,12 +120,22 @@ def _write_matrix(m: PolyMatrix, bindings: dict | None, newline: str,
     out("," + inner + '"rows": ' + str(m.rows) + newline + "}")
 
 
+def _write_generator(matrices, label: GenLabel, bindings: dict | None,
+                     newline: str, out) -> None:
+    """One matrix of a Kac or H module, read by ``kacmod.unkept``: a Kac
+    module label not yet assembled is assembled for this write and dropped
+    once written."""
+    _write_matrix(unkept(matrices, label), bindings, newline, out)
+
+
 def _write_block_matrix(module, label: GenLabel, bindings: dict | None,
                         newline: str, out) -> None:
-    """The block matrix of one label of a replication or twist, built from
-    its deformation and dropped once written."""
-    m, = module.materialize([label]).values()
-    _write_matrix(m, bindings, newline, out)
+    """The block matrix I (x) A + C (x) B of one label of a replication or
+    twist, with A read by ``kacmod.unkept`` and B = D(A), built from its
+    deformation and dropped once written."""
+    D = module.deformation
+    a = unkept(D.A, label)
+    _write_matrix(module.block_matrix(a, D.along(a)), bindings, newline, out)
 
 
 def _items_text(items: list, newline: str) -> str:
@@ -222,8 +233,9 @@ def module_to_json(module, bindings: dict | None = None) -> dict:
                                         bindings)
                       for lab in base.matrices}
     else:
-        generators = {str(lab): partial(_write_matrix, mat, bindings)
-                      for lab, mat in module.matrices.items()}
+        generators = {str(lab): partial(_write_generator, module.matrices,
+                                        lab, bindings)
+                      for lab in module.matrices}
     spec = base.sc.spec
     out.update({
         "kind": kind,

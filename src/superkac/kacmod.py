@@ -22,15 +22,19 @@ diagonal), and moves s -> t, each walked over just the subsets it maps.
 u_j is written in closed form: on v_S it is the sum over the slots s of S
 of (-1)^|prefix| v_prefix ({u_j, v_s} v_tail), each contraction {u_j, v_s}
 split once into one weight table on tails, its moves and its base
-operators.  Each generator is then assembled in one integer pass
-(exact.kronecker_sum), where W (x) I at base dimension 1 is W itself.
+operators.  K keeps each generator in that factored form: its matrices
+are a view (InducedMatrices) that assembles a label in one integer pass
+(exact.kronecker_sum, where W (x) I at base dimension 1 is W itself) on
+its first read and keeps it, so a verb assembles only the labels it
+reads, and unkept reads a label once without keeping it.
 
 The weights stay on integers as well: K keeps the highest weight of L
 once, and the weight of v_S w_l is it minus the int shift of w_l plus the
 odd roots of S.  weight_spaces substitutes the highest weight once and
 groups basis positions by shift, and singular_vectors feeds the integer
-rows of the substituted raising matrices, one weight space at a time,
-straight to exact.integer_rref.
+rows of the substituted raising matrices, one group of equal shifts at a
+time, straight to exact.integer_rref, forming a weight only where it
+finds a vector.
 """
 
 from __future__ import annotations
@@ -50,12 +54,59 @@ from superkac.exact import (ParamPoly, PolyMatrix, extract_rational_roots,
 from superkac.record import Record
 
 
+class InducedMatrices(Mapping):
+    """GenLabel -> the generator's matrix sum_op W_op (x) B_op on the
+    basis (odd subset, base index), assembled by exact.kronecker_sum on its
+    first read and kept in place of its factors.
+
+    ``stored[label]`` is a tuple of the label's (W_op, B_op) pairs as
+    kronecker_sum takes them, W_op a size-square matrix (den, {row: {col:
+    int}}) and B_op a base_dim-square PolyMatrix, until the label is
+    read; then it is the assembled PolyMatrix."""
+
+    def __init__(self, size: int, base_dim: int, params: tuple,
+                 stored: dict):
+        self.size, self.base_dim, self.params = size, base_dim, params
+        self.stored = stored
+
+    def assembled(self, label: GenLabel) -> PolyMatrix:
+        """The label's matrix, assembled if it is not yet, and not kept."""
+        entry = self.stored[label]
+        if entry.__class__ is tuple:
+            return kronecker_sum(self.size, self.base_dim, self.params, entry)
+        return entry
+
+    def __getitem__(self, label: GenLabel) -> PolyMatrix:
+        entry = self.stored[label]
+        if entry.__class__ is tuple:
+            entry = self.stored[label] = self.assembled(label)
+        return entry
+
+    def __contains__(self, label) -> bool:
+        return label in self.stored
+
+    def __iter__(self):
+        return iter(self.stored)
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+
+def unkept(matrices: Mapping, label: GenLabel) -> PolyMatrix:
+    """matrices[label]; a label that an InducedMatrices view has not yet
+    assembled is assembled for this read alone and not kept, so a reader
+    that takes one label at a time holds one."""
+    if isinstance(matrices, InducedMatrices):
+        return matrices.assembled(label)
+    return matrices[label]
+
+
 class KacModule(Record):
     """A module built by wedge induction; matrices are indexed by generator
     labels.  The params and the highest weight are those of L."""
 
     basis: tuple                  # (subset, even_index) pairs, v_Lambda first
-    matrices: dict                # GenLabel -> PolyMatrix
+    matrices: Mapping             # GenLabel -> PolyMatrix, lazy from induce
     shifts: tuple                 # per basis vector, hw minus its weight (ints)
     layers: tuple                 # |subset| per basis vector
     sc: StructureConstants
@@ -126,7 +177,7 @@ def induce_core(P: int, params: tuple, base_dim: int,
     raises InternalConsistencyError); adj[(g, s)] lists (t, coeff) with
     [g, v_s] = sum coeff v_t; uv_exp[(i, j)] lists (even label, coeff) for
     the contraction {u_i, v_j}.  Returns (basis, matrices) where matrices
-    covers surface_labels plus all u_i and v_i.
+    is the InducedMatrices view of surface_labels plus all u_i and v_i.
 
     An odd subset is a bitmask with bit s - 1 for v_s, and a wedge sign is
     the parity of the slots passed.  The adj coefficients are scaled to
@@ -137,8 +188,8 @@ def induce_core(P: int, params: tuple, base_dim: int,
     first computed as {op: W_op}, where op is None (the identity on the
     base) or the position of an even label (its base operator), and W_op
     is the wedge-sized matrix (den, {subset' position: {subset position:
-    int}}); it is then assembled as sum_op W_op (x) base operator in one
-    pass.
+    int}}); the view assembles sum_op W_op (x) base operator in one pass
+    where the label is read.
     """
     subsets = _subset_order(P)
     masks = [sum(1 << (s - 1) for s in subset) for subset in subsets]
@@ -176,10 +227,9 @@ def induce_core(P: int, params: tuple, base_dim: int,
                 moves[g][(s, t)] = moves[g].get((s, t), 0) + int(c * adj_den)
     eye = PolyMatrix.identity(base_dim, params)
 
-    def assemble(ws: dict) -> PolyMatrix:
-        return kronecker_sum(size, base_dim, params, (
-            (W, eye if op is None else base_mats[labels[op]])
-            for op, W in ws.items()))
+    def factors(ws: dict) -> tuple:
+        return tuple((W, eye if op is None else base_mats[labels[op]])
+                     for op, W in ws.items())
 
     def move(rows: dict, s: int, t: int, q: int, drop: int,
              sign_bits: int) -> None:
@@ -193,7 +243,7 @@ def induce_core(P: int, params: tuple, base_dim: int,
             _add(rows, pos[r | tb], pos[r | sb | drop],
                  -q if (r & sign_bits).bit_count() & 1 else q)
 
-    matrices: dict = {}
+    parts: dict = {}
     for g, label in enumerate(surface_labels):
         rows: dict = {}
         if any(diag[g]):
@@ -207,10 +257,10 @@ def induce_core(P: int, params: tuple, base_dim: int,
         ws = {None: (adj_den, rows)}
         if on_base[g]:
             ws[g] = (1, {k: {k: 1} for k in range(size)})
-        matrices[label] = assemble(ws)
+        parts[label] = factors(ws)
     for i in range(1, P + 1):
         bit = 1 << (i - 1)
-        matrices[GenLabel("v", i)] = assemble({None: (1, {
+        parts[GenLabel("v", i)] = factors({None: (1, {
             pos[mask | bit]: {k: -1 if (mask & (bit - 1)).bit_count() & 1
                               else 1}
             for k, mask in enumerate(masks) if not mask & bit})})
@@ -261,12 +311,12 @@ def induce_core(P: int, params: tuple, base_dim: int,
                         _add(rows, new, k, -c if neg else c)
             for (s2, t), q in tail_moves.items():
                 move(wedge, s2, t, q // shared[None], sb, sb - 1)
-        matrices[GenLabel("u", i)] = assemble({
+        parts[GenLabel("u", i)] = factors({
             op: ((uv_den * adj_den if op is None else uv_den) // shared[op],
                  rows)
             for op, rows in u_rows.items()})
     basis = tuple((subset, l) for subset in subsets for l in range(base_dim))
-    return basis, matrices
+    return basis, InducedMatrices(size, base_dim, tuple(params), parts)
 
 
 def _shifted(base_shifts: Sequence[tuple], subsets: Sequence,
@@ -405,12 +455,23 @@ def weight_spaces(module, bindings: Mapping[str, Fraction]) -> dict:
     shift.  Every weight is that one value minus its shift, so two weights
     are equal iff their shifts are, and descending shifts are ascending
     weights."""
-    hw = [c.substitute(bindings).constant_value() for c in module.hw]
+    hw = _bound_hw(module, bindings)
+    return {tuple(x - s for x, s in zip(hw, shift)): cols
+            for shift, cols in _shift_groups(module.shifts)}
+
+
+def _bound_hw(module, bindings: Mapping[str, Fraction]) -> list:
+    """The highest weight's Fraction coordinates at bindings."""
+    return [c.substitute(bindings).constant_value() for c in module.hw]
+
+
+def _shift_groups(shifts: Sequence[tuple]) -> list:
+    """(shift, [position, ...]) for each distinct shift, in descending
+    shift order."""
     groups: dict = {}
-    for pos, shift in enumerate(module.shifts):
+    for pos, shift in enumerate(shifts):
         groups.setdefault(shift, []).append(pos)
-    return {tuple(x - s for x, s in zip(hw, shift)): groups[shift]
-            for shift in sorted(groups, reverse=True)}
+    return sorted(groups.items(), reverse=True)
 
 
 class SingularVector(Record):
@@ -451,8 +512,11 @@ def singular_vectors(K: KacModule,
             for c, x in row.items():
                 by_column.setdefault(c, []).append((offset + r, x))
 
+    # a weight space is a group of equal shifts (see weight_spaces), whose
+    # weight is formed only where it holds a vector
+    hw = _bound_hw(K, bindings)
     found = []
-    for key, cols in weight_spaces(K, bindings).items():
+    for shift, cols in _shift_groups(K.shifts):
         # only the nonzero rows of the stacked raising action: the RREF
         # does not depend on row order or zero rows
         rows: dict = {}
@@ -464,11 +528,14 @@ def singular_vectors(K: KacModule,
                 else:
                     row[j] = x
         pivots, reduced = integer_rref(rows.values())
-        for vec in nullspace(pivots, reduced, len(cols)):
+        vectors = nullspace(pivots, reduced, len(cols))
+        if vectors:
+            weight = tuple(x - s for x, s in zip(hw, shift))
+        for vec in vectors:
             coeffs = tuple((cols[i], value) for i, value in enumerate(vec)
                            if value != 0)
             layer = K.layers[coeffs[0][0]]
-            found.append(SingularVector(weight=key, layer=layer,
+            found.append(SingularVector(weight=weight, layer=layer,
                                         coefficients=coeffs))
             # exactness self-check: the embedded vector is annihilated
             embedded = PolyMatrix(K.dim, 1, K.params,

@@ -84,7 +84,7 @@ class Deformation(Record):
 
     base: KacModule
     nu: tuple                     # (nu_y, nu_c), the direction of D
-    A: dict                       # GenLabel -> PolyMatrix
+    A: Mapping                    # GenLabel -> PolyMatrix
 
     @cached_property
     def B(self) -> Mapping:
@@ -336,14 +336,6 @@ class ReplicatedModule(Record):
                                      (self.coupling.integer_term(), b))
                  if m is not None]
         return kronecker_sum(self.N, self.base.dim, self.params, parts)
-
-    def materialize(self, labels=None) -> dict:
-        """Block matrices I (x) A + C (x) B of the given labels, by default
-        the generator surface."""
-        D = self.deformation
-        return {label: self.block_matrix(D.A[label], D.B[label])
-                for label in (self.base.matrices if labels is None
-                              else labels)}
 
 
 def _superdiagonal(values: tuple) -> PolyMatrix:

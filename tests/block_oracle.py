@@ -56,11 +56,15 @@ def place_blocks(rows: int, cols: int, params, blocks) -> PolyMatrix:
     return PolyMatrix(rows, cols, params, entries)
 
 
-def block_matrices(module) -> dict:
-    """Every generator's block matrix of a replication or twist, built by
-    ``ReplicatedModule.materialize``: the full set of blocks, which no verb
-    builds, for the tests that read it."""
-    return module.materialize()
+def block_matrices(module, labels=None) -> dict:
+    """The block matrices I (x) A + C (x) B of a replication or twist, as
+    ``ReplicatedModule.block_matrix`` builds them, for the given labels and
+    by default for the whole generator surface: the full set of blocks,
+    which no verb builds, for the tests that read it."""
+    D = module.deformation
+    return {label: module.block_matrix(D.A[label], D.B[label])
+            for label in (module.base.matrices if labels is None
+                          else labels)}
 
 
 def superdiagonal(values) -> PolyMatrix:
@@ -75,7 +79,7 @@ def superdiagonal(values) -> PolyMatrix:
 def cartan_matrix_of(module, h_coeffs: Mapping[GenLabel, Fraction]) -> PolyMatrix:
     """Matrix of a Cartan combination sum h_coeffs[label] * label; a block
     module builds only the labels of h_coeffs."""
-    mats = module.materialize(h_coeffs) \
+    mats = block_matrices(module, h_coeffs) \
         if isinstance(module, ReplicatedModule) else module.matrices
     return combination([(coeff, mats[label], None)
                         for label, coeff in h_coeffs.items()])

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from superkac import heisenberg, kacmod
+from superkac import cli, heisenberg, kacmod
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, structure_constants,
@@ -461,26 +461,55 @@ def assert_same_induction(got, want):
         assert matrices[label] == mat, label
 
 
+def count_assemblies(monkeypatch) -> list:
+    """The parts of each Kac-module assembly, a call of
+    ``kacmod.kronecker_sum``, in the order they are made."""
+    calls = []
+    assemble = kacmod.kronecker_sum
+
+    def counted(size, base_dim, params, parts):
+        calls.append(parts)
+        return assemble(size, base_dim, params, parts)
+
+    monkeypatch.setattr(kacmod, "kronecker_sum", counted)
+    return calls
+
+
 DIFFERENTIAL_CASES = (
     [(cfg["flavor"], cfg["m"], cfg["n"], (0,) * (cfg["m"] + cfg["n"] - 2))
      for cfg in ALGEBRA_CONFIGS]
     + [("sl", 3, 1, (2, 1)), ("gl", 2, 1, (1,)), ("gl", 3, 1, (1, 0)),
        ("sl", 3, 2, (0, 0, 0)), ("sl", 4, 2, (0, 0, 0, 0)),
        # P = 6 with a nontrivial L: every base operator of u_j enters
-       ("sl", 3, 2, (1, 0, 0)), ("gl", 2, 3, (0, 1, 0))])
+       ("sl", 3, 2, (1, 0, 0)), ("gl", 2, 3, (0, 1, 0)),
+       # the rest of the bases of the benchmark's construct and verify
+       # ladders
+       ("sl", 2, 1, (3,)), ("sl", 4, 1, (1, 0, 0)), ("sl", 3, 1, (2, 2)),
+       ("sl", 3, 1, (1, 1))])
 
 
 @pytest.mark.parametrize("flavor,m,n,a", DIFFERENTIAL_CASES,
                          ids=[f"{f}{m}{n}-{a}" for f, m, n, a in
                               DIFFERENTIAL_CASES])
 def test_induce_matches_block_matrix_reference(flavor, m, n, a, monkeypatch):
+    """Each label of the view is assembled alone on its first read, in any
+    order, and kept in place of its factors: the same matrix object on
+    every later read, and the one that ``unkept`` then returns."""
     rep = build_fundamental_rep(SuperAlgebraSpec(m, n, flavor))
     sc = structure_constants(rep)
     L = build_even_irrep(a, sc)
     K = induce(L, sc)
     monkeypatch.setattr(kacmod, "induce_core", reference_induce_core)
     ref = induce(L, sc)
+    monkeypatch.undo()
+    assembled = count_assemblies(monkeypatch)
+    for k, label in enumerate(reversed(list(ref.matrices)), start=1):
+        mat = K.matrices[label]
+        assert (mat, len(assembled)) == (ref.matrices[label], k), label
+        assert K.matrices[label] is mat is kacmod.unkept(K.matrices, label)
+        assert K.matrices.stored[label] is mat
     assert_same_induction((K.basis, K.matrices), (ref.basis, ref.matrices))
+    assert len(assembled) == len(ref.matrices)
     assert (K.shifts, K.layers) == reference_shifts(ref)
     assert K.hw is L.hw and all(type(x) is int
                                 for shift in K.shifts for x in shift)
@@ -591,6 +620,74 @@ def test_induce_leaves_no_garbage():
     finally:
         gc.enable()
     assert K.dim == 64
+
+
+def guard_assemblies(monkeypatch):
+    """(modules, assembled): the Kac modules that ``cli.run`` induces, and
+    a reader of the labels assembled so far, one per call of
+    ``kacmod.kronecker_sum``, each named by the identity of its parts."""
+    modules, named = [], {}
+    build = cli.induce
+
+    def induced(L, sc):
+        K = build(L, sc)
+        modules.append(K)
+        named.update((id(parts), label)
+                     for label, parts in K.matrices.stored.items())
+        return K
+
+    monkeypatch.setattr(cli, "induce", induced)
+    calls = count_assemblies(monkeypatch)
+
+    def assembled() -> list:
+        return sorted((named[id(parts)] for parts in calls), key=str)
+
+    return modules, assembled
+
+
+# (JobConfig fields, the kinds of label the job assembles, each once; None
+# for every label).  b = -2 is a root of a typicality factor of sl(3|1)
+# a=(2,1), where singular vectors exist, and 5/7 a generic point.
+ASSEMBLY_JOBS = [
+    ({"action": "build", "m": 5, "labels": (2, 1, 1, 1)}, ()),
+    ({"action": "build", "flavor": "gl", "m": 2, "n": 3,
+      "labels": (0, 0, 0)}, ()),
+    ({"action": "typicality", "m": 3, "labels": (2, 1)}, ("v", "u")),
+    ({"action": "typicality", "m": 3, "labels": (2, 1), "b": "5/7"},
+     ("v", "u", "e")),
+    ({"action": "typicality", "m": 3, "labels": (2, 1), "b": "-2"},
+     ("v", "u", "e")),
+    ({"action": "verify", "m": 3, "labels": (1, 1)}, None),
+    ({"action": "replicate", "labels": (2,), "N": 3}, None),
+    ({"action": "export", "m": 3, "labels": (2, 1)}, None),
+]
+
+
+@pytest.mark.parametrize("fields,kinds", ASSEMBLY_JOBS,
+                         ids=[f"{f['action']}-{f.get('m', 2)}"
+                              f"{f.get('n', 1)}-{f['labels']}-"
+                              f"{f.get('b', 'b')}" for f, _ in ASSEMBLY_JOBS])
+def test_jobs_assemble_only_the_labels_their_verb_reads(
+        fields, kinds, tmp_path, capsys, monkeypatch):
+    """build assembles nothing, also at dim K 80640; typicality assembles
+    v_j and u_j, and with b bound the e_i its singular vectors read; a
+    verb that reads the whole module assembles each label once; export
+    keeps none, so a read after it assembles the label again."""
+    if fields["action"] == "export":
+        fields = dict(fields, out=str(tmp_path / "module.json"))
+    modules, assembled = guard_assemblies(monkeypatch)
+    assert cli.run(cli.JobConfig(**fields)) == 0
+    K, = modules
+    expected = [label for label in K.matrices
+                if kinds is None or label.kind in kinds]
+    assert assembled() == sorted(expected, key=str)
+    if fields["action"] == "build":
+        assert f"Kac module of dimension {K.dim} " in capsys.readouterr().out
+        assert K.dim == (80640 if fields["m"] == 5 else 64)
+    if fields["action"] == "export":
+        for label in K.matrices:
+            K.matrices[label]
+        assert assembled() == sorted(2 * expected, key=str)
 
 
 # -- weight spaces against substituting every coordinate ---------------------

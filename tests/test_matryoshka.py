@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkac import algebra, cli, exact, matryoshka
+from superkac import algebra, cli, kacmod, matryoshka
 from superkac.algebra import (GenLabel, InputError, InternalConsistencyError,
                               SuperAlgebraSpec, build_fundamental_rep,
                               check_super_relations, extend_matrices,
                               structure_constants, superbracket_violations)
 from superkac.cli import JobConfig
 from superkac.evenrep import build_even_irrep
-from superkac.exact import (ParamPoly, ParameterizedEntryError, PolyMatrix,
-                            kronecker_sum)
+from superkac.exact import ParamPoly, ParameterizedEntryError, PolyMatrix
 from superkac.jsonio import export_json, module_to_json
 from superkac.kacmod import induce, weight_spaces
 from superkac.matryoshka import (ReplicatedModule, ReplicationSpec,
@@ -314,52 +313,37 @@ class TestJordanProfile:
          {GenLabel("y"): Fraction(-2), GenLabel("z0"): Fraction(1)}, {1}),
     ], ids=["sl31-a21-N3", "couplings-1-0", "h1-plus-y", "twist-z0",
             "twist-kernel"])
-    def test_matches_dense_reference(self, module, bindings, h_coeffs,
-                                     degrees):
-        profile = jordan_minpoly_profile(module, bindings, h_coeffs)
-        assert profile == reference_jordan_profile(module, bindings, h_coeffs)
+    def test_matches_block_matrix_oracle(self, module, bindings, h_coeffs,
+                                         degrees):
+        profile = same_profile(module, bindings, h_coeffs)
         assert set(profile.values()) == degrees
-
-    def test_one_pencil_pass_the_substitution(self, monkeypatch):
-        """The hypercharge block is built with no pencil pass and read
-        with no copy, so substituting the bindings is the profile's one
-        pass over the matrix."""
-        R = replicate(SL31_A21, ReplicationSpec(3, (Fraction(2),
-                                                    Fraction(-1, 3))))
-        y = GenLabel("y")
-        expected = reference_jordan_profile(R, B57, HYPERCHARGE)
-        block = block_matrices(R)[y]    # all blocks and B, outside the count
-        assert cartan_matrix_of(R, {y: Fraction(1)}) == block
-        passes = []
-        pencil = exact._pencil
-        monkeypatch.setattr(exact, "_pencil",
-                            lambda parts: passes.append(1) or pencil(parts))
-        assert jordan_minpoly_profile(R, B57, HYPERCHARGE) == expected
-        assert set(expected.values()) == {3}
-        assert len(passes) == 1
 
     @pytest.mark.parametrize("h_coeffs", [
         HYPERCHARGE, {GenLabel("h", 1): Fraction(1), GenLabel("y"): Fraction(1)}])
     def test_fresh_block_module_builds_only_the_cartan_labels(
             self, monkeypatch, h_coeffs):
-        calls, derived = [], []
-
-        def counting(*args):
-            calls.append(args)
-            return kronecker_sum(*args)
-
-        along = matryoshka.Deformation.along
-        monkeypatch.setattr(matryoshka, "kronecker_sum", counting)
+        """On a fresh module the profile assembles and derives the labels
+        of h_coeffs alone, and builds no block matrix."""
+        assembled, blocks, derived = [], [], []
+        assemble, along = kacmod.kronecker_sum, matryoshka.Deformation.along
+        monkeypatch.setattr(kacmod, "kronecker_sum",
+                            lambda *args: assembled.append(args[3])
+                            or assemble(*args))
+        monkeypatch.setattr(matryoshka, "kronecker_sum",
+                            lambda *args: blocks.append(args))
         monkeypatch.setattr(matryoshka.Deformation, "along",
                             lambda D, mat: derived.append(mat)
                             or along(D, mat))
+        K, _ = build_kac("sl", 3, 1, (2, 1))
+        parts = dict(K.matrices.stored)
         spec = ReplicationSpec(3, (Fraction(2), Fraction(-1, 3)))
-        fresh = replicate(SL31_A21, spec)
-        profile = jordan_minpoly_profile(fresh, B57, h_coeffs)
-        assert len(calls) == len(derived) == len(h_coeffs)
-        built = replicate(SL31_A21, spec)
-        assert len(block_matrices(built)) == len(SL31_A21.matrices)
-        assert jordan_minpoly_profile(built, B57, h_coeffs) == profile
+        profile = jordan_profile(replicate(K, spec), B57, h_coeffs)
+        assert assembled == [parts[label] for label in h_coeffs]
+        assert derived == [K.matrices[label] for label in h_coeffs]
+        assert blocks == []
+        monkeypatch.undo()
+        assert profile == jordan_minpoly_profile(replicate(K, spec), B57,
+                                                 h_coeffs)
 
     def test_not_scalar_plus_nilpotent_rejected(self):
         # one weight space on which y has two distinct eigenvalues
@@ -375,16 +359,17 @@ class TestJordanProfile:
         # a gl module with only b bound still has c in its weights
         module = twist(GL_A1, TwistSpec(2, (1, 2)))
         with pytest.raises(ParameterizedEntryError):
-            jordan_minpoly_profile(module, B57, HYPERCHARGE)
+            jordan_profile(module, B57, HYPERCHARGE)
 
     def test_base_module_is_diagonal(self):
-        profile = jordan_minpoly_profile(QUARTET, B57, HYPERCHARGE)
-        assert set(profile.values()) == {1}
+        # K itself, as its one-copy replication
+        R = replicate(QUARTET, ReplicationSpec(1, ()))
+        assert set(same_profile(R, B57, HYPERCHARGE).values()) == {1}
 
     def test_replication_degree_equals_copies(self):
         for lams in COUPLING_SETS:
             R = replicate(QUARTET, ReplicationSpec(len(lams) + 1, lams))
-            profile = jordan_minpoly_profile(R, B57, HYPERCHARGE)
+            profile = same_profile(R, B57, HYPERCHARGE)
             assert set(profile.values()) == {len(lams) + 1}
 
     def test_split_bypass_degree_one(self):
@@ -393,8 +378,7 @@ class TestJordanProfile:
         # collapsing to 1
         R0 = ReplicatedModule(odd_derivative(QUARTET), superdiagonal((0,)),
                               None)
-        profile = jordan_minpoly_profile(R0, B57, HYPERCHARGE)
-        assert set(profile.values()) == {1}
+        assert set(same_profile(R0, B57, HYPERCHARGE).values()) == {1}
 
 
 # the bases of the benchmark's indecomposable ladder
@@ -721,7 +705,7 @@ class TestReductionToBaseDimension:
         reduced = superbracket_violations(D.A, D.base.sc)
         for violations in derivative_violations(D, module.index).values():
             reduced += violations
-        blocks = module.materialize()
+        blocks = block_matrices(module)
         full = superbracket_violations(blocks, D.base.sc)
         assert {pair for pair, _ in reduced} == {pair for pair, _ in full}
         # from N = 2 a Cartan block holds a Jordan block, not a diagonal,

@@ -1127,11 +1127,11 @@ def guard_block_work(monkeypatch) -> dict:
     """Count the work a block-module job does beyond its verb's reads: each
     extension of a deformation's A to the full basis (the
     ``extend_matrices`` of ``matryoshka``; ``induce`` keeps its own, on L's
-    even matrices) and each label whose B is derived, None for a label off
-    A.  A call of ``ReplicatedModule.materialize``, which builds block
-    matrices, fails the test."""
-    work = {"extended": 0, "derived": []}
+    even matrices), each label whose B is derived, None for a label off
+    A, and each block matrix built by ``ReplicatedModule.block_matrix``."""
+    work = {"extended": 0, "derived": [], "blocks": 0}
     extend, along = matryoshka.extend_matrices, matryoshka.Deformation.along
+    block = matryoshka.ReplicatedModule.block_matrix
 
     def extended(*args):
         work["extended"] += 1
@@ -1142,12 +1142,13 @@ def guard_block_work(monkeypatch) -> dict:
             (label for label, m in D.A.items() if m is mat), None))
         return along(D, mat)
 
-    def refuse(*args):
-        raise AssertionError("block matrices were built by materialize")
+    def built(*args):
+        work["blocks"] += 1
+        return block(*args)
 
     monkeypatch.setattr(matryoshka, "extend_matrices", extended)
     monkeypatch.setattr(matryoshka.Deformation, "along", derived)
-    monkeypatch.setattr(matryoshka.ReplicatedModule, "materialize", refuse)
+    monkeypatch.setattr(matryoshka.ReplicatedModule, "block_matrix", built)
     return work
 
 
@@ -1184,6 +1185,7 @@ def test_block_jobs_do_only_the_work_their_verb_reads(
     assert work["extended"] == extensions
     if derived is not None:
         assert work["derived"] == derived
+        assert work["blocks"] == 0
 
 
 def test_compensating_table_corruptions_are_declined(monkeypatch):
